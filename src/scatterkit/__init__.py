@@ -10,8 +10,8 @@ from .ascmodel import (FittedScatterer, FrequencyGrid, Scatterer, SynthChip,
                        synth_target)
 from .chipio import read_chip, write_chip, write_pgm
 from .config import RunConfig, canonical_text, config_hash, load_config
-from .decouple import (DecoupleParams, LabelMap, ScatterRegion, decouple,
-                       decouple_steps, mask_block_bfs, region_grow)
+from .decouple import (DecoupleParams, ScatterRegion, decouple, decouple_steps,
+                       mask_block_bfs, region_grow)
 from .errors import ScatterKitError
 from .keypoints import (DogParams, KeypointSet, cluster_keypoints,
                         dog_keypoints, instance_seed, skaa_keypoints, to_global)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplitudeRaster", "ComplexRaster", "DbRaster", "DecoupleParams",
     "Detection", "DogParams", "EvalReport", "FeatureGrid", "FittedScatterer",
-    "FrequencyGrid", "KeypointSet", "LabelMap", "OrientedBox", "RunConfig",
+    "FrequencyGrid", "KeypointSet", "OrientedBox", "RunConfig",
     "Scatterer", "ScatterKitError", "ScatterMap", "ScatterRegion",
     "SupervisionParams", "SynthChip", "WindowRaster", "amplitude",
     "average_precision", "average_precision_grouped", "bce_loss",

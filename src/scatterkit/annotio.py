@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ascmodel import FrequencyGrid, Scatterer, fit_scatterer
+from .ascmodel import FrequencyGrid, Scatterer, base_psf, fit_scatterer
 from .chipio import read_chip, write_chip
 from .decouple import DecoupleParams, decouple_steps
 from .errors import (BadKeypointCount, BoxOutsideImage, MalformedLine,
@@ -254,9 +254,10 @@ def _annotate_instance_skaa(image: ComplexRaster, ann: InstanceAnnotation,
         if debug_dir is not None:
             stem = f"{image_id}_{idx:03d}_{it:02d}"
             write_chip(AmplitudeRaster(step.residual), debug_dir / f"{stem}_residual.csar")
-            write_chip(AmplitudeRaster(step.label_map.labels.astype(np.float64)),
+            write_chip(AmplitudeRaster(step.region.support.astype(np.float64)),
                        debug_dir / f"{stem}_labels.csar")
-    fits = [fit_scatterer(r.values, grid, window) for r in regions]
+    psf = base_psf(grid, window)
+    fits = [fit_scatterer(r.values, psf) for r in regions]
     seed = instance_seed(master_seed, image_id, idx)
     kps = cluster_keypoints([(f.x, f.y) for f in fits], k=k, rng_seed=seed)
     return replace(ann, keypoints=to_global(kps, origin))

@@ -22,6 +22,8 @@ from .spectral import fft2d, ifft2d
 FIT_DILATE_PX = 2
 # below this many candidate*support products the direct (exact-tie) path is used
 FIT_DIRECT_BUDGET = 2_000_000
+# elements of the (candidates x support) gather built at once on that path
+FIT_GATHER_ELEMS = 65_536
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,12 @@ def _candidate_bbox(support: np.ndarray, h: int, w: int) -> tuple[int, int, int,
     return y0, y1, x0, x1
 
 
-def fit_scatterer(region: np.ndarray, grid: FrequencyGrid, window: WindowRaster,
+def fit_scatterer(region: np.ndarray, psf: np.ndarray,
                   refine: bool = False) -> FittedScatterer:
     """Least-squares fit of one shifted PSF to an extracted amplitude region.
 
-    `region` is a full-frame array, zero off the region's support. The fit
+    `region` is a full-frame array, zero off the region's support, and `psf`
+    is the chip's `base_psf(grid, window)`, of the same shape. The fit
     minimizes || region - a * psf(x0, y0) ||_2 over integer (x0, y0) in the
     support bounding box dilated by 2 px, with the gain a given in closed
     form; since the psf norm is shift-invariant this is equivalent to
@@ -135,43 +138,46 @@ def fit_scatterer(region: np.ndarray, grid: FrequencyGrid, window: WindowRaster,
     smallest (y0, x0) in row-major order.
     """
     region = np.asarray(region, dtype=np.float64)
-    h, w = grid.height, grid.width
+    h, w = psf.shape
     if region.shape != (h, w):
-        raise DimMismatch(f"region {region.shape} vs grid {h}x{w}")
+        raise DimMismatch(f"region {region.shape} vs psf {h}x{w}")
     support = region > 0
     if not support.any():
         raise EmptyRegion("cannot fit a scatterer to an empty region")
 
-    base = base_psf(grid, window)
-    psf_sq = float(np.sum(base * base))
+    psf_sq = float(np.sum(psf * psf))
     y0, y1, x0, x1 = _candidate_bbox(support, h, w)
-    n_cand = (y1 - y0 + 1) * (x1 - x0 + 1)
+    ny, nx = y1 - y0 + 1, x1 - x0 + 1
 
     sup_idx = np.flatnonzero(support.ravel())
-    if n_cand * sup_idx.size <= FIT_DIRECT_BUDGET:
-        sy, sx = np.unravel_index(sup_idx, (h, w))
+    if ny * nx * sup_idx.size <= FIT_DIRECT_BUDGET:
+        # row c of the (candidates x support) gather holds the psf shifted to
+        # candidate c at every support pixel; chunks of rows bound its memory
+        sy, sx = np.divmod(sup_idx, w)
         sv = region.ravel()[sup_idx]
-        best_c, best_y, best_x = -1.0, y0, x0
-        for cy in range(y0, y1 + 1):
-            by = (sy - cy) % h
-            for cx in range(x0, x1 + 1):
-                c = float(np.dot(sv, base[by, (sx - cx) % w]))
-                if c > best_c:
-                    best_c, best_y, best_x = c, cy, cx
+        row_off = ((sy - np.arange(y0, y1 + 1)[:, None]) % h) * w  # (ny, support)
+        col_off = (sx - np.arange(x0, x1 + 1)[:, None]) % w        # (nx, support)
+        cy, cx = np.divmod(np.arange(ny * nx), nx)
+        flat_psf = psf.ravel()
+        crop = np.empty(ny * nx)
+        step = max(1, FIT_GATHER_ELEMS // sup_idx.size)
+        for i in range(0, ny * nx, step):
+            rows = slice(i, i + step)
+            crop[rows] = flat_psf[row_off[cy[rows]] + col_off[cx[rows]]] @ sv
+        crop = crop.reshape(ny, nx)
     else:
         # correlation theorem: ifft2(F(S) conj(F(P))) is the circular
         # cross-correlation sum_n S[n] P[n - m] with no extra scale
-        corr = np.real(ifft2d(fft2d(region) * np.conj(fft2d(base))))
+        corr = np.real(ifft2d(fft2d(region) * np.conj(fft2d(psf))))
         crop = corr[y0:y1 + 1, x0:x1 + 1]
-        flat = int(np.argmax(crop))  # first occurrence = row-major tie-break
-        best_y = y0 + flat // crop.shape[1]
-        best_x = x0 + flat % crop.shape[1]
-        best_c = float(crop[flat // crop.shape[1], flat % crop.shape[1]])
+    flat = int(np.argmax(crop))  # first occurrence = row-major tie-break
+    best_y, best_x = y0 + flat // nx, x0 + flat % nx
+    best_c = float(crop.flat[flat])
 
     fx, fy = float(best_x), float(best_y)
     if refine:
-        fy = best_y + _parabolic_offset(region, base, best_y, best_x, axis=0, h=h, w=w)
-        fx = best_x + _parabolic_offset(region, base, best_y, best_x, axis=1, h=h, w=w)
+        fy = best_y + _parabolic_offset(region, psf, best_y, best_x, axis=0, h=h, w=w)
+        fx = best_x + _parabolic_offset(region, psf, best_y, best_x, axis=1, h=h, w=w)
 
     gain = best_c / psf_sq if psf_sq > 0 else 0.0
     resid_sq = float(np.sum(region * region)) - 2 * gain * best_c + gain * gain * psf_sq

@@ -395,7 +395,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True, help="master RNG seed")
     p.add_argument("--threads", type=int, default=None, help="worker threads")
     p.add_argument("--debug-dir", default=None,
-                   help="dump per-iteration residuals and label maps here")
+                   help="dump per-iteration residuals and region supports here")
 
     p = add("baseline-dog", cmd_baseline_dog,
             "extend annotations with difference-of-Gaussians keypoints")

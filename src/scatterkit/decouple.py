@@ -2,7 +2,7 @@
 
 Each pass masks the 4-connected block around the residual's peak, grows it
 over the log-amplitude surface in descending-brightness order, lifts the
-label-1 region out of the residual, and repeats — at most n_max times, or
+grown region out of the residual, and repeats — at most n_max times, or
 until the residual peak drops below a configurable fraction of the original
 peak. All tie-breaking is row-major, so results are fully deterministic.
 """
@@ -19,7 +19,6 @@ from .errors import AllZeroRaster, EmptyRegion
 from .raster import AmplitudeRaster, ComplexRaster, amplitude, _freeze
 
 N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-N8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -44,33 +43,6 @@ class DecoupleParams:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.min_peak_ratio < 0:
             raise ValueError(f"min_peak_ratio must be >= 0, got {self.min_peak_ratio}")
-
-
-@dataclass(frozen=True)
-class LabelMap:
-    """Per-pixel region labels; 0 = unlabeled, seed block is always label 1."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.labels)
-        if arr.ndim != 2 or not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError("labels must be a 2-D integer array")
-        if arr.min() < 0:
-            raise ValueError("labels must be non-negative")
-        top = int(arr.max())
-        present = set(np.unique(arr).tolist())
-        if top > 0 and not set(range(1, top + 1)) <= present:
-            raise ValueError("labels must cover a contiguous range")
-        object.__setattr__(self, "labels", _freeze(arr))
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
 
 
 @dataclass(frozen=True)
@@ -102,10 +74,9 @@ class ScatterRegion:
 
 @dataclass(frozen=True)
 class DecoupleStep:
-    """One loop iteration: the region, its label map, the residual after."""
+    """One loop iteration: the region and the residual after it."""
 
     region: ScatterRegion
-    label_map: LabelMap
     residual: np.ndarray
 
 
@@ -133,16 +104,20 @@ def mask_block_bfs(r: AmplitudeRaster, tau_db: float) -> np.ndarray:
 
 
 def region_grow(r: AmplitudeRaster, seed_mask: np.ndarray,
-                params: DecoupleParams) -> LabelMap:
-    """Grow labels over the log-amplitude surface in descending-dB order.
+                params: DecoupleParams) -> np.ndarray:
+    """Support of the seed block's region after descending-dB growth.
 
-    Pixels above the grow floor are visited brightest-first (row-major on
-    ties). A pixel joins the minimum label among its labeled 8-neighbors;
-    with no labeled neighbor it founds a new label only if it also clears
-    tau_db, otherwise it stays unlabeled.
+    The growth visits pixels above the grow floor brightest-first (row-major
+    on ties); a pixel joins the minimum label among its labeled 8-neighbors,
+    and the seed block is label 1. Label 1 wins every pixel that touches it,
+    so its region is the seed block plus every above-floor pixel q reached
+    by an 8-neighbor step from p, where p is a seed pixel or p precedes q in
+    the visiting order. Only that region is flooded; the boolean mask of it
+    is returned.
     """
     vals = r.values
-    if not np.asarray(seed_mask, dtype=bool).any():
+    seed = np.asarray(seed_mask, dtype=bool)
+    if not seed.any():
         raise EmptyRegion("seed mask is empty")
     peak = float(vals.max())
     if peak == 0.0:
@@ -150,32 +125,33 @@ def region_grow(r: AmplitudeRaster, seed_mask: np.ndarray,
     h, w = vals.shape
     db = 10.0 * np.log10((vals + params.eps) / peak)
 
-    labels = np.zeros((h, w), dtype=np.int32)
-    labels[np.asarray(seed_mask, dtype=bool)] = 1
-    next_label = 2
+    # one-pixel border of -inf (below any floor) removes the bounds checks;
+    # padded flat indices keep the row-major order of the unpadded ones
+    pw = w + 2
+    pdb = np.full((h + 2, pw), -np.inf)
+    pdb[1:-1, 1:-1] = db
+    flat_db = pdb.ravel()
+    above = flat_db > params.grow_floor_db
+    pseed = np.zeros((h + 2, pw), dtype=bool)
+    pseed[1:-1, 1:-1] = seed
+    in_seed = pseed.ravel()
+    support = in_seed.copy()
+    offsets = (-pw - 1, -pw, -pw + 1, -1, 1, pw - 1, pw, pw + 1)
 
-    flat_db = db.ravel()
-    omega = np.flatnonzero(flat_db > params.grow_floor_db)
-    order = omega[np.argsort(-flat_db[omega], kind="stable")]
-
-    flat_labels = labels.ravel()
-    for q in order:
-        if flat_labels[q]:
-            continue
-        y, x = divmod(int(q), w)
-        best = 0
-        for dy, dx in N8:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w:
-                lab = labels[ny, nx]
-                if lab and (best == 0 or lab < best):
-                    best = lab
-        if best:
-            labels[y, x] = best
-        elif db[y, x] > params.tau_db:
-            labels[y, x] = next_label
-            next_label += 1
-    return LabelMap(labels)
+    stack = np.flatnonzero(in_seed).tolist()
+    while stack:
+        p = stack.pop()
+        p_db = flat_db[p]
+        exempt = in_seed[p]
+        for d in offsets:
+            q = p + d
+            if support[q] or not above[q]:
+                continue
+            q_db = flat_db[q]
+            if exempt or p_db > q_db or (p_db == q_db and p < q):
+                support[q] = True
+                stack.append(q)
+    return support.reshape(h + 2, pw)[1:-1, 1:-1].copy()
 
 
 def decouple_steps(img: ComplexRaster | AmplitudeRaster,
@@ -194,15 +170,14 @@ def decouple_steps(img: ComplexRaster | AmplitudeRaster,
             break
         cur = AmplitudeRaster(residual)
         seed = mask_block_bfs(cur, params.tau_db)
-        label_map = region_grow(cur, seed, params)
-        sup = label_map.labels == 1
+        sup = region_grow(cur, seed, params)
         region_vals = np.where(sup, residual, 0.0)
         py, px = divmod(int(np.argmax(residual)), residual.shape[1])
         region = ScatterRegion(
             values=region_vals, support=sup, peak=(py, px),
             energy=float(np.sum(region_vals * region_vals)))
         residual = np.maximum(residual - region_vals, 0.0)
-        yield DecoupleStep(region=region, label_map=label_map, residual=residual.copy())
+        yield DecoupleStep(region=region, residual=residual.copy())
 
 
 def decouple(img: ComplexRaster | AmplitudeRaster,

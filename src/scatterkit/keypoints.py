@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascmodel import FittedScatterer, FrequencyGrid, fit_scatterer
+from .ascmodel import FittedScatterer, FrequencyGrid, base_psf, fit_scatterer
 from .decouple import DecoupleParams, decouple
 from .errors import EmptyInput, NoCandidates
 from .raster import AmplitudeRaster, ComplexRaster, WindowRaster
@@ -180,7 +180,8 @@ def fit_regions(img: ComplexRaster, grid: FrequencyGrid, window: WindowRaster,
                 dec_params: DecoupleParams = DecoupleParams(),
                 refine: bool = False) -> list[FittedScatterer]:
     """Decouple a chip and fit one scatterer per extracted region."""
-    return [fit_scatterer(reg.values, grid, window, refine=refine)
+    psf = base_psf(grid, window)
+    return [fit_scatterer(reg.values, psf, refine=refine)
             for reg in decouple(img, dec_params)]
 
 

@@ -1,0 +1,120 @@
+"""Reference implementations the library's faster paths are checked against.
+
+`grow_labels` is the full multi-label region growth that `region_grow`
+reduces to its label-1 support; `fit_direct` is the per-candidate loop the
+direct path of `fit_scatterer` replaces with one chunked gather.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from scatterkit.ascmodel import FittedScatterer, _candidate_bbox
+from scatterkit.decouple import DecoupleParams
+from scatterkit.errors import AllZeroRaster, EmptyRegion
+from scatterkit.raster import AmplitudeRaster
+
+N8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+@dataclass(frozen=True)
+class LabelMap:
+    """Per-pixel region labels; 0 = unlabeled, seed block is always label 1."""
+
+    labels: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.labels)
+        if arr.ndim != 2 or not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError("labels must be a 2-D integer array")
+        if arr.min() < 0:
+            raise ValueError("labels must be non-negative")
+        top = int(arr.max())
+        present = set(np.unique(arr).tolist())
+        if top > 0 and not set(range(1, top + 1)) <= present:
+            raise ValueError("labels must cover a contiguous range")
+        arr = np.ascontiguousarray(arr)
+        arr.setflags(write=False)
+        object.__setattr__(self, "labels", arr)
+
+    @property
+    def height(self) -> int:
+        return self.labels.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.labels.shape[1]
+
+
+def grow_labels(r: AmplitudeRaster, seed_mask: np.ndarray,
+                params: DecoupleParams) -> LabelMap:
+    """Grow labels over the log-amplitude surface in descending-dB order.
+
+    Pixels above the grow floor are visited brightest-first (row-major on
+    ties). A pixel joins the minimum label among its labeled 8-neighbors;
+    with no labeled neighbor it founds a new label only if it also clears
+    tau_db, otherwise it stays unlabeled.
+    """
+    vals = r.values
+    if not np.asarray(seed_mask, dtype=bool).any():
+        raise EmptyRegion("seed mask is empty")
+    peak = float(vals.max())
+    if peak == 0.0:
+        raise AllZeroRaster("cannot grow regions on an all-zero raster")
+    h, w = vals.shape
+    db = 10.0 * np.log10((vals + params.eps) / peak)
+
+    labels = np.zeros((h, w), dtype=np.int32)
+    labels[np.asarray(seed_mask, dtype=bool)] = 1
+    next_label = 2
+
+    flat_db = db.ravel()
+    omega = np.flatnonzero(flat_db > params.grow_floor_db)
+    order = omega[np.argsort(-flat_db[omega], kind="stable")]
+
+    flat_labels = labels.ravel()
+    for q in order:
+        if flat_labels[q]:
+            continue
+        y, x = divmod(int(q), w)
+        best = 0
+        for dy, dx in N8:
+            ny, nx = y + dy, x + dx
+            if 0 <= ny < h and 0 <= nx < w:
+                lab = labels[ny, nx]
+                if lab and (best == 0 or lab < best):
+                    best = lab
+        if best:
+            labels[y, x] = best
+        elif db[y, x] > params.tau_db:
+            labels[y, x] = next_label
+            next_label += 1
+    return LabelMap(labels)
+
+
+def fit_direct(region: np.ndarray, psf: np.ndarray) -> FittedScatterer:
+    """Integer-lattice fit by one dot product per candidate, no refinement.
+
+    Candidates are the support bounding box dilated as in `fit_scatterer`;
+    ties resolve to the first candidate in row-major order.
+    """
+    h, w = psf.shape
+    support = region > 0
+    y0, y1, x0, x1 = _candidate_bbox(support, h, w)
+    sup_idx = np.flatnonzero(support.ravel())
+    sy, sx = np.unravel_index(sup_idx, (h, w))
+    sv = region.ravel()[sup_idx]
+    best_c, best_y, best_x = -1.0, y0, x0
+    for cy in range(y0, y1 + 1):
+        by = (sy - cy) % h
+        for cx in range(x0, x1 + 1):
+            c = float(np.dot(sv, psf[by, (sx - cx) % w]))
+            if c > best_c:
+                best_c, best_y, best_x = c, cy, cx
+    psf_sq = float(np.sum(psf * psf))
+    gain = best_c / psf_sq
+    resid_sq = float(np.sum(region * region)) - 2 * gain * best_c + gain * gain * psf_sq
+    return FittedScatterer(x=float(best_x), y=float(best_y), amplitude=gain,
+                           residual=float(np.sqrt(max(resid_sq, 0.0))))

@@ -13,9 +13,12 @@ from scatterkit.errors import (DimMismatch, EmptyInput, EmptyRegion,
 from scatterkit.raster import amplitude
 from scatterkit.spectral import ifft2d, rectangular_window_2d, taylor_window_2d
 
+from oracles import fit_direct
+
 GRID32 = FrequencyGrid(32, 32)
 TAYLOR32 = taylor_window_2d(32, 32)
 RECT32 = rectangular_window_2d(32, 32)
+PSF32 = base_psf(GRID32, TAYLOR32)
 
 
 def naive_field(scatterers, grid):
@@ -144,7 +147,7 @@ def test_psf_mainlobe_width_matches_1d_window_oracle():
 def test_fit_single_pixel_impulse():
     region = np.zeros((32, 32))
     region[5, 7] = 1.0
-    fit = fit_scatterer(region, GRID32, TAYLOR32)
+    fit = fit_scatterer(region, PSF32)
     assert (fit.x, fit.y) == (7.0, 5.0)
 
 
@@ -152,7 +155,7 @@ def test_fit_self_consistency_on_full_psf():
     region = np.abs(reconstruct(Scatterer(20.0, 30.0, 1.0),
                                 FrequencyGrid(48, 48),
                                 taylor_window_2d(48, 48)).samples)
-    fit = fit_scatterer(region, FrequencyGrid(48, 48), taylor_window_2d(48, 48))
+    fit = fit_scatterer(region, base_psf(FrequencyGrid(48, 48), taylor_window_2d(48, 48)))
     assert (fit.x, fit.y) == (20.0, 30.0)
     assert fit.amplitude == pytest.approx(1.0, rel=1e-9)
     # closed-form residual cancels O(1) terms, so float64 leaves ~1e-8
@@ -166,7 +169,7 @@ def test_fit_round_trip_integer_positions():
         amp = float(rng.uniform(0.3, 3.0))
         region = np.abs(reconstruct(Scatterer(float(x0), float(y0), amp),
                                     GRID32, TAYLOR32).samples)
-        fit = fit_scatterer(region, GRID32, TAYLOR32)
+        fit = fit_scatterer(region, PSF32)
         assert (fit.x, fit.y) == (float(x0), float(y0))
         assert fit.amplitude == pytest.approx(amp, rel=1e-9)
 
@@ -176,7 +179,7 @@ def test_fit_recovers_fractional_position_from_decoupled_region():
     window = taylor_window_2d(64, 64)
     chip = synth_image([Scatterer(40.0, 41.0, 1.0)], grid, window)
     regions = decouple(chip)
-    fit = fit_scatterer(regions[0].values, grid, window)
+    fit = fit_scatterer(regions[0].values, base_psf(grid, window))
     assert np.hypot(fit.x - 40.0, fit.y - 41.0) <= 1.0
 
 
@@ -192,7 +195,7 @@ def test_fit_is_locally_optimal():
         x0, y0 = (float(v) for v in rng.uniform(4, 28, size=2))
         region = np.abs(reconstruct(Scatterer(x0, y0, 1.0), GRID32, TAYLOR32).samples)
         region[region < 0.05] = 0.0  # confine to a realistic support
-        fit = fit_scatterer(region, GRID32, TAYLOR32)
+        fit = fit_scatterer(region, PSF32)
         best = _fit_objective(region, GRID32, TAYLOR32, int(fit.x), int(fit.y))
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
@@ -209,12 +212,62 @@ def test_fit_direct_and_fft_paths_agree(monkeypatch):
         region = np.abs(reconstruct(Scatterer(x0, y0, 1.0), GRID32, TAYLOR32).samples)
         region[region < 0.05] = 0.0
         cases.append(region)
-    direct = [fit_scatterer(r, GRID32, TAYLOR32) for r in cases]
+    direct = [fit_scatterer(r, PSF32) for r in cases]
     monkeypatch.setattr(ascmodel, "FIT_DIRECT_BUDGET", 0)
-    via_fft = [fit_scatterer(r, GRID32, TAYLOR32) for r in cases]
+    via_fft = [fit_scatterer(r, PSF32) for r in cases]
     for d, f in zip(direct, via_fft):
         assert (d.x, d.y) == (f.x, f.y)
         assert d.amplitude == pytest.approx(f.amplitude, rel=1e-9)
+
+
+def _assert_fit_matches_oracle(region, psf):
+    fit = fit_scatterer(region, psf)
+    ref = fit_direct(region, psf)
+    assert (fit.x, fit.y) == (ref.x, ref.y)
+    assert fit.amplitude == pytest.approx(ref.amplitude, rel=1e-12)
+    assert fit.residual == pytest.approx(ref.residual, rel=1e-12)
+
+
+def test_fit_matches_per_candidate_oracle_on_decoupled_chips():
+    grid = FrequencyGrid(128, 128)
+    window = taylor_window_2d(128, 128)
+    psf = base_psf(grid, window)
+    n_fits = 0
+    for seed in range(20):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        chip = synth_target(int(rng.integers(5, 16)), grid, window, rng,
+                            speckle=bool(seed % 2))
+        for region in decouple(chip.image):
+            _assert_fit_matches_oracle(region.values, psf)
+            n_fits += 1
+    assert n_fits >= 200
+
+
+def test_fit_exact_tie_resolves_row_major_first():
+    # a two-tap psf scores a single-pixel region identically at the pixel
+    # and one column to its left; the earlier candidate must win
+    psf = np.zeros((16, 16))
+    psf[0, 0] = psf[0, 1] = 1.0
+    region = np.zeros((16, 16))
+    region[6, 9] = 2.0
+    fit = fit_scatterer(region, psf)
+    assert (fit.x, fit.y) == (8.0, 6.0)
+    _assert_fit_matches_oracle(region, psf)
+
+
+def test_fit_gather_spanning_several_chunks_matches_oracle():
+    grid = FrequencyGrid(64, 64)
+    window = taylor_window_2d(64, 64)
+    psf = base_psf(grid, window)
+    region = np.abs(reconstruct(Scatterer(30.4, 22.7, 1.0), grid, window).samples)
+    region[region < 0.003 * region.max()] = 0.0
+    support = region > 0
+    rows = np.flatnonzero(support.any(axis=1))
+    cols = np.flatnonzero(support.any(axis=0))
+    n_cand = (rows[-1] - rows[0] + 5) * (cols[-1] - cols[0] + 5)
+    products = n_cand * np.count_nonzero(support)
+    assert 3 * ascmodel.FIT_GATHER_ELEMS < products <= ascmodel.FIT_DIRECT_BUDGET
+    _assert_fit_matches_oracle(region, psf)
 
 
 def test_fit_subpixel_refinement_tightens_fractional_fits():
@@ -222,8 +275,8 @@ def test_fit_subpixel_refinement_tightens_fractional_fits():
     window = taylor_window_2d(64, 64)
     region = np.abs(reconstruct(Scatterer(30.4, 22.7, 1.0), grid, window).samples)
     region[region < 0.05] = 0.0
-    coarse = fit_scatterer(region, grid, window)
-    refined = fit_scatterer(region, grid, window, refine=True)
+    coarse = fit_scatterer(region, base_psf(grid, window))
+    refined = fit_scatterer(region, base_psf(grid, window), refine=True)
     err_coarse = np.hypot(coarse.x - 30.4, coarse.y - 22.7)
     err_refined = np.hypot(refined.x - 30.4, refined.y - 22.7)
     assert err_refined <= err_coarse
@@ -232,9 +285,9 @@ def test_fit_subpixel_refinement_tightens_fractional_fits():
 
 def test_fit_rejects_empty_region_and_bad_dims():
     with pytest.raises(EmptyRegion):
-        fit_scatterer(np.zeros((32, 32)), GRID32, TAYLOR32)
+        fit_scatterer(np.zeros((32, 32)), PSF32)
     with pytest.raises(DimMismatch):
-        fit_scatterer(np.ones((16, 16)), GRID32, TAYLOR32)
+        fit_scatterer(np.ones((16, 16)), PSF32)
 
 
 def test_scatterer_validation():

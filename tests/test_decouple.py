@@ -5,12 +5,13 @@ import pytest
 from scipy import ndimage
 
 from scatterkit.ascmodel import FrequencyGrid, Scatterer, synth_image, synth_target
-from scatterkit.decouple import (DecoupleParams, LabelMap, ScatterRegion,
-                                 decouple, decouple_steps, mask_block_bfs,
-                                 region_grow)
+from scatterkit.decouple import (DecoupleParams, ScatterRegion, decouple,
+                                 decouple_steps, mask_block_bfs, region_grow)
 from scatterkit.errors import AllZeroRaster, EmptyRegion
 from scatterkit.raster import AmplitudeRaster
 from scatterkit.spectral import taylor_window_2d
+
+from oracles import LabelMap, grow_labels
 
 N4_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -67,10 +68,10 @@ def test_region_grow_isolated_peak_stays_put():
     vals[2, 2] = 1.0  # everything else sits at eps, far below the floor
     r = AmplitudeRaster(vals)
     seed = mask_block_bfs(r, -3.0)
-    lm = region_grow(r, seed, DecoupleParams())
-    expect = np.zeros((8, 8), dtype=np.int32)
-    expect[2, 2] = 1
-    np.testing.assert_array_equal(lm.labels, expect)
+    support = region_grow(r, seed, DecoupleParams())
+    expect = np.zeros((8, 8), dtype=bool)
+    expect[2, 2] = True
+    np.testing.assert_array_equal(support, expect)
 
 
 def test_region_grow_monotone_hill_is_one_label():
@@ -79,10 +80,9 @@ def test_region_grow_monotone_hill_is_one_label():
     r = AmplitudeRaster(vals)
     params = DecoupleParams()
     seed = mask_block_bfs(r, params.tau_db)
-    lm = region_grow(r, seed, params)
-    assert lm.labels.max() == 1
+    support = region_grow(r, seed, params)
     db = 10 * np.log10((vals + params.eps) / vals.max())
-    np.testing.assert_array_equal(lm.labels == 1, db > params.grow_floor_db)
+    np.testing.assert_array_equal(support, db > params.grow_floor_db)
 
 
 def test_region_grow_second_hill_founds_new_label():
@@ -92,11 +92,12 @@ def test_region_grow_second_hill_founds_new_label():
     r = AmplitudeRaster(hill1 + hill2)
     params = DecoupleParams()
     seed = mask_block_bfs(r, params.tau_db)
-    lm = region_grow(r, seed, params)
+    lm = grow_labels(r, seed, params)
     assert lm.labels[14, 14] == 1
     assert lm.labels[34, 34] == 2
     assert lm.labels.max() == 2
     assert not seed[34, 34]
+    np.testing.assert_array_equal(region_grow(r, seed, params), lm.labels == 1)
 
 
 def test_region_grow_joins_minimum_neighbor_label():
@@ -108,11 +109,12 @@ def test_region_grow_joins_minimum_neighbor_label():
     r = AmplitudeRaster(vals)
     seed = mask_block_bfs(r, params.tau_db)
     np.testing.assert_array_equal(np.argwhere(seed), [[1, 1]])
-    lm = region_grow(r, seed, params)
+    lm = grow_labels(r, seed, params)
     assert lm.labels[1, 1] == 1
     assert lm.labels[1, 3] == 2
     assert lm.labels[1, 2] == 1  # min of neighboring labels {1, 2}
     assert np.count_nonzero(lm.labels) == 3
+    np.testing.assert_array_equal(region_grow(r, seed, params), lm.labels == 1)
 
 
 def test_region_grow_below_tau_orphan_stays_unlabeled():
@@ -121,9 +123,11 @@ def test_region_grow_below_tau_orphan_stays_unlabeled():
     vals[1, 5] = 0.4  # above the grow floor, below tau, no labeled neighbor
     params = DecoupleParams(tau_db=-3.0)
     r = AmplitudeRaster(vals)
-    lm = region_grow(r, mask_block_bfs(r, params.tau_db), params)
+    seed = mask_block_bfs(r, params.tau_db)
+    lm = grow_labels(r, seed, params)
     assert lm.labels[1, 5] == 0
     assert lm.labels.max() == 1
+    np.testing.assert_array_equal(region_grow(r, seed, params), lm.labels == 1)
 
 
 def test_region_grow_rejects_empty_seed_and_zero_raster():
@@ -134,6 +138,61 @@ def test_region_grow_rejects_empty_seed_and_zero_raster():
     seed[0, 0] = True
     with pytest.raises(AllZeroRaster):
         region_grow(AmplitudeRaster(np.zeros((4, 4))), seed, DecoupleParams())
+
+
+def test_region_grow_equal_db_plateau_uses_row_major_order():
+    # four equal pixels flank the peak; the leftmost is visited before its
+    # right neighbor joins label 1, so it stays out, while the rightmost is
+    # visited after its left neighbor joined and follows it in
+    vals = np.zeros((3, 5))
+    vals[1] = [0.3, 0.3, 1.0, 0.3, 0.3]
+    params = DecoupleParams()
+    r = AmplitudeRaster(vals)
+    seed = mask_block_bfs(r, params.tau_db)
+    np.testing.assert_array_equal(np.argwhere(seed), [[1, 2]])
+    support = region_grow(r, seed, params)
+    np.testing.assert_array_equal(support[1], [False, True, True, True, True])
+    assert np.count_nonzero(support) == 4
+    np.testing.assert_array_equal(support, grow_labels(r, seed, params).labels == 1)
+
+
+def test_region_grow_darker_pixel_joins_through_seed_exemption():
+    # (1, 2) clears tau but only touches the seed block diagonally, through
+    # (0, 1), which is darker than it: it joins because seed pixels are
+    # label 1 before any pixel is visited, not because of the order
+    vals = np.zeros((3, 4))
+    vals[0, 0] = 1.0
+    vals[0, 1] = 0.6
+    vals[1, 2] = 0.9
+    params = DecoupleParams()
+    r = AmplitudeRaster(vals)
+    seed = mask_block_bfs(r, params.tau_db)
+    np.testing.assert_array_equal(np.argwhere(seed), [[0, 0], [0, 1]])
+    support = region_grow(r, seed, params)
+    assert support[1, 2]
+    assert np.count_nonzero(support) == 3
+    np.testing.assert_array_equal(support, grow_labels(r, seed, params).labels == 1)
+
+
+def test_region_grow_equals_label_one_of_oracle_on_every_step():
+    grid = FrequencyGrid(128, 128)
+    window = taylor_window_2d(128, 128)
+    params = DecoupleParams()
+    n_steps = 0
+    for seed in range(20):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        chip = synth_target(int(rng.integers(5, 16)), grid, window, rng,
+                            speckle=bool(seed % 2))
+        residual = np.abs(chip.image.samples)
+        for step in decouple_steps(chip.image, params):
+            r = AmplitudeRaster(residual)
+            block = mask_block_bfs(r, params.tau_db)
+            support = region_grow(r, block, params)
+            np.testing.assert_array_equal(support, grow_labels(r, block, params).labels == 1)
+            np.testing.assert_array_equal(step.region.support, support)
+            residual = step.residual
+            n_steps += 1
+    assert n_steps >= 200
 
 
 def test_decouple_impulse_single_region_zero_residual():
