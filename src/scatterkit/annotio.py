@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -277,41 +276,32 @@ def _run_annotator(index: DatasetIndex, out_dir: str | Path, worker,
     """Shared driver: crop/annotate every instance, write per-image files.
 
     `worker(image, ann, image_id, idx)` returns the extended annotation.
-    Failures on degenerate instances keep the original line and are logged;
-    outputs are written in index order so results never depend on threads.
+    Failures on degenerate instances keep the original line and are logged.
+    Every instance runs in index order on the calling thread. `threads` is
+    validated but changes nothing: the per-instance work is Python loops over
+    small arrays, so a thread pool only traded the GIL and cost throughput.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = RunSummary()
-
-    def one(image, ann, image_id, idx):
-        t0 = time.perf_counter()
-        try:
-            result = worker(image, ann, image_id, idx)
-            ok = True
-        except ScatterKitError as exc:
-            log.warning("%s[%d]: %s (kept original line)", image_id, idx, exc)
-            result, ok = ann, False
-        return result, ok, (time.perf_counter() - t0) * 1e3
-
     for img_path, ann_path in index.entries:
         image_id = img_path.stem
         image = read_chip(img_path)
         if isinstance(image, AmplitudeRaster):
             image = ComplexRaster(image.values.astype(np.complex128))
-        annots = parse_annotation(ann_path)
-        if threads > 1 and len(annots) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(
-                    lambda ia: one(image, ia[1], image_id, ia[0]),
-                    enumerate(annots)))
-        else:
-            results = [one(image, ann, image_id, i)
-                       for i, ann in enumerate(annots)]
-        extended = [r[0] for r in results]
-        summary.instances += len(results)
-        summary.failures += sum(1 for r in results if not r[1])
-        summary.instance_ms.extend(r[2] for r in results)
+        extended = []
+        for idx, ann in enumerate(parse_annotation(ann_path)):
+            t0 = time.perf_counter()
+            try:
+                extended.append(worker(image, ann, image_id, idx))
+            except ScatterKitError as exc:
+                log.warning("%s[%d]: %s (kept original line)", image_id, idx, exc)
+                extended.append(ann)
+                summary.failures += 1
+            summary.instance_ms.append((time.perf_counter() - t0) * 1e3)
+        summary.instances += len(extended)
         write_annotation(extended, out_dir / ann_path.name)
     return summary
 

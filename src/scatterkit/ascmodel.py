@@ -115,16 +115,6 @@ class FittedScatterer:
     residual: float
 
 
-def _candidate_bbox(support: np.ndarray, h: int, w: int) -> tuple[int, int, int, int]:
-    rows = np.flatnonzero(support.any(axis=1))
-    cols = np.flatnonzero(support.any(axis=0))
-    y0 = max(int(rows[0]) - FIT_DILATE_PX, 0)
-    y1 = min(int(rows[-1]) + FIT_DILATE_PX, h - 1)
-    x0 = max(int(cols[0]) - FIT_DILATE_PX, 0)
-    x1 = min(int(cols[-1]) + FIT_DILATE_PX, w - 1)
-    return y0, y1, x0, x1
-
-
 def fit_scatterer(region: np.ndarray, psf: np.ndarray,
                   refine: bool = False) -> FittedScatterer:
     """Least-squares fit of one shifted PSF to an extracted amplitude region.
@@ -141,24 +131,30 @@ def fit_scatterer(region: np.ndarray, psf: np.ndarray,
     h, w = psf.shape
     if region.shape != (h, w):
         raise DimMismatch(f"region {region.shape} vs psf {h}x{w}")
-    support = region > 0
-    if not support.any():
+    flat_region = region.ravel()
+    sup_idx = np.flatnonzero(flat_region > 0)
+    if sup_idx.size == 0:
         raise EmptyRegion("cannot fit a scatterer to an empty region")
 
-    psf_sq = float(np.sum(psf * psf))
-    y0, y1, x0, x1 = _candidate_bbox(support, h, w)
+    flat_psf = psf.ravel()
+    # einsum, not `@`: BLAS splits a dot over > 10 000 elements across
+    # threads that then busy-wait on another core
+    psf_sq = float(np.einsum("i,i->", flat_psf, flat_psf))
+    sy, sx = np.divmod(sup_idx, w)
+    sv = flat_region[sup_idx]
+    # candidates: the support bounding box dilated by FIT_DILATE_PX, clamped
+    y0 = max(int(sy[0]) - FIT_DILATE_PX, 0)
+    y1 = min(int(sy[-1]) + FIT_DILATE_PX, h - 1)
+    x0 = max(int(sx.min()) - FIT_DILATE_PX, 0)
+    x1 = min(int(sx.max()) + FIT_DILATE_PX, w - 1)
     ny, nx = y1 - y0 + 1, x1 - x0 + 1
 
-    sup_idx = np.flatnonzero(support.ravel())
     if ny * nx * sup_idx.size <= FIT_DIRECT_BUDGET:
         # row c of the (candidates x support) gather holds the psf shifted to
         # candidate c at every support pixel; chunks of rows bound its memory
-        sy, sx = np.divmod(sup_idx, w)
-        sv = region.ravel()[sup_idx]
         row_off = ((sy - np.arange(y0, y1 + 1)[:, None]) % h) * w  # (ny, support)
         col_off = (sx - np.arange(x0, x1 + 1)[:, None]) % w        # (nx, support)
         cy, cx = np.divmod(np.arange(ny * nx), nx)
-        flat_psf = psf.ravel()
         crop = np.empty(ny * nx)
         step = max(1, FIT_GATHER_ELEMS // sup_idx.size)
         for i in range(0, ny * nx, step):
@@ -180,7 +176,7 @@ def fit_scatterer(region: np.ndarray, psf: np.ndarray,
         fx = best_x + _parabolic_offset(region, psf, best_y, best_x, axis=1, h=h, w=w)
 
     gain = best_c / psf_sq if psf_sq > 0 else 0.0
-    resid_sq = float(np.sum(region * region)) - 2 * gain * best_c + gain * gain * psf_sq
+    resid_sq = float(sv @ sv) - 2 * gain * best_c + gain * gain * psf_sq
     return FittedScatterer(x=fx, y=fy, amplitude=gain,
                            residual=float(np.sqrt(max(resid_sq, 0.0))))
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadDims, BadMagic, TruncatedPayload
+from .errors import BadDims, BadMagic, BadSamples, TruncatedPayload
 from .raster import AmplitudeRaster, ComplexRaster
 
 MAGIC = b"CSAR"
@@ -81,9 +81,13 @@ def _parse_csar(data: bytes) -> ComplexRaster | AmplitudeRaster:
     if len(data) > expected:
         raise BadDims(f"{len(data) - expected} trailing bytes after payload")
     flat = np.frombuffer(data, dtype="<f4", count=n_floats, offset=_HEADER.size)
+    if not np.isfinite(flat).all():
+        raise BadSamples("payload holds NaN/Inf samples")
     if dtype == DTYPE_COMPLEX:
         samples = flat.astype(np.float32).view(np.complex64).reshape(height, width)
         return ComplexRaster(samples.astype(np.complex128))
+    if (flat < 0).any():
+        raise BadSamples("amplitude payload holds negative samples")
     return AmplitudeRaster(flat.reshape(height, width).astype(np.float64))
 
 

@@ -393,7 +393,8 @@ def _build_parser() -> _Parser:
                    help="early-stop floor relative to the original peak")
     p.add_argument("--keypoints", type=int, default=None, help="keypoints per instance")
     p.add_argument("--seed", type=int, required=True, help="master RNG seed")
-    p.add_argument("--threads", type=int, default=None, help="worker threads")
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility; instances run serially")
     p.add_argument("--debug-dir", default=None,
                    help="dump per-iteration residuals and region supports here")
 
@@ -403,7 +404,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--annots", required=True, help="base annotation directory")
     p.add_argument("--out", required=True, help="extended annotation directory")
     p.add_argument("--keypoints", type=int, default=None, help="keypoints per instance")
-    p.add_argument("--threads", type=int, default=None, help="worker threads")
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility; instances run serially")
 
     p = add("heatmap", cmd_heatmap, "build supervision-map pyramids")
     p.add_argument("--annots", required=True, help="extended annotation directory")
@@ -437,7 +439,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--annots", required=True, help="base annotation directory")
     p.add_argument("--repeat", type=int, default=1, help="dataset passes")
     p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    p.add_argument("--threads", type=int, default=None, help="worker threads")
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility; instances run serially")
     p.add_argument("--nmax", type=int, default=None, help="max regions per chip")
 
     return parser

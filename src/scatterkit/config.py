@@ -35,7 +35,7 @@ class RunConfig:
     window_nbar: int = 4
     window_sidelobe_db: float = -35.0
     master_seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted for compatibility; instances run serially
 
     def __post_init__(self):
         if self.keypoint_k < 1:

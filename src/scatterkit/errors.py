@@ -37,6 +37,10 @@ class TruncatedPayload(ChipFormatError):
     """Payload shorter than the header-declared sample count."""
 
 
+class BadSamples(ChipFormatError):
+    """Payload holds NaN/Inf samples, or negative values in an amplitude chip."""
+
+
 # --- ASC model --------------------------------------------------------------
 
 class OutOfBounds(ScatterKitError):

@@ -2,7 +2,8 @@
 
 `grow_labels` is the full multi-label region growth that `region_grow`
 reduces to its label-1 support; `fit_direct` is the per-candidate loop the
-direct path of `fit_scatterer` replaces with one chunked gather.
+direct path of `fit_scatterer` replaces with one chunked gather, with its own
+candidate box from full-frame row and column scans of the support.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scatterkit.ascmodel import FittedScatterer, _candidate_bbox
+from scatterkit.ascmodel import FIT_DILATE_PX, FittedScatterer
 from scatterkit.decouple import DecoupleParams
 from scatterkit.errors import AllZeroRaster, EmptyRegion
 from scatterkit.raster import AmplitudeRaster
@@ -92,6 +93,16 @@ def grow_labels(r: AmplitudeRaster, seed_mask: np.ndarray,
             labels[y, x] = next_label
             next_label += 1
     return LabelMap(labels)
+
+
+def _candidate_bbox(support: np.ndarray, h: int, w: int) -> tuple[int, int, int, int]:
+    rows = np.flatnonzero(support.any(axis=1))
+    cols = np.flatnonzero(support.any(axis=0))
+    y0 = max(int(rows[0]) - FIT_DILATE_PX, 0)
+    y1 = min(int(rows[-1]) + FIT_DILATE_PX, h - 1)
+    x0 = max(int(cols[0]) - FIT_DILATE_PX, 0)
+    x1 = min(int(cols[-1]) + FIT_DILATE_PX, w - 1)
+    return y0, y1, x0, x1
 
 
 def fit_direct(region: np.ndarray, psf: np.ndarray) -> FittedScatterer:

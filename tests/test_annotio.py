@@ -1,8 +1,11 @@
 """Annotation text formats, cropping, dataset indexing, annotation runs."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from scatterkit import annotio
 from scatterkit.annotio import (DatasetIndex, InstanceAnnotation, crop_chip,
                                 format_annotation, index_dataset,
                                 parse_annotation, parse_predictions,
@@ -299,6 +302,32 @@ def test_run_dog_baseline(tmp_path):
         assert ann.keypoints is not None and ann.keypoints.k == 9
         assert (out2 / ann_path.name).read_bytes() == \
             (out1 / ann_path.name).read_bytes()
+
+
+@pytest.mark.parametrize("run, target", [
+    (run_skaa, "_annotate_instance_skaa"), (run_dog, "_annotate_instance_dog")])
+def test_threads_run_every_instance_serially_on_the_calling_thread(
+        tmp_path, monkeypatch, run, target):
+    index = _mini_dataset(tmp_path, n_chips=1)
+    (_, ann_path), = index.entries
+    write_annotation(parse_annotation(ann_path) * 3, ann_path)
+    inner = getattr(annotio, target)
+    calls = []
+
+    def recording(image, ann, image_id, idx, *args, **kwargs):
+        calls.append((idx, threading.get_ident()))
+        return inner(image, ann, image_id, idx, *args, **kwargs)
+
+    monkeypatch.setattr(annotio, target, recording)
+    summary = run(index, tmp_path / "out", master_seed=0, threads=4)
+    assert summary.instances == 3 and summary.failures == 0
+    assert calls == [(i, threading.get_ident()) for i in range(3)]
+
+
+def test_run_rejects_non_positive_threads(tmp_path):
+    index = _mini_dataset(tmp_path, n_chips=1)
+    with pytest.raises(ValueError):
+        run_skaa(index, tmp_path / "out", master_seed=0, threads=0)
 
 
 def test_dataset_index_requires_existing_files(tmp_path):

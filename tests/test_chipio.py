@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scatterkit.chipio import read_chip, write_chip, write_pgm
-from scatterkit.errors import BadDims, BadMagic, TruncatedPayload
+from scatterkit.errors import BadDims, BadMagic, BadSamples, TruncatedPayload
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
 
 
@@ -87,6 +87,19 @@ def test_read_rejects_short_and_long_payloads(tmp_path):
     long.write_bytes(_csar_header() + b"\x00" * 20)
     with pytest.raises(BadDims):
         read_chip(long)
+
+
+def test_read_rejects_non_finite_and_negative_samples(tmp_path):
+    cases = [
+        (0, [0.0, np.nan, 0.0, 0.0] * 2), (0, [0.0, 0.0, np.inf, 0.0] * 2),
+        (1, [1.0, -np.inf, 0.0, 2.0]), (1, [1.0, -0.5, 0.0, 2.0]),
+    ]
+    for i, (dtype, values) in enumerate(cases):
+        path = tmp_path / f"bad{i}.csar"
+        path.write_bytes(_csar_header(dtype=dtype)
+                         + struct.pack(f"<{len(values)}f", *values))
+        with pytest.raises(BadSamples):
+            read_chip(path)
 
 
 def test_pgm_8bit_read(tmp_path):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, outputs, config layering."""
 
+import struct
 import subprocess
 import sys
 
@@ -67,6 +68,22 @@ def test_malformed_data_is_data_error(tmp_path):
     gts = tmp_path / "gts"
     gts.mkdir()
     assert run_cli("eval", "--preds", str(preds), "--gts", str(gts)) == 3
+
+
+def test_annotate_non_finite_chip_is_data_error(tmp_path):
+    data = synth(tmp_path)
+    chip = data / "images" / "chip_00000.csar"
+    raw = bytearray(chip.read_bytes())
+    raw[16:20] = struct.pack("<f", float("nan"))  # first sample after the header
+    chip.write_bytes(bytes(raw))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scatterkit.cli", "annotate",
+         "--images", str(data / "images"), "--annots", str(data / "annots"),
+         "--out", str(tmp_path / "out"), "--seed", "0"],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "NaN/Inf" in proc.stderr
 
 
 def test_synth_writes_dataset(tmp_path, capsys):
