@@ -5,9 +5,9 @@ regions, fit scatterer positions, consolidate them into fixed-size keypoint
 sets, build Gaussian supervision maps, and evaluate with rotated-box metrics.
 """
 
-from .ascmodel import (FittedScatterer, FrequencyGrid, Scatterer, SynthChip,
-                       fit_scatterer, forward_field, reconstruct, synth_image,
-                       synth_target)
+from .ascmodel import (FittedScatterer, FrequencyGrid, Scatterer, SeparablePsf,
+                       SynthChip, base_psf, fit_scatterer, forward_field,
+                       reconstruct, synth_image, synth_target)
 from .chipio import read_chip, write_chip, write_pgm
 from .config import RunConfig, canonical_text, config_hash, load_config
 from .decouple import (DecoupleParams, ScatterRegion, decouple, decouple_steps,
@@ -33,8 +33,9 @@ __all__ = [
     "Detection", "DogParams", "EvalReport", "FeatureGrid", "FittedScatterer",
     "FrequencyGrid", "KeypointSet", "OrientedBox", "RunConfig",
     "Scatterer", "ScatterKitError", "ScatterMap", "ScatterRegion",
-    "SupervisionParams", "SynthChip", "WindowRaster", "amplitude",
-    "average_precision", "average_precision_grouped", "bce_loss",
+    "SeparablePsf", "SupervisionParams", "SynthChip", "WindowRaster",
+    "amplitude", "average_precision", "average_precision_grouped",
+    "base_psf", "bce_loss",
     "canonical_text", "cluster_keypoints", "config_hash", "decouple",
     "decouple_steps", "dog_keypoints", "downsample_pyramid",
     "enhance_features", "fft2d", "fit_scatterer", "forward_field",

@@ -13,6 +13,7 @@ coordinates. Floats are written with 6 significant digits. Prediction files
 from __future__ import annotations
 
 import logging
+import shutil
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -219,10 +220,15 @@ def index_dataset(images_dir: str | Path, annots_dir: str | Path) -> DatasetInde
 
 @dataclass
 class RunSummary:
-    """Per-instance timing and failure accounting for one annotation run."""
+    """Per-instance timing and failure accounting for one annotation run.
+
+    `failures` counts instances kept unchanged, `failed_images` images whose
+    chip or annotation file could not be read.
+    """
 
     instances: int = 0
     failures: int = 0
+    failed_images: int = 0
     instance_ms: list[float] = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -277,6 +283,8 @@ def _run_annotator(index: DatasetIndex, out_dir: str | Path, worker,
 
     `worker(image, ann, image_id, idx)` returns the extended annotation.
     Failures on degenerate instances keep the original line and are logged.
+    An image whose chip or annotation file fails to parse is logged, its
+    annotation file is copied through unchanged, and the run goes on.
     Every instance runs in index order on the calling thread. `threads` is
     validated but changes nothing: the per-instance work is Python loops over
     small arrays, so a thread pool only traded the GIL and cost throughput.
@@ -288,11 +296,18 @@ def _run_annotator(index: DatasetIndex, out_dir: str | Path, worker,
     summary = RunSummary()
     for img_path, ann_path in index.entries:
         image_id = img_path.stem
-        image = read_chip(img_path)
+        try:
+            image = read_chip(img_path)
+            annots = parse_annotation(ann_path)
+        except ScatterKitError as exc:
+            log.warning("%s: %s (copied annotation file unchanged)", image_id, exc)
+            shutil.copyfile(ann_path, out_dir / ann_path.name)
+            summary.failed_images += 1
+            continue
         if isinstance(image, AmplitudeRaster):
             image = ComplexRaster(image.values.astype(np.complex128))
         extended = []
-        for idx, ann in enumerate(parse_annotation(ann_path)):
+        for idx, ann in enumerate(annots):
             t0 = time.perf_counter()
             try:
                 extended.append(worker(image, ann, image_id, idx))

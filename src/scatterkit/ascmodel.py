@@ -9,9 +9,10 @@ is what the position fitter exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DimMismatch, EmptyInput, EmptyRegion, InfeasiblePlacement,
                      OutOfBounds)
@@ -22,8 +23,6 @@ from .spectral import fft2d, ifft2d
 FIT_DILATE_PX = 2
 # below this many candidate*support products the direct (exact-tie) path is used
 FIT_DIRECT_BUDGET = 2_000_000
-# elements of the (candidates x support) gather built at once on that path
-FIT_GATHER_ELEMS = 65_536
 
 
 @dataclass(frozen=True)
@@ -91,12 +90,53 @@ def synth_image(scatterers: list[Scatterer], grid: FrequencyGrid,
     return ComplexRaster(ifft2d(window.values * field.samples))
 
 
-def base_psf(grid: FrequencyGrid, window: WindowRaster) -> np.ndarray:
+@dataclass(frozen=True)
+class SeparablePsf:
+    """Amplitude response of a unit scatterer at (0, 0) under a separable window.
+
+    The window is the outer product of two 1-D tapers, so its inverse DFT is
+    the outer product of theirs and the PSF image is `outer(row, col)`. For
+    the fit, each factor v of length n is flipped circularly and tiled twice,
+    `wrap[k] = v[-k % n]`, and `row_windows`/`col_windows` are the (n + 1, n)
+    strided views whose row k is `wrap[k:k + n]`, so that row k, entry j
+    holds `v[-(k + j) % n]`.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    row_windows: np.ndarray = field(init=False, repr=False)
+    col_windows: np.ndarray = field(init=False, repr=False)
+    norm_sq: float = field(init=False)
+
+    def __post_init__(self):
+        row = np.asarray(self.row, dtype=np.float64)
+        col = np.asarray(self.col, dtype=np.float64)
+        if row.ndim != 1 or col.ndim != 1 or row.size < 1 or col.size < 1:
+            raise ValueError("psf factors must be non-empty 1-D arrays")
+        object.__setattr__(self, "row", _freeze(row))
+        object.__setattr__(self, "col", _freeze(col))
+        for name, v in (("row_windows", row), ("col_windows", col)):
+            wrap = _freeze(np.tile(v[-np.arange(v.size) % v.size], 2))
+            object.__setattr__(self, name, sliding_window_view(wrap, v.size))
+        object.__setattr__(self, "norm_sq", float(row @ row) * float(col @ col))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.row.size, self.col.size
+
+    @property
+    def values(self) -> np.ndarray:
+        """The 2-D PSF image, built on each access."""
+        return np.outer(self.row, self.col)
+
+
+def base_psf(grid: FrequencyGrid, window: WindowRaster) -> SeparablePsf:
     """|IFFT of the window|: the amplitude response of a unit scatterer at (0, 0)."""
     if (window.height, window.width) != (grid.height, grid.width):
         raise DimMismatch(
             f"window {window.height}x{window.width} vs grid {grid.height}x{grid.width}")
-    return _freeze(np.abs(ifft2d(window.values.astype(np.complex128))))
+    return SeparablePsf(np.abs(np.fft.ifft(window.row_taper)),
+                        np.abs(np.fft.ifft(window.col_taper)))
 
 
 def reconstruct(scatterer: Scatterer, grid: FrequencyGrid,
@@ -115,7 +155,7 @@ class FittedScatterer:
     residual: float
 
 
-def fit_scatterer(region: np.ndarray, psf: np.ndarray,
+def fit_scatterer(region: np.ndarray, psf: SeparablePsf,
                   refine: bool = False) -> FittedScatterer:
     """Least-squares fit of one shifted PSF to an extracted amplitude region.
 
@@ -136,10 +176,6 @@ def fit_scatterer(region: np.ndarray, psf: np.ndarray,
     if sup_idx.size == 0:
         raise EmptyRegion("cannot fit a scatterer to an empty region")
 
-    flat_psf = psf.ravel()
-    # einsum, not `@`: BLAS splits a dot over > 10 000 elements across
-    # threads that then busy-wait on another core
-    psf_sq = float(np.einsum("i,i->", flat_psf, flat_psf))
     sy, sx = np.divmod(sup_idx, w)
     sv = flat_region[sup_idx]
     # candidates: the support bounding box dilated by FIT_DILATE_PX, clamped
@@ -150,21 +186,15 @@ def fit_scatterer(region: np.ndarray, psf: np.ndarray,
     ny, nx = y1 - y0 + 1, x1 - x0 + 1
 
     if ny * nx * sup_idx.size <= FIT_DIRECT_BUDGET:
-        # row c of the (candidates x support) gather holds the psf shifted to
-        # candidate c at every support pixel; chunks of rows bound its memory
-        row_off = ((sy - np.arange(y0, y1 + 1)[:, None]) % h) * w  # (ny, support)
-        col_off = (sx - np.arange(x0, x1 + 1)[:, None]) % w        # (nx, support)
-        cy, cx = np.divmod(np.arange(ny * nx), nx)
-        crop = np.empty(ny * nx)
-        step = max(1, FIT_GATHER_ELEMS // sup_idx.size)
-        for i in range(0, ny * nx, step):
-            rows = slice(i, i + step)
-            crop[rows] = flat_psf[row_off[cy[rows]] + col_off[cx[rows]]] @ sv
-        crop = crop.reshape(ny, nx)
+        # the psf shifted to candidate (y0 + j, x0 + i) holds
+        # row[(sy - y0 - j) % h] * col[(sx - x0 - i) % w] at support pixel s
+        ay = psf.row_windows[h + y0 - sy, :ny]  # (support, ny)
+        ax = psf.col_windows[w + x0 - sx, :nx]  # (support, nx)
+        crop = (ay * sv[:, None]).T @ ax
     else:
         # correlation theorem: ifft2(F(S) conj(F(P))) is the circular
         # cross-correlation sum_n S[n] P[n - m] with no extra scale
-        corr = np.real(ifft2d(fft2d(region) * np.conj(fft2d(psf))))
+        corr = np.real(ifft2d(fft2d(region) * np.conj(fft2d(psf.values))))
         crop = corr[y0:y1 + 1, x0:x1 + 1]
     flat = int(np.argmax(crop))  # first occurrence = row-major tie-break
     best_y, best_x = y0 + flat // nx, x0 + flat % nx
@@ -172,31 +202,22 @@ def fit_scatterer(region: np.ndarray, psf: np.ndarray,
 
     fx, fy = float(best_x), float(best_y)
     if refine:
-        fy = best_y + _parabolic_offset(region, psf, best_y, best_x, axis=0, h=h, w=w)
-        fx = best_x + _parabolic_offset(region, psf, best_y, best_x, axis=1, h=h, w=w)
+        def corr_at(cy: int, cx: int) -> float:
+            return float(sv @ (psf.row[(sy - cy) % h] * psf.col[(sx - cx) % w]))
+        fy = best_y + _parabolic_offset(corr_at(best_y - 1, best_x), best_c,
+                                        corr_at(best_y + 1, best_x))
+        fx = best_x + _parabolic_offset(corr_at(best_y, best_x - 1), best_c,
+                                        corr_at(best_y, best_x + 1))
 
+    psf_sq = psf.norm_sq
     gain = best_c / psf_sq if psf_sq > 0 else 0.0
     resid_sq = float(sv @ sv) - 2 * gain * best_c + gain * gain * psf_sq
     return FittedScatterer(x=fx, y=fy, amplitude=gain,
                            residual=float(np.sqrt(max(resid_sq, 0.0))))
 
 
-def _corr_at(region: np.ndarray, base: np.ndarray, cy: int, cx: int,
-             h: int, w: int) -> float:
-    return float(np.sum(region * np.roll(base, (cy % h, cx % w), axis=(0, 1))))
-
-
-def _parabolic_offset(region: np.ndarray, base: np.ndarray, cy: int, cx: int,
-                      axis: int, h: int, w: int) -> float:
-    """Quadratic peak interpolation along one axis, clamped to +-0.5 px."""
-    if axis == 0:
-        lo = _corr_at(region, base, cy - 1, cx, h, w)
-        mid = _corr_at(region, base, cy, cx, h, w)
-        hi = _corr_at(region, base, cy + 1, cx, h, w)
-    else:
-        lo = _corr_at(region, base, cy, cx - 1, h, w)
-        mid = _corr_at(region, base, cy, cx, h, w)
-        hi = _corr_at(region, base, cy, cx + 1, h, w)
+def _parabolic_offset(lo: float, mid: float, hi: float) -> float:
+    """Quadratic peak interpolation through three correlations, clamped to +-0.5 px."""
     denom = lo - 2.0 * mid + hi
     if denom >= 0 or abs(denom) < 1e-300:
         return 0.0

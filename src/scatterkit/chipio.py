@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadDims, BadMagic, BadSamples, TruncatedPayload
+from .errors import (BadDims, BadMagic, BadSamples, ChipFormatError,
+                     TruncatedPayload)
 from .raster import AmplitudeRaster, ComplexRaster
 
 MAGIC = b"CSAR"
@@ -52,13 +53,20 @@ def write_chip(raster: ComplexRaster | AmplitudeRaster, path: str | Path) -> Non
 
 
 def read_chip(path: str | Path) -> ComplexRaster | AmplitudeRaster:
-    """Parse a CSAR container or a binary PGM into a raster."""
+    """Parse a CSAR container or a binary PGM into a raster.
+
+    Every format error names the file: it is re-raised in its own class with
+    the path as prefix.
+    """
     with open(path, "rb") as f:
         data = f.read()
-    if data[:4] == MAGIC:
-        return _parse_csar(data)
-    if data[:2] == b"P5":
-        return _parse_pgm(data)
+    try:
+        if data[:4] == MAGIC:
+            return _parse_csar(data)
+        if data[:2] == b"P5":
+            return _parse_pgm(data)
+    except ChipFormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     raise BadMagic(f"{path}: unrecognized magic {data[:4]!r}")
 
 

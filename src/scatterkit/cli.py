@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotio import (InstanceAnnotation, index_dataset, parse_annotation,
-                      parse_predictions, parse_truth, run_dog, run_skaa,
-                      write_annotation, write_truth)
+from .annotio import (InstanceAnnotation, RunSummary, index_dataset,
+                      parse_annotation, parse_predictions, parse_truth, run_dog,
+                      run_skaa, write_annotation, write_truth)
 from .ascmodel import FrequencyGrid, synth_target
 from .chipio import write_chip, write_pgm
 from .config import MANIFEST_NAME, RunConfig, emit_manifest, load_config
@@ -152,13 +152,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         window_sidelobe_db=config.window_sidelobe_db,
         threads=config.threads, debug_dir=args.debug_dir)
     total_ms = (time.perf_counter() - t0) * 1e3
-    emit_manifest(config,
-                  {"annotate_total": total_ms, "instance_mean": summary.mean_ms},
-                  Path(args.out) / "run-manifest.txt")
-    print(f"annotated {summary.instances} instances "
-          f"({summary.failures} kept unchanged), "
-          f"mean {summary.mean_ms:.1f} ms/instance")
-    return EXIT_OK
+    return _finish_annotation_run(config, summary, "annotate_total", total_ms,
+                                  Path(args.out))
 
 
 def cmd_baseline_dog(args: argparse.Namespace) -> int:
@@ -169,12 +164,27 @@ def cmd_baseline_dog(args: argparse.Namespace) -> int:
                       dog_params=config.dog, k=config.keypoint_k,
                       threads=config.threads)
     total_ms = (time.perf_counter() - t0) * 1e3
-    emit_manifest(config,
-                  {"baseline_total": total_ms, "instance_mean": summary.mean_ms},
-                  Path(args.out) / "run-manifest.txt")
+    return _finish_annotation_run(config, summary, "baseline_total", total_ms,
+                                  Path(args.out))
+
+
+def _finish_annotation_run(config: RunConfig, summary: RunSummary, total_name: str,
+                           total_ms: float, out: Path) -> int:
+    """Manifest and summary line of annotate/baseline-dog; exit 3 if an image failed.
+
+    The manifest gains a `failed_images` line only when an image failed.
+    """
+    counts = {"failed_images": summary.failed_images} if summary.failed_images else None
+    emit_manifest(config, {total_name: total_ms, "instance_mean": summary.mean_ms},
+                  out / "run-manifest.txt", counts=counts)
     print(f"annotated {summary.instances} instances "
           f"({summary.failures} kept unchanged), "
           f"mean {summary.mean_ms:.1f} ms/instance")
+    if summary.failed_images:
+        print(f"scatterkit: data error: {summary.failed_images} image(s) could not "
+              f"be read; their annotation files were copied unchanged",
+              file=sys.stderr)
+        return EXIT_DATA
     return EXIT_OK
 
 
@@ -341,6 +351,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                           nmax="decouple.n_max")
     index = index_dataset(args.images, args.annots)
     all_ms = []
+    failed_images = 0
     for _ in range(args.repeat):
         with tempfile.TemporaryDirectory() as scratch:
             summary = run_skaa(
@@ -350,6 +361,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 window_sidelobe_db=config.window_sidelobe_db,
                 threads=config.threads)
         all_ms.extend(summary.instance_ms)
+        failed_images += summary.failed_images
+    if failed_images:
+        print(f"scatterkit: data error: {failed_images} image read(s) failed",
+              file=sys.stderr)
+        return EXIT_DATA
     print(f"instances = {len(all_ms)} ({args.repeat} repeats)")
     print(f"median_ms_per_instance = {np.median(all_ms):.2f}")
     print(f"mean_ms_per_instance = {np.mean(all_ms):.2f}")

@@ -142,14 +142,16 @@ def emit_config(config: RunConfig, path: str | Path) -> None:
 
 
 def emit_manifest(config: RunConfig, timings: dict[str, float],
-                  path: str | Path) -> None:
-    """Reproducibility record: config hash, seed, versions, stage timings."""
+                  path: str | Path, counts: dict[str, int] | None = None) -> None:
+    """Reproducibility record: config hash, seed, versions, counts, stage timings."""
     lines = [
         f"config_sha256 = {config_hash(config)}",
         f"master_seed = {config.master_seed}",
         f"python = {sys.version.split()[0]}",
         f"numpy = {np.__version__}",
     ]
+    for name in sorted(counts or {}):
+        lines.append(f"{name} = {counts[name]}")
     for stage in sorted(timings):
         lines.append(f"timing_ms.{stage} = {timings[stage]:.3f}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

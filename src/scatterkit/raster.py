@@ -107,7 +107,8 @@ class WindowRaster:
     """Separable 2-D spectral taper: outer product of two 1-D windows.
 
     Built via spectral.taylor_window_2d; values lie in (0, 1] with the peak
-    normalized to exactly 1.
+    normalized to exactly 1, and must equal outer(row_taper, col_taper)
+    exactly, since the PSF and the fit are built from the two tapers alone.
     """
 
     values: np.ndarray
@@ -122,9 +123,18 @@ class WindowRaster:
             raise ValueError("window values must lie in (0, 1]")
         if not np.isclose(arr.max(), 1.0, rtol=0, atol=1e-12):
             raise ValueError("window peak must be normalized to 1")
+        row = np.asarray(self.row_taper, dtype=np.float64)
+        col = np.asarray(self.col_taper, dtype=np.float64)
+        if row.ndim != 1 or col.ndim != 1:
+            raise ValueError("window tapers must be 1-D")
+        if (row.size, col.size) != arr.shape:
+            raise ValueError(
+                f"tapers {row.size}x{col.size} do not match window {arr.shape}")
+        if not np.array_equal(arr, np.outer(row, col)):
+            raise ValueError("window values must equal outer(row_taper, col_taper)")
         object.__setattr__(self, "values", _freeze(arr))
-        object.__setattr__(self, "row_taper", _freeze(np.asarray(self.row_taper, dtype=np.float64)))
-        object.__setattr__(self, "col_taper", _freeze(np.asarray(self.col_taper, dtype=np.float64)))
+        object.__setattr__(self, "row_taper", _freeze(row))
+        object.__setattr__(self, "col_taper", _freeze(col))
 
     @property
     def height(self) -> int:

@@ -1,9 +1,12 @@
 """Reference implementations the library's faster paths are checked against.
 
 `grow_labels` is the full multi-label region growth that `region_grow`
-reduces to its label-1 support; `fit_direct` is the per-candidate loop the
-direct path of `fit_scatterer` replaces with one chunked gather, with its own
-candidate box from full-frame row and column scans of the support.
+reduces to its label-1 support; `fit_direct` is the per-candidate loop over
+a 2-D PSF image that the direct path of `fit_scatterer` replaces with one
+product of the separable PSF's factors, with its own candidate box from
+full-frame row and column scans of the support. `psf_2d` is the PSF as the
+2-D inverse DFT of the window, and `refine_offsets` the parabolic refinement
+from full-frame rolls of that image.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scatterkit.ascmodel import FIT_DILATE_PX, FittedScatterer
+from scatterkit.ascmodel import FIT_DILATE_PX, FittedScatterer, FrequencyGrid
 from scatterkit.decouple import DecoupleParams
 from scatterkit.errors import AllZeroRaster, EmptyRegion
-from scatterkit.raster import AmplitudeRaster
+from scatterkit.raster import AmplitudeRaster, WindowRaster
+from scatterkit.spectral import ifft2d
 
 N8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
@@ -129,3 +133,33 @@ def fit_direct(region: np.ndarray, psf: np.ndarray) -> FittedScatterer:
     resid_sq = float(np.sum(region * region)) - 2 * gain * best_c + gain * gain * psf_sq
     return FittedScatterer(x=float(best_x), y=float(best_y), amplitude=gain,
                            residual=float(np.sqrt(max(resid_sq, 0.0))))
+
+
+def psf_2d(grid: FrequencyGrid, window: WindowRaster) -> np.ndarray:
+    """|IFFT2 of the window|: the unit scatterer's amplitude image at (0, 0)."""
+    assert (window.height, window.width) == (grid.height, grid.width)
+    return np.abs(ifft2d(window.values.astype(np.complex128)))
+
+
+def _corr_at(region: np.ndarray, psf: np.ndarray, cy: int, cx: int) -> float:
+    h, w = psf.shape
+    return float(np.sum(region * np.roll(psf, (cy % h, cx % w), axis=(0, 1))))
+
+
+def _parabolic_offset(lo: float, mid: float, hi: float) -> float:
+    denom = lo - 2.0 * mid + hi
+    if denom >= 0 or abs(denom) < 1e-300:
+        return 0.0
+    return float(np.clip(0.5 * (lo - hi) / denom, -0.5, 0.5))
+
+
+def refine_offsets(region: np.ndarray, psf: np.ndarray,
+                   cy: int, cx: int) -> tuple[float, float]:
+    """Sub-pixel (dy, dx) about the integer fit (cy, cx), each axis from the
+    correlation at cy - 1, cy, cy + 1 (resp. cx) with the rolled 2-D PSF."""
+    mid = _corr_at(region, psf, cy, cx)
+    dy = _parabolic_offset(_corr_at(region, psf, cy - 1, cx), mid,
+                           _corr_at(region, psf, cy + 1, cx))
+    dx = _parabolic_offset(_corr_at(region, psf, cy, cx - 1), mid,
+                           _corr_at(region, psf, cy, cx + 1))
+    return dy, dx

@@ -1,5 +1,6 @@
 """Annotation text formats, cropping, dataset indexing, annotation runs."""
 
+import struct
 import threading
 
 import numpy as np
@@ -335,3 +336,29 @@ def test_dataset_index_requires_existing_files(tmp_path):
     ann = tmp_path / "x.txt"
     with pytest.raises(FileNotFoundError):
         DatasetIndex(entries=((img, ann),), root=tmp_path)
+
+
+def _corrupt_chip(path):
+    raw = bytearray(path.read_bytes())
+    raw[16:20] = struct.pack("<f", float("nan"))  # first sample after the header
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("run", [run_skaa, run_dog])
+@pytest.mark.parametrize("broken", ["chip", "annotation"])
+def test_run_isolates_an_image_that_fails_to_parse(tmp_path, caplog, run, broken):
+    index = _mini_dataset(tmp_path, n_chips=3)
+    img_path, ann_path = index.entries[1]
+    if broken == "chip":
+        _corrupt_chip(img_path)
+    else:
+        ann_path.write_text("1 2 3\n", encoding="ascii")
+    out = tmp_path / "out"
+    summary = run(index, out, master_seed=0)
+    assert summary.failed_images == 1
+    assert summary.instances == 2 and summary.failures == 0
+    assert (out / ann_path.name).read_bytes() == ann_path.read_bytes()
+    for i in (0, 2):
+        (ann,) = parse_annotation(out / index.entries[i][1].name)
+        assert ann.keypoints is not None and ann.keypoints.k == 9
+    assert "chip_00001" in caplog.text

@@ -2,18 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scatterkit.ascmodel as ascmodel
-from scatterkit.ascmodel import (FrequencyGrid, Scatterer, base_psf,
-                                 fit_scatterer, forward_field, reconstruct,
-                                 synth_image, synth_target)
+from scatterkit.ascmodel import (FrequencyGrid, Scatterer, SeparablePsf,
+                                 base_psf, fit_scatterer, forward_field,
+                                 reconstruct, synth_image, synth_target)
 from scatterkit.decouple import decouple
 from scatterkit.errors import (DimMismatch, EmptyInput, EmptyRegion,
                                InfeasiblePlacement, OutOfBounds)
 from scatterkit.raster import amplitude
 from scatterkit.spectral import ifft2d, rectangular_window_2d, taylor_window_2d
 
-from oracles import fit_direct
+from oracles import fit_direct, psf_2d, refine_offsets
 
 GRID32 = FrequencyGrid(32, 32)
 TAYLOR32 = taylor_window_2d(32, 32)
@@ -93,8 +95,40 @@ def test_reconstruct_peak_sits_at_center_position():
 
 def test_reconstruct_equals_rolled_base_psf():
     img = reconstruct(Scatterer(x=9.0, y=21.0, amplitude=1.0), GRID32, TAYLOR32)
-    rolled = np.roll(base_psf(GRID32, TAYLOR32), (21, 9), axis=(0, 1))
+    rolled = np.roll(base_psf(GRID32, TAYLOR32).values, (21, 9), axis=(0, 1))
     np.testing.assert_allclose(np.abs(img.samples), rolled, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("height,width", [(32, 32), (48, 40), (64, 64), (128, 128)])
+def test_base_psf_equals_2d_inverse_dft_of_window(height, width):
+    grid = FrequencyGrid(height, width)
+    window = taylor_window_2d(height, width)
+    psf = base_psf(grid, window)
+    ref = psf_2d(grid, window)
+    assert psf.shape == (height, width)
+    np.testing.assert_allclose(psf.values, ref, rtol=0, atol=1e-14 * ref.max())
+    assert psf.norm_sq == pytest.approx(float(np.sum(ref * ref)), rel=1e-12)
+
+
+def test_base_psf_builds_no_2d_transform(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("2-D FFT called")
+    monkeypatch.setattr(np.fft, "ifft2", forbidden)
+    monkeypatch.setattr(np.fft, "fft2", forbidden)
+    monkeypatch.setattr(ascmodel, "ifft2d", forbidden)
+    monkeypatch.setattr(ascmodel, "fft2d", forbidden)
+    psf = base_psf(FrequencyGrid(48, 40), taylor_window_2d(48, 40))
+    region = np.zeros((48, 40))
+    region[10:13, 20:22] = 1.0
+    fit_scatterer(region, psf)
+    fit_scatterer(region, psf, refine=True)
+
+
+def test_separable_psf_rejects_bad_factors():
+    with pytest.raises(ValueError):
+        SeparablePsf(row=np.ones((2, 2)), col=np.ones(3))
+    with pytest.raises(ValueError):
+        SeparablePsf(row=np.ones(3), col=np.ones(0))
 
 
 def test_reconstruct_dim_mismatch():
@@ -184,7 +218,7 @@ def test_fit_recovers_fractional_position_from_decoupled_region():
 
 
 def _fit_objective(region, grid, window, x0, y0):
-    psf = np.roll(base_psf(grid, window), (y0, x0), axis=(0, 1))
+    psf = np.roll(base_psf(grid, window).values, (y0, x0), axis=(0, 1))
     gain = float(np.sum(region * psf) / np.sum(psf * psf))
     return float(np.sum((region - gain * psf) ** 2))
 
@@ -222,7 +256,7 @@ def test_fit_direct_and_fft_paths_agree(monkeypatch):
 
 def _assert_fit_matches_oracle(region, psf):
     fit = fit_scatterer(region, psf)
-    ref = fit_direct(region, psf)
+    ref = fit_direct(region, psf.values)
     assert (fit.x, fit.y) == (ref.x, ref.y)
     assert fit.amplitude == pytest.approx(ref.amplitude, rel=1e-12)
     assert fit.residual == pytest.approx(ref.residual, rel=1e-12)
@@ -246,8 +280,8 @@ def test_fit_matches_per_candidate_oracle_on_decoupled_chips():
 def test_fit_exact_tie_resolves_row_major_first():
     # a two-tap psf scores a single-pixel region identically at the pixel
     # and one column to its left; the earlier candidate must win
-    psf = np.zeros((16, 16))
-    psf[0, 0] = psf[0, 1] = 1.0
+    e0, e1 = np.eye(16)[:2]
+    psf = SeparablePsf(row=e0, col=e0 + e1)
     region = np.zeros((16, 16))
     region[6, 9] = 2.0
     fit = fit_scatterer(region, psf)
@@ -266,8 +300,74 @@ def test_fit_gather_spanning_several_chunks_matches_oracle():
     cols = np.flatnonzero(support.any(axis=0))
     n_cand = (rows[-1] - rows[0] + 5) * (cols[-1] - cols[0] + 5)
     products = n_cand * np.count_nonzero(support)
-    assert 3 * ascmodel.FIT_GATHER_ELEMS < products <= ascmodel.FIT_DIRECT_BUDGET
+    assert 196_608 < products <= ascmodel.FIT_DIRECT_BUDGET
     _assert_fit_matches_oracle(region, psf)
+
+
+def test_fit_refinement_matches_rolled_psf_oracle_on_decoupled_chips():
+    grid = FrequencyGrid(128, 128)
+    window = taylor_window_2d(128, 128)
+    psf = base_psf(grid, window)
+    ref_psf = psf_2d(grid, window)
+    n_refined = 0
+    for seed in range(20):
+        rng = np.random.Generator(np.random.PCG64(100 + seed))
+        chip = synth_target(int(rng.integers(5, 16)), grid, window, rng,
+                            speckle=bool(seed % 2))
+        for region in decouple(chip.image):
+            fit = fit_scatterer(region.values, psf, refine=True)
+            coarse = fit_direct(region.values, ref_psf)
+            dy, dx = refine_offsets(region.values, ref_psf, int(coarse.y), int(coarse.x))
+            assert fit.y == pytest.approx(coarse.y + dy, rel=0, abs=1e-12)
+            assert fit.x == pytest.approx(coarse.x + dx, rel=0, abs=1e-12)
+            n_refined += (dy, dx) != (0.0, 0.0)
+    assert n_refined >= 100
+
+
+def test_fit_refinement_matches_rolled_psf_oracle_on_asymmetric_factors():
+    # |IFFT| of a real taper is symmetric, so only factors from elsewhere
+    # tell a shift by (sy - cy) from one by (cy - sy)
+    rng = np.random.Generator(np.random.PCG64(7))
+    psf = SeparablePsf(row=rng.uniform(0.05, 1.0, 24), col=rng.uniform(0.05, 1.0, 20))
+    for _ in range(20):
+        region = np.where(rng.random((24, 20)) < 0.3, rng.uniform(0.1, 2.0, (24, 20)), 0.0)
+        fit = fit_scatterer(region, psf, refine=True)
+        coarse = fit_direct(region, psf.values)
+        dy, dx = refine_offsets(region, psf.values, int(coarse.y), int(coarse.x))
+        assert fit.y == pytest.approx(coarse.y + dy, rel=0, abs=1e-12)
+        assert fit.x == pytest.approx(coarse.x + dx, rel=0, abs=1e-12)
+
+
+def _corr_2d(region, psf, y, x):
+    h, w = psf.shape
+    return float(np.sum(region * np.roll(psf, (int(y) % h, int(x) % w), axis=(0, 1))))
+
+
+_factor = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_fit_on_random_separable_psf_maximizes_oracle_score(data):
+    h = data.draw(st.integers(1, 12), label="height")
+    w = data.draw(st.integers(1, 12), label="width")
+    row = np.array(data.draw(st.lists(_factor, min_size=h, max_size=h), label="row"))
+    col = np.array(data.draw(st.lists(_factor, min_size=w, max_size=w), label="col"))
+    cells = data.draw(st.lists(st.integers(0, h * w - 1), min_size=1,
+                               max_size=min(h * w, 10), unique=True), label="cells")
+    vals = data.draw(st.lists(_factor, min_size=len(cells), max_size=len(cells)),
+                     label="values")
+    region = np.zeros(h * w)
+    region[cells] = vals
+    region = region.reshape(h, w)
+    psf = SeparablePsf(row=row, col=col)
+    fit = fit_scatterer(region, psf)
+    ref = fit_direct(region, psf.values)
+    # an exact tie may resolve differently under another summation order, so
+    # the picked position must score the oracle's maximum, not equal its argmax
+    assert _corr_2d(region, psf.values, fit.y, fit.x) == pytest.approx(
+        _corr_2d(region, psf.values, ref.y, ref.x), rel=1e-12)
+    assert fit.amplitude == pytest.approx(ref.amplitude, rel=1e-9)
 
 
 def test_fit_subpixel_refinement_tightens_fractional_fits():

@@ -135,3 +135,20 @@ def test_write_pgm_rounds_half_up(tmp_path):
 def test_write_pgm_rejects_out_of_range(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(np.array([[1.5]]), tmp_path / "x.pgm")
+
+
+def test_format_errors_name_the_file_and_keep_their_class(tmp_path):
+    cases = [
+        (BadSamples, _csar_header(dtype=0) + struct.pack("<8f", 0, np.nan, *[0] * 6)),
+        (TruncatedPayload, _csar_header(dtype=0) + b"\x00" * 4),
+        (BadDims, _csar_header(dtype=1) + b"\x00" * 20),
+        (BadMagic, _csar_header(version=2) + b"\x00" * 16),
+        (TruncatedPayload, b"P5\n2 2\n255\n" + bytes([1])),
+    ]
+    for i, (cls, payload) in enumerate(cases):
+        path = tmp_path / f"bad_chip_{i}.csar"
+        path.write_bytes(payload)
+        with pytest.raises(cls) as exc:
+            read_chip(path)
+        assert type(exc.value) is cls
+        assert str(exc.value).startswith(f"{path}: ")

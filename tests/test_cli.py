@@ -86,6 +86,30 @@ def test_annotate_non_finite_chip_is_data_error(tmp_path):
     assert "NaN/Inf" in proc.stderr
 
 
+def test_annotate_isolates_a_non_finite_chip(tmp_path):
+    data = synth(tmp_path, chips=3)
+    bad = data / "images" / "chip_00001.csar"
+    raw = bytearray(bad.read_bytes())
+    raw[16:20] = struct.pack("<f", float("nan"))
+    bad.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "scatterkit.cli", "annotate",
+         "--images", str(data / "images"), "--annots", str(data / "annots"),
+         "--out", str(out), "--seed", "0"],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "chip_00001.csar" in proc.stderr
+    for stem in ("chip_00000", "chip_00002"):
+        (ann,) = parse_annotation(out / f"{stem}.txt")
+        assert ann.keypoints is not None
+    assert (out / "chip_00001.txt").read_bytes() == \
+        (data / "annots" / "chip_00001.txt").read_bytes()
+    manifest = (out / MANIFEST_NAME).read_text()
+    assert "failed_images = 1" in manifest
+
+
 def test_synth_writes_dataset(tmp_path, capsys):
     out = synth(tmp_path)
     assert (out / MANIFEST_NAME).is_file()

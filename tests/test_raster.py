@@ -78,3 +78,14 @@ def test_window_raster_validation():
         WindowRaster(np.full((2, 2), 0.5), row_taper=taper, col_taper=taper)
     with pytest.raises(ValueError):
         WindowRaster(np.array([[0.0, 1.0]]), row_taper=taper, col_taper=taper)
+
+
+def test_window_raster_rejects_tapers_that_do_not_make_its_values():
+    taper = np.array([0.5, 1.0, 0.5])
+    values = np.outer(taper, taper)
+    with pytest.raises(ValueError, match="outer"):
+        WindowRaster(values, row_taper=taper, col_taper=np.array([0.5, 1.0, 0.25]))
+    with pytest.raises(ValueError, match="do not match"):
+        WindowRaster(values, row_taper=taper, col_taper=np.array([1.0, 0.5]))
+    with pytest.raises(ValueError, match="1-D"):
+        WindowRaster(values, row_taper=values, col_taper=taper)
