@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .ascmodel import FrequencyGrid, Scatterer, base_psf, fit_scatterer
-from .chipio import read_chip, write_chip
-from .decouple import DecoupleParams, decouple_steps
+from .chipio import read_chip, write_chip, write_text_atomic
+from .decouple import DecoupleParams, decouple, decouple_steps
 from .errors import (BadKeypointCount, BoxOutsideImage, MalformedLine,
                      OutOfBounds, ScatterKitError)
 from .keypoints import (DogParams, KeypointSet, cluster_keypoints, dog_keypoints,
@@ -132,7 +132,7 @@ def format_annotation(annots: list[InstanceAnnotation]) -> str:
 
 
 def write_annotation(annots: list[InstanceAnnotation], path: str | Path) -> None:
-    Path(path).write_text(format_annotation(annots), encoding="ascii")
+    write_text_atomic(path, format_annotation(annots))
 
 
 def parse_truth(path: str | Path) -> list[Scatterer]:
@@ -152,7 +152,7 @@ def parse_truth(path: str | Path) -> list[Scatterer]:
 
 def write_truth(scatterers: list[Scatterer], path: str | Path) -> None:
     lines = [f"{_fmt(s.x)} {_fmt(s.y)} {_fmt(s.amplitude)}" for s in scatterers]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
+    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def parse_predictions(path: str | Path) -> dict[str, list[Detection]]:
@@ -253,16 +253,18 @@ def _annotate_instance_skaa(image: ComplexRaster, ann: InstanceAnnotation,
     grid = FrequencyGrid(height=chip.height, width=chip.width)
     window = taylor_window_2d(chip.height, chip.width,
                               nbar=window_nbar, sidelobe_db=window_sidelobe_db)
-    regions = []
-    for it, step in enumerate(decouple_steps(chip, dec_params)):
-        regions.append(step.region)
-        if debug_dir is not None:
+    if debug_dir is None:
+        regions = decouple(chip, dec_params)
+    else:
+        regions = []
+        for it, step in enumerate(decouple_steps(chip, dec_params)):
+            regions.append(step.region)
             stem = f"{image_id}_{idx:03d}_{it:02d}"
             write_chip(AmplitudeRaster(step.residual), debug_dir / f"{stem}_residual.csar")
             write_chip(AmplitudeRaster(step.region.support.astype(np.float64)),
                        debug_dir / f"{stem}_labels.csar")
     psf = base_psf(grid, window)
-    fits = [fit_scatterer(r.values, psf) for r in regions]
+    fits = [fit_scatterer(r, psf) for r in regions]
     seed = instance_seed(master_seed, image_id, idx)
     kps = cluster_keypoints([(f.x, f.y) for f in fits], k=k, rng_seed=seed)
     return replace(ann, keypoints=to_global(kps, origin))

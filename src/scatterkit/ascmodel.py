@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .decouple import ScatterRegion
 from .errors import (DimMismatch, EmptyInput, EmptyRegion, InfeasiblePlacement,
                      OutOfBounds)
 from .metrics import OrientedBox
@@ -155,29 +156,40 @@ class FittedScatterer:
     residual: float
 
 
-def fit_scatterer(region: np.ndarray, psf: SeparablePsf,
+def _positive_support(region: ScatterRegion | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending flat indices of the region's positive pixels, and their values."""
+    if isinstance(region, ScatterRegion):
+        idx, vals = region.indices, region.amplitudes
+        keep = vals > 0
+        return (idx, vals) if keep.all() else (idx[keep], vals[keep])
+    flat = region.ravel()
+    idx = np.flatnonzero(flat > 0)
+    return idx, flat[idx]
+
+
+def fit_scatterer(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
                   refine: bool = False) -> FittedScatterer:
     """Least-squares fit of one shifted PSF to an extracted amplitude region.
 
-    `region` is a full-frame array, zero off the region's support, and `psf`
-    is the chip's `base_psf(grid, window)`, of the same shape. The fit
+    `region` is a `ScatterRegion` or a full-frame array, zero off the
+    region's support, and `psf` is the chip's `base_psf(grid, window)`, of
+    the same shape. Only the region's positive pixels are scored. The fit
     minimizes || region - a * psf(x0, y0) ||_2 over integer (x0, y0) in the
     support bounding box dilated by 2 px, with the gain a given in closed
     form; since the psf norm is shift-invariant this is equivalent to
     maximizing the correlation with the shifted psf. Ties resolve to the
     smallest (y0, x0) in row-major order.
     """
-    region = np.asarray(region, dtype=np.float64)
     h, w = psf.shape
+    if not isinstance(region, ScatterRegion):
+        region = np.asarray(region, dtype=np.float64)
     if region.shape != (h, w):
         raise DimMismatch(f"region {region.shape} vs psf {h}x{w}")
-    flat_region = region.ravel()
-    sup_idx = np.flatnonzero(flat_region > 0)
+    sup_idx, sv = _positive_support(region)
     if sup_idx.size == 0:
         raise EmptyRegion("cannot fit a scatterer to an empty region")
 
     sy, sx = np.divmod(sup_idx, w)
-    sv = flat_region[sup_idx]
     # candidates: the support bounding box dilated by FIT_DILATE_PX, clamped
     y0 = max(int(sy[0]) - FIT_DILATE_PX, 0)
     y1 = min(int(sy[-1]) + FIT_DILATE_PX, h - 1)
@@ -194,7 +206,8 @@ def fit_scatterer(region: np.ndarray, psf: SeparablePsf,
     else:
         # correlation theorem: ifft2(F(S) conj(F(P))) is the circular
         # cross-correlation sum_n S[n] P[n - m] with no extra scale
-        corr = np.real(ifft2d(fft2d(region) * np.conj(fft2d(psf.values))))
+        dense = region.values if isinstance(region, ScatterRegion) else region
+        corr = np.real(ifft2d(fft2d(dense) * np.conj(fft2d(psf.values))))
         crop = corr[y0:y1 + 1, x0:x1 + 1]
     flat = int(np.argmax(crop))  # first occurrence = row-major tie-break
     best_y, best_x = y0 + flat // nx, x0 + flat % nx

@@ -13,11 +13,15 @@ CSAR container layout (little-endian, no padding):
 Samples are float32 on disk and promoted to float64/complex128 in memory, so
 file -> raster -> file round trips are byte-identical. Binary PGM (P5, 8- or
 16-bit) is accepted as an amplitude-only input format.
+
+`write_text_atomic` is the one text writer of the package's result files.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +38,26 @@ _HEADER = struct.Struct("<4sBBHII")
 
 # Guard against absurd headers before allocating payload buffers.
 MAX_DIM = 1 << 20
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Replace `path` with ASCII `text` in one step, or leave it as it was.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces `path` by `os.replace`; a write that fails removes its
+    temporary file, so readers see the old file or the new one, never a
+    part. The data is not fsynced, so this guards against failed writes
+    and crashes of the process, not of the machine.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_chip(raster: ComplexRaster | AmplitudeRaster, path: str | Path) -> None:

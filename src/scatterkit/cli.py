@@ -22,7 +22,7 @@ from .annotio import (InstanceAnnotation, RunSummary, index_dataset,
                       parse_annotation, parse_predictions, parse_truth, run_dog,
                       run_skaa, write_annotation, write_truth)
 from .ascmodel import FrequencyGrid, synth_target
-from .chipio import write_chip, write_pgm
+from .chipio import write_chip, write_pgm, write_text_atomic
 from .config import MANIFEST_NAME, RunConfig, emit_manifest, load_config
 from .errors import ScatterKitError
 from .keypoints import KeypointSet, instance_seed
@@ -95,7 +95,7 @@ def _config_from(args: argparse.Namespace, **flag_to_key) -> RunConfig:
 def _write_report(text: str, path: str | None) -> None:
     sys.stdout.write(text)
     if path:
-        Path(path).write_text(text, encoding="ascii")
+        write_text_atomic(path, text)
 
 
 def _annotation_files(directory: Path) -> list[Path]:

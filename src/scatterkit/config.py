@@ -15,9 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .chipio import write_text_atomic
 from .decouple import DecoupleParams
-from .errors import BadConfigField
+from .errors import BadConfigField, InvalidWindowParams
 from .keypoints import DogParams
+from .spectral import _check_window_params
 from .supervision import SupervisionParams
 
 MANIFEST_NAME = "run-manifest.txt"
@@ -44,6 +46,7 @@ class RunConfig:
             raise ValueError(f"pool must be 'max' or 'avg', got {self.pool!r}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        _check_window_params(self.window_nbar, self.window_sidelobe_db)
 
 
 # flat key -> (section attr or None, field name, type)
@@ -133,12 +136,12 @@ def _build(values: dict) -> RunConfig:
                          dog=DogParams(**section("dog")),
                          supervision=SupervisionParams(**section("supervision")),
                          **top)
-    except ValueError as exc:
+    except (ValueError, InvalidWindowParams) as exc:
         raise BadConfigField("(validation)", str(exc)) from None
 
 
 def emit_config(config: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(canonical_text(config), encoding="ascii")
+    write_text_atomic(path, canonical_text(config))
 
 
 def emit_manifest(config: RunConfig, timings: dict[str, float],
@@ -154,4 +157,4 @@ def emit_manifest(config: RunConfig, timings: dict[str, float],
         lines.append(f"{name} = {counts[name]}")
     for stage in sorted(timings):
         lines.append(f"timing_ms.{stage} = {timings[stage]:.3f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text_atomic(path, "\n".join(lines) + "\n")

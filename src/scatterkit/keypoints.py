@@ -17,7 +17,7 @@ import numpy as np
 from .ascmodel import FittedScatterer, FrequencyGrid, base_psf, fit_scatterer
 from .decouple import DecoupleParams, decouple
 from .errors import EmptyInput, NoCandidates
-from .raster import AmplitudeRaster, ComplexRaster, WindowRaster
+from .raster import AmplitudeRaster, ComplexRaster, WindowRaster, _require_finite
 
 DEFAULT_K = 9
 KMEANS_MAX_ITER = 100
@@ -64,6 +64,7 @@ class DogParams:
     top_n: int = 30
 
     def __post_init__(self):
+        _require_finite(sigma1=self.sigma1, sigma2=self.sigma2, threshold=self.threshold)
         if not 0 < self.sigma1 < self.sigma2:
             raise ValueError("need sigma2 > sigma1 > 0")
         if self.threshold <= 0:
@@ -181,7 +182,7 @@ def fit_regions(img: ComplexRaster, grid: FrequencyGrid, window: WindowRaster,
                 refine: bool = False) -> list[FittedScatterer]:
     """Decouple a chip and fit one scatterer per extracted region."""
     psf = base_psf(grid, window)
-    return [fit_scatterer(reg.values, psf, refine=refine)
+    return [fit_scatterer(reg, psf, refine=refine)
             for reg in decouple(img, dec_params)]
 
 

@@ -7,6 +7,7 @@ share between threads without copying.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
     return out
+
+
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming the first of `values` that is NaN or infinite."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,19 @@ def amplitude(img: ComplexRaster) -> AmplitudeRaster:
     return AmplitudeRaster(np.abs(img.samples))
 
 
+def peak_db(values: np.ndarray, peak: float, eps: float,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """10*log10((values + eps) / peak), elementwise: the package's one dB formula.
+
+    `to_db` and the region grower both use it. With `out` given, the result
+    is written there and nothing is allocated.
+    """
+    out = np.add(values, eps, out=out)
+    np.divide(out, peak, out=out)
+    np.log10(out, out=out)
+    return np.multiply(out, 10.0, out=out)
+
+
 def to_db(r: AmplitudeRaster, eps: float = DEFAULT_DB_EPS) -> DbRaster:
     """Peak-referenced log amplitude: 10*log10((R + eps) / max(R)).
 
@@ -161,4 +182,4 @@ def to_db(r: AmplitudeRaster, eps: float = DEFAULT_DB_EPS) -> DbRaster:
     peak = float(r.values.max())
     if peak == 0.0:
         raise AllZeroRaster("cannot form peak-referenced dB of an all-zero raster")
-    return DbRaster(10.0 * np.log10((r.values + eps) / peak))
+    return DbRaster(peak_db(r.values, peak, eps))

@@ -8,6 +8,8 @@ size is supported, not just powers of two.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.signal.windows import taylor as _scipy_taylor
 
@@ -28,6 +30,15 @@ def ifft2d(spectrum: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(spectrum)
 
 
+def _check_window_params(nbar: int, sidelobe_db: float) -> None:
+    """Raise InvalidWindowParams unless nbar >= 1 and sidelobe_db is finite and < 0."""
+    if nbar <= 0:
+        raise InvalidWindowParams(f"nbar must be >= 1, got {nbar}")
+    if not math.isfinite(sidelobe_db) or sidelobe_db >= 0:
+        raise InvalidWindowParams(
+            f"sidelobe level must be finite and < 0 dB, got {sidelobe_db}")
+
+
 def taylor_window(length: int, nbar: int = DEFAULT_NBAR,
                   sidelobe_db: float = DEFAULT_SIDELOBE_DB) -> np.ndarray:
     """Symmetric 1-D Taylor taper, max-normalized to 1.
@@ -35,10 +46,7 @@ def taylor_window(length: int, nbar: int = DEFAULT_NBAR,
     sidelobe_db is the design sidelobe level and must be negative
     (e.g. -35 for 35 dB of suppression).
     """
-    if nbar <= 0:
-        raise InvalidWindowParams(f"nbar must be >= 1, got {nbar}")
-    if sidelobe_db >= 0:
-        raise InvalidWindowParams(f"sidelobe level must be < 0 dB, got {sidelobe_db}")
+    _check_window_params(nbar, sidelobe_db)
     if length < 1:
         raise InvalidWindowParams(f"length must be >= 1, got {length}")
     if length == 1:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadDims, DimMismatch, EmptyKeypoints, OutOfBounds
 from .keypoints import KeypointSet
-from .raster import _freeze
+from .raster import _freeze, _require_finite
 
 BCE_CLAMP = 1e-7
 
@@ -28,6 +28,7 @@ class SupervisionParams:
     levels: int = 4
 
     def __post_init__(self):
+        _require_finite(sigma=self.sigma, loss_weight=self.loss_weight)
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.loss_weight < 0:

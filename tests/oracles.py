@@ -1,7 +1,12 @@
 """Reference implementations the library's faster paths are checked against.
 
-`grow_labels` is the full multi-label region growth that `region_grow`
-reduces to its label-1 support; `fit_direct` is the per-candidate loop over
+`decouple_steps_dense` is the extraction loop on full-frame arrays, with
+`mask_block_dense` and `grow_support_dense` as its two searches: every step
+re-wraps the residual, pads fresh dB, seed and support frames, and lifts the
+region out with full-frame `where`/`maximum` passes. The library runs the
+same loop in one padded working frame and hands regions on as support
+indices. `grow_labels` is the full multi-label region growth that
+`region_grow` reduces to its label-1 support; `fit_direct` is the per-candidate loop over
 a 2-D PSF image that the direct path of `fit_scatterer` replaces with one
 product of the separable PSF's factors, with its own candidate box from
 full-frame row and column scans of the support. `psf_2d` is the PSF as the
@@ -11,7 +16,9 @@ from full-frame rolls of that image.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -21,7 +28,107 @@ from scatterkit.errors import AllZeroRaster, EmptyRegion
 from scatterkit.raster import AmplitudeRaster, WindowRaster
 from scatterkit.spectral import ifft2d
 
+N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 N8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+@dataclass(frozen=True)
+class DenseStep:
+    """One step of the dense loop: full-frame region values and support,
+    the peak (y, x), the region energy, and the residual after the step."""
+
+    values: np.ndarray
+    support: np.ndarray
+    peak: tuple[int, int]
+    energy: float
+    residual: np.ndarray
+
+
+def mask_block_dense(r: AmplitudeRaster, tau_db: float) -> np.ndarray:
+    """4-connected block of pixels above peak * 10^(tau/10), seeded at the peak."""
+    vals = r.values
+    peak = float(vals.max())
+    if peak == 0.0:
+        raise AllZeroRaster("cannot mask a block on an all-zero raster")
+    thr = peak * 10.0 ** (tau_db / 10.0)
+    h, w = vals.shape
+    seed = int(np.argmax(vals))  # row-major first on ties
+    sy, sx = divmod(seed, w)
+    mask = np.zeros((h, w), dtype=bool)
+    mask[sy, sx] = True
+    queue = deque([(sy, sx)])
+    while queue:
+        y, x = queue.popleft()
+        for dy, dx in N4:
+            ny, nx = y + dy, x + dx
+            if 0 <= ny < h and 0 <= nx < w and not mask[ny, nx] and vals[ny, nx] > thr:
+                mask[ny, nx] = True
+                queue.append((ny, nx))
+    return mask
+
+
+def grow_support_dense(r: AmplitudeRaster, seed_mask: np.ndarray,
+                       params: DecoupleParams) -> np.ndarray:
+    """Label-1 support of `grow_labels`, flooded over a padded dB frame."""
+    vals = r.values
+    seed = np.asarray(seed_mask, dtype=bool)
+    if not seed.any():
+        raise EmptyRegion("seed mask is empty")
+    peak = float(vals.max())
+    if peak == 0.0:
+        raise AllZeroRaster("cannot grow regions on an all-zero raster")
+    h, w = vals.shape
+    db = 10.0 * np.log10((vals + params.eps) / peak)
+
+    pw = w + 2
+    pdb = np.full((h + 2, pw), -np.inf)
+    pdb[1:-1, 1:-1] = db
+    flat_db = pdb.ravel()
+    above = flat_db > params.grow_floor_db
+    pseed = np.zeros((h + 2, pw), dtype=bool)
+    pseed[1:-1, 1:-1] = seed
+    in_seed = pseed.ravel()
+    support = in_seed.copy()
+    offsets = (-pw - 1, -pw, -pw + 1, -1, 1, pw - 1, pw, pw + 1)
+
+    stack = np.flatnonzero(in_seed).tolist()
+    while stack:
+        p = stack.pop()
+        p_db = flat_db[p]
+        exempt = in_seed[p]
+        for d in offsets:
+            q = p + d
+            if support[q] or not above[q]:
+                continue
+            q_db = flat_db[q]
+            if exempt or p_db > q_db or (p_db == q_db and p < q):
+                support[q] = True
+                stack.append(q)
+    return support.reshape(h + 2, pw)[1:-1, 1:-1].copy()
+
+
+def decouple_steps_dense(amp: AmplitudeRaster,
+                         params: DecoupleParams = DecoupleParams()) -> Iterator[DenseStep]:
+    """The extraction loop on full-frame arrays, one `DenseStep` per region."""
+    residual = amp.values.copy()
+    orig_peak = float(residual.max())
+    if orig_peak == 0.0:
+        raise AllZeroRaster("cannot decouple an all-zero chip")
+    floor = params.min_peak_ratio * orig_peak
+
+    for _ in range(params.n_max):
+        peak = float(residual.max())
+        if peak == 0.0 or peak < floor:
+            break
+        cur = AmplitudeRaster(residual)
+        seed = mask_block_dense(cur, params.tau_db)
+        sup = grow_support_dense(cur, seed, params)
+        region_vals = np.where(sup, residual, 0.0)
+        py, px = divmod(int(np.argmax(residual)), residual.shape[1])
+        energy = float(np.sum(region_vals * region_vals))
+        residual = np.maximum(residual - region_vals, 0.0)
+        yield DenseStep(values=region_vals, support=sup, peak=(py, px),
+                        energy=energy, residual=residual.copy())
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import scatterkit.ascmodel as ascmodel
 from scatterkit.ascmodel import (FrequencyGrid, Scatterer, SeparablePsf,
                                  base_psf, fit_scatterer, forward_field,
                                  reconstruct, synth_image, synth_target)
-from scatterkit.decouple import decouple
+from scatterkit.decouple import ScatterRegion, decouple
 from scatterkit.errors import (DimMismatch, EmptyInput, EmptyRegion,
                                InfeasiblePlacement, OutOfBounds)
 from scatterkit.raster import amplitude
@@ -383,11 +383,34 @@ def test_fit_subpixel_refinement_tightens_fractional_fits():
     assert err_refined < 0.3
 
 
+def test_fit_takes_a_region_like_its_full_frame_array(monkeypatch):
+    # the region holds a zero-valued support pixel, which the fit drops
+    rng = np.random.Generator(np.random.PCG64(27))
+    for _ in range(10):
+        idx = np.sort(rng.choice(32 * 32, size=12, replace=False))
+        vals = rng.uniform(0.1, 2.0, size=12)
+        vals[rng.integers(12)] = 0.0
+        region = ScatterRegion(shape=(32, 32), indices=idx, amplitudes=vals,
+                               peak=divmod(int(idx[np.argmax(vals)]), 32))
+        for refine in (False, True):
+            assert fit_scatterer(region, PSF32, refine=refine) == \
+                fit_scatterer(region.values, PSF32, refine=refine)
+        with monkeypatch.context() as m:
+            m.setattr(ascmodel, "FIT_DIRECT_BUDGET", 0)
+            assert fit_scatterer(region, PSF32) == fit_scatterer(region.values, PSF32)
+
+
 def test_fit_rejects_empty_region_and_bad_dims():
     with pytest.raises(EmptyRegion):
         fit_scatterer(np.zeros((32, 32)), PSF32)
     with pytest.raises(DimMismatch):
         fit_scatterer(np.ones((16, 16)), PSF32)
+    zero = ScatterRegion(shape=(32, 32), indices=[3, 4], amplitudes=[0.0, 0.0], peak=(0, 3))
+    with pytest.raises(EmptyRegion):
+        fit_scatterer(zero, PSF32)
+    with pytest.raises(DimMismatch):
+        fit_scatterer(ScatterRegion(shape=(16, 32), indices=[3], amplitudes=[1.0],
+                                    peak=(0, 3)), PSF32)
 
 
 def test_scatterer_validation():

@@ -1,11 +1,17 @@
 """CSAR container and PGM parsing: round trips and malformed-file handling."""
 
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from scatterkit.chipio import read_chip, write_chip, write_pgm
+from scatterkit import cli
+from scatterkit.annotio import InstanceAnnotation, write_annotation, write_truth
+from scatterkit.ascmodel import Scatterer
+from scatterkit.chipio import read_chip, write_chip, write_pgm, write_text_atomic
+from scatterkit.config import RunConfig, emit_config, emit_manifest
+from scatterkit.metrics import OrientedBox
 from scatterkit.errors import BadDims, BadMagic, BadSamples, TruncatedPayload
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
 
@@ -152,3 +158,44 @@ def test_format_errors_name_the_file_and_keep_their_class(tmp_path):
             read_chip(path)
         assert type(exc.value) is cls
         assert str(exc.value).startswith(f"{path}: ")
+
+
+def _fail_replace(src, dst):
+    raise OSError("no space left on device")
+
+
+def test_write_text_atomic_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    write_text_atomic(path, "old\n")
+    write_text_atomic(path, "new\n")
+    assert path.read_text() == "new\n"
+    with pytest.raises(UnicodeEncodeError):  # raised inside the write
+        write_text_atomic(path, "caf\u00e9\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    with pytest.raises(OSError, match="no space"):
+        write_text_atomic(path, "newer\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("write", [
+    lambda p: write_annotation([InstanceAnnotation(
+        box=OrientedBox.from_rect(0, 0, 4, 4), class_name="tank")], p),
+    lambda p: write_truth([Scatterer(1.0, 2.0, 0.5)], p),
+    lambda p: emit_config(RunConfig(), p),
+    lambda p: emit_manifest(RunConfig(), {"total": 1.0}, p),
+    lambda p: cli._write_report("report\n", str(p)),
+], ids=["annotation", "truth", "config", "manifest", "report"])
+def test_result_writers_replace_their_file_atomically(tmp_path, monkeypatch, capsys, write):
+    path = tmp_path / "result.txt"
+    path.write_text("previous\n")
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    with pytest.raises(OSError):
+        write(path)
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["result.txt"]
+    monkeypatch.undo()
+    write(path)
+    assert path.read_text() != "previous\n"

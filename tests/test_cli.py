@@ -4,12 +4,17 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from scatterkit.annotio import parse_annotation, parse_truth
-from scatterkit.chipio import read_chip
+from scatterkit.annotio import crop_chip, parse_annotation, parse_truth
+from scatterkit.chipio import read_chip, write_chip
 from scatterkit.cli import main
 from scatterkit.config import MANIFEST_NAME
+from scatterkit.decouple import DecoupleParams
+from scatterkit.raster import AmplitudeRaster, amplitude
+
+from oracles import decouple_steps_dense
 
 
 def run_cli(*argv):
@@ -175,6 +180,49 @@ def test_annotate_debug_dump(tmp_path):
     residuals = sorted(debug.glob("*_residual.csar"))
     labels = sorted(debug.glob("*_labels.csar"))
     assert residuals and len(residuals) == len(labels)
+
+
+def test_annotate_debug_dump_equals_dense_oracle(tmp_path):
+    data = synth(tmp_path, chips=2, dim=48)
+    debug = tmp_path / "debug"
+    run_cli("annotate", "--images", str(data / "images"),
+            "--annots", str(data / "annots"), "--out", str(tmp_path / "skaa"),
+            "--seed", "0", "--nmax", "6", "--debug-dir", str(debug))
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    for image_id in ("chip_00000", "chip_00001"):
+        image = read_chip(data / "images" / f"{image_id}.csar")
+        for idx, ann in enumerate(parse_annotation(data / "annots" / f"{image_id}.txt")):
+            chip, _ = crop_chip(image, ann.box)
+            steps = decouple_steps_dense(amplitude(chip), DecoupleParams(n_max=6))
+            for it, step in enumerate(steps):
+                stem = f"{image_id}_{idx:03d}_{it:02d}"
+                write_chip(AmplitudeRaster(step.residual), expected / f"{stem}_residual.csar")
+                write_chip(AmplitudeRaster(step.support.astype(np.float64)),
+                           expected / f"{stem}_labels.csar")
+    names = sorted(p.name for p in expected.iterdir())
+    assert len(names) >= 8
+    assert sorted(p.name for p in debug.iterdir()) == names
+    for name in names:
+        assert (debug / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("line", ["decouple.eps = nan", "window.sidelobe_db = nan",
+                                  "dog.sigma2 = inf"])
+def test_annotate_non_finite_config_is_data_error(tmp_path, line):
+    data = synth(tmp_path, chips=1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "scatterkit.cli", "annotate", "--config", str(cfg),
+         "--images", str(data / "images"), "--annots", str(data / "annots"),
+         "--out", str(out), "--seed", "0"],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "must be finite" in proc.stderr
+    assert not out.exists()
 
 
 def test_annotate_threads_do_not_change_output(tmp_path):

@@ -2,9 +2,12 @@
 
 import pytest
 
+from scatterkit import config
 from scatterkit.config import (RunConfig, canonical_text, config_hash,
                                emit_config, emit_manifest, load_config)
 from scatterkit.errors import BadConfigField
+
+FLOAT_KEYS = sorted(key for key, (_, _, typ) in config._FIELDS.items() if typ is float)
 
 
 def test_defaults_match_reference_parameter_set():
@@ -113,3 +116,23 @@ def test_manifest_contents(tmp_path):
     assert "timing_ms.annotate = 12.345" in text
     assert "timing_ms.io = 1.000" in text
     assert "python = " in text and "numpy = " in text
+
+
+def test_every_float_key_is_listed():
+    assert FLOAT_KEYS == [
+        "decouple.eps", "decouple.grow_floor_db", "decouple.min_peak_ratio",
+        "decouple.tau_db", "dog.sigma1", "dog.sigma2", "dog.threshold",
+        "supervision.loss_weight", "supervision.sigma", "window.sidelobe_db"]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_load_rejects_non_finite_float(tmp_path, key, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {text}\n")
+    with pytest.raises(BadConfigField) as exc:
+        load_config(path)
+    assert exc.value.field_path == "(validation)"
+    assert "finite" in str(exc.value)
+    with pytest.raises(BadConfigField):
+        load_config(overrides={key: float(text)})

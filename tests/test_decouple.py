@@ -2,16 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
-from scatterkit.ascmodel import FrequencyGrid, Scatterer, synth_image, synth_target
+from scatterkit.annotio import crop_chip
+from scatterkit.ascmodel import (FrequencyGrid, Scatterer, base_psf, fit_scatterer,
+                                 synth_image, synth_target)
 from scatterkit.decouple import (DecoupleParams, ScatterRegion, decouple,
                                  decouple_steps, mask_block_bfs, region_grow)
 from scatterkit.errors import AllZeroRaster, EmptyRegion
-from scatterkit.raster import AmplitudeRaster
+from scatterkit.metrics import OrientedBox
+from scatterkit.raster import AmplitudeRaster, amplitude
 from scatterkit.spectral import taylor_window_2d
 
-from oracles import LabelMap, grow_labels
+from oracles import (LabelMap, decouple_steps_dense, grow_labels,
+                     grow_support_dense, mask_block_dense)
 
 N4_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -174,6 +180,20 @@ def test_region_grow_darker_pixel_joins_through_seed_exemption():
     np.testing.assert_array_equal(support, grow_labels(r, seed, params).labels == 1)
 
 
+def test_region_grow_floor_is_strict():
+    # 10*log10((v + eps) / 1) is exactly -20 dB, the default grow floor
+    vals = np.zeros((3, 4))
+    vals[1, 1] = 1.0
+    vals[1, 2] = 0.009999000000000001
+    vals[0, 1] = 0.0101
+    params = DecoupleParams()
+    db = 10.0 * np.log10((vals + params.eps) / 1.0)
+    assert db[1, 2] == params.grow_floor_db < db[0, 1]
+    r = AmplitudeRaster(vals)
+    support = region_grow(r, mask_block_bfs(r, params.tau_db), params)
+    np.testing.assert_array_equal(np.argwhere(support), [[0, 1], [1, 1]])
+
+
 def test_region_grow_equals_label_one_of_oracle_on_every_step():
     grid = FrequencyGrid(128, 128)
     window = taylor_window_2d(128, 128)
@@ -304,17 +324,171 @@ def test_label_map_validation():
 
 
 def test_scatter_region_validation():
-    vals = np.zeros((4, 4))
-    vals[1, 1] = 2.0
-    sup = vals > 0
-    ScatterRegion(values=vals, support=sup, peak=(1, 1), energy=4.0)
+    ScatterRegion(shape=(4, 4), indices=[5], amplitudes=[2.0], peak=(1, 1))
     with pytest.raises(EmptyRegion):
-        ScatterRegion(values=np.zeros((4, 4)), support=np.zeros((4, 4), bool),
-                      peak=(0, 0), energy=0.0)
+        ScatterRegion(shape=(4, 4), indices=np.zeros(0, dtype=np.int64),
+                      amplitudes=np.zeros(0), peak=(0, 0))
     with pytest.raises(ValueError):
-        ScatterRegion(values=vals, support=np.zeros((4, 4), bool) | True,
-                      peak=(0, 0), energy=4.0)  # peak not at the maximum
-    leaky = vals.copy()
-    leaky[3, 3] = 0.5  # nonzero off support
-    with pytest.raises(ValueError):
-        ScatterRegion(values=leaky, support=sup, peak=(1, 1), energy=4.0)
+        ScatterRegion(shape=(4, 4), indices=np.arange(16), amplitudes=np.ravel(
+            np.eye(4) * 2.0), peak=(0, 1))  # peak not at the maximum
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    (dict(indices=np.zeros(0, dtype=np.int64), amplitudes=np.zeros(0)), EmptyRegion),
+    (dict(peak=(0, 0)), ValueError),                     # peak outside the support
+    (dict(amplitudes=[1.0, 3.0, 2.0]), ValueError),      # peak below the region maximum
+    (dict(indices=[6, 5, 9]), ValueError),               # unsorted
+    (dict(indices=[5, 5, 9], peak=(1, 1)), ValueError),  # duplicate
+    (dict(indices=[-1, 5, 9]), ValueError),              # below the frame
+    (dict(indices=[5, 6, 16]), ValueError),              # past the frame
+    (dict(peak=(1, 5)), ValueError),                     # peak column outside the frame
+    (dict(indices=[5.0, 6.0, 9.0]), ValueError),         # not integers
+    (dict(amplitudes=[3.0, 2.0]), ValueError),           # one value short
+], ids=["empty", "peak-off-support", "peak-below-max", "unsorted", "duplicate",
+        "negative", "past-end", "peak-off-frame", "float-indices", "length"])
+def test_scatter_region_rejects(kwargs, error):
+    good = dict(shape=(4, 4), indices=[5, 6, 9], amplitudes=[3.0, 2.0, 1.0], peak=(1, 1))
+    ScatterRegion(**good)
+    with pytest.raises(error):
+        ScatterRegion(**{**good, **kwargs})
+
+
+def test_scatter_region_builds_full_frame_images_on_access():
+    region = ScatterRegion(shape=(3, 4), indices=[1, 6, 11], amplitudes=[2.0, 0.0, 0.5],
+                           peak=(0, 1))
+    expect = np.zeros((3, 4))
+    expect.flat[[1, 6, 11]] = [2.0, 0.0, 0.5]
+    np.testing.assert_array_equal(region.values, expect)
+    np.testing.assert_array_equal(np.flatnonzero(region.support), [1, 6, 11])
+    assert region.energy == 4.25
+    assert not region.indices.flags.writeable and not region.amplitudes.flags.writeable
+
+
+def test_mask_and_grow_wrappers_match_dense_searches():
+    rng = np.random.Generator(np.random.PCG64(32))
+    params = DecoupleParams()
+    for _ in range(20):
+        r = AmplitudeRaster(rng.random((13, 17)) ** 4)
+        block = mask_block_bfs(r, params.tau_db)
+        np.testing.assert_array_equal(block, mask_block_dense(r, params.tau_db))
+        np.testing.assert_array_equal(region_grow(r, block, params),
+                                      grow_support_dense(r, block, params))
+
+
+def _assert_loop_matches_dense_oracle(amp: AmplitudeRaster, params: DecoupleParams) -> int:
+    """Every step of decouple_steps and decouple equals the dense loop to the
+    last bit, and so does the fit of every region; returns the step count."""
+    h, w = amp.values.shape
+    psf = base_psf(FrequencyGrid(h, w), taylor_window_2d(h, w))
+    steps = list(decouple_steps(amp, params))
+    regions = decouple(amp, params)
+    dense = list(decouple_steps_dense(amp, params))
+    assert len(steps) == len(regions) == len(dense)
+    for step, region, ref in zip(steps, regions, dense):
+        for r in (step.region, region):
+            np.testing.assert_array_equal(r.indices, np.flatnonzero(ref.support))
+            np.testing.assert_array_equal(r.amplitudes, ref.values[ref.support])
+            assert r.peak == ref.peak
+        np.testing.assert_array_equal(step.region.support, ref.support)
+        np.testing.assert_array_equal(step.region.values, ref.values)
+        assert step.region.energy == ref.energy
+        np.testing.assert_array_equal(step.residual, ref.residual)
+        AmplitudeRaster(step.residual)  # what the next step reads stays valid
+        for refine in (False, True):
+            assert fit_scatterer(region, psf, refine=refine) == \
+                fit_scatterer(ref.values, psf, refine=refine)
+    return len(steps)
+
+
+def test_loop_matches_dense_oracle_on_chips():
+    grid = FrequencyGrid(128, 128)
+    window = taylor_window_2d(128, 128)
+    n_steps = 0
+    for seed in range(20):
+        rng = np.random.Generator(np.random.PCG64(300 + seed))
+        chip = synth_target(int(rng.integers(5, 16)), grid, window, rng,
+                            speckle=bool(seed % 2))
+        n_steps += _assert_loop_matches_dense_oracle(amplitude(chip.image), DecoupleParams())
+    assert n_steps >= 200
+
+
+def test_loop_matches_dense_oracle_on_scene_crops():
+    # one 256x256 scene, one compact target per 64 px cell, cropped as
+    # annotation runs crop it
+    rng = np.random.Generator(np.random.PCG64(41))
+    scatterers, boxes = [], []
+    for cell in range(16):
+        center = 64.0 * np.array([cell % 4, cell // 4]) + 32.0 + rng.uniform(-8, 8, 2)
+        pts = center + rng.uniform(-12.0, 12.0, size=(5 + cell % 6, 2))
+        scatterers += [Scatterer(float(x), float(y), float(rng.uniform(0.5, 1.5)))
+                       for x, y in pts]
+        (x0, y0), (x1, y1) = pts.min(axis=0) - 3.0, pts.max(axis=0) + 3.0
+        boxes.append(OrientedBox.from_rect(x0, y0, x1, y1))
+    scene = synth_image(scatterers, FrequencyGrid(256, 256), taylor_window_2d(256, 256))
+    n_steps = 0
+    for box in boxes:
+        chip, _ = crop_chip(scene, box)
+        n_steps += _assert_loop_matches_dense_oracle(amplitude(chip), DecoupleParams())
+    assert n_steps >= 150
+
+
+def test_loop_matches_dense_oracle_below_hundred_eps():
+    # with the peak under 100 * eps, eps / peak clears the -20 dB floor, so
+    # pixels zeroed by earlier steps join later supports with value 0; the
+    # fit must score only the positive ones, as the dense path does
+    grid = FrequencyGrid(64, 64)
+    window = taylor_window_2d(64, 64)
+    chip = synth_target(8, grid, window, np.random.Generator(np.random.PCG64(5)))
+    vals = np.abs(chip.image.samples)
+    amp = AmplitudeRaster(vals * (5e-5 / vals.max()))
+    params = DecoupleParams()
+    assert _assert_loop_matches_dense_oracle(amp, params) == params.n_max
+    zeros = sum(int(np.count_nonzero(r.amplitudes == 0)) for r in decouple(amp, params))
+    assert zeros >= 10
+
+
+def test_loop_matches_dense_oracle_for_each_stop_reason():
+    grid = FrequencyGrid(64, 64)
+    window = taylor_window_2d(64, 64)
+    chip = synth_target(12, grid, window, np.random.Generator(np.random.PCG64(8)))
+    amp = amplitude(chip.image)
+    peak = float(amp.values.max())
+
+    # n_max: the cap ends the loop with the residual still above the floor
+    params = DecoupleParams(n_max=4)
+    assert _assert_loop_matches_dense_oracle(amp, params) == 4
+    assert list(decouple_steps(amp, params))[-1].residual.max() >= params.min_peak_ratio * peak
+
+    # peak floor: the residual peak falls under min_peak_ratio * the original peak
+    params = DecoupleParams(min_peak_ratio=0.3)
+    n = _assert_loop_matches_dense_oracle(amp, params)
+    last = list(decouple_steps(amp, params))[-1].residual.max()
+    assert n < params.n_max and 0.0 < last < 0.3 * peak
+
+    # zero residual: every pixel has been lifted out before the cap
+    vals = np.zeros((16, 16))
+    vals[[2, 2, 9, 13], [3, 11, 7, 1]] = [1.0, 0.8, 0.6, 0.9]
+    n = _assert_loop_matches_dense_oracle(AmplitudeRaster(vals), DecoupleParams())
+    assert n == 4
+    assert not list(decouple_steps(AmplitudeRaster(vals)))[-1].residual.any()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_loop_matches_dense_oracle_on_random_rasters(data):
+    # few distinct levels make equal-dB plateaus; a 1e-5 scale puts the
+    # peak under 100 * eps; frames down to 1 px wide exercise the border
+    h = data.draw(st.integers(1, 10), label="height")
+    w = data.draw(st.integers(1, 10), label="width")
+    levels = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 2.0]),
+                                min_size=h * w, max_size=h * w), label="levels")
+    scale = data.draw(st.sampled_from([1.0, 1e-5]), label="scale")
+    vals = np.array(levels).reshape(h, w) * scale
+    if not vals.any():
+        vals[h // 2, w // 2] = scale
+    tau = data.draw(st.floats(-10.0, -0.5), label="tau_db")
+    params = DecoupleParams(
+        tau_db=tau, grow_floor_db=tau - data.draw(st.floats(0.0, 30.0), label="depth"),
+        n_max=data.draw(st.integers(1, 25), label="n_max"),
+        min_peak_ratio=data.draw(st.sampled_from([0.0, 1e-3, 0.3]), label="ratio"))
+    _assert_loop_matches_dense_oracle(AmplitudeRaster(vals), params)

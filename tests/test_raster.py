@@ -5,7 +5,7 @@ import pytest
 
 from scatterkit.errors import AllZeroRaster
 from scatterkit.raster import (AmplitudeRaster, ComplexRaster, DbRaster,
-                               WindowRaster, amplitude, to_db)
+                               WindowRaster, amplitude, peak_db, to_db)
 
 
 def test_complex_raster_promotes_and_freezes():
@@ -63,6 +63,19 @@ def test_to_db_rejects_all_zero_and_bad_eps():
         to_db(AmplitudeRaster(np.zeros((4, 4))))
     with pytest.raises(ValueError):
         to_db(AmplitudeRaster(np.ones((2, 2))), eps=0.0)
+
+
+def test_peak_db_writes_the_to_db_formula_in_place():
+    rng = np.random.Generator(np.random.PCG64(6))
+    vals = rng.uniform(0.0, 3.0, size=(9, 7))
+    peak = float(vals.max())
+    expected = 10.0 * np.log10((vals + 1e-6) / peak)
+    np.testing.assert_array_equal(to_db(AmplitudeRaster(vals)).values, expected)
+    buf = np.full((11, 9), 7.0)
+    out = peak_db(vals, peak, 1e-6, out=buf[1:-1, 1:-1])
+    assert np.shares_memory(out, buf)
+    np.testing.assert_array_equal(buf[1:-1, 1:-1], expected)
+    assert (buf[0] == 7.0).all() and (buf[:, -1] == 7.0).all()
 
 
 def test_db_raster_rejects_positive_peak():

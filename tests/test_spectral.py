@@ -81,6 +81,8 @@ def test_taylor_window_suppresses_sidelobes():
 
 @pytest.mark.parametrize("kwargs", [
     {"nbar": 0}, {"nbar": -1}, {"sidelobe_db": 0.0}, {"sidelobe_db": 35.0},
+    {"sidelobe_db": float("nan")}, {"sidelobe_db": float("-inf")},
+    {"sidelobe_db": float("inf")},
 ])
 def test_taylor_window_rejects_bad_params(kwargs):
     with pytest.raises(InvalidWindowParams):
