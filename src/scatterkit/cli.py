@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import tempfile
 import time
@@ -67,14 +68,36 @@ def _dims(text: str) -> tuple[int, int]:
     return h, w
 
 
+def _iou_threshold(text: str) -> float:
+    try:
+        thr = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(thr) and 0 < thr < 1):
+        raise argparse.ArgumentTypeError(f"IoU threshold must lie in (0, 1), got {text!r}")
+    return thr
+
+
+# A sweep lists every threshold by repeated addition. Over [0, 1] this STEP
+# floor bounds the list to 10,001 thresholds and keeps every addition above
+# float rounding; a smaller STEP can stall `t` and grow the list unbounded.
+_MIN_SWEEP_STEP = 1e-4
+
+
 def _threshold_sweep(text: str) -> tuple[float, ...]:
     try:
         start, stop, step = (float(t) for t in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected START:STOP:STEP, got {text!r}") from None
-    if step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError(f"bad sweep {text!r}")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise argparse.ArgumentTypeError(f"sweep parts must be finite, got {text!r}")
+    if not 0 <= start <= stop <= 1:
+        raise argparse.ArgumentTypeError(
+            f"need 0 <= START <= STOP <= 1, got {text!r}")
+    if step < _MIN_SWEEP_STEP:
+        raise argparse.ArgumentTypeError(
+            f"need STEP >= {_MIN_SWEEP_STEP:g}, got {text!r}")
     out, t = [], start
     while t <= stop + 1e-12:
         out.append(round(t, 10))
@@ -101,6 +124,15 @@ def _write_report(text: str, path: str | None) -> None:
 def _annotation_files(directory: Path) -> list[Path]:
     """All *.txt annotation files, skipping any run manifest."""
     return sorted(p for p in directory.glob("*.txt") if p.name != MANIFEST_NAME)
+
+
+def _keypoints_of(ann_path: Path) -> np.ndarray:
+    """Every keypoint of an annotation file, in file order, as an (n, 2) array."""
+    pts = []
+    for inst in parse_annotation(ann_path):
+        if inst.keypoints is not None:
+            pts.extend(inst.keypoints.points)
+    return np.array(pts, dtype=np.float64).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------- synth
@@ -203,14 +235,11 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     written = 0
     t0 = time.perf_counter()
     for ann_path in _annotation_files(annots_dir):
-        points = []
-        for inst in parse_annotation(ann_path):
-            if inst.keypoints is not None:
-                points.extend(inst.keypoints.points)
-        if not points:
+        points = _keypoints_of(ann_path)
+        if not len(points):
             log.warning("%s: no keypoints, skipped", ann_path.name)
             continue
-        kps = KeypointSet(points=tuple(points), k=len(points))
+        kps = KeypointSet(points=tuple(map(tuple, points.tolist())), k=len(points))
         m = gt_scatter_map(kps, h, w, sigma=config.supervision.sigma)
         levels = downsample_pyramid(m, config.supervision.levels, pool=config.pool)
         for lvl, sm in enumerate(levels):
@@ -275,14 +304,6 @@ def _eval_detections(args: argparse.Namespace) -> int:
                         class_id_map=class_ids)
     _write_report(report.render(), args.report)
     return EXIT_OK
-
-
-def _keypoints_of(ann_path: Path) -> np.ndarray:
-    pts = []
-    for inst in parse_annotation(ann_path):
-        if inst.keypoints is not None:
-            pts.extend(inst.keypoints.points)
-    return np.array(pts, dtype=np.float64).reshape(-1, 2)
 
 
 def _eval_keypoint_compare(args: argparse.Namespace) -> int:
@@ -438,7 +459,8 @@ def _build_parser() -> _Parser:
     p = add("eval", cmd_eval, "detection metrics or keypoint comparison")
     p.add_argument("--preds", default=None, help="prediction file")
     p.add_argument("--gts", default=None, help="ground-truth annotation directory")
-    p.add_argument("--iou", type=float, default=0.5, help="matching IoU threshold")
+    p.add_argument("--iou", type=_iou_threshold, default=0.5,
+                   help="matching IoU threshold, in (0, 1)")
     p.add_argument("--phr", type=_threshold_sweep, default=_threshold_sweep("0.05:0.8:0.05"),
                    metavar="START:STOP:STEP", help="PHR threshold sweep")
     p.add_argument("--ignore-difficult", action="store_true",

@@ -8,7 +8,7 @@ share between threads without copying.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,45 +112,40 @@ class DbRaster:
 
 @dataclass(frozen=True)
 class WindowRaster:
-    """Separable 2-D spectral taper: outer product of two 1-D windows.
+    """Separable 2-D spectral taper, held as its two 1-D windows.
 
-    Built via spectral.taylor_window_2d; values lie in (0, 1] with the peak
-    normalized to exactly 1, and must equal outer(row_taper, col_taper)
-    exactly, since the PSF and the fit are built from the two tapers alone.
+    Built via spectral.taylor_window_2d. Each taper lies in (0, 1] with its
+    peak at exactly 1, so the window `outer(row_taper, col_taper)` does too.
+    The PSF and the fit read the two tapers alone; `values` builds the 2-D
+    window on access, for image synthesis.
     """
 
-    values: np.ndarray
-    row_taper: np.ndarray = field(repr=False)
-    col_taper: np.ndarray = field(repr=False)
+    row_taper: np.ndarray
+    col_taper: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("window raster must be 2-D")
-        if np.any(arr <= 0) or np.any(arr > 1):
-            raise ValueError("window values must lie in (0, 1]")
-        if not np.isclose(arr.max(), 1.0, rtol=0, atol=1e-12):
-            raise ValueError("window peak must be normalized to 1")
-        row = np.asarray(self.row_taper, dtype=np.float64)
-        col = np.asarray(self.col_taper, dtype=np.float64)
-        if row.ndim != 1 or col.ndim != 1:
-            raise ValueError("window tapers must be 1-D")
-        if (row.size, col.size) != arr.shape:
-            raise ValueError(
-                f"tapers {row.size}x{col.size} do not match window {arr.shape}")
-        if not np.array_equal(arr, np.outer(row, col)):
-            raise ValueError("window values must equal outer(row_taper, col_taper)")
-        object.__setattr__(self, "values", _freeze(arr))
-        object.__setattr__(self, "row_taper", _freeze(row))
-        object.__setattr__(self, "col_taper", _freeze(col))
+        for name in ("row_taper", "col_taper"):
+            taper = np.asarray(getattr(self, name), dtype=np.float64)
+            if taper.ndim != 1 or taper.size < 1:
+                raise ValueError(f"{name} must be a non-empty 1-D array")
+            if np.any(taper <= 0) or np.any(taper > 1):
+                raise ValueError(f"{name} values must lie in (0, 1]")
+            if not np.isclose(taper.max(), 1.0, rtol=0, atol=1e-12):
+                raise ValueError(f"{name} peak must be normalized to 1")
+            object.__setattr__(self, name, _freeze(taper))
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.row_taper.size
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.col_taper.size
+
+    @property
+    def values(self) -> np.ndarray:
+        """The 2-D window outer(row_taper, col_taper), built on each access."""
+        return np.outer(self.row_taper, self.col_taper)
 
 
 def amplitude(img: ComplexRaster) -> AmplitudeRaster:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal.windows import taylor as _scipy_taylor
 
 from .errors import InvalidWindowParams
 from .raster import WindowRaster
@@ -44,26 +43,38 @@ def taylor_window(length: int, nbar: int = DEFAULT_NBAR,
     """Symmetric 1-D Taylor taper, max-normalized to 1.
 
     sidelobe_db is the design sidelobe level and must be negative
-    (e.g. -35 for 35 dB of suppression).
+    (e.g. -35 for 35 dB of suppression). The taper is Taylor's n-bar
+    distribution (T. T. Taylor, IRE Trans. Antennas Propag. 3(1), 1955),
+    evaluated in the same order of operations as
+    `scipy.signal.windows.taylor(length, nbar, -sidelobe_db, norm=False)`,
+    so the two agree bit for bit.
     """
     _check_window_params(nbar, sidelobe_db)
     if length < 1:
         raise InvalidWindowParams(f"length must be >= 1, got {length}")
     if length == 1:
         return np.ones(1)
-    w = _scipy_taylor(length, nbar=nbar, sll=-sidelobe_db, norm=False, sym=True)
+    a = np.arccosh(10 ** (-sidelobe_db / 20)) / np.pi
+    s2 = nbar ** 2 / (a ** 2 + (nbar - 0.5) ** 2)
+    ma = np.arange(1, nbar, dtype=np.float64)
+    m2 = ma * ma
+    fm = np.empty(nbar - 1)
+    for mi in range(nbar - 1):
+        numer = (-1) ** mi * np.prod(1 - m2[mi] / s2 / (a ** 2 + (ma - 0.5) ** 2))
+        denom = 2 * np.prod(1 - m2[mi] / m2[:mi]) * np.prod(1 - m2[mi] / m2[mi + 1:])
+        fm[mi] = numer / denom
+    n = np.arange(length, dtype=np.float64)
+    w = 1 + 2 * (fm @ np.cos(2 * np.pi * ma[:, np.newaxis] * (n - length / 2 + 0.5) / length))
     return w / w.max()
 
 
 def taylor_window_2d(height: int, width: int, nbar: int = DEFAULT_NBAR,
                      sidelobe_db: float = DEFAULT_SIDELOBE_DB) -> WindowRaster:
-    """Separable 2-D Taylor taper: outer product of per-axis 1-D tapers."""
-    wy = taylor_window(height, nbar, sidelobe_db)
-    wx = taylor_window(width, nbar, sidelobe_db)
-    return WindowRaster(np.outer(wy, wx), row_taper=wy, col_taper=wx)
+    """Separable 2-D Taylor taper: per-axis 1-D tapers, no 2-D array built."""
+    return WindowRaster(taylor_window(height, nbar, sidelobe_db),
+                        taylor_window(width, nbar, sidelobe_db))
 
 
 def rectangular_window_2d(height: int, width: int) -> WindowRaster:
     """All-ones window (no taper); inverting it alone gives a unit impulse."""
-    return WindowRaster(np.ones((height, width)),
-                        row_taper=np.ones(height), col_taper=np.ones(width))
+    return WindowRaster(np.ones(height), np.ones(width))

@@ -9,7 +9,7 @@ import pytest
 
 from scatterkit.annotio import crop_chip, parse_annotation, parse_truth
 from scatterkit.chipio import read_chip, write_chip
-from scatterkit.cli import main
+from scatterkit.cli import _threshold_sweep, main
 from scatterkit.config import MANIFEST_NAME
 from scatterkit.decouple import DecoupleParams
 from scatterkit.raster import AmplitudeRaster, amplitude
@@ -52,6 +52,43 @@ def test_bad_value_formats_are_usage_errors(tmp_path):
     assert usage_exit("heatmap", "--annots", str(tmp_path), "--dims", "32x32",
                       "--out", str(tmp_path / "o"), "--pool", "median") == 1
     assert usage_exit("eval", "--phr", "0.5:0.1:0.1") == 1
+
+
+def one_box_eval_args(tmp_path):
+    gts = tmp_path / "gts"
+    gts.mkdir()
+    (gts / "img0.txt").write_text("0 0 4 0 4 4 0 4 tank 0\n")
+    preds = tmp_path / "preds.txt"
+    preds.write_text("img0 0 0.9 0 0 4 0 4 4 0 4\n")
+    return "eval", "--preds", str(preds), "--gts", str(gts)
+
+
+@pytest.mark.parametrize("iou", ["nan", "0", "1", "1.5", "-0.1"])
+def test_eval_iou_outside_unit_interval_is_usage_error(tmp_path, capsys, iou):
+    assert usage_exit(*one_box_eval_args(tmp_path), f"--iou={iou}") == 1
+    err = capsys.readouterr().err
+    assert "argument --iou: IoU threshold must lie in (0, 1)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sweep", [
+    "0:inf:0.05", "0:0.5:inf", "-inf:0.5:0.1", "nan:0.5:0.1", "0:nan:0.1",
+    "0:0.5:nan", "-0.1:0.5:0.1", "0:1.5:0.1", "0:1:0", "0:1:-0.1", "0:1:1e-300",
+    "0:1:9.9e-5", "0.5:0.5000000000000001:2e-20",
+])
+def test_eval_phr_sweep_that_is_not_finite_or_leaves_unit_interval_is_usage_error(
+        tmp_path, capsys, sweep):
+    assert usage_exit(*one_box_eval_args(tmp_path), f"--phr={sweep}") == 1
+    err = capsys.readouterr().err
+    assert "argument --phr:" in err and "Traceback" not in err
+
+
+def test_eval_phr_sweep_spans_both_ends_of_unit_interval(tmp_path, capsys):
+    assert _threshold_sweep("0:1:0.25") == (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert run_cli(*one_box_eval_args(tmp_path), "--phr=0:1:0.25") == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert _threshold_sweep("0.05:0.8:0.05")[-1] == 0.8
+    assert len(_threshold_sweep("0:1:1e-4")) == 10_001
 
 
 def test_eval_requires_inputs(tmp_path):

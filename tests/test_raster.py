@@ -1,5 +1,7 @@
 """Raster value types: validation, immutability, amplitude and dB conversion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,20 +87,28 @@ def test_db_raster_rejects_positive_peak():
 
 def test_window_raster_validation():
     taper = np.array([0.5, 1.0, 0.5])
-    w = WindowRaster(np.outer(taper, taper), row_taper=taper, col_taper=taper)
+    w = WindowRaster(taper, taper)
     assert w.values.max() == 1.0
-    with pytest.raises(ValueError):
-        WindowRaster(np.full((2, 2), 0.5), row_taper=taper, col_taper=taper)
-    with pytest.raises(ValueError):
-        WindowRaster(np.array([[0.0, 1.0]]), row_taper=taper, col_taper=taper)
+    assert (w.height, w.width) == (3, 3)
+    with pytest.raises(ValueError, match="normalized"):
+        WindowRaster(np.full(2, 0.5), taper)
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        WindowRaster(taper, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        WindowRaster(np.array([1.0, 1.5]), taper)
 
 
 def test_window_raster_rejects_tapers_that_do_not_make_its_values():
     taper = np.array([0.5, 1.0, 0.5])
-    values = np.outer(taper, taper)
-    with pytest.raises(ValueError, match="outer"):
-        WindowRaster(values, row_taper=taper, col_taper=np.array([0.5, 1.0, 0.25]))
-    with pytest.raises(ValueError, match="do not match"):
-        WindowRaster(values, row_taper=taper, col_taper=np.array([1.0, 0.5]))
     with pytest.raises(ValueError, match="1-D"):
-        WindowRaster(values, row_taper=values, col_taper=taper)
+        WindowRaster(np.outer(taper, taper), taper)
+    with pytest.raises(ValueError, match="1-D"):
+        WindowRaster(taper, np.ones(0))
+
+
+def test_window_raster_holds_only_its_tapers():
+    row, col = np.array([0.5, 1.0, 0.25]), np.array([1.0, 0.5])
+    w = WindowRaster(row, col)
+    assert [f.name for f in dataclasses.fields(w)] == ["row_taper", "col_taper"]
+    assert not w.row_taper.flags.writeable and not w.col_taper.flags.writeable
+    np.testing.assert_array_equal(w.values, np.outer(row, col))
