@@ -16,9 +16,9 @@ from .errors import ScatterKitError
 from .keypoints import (DogParams, KeypointSet, cluster_keypoints,
                         dog_keypoints, instance_seed, skaa_keypoints, to_global)
 from .metrics import (Detection, EvalReport, OrientedBox, average_precision,
-                      average_precision_grouped, greedy_point_match, mean_ap,
-                      mean_nearest_distance, phr_curve, proposal_precision,
-                      rotated_iou)
+                      average_precision_grouped, greedy_point_match, max_ious,
+                      mean_ap, mean_nearest_distance, phr_curve,
+                      proposal_precision, rotated_iou)
 from .raster import (AmplitudeRaster, ComplexRaster, DbRaster, WindowRaster,
                      amplitude, to_db)
 from .spectral import (fft2d, ifft2d, rectangular_window_2d, taylor_window,
@@ -40,7 +40,7 @@ __all__ = [
     "decouple_steps", "dog_keypoints", "downsample_pyramid",
     "enhance_features", "fft2d", "fit_scatterer", "forward_field",
     "greedy_point_match", "gt_scatter_map", "ifft2d", "instance_seed",
-    "load_config", "mask_block_bfs", "mean_ap", "mean_nearest_distance",
+    "load_config", "mask_block_bfs", "max_ious", "mean_ap", "mean_nearest_distance",
     "phr_curve", "proposal_precision", "read_chip", "reconstruct",
     "rectangular_window_2d",
     "region_grow", "rotated_iou", "skaa_keypoints", "synth_image",

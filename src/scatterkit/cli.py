@@ -27,8 +27,8 @@ from .chipio import write_chip, write_pgm, write_text_atomic
 from .config import MANIFEST_NAME, RunConfig, emit_manifest, load_config
 from .errors import ScatterKitError
 from .keypoints import KeypointSet, instance_seed
-from .metrics import (EvalReport, average_precision_grouped, mean_ap,
-                      mean_nearest_distance, rotated_iou)
+from .metrics import (EvalReport, average_precision_grouped, max_ious, mean_ap,
+                      mean_nearest_distance)
 from .raster import AmplitudeRaster
 from .spectral import taylor_window_2d
 from .supervision import downsample_pyramid, gt_scatter_map
@@ -257,27 +257,24 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- eval
 
-def _load_gt_annotations(gts_dir: Path, ignore_difficult: bool,
-                         ) -> dict[str, list[InstanceAnnotation]]:
+def _load_gt_annotations(gts_dir: Path) -> dict[str, list[InstanceAnnotation]]:
     if not gts_dir.is_dir():
         raise FileNotFoundError(f"not a directory: {gts_dir}")
-    out = {}
-    for path in _annotation_files(gts_dir):
-        annots = parse_annotation(path)
-        if ignore_difficult:
-            annots = [a for a in annots if a.difficulty == 0]
-        out[path.stem] = annots
-    return out
+    return {path.stem: parse_annotation(path) for path in _annotation_files(gts_dir)}
 
 
 def _eval_detections(args: argparse.Namespace) -> int:
     preds = parse_predictions(args.preds)
-    gts = _load_gt_annotations(Path(args.gts), args.ignore_difficult)
+    gts = _load_gt_annotations(Path(args.gts))
 
-    class_names = sorted({a.class_name for annots in gts.values() for a in annots})
-    class_ids = {name: i for i, name in enumerate(class_names)}
+    # class ids rank every GT class name, difficult instances included, so
+    # --ignore-difficult never renumbers them
+    class_ids = {name: i for i, name in enumerate(
+        sorted({a.class_name for annots in gts.values() for a in annots}))}
+    if args.ignore_difficult:
+        gts = {img: [a for a in annots if a.difficulty == 0] for img, annots in gts.items()}
     per_class = {}
-    for name in class_names:
+    for name in sorted({a.class_name for annots in gts.values() for a in annots}):
         cid = class_ids[name]
         gts_by_image = {img: [a.box for a in annots if a.class_name == name]
                         for img, annots in gts.items()}
@@ -288,12 +285,9 @@ def _eval_detections(args: argparse.Namespace) -> int:
                                                     iou_thr=args.iou)
 
     # proposal-quality metrics pool every prediction box against its image's GT
-    best_ious = []
-    for img, ds in sorted(preds.items()):
-        boxes = [a.box for a in gts.get(img, [])]
-        for d in ds:
-            best_ious.append(max((rotated_iou(d.box, g) for g in boxes), default=0.0))
-    best = np.array(best_ious) if best_ious else np.zeros(0)
+    best = np.concatenate([np.zeros(0)] + [
+        max_ious([d.box for d in ds], [a.box for a in gts.get(img, [])])
+        for img, ds in sorted(preds.items())])
     phr = [(float(t), float(np.mean(best > t)) if best.size else 0.0)
            for t in args.phr]
     prec = float(np.mean(best > args.iou)) if best.size else 0.0

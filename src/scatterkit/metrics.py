@@ -23,14 +23,24 @@ COLLINEAR_TOL = 1e-9
 SLIVER_AREA = 1e-12
 
 
-def _signed_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _signed_area(pts) -> float:
+    """Shoelace area of (x, y) float pairs, positive for CCW.
+
+    The terms stay summed by np.sum: its reduction order on small arrays
+    matches neither `sum` nor `math.fsum`, and either would move the last
+    bits of areas and IoUs.
+    """
+    terms = [px * qy - qx * py for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1])]
+    return 0.5 * float(np.sum(terms))
 
 
 @dataclass(frozen=True)
 class OrientedBox:
-    """Rotated rectangle stored as 4 (x, y) corners in consistent winding."""
+    """Rotated rectangle stored as 4 (x, y) corners in consistent winding.
+
+    The area and the counter-clockwise (CCW) corner order are computed once,
+    here; the CCW corners are also kept as float pairs for `rotated_iou`.
+    """
 
     corners: np.ndarray
 
@@ -40,23 +50,27 @@ class OrientedBox:
             raise DegenerateBox(f"expected 4 corner pairs, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise DegenerateBox("box corners contain NaN/Inf")
-        if abs(_signed_area(arr)) <= SLIVER_AREA:
+        pts = [tuple(p) for p in arr.tolist()]
+        signed = _signed_area(pts)
+        if abs(signed) <= SLIVER_AREA:
             raise DegenerateBox("box has (near-)zero area")
         # Simple + convex <=> all consecutive-edge cross products share a sign.
         crosses = []
         for i in range(4):
-            a, b, c = arr[i], arr[(i + 1) % 4], arr[(i + 2) % 4]
-            u, v = b - a, c - b
-            crosses.append(u[0] * v[1] - u[1] * v[0])
-        crosses = np.array(crosses)
-        if np.any(crosses > COLLINEAR_TOL) and np.any(crosses < -COLLINEAR_TOL):
+            (ax, ay), (bx, by), (cx, cy) = pts[i], pts[(i + 1) % 4], pts[(i + 2) % 4]
+            crosses.append((bx - ax) * (cy - by) - (by - ay) * (cx - bx))
+        if any(c > COLLINEAR_TOL for c in crosses) and \
+                any(c < -COLLINEAR_TOL for c in crosses):
             raise DegenerateBox("corners do not form a convex simple quadrilateral")
         arr.setflags(write=False)
         object.__setattr__(self, "corners", arr)
+        object.__setattr__(self, "_area", abs(signed))
+        object.__setattr__(self, "_ccw", arr if signed > 0 else arr[::-1])
+        object.__setattr__(self, "_ccw_pts", tuple(pts) if signed > 0 else tuple(pts[::-1]))
 
     @property
     def area(self) -> float:
-        return abs(_signed_area(self.corners))
+        return self._area
 
     @property
     def centroid(self) -> tuple[float, float]:
@@ -64,8 +78,7 @@ class OrientedBox:
         return float(c[0]), float(c[1])
 
     def ccw_corners(self) -> np.ndarray:
-        arr = self.corners
-        return arr if _signed_area(arr) > 0 else arr[::-1]
+        return self._ccw
 
     @staticmethod
     def from_rect(x0: float, y0: float, x1: float, y1: float) -> "OrientedBox":
@@ -85,31 +98,37 @@ class Detection:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
 
-def _clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman: clip a convex CCW polygon by a convex CCW polygon."""
+def _cut(p: tuple[float, float], q: tuple[float, float], t: float) -> tuple[float, float]:
+    """The point a fraction t of the way from p to q."""
+    return p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])
+
+
+def _clip_convex(subject, clip) -> list[tuple[float, float]]:
+    """Sutherland-Hodgman: clip a convex CCW polygon by a convex CCW polygon.
+
+    Both polygons and the result are sequences of (x, y) float pairs.
+    """
     output = list(subject)
     n = len(clip)
     for i in range(n):
         if not output:
             break
-        a, b = clip[i], clip[(i + 1) % n]
-        edge = b - a
+        (ax, ay), (bx, by) = clip[i], clip[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
         pts = output
+        m = len(pts)
         output = []
         # signed distance from the clip edge; >= -tol counts as inside
-        d = [edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) for p in pts]
+        d = [ex * (py - ay) - ey * (px - ax) for px, py in pts]
         for j, p in enumerate(pts):
-            q = pts[(j + 1) % len(pts)]
-            dp, dq = d[j], d[(j + 1) % len(pts)]
+            dp, dq = d[j], d[(j + 1) % m]
             if dp >= -COLLINEAR_TOL:
                 output.append(p)
                 if dq < -COLLINEAR_TOL:
-                    t = dp / (dp - dq)
-                    output.append(p + t * (q - p))
+                    output.append(_cut(p, pts[(j + 1) % m], dp / (dp - dq)))
             elif dq >= -COLLINEAR_TOL:
-                t = dp / (dp - dq)
-                output.append(p + t * (q - p))
-    return np.array(output) if output else np.empty((0, 2))
+                output.append(_cut(p, pts[(j + 1) % m], dp / (dp - dq)))
+    return output
 
 
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
@@ -117,7 +136,7 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     area_a, area_b = a.area, b.area
     if area_a <= SLIVER_AREA or area_b <= SLIVER_AREA:
         raise DegenerateBox("IoU of a zero-area box is undefined")
-    inter_poly = _clip_convex(a.ccw_corners(), b.ccw_corners())
+    inter_poly = _clip_convex(a._ccw_pts, b._ccw_pts)
     inter = abs(_signed_area(inter_poly)) if len(inter_poly) >= 3 else 0.0
     if inter < SLIVER_AREA:
         inter = 0.0
@@ -226,7 +245,8 @@ def mean_ap(per_class: dict[str, float] | dict[int, float]) -> float:
     return float(np.mean(list(per_class.values())))
 
 
-def _max_ious(proposals: list[OrientedBox], gts: list[OrientedBox]) -> np.ndarray:
+def max_ious(proposals: list[OrientedBox], gts: list[OrientedBox]) -> np.ndarray:
+    """Each proposal's best IoU against any GT box; 0 where there is none."""
     out = np.zeros(len(proposals))
     for i, p in enumerate(proposals):
         for g in gts:
@@ -244,7 +264,7 @@ def phr_curve(proposals: list[OrientedBox], gts: list[OrientedBox],
     thr = list(thresholds)
     if any(b <= a for a, b in zip(thr, thr[1:])):
         raise ValueError("thresholds must be sorted strictly ascending")
-    best = _max_ious(proposals, gts)
+    best = max_ious(proposals, gts)
     return [(float(t), float(np.mean(best > t))) for t in thr]
 
 
@@ -253,7 +273,7 @@ def proposal_precision(proposals: list[OrientedBox], gts: list[OrientedBox],
     """Share of proposals whose max-IoU against any GT strictly exceeds iou_thr."""
     if not proposals:
         raise EmptyProposals("precision of an empty proposal list")
-    best = _max_ious(proposals, gts)
+    best = max_ious(proposals, gts)
     return float(np.mean(best > iou_thr))
 
 

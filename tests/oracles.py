@@ -12,6 +12,13 @@ product of the separable PSF's factors, with its own candidate box from
 full-frame row and column scans of the support. `psf_2d` is the PSF as the
 2-D inverse DFT of the window, and `refine_offsets` the parabolic refinement
 from full-frame rolls of that image.
+
+`rotated_iou_np` is the rotated-box IoU in numpy scalar arithmetic: every
+call recomputes both boxes' shoelace areas (`signed_area_roll`, with
+`np.roll`) and counter-clockwise corner orders (`box_area`, `box_ccw`), then
+clips with `clip_convex_np`. `degenerate_reason` is the box validation
+those corners went through, on numpy rows. `OrientedBox` computes the area
+and the CCW order once, and `metrics` clips on plain floats.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import numpy as np
 from scatterkit.ascmodel import FIT_DILATE_PX, FittedScatterer, FrequencyGrid
 from scatterkit.decouple import DecoupleParams
 from scatterkit.errors import AllZeroRaster, EmptyRegion
+from scatterkit.metrics import COLLINEAR_TOL, SLIVER_AREA
 from scatterkit.raster import AmplitudeRaster, WindowRaster
 from scatterkit.spectral import ifft2d
 
@@ -270,3 +278,80 @@ def refine_offsets(region: np.ndarray, psf: np.ndarray,
     dx = _parabolic_offset(_corr_at(region, psf, cy, cx - 1), mid,
                            _corr_at(region, psf, cy, cx + 1))
     return dy, dx
+
+
+def signed_area_roll(poly: np.ndarray) -> float:
+    """Shoelace signed area of an (n, 2) polygon, positive for CCW."""
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def degenerate_reason(corners) -> str | None:
+    """Why `OrientedBox` rejects these corners, or None; checks in its order."""
+    arr = np.asarray(corners, dtype=np.float64)
+    if arr.shape != (4, 2):
+        return f"expected 4 corner pairs, got shape {arr.shape}"
+    if not np.all(np.isfinite(arr)):
+        return "box corners contain NaN/Inf"
+    if abs(signed_area_roll(arr)) <= SLIVER_AREA:
+        return "box has (near-)zero area"
+    crosses = []
+    for i in range(4):
+        a, b, c = arr[i], arr[(i + 1) % 4], arr[(i + 2) % 4]
+        u, v = b - a, c - b
+        crosses.append(u[0] * v[1] - u[1] * v[0])
+    crosses = np.array(crosses)
+    if np.any(crosses > COLLINEAR_TOL) and np.any(crosses < -COLLINEAR_TOL):
+        return "corners do not form a convex simple quadrilateral"
+    return None
+
+
+def box_area(corners: np.ndarray) -> float:
+    return abs(signed_area_roll(corners))
+
+
+def box_ccw(corners: np.ndarray) -> np.ndarray:
+    return corners if signed_area_roll(corners) > 0 else corners[::-1]
+
+
+def clip_convex_np(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman on numpy rows: clip a convex CCW polygon by another."""
+    output = list(subject)
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            break
+        a, b = clip[i], clip[(i + 1) % n]
+        edge = b - a
+        pts = output
+        output = []
+        d = [edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) for p in pts]
+        for j, p in enumerate(pts):
+            q = pts[(j + 1) % len(pts)]
+            dp, dq = d[j], d[(j + 1) % len(pts)]
+            if dp >= -COLLINEAR_TOL:
+                output.append(p)
+                if dq < -COLLINEAR_TOL:
+                    t = dp / (dp - dq)
+                    output.append(p + t * (q - p))
+            elif dq >= -COLLINEAR_TOL:
+                t = dp / (dp - dq)
+                output.append(p + t * (q - p))
+    return np.array(output) if output else np.empty((0, 2))
+
+
+def iou_from_parts(area_a: float, ccw_a: np.ndarray,
+                   area_b: float, ccw_b: np.ndarray) -> float:
+    """`rotated_iou_np` given each box's area and CCW corners."""
+    inter_poly = clip_convex_np(ccw_a, ccw_b)
+    inter = abs(signed_area_roll(inter_poly)) if len(inter_poly) >= 3 else 0.0
+    if inter < SLIVER_AREA:
+        inter = 0.0
+    inter = min(inter, area_a, area_b)
+    union = area_a + area_b - inter
+    return float(inter / union)
+
+
+def rotated_iou_np(a: np.ndarray, b: np.ndarray) -> float:
+    """IoU of two boxes given as valid (4, 2) corner arrays."""
+    return iou_from_parts(box_area(a), box_ccw(a), box_area(b), box_ccw(b))

@@ -353,6 +353,27 @@ def test_eval_ignore_difficult_drops_gt(tmp_path, capsys):
     assert "map = 0.500000" in capsys.readouterr().out
 
 
+def test_eval_ignore_difficult_keeps_class_ids(tmp_path, capsys):
+    # alpha has only a difficult box; beta keeps id 1 with or without it
+    gts = tmp_path / "gts"
+    gts.mkdir()
+    (gts / "img0.txt").write_text(
+        "0 0 4 0 4 4 0 4 alpha 1\n10 10 14 10 14 14 10 14 beta 0\n")
+    preds = tmp_path / "preds.txt"
+    preds.write_text("img0 1 0.9 10 10 14 10 14 14 10 14\n")
+    assert run_cli("eval", "--preds", str(preds), "--gts", str(gts)) == 0
+    out = capsys.readouterr().out
+    assert "ap class=alpha id=0 value=0.000000" in out
+    assert "ap class=beta id=1 value=1.000000" in out
+    assert "map = 0.500000" in out
+    assert run_cli("eval", "--preds", str(preds), "--gts", str(gts),
+                   "--ignore-difficult") == 0
+    out = capsys.readouterr().out
+    assert "class=alpha" not in out
+    assert "ap class=beta id=1 value=1.000000" in out
+    assert "map = 1.000000" in out
+
+
 def test_eval_keypoint_compare(tmp_path, capsys):
     data = synth(tmp_path)
     skaa, dog = tmp_path / "skaa", tmp_path / "dog"

@@ -2,24 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatterkit.errors import DegenerateBox, EmptyClasses, EmptyProposals
 from scatterkit.metrics import (Detection, EvalReport, OrientedBox,
                                 average_precision, average_precision_grouped,
-                                greedy_point_match, mean_ap,
+                                greedy_point_match, max_ious, mean_ap,
                                 mean_nearest_distance, phr_curve,
                                 proposal_precision, rotated_iou)
+
+from oracles import box_area, box_ccw, degenerate_reason, iou_from_parts, rotated_iou_np
 
 
 def rect(x0, y0, x1, y1):
     return OrientedBox.from_rect(x0, y0, x1, y1)
 
 
-def rotated(cx, cy, w, h, theta):
+def _rect_corners(center, w, h, theta):
     c, s = np.cos(theta), np.sin(theta)
     half = np.array([[-w, -h], [w, -h], [w, h], [-w, h]], dtype=float) / 2.0
-    rot = half @ np.array([[c, s], [-s, c]])
-    return OrientedBox(corners=rot + [cx, cy])
+    return half @ np.array([[c, s], [-s, c]]) + center
+
+
+def rotated(cx, cy, w, h, theta):
+    return OrientedBox(corners=_rect_corners([cx, cy], w, h, theta))
 
 
 def mc_iou(a, b, n=512):
@@ -118,6 +125,130 @@ def test_iou_agrees_with_rasterization():
 def test_iou_rejects_degenerate_input():
     with pytest.raises(DegenerateBox):
         rect(0, 0, 0, 1)
+
+
+# Corner sets OrientedBox must reject with the oracle's message, in the
+# oracle's order of checks, or accept; the existing DegenerateBox cases first.
+DEGENERATE_CASES = [
+    np.zeros((4, 2)),
+    [[0, 0], [1, 1], [1, 0], [0, 1]],                  # bowtie
+    [[0, 0], [1, 0], [2, 0], [3, 0]],                  # collinear
+    [[0, 0], [1, np.nan], [1, 1], [0, 1]],
+    [[0, 0], [0, 0], [0, 1], [0, 1]],                  # rect(0, 0, 0, 1)
+    [[0, 0], [1, 0], [1, 1]],                          # three corners
+    [[0, 0], [1, 0], [1, np.inf], [0, 1]],
+    [[0, 0], [1e-7, 0], [1e-7, 1e-7], [0, 1e-7]],      # area 1e-14
+    [[0, 0], [2, 0], [1, 0.5], [1, 2]],                # dart: one reflex corner
+    [[0, 0], [2, 0], [2, 2], [1, 2 + 1e-10]],          # cross within tolerance
+]
+
+
+@pytest.mark.parametrize("corners", DEGENERATE_CASES)
+def test_box_validation_matches_oracle_in_order(corners):
+    reason = degenerate_reason(corners)
+    if reason is None:
+        OrientedBox(corners=corners)
+        return
+    with pytest.raises(DegenerateBox) as exc:
+        OrientedBox(corners=corners)
+    assert str(exc.value) == reason
+
+
+def _group(rng, kind, size):
+    """Four corner arrays of one family, all at one scale of `size` px."""
+    w, h = size * rng.uniform(0.3, 1.0, 2)
+    theta = rng.uniform(0.0, np.pi)
+    center = size * rng.uniform(-2.0, 2.0, 2)
+    base = _rect_corners(center, w, h, theta)
+    if kind == "jitter":  # the eval benchmark's predictions around a GT box
+        return [base] + [_rect_corners(center + rng.normal(0.0, 0.08 * min(w, h), 2),
+                                       *(np.array([w, h]) * np.exp(rng.normal(0.0, 0.1, 2))),
+                                       theta + rng.normal(0.0, 0.12)) for _ in range(3)]
+    if kind == "random":
+        return [_rect_corners(size * rng.uniform(-1.0, 1.0, 2),
+                              *(size * rng.uniform(0.2, 1.5, 2)), rng.uniform(0.0, np.pi))
+                for _ in range(4)]
+    if kind == "grid":  # integer-aligned rectangles with shared edges
+        x0, y0 = rng.integers(-5, 5, 2)
+        wi, hi = rng.integers(1, 6, 2)
+        k = int(rng.integers(0, wi + 1))
+        return [size * np.array(r, dtype=float) for r in (
+            [[x0, y0], [x0 + wi, y0], [x0 + wi, y0 + hi], [x0, y0 + hi]],
+            [[x0 + k, y0], [x0 + wi + 2, y0], [x0 + wi + 2, y0 + hi], [x0 + k, y0 + hi]],
+            [[x0, y0 + hi], [x0 + wi, y0 + hi], [x0 + wi, y0 + 2 * hi], [x0, y0 + 2 * hi]],
+            [[x0, y0], [x0 + wi, y0], [x0 + wi, y0 + 1], [x0, y0 + 1]])]
+    if kind == "winding":  # same boxes, other start corner or direction
+        other = _rect_corners(center + rng.normal(0.0, 0.2 * min(w, h), 2), w, h,
+                              theta + rng.normal(0.0, 0.3))
+        return [base, base[::-1], np.roll(base, int(rng.integers(1, 4)), axis=0),
+                np.roll(other[::-1], int(rng.integers(0, 4)), axis=0)]
+    # "touching": an identical copy, a mirror image across one edge, and a
+    # copy that meets the box at one corner
+    i = int(rng.integers(0, 4))
+    p, q = base[i], base[(i + 1) % 4]
+    d = (q - p) / np.hypot(*(q - p))
+    rel = base - p
+    mirror = p + 2.0 * np.outer(rel @ d, d) - rel
+    return [base, base.copy(), mirror, base + 2.0 * (base[i] - center)]
+
+
+KINDS = ("jitter", "random", "grid", "winding", "touching")
+
+
+def _assert_box_matches_oracle(corners):
+    """The box, and its area and CCW corners as the oracle computes them."""
+    box = OrientedBox(corners=corners)
+    arr = np.asarray(corners, dtype=np.float64)
+    area, ccw = box_area(arr), box_ccw(arr)
+    assert box.area == area
+    assert box.ccw_corners().tobytes() == ccw.tobytes()
+    return box, (area, ccw)
+
+
+def test_rotated_iou_area_and_ccw_equal_oracle_bit_for_bit():
+    """100,000 ordered pairs: every IoU, area and CCW order equals the
+    per-call numpy implementation exactly, over sizes from 1e-3 to 1e4 px."""
+    rng = np.random.Generator(np.random.PCG64(74))
+    pairs = mismatches = 0
+    for g in range(6250):
+        size = 10.0 ** rng.uniform(-3.0, 4.0)
+        boxes = [_assert_box_matches_oracle(c) for c in _group(rng, KINDS[g % 5], size)]
+        for a, (area_a, ccw_a) in boxes:
+            for b, (area_b, ccw_b) in boxes:
+                pairs += 1
+                mismatches += rotated_iou(a, b) != iou_from_parts(area_a, ccw_a,
+                                                                  area_b, ccw_b)
+    assert pairs == 100_000
+    assert mismatches == 0
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_rotated_iou_equals_oracle_on_drawn_boxes(data):
+    scale = 10.0 ** data.draw(st.floats(-3.0, 4.0), label="log10 size")
+    corners = []
+    for name in "ab":
+        c = _rect_corners(
+            scale * np.array(data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                                       label=f"{name} center")),
+            *(scale * np.array(data.draw(st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)),
+                                         label=f"{name} size"))),
+            data.draw(st.floats(0.0, np.pi), label=f"{name} angle"))
+        c = np.roll(c, data.draw(st.integers(0, 3), label=f"{name} start"), axis=0)
+        corners.append(c[::-1] if data.draw(st.booleans(), label=f"{name} reversed") else c)
+    a, _ = _assert_box_matches_oracle(corners[0])
+    b, _ = _assert_box_matches_oracle(corners[1])
+    assert rotated_iou(a, b) == rotated_iou_np(*corners)
+    assert rotated_iou(b, a) == rotated_iou_np(corners[1], corners[0])
+    assert rotated_iou(a, a) == rotated_iou_np(corners[0], corners[0])
+
+
+def test_max_ious_is_the_best_iou_per_proposal():
+    gts = [rect(0, 0, 4, 4), rect(2, 0, 6, 4)]
+    props = [rect(0, 0, 4, 4), rect(3, 0, 7, 4), rect(10, 10, 14, 14)]
+    assert max_ious(props, gts).tolist() == [1.0, rotated_iou(props[1], gts[1]), 0.0]
+    assert max_ious(props, []).tolist() == [0.0, 0.0, 0.0]
+    assert max_ious([], gts).shape == (0,)
 
 
 def test_ap_single_perfect_detection():
