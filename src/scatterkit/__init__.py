@@ -10,8 +10,7 @@ from .ascmodel import (FittedScatterer, FrequencyGrid, Scatterer, SeparablePsf,
                        reconstruct, synth_image, synth_target)
 from .chipio import read_chip, write_chip, write_pgm
 from .config import RunConfig, canonical_text, config_hash, load_config
-from .decouple import (DecoupleParams, ScatterRegion, decouple, decouple_steps,
-                       mask_block_bfs, region_grow)
+from .decouple import DecoupleParams, ScatterRegion, decouple, decouple_steps
 from .errors import ScatterKitError
 from .keypoints import (DogParams, KeypointSet, cluster_keypoints,
                         dog_keypoints, instance_seed, skaa_keypoints, to_global)
@@ -19,8 +18,7 @@ from .metrics import (Detection, EvalReport, OrientedBox, average_precision,
                       average_precision_grouped, greedy_point_match, max_ious,
                       mean_ap, mean_nearest_distance, phr_curve,
                       proposal_precision, rotated_iou)
-from .raster import (AmplitudeRaster, ComplexRaster, DbRaster, WindowRaster,
-                     amplitude, to_db)
+from .raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
 from .spectral import (fft2d, ifft2d, rectangular_window_2d, taylor_window,
                        taylor_window_2d)
 from .supervision import (FeatureGrid, ScatterMap, SupervisionParams, bce_loss,
@@ -29,7 +27,7 @@ from .supervision import (FeatureGrid, ScatterMap, SupervisionParams, bce_loss,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeRaster", "ComplexRaster", "DbRaster", "DecoupleParams",
+    "AmplitudeRaster", "ComplexRaster", "DecoupleParams",
     "Detection", "DogParams", "EvalReport", "FeatureGrid", "FittedScatterer",
     "FrequencyGrid", "KeypointSet", "OrientedBox", "RunConfig",
     "Scatterer", "ScatterKitError", "ScatterMap", "ScatterRegion",
@@ -40,10 +38,9 @@ __all__ = [
     "decouple_steps", "dog_keypoints", "downsample_pyramid",
     "enhance_features", "fft2d", "fit_scatterer", "forward_field",
     "greedy_point_match", "gt_scatter_map", "ifft2d", "instance_seed",
-    "load_config", "mask_block_bfs", "max_ious", "mean_ap", "mean_nearest_distance",
+    "load_config", "max_ious", "mean_ap", "mean_nearest_distance",
     "phr_curve", "proposal_precision", "read_chip", "reconstruct",
-    "rectangular_window_2d",
-    "region_grow", "rotated_iou", "skaa_keypoints", "synth_image",
-    "synth_target", "taylor_window", "taylor_window_2d", "to_db", "to_global",
+    "rectangular_window_2d", "rotated_iou", "skaa_keypoints", "synth_image",
+    "synth_target", "taylor_window", "taylor_window_2d", "to_global",
     "write_chip", "write_pgm",
 ]

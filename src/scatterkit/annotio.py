@@ -25,11 +25,11 @@ from .chipio import read_chip, write_chip, write_text_atomic
 from .decouple import DecoupleParams, decouple, decouple_steps
 from .errors import (BadKeypointCount, BoxOutsideImage, MalformedLine,
                      OutOfBounds, ScatterKitError)
-from .keypoints import (DogParams, KeypointSet, cluster_keypoints, dog_keypoints,
-                        instance_seed, to_global)
+from .keypoints import (DEFAULT_K, DogParams, KeypointSet, cluster_keypoints,
+                        dog_keypoints, instance_seed, to_global)
 from .metrics import Detection, OrientedBox
 from .raster import AmplitudeRaster, ComplexRaster, amplitude
-from .spectral import taylor_window_2d
+from .spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, taylor_window_2d
 
 log = logging.getLogger("scatterkit")
 
@@ -324,9 +324,10 @@ def _run_annotator(index: DatasetIndex, out_dir: str | Path, worker,
 
 
 def run_skaa(index: DatasetIndex, out_dir: str | Path, *, master_seed: int,
-             dec_params: DecoupleParams = DecoupleParams(), k: int = 9,
-             window_nbar: int = 4, window_sidelobe_db: float = -35.0,
-             threads: int = 1, debug_dir: str | Path | None = None) -> RunSummary:
+             dec_params: DecoupleParams = DecoupleParams(), k: int = DEFAULT_K,
+             window_nbar: int = DEFAULT_NBAR,
+             window_sidelobe_db: float = DEFAULT_SIDELOBE_DB, threads: int = 1,
+             debug_dir: str | Path | None = None) -> RunSummary:
     """Physics pipeline over a dataset: every instance gains k keypoints."""
     if debug_dir is not None:
         debug_dir = Path(debug_dir)
@@ -340,7 +341,7 @@ def run_skaa(index: DatasetIndex, out_dir: str | Path, *, master_seed: int,
 
 
 def run_dog(index: DatasetIndex, out_dir: str | Path, *, master_seed: int = 0,
-            dog_params: DogParams = DogParams(), k: int = 9,
+            dog_params: DogParams = DogParams(), k: int = DEFAULT_K,
             threads: int = 1) -> RunSummary:
     """DoG baseline over a dataset, same output format as run_skaa."""
     def worker(image, ann, image_id, idx):

@@ -170,6 +170,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------- annotate
 
+def _skaa_kwargs(config: RunConfig) -> dict:
+    """The keyword arguments `run_skaa` takes from a run configuration."""
+    return dict(master_seed=config.master_seed, dec_params=config.decouple,
+                k=config.keypoint_k, window_nbar=config.window_nbar,
+                window_sidelobe_db=config.window_sidelobe_db,
+                threads=config.threads)
+
+
 def cmd_annotate(args: argparse.Namespace) -> int:
     config = _config_from(
         args, tau="decouple.tau_db", nmax="decouple.n_max",
@@ -177,12 +185,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         seed="master_seed", threads="threads")
     index = index_dataset(args.images, args.annots)
     t0 = time.perf_counter()
-    summary = run_skaa(
-        index, args.out, master_seed=config.master_seed,
-        dec_params=config.decouple, k=config.keypoint_k,
-        window_nbar=config.window_nbar,
-        window_sidelobe_db=config.window_sidelobe_db,
-        threads=config.threads, debug_dir=args.debug_dir)
+    summary = run_skaa(index, args.out, debug_dir=args.debug_dir,
+                       **_skaa_kwargs(config))
     total_ms = (time.perf_counter() - t0) * 1e3
     return _finish_annotation_run(config, summary, "annotate_total", total_ms,
                                   Path(args.out))
@@ -369,12 +373,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     failed_images = 0
     for _ in range(args.repeat):
         with tempfile.TemporaryDirectory() as scratch:
-            summary = run_skaa(
-                index, scratch, master_seed=config.master_seed,
-                dec_params=config.decouple, k=config.keypoint_k,
-                window_nbar=config.window_nbar,
-                window_sidelobe_db=config.window_sidelobe_db,
-                threads=config.threads)
+            summary = run_skaa(index, scratch, **_skaa_kwargs(config))
         all_ms.extend(summary.instance_ms)
         failed_images += summary.failed_images
     if failed_images:

@@ -18,8 +18,8 @@ import numpy as np
 from .chipio import write_text_atomic
 from .decouple import DecoupleParams
 from .errors import BadConfigField, InvalidWindowParams
-from .keypoints import DogParams
-from .spectral import _check_window_params
+from .keypoints import DEFAULT_K, DogParams
+from .spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, _check_window_params
 from .supervision import SupervisionParams
 
 MANIFEST_NAME = "run-manifest.txt"
@@ -32,10 +32,10 @@ class RunConfig:
     decouple: DecoupleParams = field(default_factory=DecoupleParams)
     dog: DogParams = field(default_factory=DogParams)
     supervision: SupervisionParams = field(default_factory=SupervisionParams)
-    keypoint_k: int = 9
+    keypoint_k: int = DEFAULT_K
     pool: str = "max"
-    window_nbar: int = 4
-    window_sidelobe_db: float = -35.0
+    window_nbar: int = DEFAULT_NBAR
+    window_sidelobe_db: float = DEFAULT_SIDELOBE_DB
     master_seed: int = 0
     threads: int = 1  # accepted for compatibility; instances run serially
 

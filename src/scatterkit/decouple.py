@@ -149,19 +149,9 @@ class _Frame:
         self.n8 = (-self.pw - 1, -self.pw, -self.pw + 1, -1, 1,
                    self.pw - 1, self.pw, self.pw + 1)
 
-    def padded(self, indices: np.ndarray) -> np.ndarray:
-        """Padded flat indices of unpadded flat ones."""
-        return indices + 2 * (indices // self.shape[1]) + self.pw + 1
-
     def unpadded(self, indices: np.ndarray) -> np.ndarray:
-        """Unpadded flat indices of padded flat ones (inverse of `padded`)."""
+        """Unpadded flat indices of padded flat ones."""
         return indices - 2 * (indices // self.pw) - self.shape[1] - 1
-
-    def mask(self, pixels: list[int]) -> np.ndarray:
-        """Full-frame boolean image of padded pixel indices."""
-        out = np.zeros(self.shape, dtype=bool)
-        out.ravel()[self.unpadded(np.array(pixels, dtype=np.int64))] = True
-        return out
 
     def fill_db(self, peak: float, eps: float) -> None:
         """dB of the residual against `peak`, and the -inf border."""
@@ -192,9 +182,11 @@ class _Frame:
     def grow(self, seeds: list[int], floor_db: float) -> list[int]:
         """Seed block plus the above-floor pixels that join label 1.
 
-        Reads `db`, filled for this residual. A pixel q joins when an
-        8-neighbor p already joined and p is a seed pixel, or p precedes q
-        in the descending-dB, row-major visiting order of the full growth.
+        Reads `db`, filled for this residual. This is label 1 of the full
+        multi-label growth, in which a pixel joins the minimum label among its
+        labeled 8-neighbors and the seed block is label 1: a pixel q joins
+        when an 8-neighbor p already joined and p is a seed pixel, or p
+        precedes q in the descending-dB, row-major visiting order.
         """
         support = list(seeds)
         n_seed = len(support)
@@ -211,42 +203,6 @@ class _Frame:
                     mark[q] = stamp
                     support.append(q)
         return support
-
-
-def mask_block_bfs(r: AmplitudeRaster, tau_db: float) -> np.ndarray:
-    """4-connected block of pixels above peak * 10^(tau/10), seeded at the peak."""
-    frame = _Frame(r.values)
-    p = int(np.argmax(frame.res))  # row-major first on ties
-    peak = frame.res_view[p]
-    if peak == 0.0:
-        raise AllZeroRaster("cannot mask a block on an all-zero raster")
-    return frame.mask(frame.seed_block(p, peak * 10.0 ** (tau_db / 10.0)))
-
-
-def region_grow(r: AmplitudeRaster, seed_mask: np.ndarray,
-                params: DecoupleParams) -> np.ndarray:
-    """Support of the seed block's region after descending-dB growth.
-
-    The growth visits pixels above the grow floor brightest-first (row-major
-    on ties); a pixel joins the minimum label among its labeled 8-neighbors,
-    and the seed block is label 1. Label 1 wins every pixel that touches it,
-    so its region is the seed block plus every above-floor pixel q reached
-    by an 8-neighbor step from p, where p is a seed pixel or p precedes q in
-    the visiting order. Only that region is flooded; the boolean mask of it
-    is returned.
-    """
-    seed = np.asarray(seed_mask, dtype=bool)
-    if seed.shape != r.values.shape:
-        raise ValueError(f"seed mask {seed.shape} vs raster {r.values.shape}")
-    if not seed.any():
-        raise EmptyRegion("seed mask is empty")
-    peak = float(r.values.max())
-    if peak == 0.0:
-        raise AllZeroRaster("cannot grow regions on an all-zero raster")
-    frame = _Frame(r.values)
-    frame.fill_db(peak, params.eps)
-    seeds = frame.padded(np.flatnonzero(seed)).tolist()
-    return frame.mask(frame.grow(seeds, params.grow_floor_db))
 
 
 def _extract(amp: AmplitudeRaster,

@@ -171,8 +171,13 @@ def average_precision_grouped(dets_by_image: dict[str, list[Detection]],
     flat = [(img, d) for img, ds in sorted(dets_by_image.items()) for d in ds]
     if n_gt == 0 or not flat:
         return 0.0
-    flat.sort(key=lambda t: (-t[1].score, t[1].box.centroid[1],
-                             t[1].box.centroid[0], t[0]))
+
+    def rank(entry: tuple[str, Detection]) -> tuple:
+        img, det = entry
+        cx, cy = det.box.centroid
+        return -det.score, cy, cx, img
+
+    flat.sort(key=rank)
     matched = {img: [False] * len(g) for img, g in gts_by_image.items()}
     tp_flags = []
     for img, det in flat:

@@ -12,15 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroRaster
-
-# Slack on the "peak-referenced dB <= 0" invariant. The +eps inside the log
-# pushes the peak slightly above 0 dB (10*log10(1 + eps/peak), ~4.3e-6 dB for
-# eps=1e-6 at unit peak), so the bound cannot be exactly zero.
-DB_PEAK_TOL = 1e-4
-
-DEFAULT_DB_EPS = 1e-6
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
@@ -84,33 +75,6 @@ class AmplitudeRaster:
 
 
 @dataclass(frozen=True)
-class DbRaster:
-    """Log-amplitude raster referenced to its own peak (values ~<= 0 dB)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"expected a non-empty 2-D array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("dB raster contains NaN/Inf values")
-        if float(arr.max()) > DB_PEAK_TOL:
-            raise ValueError(
-                f"dB raster max {arr.max():g} exceeds peak-reference tolerance"
-            )
-        object.__setattr__(self, "values", _freeze(arr))
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class WindowRaster:
     """Separable 2-D spectral taper, held as its two 1-D windows.
 
@@ -157,24 +121,10 @@ def peak_db(values: np.ndarray, peak: float, eps: float,
             out: np.ndarray | None = None) -> np.ndarray:
     """10*log10((values + eps) / peak), elementwise: the package's one dB formula.
 
-    `to_db` and the region grower both use it. With `out` given, the result
-    is written there and nothing is allocated.
+    The region grower fills its dB buffer with it. With `out` given, the
+    result is written there and nothing is allocated.
     """
     out = np.add(values, eps, out=out)
     np.divide(out, peak, out=out)
     np.log10(out, out=out)
     return np.multiply(out, 10.0, out=out)
-
-
-def to_db(r: AmplitudeRaster, eps: float = DEFAULT_DB_EPS) -> DbRaster:
-    """Peak-referenced log amplitude: 10*log10((R + eps) / max(R)).
-
-    Raises AllZeroRaster when the raster has no positive value (the peak
-    reference would be zero).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    peak = float(r.values.max())
-    if peak == 0.0:
-        raise AllZeroRaster("cannot form peak-referenced dB of an all-zero raster")
-    return DbRaster(peak_db(r.values, peak, eps))

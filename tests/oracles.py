@@ -5,8 +5,8 @@
 re-wraps the residual, pads fresh dB, seed and support frames, and lifts the
 region out with full-frame `where`/`maximum` passes. The library runs the
 same loop in one padded working frame and hands regions on as support
-indices. `grow_labels` is the full multi-label region growth that
-`region_grow` reduces to its label-1 support; `fit_direct` is the per-candidate loop over
+indices. `grow_labels` is the full multi-label region growth that the
+loop's flood reduces to its label-1 support; `fit_direct` is the per-candidate loop over
 a 2-D PSF image that the direct path of `fit_scatterer` replaces with one
 product of the separable PSF's factors, with its own candidate box from
 full-frame row and column scans of the support. `psf_2d` is the PSF as the

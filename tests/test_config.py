@@ -1,11 +1,16 @@
 """Run configuration: defaults, canonical text, hashing, load/override rules."""
 
+import inspect
+
 import pytest
 
 from scatterkit import config
+from scatterkit.annotio import run_dog, run_skaa
 from scatterkit.config import (RunConfig, canonical_text, config_hash,
                                emit_config, emit_manifest, load_config)
 from scatterkit.errors import BadConfigField
+from scatterkit.keypoints import DEFAULT_K
+from scatterkit.spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB
 
 FLOAT_KEYS = sorted(key for key, (_, _, typ) in config._FIELDS.items() if typ is float)
 
@@ -33,6 +38,42 @@ def test_canonical_text_is_sorted_and_stable():
     assert "decouple.eps = 1e-06" in lines  # repr() of the float
     assert "keypoint_k = 9" in lines
     assert text == canonical_text(RunConfig())
+
+
+def test_default_canonical_text_and_hash_are_pinned():
+    # a change here changes every manifest's config hash
+    assert canonical_text(RunConfig()) == (
+        "decouple.eps = 1e-06\n"
+        "decouple.grow_floor_db = -20.0\n"
+        "decouple.min_peak_ratio = 0.001\n"
+        "decouple.n_max = 20\n"
+        "decouple.tau_db = -3.0\n"
+        "dog.sigma1 = 1.0\n"
+        "dog.sigma2 = 1.6\n"
+        "dog.threshold = 5.0\n"
+        "dog.top_n = 30\n"
+        "keypoint_k = 9\n"
+        "master_seed = 0\n"
+        "pool = max\n"
+        "supervision.levels = 4\n"
+        "supervision.loss_weight = 1.0\n"
+        "supervision.sigma = 1.0\n"
+        "threads = 1\n"
+        "window.nbar = 4\n"
+        "window.sidelobe_db = -35.0\n")
+    assert config_hash(RunConfig()) == \
+        "3f24d2abb4b58d620d46a4b4ccf5a7f94a0218e30f215c848b0df42b11e4f01d"
+
+
+def test_run_defaults_are_the_library_defaults():
+    cfg = RunConfig()
+    assert (cfg.keypoint_k, cfg.window_nbar, cfg.window_sidelobe_db) == \
+        (DEFAULT_K, DEFAULT_NBAR, DEFAULT_SIDELOBE_DB)
+    skaa = inspect.signature(run_skaa).parameters
+    assert (skaa["k"].default, skaa["window_nbar"].default,
+            skaa["window_sidelobe_db"].default) == (DEFAULT_K, DEFAULT_NBAR,
+                                                    DEFAULT_SIDELOBE_DB)
+    assert inspect.signature(run_dog).parameters["k"].default == DEFAULT_K
 
 
 def test_config_hash_tracks_content():

@@ -1,5 +1,7 @@
 """Peak-block masking, log-surface region growth, and the extraction loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,10 @@ from scipy import ndimage
 from scatterkit.annotio import crop_chip
 from scatterkit.ascmodel import (FrequencyGrid, Scatterer, base_psf, fit_scatterer,
                                  synth_image, synth_target)
-from scatterkit.decouple import (DecoupleParams, ScatterRegion, decouple,
-                                 decouple_steps, mask_block_bfs, region_grow)
+from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple, decouple_steps
 from scatterkit.errors import AllZeroRaster, EmptyRegion
 from scatterkit.metrics import OrientedBox
-from scatterkit.raster import AmplitudeRaster, amplitude
+from scatterkit.raster import AmplitudeRaster, amplitude, peak_db
 from scatterkit.spectral import taylor_window_2d
 
 from oracles import (LabelMap, decouple_steps_dense, grow_labels,
@@ -22,13 +23,18 @@ from oracles import (LabelMap, decouple_steps_dense, grow_labels,
 N4_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 
+def first_support(r: AmplitudeRaster, params: DecoupleParams = DecoupleParams()) -> np.ndarray:
+    """Support of the loop's first region: the peak's seed block, grown."""
+    return decouple(r, replace(params, n_max=1))[0].support
+
+
 def test_mask_block_impulse_is_single_pixel():
     vals = np.zeros((8, 8))
     vals[3, 4] = 2.0
-    mask = mask_block_bfs(AmplitudeRaster(vals), tau_db=-3.0)
+    support = first_support(AmplitudeRaster(vals))
     expect = np.zeros((8, 8), dtype=bool)
     expect[3, 4] = True
-    np.testing.assert_array_equal(mask, expect)
+    np.testing.assert_array_equal(support, expect)
 
 
 def test_mask_block_excludes_disconnected_blob():
@@ -36,45 +42,40 @@ def test_mask_block_excludes_disconnected_blob():
     vals[1, 1] = 1.0
     vals[1, 2] = 0.9
     vals[6, 6] = 0.95  # bright but not connected to the peak
-    mask = mask_block_bfs(AmplitudeRaster(vals), tau_db=-3.0)
-    assert mask[1, 1] and mask[1, 2]
-    assert not mask[6, 6]
+    support = first_support(AmplitudeRaster(vals))
+    assert support[1, 1] and support[1, 2]
+    assert not support[6, 6]
 
 
 def test_mask_block_threshold_is_strict():
+    # both 0.6 pixels clear thr and are brighter than the pixel between them
+    # and the peak, so growth cannot reach them: the left one joins only
+    # because the pixel just above thr links it into the seed block; the
+    # right one stays out because thr itself is not in the block
     thr = 10.0 ** (-3.0 / 10.0)
-    vals = np.zeros((3, 3))
-    vals[1, 1] = 1.0
-    vals[1, 2] = thr  # exactly at the cut: excluded
-    vals[1, 0] = np.nextafter(thr, 1.0)  # just above: included
-    mask = mask_block_bfs(AmplitudeRaster(vals), tau_db=-3.0)
-    assert mask[1, 0] and mask[1, 1]
-    assert not mask[1, 2]
+    vals = np.zeros((3, 7))
+    vals[1] = [0.0, 0.6, np.nextafter(thr, 1.0), 1.0, thr, 0.6, 0.0]
+    support = first_support(AmplitudeRaster(vals))
+    np.testing.assert_array_equal(np.argwhere(support), [[1, 1], [1, 2], [1, 3], [1, 4]])
 
 
 def test_mask_block_matches_flood_fill_oracle():
+    # the loop's seed block is held to mask_block_dense on every step by the
+    # loop-vs-dense tests below
     rng = np.random.Generator(np.random.PCG64(31))
     for _ in range(20):
         vals = rng.random((16, 16))
-        r = AmplitudeRaster(vals)
-        mask = mask_block_bfs(r, tau_db=-3.0)
+        mask = mask_block_dense(AmplitudeRaster(vals), tau_db=-3.0)
         thr = vals.max() * 10.0 ** (-0.3)
         comp, _ = ndimage.label(vals > thr, structure=N4_STRUCTURE)
         sy, sx = np.unravel_index(np.argmax(vals), vals.shape)
         np.testing.assert_array_equal(mask, comp == comp[sy, sx])
 
 
-def test_mask_block_rejects_all_zero():
-    with pytest.raises(AllZeroRaster):
-        mask_block_bfs(AmplitudeRaster(np.zeros((4, 4))), tau_db=-3.0)
-
-
 def test_region_grow_isolated_peak_stays_put():
     vals = np.zeros((8, 8))
     vals[2, 2] = 1.0  # everything else sits at eps, far below the floor
-    r = AmplitudeRaster(vals)
-    seed = mask_block_bfs(r, -3.0)
-    support = region_grow(r, seed, DecoupleParams())
+    support = first_support(AmplitudeRaster(vals))
     expect = np.zeros((8, 8), dtype=bool)
     expect[2, 2] = True
     np.testing.assert_array_equal(support, expect)
@@ -83,10 +84,8 @@ def test_region_grow_isolated_peak_stays_put():
 def test_region_grow_monotone_hill_is_one_label():
     yy, xx = np.mgrid[0:32, 0:32]
     vals = np.exp(-((yy - 16.0) ** 2 + (xx - 16.0) ** 2) / (2 * 3.0 ** 2))
-    r = AmplitudeRaster(vals)
     params = DecoupleParams()
-    seed = mask_block_bfs(r, params.tau_db)
-    support = region_grow(r, seed, params)
+    support = first_support(AmplitudeRaster(vals), params)
     db = 10 * np.log10((vals + params.eps) / vals.max())
     np.testing.assert_array_equal(support, db > params.grow_floor_db)
 
@@ -97,13 +96,13 @@ def test_region_grow_second_hill_founds_new_label():
     hill2 = 0.7 * np.exp(-((yy - 34.0) ** 2 + (xx - 34.0) ** 2) / (2 * 1.5 ** 2))
     r = AmplitudeRaster(hill1 + hill2)
     params = DecoupleParams()
-    seed = mask_block_bfs(r, params.tau_db)
+    seed = mask_block_dense(r, params.tau_db)
     lm = grow_labels(r, seed, params)
     assert lm.labels[14, 14] == 1
     assert lm.labels[34, 34] == 2
     assert lm.labels.max() == 2
     assert not seed[34, 34]
-    np.testing.assert_array_equal(region_grow(r, seed, params), lm.labels == 1)
+    np.testing.assert_array_equal(first_support(r, params), lm.labels == 1)
 
 
 def test_region_grow_joins_minimum_neighbor_label():
@@ -113,14 +112,14 @@ def test_region_grow_joins_minimum_neighbor_label():
     vals[1, 2] = 0.55  # adjacent to both hills once they are labeled
     params = DecoupleParams(tau_db=-1.0)
     r = AmplitudeRaster(vals)
-    seed = mask_block_bfs(r, params.tau_db)
+    seed = mask_block_dense(r, params.tau_db)
     np.testing.assert_array_equal(np.argwhere(seed), [[1, 1]])
     lm = grow_labels(r, seed, params)
     assert lm.labels[1, 1] == 1
     assert lm.labels[1, 3] == 2
     assert lm.labels[1, 2] == 1  # min of neighboring labels {1, 2}
     assert np.count_nonzero(lm.labels) == 3
-    np.testing.assert_array_equal(region_grow(r, seed, params), lm.labels == 1)
+    np.testing.assert_array_equal(first_support(r, params), lm.labels == 1)
 
 
 def test_region_grow_below_tau_orphan_stays_unlabeled():
@@ -129,21 +128,11 @@ def test_region_grow_below_tau_orphan_stays_unlabeled():
     vals[1, 5] = 0.4  # above the grow floor, below tau, no labeled neighbor
     params = DecoupleParams(tau_db=-3.0)
     r = AmplitudeRaster(vals)
-    seed = mask_block_bfs(r, params.tau_db)
+    seed = mask_block_dense(r, params.tau_db)
     lm = grow_labels(r, seed, params)
     assert lm.labels[1, 5] == 0
     assert lm.labels.max() == 1
-    np.testing.assert_array_equal(region_grow(r, seed, params), lm.labels == 1)
-
-
-def test_region_grow_rejects_empty_seed_and_zero_raster():
-    with pytest.raises(EmptyRegion):
-        region_grow(AmplitudeRaster(np.ones((4, 4))), np.zeros((4, 4), dtype=bool),
-                    DecoupleParams())
-    seed = np.zeros((4, 4), dtype=bool)
-    seed[0, 0] = True
-    with pytest.raises(AllZeroRaster):
-        region_grow(AmplitudeRaster(np.zeros((4, 4))), seed, DecoupleParams())
+    np.testing.assert_array_equal(first_support(r, params), lm.labels == 1)
 
 
 def test_region_grow_equal_db_plateau_uses_row_major_order():
@@ -154,12 +143,32 @@ def test_region_grow_equal_db_plateau_uses_row_major_order():
     vals[1] = [0.3, 0.3, 1.0, 0.3, 0.3]
     params = DecoupleParams()
     r = AmplitudeRaster(vals)
-    seed = mask_block_bfs(r, params.tau_db)
+    seed = mask_block_dense(r, params.tau_db)
     np.testing.assert_array_equal(np.argwhere(seed), [[1, 2]])
-    support = region_grow(r, seed, params)
+    support = first_support(r, params)
     np.testing.assert_array_equal(support[1], [False, True, True, True, True])
     assert np.count_nonzero(support) == 4
     np.testing.assert_array_equal(support, grow_labels(r, seed, params).labels == 1)
+
+
+def test_region_grow_equal_db_of_distinct_amplitudes_uses_row_major_order():
+    # 0.03 and the next float up round to the same dB, so the flood treats
+    # them as a plateau and the later one joins from the earlier one; a
+    # flood that compared amplitudes would leave it out
+    vals = np.zeros((3, 6))
+    vals[1] = [0.0, 1.0, 0.2, 0.03, 0.030000000000000002, 0.0]
+    params = DecoupleParams()
+    assert vals[1, 3] < vals[1, 4]
+    db = peak_db(vals[1, 3:5], 1.0, params.eps)
+    assert db[0] == db[1]
+    r = AmplitudeRaster(vals)
+    seed = mask_block_dense(r, params.tau_db)
+    np.testing.assert_array_equal(np.flatnonzero(seed), [7])
+    expect = [7, 8, 9, 10]
+    np.testing.assert_array_equal(decouple(r, replace(params, n_max=1))[0].indices, expect)
+    np.testing.assert_array_equal(np.flatnonzero(grow_support_dense(r, seed, params)), expect)
+    np.testing.assert_array_equal(np.flatnonzero(grow_labels(r, seed, params).labels == 1),
+                                  expect)
 
 
 def test_region_grow_darker_pixel_joins_through_seed_exemption():
@@ -172,9 +181,9 @@ def test_region_grow_darker_pixel_joins_through_seed_exemption():
     vals[1, 2] = 0.9
     params = DecoupleParams()
     r = AmplitudeRaster(vals)
-    seed = mask_block_bfs(r, params.tau_db)
+    seed = mask_block_dense(r, params.tau_db)
     np.testing.assert_array_equal(np.argwhere(seed), [[0, 0], [0, 1]])
-    support = region_grow(r, seed, params)
+    support = first_support(r, params)
     assert support[1, 2]
     assert np.count_nonzero(support) == 3
     np.testing.assert_array_equal(support, grow_labels(r, seed, params).labels == 1)
@@ -189,8 +198,7 @@ def test_region_grow_floor_is_strict():
     params = DecoupleParams()
     db = 10.0 * np.log10((vals + params.eps) / 1.0)
     assert db[1, 2] == params.grow_floor_db < db[0, 1]
-    r = AmplitudeRaster(vals)
-    support = region_grow(r, mask_block_bfs(r, params.tau_db), params)
+    support = first_support(AmplitudeRaster(vals), params)
     np.testing.assert_array_equal(np.argwhere(support), [[0, 1], [1, 1]])
 
 
@@ -206,10 +214,9 @@ def test_region_grow_equals_label_one_of_oracle_on_every_step():
         residual = np.abs(chip.image.samples)
         for step in decouple_steps(chip.image, params):
             r = AmplitudeRaster(residual)
-            block = mask_block_bfs(r, params.tau_db)
-            support = region_grow(r, block, params)
-            np.testing.assert_array_equal(support, grow_labels(r, block, params).labels == 1)
-            np.testing.assert_array_equal(step.region.support, support)
+            block = mask_block_dense(r, params.tau_db)
+            np.testing.assert_array_equal(step.region.support,
+                                          grow_labels(r, block, params).labels == 1)
             residual = step.residual
             n_steps += 1
     assert n_steps >= 200
@@ -278,7 +285,7 @@ def test_decouple_loop_invariants():
         for step in steps:
             assert np.all(step.residual >= 0)
             assert np.all(step.residual <= prev + 1e-15)
-            seed_mask = mask_block_bfs(AmplitudeRaster(prev), params.tau_db)
+            seed_mask = mask_block_dense(AmplitudeRaster(prev), params.tau_db)
             assert np.all(step.region.support[seed_mask])
             peak_val = step.region.values[step.region.peak]
             assert peak_val == prev.max()
@@ -364,14 +371,13 @@ def test_scatter_region_builds_full_frame_images_on_access():
     assert not region.indices.flags.writeable and not region.amplitudes.flags.writeable
 
 
-def test_mask_and_grow_wrappers_match_dense_searches():
+def test_first_support_matches_dense_searches():
     rng = np.random.Generator(np.random.PCG64(32))
     params = DecoupleParams()
     for _ in range(20):
         r = AmplitudeRaster(rng.random((13, 17)) ** 4)
-        block = mask_block_bfs(r, params.tau_db)
-        np.testing.assert_array_equal(block, mask_block_dense(r, params.tau_db))
-        np.testing.assert_array_equal(region_grow(r, block, params),
+        block = mask_block_dense(r, params.tau_db)
+        np.testing.assert_array_equal(first_support(r, params),
                                       grow_support_dense(r, block, params))
 
 

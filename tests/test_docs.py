@@ -1,0 +1,30 @@
+"""The README's library example runs, and every public name resolves."""
+
+import re
+from pathlib import Path
+
+import scatterkit
+from scatterkit.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _library_use_blocks() -> list[str]:
+    text = README.read_text()
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
+
+
+def test_public_names_resolve_and_readme_library_example_runs(tmp_path, monkeypatch):
+    missing = [name for name in scatterkit.__all__ if not hasattr(scatterkit, name)]
+    assert missing == []
+
+    blocks = _library_use_blocks()
+    assert len(blocks) == 1
+    assert main(["synth", "--out", str(tmp_path / "data"), "--chips", "1",
+                 "--seed", "0"]) == 0
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    assert len(namespace["kps"].points) == 9
+    assert namespace["fits"]

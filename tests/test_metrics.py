@@ -306,6 +306,24 @@ def test_ap_grouped_keeps_images_separate():
     assert merged == 1.0  # still 1: the FP tail never lowers the envelope
 
 
+def test_ap_grouped_orders_equal_scores_by_centroid_y_then_x_then_image():
+    # one GT, one hit and one miss at the same score: AP is 1 when the hit
+    # ranks first and 0.5 when the miss does
+    box = rect(0, 0, 4, 4)  # centroid (2, 2)
+
+    def ap(miss, miss_image="a", hit_image="a"):
+        dets = {hit_image: [Detection(box, 0.5)]}
+        dets.setdefault(miss_image, []).append(Detection(miss, 0.5))
+        return average_precision_grouped(dets, {hit_image: [box]}, 0.5)
+
+    assert ap(rect(20, 20, 24, 24)) == 1.0     # miss centroid y 22 > 2
+    assert ap(rect(20, -20, 24, -16)) == 0.5   # miss centroid y -18 < 2
+    assert ap(rect(20, 0, 24, 4)) == 1.0       # same y, miss x 22 > 2
+    assert ap(rect(-20, 0, -16, 4)) == 0.5     # same y, miss x -18 < 2
+    assert ap(box, miss_image="b") == 1.0      # same centroid, image "a" < "b"
+    assert ap(box, miss_image="a", hit_image="b") == 0.5
+
+
 def test_ap_threshold_validation():
     with pytest.raises(ValueError):
         average_precision([], [], 0.0)

@@ -5,9 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from scatterkit.errors import AllZeroRaster
-from scatterkit.raster import (AmplitudeRaster, ComplexRaster, DbRaster,
-                               WindowRaster, amplitude, peak_db, to_db)
+from scatterkit.raster import (AmplitudeRaster, ComplexRaster, WindowRaster,
+                               amplitude, peak_db)
 
 
 def test_complex_raster_promotes_and_freezes():
@@ -43,28 +42,21 @@ def test_amplitude_matches_modulus():
 def test_to_db_formula_and_peak():
     vals = np.array([[4.0, 2.0], [1.0, 0.0]])
     eps = 1e-6
-    d = to_db(AmplitudeRaster(vals), eps=eps)
+    d = peak_db(vals, 4.0, eps)
     expected = 10.0 * np.log10((vals + eps) / 4.0)
-    np.testing.assert_allclose(d.values, expected, rtol=0, atol=1e-12)
-    # the +eps pushes the peak a hair above 0 dB but never past the tolerance
-    assert 0.0 < d.values.max() < 1e-4
+    np.testing.assert_allclose(d, expected, rtol=0, atol=1e-12)
+    # the +eps pushes the peak a hair above 0 dB
+    assert 0.0 < d.max() < 1e-4
 
 
 def test_to_db_is_monotone():
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(25):
         vals = rng.uniform(0.0, 3.0, size=(8, 8))
-        d = to_db(AmplitudeRaster(vals)).values
+        d = peak_db(vals, float(vals.max()), 1e-6)
         order = np.argsort(vals.ravel(), kind="stable")
         diffs = np.diff(d.ravel()[order])
         assert np.all(diffs >= 0)
-
-
-def test_to_db_rejects_all_zero_and_bad_eps():
-    with pytest.raises(AllZeroRaster):
-        to_db(AmplitudeRaster(np.zeros((4, 4))))
-    with pytest.raises(ValueError):
-        to_db(AmplitudeRaster(np.ones((2, 2))), eps=0.0)
 
 
 def test_peak_db_writes_the_to_db_formula_in_place():
@@ -72,17 +64,12 @@ def test_peak_db_writes_the_to_db_formula_in_place():
     vals = rng.uniform(0.0, 3.0, size=(9, 7))
     peak = float(vals.max())
     expected = 10.0 * np.log10((vals + 1e-6) / peak)
-    np.testing.assert_array_equal(to_db(AmplitudeRaster(vals)).values, expected)
+    np.testing.assert_array_equal(peak_db(vals, peak, 1e-6), expected)
     buf = np.full((11, 9), 7.0)
     out = peak_db(vals, peak, 1e-6, out=buf[1:-1, 1:-1])
     assert np.shares_memory(out, buf)
     np.testing.assert_array_equal(buf[1:-1, 1:-1], expected)
     assert (buf[0] == 7.0).all() and (buf[:, -1] == 7.0).all()
-
-
-def test_db_raster_rejects_positive_peak():
-    with pytest.raises(ValueError):
-        DbRaster(np.array([[0.5, -3.0]]))
 
 
 def test_window_raster_validation():
