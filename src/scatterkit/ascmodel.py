@@ -19,11 +19,9 @@ from .errors import (DimMismatch, EmptyInput, EmptyRegion, InfeasiblePlacement,
                      OutOfBounds)
 from .metrics import OrientedBox
 from .raster import ComplexRaster, WindowRaster, _freeze
-from .spectral import fft2d, ifft2d
+from .spectral import ifft2d
 
 FIT_DILATE_PX = 2
-# below this many candidate*support products the direct (exact-tie) path is used
-FIT_DIRECT_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -190,28 +188,21 @@ def fit_scatterer(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
         raise EmptyRegion("cannot fit a scatterer to an empty region")
 
     sy, sx = np.divmod(sup_idx, w)
+    ry0, ry1, rx0, rx1 = int(sy[0]), int(sy[-1]), int(sx.min()), int(sx.max())
     # candidates: the support bounding box dilated by FIT_DILATE_PX, clamped
-    y0 = max(int(sy[0]) - FIT_DILATE_PX, 0)
-    y1 = min(int(sy[-1]) + FIT_DILATE_PX, h - 1)
-    x0 = max(int(sx.min()) - FIT_DILATE_PX, 0)
-    x1 = min(int(sx.max()) + FIT_DILATE_PX, w - 1)
+    y0, y1 = max(ry0 - FIT_DILATE_PX, 0), min(ry1 + FIT_DILATE_PX, h - 1)
+    x0, x1 = max(rx0 - FIT_DILATE_PX, 0), min(rx1 + FIT_DILATE_PX, w - 1)
     ny, nx = y1 - y0 + 1, x1 - x0 + 1
 
-    if ny * nx * sup_idx.size <= FIT_DIRECT_BUDGET:
-        # the psf shifted to candidate (y0 + j, x0 + i) holds
-        # row[(sy - y0 - j) % h] * col[(sx - x0 - i) % w] at support pixel s
-        ay = psf.row_windows[h + y0 - sy, :ny]  # (support, ny)
-        ax = psf.col_windows[w + x0 - sx, :nx]  # (support, nx)
-        crop = (ay * sv[:, None]).T @ ax
-    else:
-        # correlation theorem: ifft2(F(S) conj(F(P))) is the circular
-        # cross-correlation sum_n S[n] P[n - m] with no extra scale
-        dense = region.values if isinstance(region, ScatterRegion) else region
-        corr = np.real(ifft2d(fft2d(dense) * np.conj(fft2d(psf.values))))
-        crop = corr[y0:y1 + 1, x0:x1 + 1]
-    flat = int(np.argmax(crop))  # first occurrence = row-major tie-break
-    best_y, best_x = y0 + flat // nx, x0 + flat % nx
-    best_c = float(crop.flat[flat])
+    # support box pixel (r, c) meets the psf shifted to candidate (y0 + j,
+    # x0 + i) at row[(ry0 + r - y0 - j) % h] * col[(rx0 + c - x0 - i) % w]
+    block = np.zeros((ry1 - ry0 + 1, rx1 - rx0 + 1))
+    block[sy - ry0, sx - rx0] = sv
+    ay = psf.row_windows[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]  # (by, ny)
+    ax = psf.col_windows[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]  # (bx, nx)
+    crop = ay.T @ (block @ ax)
+    dy, dx = divmod(int(np.argmax(crop)), nx)  # first occurrence = row-major tie-break
+    best_y, best_x, best_c = y0 + dy, x0 + dx, float(crop[dy, dx])
 
     fx, fy = float(best_x), float(best_y)
     if refine:

@@ -79,9 +79,7 @@ def _get(config: RunConfig, key: str):
 
 
 def _canon_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def canonical_text(config: RunConfig) -> str:
@@ -99,8 +97,10 @@ def load_config(path: str | Path | None = None,
     """Defaults, then file values, then explicit overrides (flat keys)."""
     values = {key: _get(RunConfig(), key) for key in _FIELDS}
     if path is not None:
-        for line_no, raw in enumerate(
-                Path(path).read_text(encoding="ascii").splitlines(), start=1):
+        data = Path(path).read_bytes()
+        if not data.isascii():
+            raise BadConfigField(str(path), "not ASCII text")
+        for line_no, raw in enumerate(data.decode("ascii").splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -38,6 +38,31 @@ def _check_window_params(nbar: int, sidelobe_db: float) -> None:
             f"sidelobe level must be finite and < 0 dB, got {sidelobe_db}")
 
 
+def _taylor_coefficients(nbar: int, sidelobe_db: float) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor's indices m = 1..nbar-1 and coefficients Fm, which no length changes."""
+    _check_window_params(nbar, sidelobe_db)
+    a = np.arccosh(10 ** (-sidelobe_db / 20)) / np.pi
+    s2 = nbar ** 2 / (a ** 2 + (nbar - 0.5) ** 2)
+    ma = np.arange(1, nbar, dtype=np.float64)
+    m2 = ma * ma
+    fm = np.empty(nbar - 1)
+    for mi in range(nbar - 1):
+        numer = (-1) ** mi * np.prod(1 - m2[mi] / s2 / (a ** 2 + (ma - 0.5) ** 2))
+        denom = 2 * np.prod(1 - m2[mi] / m2[:mi]) * np.prod(1 - m2[mi] / m2[mi + 1:])
+        fm[mi] = numer / denom
+    return ma, fm
+
+
+def _taylor_taper(length: int, ma: np.ndarray, fm: np.ndarray) -> np.ndarray:
+    if length < 1:
+        raise InvalidWindowParams(f"length must be >= 1, got {length}")
+    if length == 1:
+        return np.ones(1)
+    n = np.arange(length, dtype=np.float64)
+    w = 1 + 2 * (fm @ np.cos(2 * np.pi * ma[:, np.newaxis] * (n - length / 2 + 0.5) / length))
+    return w / w.max()
+
+
 def taylor_window(length: int, nbar: int = DEFAULT_NBAR,
                   sidelobe_db: float = DEFAULT_SIDELOBE_DB) -> np.ndarray:
     """Symmetric 1-D Taylor taper, max-normalized to 1.
@@ -49,30 +74,14 @@ def taylor_window(length: int, nbar: int = DEFAULT_NBAR,
     `scipy.signal.windows.taylor(length, nbar, -sidelobe_db, norm=False)`,
     so the two agree bit for bit.
     """
-    _check_window_params(nbar, sidelobe_db)
-    if length < 1:
-        raise InvalidWindowParams(f"length must be >= 1, got {length}")
-    if length == 1:
-        return np.ones(1)
-    a = np.arccosh(10 ** (-sidelobe_db / 20)) / np.pi
-    s2 = nbar ** 2 / (a ** 2 + (nbar - 0.5) ** 2)
-    ma = np.arange(1, nbar, dtype=np.float64)
-    m2 = ma * ma
-    fm = np.empty(nbar - 1)
-    for mi in range(nbar - 1):
-        numer = (-1) ** mi * np.prod(1 - m2[mi] / s2 / (a ** 2 + (ma - 0.5) ** 2))
-        denom = 2 * np.prod(1 - m2[mi] / m2[:mi]) * np.prod(1 - m2[mi] / m2[mi + 1:])
-        fm[mi] = numer / denom
-    n = np.arange(length, dtype=np.float64)
-    w = 1 + 2 * (fm @ np.cos(2 * np.pi * ma[:, np.newaxis] * (n - length / 2 + 0.5) / length))
-    return w / w.max()
+    return _taylor_taper(length, *_taylor_coefficients(nbar, sidelobe_db))
 
 
 def taylor_window_2d(height: int, width: int, nbar: int = DEFAULT_NBAR,
                      sidelobe_db: float = DEFAULT_SIDELOBE_DB) -> WindowRaster:
     """Separable 2-D Taylor taper: per-axis 1-D tapers, no 2-D array built."""
-    return WindowRaster(taylor_window(height, nbar, sidelobe_db),
-                        taylor_window(width, nbar, sidelobe_db))
+    coeffs = _taylor_coefficients(nbar, sidelobe_db)
+    return WindowRaster(_taylor_taper(height, *coeffs), _taylor_taper(width, *coeffs))
 
 
 def rectangular_window_2d(height: int, width: int) -> WindowRaster:

@@ -7,9 +7,12 @@ region out with full-frame `where`/`maximum` passes. The library runs the
 same loop in one padded working frame and hands regions on as support
 indices. `grow_labels` is the full multi-label region growth that the
 loop's flood reduces to its label-1 support; `fit_direct` is the per-candidate loop over
-a 2-D PSF image that the direct path of `fit_scatterer` replaces with one
-product of the separable PSF's factors, with its own candidate box from
-full-frame row and column scans of the support. `psf_2d` is the PSF as the
+a 2-D PSF image that `fit_scatterer` replaces with two products of the
+separable PSF's factors over the support's bounding box, with its own
+candidate box from full-frame row and column scans of the support.
+`fit_fft` is the retired large-region path: the circular cross-correlation
+of the full frame with the 2-D PSF by the correlation theorem, cropped to
+the same candidate box. `psf_2d` is the PSF as the
 2-D inverse DFT of the window, and `refine_offsets` the parabolic refinement
 from full-frame rolls of that image.
 
@@ -34,7 +37,7 @@ from scatterkit.decouple import DecoupleParams
 from scatterkit.errors import AllZeroRaster, EmptyRegion
 from scatterkit.metrics import COLLINEAR_TOL, SLIVER_AREA
 from scatterkit.raster import AmplitudeRaster, WindowRaster
-from scatterkit.spectral import ifft2d
+from scatterkit.spectral import fft2d, ifft2d
 
 N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 N8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
@@ -247,6 +250,26 @@ def fit_direct(region: np.ndarray, psf: np.ndarray) -> FittedScatterer:
     gain = best_c / psf_sq
     resid_sq = float(np.sum(region * region)) - 2 * gain * best_c + gain * gain * psf_sq
     return FittedScatterer(x=float(best_x), y=float(best_y), amplitude=gain,
+                           residual=float(np.sqrt(max(resid_sq, 0.0))))
+
+
+def fit_fft(region: np.ndarray, psf: np.ndarray) -> FittedScatterer:
+    """Integer-lattice fit scored by one full-frame FFT correlation.
+
+    ifft2(F(S) conj(F(P))) is the circular cross-correlation
+    sum_n S[n] P[n - m] with no extra scale; the candidate box and the
+    row-major tie rule are `fit_direct`'s.
+    """
+    h, w = psf.shape
+    y0, y1, x0, x1 = _candidate_bbox(region > 0, h, w)
+    corr = np.real(ifft2d(fft2d(region) * np.conj(fft2d(psf))))
+    crop = corr[y0:y1 + 1, x0:x1 + 1]
+    best_y, best_x = divmod(int(np.argmax(crop)), x1 - x0 + 1)
+    best_c = float(crop[best_y, best_x])
+    psf_sq = float(np.sum(psf * psf))
+    gain = best_c / psf_sq
+    resid_sq = float(np.sum(region * region)) - 2 * gain * best_c + gain * gain * psf_sq
+    return FittedScatterer(x=float(x0 + best_x), y=float(y0 + best_y), amplitude=gain,
                            residual=float(np.sqrt(max(resid_sq, 0.0))))
 
 

@@ -15,7 +15,7 @@ from scatterkit.errors import (DimMismatch, EmptyInput, EmptyRegion,
 from scatterkit.raster import amplitude
 from scatterkit.spectral import ifft2d, rectangular_window_2d, taylor_window_2d
 
-from oracles import fit_direct, psf_2d, refine_offsets
+from oracles import fit_direct, fit_fft, psf_2d, refine_offsets
 
 GRID32 = FrequencyGrid(32, 32)
 TAYLOR32 = taylor_window_2d(32, 32)
@@ -116,12 +116,15 @@ def test_base_psf_builds_no_2d_transform(monkeypatch):
     monkeypatch.setattr(np.fft, "ifft2", forbidden)
     monkeypatch.setattr(np.fft, "fft2", forbidden)
     monkeypatch.setattr(ascmodel, "ifft2d", forbidden)
-    monkeypatch.setattr(ascmodel, "fft2d", forbidden)
     psf = base_psf(FrequencyGrid(48, 40), taylor_window_2d(48, 40))
-    region = np.zeros((48, 40))
-    region[10:13, 20:22] = 1.0
-    fit_scatterer(region, psf)
-    fit_scatterer(region, psf, refine=True)
+    small = np.zeros((48, 40))
+    small[10:13, 20:22] = 1.0
+    # 1,584 support pixels times 48 x 40 candidates: 3.0 M products
+    large = np.zeros((48, 40))
+    large[2:46, 2:38] = 1.0
+    for region in (small, large):
+        fit_scatterer(region, psf)
+        fit_scatterer(region, psf, refine=True)
 
 
 def test_separable_psf_rejects_bad_factors():
@@ -238,20 +241,38 @@ def test_fit_is_locally_optimal():
                     assert best <= _fit_objective(region, GRID32, TAYLOR32, nx, ny) + 1e-9
 
 
-def test_fit_direct_and_fft_paths_agree(monkeypatch):
+def _assert_fit_matches_fft(region, psf):
+    fit = fit_scatterer(region, psf)
+    dense = region.values if isinstance(region, ScatterRegion) else region
+    ref = fit_fft(dense, psf.values)
+    assert (fit.x, fit.y) == (ref.x, ref.y)
+    assert fit.amplitude == pytest.approx(ref.amplitude, rel=1e-9)
+    assert fit.residual == pytest.approx(ref.residual, rel=1e-6, abs=1e-9)
+
+
+def test_fit_direct_and_fft_paths_agree():
     rng = np.random.Generator(np.random.PCG64(26))
-    cases = []
     for _ in range(10):
         x0, y0 = (float(v) for v in rng.uniform(4, 28, size=2))
         region = np.abs(reconstruct(Scatterer(x0, y0, 1.0), GRID32, TAYLOR32).samples)
         region[region < 0.05] = 0.0
-        cases.append(region)
-    direct = [fit_scatterer(r, PSF32) for r in cases]
-    monkeypatch.setattr(ascmodel, "FIT_DIRECT_BUDGET", 0)
-    via_fft = [fit_scatterer(r, PSF32) for r in cases]
-    for d, f in zip(direct, via_fft):
-        assert (d.x, d.y) == (f.x, f.y)
-        assert d.amplitude == pytest.approx(f.amplitude, rel=1e-9)
+        _assert_fit_matches_fft(region, PSF32)
+
+
+@pytest.mark.parametrize("dim,n_support", [(256, 2_000), (512, 20_000)])
+def test_fit_on_large_regions_matches_fft_oracle(dim, n_support):
+    grid = FrequencyGrid(dim, dim)
+    window = taylor_window_2d(dim, dim)
+    psf = base_psf(grid, window)
+    rng = np.random.Generator(np.random.PCG64(dim))
+    for _ in range(3):
+        truth = [Scatterer(float(x), float(y), float(a))
+                 for x, y, a in zip(rng.uniform(0, dim, 4), rng.uniform(0, dim, 4),
+                                    rng.uniform(0.5, 1.5, 4))]
+        region = np.abs(synth_image(truth, grid, window).samples)
+        region[region < np.partition(region.ravel(), -n_support)[-n_support]] = 0.0
+        assert np.count_nonzero(region) == n_support
+        _assert_fit_matches_fft(region, psf)
 
 
 def _assert_fit_matches_oracle(region, psf):
@@ -289,6 +310,51 @@ def test_fit_exact_tie_resolves_row_major_first():
     _assert_fit_matches_oracle(region, psf)
 
 
+def _edge_band(band, h, w):
+    """Cells a support may take: a 3-px band along one frame edge, or rows,
+    columns or corners on both sides of an edge, so the support wraps."""
+    allowed = np.zeros((h, w), dtype=bool)
+    both_rows, both_cols = [0, 1, h - 2, h - 1], [0, 1, w - 2, w - 1]
+    if band == "top":
+        allowed[:3] = True
+    elif band == "bottom":
+        allowed[-3:] = True
+    elif band == "left":
+        allowed[:, :3] = True
+    elif band == "right":
+        allowed[:, -3:] = True
+    elif band == "wrap-rows":
+        allowed[both_rows] = True
+    elif band == "wrap-cols":
+        allowed[:, both_cols] = True
+    else:
+        allowed[np.ix_(both_rows, both_cols)] = True
+    return allowed
+
+
+@pytest.mark.parametrize("band", ["top", "bottom", "left", "right",
+                                  "wrap-rows", "wrap-cols", "wrap-corners"])
+def test_fit_on_supports_at_the_frame_edges_matches_oracle(band):
+    # clamped candidate boxes, and window rows from both ends of the tiling
+    rng = np.random.Generator(np.random.PCG64(28))
+    psf = SeparablePsf(row=rng.uniform(0.05, 1.0, 24), col=rng.uniform(0.05, 1.0, 20))
+    allowed = _edge_band(band, *psf.shape)
+    cells = np.flatnonzero(allowed)
+    for _ in range(30):
+        keep = allowed & (rng.random(psf.shape) < rng.uniform(0.1, 0.6))
+        keep.flat[rng.choice(cells)] = True
+        region = np.where(keep, rng.uniform(0.1, 2.0, psf.shape), 0.0)
+        _assert_fit_matches_oracle(region, psf)
+
+
+def test_fit_on_psfs_wrapping_the_frame_edges_matches_oracle():
+    for x0, y0 in [(0.0, 0.0), (31.0, 31.0), (0.4, 16.0), (31.6, 9.3), (12.0, 0.2),
+                   (20.5, 31.5), (0.5, 31.5), (31.2, 0.7)]:
+        region = np.abs(reconstruct(Scatterer(x0, y0, 1.0), GRID32, TAYLOR32).samples)
+        region[region < 0.05] = 0.0
+        _assert_fit_matches_oracle(region, PSF32)
+
+
 def test_fit_gather_spanning_several_chunks_matches_oracle():
     grid = FrequencyGrid(64, 64)
     window = taylor_window_2d(64, 64)
@@ -300,7 +366,7 @@ def test_fit_gather_spanning_several_chunks_matches_oracle():
     cols = np.flatnonzero(support.any(axis=0))
     n_cand = (rows[-1] - rows[0] + 5) * (cols[-1] - cols[0] + 5)
     products = n_cand * np.count_nonzero(support)
-    assert 196_608 < products <= ascmodel.FIT_DIRECT_BUDGET
+    assert 196_608 < products
     _assert_fit_matches_oracle(region, psf)
 
 
@@ -383,7 +449,7 @@ def test_fit_subpixel_refinement_tightens_fractional_fits():
     assert err_refined < 0.3
 
 
-def test_fit_takes_a_region_like_its_full_frame_array(monkeypatch):
+def test_fit_takes_a_region_like_its_full_frame_array():
     # the region holds a zero-valued support pixel, which the fit drops
     rng = np.random.Generator(np.random.PCG64(27))
     for _ in range(10):
@@ -395,9 +461,7 @@ def test_fit_takes_a_region_like_its_full_frame_array(monkeypatch):
         for refine in (False, True):
             assert fit_scatterer(region, PSF32, refine=refine) == \
                 fit_scatterer(region.values, PSF32, refine=refine)
-        with monkeypatch.context() as m:
-            m.setattr(ascmodel, "FIT_DIRECT_BUDGET", 0)
-            assert fit_scatterer(region, PSF32) == fit_scatterer(region.values, PSF32)
+        _assert_fit_matches_fft(region, PSF32)
 
 
 def test_fit_rejects_empty_region_and_bad_dims():

@@ -262,6 +262,21 @@ def test_annotate_non_finite_config_is_data_error(tmp_path, line):
     assert not out.exists()
 
 
+def test_annotate_non_ascii_config_is_data_error(tmp_path, capsys):
+    data = synth(tmp_path, chips=1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("# r\u00e9glage\nkeypoint_k = 4\n".encode("utf-8"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("annotate", "--config", str(cfg), "--images", str(data / "images"),
+                   "--annots", str(data / "annots"), "--out", str(out),
+                   "--seed", "0") == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(cfg) in err
+    assert not out.exists()
+
+
 def test_annotate_threads_do_not_change_output(tmp_path):
     data = synth(tmp_path)
     out1, out4 = tmp_path / "t1", tmp_path / "t4"

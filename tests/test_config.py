@@ -130,6 +130,17 @@ def test_load_rejects_unparseable_value(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text", ["decouple.n_max = 5  # \u00b5s budget\n",
+                                  "pool = m\u00e4x\n"])
+def test_load_rejects_non_ascii_file(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(BadConfigField) as exc:
+        load_config(path)
+    assert exc.value.field_path == str(path)
+    assert str(path) in str(exc.value)
+
+
 def test_load_rejects_invalid_combination(tmp_path):
     with pytest.raises(BadConfigField) as exc:
         load_config(overrides={"decouple.tau_db": 1.0})

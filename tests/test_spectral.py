@@ -115,6 +115,16 @@ def test_window_2d_is_rank_one_and_normalized():
     assert (w.height, w.width) == (32, 48)
 
 
+@pytest.mark.parametrize("height,width", [(1, 1), (1, 7), (32, 48), (128, 128), (299, 2)])
+def test_window_2d_tapers_equal_the_1d_taylor_windows(height, width):
+    for nbar, sidelobe_db in ((1, -20.0), (4, -35.0), (7, -100.0)):
+        w = taylor_window_2d(height, width, nbar=nbar, sidelobe_db=sidelobe_db)
+        row = taylor_window(height, nbar=nbar, sidelobe_db=sidelobe_db)
+        col = taylor_window(width, nbar=nbar, sidelobe_db=sidelobe_db)
+        assert w.row_taper.tobytes() == row.tobytes()
+        assert w.col_taper.tobytes() == col.tobytes()
+
+
 def test_rectangular_window_is_all_ones():
     w = rectangular_window_2d(5, 9)
     np.testing.assert_array_equal(w.values, np.ones((5, 9)))
