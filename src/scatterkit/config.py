@@ -105,9 +105,10 @@ def load_config(path: str | Path | None = None,
             if not line:
                 continue
             if "=" not in line:
-                raise BadConfigField(f"line {line_no}", f"expected 'key = value': {raw!r}")
+                raise BadConfigField(f"line {line_no}", f"expected 'key = value': {raw!r}",
+                                     path=str(path))
             key, _, text = (t.strip() for t in line.partition("="))
-            values[key] = _coerce(key, text)
+            values[key] = _coerce(key, text, str(path))
     for key, val in (overrides or {}).items():
         if key not in _FIELDS:
             raise BadConfigField(key, "unknown configuration field")
@@ -115,14 +116,16 @@ def load_config(path: str | Path | None = None,
     return _build(values)
 
 
-def _coerce(key: str, text: str):
+def _coerce(key: str, text: str, path: str):
+    """The value of one `key = text` line of the config file at `path`."""
     if key not in _FIELDS:
-        raise BadConfigField(key, "unknown configuration field")
+        raise BadConfigField(key, "unknown configuration field", path=path)
     typ = _FIELDS[key][2]
     try:
         return typ(text)
     except ValueError:
-        raise BadConfigField(key, f"cannot parse {text!r} as {typ.__name__}") from None
+        raise BadConfigField(key, f"cannot parse {text!r} as {typ.__name__}",
+                             path=path) from None
 
 
 def _build(values: dict) -> RunConfig:

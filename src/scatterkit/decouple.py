@@ -6,11 +6,15 @@ grown region out of the residual, and repeats — at most n_max times, or
 until the residual peak drops below a configurable fraction of the original
 peak. All tie-breaking is row-major, so results are fully deterministic.
 
-The loop runs in one zero-padded working frame per chip (`_Frame`): the
-one-pixel border stays below every threshold, so neither search checks
-bounds, and padded flat indices keep the row-major order of unpadded ones.
-A region leaves the loop as its ascending flat support indices and the
-residual values there; its full-frame images are built only when read.
+The loop runs in one padded working frame per chip (`_Frame`): the
+one-pixel border of -inf stays below every threshold, so neither search
+checks bounds, and padded flat indices keep the row-major order of unpadded
+ones. The log-amplitude `peak_db` is monotone in the amplitude, so the flood
+compares residual amplitudes against a per-step threshold equivalent to the
+dB floor, and computes dB only to settle a comparison too close to call in
+amplitudes. A region leaves the loop as its ascending flat support indices
+and the residual values there; its full-frame images are built only when
+read.
 """
 
 from __future__ import annotations
@@ -23,6 +27,11 @@ import numpy as np
 from .errors import AllZeroRaster, EmptyRegion
 from .raster import (AmplitudeRaster, ComplexRaster, _freeze, _require_finite,
                      amplitude, peak_db)
+
+
+# relative half-width of the amplitude bands in which the flood settles a
+# test on peak_db; far wider than peak_db's rounding (see `_Frame.grow`)
+_DB_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,26 +132,23 @@ class DecoupleStep:
 
 
 class _Frame:
-    """Zero-padded working copy of an amplitude raster.
+    """Padded working copy of an amplitude raster.
 
-    `res` is the flat (h + 2) x (w + 2) residual, whose border of zeros is
-    never above a threshold; `db` is the flat dB buffer that `fill_db`
-    fills, with a border of -inf, below every grow floor. Both are read
-    through memoryviews, which index to Python floats. A search marks the
-    pixels it takes with its own stamp in `mark`, so no mask is cleared
-    between steps.
+    `res` is the flat (h + 2) x (w + 2) residual, read through a memoryview,
+    which indexes to Python floats. Its border is -inf, below every
+    threshold: with a large `eps` the grow threshold drops below zero, and
+    zero-valued pixels pass it. A search marks the pixels it takes with its
+    own stamp in `mark`, so no mask is cleared between steps.
     """
 
     def __init__(self, vals: np.ndarray):
         h, w = vals.shape
         self.shape = (h, w)
         self.pw = w + 2
-        res = np.zeros((h + 2, w + 2))
+        res = np.full((h + 2, w + 2), -np.inf)
         res[1:-1, 1:-1] = vals
         self.res, self.res_inner = res.ravel(), res[1:-1, 1:-1]
-        self.db_2d = np.empty_like(res)
-        self.db = self.db_2d.ravel()
-        self.res_view, self.db_view = memoryview(self.res), memoryview(self.db)
+        self.res_view = memoryview(self.res)
         self.mark = [0] * res.size
         self.stamp = 0
         self.n4 = (-self.pw, self.pw, -1, 1)
@@ -152,14 +158,6 @@ class _Frame:
     def unpadded(self, indices: np.ndarray) -> np.ndarray:
         """Unpadded flat indices of padded flat ones."""
         return indices - 2 * (indices // self.pw) - self.shape[1] - 1
-
-    def fill_db(self, peak: float, eps: float) -> None:
-        """dB of the residual against `peak`, and the -inf border."""
-        # one contiguous pass over the whole frame runs about twice as fast
-        # as one over the strided interior; the border is overwritten after
-        peak_db(self.res, peak, eps, out=self.db)
-        self.db_2d[0] = self.db_2d[-1] = -np.inf
-        self.db_2d[:, 0] = self.db_2d[:, -1] = -np.inf
 
     def _claim(self, pixels: list[int]) -> int:
         self.stamp += 1
@@ -179,30 +177,65 @@ class _Frame:
                     block.append(q)
         return block
 
-    def grow(self, seeds: list[int], floor_db: float) -> list[int]:
+    def grow(self, seeds: list[int], peak: float, params: DecoupleParams) -> list[int]:
         """Seed block plus the above-floor pixels that join label 1.
 
-        Reads `db`, filled for this residual. This is label 1 of the full
-        multi-label growth, in which a pixel joins the minimum label among its
+        This is label 1 of the full multi-label growth over the residual's
+        `peak_db`, in which a pixel joins the minimum label among its
         labeled 8-neighbors and the seed block is label 1: a pixel q joins
         when an 8-neighbor p already joined and p is a seed pixel, or p
         precedes q in the descending-dB, row-major visiting order.
+
+        `peak_db` is monotone in the amplitude, so both tests run on the
+        residual amplitudes `v`. q clears the floor when `v_q >= hi` and
+        fails it when `v_q <= lo`, the amplitudes a relative 1e-9 either side
+        of `peak * 10^(floor/10) - eps`; p precedes q when `v_p - v_q > tol`
+        and does not when `v_p - v_q < -tol`, with `tol = 1e-9 * (v_p + eps)`.
+        In between, `peak_db` settles the test as the dB flood does: two
+        amplitudes a few ulps apart can round to one dB value and then tie
+        row-major. The bands are sound while the ratios `(v + eps) / peak`
+        at and above the floor are normal floats, whose dB is off by well
+        under 1e-11 of the ratio; when `10^(floor/10)` or
+        `peak * 10^(floor/10)` is below 1e-300, every test is settled in dB.
+        A ratio too large to be normal needs `eps` far above the peak, and
+        then every order test falls in its band and every pixel clears the
+        floor.
         """
+        eps, floor_db = params.eps, params.grow_floor_db
+        floor_ratio = 10.0 ** (floor_db / 10.0)
+        x = peak * floor_ratio
+        if floor_ratio >= 1e-300 and x >= 1e-300:
+            band = _DB_BAND
+            lo, hi = x * (1.0 - band) - eps, x * (1.0 + band) - eps
+        else:  # the floor or its ratio to the peak leaves the normal range
+            band, lo, hi = np.inf, -np.inf, np.inf
         support = list(seeds)
         n_seed = len(support)
-        stamp, mark, db = self._claim(support), self.mark, self.db_view
+        stamp, mark, res = self._claim(support), self.mark, self.res_view
         for i, p in enumerate(support):
-            p_db = db[p]
+            v_p = res[p]
             exempt = i < n_seed
+            tol = band * (v_p + eps)
             for d in self.n8:
                 q = p + d
                 if mark[q] == stamp:
                     continue
-                q_db = db[q]
-                if q_db > floor_db and (exempt or p_db > q_db or (p_db == q_db and p < q)):
+                v_q = res[q]
+                if v_q <= lo or (v_q < hi and
+                                 peak_db(np.array([v_q]), peak, eps)[0] <= floor_db):
+                    continue
+                gap = v_p - v_q
+                if exempt or gap > tol or (gap >= -tol and
+                                           _db_precedes(p, v_p, q, v_q, peak, eps)):
                     mark[q] = stamp
                     support.append(q)
         return support
+
+
+def _db_precedes(p: int, v_p: float, q: int, v_q: float, peak: float, eps: float) -> bool:
+    """Whether pixel p precedes q in the descending-dB, row-major order."""
+    p_db, q_db = peak_db(np.array([v_p, v_q]), peak, eps)
+    return p_db > q_db or (p_db == q_db and p < q)
 
 
 def _extract(amp: AmplitudeRaster,
@@ -223,8 +256,7 @@ def _extract(amp: AmplitudeRaster,
         if peak == 0.0 or peak < floor:
             break
         seeds = frame.seed_block(p, peak * block_ratio)
-        frame.fill_db(peak, params.eps)
-        sup = np.array(sorted(frame.grow(seeds, params.grow_floor_db)))
+        sup = np.array(sorted(frame.grow(seeds, peak, params)))
         amps = res[sup]
         res[sup] = 0.0
         py, px = divmod(p, frame.pw)

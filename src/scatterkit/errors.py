@@ -112,9 +112,10 @@ class BoxOutsideImage(ScatterKitError):
 # --- configuration ----------------------------------------------------------
 
 class BadConfigField(ScatterKitError):
-    """Unknown or ill-typed configuration field."""
+    """Unknown or ill-typed configuration field; `path` names the file it came from."""
 
-    def __init__(self, field_path: str, message: str = ""):
+    def __init__(self, field_path: str, message: str = "", path: str | None = None):
         detail = f": {message}" if message else ""
-        super().__init__(f"bad config field '{field_path}'{detail}")
+        where = f"{path}: " if path is not None else ""
+        super().__init__(f"{where}bad config field '{field_path}'{detail}")
         self.field_path = field_path

@@ -103,18 +103,20 @@ def cluster_keypoints(positions: list[tuple[float, float]], k: int = DEFAULT_K,
 
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     centers = _kmeans_pp_init(arr, k, rng)
+    rows = np.arange(len(arr))
     for _ in range(KMEANS_MAX_ITER):
         d2 = np.sum((arr[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         assign = np.argmin(d2, axis=1)
-        new_centers = centers.copy()
-        for c in range(k):
-            members = arr[assign == c]
-            if len(members):
-                new_centers[c] = members.mean(axis=0)
-            else:
-                # revive an empty cluster at the worst-fit point
-                worst = int(np.argmax(d2[np.arange(len(arr)), assign]))
-                new_centers[c] = arr[worst]
+        # bincount sums each cluster's members in index order, as a mean over
+        # them does, so the centroids keep their bits
+        counts = np.bincount(assign, minlength=k)
+        new_centers = np.stack([np.bincount(assign, weights=arr[:, c], minlength=k)
+                                for c in (0, 1)], axis=1)
+        empty = counts == 0
+        new_centers[~empty] /= counts[~empty, None]
+        if empty.any():
+            # revive every empty cluster at the worst-fit point
+            new_centers[empty] = arr[int(np.argmax(d2[rows, assign]))]
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
         if shift < KMEANS_TOL:

@@ -121,8 +121,9 @@ def peak_db(values: np.ndarray, peak: float, eps: float,
             out: np.ndarray | None = None) -> np.ndarray:
     """10*log10((values + eps) / peak), elementwise: the package's one dB formula.
 
-    The region grower fills its dB buffer with it. With `out` given, the
-    result is written there and nothing is allocated.
+    The region grower calls it on one or two amplitudes to settle a near-tie
+    exactly as a dB pass over the frame would. With `out` given, the result
+    is written there and nothing is allocated.
     """
     out = np.add(values, eps, out=out)
     np.divide(out, peak, out=out)

@@ -4,7 +4,8 @@
 `mask_block_dense` and `grow_support_dense` as its two searches: every step
 re-wraps the residual, pads fresh dB, seed and support frames, and lifts the
 region out with full-frame `where`/`maximum` passes. The library runs the
-same loop in one padded working frame and hands regions on as support
+same loop in one padded working frame, floods on amplitudes with dB
+computed only for near-ties, and hands regions on as support
 indices. `grow_labels` is the full multi-label region growth that the
 loop's flood reduces to its label-1 support; `fit_direct` is the per-candidate loop over
 a 2-D PSF image that `fit_scatterer` replaces with two products of the
@@ -15,6 +16,10 @@ of the full frame with the 2-D PSF by the correlation theorem, cropped to
 the same candidate box. `psf_2d` is the PSF as the
 2-D inverse DFT of the window, and `refine_offsets` the parabolic refinement
 from full-frame rolls of that image.
+
+`cluster_keypoints_loop` is k-means with each centroid update as a loop
+over the clusters, a mean over each one's members; `cluster_keypoints`
+takes all centroids from two weighted `bincount`s.
 
 `rotated_iou_np` is the rotated-box IoU in numpy scalar arithmetic: every
 call recomputes both boxes' shoelace areas (`signed_area_roll`, with
@@ -34,7 +39,9 @@ import numpy as np
 
 from scatterkit.ascmodel import FIT_DILATE_PX, FittedScatterer, FrequencyGrid
 from scatterkit.decouple import DecoupleParams
-from scatterkit.errors import AllZeroRaster, EmptyRegion
+from scatterkit.errors import AllZeroRaster, EmptyInput, EmptyRegion
+from scatterkit.keypoints import (KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet,
+                                  _kmeans_pp_init)
 from scatterkit.metrics import COLLINEAR_TOL, SLIVER_AREA
 from scatterkit.raster import AmplitudeRaster, WindowRaster
 from scatterkit.spectral import fft2d, ifft2d
@@ -378,3 +385,38 @@ def iou_from_parts(area_a: float, ccw_a: np.ndarray,
 def rotated_iou_np(a: np.ndarray, b: np.ndarray) -> float:
     """IoU of two boxes given as valid (4, 2) corner arrays."""
     return iou_from_parts(box_area(a), box_ccw(a), box_area(b), box_ccw(b))
+
+
+def cluster_keypoints_loop(positions: list[tuple[float, float]], k: int,
+                           rng_seed: int = 0) -> KeypointSet:
+    """`cluster_keypoints` with each k-means update as a Python loop over
+    the clusters, taking every centroid as the mean of its members."""
+    if not positions:
+        raise EmptyInput("no positions to cluster")
+    pts = [tuple(map(float, p)) for p in positions]
+    if len(pts) < k:
+        pts = [pts[i % len(pts)] for i in range(k)]
+    arr = np.array(pts, dtype=np.float64)
+
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    centers = _kmeans_pp_init(arr, k, rng)
+    for _ in range(KMEANS_MAX_ITER):
+        d2 = np.sum((arr[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        assign = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        for c in range(k):
+            members = arr[assign == c]
+            if len(members):
+                new_centers[c] = members.mean(axis=0)
+            else:
+                # revive an empty cluster at the worst-fit point
+                worst = int(np.argmax(d2[np.arange(len(arr)), assign]))
+                new_centers[c] = arr[worst]
+        shift = float(np.max(np.abs(new_centers - centers)))
+        centers = new_centers
+        if shift < KMEANS_TOL:
+            break
+
+    order = np.lexsort((centers[:, 0], centers[:, 1]))  # by (y, x)
+    pts_sorted = tuple((float(x), float(y)) for x, y in centers[order])
+    return KeypointSet(points=pts_sorted, k=k)

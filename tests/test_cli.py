@@ -277,6 +277,24 @@ def test_annotate_non_ascii_config_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["keypoint_k = 4\ngarbage\n", "decouple.n_maxx = 5\n",
+                                  "keypoint_k = four\n"],
+                         ids=["no-equals", "unknown-key", "unparseable"])
+def test_annotate_config_line_error_names_the_file(tmp_path, capsys, text):
+    data = synth(tmp_path, chips=1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("annotate", "--config", str(cfg), "--images", str(data / "images"),
+                   "--annots", str(data / "annots"), "--out", str(out),
+                   "--seed", "0") == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{cfg}: bad config field" in err
+    assert not out.exists()
+
+
 def test_annotate_threads_do_not_change_output(tmp_path):
     data = synth(tmp_path)
     out1, out4 = tmp_path / "t1", tmp_path / "t4"

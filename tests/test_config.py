@@ -130,6 +130,26 @@ def test_load_rejects_unparseable_value(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text, field", [
+    ("keypoint_k = 4\ngarbage\n", "line 2"),
+    ("decouple.n_maxx = 5\n", "decouple.n_maxx"),
+    ("keypoint_k = four\n", "keypoint_k"),
+], ids=["no-equals", "unknown-key", "unparseable"])
+def test_load_line_errors_name_the_file(tmp_path, text, field):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(BadConfigField) as exc:
+        load_config(path)
+    assert exc.value.field_path == field
+    assert str(exc.value).startswith(f"{path}: bad config field '{field}'")
+
+
+def test_override_errors_keep_their_messages():
+    with pytest.raises(BadConfigField) as exc:
+        load_config(overrides={"nope": 1})
+    assert str(exc.value) == "bad config field 'nope': unknown configuration field"
+
+
 @pytest.mark.parametrize("text", ["decouple.n_max = 5  # \u00b5s budget\n",
                                   "pool = m\u00e4x\n"])
 def test_load_rejects_non_ascii_file(tmp_path, text):

@@ -1,5 +1,6 @@
 """Peak-block masking, log-surface region growth, and the extraction loop."""
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,20 @@ from oracles import (LabelMap, decouple_steps_dense, grow_labels,
                      grow_support_dense, mask_block_dense)
 
 N4_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+
+
+@pytest.fixture
+def db_calls(monkeypatch):
+    """Sizes of the arrays the extraction loop hands to `peak_db`, in call order:
+    1 for a floor test settled in dB, 2 for an order test."""
+    sizes = []
+
+    def counting(values, *args, **kwargs):
+        sizes.append(np.asarray(values).size)
+        return peak_db(values, *args, **kwargs)
+
+    monkeypatch.setattr(importlib.import_module("scatterkit.decouple"), "peak_db", counting)
+    return sizes
 
 
 def first_support(r: AmplitudeRaster, params: DecoupleParams = DecoupleParams()) -> np.ndarray:
@@ -151,7 +166,7 @@ def test_region_grow_equal_db_plateau_uses_row_major_order():
     np.testing.assert_array_equal(support, grow_labels(r, seed, params).labels == 1)
 
 
-def test_region_grow_equal_db_of_distinct_amplitudes_uses_row_major_order():
+def test_region_grow_equal_db_of_distinct_amplitudes_uses_row_major_order(db_calls):
     # 0.03 and the next float up round to the same dB, so the flood treats
     # them as a plateau and the later one joins from the earlier one; a
     # flood that compared amplitudes would leave it out
@@ -169,6 +184,94 @@ def test_region_grow_equal_db_of_distinct_amplitudes_uses_row_major_order():
     np.testing.assert_array_equal(np.flatnonzero(grow_support_dense(r, seed, params)), expect)
     np.testing.assert_array_equal(np.flatnonzero(grow_labels(r, seed, params).labels == 1),
                                   expect)
+    assert 2 in db_calls
+
+
+def test_region_grow_equal_v_plus_eps_of_distinct_amplitudes_uses_row_major_order(db_calls):
+    # 1e-23 and 5e-23 vanish against eps, so both lie at the dB of eps alone,
+    # -10 dB below the peak: the smaller one joins from the peak and the
+    # larger one follows it in row-major order, which only dB can tell
+    params = DecoupleParams(n_max=1)
+    vals = np.array([[1e-5, 1e-23, 5e-23]])
+    assert vals[0, 1] + params.eps == vals[0, 2] + params.eps
+    r = AmplitudeRaster(vals)
+    np.testing.assert_array_equal(decouple(r, params)[0].indices, [0, 1, 2])
+    seed = mask_block_dense(r, params.tau_db)
+    np.testing.assert_array_equal(np.flatnonzero(grow_support_dense(r, seed, params)),
+                                  [0, 1, 2])
+    assert 2 in db_calls
+
+
+@pytest.mark.parametrize("peak, eps, floor_db", [
+    (1.0, 1e-6, -20.0),
+    # the floor's amplitude, about 1.6e-319, is subnormal, held to 1 part in
+    # 32,000, so the flood settles every floor test in dB
+    (1e-305, 2e-323, -138.0),
+])
+def test_region_grow_floor_is_settled_in_db_at_the_smallest_joining_amplitude(
+        db_calls, peak, eps, floor_db):
+    # the smallest amplitude above the floor joins and the float below it
+    # does not; both lie where the flood settles the floor test on peak_db
+    params = DecoupleParams(eps=eps, grow_floor_db=floor_db)
+    below, lowest = 0, int(np.float64(peak).view(np.int64))
+    while lowest - below > 1:  # nonnegative floats order as their bit patterns
+        mid = (below + lowest) // 2
+        if peak_db(np.array([mid]).view(np.float64), peak, eps)[0] > floor_db:
+            lowest = mid
+        else:
+            below = mid
+    for bits, joins in ((lowest, True), (below, False)):
+        vals = np.zeros((3, 4))
+        vals[1, 1] = peak
+        vals[1, 2] = np.array([bits]).view(np.float64)[0]
+        db_calls.clear()
+        r = AmplitudeRaster(vals)
+        support = first_support(r, params)
+        assert support[1, 2] == joins
+        np.testing.assert_array_equal(
+            support, grow_support_dense(r, mask_block_dense(r, params.tau_db), params))
+        assert 1 in db_calls
+
+
+def test_region_grow_with_large_eps_takes_zeros_but_never_the_border(db_calls):
+    # against a peak of 1, eps = 10 puts every amplitude within 0.5 dB of
+    # the peak, so the floor's amplitude is negative and zeros clear it; the
+    # equal zeros join in row-major order, and the flood stops at the -inf
+    # border of the frame, which a border of 0 or -1 would cross
+    params = DecoupleParams(eps=10.0, n_max=1)
+    vals = np.zeros((4, 5))
+    vals[1, 2] = 1.0
+    r = AmplitudeRaster(vals)
+    region = decouple(r, params)[0]
+    np.testing.assert_array_equal(region.indices, np.arange(1, 20))
+    seed = mask_block_dense(r, params.tau_db)
+    np.testing.assert_array_equal(region.support, grow_support_dense(r, seed, params))
+    assert 2 in db_calls
+
+
+def test_region_grow_settles_every_test_in_db_outside_the_normal_range(db_calls):
+    # against a 1e300 peak, 1e-20 and 1.0001e-20 give ratios near 1e-320,
+    # subnormal floats that round to one dB value, so they tie row-major
+    # although the amplitudes differ by 1e-4 of themselves; both clear the
+    # -3210 dB floor, whose ratio 10^-321 is subnormal too
+    params = DecoupleParams(eps=1e-300, grow_floor_db=-3210.0, n_max=1)
+    vals = np.array([[1e300, 1e-20, 1.0001e-20]])
+    db = peak_db(vals[0, 1:], 1e300, params.eps)
+    assert db[0] == db[1]
+    r = AmplitudeRaster(vals)
+    np.testing.assert_array_equal(decouple(r, params)[0].indices, [0, 1, 2])
+    seed = mask_block_dense(r, params.tau_db)
+    np.testing.assert_array_equal(np.flatnonzero(grow_support_dense(r, seed, params)),
+                                  [0, 1, 2])
+    assert 1 in db_calls and 2 in db_calls
+
+
+def test_decouple_makes_no_full_frame_db_pass(db_calls):
+    grid = FrequencyGrid(128, 128)
+    chip = synth_target(10, grid, taylor_window_2d(128, 128),
+                        np.random.Generator(np.random.PCG64(7)))
+    assert len(decouple(chip.image)) == DecoupleParams().n_max
+    assert max(db_calls, default=0) <= 2
 
 
 def test_region_grow_darker_pixel_joins_through_seed_exemption():
@@ -482,8 +585,9 @@ def test_loop_matches_dense_oracle_for_each_stop_reason():
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.data())
 def test_loop_matches_dense_oracle_on_random_rasters(data):
-    # few distinct levels make equal-dB plateaus; a 1e-5 scale puts the
-    # peak under 100 * eps; frames down to 1 px wide exercise the border
+    # few distinct levels make equal-dB plateaus; a 1e-5 scale or a large
+    # eps puts the peak under 100 * eps; frames down to 1 px wide exercise
+    # the border
     h = data.draw(st.integers(1, 10), label="height")
     w = data.draw(st.integers(1, 10), label="width")
     levels = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 2.0]),
@@ -495,6 +599,7 @@ def test_loop_matches_dense_oracle_on_random_rasters(data):
     tau = data.draw(st.floats(-10.0, -0.5), label="tau_db")
     params = DecoupleParams(
         tau_db=tau, grow_floor_db=tau - data.draw(st.floats(0.0, 30.0), label="depth"),
+        eps=10.0 ** data.draw(st.floats(-9.0, 1.0), label="log10_eps"),
         n_max=data.draw(st.integers(1, 25), label="n_max"),
         min_peak_ratio=data.draw(st.sampled_from([0.0, 1e-3, 0.3]), label="ratio"))
     _assert_loop_matches_dense_oracle(AmplitudeRaster(vals), params)

@@ -12,6 +12,8 @@ from scatterkit.keypoints import (DogParams, KeypointSet, cluster_keypoints,
 from scatterkit.raster import AmplitudeRaster
 from scatterkit.spectral import taylor_window_2d
 
+from oracles import cluster_keypoints_loop
+
 # sha256("0:chip_00000:0") as an integer; pins the seed derivation forever
 PINNED_SEED = 111036133852682233449187380584068176767193868072678492542894896991942400593282
 
@@ -67,6 +69,21 @@ def test_cluster_rejects_empty_and_bad_k():
         cluster_keypoints([], k=3)
     with pytest.raises(ValueError):
         cluster_keypoints([(0.0, 0.0)], k=0)
+
+
+def test_cluster_matches_per_cluster_loop_to_the_bit():
+    # points rounded to a 16 px lattice coincide, and with fewer points than
+    # k they are replicated, so k-means++ picks equal centres and clusters
+    # run empty; about one case in seven revives one
+    rng = np.random.Generator(np.random.PCG64(51))
+    for case in range(2000):
+        pts = rng.uniform(0.0, 128.0, (int(rng.integers(1, 40)), 2))
+        if case % 2:
+            pts = np.round(pts / 16.0) * 16.0
+        pts = [tuple(p) for p in pts]
+        k, seed = int(rng.integers(1, 12)), int(rng.integers(1 << 62))
+        assert np.array(cluster_keypoints(pts, k, seed).points).tobytes() == \
+            np.array(cluster_keypoints_loop(pts, k, seed).points).tobytes()
 
 
 def test_cluster_determinism_and_bounding_box():
