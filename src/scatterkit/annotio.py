@@ -29,7 +29,8 @@ from .keypoints import (DEFAULT_K, DogParams, KeypointSet, cluster_keypoints,
                         dog_keypoints, instance_seed, to_global)
 from .metrics import Detection, OrientedBox
 from .raster import AmplitudeRaster, ComplexRaster, amplitude
-from .spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, taylor_window_2d
+from .spectral import (DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, _taylor_coefficients,
+                       _taylor_window_2d)
 
 log = logging.getLogger("scatterkit")
 
@@ -247,12 +248,12 @@ class RunSummary:
 def _annotate_instance_skaa(image: ComplexRaster, ann: InstanceAnnotation,
                             image_id: str, idx: int, master_seed: int,
                             dec_params: DecoupleParams, k: int,
-                            window_nbar: int, window_sidelobe_db: float,
+                            taylor: tuple[np.ndarray, np.ndarray],
                             debug_dir: Path | None = None) -> InstanceAnnotation:
+    """`taylor` is the run's `_taylor_coefficients`, shared by every crop."""
     chip, origin = crop_chip(image, ann.box)
     grid = FrequencyGrid(height=chip.height, width=chip.width)
-    window = taylor_window_2d(chip.height, chip.width,
-                              nbar=window_nbar, sidelobe_db=window_sidelobe_db)
+    window = _taylor_window_2d(chip.height, chip.width, taylor)
     if debug_dir is None:
         regions = decouple(chip, dec_params)
     else:
@@ -328,15 +329,21 @@ def run_skaa(index: DatasetIndex, out_dir: str | Path, *, master_seed: int,
              window_nbar: int = DEFAULT_NBAR,
              window_sidelobe_db: float = DEFAULT_SIDELOBE_DB, threads: int = 1,
              debug_dir: str | Path | None = None) -> RunSummary:
-    """Physics pipeline over a dataset: every instance gains k keypoints."""
+    """Physics pipeline over a dataset: every instance gains k keypoints.
+
+    The Taylor coefficients depend on the window parameters alone, so the
+    run computes them once and builds each crop's tapers from them; bad
+    window parameters raise InvalidWindowParams before anything is written.
+    """
+    taylor = _taylor_coefficients(window_nbar, window_sidelobe_db)
     if debug_dir is not None:
         debug_dir = Path(debug_dir)
         debug_dir.mkdir(parents=True, exist_ok=True)
 
     def worker(image, ann, image_id, idx):
         return _annotate_instance_skaa(
-            image, ann, image_id, idx, master_seed, dec_params, k,
-            window_nbar, window_sidelobe_db, debug_dir=debug_dir)
+            image, ann, image_id, idx, master_seed, dec_params, k, taylor,
+            debug_dir=debug_dir)
     return _run_annotator(index, out_dir, worker, threads=threads)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .decouple import ScatterRegion
 from .errors import (DimMismatch, EmptyInput, EmptyRegion, InfeasiblePlacement,
@@ -22,6 +22,15 @@ from .raster import ComplexRaster, WindowRaster, _freeze
 from .spectral import ifft2d
 
 FIT_DILATE_PX = 2
+
+# OpenBLAS runs a matrix product of at most this many multiply-adds, and a
+# dot product of at most this many terms, on one thread
+_ONE_THREAD_OPS = 262_144
+_ONE_THREAD_DOT = 10_000
+# rows per tile of a larger product; each tile takes as many columns as stay
+# within _ONE_THREAD_OPS, since a strip of full rows repacks all of the right
+# operand on every call
+_TILE_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -115,8 +124,14 @@ class SeparablePsf:
         object.__setattr__(self, "row", _freeze(row))
         object.__setattr__(self, "col", _freeze(col))
         for name, v in (("row_windows", row), ("col_windows", col)):
-            wrap = _freeze(np.tile(v[-np.arange(v.size) % v.size], 2))
-            object.__setattr__(self, name, sliding_window_view(wrap, v.size))
+            n = v.size
+            wrap = np.empty(2 * n)
+            wrap[0] = v[0]
+            wrap[1:n] = v[:0:-1]
+            wrap[n:] = wrap[:n]
+            step = wrap.strides[0]
+            object.__setattr__(self, name, as_strided(wrap, (n + 1, n), (step, step),
+                                                      writeable=False))
         object.__setattr__(self, "norm_sq", float(row @ row) * float(col @ col))
 
     @property
@@ -200,14 +215,14 @@ def fit_scatterer(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
     block[sy - ry0, sx - rx0] = sv
     ay = psf.row_windows[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]  # (by, ny)
     ax = psf.col_windows[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]  # (bx, nx)
-    crop = ay.T @ (block @ ax)
+    crop = _matmul_one_thread(ay.T, _matmul_one_thread(block, ax))
     dy, dx = divmod(int(np.argmax(crop)), nx)  # first occurrence = row-major tie-break
     best_y, best_x, best_c = y0 + dy, x0 + dx, float(crop[dy, dx])
 
     fx, fy = float(best_x), float(best_y)
     if refine:
         def corr_at(cy: int, cx: int) -> float:
-            return float(sv @ (psf.row[(sy - cy) % h] * psf.col[(sx - cx) % w]))
+            return _dot_one_thread(sv, psf.row[(sy - cy) % h] * psf.col[(sx - cx) % w])
         fy = best_y + _parabolic_offset(corr_at(best_y - 1, best_x), best_c,
                                         corr_at(best_y + 1, best_x))
         fx = best_x + _parabolic_offset(corr_at(best_y, best_x - 1), best_c,
@@ -215,9 +230,35 @@ def fit_scatterer(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
 
     psf_sq = psf.norm_sq
     gain = best_c / psf_sq if psf_sq > 0 else 0.0
-    resid_sq = float(sv @ sv) - 2 * gain * best_c + gain * gain * psf_sq
+    resid_sq = _dot_one_thread(sv, sv) - 2 * gain * best_c + gain * gain * psf_sq
     return FittedScatterer(x=fx, y=fy, amplitude=gain,
                            residual=float(np.sqrt(max(resid_sq, 0.0))))
+
+
+def _matmul_one_thread(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, in tiles that OpenBLAS each runs on one thread.
+
+    A product over two threads waits for both, so a preempted core stalls
+    it. Every entry is still the dot product of a full row of a and a full
+    column of b; only the blocking of the product changes.
+    """
+    m, k = a.shape
+    n = b.shape[1]
+    if m * k * n <= _ONE_THREAD_OPS:
+        return a @ b
+    cols = max(_ONE_THREAD_OPS // (k * min(m, _TILE_ROWS)), 1)
+    rows = max(_ONE_THREAD_OPS // (k * cols), 1)
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    out = np.empty((m, n))
+    for r in range(0, m, rows):
+        for c in range(0, n, cols):
+            np.matmul(a[r:r + rows], b[:, c:c + cols], out=out[r:r + rows, c:c + cols])
+    return out
+
+
+def _dot_one_thread(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b for 1-D arrays; numpy sums a long one, which OpenBLAS would split."""
+    return float(a @ b) if a.size <= _ONE_THREAD_DOT else float(np.sum(a * b))
 
 
 def _parabolic_offset(lo: float, mid: float, hi: float) -> float:

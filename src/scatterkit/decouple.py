@@ -148,16 +148,14 @@ class _Frame:
         res = np.full((h + 2, w + 2), -np.inf)
         res[1:-1, 1:-1] = vals
         self.res, self.res_inner = res.ravel(), res[1:-1, 1:-1]
+        # unpadded flat index of each padded one; border entries are never read
+        self.unpadded = np.add.outer(np.arange(-1, h + 1) * w, np.arange(-1, w + 1)).ravel()
         self.res_view = memoryview(self.res)
         self.mark = [0] * res.size
         self.stamp = 0
         self.n4 = (-self.pw, self.pw, -1, 1)
         self.n8 = (-self.pw - 1, -self.pw, -self.pw + 1, -1, 1,
                    self.pw - 1, self.pw, self.pw + 1)
-
-    def unpadded(self, indices: np.ndarray) -> np.ndarray:
-        """Unpadded flat indices of padded flat ones."""
-        return indices - 2 * (indices // self.pw) - self.shape[1] - 1
 
     def _claim(self, pixels: list[int]) -> int:
         self.stamp += 1
@@ -260,7 +258,7 @@ def _extract(amp: AmplitudeRaster,
         amps = res[sup]
         res[sup] = 0.0
         py, px = divmod(p, frame.pw)
-        yield ScatterRegion(shape=frame.shape, indices=frame.unpadded(sup),
+        yield ScatterRegion(shape=frame.shape, indices=frame.unpadded[sup],
                             amplitudes=amps, peak=(py - 1, px - 1)), frame
 
 

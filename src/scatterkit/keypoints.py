@@ -10,6 +10,7 @@ strongest candidates, and cluster those to the same size.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ class KeypointSet:
             raise ValueError(f"k must be positive, got {self.k}")
         if len(self.points) != self.k:
             raise ValueError(f"expected {self.k} points, got {len(self.points)}")
-        if not all(np.isfinite(p).all() for p in self.points):
+        if not np.isfinite(self.points).all():
             raise ValueError("keypoints must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -82,8 +83,14 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         total = d2.sum()
         if total <= 0:  # all remaining points coincide with a center
             idx = int(rng.integers(n))
+        elif not math.isfinite(total):  # Generator.choice rejected these weights too
+            raise ValueError(f"squared distances must have a finite sum, got {total}")
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            # Generator.choice(n, p=d2 / total)'s own draw: the same cdf, one
+            # double from the stream, the same search
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         centers[i] = pts[idx]
         d2 = np.minimum(d2, np.sum((pts - centers[i]) ** 2, axis=1))
     return centers
@@ -104,8 +111,12 @@ def cluster_keypoints(positions: list[tuple[float, float]], k: int = DEFAULT_K,
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     centers = _kmeans_pp_init(arr, k, rng)
     rows = np.arange(len(arr))
+    xs, ys = arr[:, :1].copy(), arr[:, 1:].copy()
     for _ in range(KMEANS_MAX_ITER):
-        d2 = np.sum((arr[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        # dx² + dy² in the order a sum over the last axis of
+        # (arr[:, None, :] - centers) ** 2 adds them, so d2 keeps its bits
+        dx, dy = xs - centers[:, 0], ys - centers[:, 1]
+        d2 = dx * dx + dy * dy
         assign = np.argmin(d2, axis=1)
         # bincount sums each cluster's members in index order, as a mean over
         # them does, so the centroids keep their bits

@@ -94,7 +94,8 @@ class WindowRaster:
                 raise ValueError(f"{name} must be a non-empty 1-D array")
             if np.any(taper <= 0) or np.any(taper > 1):
                 raise ValueError(f"{name} values must lie in (0, 1]")
-            if not np.isclose(taper.max(), 1.0, rtol=0, atol=1e-12):
+            # np.isclose(peak, 1, rtol=0, atol=1e-12), without its overhead
+            if not abs(float(taper.max()) - 1.0) <= 1e-12:
                 raise ValueError(f"{name} peak must be normalized to 1")
             object.__setattr__(self, name, _freeze(taper))
 
@@ -117,15 +118,10 @@ def amplitude(img: ComplexRaster) -> AmplitudeRaster:
     return AmplitudeRaster(np.abs(img.samples))
 
 
-def peak_db(values: np.ndarray, peak: float, eps: float,
-            out: np.ndarray | None = None) -> np.ndarray:
+def peak_db(values: np.ndarray, peak: float, eps: float) -> np.ndarray:
     """10*log10((values + eps) / peak), elementwise: the package's one dB formula.
 
     The region grower calls it on one or two amplitudes to settle a near-tie
-    exactly as a dB pass over the frame would. With `out` given, the result
-    is written there and nothing is allocated.
+    exactly as a dB pass over the frame would.
     """
-    out = np.add(values, eps, out=out)
-    np.divide(out, peak, out=out)
-    np.log10(out, out=out)
-    return np.multiply(out, 10.0, out=out)
+    return 10.0 * np.log10((values + eps) / peak)

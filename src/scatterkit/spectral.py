@@ -80,7 +80,12 @@ def taylor_window(length: int, nbar: int = DEFAULT_NBAR,
 def taylor_window_2d(height: int, width: int, nbar: int = DEFAULT_NBAR,
                      sidelobe_db: float = DEFAULT_SIDELOBE_DB) -> WindowRaster:
     """Separable 2-D Taylor taper: per-axis 1-D tapers, no 2-D array built."""
-    coeffs = _taylor_coefficients(nbar, sidelobe_db)
+    return _taylor_window_2d(height, width, _taylor_coefficients(nbar, sidelobe_db))
+
+
+def _taylor_window_2d(height: int, width: int,
+                      coeffs: tuple[np.ndarray, np.ndarray]) -> WindowRaster:
+    """`taylor_window_2d` from `_taylor_coefficients` computed once by the caller."""
     return WindowRaster(_taylor_taper(height, *coeffs), _taylor_taper(width, *coeffs))
 
 

@@ -18,8 +18,11 @@ the same candidate box. `psf_2d` is the PSF as the
 from full-frame rolls of that image.
 
 `cluster_keypoints_loop` is k-means with each centroid update as a loop
-over the clusters, a mean over each one's members; `cluster_keypoints`
-takes all centroids from two weighted `bincount`s.
+over the clusters, a mean over each one's members, and its distances as a
+sum over the last axis; `cluster_keypoints` takes all centroids from two
+weighted `bincount`s. `kmeans_pp_init_choice` is the k-means++ seeding
+with each weighted draw by `Generator.choice`, which `_kmeans_pp_init`
+repeats from the same stream with its own cumulative sum and search.
 
 `rotated_iou_np` is the rotated-box IoU in numpy scalar arithmetic: every
 call recomputes both boxes' shoelace areas (`signed_area_roll`, with
@@ -40,8 +43,7 @@ import numpy as np
 from scatterkit.ascmodel import FIT_DILATE_PX, FittedScatterer, FrequencyGrid
 from scatterkit.decouple import DecoupleParams
 from scatterkit.errors import AllZeroRaster, EmptyInput, EmptyRegion
-from scatterkit.keypoints import (KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet,
-                                  _kmeans_pp_init)
+from scatterkit.keypoints import KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet
 from scatterkit.metrics import COLLINEAR_TOL, SLIVER_AREA
 from scatterkit.raster import AmplitudeRaster, WindowRaster
 from scatterkit.spectral import fft2d, ifft2d
@@ -387,6 +389,23 @@ def rotated_iou_np(a: np.ndarray, b: np.ndarray) -> float:
     return iou_from_parts(box_area(a), box_ccw(a), box_area(b), box_ccw(b))
 
 
+def kmeans_pp_init_choice(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding with each weighted draw by `Generator.choice`."""
+    n = len(pts)
+    centers = np.empty((k, 2))
+    centers[0] = pts[int(rng.integers(n))]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:  # all remaining points coincide with a center
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[i] = pts[idx]
+        d2 = np.minimum(d2, np.sum((pts - centers[i]) ** 2, axis=1))
+    return centers
+
+
 def cluster_keypoints_loop(positions: list[tuple[float, float]], k: int,
                            rng_seed: int = 0) -> KeypointSet:
     """`cluster_keypoints` with each k-means update as a Python loop over
@@ -399,7 +418,7 @@ def cluster_keypoints_loop(positions: list[tuple[float, float]], k: int,
     arr = np.array(pts, dtype=np.float64)
 
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    centers = _kmeans_pp_init(arr, k, rng)
+    centers = kmeans_pp_init_choice(arr, k, rng)
     for _ in range(KMEANS_MAX_ITER):
         d2 = np.sum((arr[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         assign = np.argmin(d2, axis=1)

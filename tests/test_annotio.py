@@ -14,7 +14,8 @@ from scatterkit.annotio import (DatasetIndex, InstanceAnnotation, crop_chip,
                                 write_annotation, write_truth)
 from scatterkit.ascmodel import FrequencyGrid, Scatterer, synth_target
 from scatterkit.chipio import write_chip
-from scatterkit.errors import BadKeypointCount, BoxOutsideImage, MalformedLine
+from scatterkit.errors import (BadKeypointCount, BoxOutsideImage,
+                               InvalidWindowParams, MalformedLine)
 from scatterkit.keypoints import KeypointSet
 from scatterkit.metrics import OrientedBox
 from scatterkit.raster import ComplexRaster
@@ -323,6 +324,37 @@ def test_threads_run_every_instance_serially_on_the_calling_thread(
     summary = run(index, tmp_path / "out", master_seed=0, threads=4)
     assert summary.instances == 3 and summary.failures == 0
     assert calls == [(i, threading.get_ident()) for i in range(3)]
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_run_skaa_computes_the_taylor_coefficients_once(tmp_path, monkeypatch, debug):
+    index = _mini_dataset(tmp_path, n_chips=3)
+    for _, ann_path in index.entries:
+        write_annotation(parse_annotation(ann_path) * 4, ann_path)
+    inner = annotio._taylor_coefficients
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(annotio, "_taylor_coefficients", counting)
+    summary = run_skaa(index, tmp_path / "out", master_seed=0, window_nbar=5,
+                       window_sidelobe_db=-30.0,
+                       debug_dir=tmp_path / "debug" if debug else None)
+    assert summary.instances == 12 and summary.failures == 0
+    assert calls == [(5, -30.0)]
+    if debug:
+        assert any((tmp_path / "debug").iterdir())
+
+
+@pytest.mark.parametrize("window", [{"window_nbar": 0}, {"window_sidelobe_db": 3.0}])
+def test_run_skaa_rejects_bad_window_params_before_writing(tmp_path, window):
+    index = _mini_dataset(tmp_path, n_chips=2)
+    out, debug = tmp_path / "out", tmp_path / "debug"
+    with pytest.raises(InvalidWindowParams):
+        run_skaa(index, out, master_seed=0, debug_dir=debug, **window)
+    assert not out.exists() and not debug.exists()
 
 
 def test_run_rejects_non_positive_threads(tmp_path):

@@ -5,14 +5,14 @@ import pytest
 
 from scatterkit.ascmodel import FrequencyGrid, Scatterer, synth_image
 from scatterkit.errors import EmptyInput, NoCandidates
-from scatterkit.keypoints import (DogParams, KeypointSet, cluster_keypoints,
-                                  dog_candidates, dog_keypoints, dog_response,
-                                  fit_regions, instance_seed, skaa_keypoints,
-                                  to_global)
+from scatterkit.keypoints import (DogParams, KeypointSet, _kmeans_pp_init,
+                                  cluster_keypoints, dog_candidates,
+                                  dog_keypoints, dog_response, fit_regions,
+                                  instance_seed, skaa_keypoints, to_global)
 from scatterkit.raster import AmplitudeRaster
 from scatterkit.spectral import taylor_window_2d
 
-from oracles import cluster_keypoints_loop
+from oracles import cluster_keypoints_loop, kmeans_pp_init_choice
 
 # sha256("0:chip_00000:0") as an integer; pins the seed derivation forever
 PINNED_SEED = 111036133852682233449187380584068176767193868072678492542894896991942400593282
@@ -84,6 +84,51 @@ def test_cluster_matches_per_cluster_loop_to_the_bit():
         k, seed = int(rng.integers(1, 12)), int(rng.integers(1 << 62))
         assert np.array(cluster_keypoints(pts, k, seed).points).tobytes() == \
             np.array(cluster_keypoints_loop(pts, k, seed).points).tobytes()
+
+
+def _kmeans_case(rng: np.random.Generator, case: int) -> np.ndarray:
+    """1-39 points, by case % 10: uniform (0-3), rounded to integers (4-6),
+    all coincident (7-8), or in two coincident halves (9), whose empty
+    clusters keep k-means revolving for up to its iteration cap."""
+    n = int(rng.integers(1, 40))
+    kind = case % 10
+    if kind <= 3:
+        return rng.uniform(0.0, 128.0, (n, 2))
+    if kind <= 6:
+        return np.round(rng.uniform(0.0, rng.choice([3.0, 12.0, 128.0]), (n, 2)))
+    if kind <= 8:
+        return np.tile(rng.uniform(0.0, 128.0, 2), (n, 1))
+    halves = rng.uniform(0.0, 128.0, (2, 2))
+    return halves[np.arange(n) % 2]
+
+
+def test_kmeans_pp_init_and_cluster_match_the_choice_oracles_to_the_bit():
+    # k > n in about half the cases: the seeding draws from n points and
+    # cluster_keypoints replicates them first; the coincident cases take
+    # the total <= 0 branch
+    rng = np.random.Generator(np.random.PCG64(52))
+    zero_total = 0
+    for case in range(5000):
+        pts = _kmeans_case(rng, case)
+        k, seed = int(rng.integers(1, 12)), int(rng.integers(1 << 62))
+        got = _kmeans_pp_init(pts, k, np.random.Generator(np.random.PCG64(seed)))
+        ref = kmeans_pp_init_choice(pts, k, np.random.Generator(np.random.PCG64(seed)))
+        assert got.tobytes() == ref.tobytes(), case
+        zero_total += k > 1 and bool((pts == pts[0]).all())
+        positions = [tuple(p) for p in pts]
+        assert np.array(cluster_keypoints(positions, k, seed).points).tobytes() == \
+            np.array(cluster_keypoints_loop(positions, k, seed).points).tobytes(), case
+    assert zero_total > 800
+
+
+@pytest.mark.parametrize("pts", [[(0.0, 0.0), (1e200, 0.0), (3.0, 4.0)],
+                                 [(0.0, 0.0), (np.nan, 1.0), (3.0, 4.0)]])
+def test_kmeans_pp_init_rejects_weights_generator_choice_rejects(pts):
+    pts = np.array(pts)
+    for init in (_kmeans_pp_init, kmeans_pp_init_choice):
+        with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+            for seed in range(8):  # every first centre, whichever is drawn
+                init(pts, 3, np.random.Generator(np.random.PCG64(seed)))
 
 
 def test_cluster_determinism_and_bounding_box():

@@ -65,11 +65,14 @@ def test_peak_db_writes_the_to_db_formula_in_place():
     peak = float(vals.max())
     expected = 10.0 * np.log10((vals + 1e-6) / peak)
     np.testing.assert_array_equal(peak_db(vals, peak, 1e-6), expected)
+    # on a strided view of a larger buffer, as the padded frame would hand it
     buf = np.full((11, 9), 7.0)
-    out = peak_db(vals, peak, 1e-6, out=buf[1:-1, 1:-1])
-    assert np.shares_memory(out, buf)
-    np.testing.assert_array_equal(buf[1:-1, 1:-1], expected)
+    buf[1:-1, 1:-1] = vals
+    out = peak_db(buf[1:-1, 1:-1], peak, 1e-6)
+    assert not np.shares_memory(out, buf)
+    np.testing.assert_array_equal(out, expected)
     assert (buf[0] == 7.0).all() and (buf[:, -1] == 7.0).all()
+    np.testing.assert_array_equal(buf[1:-1, 1:-1], vals)
 
 
 def test_window_raster_validation():
@@ -83,6 +86,37 @@ def test_window_raster_validation():
         WindowRaster(taper, np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
         WindowRaster(np.array([1.0, 1.5]), taper)
+
+
+def _isclose_verdict(taper: np.ndarray) -> str | None:
+    """The message `WindowRaster` gave for one taper when its peak check
+    was `np.isclose(taper.max(), 1.0, rtol=0, atol=1e-12)`; None if valid."""
+    if np.any(taper <= 0) or np.any(taper > 1):
+        return "row_taper values must lie in (0, 1]"
+    if not np.isclose(taper.max(), 1.0, rtol=0, atol=1e-12):
+        return "row_taper peak must be normalized to 1"
+    return None
+
+
+def test_window_raster_peak_check_gives_the_isclose_verdict():
+    peaks = [1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 2e-12, 1.0 + 2e-12,
+             np.nan, np.inf, -np.inf, 0.0, np.nextafter(1.0, 2.0)]
+    for edge in (1.0 - 1e-12, 1.0 + 1e-12):
+        peaks += [np.nextafter(edge, 0.0), np.nextafter(edge, 2.0)]
+    tapers = [np.array([0.25, peak, 0.5]) for peak in peaks]
+    tapers += [np.array([0.5, 1.0, -0.25]), np.array([0.5, 1.0, 1.0 + 1e-15]),
+               np.array([0.5, 1.0, 0.0]), np.array([0.5, np.nan, 1.0])]
+    verdicts = set()
+    for taper in tapers:
+        expected = _isclose_verdict(taper)
+        verdicts.add(expected)
+        if expected is None:
+            WindowRaster(taper, np.ones(1))
+        else:
+            with pytest.raises(ValueError) as err:
+                WindowRaster(taper, np.ones(1))
+            assert str(err.value) == expected, taper
+    assert len(verdicts) == 3  # every branch is exercised
 
 
 def test_window_raster_rejects_tapers_that_do_not_make_its_values():
