@@ -28,7 +28,7 @@ from .errors import (BadKeypointCount, BoxOutsideImage, MalformedLine,
 from .keypoints import (DEFAULT_K, DogParams, KeypointSet, cluster_keypoints,
                         dog_keypoints, instance_seed, to_global)
 from .metrics import Detection, OrientedBox
-from .raster import AmplitudeRaster, ComplexRaster, amplitude
+from .raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
 from .spectral import (DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, _taylor_coefficients,
                        _taylor_window_2d)
 
@@ -245,6 +245,17 @@ class RunSummary:
         return float(np.median(self.instance_ms)) if self.instance_ms else 0.0
 
 
+def taylor_window_2d(height: int, width: int,
+                     coeffs: tuple[np.ndarray, np.ndarray]) -> WindowRaster:
+    """A crop's Taylor taper from the run's `_taylor_coefficients`.
+
+    It does the work of `spectral.taylor_window_2d` without recomputing the
+    coefficients, and keeps that name here so the stage timers of
+    perfbench/spans.py still time the window build.
+    """
+    return _taylor_window_2d(height, width, coeffs)
+
+
 def _annotate_instance_skaa(image: ComplexRaster, ann: InstanceAnnotation,
                             image_id: str, idx: int, master_seed: int,
                             dec_params: DecoupleParams, k: int,
@@ -253,7 +264,7 @@ def _annotate_instance_skaa(image: ComplexRaster, ann: InstanceAnnotation,
     """`taylor` is the run's `_taylor_coefficients`, shared by every crop."""
     chip, origin = crop_chip(image, ann.box)
     grid = FrequencyGrid(height=chip.height, width=chip.width)
-    window = _taylor_window_2d(chip.height, chip.width, taylor)
+    window = taylor_window_2d(chip.height, chip.width, taylor)
     if debug_dir is None:
         regions = decouple(chip, dec_params)
     else:

@@ -23,15 +23,6 @@ from .spectral import ifft2d
 
 FIT_DILATE_PX = 2
 
-# OpenBLAS runs a matrix product of at most this many multiply-adds, and a
-# dot product of at most this many terms, on one thread
-_ONE_THREAD_OPS = 262_144
-_ONE_THREAD_DOT = 10_000
-# rows per tile of a larger product; each tile takes as many columns as stay
-# within _ONE_THREAD_OPS, since a strip of full rows repacks all of the right
-# operand on every call
-_TILE_ROWS = 8
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -215,14 +206,14 @@ def fit_scatterer(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
     block[sy - ry0, sx - rx0] = sv
     ay = psf.row_windows[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]  # (by, ny)
     ax = psf.col_windows[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]  # (bx, nx)
-    crop = _matmul_one_thread(ay.T, _matmul_one_thread(block, ax))
+    crop = ay.T @ (block @ ax)
     dy, dx = divmod(int(np.argmax(crop)), nx)  # first occurrence = row-major tie-break
     best_y, best_x, best_c = y0 + dy, x0 + dx, float(crop[dy, dx])
 
     fx, fy = float(best_x), float(best_y)
     if refine:
         def corr_at(cy: int, cx: int) -> float:
-            return _dot_one_thread(sv, psf.row[(sy - cy) % h] * psf.col[(sx - cx) % w])
+            return float(sv @ (psf.row[(sy - cy) % h] * psf.col[(sx - cx) % w]))
         fy = best_y + _parabolic_offset(corr_at(best_y - 1, best_x), best_c,
                                         corr_at(best_y + 1, best_x))
         fx = best_x + _parabolic_offset(corr_at(best_y, best_x - 1), best_c,
@@ -230,35 +221,9 @@ def fit_scatterer(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
 
     psf_sq = psf.norm_sq
     gain = best_c / psf_sq if psf_sq > 0 else 0.0
-    resid_sq = _dot_one_thread(sv, sv) - 2 * gain * best_c + gain * gain * psf_sq
+    resid_sq = float(sv @ sv) - 2 * gain * best_c + gain * gain * psf_sq
     return FittedScatterer(x=fx, y=fy, amplitude=gain,
                            residual=float(np.sqrt(max(resid_sq, 0.0))))
-
-
-def _matmul_one_thread(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, in tiles that OpenBLAS each runs on one thread.
-
-    A product over two threads waits for both, so a preempted core stalls
-    it. Every entry is still the dot product of a full row of a and a full
-    column of b; only the blocking of the product changes.
-    """
-    m, k = a.shape
-    n = b.shape[1]
-    if m * k * n <= _ONE_THREAD_OPS:
-        return a @ b
-    cols = max(_ONE_THREAD_OPS // (k * min(m, _TILE_ROWS)), 1)
-    rows = max(_ONE_THREAD_OPS // (k * cols), 1)
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    out = np.empty((m, n))
-    for r in range(0, m, rows):
-        for c in range(0, n, cols):
-            np.matmul(a[r:r + rows], b[:, c:c + cols], out=out[r:r + rows, c:c + cols])
-    return out
-
-
-def _dot_one_thread(a: np.ndarray, b: np.ndarray) -> float:
-    """a @ b for 1-D arrays; numpy sums a long one, which OpenBLAS would split."""
-    return float(a @ b) if a.size <= _ONE_THREAD_DOT else float(np.sum(a * b))
 
 
 def _parabolic_offset(lo: float, mid: float, hi: float) -> float:

@@ -331,19 +331,26 @@ def test_run_skaa_computes_the_taylor_coefficients_once(tmp_path, monkeypatch, d
     index = _mini_dataset(tmp_path, n_chips=3)
     for _, ann_path in index.entries:
         write_annotation(parse_annotation(ann_path) * 4, ann_path)
-    inner = annotio._taylor_coefficients
-    calls = []
+    calls = {"_taylor_coefficients": [], "taylor_window_2d": []}
 
-    def counting(*args):
-        calls.append(args)
-        return inner(*args)
+    def counting(name):
+        inner = getattr(annotio, name)
 
-    monkeypatch.setattr(annotio, "_taylor_coefficients", counting)
+        def wrapper(*args):
+            calls[name].append(args)
+            return inner(*args)
+        return wrapper
+
+    # each crop's window is still built under annotio's own
+    # `taylor_window_2d` name, the one the benchmark's stage timers wrap
+    for name in calls:
+        monkeypatch.setattr(annotio, name, counting(name))
     summary = run_skaa(index, tmp_path / "out", master_seed=0, window_nbar=5,
                        window_sidelobe_db=-30.0,
                        debug_dir=tmp_path / "debug" if debug else None)
     assert summary.instances == 12 and summary.failures == 0
-    assert calls == [(5, -30.0)]
+    assert calls["_taylor_coefficients"] == [(5, -30.0)]
+    assert len(calls["taylor_window_2d"]) == 12
     if debug:
         assert any((tmp_path / "debug").iterdir())
 

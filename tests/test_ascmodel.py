@@ -152,42 +152,6 @@ def test_separable_psf_windows_equal_the_tiled_sliding_view(n):
             windows[-1] += 1.0
 
 
-def test_matmul_one_thread_keeps_every_blas_call_within_one_thread(monkeypatch):
-    rng = np.random.Generator(np.random.PCG64(61))
-    calls = []
-    matmul = np.matmul
-
-    def recording(a, b, **kwargs):
-        calls.append(a.shape[0] * a.shape[1] * b.shape[1])
-        return matmul(a, b, **kwargs)
-
-    monkeypatch.setattr(np, "matmul", recording)
-    # (m, k, n): at the limit, one row and one column over it, tall, wide,
-    # and the 276 x 276 x 280 box of a 60,000-px support
-    for m, k, n in ((64, 64, 64), (65, 64, 64), (64, 64, 65), (1000, 40, 9),
-                    (9, 40, 1000), (276, 276, 280)):
-        a = rng.uniform(0.0, 1.0, (m, k))
-        b = rng.uniform(0.0, 1.0, (k, n))[::-1]  # a strided view, as the fit hands it
-        calls.clear()
-        out = ascmodel._matmul_one_thread(a, b)
-        ref = a @ b
-        assert out.shape == ref.shape
-        np.testing.assert_allclose(out, ref, rtol=1e-14, atol=0)
-        if m * k * n <= 262_144:
-            assert calls == []  # one plain product
-            assert out.tobytes() == ref.tobytes()
-        else:
-            assert calls and max(calls) <= 262_144
-            assert sum(calls) == m * k * n
-
-
-def test_dot_one_thread_sums_long_vectors_in_numpy():
-    v = np.random.Generator(np.random.PCG64(62)).uniform(0.0, 1.0, 10_001)
-    assert ascmodel._dot_one_thread(v[:10_000], v[:10_000]) == float(v[:10_000] @ v[:10_000])
-    assert ascmodel._dot_one_thread(v, v) == float(np.sum(v * v))
-    assert ascmodel._dot_one_thread(v, v) == pytest.approx(float(v @ v), rel=1e-13)
-
-
 def test_reconstruct_dim_mismatch():
     with pytest.raises(DimMismatch):
         reconstruct(Scatterer(0.0, 0.0, 1.0), FrequencyGrid(16, 16), TAYLOR32)

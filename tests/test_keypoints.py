@@ -71,21 +71,6 @@ def test_cluster_rejects_empty_and_bad_k():
         cluster_keypoints([(0.0, 0.0)], k=0)
 
 
-def test_cluster_matches_per_cluster_loop_to_the_bit():
-    # points rounded to a 16 px lattice coincide, and with fewer points than
-    # k they are replicated, so k-means++ picks equal centres and clusters
-    # run empty; about one case in seven revives one
-    rng = np.random.Generator(np.random.PCG64(51))
-    for case in range(2000):
-        pts = rng.uniform(0.0, 128.0, (int(rng.integers(1, 40)), 2))
-        if case % 2:
-            pts = np.round(pts / 16.0) * 16.0
-        pts = [tuple(p) for p in pts]
-        k, seed = int(rng.integers(1, 12)), int(rng.integers(1 << 62))
-        assert np.array(cluster_keypoints(pts, k, seed).points).tobytes() == \
-            np.array(cluster_keypoints_loop(pts, k, seed).points).tobytes()
-
-
 def _kmeans_case(rng: np.random.Generator, case: int) -> np.ndarray:
     """1-39 points, by case % 10: uniform (0-3), rounded to integers (4-6),
     all coincident (7-8), or in two coincident halves (9), whose empty
@@ -102,12 +87,34 @@ def _kmeans_case(rng: np.random.Generator, case: int) -> np.ndarray:
     return halves[np.arange(n) % 2]
 
 
-def test_kmeans_pp_init_and_cluster_match_the_choice_oracles_to_the_bit():
-    # k > n in about half the cases: the seeding draws from n points and
-    # cluster_keypoints replicates them first; the coincident cases take
-    # the total <= 0 branch
+def test_cluster_matches_per_cluster_loop_to_the_bit():
+    # points rounded to a 16 px lattice coincide, and with fewer points than
+    # k they are replicated, so k-means++ picks equal centres and clusters
+    # run empty; about one case in seven revives one
+    rng = np.random.Generator(np.random.PCG64(51))
+    for case in range(2000):
+        pts = rng.uniform(0.0, 128.0, (int(rng.integers(1, 40)), 2))
+        if case % 2:
+            pts = np.round(pts / 16.0) * 16.0
+        pts = [tuple(p) for p in pts]
+        k, seed = int(rng.integers(1, 12)), int(rng.integers(1 << 62))
+        assert np.array(cluster_keypoints(pts, k, seed).points).tobytes() == \
+            np.array(cluster_keypoints_loop(pts, k, seed).points).tobytes()
+    # integer duplicates, all-coincident points and two coincident halves;
+    # each of the 100 two-halves cases runs all KMEANS_MAX_ITER iterations
+    rng = np.random.Generator(np.random.PCG64(53))
+    for case in range(1000):
+        pts = [tuple(p) for p in _kmeans_case(rng, case)]
+        k, seed = int(rng.integers(1, 12)), int(rng.integers(1 << 62))
+        assert np.array(cluster_keypoints(pts, k, seed).points).tobytes() == \
+            np.array(cluster_keypoints_loop(pts, k, seed).points).tobytes(), case
+
+
+def test_kmeans_pp_init_matches_the_choice_oracle_to_the_bit():
+    # k > n in about half the cases; the coincident cases take the
+    # total <= 0 branch
     rng = np.random.Generator(np.random.PCG64(52))
-    zero_total = 0
+    zero_total = k_over_n = 0
     for case in range(5000):
         pts = _kmeans_case(rng, case)
         k, seed = int(rng.integers(1, 12)), int(rng.integers(1 << 62))
@@ -115,10 +122,8 @@ def test_kmeans_pp_init_and_cluster_match_the_choice_oracles_to_the_bit():
         ref = kmeans_pp_init_choice(pts, k, np.random.Generator(np.random.PCG64(seed)))
         assert got.tobytes() == ref.tobytes(), case
         zero_total += k > 1 and bool((pts == pts[0]).all())
-        positions = [tuple(p) for p in pts]
-        assert np.array(cluster_keypoints(positions, k, seed).points).tobytes() == \
-            np.array(cluster_keypoints_loop(positions, k, seed).points).tobytes(), case
-    assert zero_total > 800
+        k_over_n += k > len(pts)
+    assert zero_total > 800 and k_over_n > 500
 
 
 @pytest.mark.parametrize("pts", [[(0.0, 0.0), (1e200, 0.0), (3.0, 4.0)],
