@@ -5,6 +5,7 @@ regions, fit scatterer positions, consolidate them into fixed-size keypoint
 sets, build Gaussian supervision maps, and evaluate with rotated-box metrics.
 """
 
+from .annotio import skaa_keypoints
 from .ascmodel import (FittedScatterer, FrequencyGrid, Scatterer, SeparablePsf,
                        SynthChip, base_psf, fit_scatterer, forward_field,
                        reconstruct, synth_image, synth_target)
@@ -13,7 +14,7 @@ from .config import RunConfig, canonical_text, config_hash, load_config
 from .decouple import DecoupleParams, ScatterRegion, decouple, decouple_steps
 from .errors import ScatterKitError
 from .keypoints import (DogParams, KeypointSet, cluster_keypoints,
-                        dog_keypoints, instance_seed, skaa_keypoints, to_global)
+                        dog_keypoints, instance_seed, to_global)
 from .metrics import (Detection, EvalReport, OrientedBox, average_precision,
                       average_precision_grouped, greedy_point_match, max_ious,
                       mean_ap, mean_nearest_distance, phr_curve,

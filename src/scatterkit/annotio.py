@@ -1,5 +1,8 @@
 """Annotation text formats, chip cropping, and the annotation pipelines.
 
+The physics pipeline is composed here alone: `run_skaa` runs
+`skaa_keypoints` (decouple -> fit -> cluster) on every crop.
+
 Base format is one instance per line:
 
     x1 y1 x2 y2 x3 y3 x4 y4 class_name difficulty
@@ -15,12 +18,12 @@ from __future__ import annotations
 import logging
 import shutil
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .ascmodel import FrequencyGrid, Scatterer, base_psf, fit_scatterer
+from .ascmodel import FittedScatterer, FrequencyGrid, Scatterer, base_psf, fit_scatterer
 from .chipio import read_chip, write_chip, write_text_atomic
 from .decouple import DecoupleParams, decouple, decouple_steps
 from .errors import (BadKeypointCount, BoxOutsideImage, MalformedLine,
@@ -29,8 +32,9 @@ from .keypoints import (DEFAULT_K, DogParams, KeypointSet, cluster_keypoints,
                         dog_keypoints, instance_seed, to_global)
 from .metrics import Detection, OrientedBox
 from .raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
-from .spectral import (DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, _taylor_coefficients,
-                       _taylor_window_2d)
+from .spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, _taylor_coefficients
+# the benchmark times each crop's window build under this name
+from .spectral import _taylor_window_2d as taylor_window_2d
 
 log = logging.getLogger("scatterkit")
 
@@ -230,30 +234,39 @@ class RunSummary:
     instances: int = 0
     failures: int = 0
     failed_images: int = 0
-    instance_ms: list[float] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.instance_ms is None:
-            self.instance_ms = []
+    instance_ms: list[float] = field(default_factory=list)
 
     @property
     def mean_ms(self) -> float:
         return float(np.mean(self.instance_ms)) if self.instance_ms else 0.0
 
-    @property
-    def median_ms(self) -> float:
-        return float(np.median(self.instance_ms)) if self.instance_ms else 0.0
+
+def fit_regions(img: ComplexRaster, grid: FrequencyGrid, window: WindowRaster,
+                dec_params: DecoupleParams = DecoupleParams(),
+                refine: bool = False) -> list[FittedScatterer]:
+    """Decouple a chip and fit one scatterer per extracted region."""
+    psf = base_psf(grid, window)
+    return [fit_scatterer(reg, psf, refine=refine)
+            for reg in decouple(img, dec_params)]
 
 
-def taylor_window_2d(height: int, width: int,
-                     coeffs: tuple[np.ndarray, np.ndarray]) -> WindowRaster:
-    """A crop's Taylor taper from the run's `_taylor_coefficients`.
+def skaa_keypoints(img: ComplexRaster, grid: FrequencyGrid, window: WindowRaster,
+                   dec_params: DecoupleParams = DecoupleParams(),
+                   k: int = DEFAULT_K, rng_seed: int = 0,
+                   refine: bool = False) -> KeypointSet:
+    """Full physics path: decouple -> fit positions -> cluster to k keypoints."""
+    fits = fit_regions(img, grid, window, dec_params, refine=refine)
+    return cluster_keypoints([(f.x, f.y) for f in fits], k=k, rng_seed=rng_seed)
 
-    It does the work of `spectral.taylor_window_2d` without recomputing the
-    coefficients, and keeps that name here so the stage timers of
-    perfbench/spans.py still time the window build.
-    """
-    return _taylor_window_2d(height, width, coeffs)
+
+def _dump_steps(chip: ComplexRaster, dec_params: DecoupleParams,
+                debug_dir: Path, stem: str) -> None:
+    """Dump each step's residual and support: a second loop pass, for --debug-dir."""
+    for it, step in enumerate(decouple_steps(chip, dec_params)):
+        step_stem = f"{stem}_{it:02d}"
+        write_chip(AmplitudeRaster(step.residual), debug_dir / f"{step_stem}_residual.csar")
+        write_chip(AmplitudeRaster(step.region.support.astype(np.float64)),
+                   debug_dir / f"{step_stem}_labels.csar")
 
 
 def _annotate_instance_skaa(image: ComplexRaster, ann: InstanceAnnotation,
@@ -265,20 +278,10 @@ def _annotate_instance_skaa(image: ComplexRaster, ann: InstanceAnnotation,
     chip, origin = crop_chip(image, ann.box)
     grid = FrequencyGrid(height=chip.height, width=chip.width)
     window = taylor_window_2d(chip.height, chip.width, taylor)
-    if debug_dir is None:
-        regions = decouple(chip, dec_params)
-    else:
-        regions = []
-        for it, step in enumerate(decouple_steps(chip, dec_params)):
-            regions.append(step.region)
-            stem = f"{image_id}_{idx:03d}_{it:02d}"
-            write_chip(AmplitudeRaster(step.residual), debug_dir / f"{stem}_residual.csar")
-            write_chip(AmplitudeRaster(step.region.support.astype(np.float64)),
-                       debug_dir / f"{stem}_labels.csar")
-    psf = base_psf(grid, window)
-    fits = [fit_scatterer(r, psf) for r in regions]
-    seed = instance_seed(master_seed, image_id, idx)
-    kps = cluster_keypoints([(f.x, f.y) for f in fits], k=k, rng_seed=seed)
+    if debug_dir is not None:
+        _dump_steps(chip, dec_params, debug_dir, f"{image_id}_{idx:03d}")
+    kps = skaa_keypoints(chip, grid, window, dec_params, k=k,
+                         rng_seed=instance_seed(master_seed, image_id, idx))
     return replace(ann, keypoints=to_global(kps, origin))
 
 

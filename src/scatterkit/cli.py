@@ -78,6 +78,16 @@ def _iou_threshold(text: str) -> float:
     return thr
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
 # A sweep lists every threshold by repeated addition. Over [0, 1] this STEP
 # floor bounds the list to 10,001 thresholds and keeps every addition above
 # float rounding; a smaller STEP can stall `t` and grow the list unbounded.
@@ -468,7 +478,8 @@ def _build_parser() -> _Parser:
     p = add("bench", cmd_bench, "measure annotation throughput")
     p.add_argument("--images", required=True, help="chip image directory")
     p.add_argument("--annots", required=True, help="base annotation directory")
-    p.add_argument("--repeat", type=int, default=1, help="dataset passes")
+    p.add_argument("--repeat", type=_positive_int, default=1,
+                   help="dataset passes, >= 1")
     p.add_argument("--seed", type=int, default=None, help="master RNG seed")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility; instances run serially")

@@ -1,6 +1,6 @@
 """Keypoint consolidation and the difference-of-Gaussians baseline.
 
-Scatterer positions from the decoupling pipeline are grouped into a
+Fitted scatterer positions (`annotio.fit_regions`) are grouped into a
 fixed-size keypoint set with a small hand-rolled k-means (k-means++ init,
 deterministic under a fixed seed). The DoG path provides the comparison
 baseline: normalize, blur twice, threshold the band-pass response, keep the
@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascmodel import FittedScatterer, FrequencyGrid, base_psf, fit_scatterer
-from .decouple import DecoupleParams, decouple
 from .errors import EmptyInput, NoCandidates
-from .raster import AmplitudeRaster, ComplexRaster, WindowRaster, _require_finite
+from .raster import AmplitudeRaster, _require_finite
 
 DEFAULT_K = 9
 KMEANS_MAX_ITER = 100
@@ -189,20 +187,3 @@ def to_global(kps: KeypointSet, crop_origin: tuple[float, float]) -> KeypointSet
     ox, oy = crop_origin
     return kps.translated(ox, oy)
 
-
-def fit_regions(img: ComplexRaster, grid: FrequencyGrid, window: WindowRaster,
-                dec_params: DecoupleParams = DecoupleParams(),
-                refine: bool = False) -> list[FittedScatterer]:
-    """Decouple a chip and fit one scatterer per extracted region."""
-    psf = base_psf(grid, window)
-    return [fit_scatterer(reg, psf, refine=refine)
-            for reg in decouple(img, dec_params)]
-
-
-def skaa_keypoints(img: ComplexRaster, grid: FrequencyGrid, window: WindowRaster,
-                   dec_params: DecoupleParams = DecoupleParams(),
-                   k: int = DEFAULT_K, rng_seed: int = 0,
-                   refine: bool = False) -> KeypointSet:
-    """Full physics path: decouple -> fit positions -> cluster to k keypoints."""
-    fits = fit_regions(img, grid, window, dec_params, refine=refine)
-    return cluster_keypoints([(f.x, f.y) for f in fits], k=k, rng_seed=rng_seed)

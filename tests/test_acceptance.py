@@ -41,11 +41,11 @@ from scatterkit.chipio import read_chip
 from scatterkit.cli import main
 from scatterkit.config import MANIFEST_NAME, RunConfig
 from scatterkit.decouple import DecoupleParams, decouple, decouple_steps
-from scatterkit.keypoints import KeypointSet, fit_regions
+from scatterkit.keypoints import KeypointSet
 from scatterkit.metrics import (Detection, OrientedBox,
                                 average_precision_grouped, greedy_point_match,
                                 rotated_iou)
-from scatterkit.annotio import parse_annotation, parse_truth
+from scatterkit.annotio import fit_regions, parse_annotation, parse_truth
 from scatterkit.spectral import taylor_window_2d
 from scatterkit.supervision import (ScatterMap, bce_loss, downsample_pyramid,
                                     gt_scatter_map)
@@ -130,13 +130,19 @@ def test_fit_time_on_a_large_region():
     yy, xx = np.mgrid[:512, :512]
     disk = (yy - 250.3) ** 2 + (xx - 262.1) ** 2 <= 138 ** 2
     region = np.where(disk, rng.uniform(0.1, 1.0, (512, 512)), 0.0)
-    times = []
+    times, cpu = [], []
     for _ in range(5):
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         fit_scatterer(region, psf)
         times.append((time.perf_counter() - t0) * 1e3)
+        cpu.append((time.process_time() - c0) * 1e3)
     ms = float(np.median(times))
-    assert ms <= 8.0, f"a 59,826-px fit takes {ms:.1f} ms"
+    # process CPU time sums this process's threads: a slow fit whose CPU ms is
+    # well under twice its wall ms waited on a BLAS thread that was not running
+    assert ms <= 8.0, (
+        f"a 59,826-px fit takes {ms:.1f} ms (median); wall ms per fit "
+        f"{[round(t, 2) for t in times]}, process CPU ms per fit "
+        f"{[round(c, 2) for c in cpu]}")
 
 
 # ------------------------------------------------------------ criterion 3

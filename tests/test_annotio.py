@@ -1,7 +1,11 @@
 """Annotation text formats, cropping, dataset indexing, annotation runs."""
 
+import importlib.util
 import struct
+import sys
 import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +14,14 @@ from scatterkit import annotio
 from scatterkit.annotio import (DatasetIndex, InstanceAnnotation, crop_chip,
                                 format_annotation, index_dataset,
                                 parse_annotation, parse_predictions,
-                                parse_truth, run_dog, run_skaa,
+                                parse_truth, run_dog, run_skaa, skaa_keypoints,
                                 write_annotation, write_truth)
 from scatterkit.ascmodel import FrequencyGrid, Scatterer, synth_target
-from scatterkit.chipio import write_chip
+from scatterkit.chipio import read_chip, write_chip
+from scatterkit.decouple import DecoupleParams
 from scatterkit.errors import (BadKeypointCount, BoxOutsideImage,
                                InvalidWindowParams, MalformedLine)
-from scatterkit.keypoints import KeypointSet
+from scatterkit.keypoints import KeypointSet, instance_seed, to_global
 from scatterkit.metrics import OrientedBox
 from scatterkit.raster import ComplexRaster
 from scatterkit.spectral import taylor_window_2d
@@ -355,6 +360,41 @@ def test_run_skaa_computes_the_taylor_coefficients_once(tmp_path, monkeypatch, d
         assert any((tmp_path / "debug").iterdir())
 
 
+def test_run_skaa_writes_skaa_keypoints_of_each_crop(tmp_path):
+    index = _mini_dataset(tmp_path, n_chips=3)
+    for _, ann_path in index.entries:
+        write_annotation(parse_annotation(ann_path) * 2, ann_path)
+    dec_params = DecoupleParams(n_max=6)
+    out = tmp_path / "out"
+    summary = run_skaa(index, out, master_seed=11, dec_params=dec_params, k=4,
+                       window_nbar=5, window_sidelobe_db=-30.0)
+    assert summary.instances == 6 and summary.failures == 0
+    for img_path, ann_path in index.entries:
+        image = read_chip(img_path)
+        expected = []
+        for idx, ann in enumerate(parse_annotation(ann_path)):
+            chip, origin = crop_chip(image, ann.box)
+            window = taylor_window_2d(chip.height, chip.width, nbar=5,
+                                      sidelobe_db=-30.0)
+            kps = skaa_keypoints(chip, FrequencyGrid(chip.height, chip.width),
+                                 window, dec_params, k=4,
+                                 rng_seed=instance_seed(11, img_path.stem, idx))
+            expected.append(replace(ann, keypoints=to_global(kps, origin)))
+        assert (out / ann_path.name).read_text() == format_annotation(expected)
+
+
+def test_run_skaa_debug_dir_leaves_the_annotations_unchanged(tmp_path):
+    index = _mini_dataset(tmp_path, n_chips=3, all_zero_last=True)
+    plain, dumped, debug = (tmp_path / n for n in ("plain", "dumped", "debug"))
+    a = run_skaa(index, plain, master_seed=0)
+    b = run_skaa(index, dumped, master_seed=0, debug_dir=debug)
+    assert (a.instances, a.failures) == (b.instances, b.failures) == (3, 1)
+    for _, ann_path in index.entries:
+        assert (dumped / ann_path.name).read_bytes() == \
+            (plain / ann_path.name).read_bytes()
+    assert sorted(debug.glob("chip_00000_000_*_residual.csar"))
+
+
 @pytest.mark.parametrize("window", [{"window_nbar": 0}, {"window_sidelobe_db": 3.0}])
 def test_run_skaa_rejects_bad_window_params_before_writing(tmp_path, window):
     index = _mini_dataset(tmp_path, n_chips=2)
@@ -401,3 +441,57 @@ def test_run_isolates_an_image_that_fails_to_parse(tmp_path, caplog, run, broken
         (ann,) = parse_annotation(out / index.entries[i][1].name)
         assert ann.keypoints is not None and ann.keypoints.k == 9
     assert "chip_00001" in caplog.text
+
+
+# The benchmark's span contract. perfbench/spans.py times library stages by
+# wrapping functions by module and name; a renamed or moved function does not
+# fail a benchmark run, its span just reads absent or 0. These run the
+# benchmark's own Tracer and require each annotate stage span per instance.
+
+SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+SKAA_SPANS = ("annotio.instance", "annotio.crop_chip", "spectral.taylor_window_2d",
+              "ascmodel.fit_scatterer", "keypoints.cluster_keypoints")
+
+
+@pytest.fixture(scope="module")
+def Tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module.Tracer
+    finally:
+        del sys.modules[spec.name]
+
+
+def _three_instance_set(tmp_path):
+    index = _mini_dataset(tmp_path, n_chips=2)
+    (_, ann_path) = index.entries[0]
+    write_annotation(parse_annotation(ann_path) * 2, ann_path)
+    return index
+
+
+def test_skaa_run_fires_every_stage_span_for_every_instance(tmp_path, Tracer):
+    index = _three_instance_set(tmp_path)
+    with Tracer() as tracer:
+        summary = run_skaa(index, tmp_path / "out", master_seed=0)
+    assert summary.instances == 3 and summary.failures == 0
+    assert not tracer.absent_layers() & set(SKAA_SPANS)
+    fired = {(s.name, s.instance) for s in tracer.spans}
+    missing = [(name, i) for name in SKAA_SPANS for i in range(3)
+               if (name, i) not in fired]
+    assert missing == []
+
+
+def test_dog_run_fires_the_dog_span_inside_every_instance(tmp_path, Tracer):
+    index = _three_instance_set(tmp_path)
+    with Tracer() as tracer:
+        summary = run_dog(index, tmp_path / "out", master_seed=0)
+    assert summary.instances == 3 and summary.failures == 0
+    instances = [i for i, s in enumerate(tracer.spans)
+                 if s.name == "annotio.instance_dog"]
+    assert len(instances) == 3
+    parents = {s.parent for s in tracer.spans if s.name == "keypoints.dog_keypoints"}
+    assert parents == set(instances)

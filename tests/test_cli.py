@@ -440,6 +440,18 @@ def test_bench_reports_timing(tmp_path, capsys):
     assert "median_ms_per_instance = " in out
 
 
+@pytest.mark.parametrize("repeat", ["0", "-2", "1.5", "x"])
+def test_bench_repeat_below_one_is_usage_error(tmp_path, capsys, repeat):
+    data = synth(tmp_path)
+    capsys.readouterr()
+    assert usage_exit("bench", "--images", str(data / "images"),
+                      "--annots", str(data / "annots"), f"--repeat={repeat}") == 1
+    out, err = capsys.readouterr()
+    assert "argument --repeat:" in err
+    assert "nan" not in out + err and "Traceback" not in err
+    assert "median_ms_per_instance" not in out
+
+
 def test_module_entry_point_usage_error():
     proc = subprocess.run([sys.executable, "-m", "scatterkit.cli"],
                           capture_output=True, text=True)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from scatterkit.ascmodel import FrequencyGrid, Scatterer, synth_image
+from scatterkit.annotio import fit_regions, skaa_keypoints
 from scatterkit.errors import EmptyInput, NoCandidates
 from scatterkit.keypoints import (DogParams, KeypointSet, _kmeans_pp_init,
                                   cluster_keypoints, dog_candidates,
-                                  dog_keypoints, dog_response, fit_regions,
-                                  instance_seed, skaa_keypoints, to_global)
+                                  dog_keypoints, dog_response, instance_seed,
+                                  to_global)
 from scatterkit.raster import AmplitudeRaster
 from scatterkit.spectral import taylor_window_2d
 
