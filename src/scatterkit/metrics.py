@@ -4,6 +4,9 @@ Conventions (also emitted in every eval report):
   - IoU is exact convex-polygon intersection over union, computed by
     Sutherland-Hodgman clipping with 1e-9 collinearity tolerance; slivers
     below 1e-12 px^2 count as zero.
+  - A pair whose bounding rectangles lie further apart than a proven reach
+    scores 0.0 without the clip, exactly as the clip would score it (the
+    rule and its proof are in `rotated_iou`); no IoU value changes.
   - A detection matches a ground-truth box only with IoU strictly greater
     than the threshold; matching is greedy in score order against the
     highest-IoU unmatched ground truth (ties -> lower GT index).
@@ -13,6 +16,7 @@ Conventions (also emitted in every eval report):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,17 +25,67 @@ from .errors import DegenerateBox, EmptyClasses, EmptyProposals
 
 COLLINEAR_TOL = 1e-9
 SLIVER_AREA = 1e-12
+# rho = ROUNDING_PER_PX * (1 + M) bounds every rounding error of the clip on
+# coordinates up to M in magnitude (each is a few 2**-53 * M).
+ROUNDING_PER_PX = 2.0 ** -40
+_MIN_SINE = 2.0 ** -30    # flatter corners get kappa = inf: never skipped
+_MAX_COORD = 2.0 ** 500   # above this 1 + M the clip's products may overflow
 
 
 def _signed_area(pts) -> float:
     """Shoelace area of (x, y) float pairs, positive for CCW.
 
-    The terms stay summed by np.sum: its reduction order on small arrays
-    matches neither `sum` nor `math.fsum`, and either would move the last
-    bits of areas and IoUs.
+    The terms are summed by np.add.reduce, the reduction np.sum runs: its
+    order on small arrays matches neither `sum` nor `math.fsum`, and either
+    would move the last bits of areas and IoUs.
     """
     terms = [px * qy - qx * py for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1])]
-    return 0.5 * float(np.sum(terms))
+    return 0.5 * float(np.add.reduce(terms))
+
+
+def _reach_data(coords: list[float], crosses: list[float], orient: float,
+                absmax: float) -> tuple:
+    """What `rotated_iou`'s rejection rule reads of one box.
+
+    From the corner floats `coords` (x0, y0, ..., x3, y3) and the convexity
+    cross products (`crosses[i]` at corner i + 1, between edges i and
+    i + 1), with orient = +1 for CCW corners and -1 for CW ones: the bounds
+    (xmin, ymin, xmax, ymax), the largest |coordinate|, the sum of the x and
+    y extents, 4 kappa, delta, sigma, h / 2 and the clip's CCW edges 0..2 as
+    (x, y, ex, ey). The names are those of the proof in `rotated_iou`.
+    """
+    x0, y0, x1, y1, x2, y2, x3, y3 = coords
+    c0, c1, c2, c3 = crosses
+    hypot = math.hypot
+    l0, l1, l2, l3 = hypot(x1 - x0, y1 - y0), hypot(x2 - x1, y2 - y1), \
+        hypot(x3 - x2, y3 - y2), hypot(x0 - x3, y0 - y3)
+    kappa4 = delta = sigma = math.inf
+    half_h = 0.0
+    d0, d1, d2, d3 = l0 * l1, l1 * l2, l2 * l3, l3 * l0
+    if d0 > 0.0 and d1 > 0.0 and d2 > 0.0 and d3 > 0.0:
+        sine = min(orient * c0 / d0, orient * c1 / d1, orient * c2 / d2, orient * c3 / d3)
+        if sine >= _MIN_SINE:  # False for a flat, reflex or NaN corner
+            kappa4 = 4.0 / sine
+            delta = COLLINEAR_TOL / min(l0, l1, l2, l3)
+            # heights of CCW corners 0 and 1 over the line of CCW edge 2,
+            # and the rate at which that height changes along CCW edge 0
+            if orient > 0.0:
+                h0, h1, len2, len0 = abs(c2), abs(c1), l2, l0
+            else:
+                h0, h1, len2, len0 = abs(c3), abs(c0), l0, l2
+            h0, h1 = h0 / len2, h1 / len2
+            sigma = abs(h1 - h0) / len0
+            half_h = 0.5 * min(h0, h1)
+    if orient > 0.0:
+        edges = ((x0, y0, x1 - x0, y1 - y0), (x1, y1, x2 - x1, y2 - y1),
+                 (x2, y2, x3 - x2, y3 - y2))
+    else:
+        edges = ((x3, y3, x2 - x3, y2 - y3), (x2, y2, x1 - x2, y1 - y2),
+                 (x1, y1, x0 - x1, y0 - y1))
+    xmin, ymin = min(x0, x1, x2, x3), min(y0, y1, y2, y3)
+    xmax, ymax = max(x0, x1, x2, x3), max(y0, y1, y2, y3)
+    return (xmin, ymin, xmax, ymax, absmax, (xmax - xmin) + (ymax - ymin),
+            kappa4, delta, sigma, half_h, edges)
 
 
 @dataclass(frozen=True)
@@ -40,6 +94,11 @@ class OrientedBox:
 
     The area and the counter-clockwise (CCW) corner order are computed once,
     here; the CCW corners are also kept as float pairs for `rotated_iou`.
+    So is what its exact rejection rule reads: the bounds, the largest
+    |coordinate|, delta = COLLINEAR_TOL / shortest edge, kappa = 1 / the
+    smallest sine of a corner angle (1 for a rectangle; inf for a flat,
+    reflex or non-finite corner), and how far apart the lines of two
+    opposite edges run.
     """
 
     corners: np.ndarray
@@ -48,10 +107,18 @@ class OrientedBox:
         arr = np.asarray(self.corners, dtype=np.float64)
         if arr.shape != (4, 2):
             raise DegenerateBox(f"expected 4 corner pairs, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        coords = arr.ravel().tolist()
+        if not all(map(math.isfinite, coords)):
             raise DegenerateBox("box corners contain NaN/Inf")
-        pts = [tuple(p) for p in arr.tolist()]
-        signed = _signed_area(pts)
+        pts = list(zip(coords[0::2], coords[1::2]))
+        absmax = max(map(abs, coords))
+        if absmax < 1e153:  # each term is below 2 absmax**2: no overflow
+            signed = _signed_area(pts)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                signed = _signed_area(pts)
+        if not math.isfinite(signed):
+            raise DegenerateBox("box area is not finite")
         if abs(signed) <= SLIVER_AREA:
             raise DegenerateBox("box has (near-)zero area")
         # Simple + convex <=> all consecutive-edge cross products share a sign.
@@ -67,6 +134,8 @@ class OrientedBox:
         object.__setattr__(self, "_area", abs(signed))
         object.__setattr__(self, "_ccw", arr if signed > 0 else arr[::-1])
         object.__setattr__(self, "_ccw_pts", tuple(pts) if signed > 0 else tuple(pts[::-1]))
+        object.__setattr__(self, "_reach", _reach_data(coords, crosses,
+                                                        1.0 if signed > 0 else -1.0, absmax))
 
     @property
     def area(self) -> float:
@@ -131,11 +200,119 @@ def _clip_convex(subject, clip) -> list[tuple[float, float]]:
     return output
 
 
+def clip_reach(a: OrientedBox, b: OrientedBox) -> float:
+    """How far apart the bounds of a and b must lie for `rotated_iou(a, b)`
+    to skip the clip: 4 kappa_b (delta_b + rho) where (R2) holds, else inf
+    (see `rotated_iou`)."""
+    ax0, ay0, ax1, ay1, am, a_ext = a._reach[:6]
+    bx0, by0, bx1, by1, bm, b_ext, kappa4, delta, sigma, half_h = b._reach[:10]
+    sx, sy = max(bx0 - ax1, ax0 - bx1, 0.0), max(by0 - ay1, ay0 - by1, 0.0)
+    m = 1.0 + max(am, bm)
+    rho = ROUNDING_PER_PX * m
+    if m <= _MAX_COORD and (a_ext + b_ext + sx + sy) * sigma + 3.0 * rho <= half_h:
+        return kappa4 * (delta + rho)
+    return math.inf
+
+
+def _beyond_reach(a: OrientedBox, b: OrientedBox) -> bool:
+    """The rejection rule of `rotated_iou`: True only where the clip of a
+    by b provably returns no vertex. (R1) and (R2) repeat `clip_reach`
+    inline: this runs on every scored pair."""
+    ax0, ay0, ax1, ay1, am, a_ext, _, _, _, _, _ = a._reach
+    bx0, by0, bx1, by1, bm, b_ext, kappa4, delta, sigma, half_h, edges = b._reach
+    # the bound separations, 0 where the bounds overlap
+    sx = bx0 - ax1 if bx0 - ax1 > ax0 - bx1 else ax0 - bx1
+    sy = by0 - ay1 if by0 - ay1 > ay0 - by1 else ay0 - by1
+    if sx <= 0.0:
+        if sy <= 0.0:
+            return False
+        sx = 0.0
+    elif sy < 0.0:
+        sy = 0.0
+    m = 1.0 + (am if am > bm else bm)
+    rho = ROUNDING_PER_PX * m
+    if not ((sx if sx > sy else sy) > kappa4 * (delta + rho) and m <= _MAX_COORD
+            and (a_ext + b_ext + sx + sy) * sigma + 3.0 * rho <= half_h):
+        return False
+    # (R3): a corner of a that reaches edge j of b must not land in the
+    # band -tol <= d < 0 there, with d computed exactly as the clip does
+    (x0, y0, ex0, ey0), (x1, y1, ex1, ey1), (x2, y2, ex2, ey2) = edges
+    tol = -COLLINEAR_TOL
+    for px, py in a._ccw_pts:
+        d = ex0 * (py - y0) - ey0 * (px - x0)
+        if d < tol:
+            continue
+        if d < 0.0:
+            return False
+        d = ex1 * (py - y1) - ey1 * (px - x1)
+        if d < tol:
+            continue
+        if d < 0.0:
+            return False
+        d = ex2 * (py - y2) - ey2 * (px - x2)
+        if tol <= d < 0.0:
+            return False
+    return True
+
+
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
-    """Intersection-over-union of two rotated boxes, in [0, 1]."""
+    """Intersection-over-union of two rotated boxes, in [0, 1].
+
+    The intersection is a's CCW corners clipped by b's CCW edges 0..3 in
+    turn (`_clip_convex`). Edge j keeps a point p iff its
+    d_j(p) = cross(e_j, p - A_j) >= -tol (tol = COLLINEAR_TOL): p lies at
+    most tol / |e_j| <= delta_b outside the edge's line.
+
+    Rejection rule. Let gap be the largest of the four separations of the
+    bounds of a and b, D the sum of both boxes' x and y extents and their
+    positive separations (at least the diameter of their joint bounds), M
+    the largest |coordinate| of either box and
+    rho = 2**-40 (1 + M). The clip is skipped, and 0.0 returned, when
+      (R1) gap > 4 kappa_b (delta_b + rho)  (`clip_reach`);
+      (R2) D sigma_b + 3 rho <= h_b / 2 and 1 + M <= 2**500, where h_b is
+           the smaller height of b's CCW corners 0 and 1 over the line of
+           its edge 2, and sigma_b the rate at which that height changes
+           along edge 0 (0 up to rounding for a rectangle or parallelogram);
+      (R3) no corner of a that edges 0..j-1 keep has -tol <= d_j < 0 at
+           edge j, for j = 0, 1, 2 (the clip's own arithmetic).
+
+    Proof that the clip then returns no vertex, so the IoU is 0.0 either
+    way. By (R2) no product overflows, and each rounding of a d, a cut
+    fraction t or a cut point moves a point or a line by at most ~10 u M
+    (u = 2**-53), far below rho.
+      1. A cut at edge j has t in [0, 1] when its kept endpoint has
+         d_j >= 0. Only a kept endpoint with -tol <= d_j < 0 (in edge j's
+         band) gives t outside [0, 1]; that cut point can land anywhere on
+         edge j's line, even inside b, so the bounds alone prove nothing.
+      2. Induction over edges 0, 1, 2: while no vertex has been in the band
+         of the edge it reached, every cut point is a rounded convex
+         combination of earlier vertices, so every vertex reaching edge j
+         lies within rho of conv(a) and of each half-plane already applied.
+         None of them is in edge j's band either. For a corner of a this
+         is (R3). A cut made at edge j - 1 lies on that edge's line; in
+         edge j's band it would lie within kappa (delta + 2 rho) of b's
+         corner j, a point of b's bounds, and within rho of a's bounds,
+         against (R1). A cut made at edge 0 that reaches edge 2 lies on
+         edge 0's line within D + 2 rho of every point of edge 0, so its
+         height over edge 2's line is at least h - D sigma - 3 rho >= h / 2
+         by (R2): d_2 > 0.
+      3. So a vertex kept at edge 3 would lie within rho of all four
+         relaxed half-planes. Take b's corner V that is extreme towards a
+         (its smallest x if gap is b's xmin - a's xmax, and so on). The
+         relaxed half-planes of V's two edges meet in a wedge that opens
+         away from a, with apex within kappa (2 delta + 2 rho) of V, and no
+         point within rho of a's bounds reaches it when
+         gap > 2 kappa (delta + rho) + rho. So edge 3 keeps and cuts
+         nothing, and the clip returns [].
+    (R1) asks for twice that reach and (R2) for half of h, which covers the
+    relative rounding of kappa, delta, sigma, h and gap (each below 2**-20,
+    as kappa <= 2**30).
+    """
     area_a, area_b = a.area, b.area
     if area_a <= SLIVER_AREA or area_b <= SLIVER_AREA:
         raise DegenerateBox("IoU of a zero-area box is undefined")
+    if _beyond_reach(a, b):
+        return 0.0
     inter_poly = _clip_convex(a._ccw_pts, b._ccw_pts)
     inter = abs(_signed_area(inter_poly)) if len(inter_poly) >= 3 else 0.0
     if inter < SLIVER_AREA:

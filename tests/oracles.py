@@ -325,7 +325,11 @@ def degenerate_reason(corners) -> str | None:
         return f"expected 4 corner pairs, got shape {arr.shape}"
     if not np.all(np.isfinite(arr)):
         return "box corners contain NaN/Inf"
-    if abs(signed_area_roll(arr)) <= SLIVER_AREA:
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = signed_area_roll(arr)
+    if not np.isfinite(area):
+        return "box area is not finite"
+    if abs(area) <= SLIVER_AREA:
         return "box has (near-)zero area"
     crosses = []
     for i in range(4):

@@ -112,6 +112,21 @@ def test_malformed_data_is_data_error(tmp_path):
     assert run_cli("eval", "--preds", str(preds), "--gts", str(gts)) == 3
 
 
+@pytest.mark.parametrize("corners", [
+    "1e200 1e200 2e200 1e200 2e200 2e200 1e200 2e200",  # shoelace area NaN
+    "0 0 1e200 0 1e200 1e200 0 1e200",                  # shoelace area inf
+])
+def test_eval_box_whose_area_is_not_finite_is_data_error(tmp_path, capsys, corners):
+    gts = tmp_path / "gts"
+    gts.mkdir()
+    (gts / "img0.txt").write_text(f"{corners} ship 0\n")
+    preds = tmp_path / "preds.txt"
+    preds.write_text(f"img0 0 0.9 {corners}\n")
+    assert run_cli("eval", "--preds", str(preds), "--gts", str(gts)) == 3
+    err = capsys.readouterr().err
+    assert "box area is not finite" in err and "Traceback" not in err
+
+
 def test_annotate_non_finite_chip_is_data_error(tmp_path):
     data = synth(tmp_path)
     chip = data / "images" / "chip_00000.csar"

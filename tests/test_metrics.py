@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scatterkit import metrics
+from scatterkit.cli import main
 from scatterkit.errors import DegenerateBox, EmptyClasses, EmptyProposals
-from scatterkit.metrics import (Detection, EvalReport, OrientedBox,
-                                average_precision, average_precision_grouped,
+from scatterkit.metrics import (COLLINEAR_TOL, Detection, EvalReport, OrientedBox,
+                                average_precision, average_precision_grouped, clip_reach,
                                 greedy_point_match, max_ious, mean_ap,
                                 mean_nearest_distance, phr_curve,
                                 proposal_precision, rotated_iou)
@@ -140,6 +142,8 @@ DEGENERATE_CASES = [
     [[0, 0], [1e-7, 0], [1e-7, 1e-7], [0, 1e-7]],      # area 1e-14
     [[0, 0], [2, 0], [1, 0.5], [1, 2]],                # dart: one reflex corner
     [[0, 0], [2, 0], [2, 2], [1, 2 + 1e-10]],          # cross within tolerance
+    [[1e200, 1e200], [2e200, 1e200], [2e200, 2e200], [1e200, 2e200]],  # area NaN
+    [[0, 0], [1e200, 0], [1e200, 1e200], [0, 1e200]],  # area overflows to inf
 ]
 
 
@@ -177,6 +181,8 @@ def _group(rng, kind, size):
             [[x0 + k, y0], [x0 + wi + 2, y0], [x0 + wi + 2, y0 + hi], [x0 + k, y0 + hi]],
             [[x0, y0 + hi], [x0 + wi, y0 + hi], [x0 + wi, y0 + 2 * hi], [x0, y0 + 2 * hi]],
             [[x0, y0], [x0 + wi, y0], [x0 + wi, y0 + 1], [x0, y0 + 1]])]
+    if kind == "near":
+        return _near_group(rng, size)
     if kind == "winding":  # same boxes, other start corner or direction
         other = _rect_corners(center + rng.normal(0.0, 0.2 * min(w, h), 2), w, h,
                               theta + rng.normal(0.0, 0.3))
@@ -193,6 +199,85 @@ def _group(rng, kind, size):
 
 
 KINDS = ("jitter", "random", "grid", "winding", "touching")
+
+
+def _kite(center, length, width, theta):
+    """A thin convex kite: tips at -length and +0.6 length along theta."""
+    c, s = np.cos(theta), np.sin(theta)
+    local = np.array([[-length, 0.0], [0.0, -width], [0.6 * length, 0.0], [0.0, width]])
+    return local @ np.array([[c, s], [-s, c]]) + center
+
+
+def _parallelogram(center, length, height, slant, theta):
+    """Opposite edges parallel, corner sine height / hypot(slant, height)."""
+    c, s = np.cos(theta), np.sin(theta)
+    local = np.array([[0.0, 0.0], [length, 0.0], [length + slant, height], [slant, height]])
+    local -= local.mean(axis=0)
+    return local @ np.array([[c, s], [-s, c]]) + center
+
+
+def _placed_at_gap(moving, fixed, axis, sign, gap):
+    """`moving` centred on `fixed` across `axis`, and moved along it to the
+    side `sign` until the bounds of the two lie `gap` apart."""
+    step = fixed.mean(axis=0) - moving.mean(axis=0)
+    if sign > 0:
+        step[axis] = fixed[:, axis].max() + gap - moving[:, axis].min()
+    else:
+        step[axis] = fixed[:, axis].min() - gap - moving[:, axis].max()
+    return moving + step
+
+
+def _bound_gap(a, b):
+    ca, cb = a.corners, b.corners
+    return max(max(cb[:, k].min() - ca[:, k].max(), ca[:, k].min() - cb[:, k].max())
+               for k in (0, 1))
+
+
+def _near_group(rng, size):
+    """A rectangle, kite or slanted parallelogram and three copies just
+    outside it: at bound gaps straddling the rejection reach (0, 1/2, 1, 2
+    or 4 x reach, or 1e-16..1e-2 x size), or turned slightly and moved
+    along one of its edge lines, so that its corners fall near that line."""
+    w, h = size * rng.uniform(0.3, 1.0, 2)
+    # far offsets only where the shoelace's cancellation (~1e-16 x offset^2)
+    # stays far below the box's own area
+    offset = rng.choice([0.0, 1e2, 1e4]) if size > 1.0 else 0.0
+    center = size * rng.uniform(-2.0, 2.0, 2) + offset * rng.choice([-1.0, 1.0], 2)
+    shape = int(rng.integers(0, 4))
+    if shape == 0:
+        base = _rect_corners(center, w, h, rng.uniform(0.0, np.pi))
+    elif shape == 1:  # axis-aligned, exact corner floats
+        x0, y0 = center
+        base = np.array([[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]])
+    elif shape == 2:
+        base = _kite(center, w, w * 10.0 ** rng.uniform(-3.0, -1.0), rng.uniform(0.0, np.pi))
+    else:  # kappa up to ~100
+        base = _parallelogram(center, w, h, h * rng.uniform(1.0, 100.0), rng.uniform(0.0, np.pi))
+    base_box = OrientedBox(corners=base)
+    out = [base]
+    for _ in range(3):
+        if rng.random() < 0.25:  # along an edge line, turned by up to 1e-11 rad
+            i = int(rng.integers(0, 4))
+            ccw = base_box.ccw_corners()
+            p, q = ccw[i], ccw[(i + 1) % 4]
+            edge = q - p
+            normal = np.array([edge[1], -edge[0]]) / np.hypot(*edge)  # outward
+            phi = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -11.0)
+            c, s = np.cos(phi), np.sin(phi)
+            turned = (base - q) @ np.array([[c, s], [-s, c]]) + q
+            offset = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5]) * COLLINEAR_TOL / np.hypot(*edge)
+            out.append(turned + rng.uniform(1.5, 40.0) * edge + offset * normal)
+            continue
+        axis, sign = int(rng.integers(0, 2)), rng.choice([-1.0, 1.0])
+        factor = rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])
+        touching = _placed_at_gap(base, base, axis, sign, 0.0)
+        reach = clip_reach(OrientedBox(corners=touching), base_box)
+        if rng.random() < 0.5 and np.isfinite(reach):  # inf: no skip for this box
+            out.append(_placed_at_gap(base, base, axis, sign, factor * reach))
+        else:
+            out.append(_placed_at_gap(base, base, axis, sign,
+                                      size * 10.0 ** rng.uniform(-16.0, -2.0)))
+    return out
 
 
 def _assert_box_matches_oracle(corners):
@@ -220,6 +305,19 @@ def test_rotated_iou_area_and_ccw_equal_oracle_bit_for_bit():
                                                                   area_b, ccw_b)
     assert pairs == 100_000
     assert mismatches == 0
+    # boxes just outside one another, where the rejection rule decides
+    near_rng = np.random.Generator(np.random.PCG64(75))
+    near = 0
+    for _ in range(1250):
+        size = 10.0 ** near_rng.uniform(-3.0, 4.0)
+        boxes = [_assert_box_matches_oracle(c) for c in _group(near_rng, "near", size)]
+        for a, (area_a, ccw_a) in boxes:
+            for b, (area_b, ccw_b) in boxes:
+                near += 1
+                mismatches += rotated_iou(a, b) != iou_from_parts(area_a, ccw_a,
+                                                                  area_b, ccw_b)
+    assert near == 20_000
+    assert mismatches == 0
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -241,6 +339,150 @@ def test_rotated_iou_equals_oracle_on_drawn_boxes(data):
     assert rotated_iou(a, b) == rotated_iou_np(*corners)
     assert rotated_iou(b, a) == rotated_iou_np(corners[1], corners[0])
     assert rotated_iou(a, a) == rotated_iou_np(corners[0], corners[0])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_rotated_iou_is_finite_and_in_unit_interval_up_to_1e300(data):
+    boxes = []
+    for name in "ab":
+        center = data.draw(st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+                           label=f"{name} center")
+        lw, lh = data.draw(st.tuples(st.floats(-3.0, 300.0), st.floats(-3.0, 300.0)),
+                           label=f"{name} log10 size")
+        corners = _rect_corners(np.array(center), 10.0 ** lw, 10.0 ** lh,
+                                data.draw(st.floats(0.0, np.pi), label=f"{name} angle"))
+        try:
+            boxes.append(OrientedBox(corners=corners))
+        except DegenerateBox:
+            return  # only accepted boxes are scored
+    a, b = boxes
+    for x, y in ((a, b), (b, a), (a, a), (b, b)):
+        iou = rotated_iou(x, y)
+        assert np.isfinite(iou) and 0.0 <= iou <= 1.0
+
+
+def _spike_pair():
+    """A 100 px square and a 199 x 1 px box 1 px to its left whose top edge
+    runs just below the line of the square's bottom edge, turned by 1e-13
+    rad: the clip's 1e-9 tolerance carries a cut along that line into the
+    square, and the IoU is 1.2e-14 although the bounds are 1 px apart."""
+    square = rect(0, 0, 100, 100)
+    ang = 0.5e-11 / 51
+    u, n = np.array([np.cos(ang), np.sin(ang)]), np.array([-np.sin(ang), np.cos(ang)])
+    p = np.array([-1.0, -0.5e-11])
+    q = p - 199.0 * u
+    return OrientedBox(corners=np.array([q - n, p - n, p, q])), square
+
+
+@pytest.fixture
+def clip_calls(monkeypatch):
+    """Every (subject, clip) pair `rotated_iou` hands to the polygon clip."""
+    calls = []
+    real = metrics._clip_convex
+
+    def counting(subject, clip):
+        calls.append((subject, clip))
+        return real(subject, clip)
+
+    monkeypatch.setattr(metrics, "_clip_convex", counting)
+    return calls
+
+
+def test_rotated_iou_clips_pairs_whose_bounds_are_far_apart_when_it_must(clip_calls):
+    a, b = _spike_pair()
+    assert _bound_gap(a, b) > 0.99 > 1e6 * clip_reach(a, b)
+    iou = rotated_iou(a, b)
+    assert iou == rotated_iou_np(a.corners, b.corners) > 1e-14
+    assert len(clip_calls) == 1
+
+
+def test_rotated_iou_skips_the_clip_beyond_the_reach_and_only_there(clip_calls):
+    rng = np.random.Generator(np.random.PCG64(76))
+    skipped = 0
+    for trial in range(200):
+        size = 10.0 ** rng.uniform(-2.0, 3.0)
+        if trial % 4 == 3:  # kappa > 1
+            b_corners = _parallelogram(size * rng.uniform(-1.0, 1.0, 2), size, 0.3 * size,
+                                       size * rng.uniform(0.3, 3.0), rng.uniform(0.0, np.pi))
+        else:
+            b_corners = _rect_corners(size * rng.uniform(-1.0, 1.0, 2),
+                                      *(size * rng.uniform(0.3, 1.0, 2)), rng.uniform(0.0, np.pi))
+        b = OrientedBox(corners=b_corners)
+        a0 = _rect_corners([0.0, 0.0], *(size * rng.uniform(0.3, 1.0, 2)), rng.uniform(0.0, np.pi))
+        axis = int(rng.integers(0, 2))
+        r = clip_reach(OrientedBox(corners=_placed_at_gap(a0, b_corners, axis, 1, 0.0)), b)
+        assert np.isfinite(r)
+        for factor in (0.0, 0.5, 1.0, 2.0, 4.0, 1e3):
+            a_corners = _placed_at_gap(a0, b_corners, axis, 1, factor * r)
+            a = OrientedBox(corners=a_corners)
+            while _bound_gap(a, b) > factor * clip_reach(a, b) and factor <= 1.0:
+                a_corners = a_corners.copy()
+                a_corners[:, axis] = np.nextafter(a_corners[:, axis], -np.inf)
+                a = OrientedBox(corners=a_corners)
+            before = len(clip_calls)
+            assert rotated_iou(a, b) == rotated_iou_np(a_corners, b_corners)
+            clipped = len(clip_calls) - before
+            if factor <= 1.0:
+                assert _bound_gap(a, b) <= clip_reach(a, b)
+                assert clipped == 1
+            else:
+                assert _bound_gap(a, b) > clip_reach(a, b)
+                assert clipped == 0
+                skipped += 1
+    assert skipped == 600
+
+
+def test_clip_reach_is_infinite_where_the_proof_does_not_hold():
+    square = rect(0, 0, 1, 1)
+    assert clip_reach(square, square) == pytest.approx(4.0 * (1e-9 + 2.0 ** -40 * 2.0))
+    flat = OrientedBox(corners=[[0, 0], [1, 0], [2, 0], [1, 1]])  # a flat corner
+    assert clip_reach(square, flat) == np.inf
+    dented = OrientedBox(corners=[[0, 0], [2, 0], [1, 2], [0.5 + 1e-11, 1]])  # reflex within tol
+    assert clip_reach(square, dented) == np.inf
+    # the lines of CCW edges 0 and 2 of this trapezoid meet 60 px to its
+    # left: the proof covers boxes near it only
+    trapezoid = OrientedBox(corners=[[0, 0], [10, 0], [10, 1], [0, 1.2]])
+    assert np.isfinite(clip_reach(rect(11, 0, 12, 1), trapezoid))
+    assert clip_reach(rect(1e3, 0, 1e3 + 1, 1), trapezoid) == np.inf
+    # past 2**500 the clip's products may overflow
+    big = 2.0 ** 501
+    assert clip_reach(rect(big, 0, big + 2.0 ** 460, 2.0 ** 460), square) == np.inf
+
+
+def test_eval_clips_exactly_the_pairs_whose_bounds_overlap(tmp_path, monkeypatch, clip_calls):
+    rng = np.random.Generator(np.random.PCG64(77))
+    gts = tmp_path / "gts"
+    gts.mkdir()
+    pred_lines = []
+    for image in ("img0", "img1"):
+        lines = []
+        for g in range(6):
+            center = np.array([40.0 + 60.0 * (g % 3), 40.0 + 70.0 * (g // 3)]) + rng.uniform(-5, 5, 2)
+            w, h, theta = rng.uniform(16, 40), rng.uniform(10, 24), rng.uniform(0.0, np.pi)
+            nums = " ".join(f"{v:.6g}" for v in _rect_corners(center, w, h, theta).ravel())
+            lines.append(f"{nums} {('ship', 'tank')[g % 2]} 0")
+            for _ in range(2):
+                pred = _rect_corners(center + rng.normal(0.0, 2.0, 2), w * rng.uniform(0.8, 1.2),
+                                     h * rng.uniform(0.8, 1.2), theta + rng.normal(0.0, 0.1))
+                nums = " ".join(f"{v:.6g}" for v in pred.ravel())
+                pred_lines.append(f"{image} {g % 2} {rng.uniform(0.1, 1.0):.3f} {nums}")
+        (gts / f"{image}.txt").write_text("\n".join(lines) + "\n")
+    preds = tmp_path / "preds.txt"
+    preds.write_text("\n".join(pred_lines) + "\n")
+    scored = []
+    real_iou = metrics.rotated_iou
+
+    def recording(a, b):
+        scored.append(_bound_gap(a, b))
+        return real_iou(a, b)
+
+    monkeypatch.setattr(metrics, "rotated_iou", recording)
+    assert main(["eval", "--preds", str(preds), "--gts", str(gts)]) == 0
+    overlapping = sum(gap <= 0.0 for gap in scored)
+    assert all(gap <= 0.0 or gap > 1e-3 for gap in scored)
+    assert 0 < overlapping < len(scored)
+    assert len(clip_calls) == overlapping
 
 
 def test_max_ious_is_the_best_iou_per_proposal():
