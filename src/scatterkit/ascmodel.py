@@ -9,6 +9,7 @@ is what the position fitter exploits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,8 +194,10 @@ def fit_scatterer(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
     if sup_idx.size == 0:
         raise EmptyRegion("cannot fit a scatterer to an empty region")
 
+    # the indices ascend, so the first and last give the support's rows
+    ry0, ry1 = int(sup_idx[0]) // w, int(sup_idx[-1]) // w
     sy, sx = np.divmod(sup_idx, w)
-    ry0, ry1, rx0, rx1 = int(sy[0]), int(sy[-1]), int(sx.min()), int(sx.max())
+    rx0, rx1 = int(sx.min()), int(sx.max())
     # candidates: the support bounding box dilated by FIT_DILATE_PX, clamped
     y0, y1 = max(ry0 - FIT_DILATE_PX, 0), min(ry1 + FIT_DILATE_PX, h - 1)
     x0, x1 = max(rx0 - FIT_DILATE_PX, 0), min(rx1 + FIT_DILATE_PX, w - 1)
@@ -202,12 +205,14 @@ def fit_scatterer(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
 
     # support box pixel (r, c) meets the psf shifted to candidate (y0 + j,
     # x0 + i) at row[(ry0 + r - y0 - j) % h] * col[(rx0 + c - x0 - i) % w]
-    block = np.zeros((ry1 - ry0 + 1, rx1 - rx0 + 1))
-    block[sy - ry0, sx - rx0] = sv
+    by, bx = ry1 - ry0 + 1, rx1 - rx0 + 1
+    block = np.zeros((by, bx))
+    # support pixel y * w + x goes to flat index (y - ry0) * bx + (x - rx0)
+    block.ravel()[sup_idx - (w - bx) * sy - (ry0 * bx + rx0)] = sv
     ay = psf.row_windows[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]  # (by, ny)
     ax = psf.col_windows[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]  # (bx, nx)
     crop = ay.T @ (block @ ax)
-    dy, dx = divmod(int(np.argmax(crop)), nx)  # first occurrence = row-major tie-break
+    dy, dx = divmod(int(crop.argmax()), nx)  # first occurrence = row-major tie-break
     best_y, best_x, best_c = y0 + dy, x0 + dx, float(crop[dy, dx])
 
     fx, fy = float(best_x), float(best_y)
@@ -223,7 +228,7 @@ def fit_scatterer(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
     gain = best_c / psf_sq if psf_sq > 0 else 0.0
     resid_sq = float(sv @ sv) - 2 * gain * best_c + gain * gain * psf_sq
     return FittedScatterer(x=fx, y=fy, amplitude=gain,
-                           residual=float(np.sqrt(max(resid_sq, 0.0))))
+                           residual=math.sqrt(max(resid_sq, 0.0)))
 
 
 def _parabolic_offset(lo: float, mid: float, hi: float) -> float:

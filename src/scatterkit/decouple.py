@@ -66,8 +66,10 @@ class ScatterRegion:
     """One extracted region of an (h, w) frame, stored by its support.
 
     `indices` are the support's flat row-major indices, strictly ascending,
-    and `amplitudes` the region's values there; off the support the region
-    is zero. `values`, `support` and `energy` are computed on each access.
+    and `amplitudes` the region's values there, finite; off the support the
+    region is zero. `values`, `support` and `energy` are computed on each
+    access. The constructor validates its input; the extraction loop builds
+    its regions, valid by construction, through `_trusted` instead.
     """
 
     shape: tuple[int, int]
@@ -87,6 +89,8 @@ class ScatterRegion:
             raise EmptyRegion("region support is empty")
         if idx.dtype.kind not in "iu":
             raise ValueError("support indices must be integers")
+        if not np.isfinite(vals).all():
+            raise ValueError("region amplitudes must be finite")
         if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
             raise ValueError("support indices must be strictly ascending")
         if idx[0] < 0 or idx[-1] >= h * w:
@@ -101,6 +105,22 @@ class ScatterRegion:
         object.__setattr__(self, "indices", _freeze(idx.astype(np.int64, copy=False)))
         object.__setattr__(self, "amplitudes", _freeze(vals))
         object.__setattr__(self, "peak", (py, px))
+
+    @classmethod
+    def _trusted(cls, shape: tuple[int, int], indices: np.ndarray,
+                 amplitudes: np.ndarray, peak: tuple[int, int]) -> ScatterRegion:
+        """A region without validation, for input that already meets every
+        rule the constructor checks: `shape` and `peak` tuples of ints, and
+        `indices`/`amplitudes` fresh C-contiguous int64/float64 arrays, which
+        are frozen in place."""
+        region = object.__new__(cls)
+        indices.setflags(write=False)
+        amplitudes.setflags(write=False)
+        object.__setattr__(region, "shape", shape)
+        object.__setattr__(region, "indices", indices)
+        object.__setattr__(region, "amplitudes", amplitudes)
+        object.__setattr__(region, "peak", peak)
+        return region
 
     @property
     def values(self) -> np.ndarray:
@@ -258,8 +278,9 @@ def _extract(amp: AmplitudeRaster,
         amps = res[sup]
         res[sup] = 0.0
         py, px = divmod(p, frame.pw)
-        yield ScatterRegion(shape=frame.shape, indices=frame.unpadded[sup],
-                            amplitudes=amps, peak=(py - 1, px - 1)), frame
+        # sup is ascending and in the frame, and the peak attains the maximum
+        yield ScatterRegion._trusted(frame.shape, frame.unpadded[sup], amps,
+                                     (py - 1, px - 1)), frame
 
 
 def _amplitude(img: ComplexRaster | AmplitudeRaster) -> AmplitudeRaster:

@@ -13,7 +13,11 @@ separable PSF's factors over the support's bounding box, with its own
 candidate box from full-frame row and column scans of the support.
 `fit_fft` is the retired large-region path: the circular cross-correlation
 of the full frame with the 2-D PSF by the correlation theorem, cropped to
-the same candidate box. `psf_2d` is the PSF as the
+the same candidate box. `fit_block_2d` is `fit_scatterer` as it was before
+it read the support rows off the first and last index: it takes every bound
+from the support's row and column arrays and scatters the support into its
+bounding block by 2-D fancy indexing, where `fit_scatterer` uses one flat
+index. `psf_2d` is the PSF as the
 2-D inverse DFT of the window, and `refine_offsets` the parabolic refinement
 from full-frame rolls of that image.
 
@@ -40,7 +44,8 @@ from typing import Iterator
 
 import numpy as np
 
-from scatterkit.ascmodel import FIT_DILATE_PX, FittedScatterer, FrequencyGrid
+from scatterkit.ascmodel import (FIT_DILATE_PX, FittedScatterer, FrequencyGrid,
+                                 SeparablePsf)
 from scatterkit.decouple import DecoupleParams
 from scatterkit.errors import AllZeroRaster, EmptyInput, EmptyRegion
 from scatterkit.keypoints import KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet
@@ -279,6 +284,41 @@ def fit_fft(region: np.ndarray, psf: np.ndarray) -> FittedScatterer:
     gain = best_c / psf_sq
     resid_sq = float(np.sum(region * region)) - 2 * gain * best_c + gain * gain * psf_sq
     return FittedScatterer(x=float(x0 + best_x), y=float(y0 + best_y), amplitude=gain,
+                           residual=float(np.sqrt(max(resid_sq, 0.0))))
+
+
+def fit_block_2d(region: np.ndarray, psf: SeparablePsf,
+                 refine: bool = False) -> FittedScatterer:
+    """`fit_scatterer` on a full-frame region, with the support block built
+    by 2-D fancy indexing."""
+    h, w = psf.shape
+    flat = region.ravel()
+    sup_idx = np.flatnonzero(flat > 0)
+    sv = flat[sup_idx]
+    sy, sx = np.divmod(sup_idx, w)
+    ry0, ry1, rx0, rx1 = int(sy[0]), int(sy[-1]), int(sx.min()), int(sx.max())
+    y0, y1 = max(ry0 - FIT_DILATE_PX, 0), min(ry1 + FIT_DILATE_PX, h - 1)
+    x0, x1 = max(rx0 - FIT_DILATE_PX, 0), min(rx1 + FIT_DILATE_PX, w - 1)
+    ny, nx = y1 - y0 + 1, x1 - x0 + 1
+    block = np.zeros((ry1 - ry0 + 1, rx1 - rx0 + 1))
+    block[sy - ry0, sx - rx0] = sv
+    ay = psf.row_windows[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]
+    ax = psf.col_windows[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]
+    crop = ay.T @ (block @ ax)
+    dy, dx = divmod(int(np.argmax(crop)), nx)
+    best_y, best_x, best_c = y0 + dy, x0 + dx, float(crop[dy, dx])
+    fx, fy = float(best_x), float(best_y)
+    if refine:
+        def corr_at(cy: int, cx: int) -> float:
+            return float(sv @ (psf.row[(sy - cy) % h] * psf.col[(sx - cx) % w]))
+        fy = best_y + _parabolic_offset(corr_at(best_y - 1, best_x), best_c,
+                                        corr_at(best_y + 1, best_x))
+        fx = best_x + _parabolic_offset(corr_at(best_y, best_x - 1), best_c,
+                                        corr_at(best_y, best_x + 1))
+    psf_sq = psf.norm_sq
+    gain = best_c / psf_sq if psf_sq > 0 else 0.0
+    resid_sq = float(sv @ sv) - 2 * gain * best_c + gain * gain * psf_sq
+    return FittedScatterer(x=fx, y=fy, amplitude=gain,
                            residual=float(np.sqrt(max(resid_sq, 0.0))))
 
 

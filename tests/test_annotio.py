@@ -18,7 +18,7 @@ from scatterkit.annotio import (DatasetIndex, InstanceAnnotation, crop_chip,
                                 write_annotation, write_truth)
 from scatterkit.ascmodel import FrequencyGrid, Scatterer, synth_target
 from scatterkit.chipio import read_chip, write_chip
-from scatterkit.decouple import DecoupleParams
+from scatterkit.decouple import DecoupleParams, ScatterRegion
 from scatterkit.errors import (BadKeypointCount, BoxOutsideImage,
                                InvalidWindowParams, MalformedLine)
 from scatterkit.keypoints import KeypointSet, instance_seed, to_global
@@ -358,6 +358,28 @@ def test_run_skaa_computes_the_taylor_coefficients_once(tmp_path, monkeypatch, d
     assert len(calls["taylor_window_2d"]) == 12
     if debug:
         assert any((tmp_path / "debug").iterdir())
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_run_skaa_builds_its_regions_without_validating_them(tmp_path, monkeypatch, debug):
+    inner = ScatterRegion.__post_init__
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        inner(self)
+
+    monkeypatch.setattr(ScatterRegion, "__post_init__", counting)
+    summary = run_skaa(_three_instance_set(tmp_path), tmp_path / "out", master_seed=0,
+                       debug_dir=tmp_path / "debug" if debug else None)
+    assert summary.instances == 3 and summary.failures == 0
+    assert calls == []
+    # the public constructor still validates
+    ScatterRegion(shape=(4, 4), indices=[5], amplitudes=[2.0], peak=(1, 1))
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="ascending"):
+        ScatterRegion(shape=(4, 4), indices=[6, 5], amplitudes=[2.0, 1.0], peak=(1, 2))
+    assert len(calls) == 2
 
 
 def test_run_skaa_writes_skaa_keypoints_of_each_crop(tmp_path):

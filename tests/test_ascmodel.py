@@ -15,7 +15,7 @@ from scatterkit.errors import (DimMismatch, EmptyInput, EmptyRegion,
 from scatterkit.raster import amplitude
 from scatterkit.spectral import ifft2d, rectangular_window_2d, taylor_window_2d
 
-from oracles import fit_direct, fit_fft, psf_2d, refine_offsets
+from oracles import fit_block_2d, fit_direct, fit_fft, psf_2d, refine_offsets
 
 GRID32 = FrequencyGrid(32, 32)
 TAYLOR32 = taylor_window_2d(32, 32)
@@ -363,6 +363,52 @@ def test_fit_on_supports_at_the_frame_edges_matches_oracle(band):
         keep.flat[rng.choice(cells)] = True
         region = np.where(keep, rng.uniform(0.1, 2.0, psf.shape), 0.0)
         _assert_fit_matches_oracle(region, psf)
+
+
+def _block_edge_supports(h, w, rng):
+    """Supports whose bounding block meets an edge case of the flat block
+    index: the full frame width, one row, one column, a single pixel in
+    each frame corner, and bands along and across the frame edges."""
+    for _ in range(10):
+        full = rng.random((h, w)) < 0.2
+        full[rng.integers(h), 0] = full[rng.integers(h), w - 1] = True
+        yield full
+        row, col = np.zeros((h, w), dtype=bool), np.zeros((h, w), dtype=bool)
+        row[rng.integers(h), rng.choice(w, size=rng.integers(1, w + 1), replace=False)] = True
+        col[rng.choice(h, size=rng.integers(1, h + 1), replace=False), rng.integers(w)] = True
+        yield row
+        yield col
+    for y, x in [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]:
+        corner = np.zeros((h, w), dtype=bool)
+        corner[y, x] = True
+        yield corner
+    for band in ["top", "bottom", "left", "right", "wrap-rows", "wrap-cols", "wrap-corners"]:
+        allowed = _edge_band(band, h, w)
+        for _ in range(5):
+            keep = allowed & (rng.random((h, w)) < 0.4)
+            keep.flat[rng.choice(np.flatnonzero(allowed))] = True
+            yield keep
+
+
+@pytest.mark.parametrize("psf", [
+    PSF32, SeparablePsf(row=np.random.default_rng(29).uniform(0.05, 1.0, 24),
+                        col=np.random.default_rng(30).uniform(0.05, 1.0, 20))],
+    ids=["taylor-32x32", "asymmetric-24x20"])
+def test_fit_equals_the_2d_block_oracle_bit_for_bit(psf):
+    rng = np.random.Generator(np.random.PCG64(31))
+    h, w = psf.shape
+    n = 0
+    for support in _block_edge_supports(h, w, rng):
+        values = np.where(support, rng.uniform(0.1, 2.0, (h, w)), 0.0)
+        idx = np.flatnonzero(support)
+        region = ScatterRegion(shape=(h, w), indices=idx, amplitudes=values.ravel()[idx],
+                               peak=divmod(int(np.argmax(values)), w))
+        for refine in (False, True):
+            ref = fit_block_2d(values, psf, refine=refine)
+            assert fit_scatterer(values, psf, refine=refine) == ref
+            assert fit_scatterer(region, psf, refine=refine) == ref
+        n += 1
+    assert n == 30 + 4 + 35
 
 
 def test_fit_on_psfs_wrapping_the_frame_edges_matches_oracle():

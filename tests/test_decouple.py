@@ -2,6 +2,7 @@
 
 import importlib
 from dataclasses import replace
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scatterkit.ascmodel import (FrequencyGrid, Scatterer, base_psf, fit_scatter
                                  synth_image, synth_target)
 from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple, decouple_steps
 from scatterkit.errors import AllZeroRaster, EmptyRegion
+from scatterkit.keypoints import instance_seed
 from scatterkit.metrics import OrientedBox
 from scatterkit.raster import AmplitudeRaster, amplitude, peak_db
 from scatterkit.spectral import taylor_window_2d
@@ -463,6 +465,15 @@ def test_scatter_region_rejects(kwargs, error):
         ScatterRegion(**{**good, **kwargs})
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_scatter_region_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        ScatterRegion(shape=(8, 8), indices=[0], amplitudes=[bad], peak=(0, 0))
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        ScatterRegion(shape=(4, 4), indices=[5, 6, 9], amplitudes=[3.0, bad, 1.0],
+                      peak=(1, 1))
+
+
 def test_scatter_region_builds_full_frame_images_on_access():
     region = ScatterRegion(shape=(3, 4), indices=[1, 6, 11], amplitudes=[2.0, 0.0, 0.5],
                            peak=(0, 1))
@@ -482,6 +493,64 @@ def test_first_support_matches_dense_searches():
         block = mask_block_dense(r, params.tau_db)
         np.testing.assert_array_equal(first_support(r, params),
                                       grow_support_dense(r, block, params))
+
+
+def _assert_regions_equal_validated_ones(amp: AmplitudeRaster) -> int:
+    """Every region decouple and decouple_steps yield passes the public
+    constructor and equals what it builds, field by field; returns the count."""
+    regions = decouple(amp)
+    steps = list(decouple_steps(amp))
+    assert len(steps) == len(regions)
+    for region in regions + [step.region for step in steps]:
+        # before the constructor, which freezes a contiguous input in place
+        assert not (region.indices.flags.writeable or region.amplitudes.flags.writeable)
+        checked = ScatterRegion(shape=region.shape, indices=region.indices,
+                                amplitudes=region.amplitudes, peak=region.peak)
+        assert region.shape == checked.shape and region.peak == checked.peak
+        assert all(type(n) is int for n in region.shape + region.peak)
+        for got, want, dtype in [(region.indices, checked.indices, np.int64),
+                                 (region.amplitudes, checked.amplitudes, np.float64)]:
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+            assert got.flags.c_contiguous
+    return len(regions)
+
+
+def _acceptance_chips(master_seed: int, speckle: bool) -> Iterator[AmplitudeRaster]:
+    """The chips of `scatterkit synth --chips 100 --dim 128 --scatterers 5..15`."""
+    grid = FrequencyGrid(128, 128)
+    window = taylor_window_2d(128, 128, nbar=4, sidelobe_db=-35.0)
+    for i in range(100):
+        rng = np.random.Generator(np.random.PCG64(
+            instance_seed(master_seed, f"chip_{i:05d}", 0)))
+        n = int(rng.integers(5, 16))
+        yield amplitude(synth_target(n, grid, window, rng, speckle=speckle).image)
+
+
+def _scene_crops(seed: int) -> Iterator[AmplitudeRaster]:
+    """Crops of a 256x256 scene of 12 compact targets (5..10 scatterers in
+    ~24 px, one box each), as annotation runs crop them."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    scatterers, boxes = [], []
+    for cell in range(12):
+        center = np.array([40.0 + 60.0 * (cell % 4), 40.0 + 70.0 * (cell // 4)])
+        pts = center + rng.uniform(-12.0, 12.0, size=(5 + cell % 6, 2))
+        scatterers += [Scatterer(float(x), float(y), float(rng.uniform(0.5, 1.5)))
+                       for x, y in pts]
+        (x0, y0), (x1, y1) = pts.min(axis=0) - 3.0, pts.max(axis=0) + 3.0
+        boxes.append(OrientedBox.from_rect(x0, y0, x1, y1))
+    scene = synth_image(scatterers, FrequencyGrid(256, 256), taylor_window_2d(256, 256))
+    for box in boxes:
+        yield amplitude(crop_chip(scene, box)[0])
+
+
+@pytest.mark.parametrize("source", ["clean-seed-0", "speckled-seed-3", "scene-crops"])
+def test_loop_regions_equal_validated_ones(source):
+    if source == "scene-crops":
+        amps = [a for seed in (5, 6, 7) for a in _scene_crops(seed)]
+    else:
+        amps = _acceptance_chips(int(source[-1]), source.startswith("speckled"))
+    assert sum(_assert_regions_equal_validated_ones(a) for a in amps) >= 600
 
 
 def _assert_loop_matches_dense_oracle(amp: AmplitudeRaster, params: DecoupleParams) -> int:
