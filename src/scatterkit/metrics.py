@@ -4,6 +4,8 @@ Conventions (also emitted in every eval report):
   - IoU is exact convex-polygon intersection over union, computed by
     Sutherland-Hodgman clipping with 1e-9 collinearity tolerance; slivers
     below 1e-12 px^2 count as zero.
+  - Each cut point lies on the clipped segment (its fraction is clamped to
+    [0, 1]), and areas are summed about a polygon's first corner.
   - A pair whose bounding rectangles lie further apart than a proven reach
     scores 0.0 without the clip, exactly as the clip would score it (the
     rule and its proof are in `rotated_iou`); no IoU value changes.
@@ -35,11 +37,15 @@ _MAX_COORD = 2.0 ** 500   # above this 1 + M the clip's products may overflow
 def _signed_area(pts) -> float:
     """Shoelace area of (x, y) float pairs, positive for CCW.
 
-    The terms are summed by np.add.reduce, the reduction np.sum runs: its
-    order on small arrays matches neither `sum` nor `math.fsum`, and either
-    would move the last bits of areas and IoUs.
+    The terms are taken about the first point: on raw coordinates each would
+    carry a rounding error of ~1e-16 x offset**2, which swamps the area of a
+    small polygon far from the origin. They are summed by np.add.reduce, the
+    reduction np.sum runs: its order on small arrays matches neither `sum`
+    nor `math.fsum`, and either would move the last bits of areas and IoUs.
     """
-    terms = [px * qy - qx * py for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1])]
+    x0, y0 = pts[0]
+    rel = [(x - x0, y - y0) for x, y in pts]
+    terms = [px * qy - qx * py for (px, py), (qx, qy) in zip(rel, rel[1:] + rel[:1])]
     return 0.5 * float(np.add.reduce(terms))
 
 
@@ -50,42 +56,23 @@ def _reach_data(coords: list[float], crosses: list[float], orient: float,
     From the corner floats `coords` (x0, y0, ..., x3, y3) and the convexity
     cross products (`crosses[i]` at corner i + 1, between edges i and
     i + 1), with orient = +1 for CCW corners and -1 for CW ones: the bounds
-    (xmin, ymin, xmax, ymax), the largest |coordinate|, the sum of the x and
-    y extents, 4 kappa, delta, sigma, h / 2 and the clip's CCW edges 0..2 as
-    (x, y, ex, ey). The names are those of the proof in `rotated_iou`.
+    (xmin, ymin, xmax, ymax), the largest |coordinate|, 4 kappa and delta.
+    The names are those of the proof in `rotated_iou`.
     """
     x0, y0, x1, y1, x2, y2, x3, y3 = coords
     c0, c1, c2, c3 = crosses
     hypot = math.hypot
     l0, l1, l2, l3 = hypot(x1 - x0, y1 - y0), hypot(x2 - x1, y2 - y1), \
         hypot(x3 - x2, y3 - y2), hypot(x0 - x3, y0 - y3)
-    kappa4 = delta = sigma = math.inf
-    half_h = 0.0
+    kappa4 = delta = math.inf
     d0, d1, d2, d3 = l0 * l1, l1 * l2, l2 * l3, l3 * l0
     if d0 > 0.0 and d1 > 0.0 and d2 > 0.0 and d3 > 0.0:
         sine = min(orient * c0 / d0, orient * c1 / d1, orient * c2 / d2, orient * c3 / d3)
         if sine >= _MIN_SINE:  # False for a flat, reflex or NaN corner
             kappa4 = 4.0 / sine
             delta = COLLINEAR_TOL / min(l0, l1, l2, l3)
-            # heights of CCW corners 0 and 1 over the line of CCW edge 2,
-            # and the rate at which that height changes along CCW edge 0
-            if orient > 0.0:
-                h0, h1, len2, len0 = abs(c2), abs(c1), l2, l0
-            else:
-                h0, h1, len2, len0 = abs(c3), abs(c0), l0, l2
-            h0, h1 = h0 / len2, h1 / len2
-            sigma = abs(h1 - h0) / len0
-            half_h = 0.5 * min(h0, h1)
-    if orient > 0.0:
-        edges = ((x0, y0, x1 - x0, y1 - y0), (x1, y1, x2 - x1, y2 - y1),
-                 (x2, y2, x3 - x2, y3 - y2))
-    else:
-        edges = ((x3, y3, x2 - x3, y2 - y3), (x2, y2, x1 - x2, y1 - y2),
-                 (x1, y1, x0 - x1, y0 - y1))
-    xmin, ymin = min(x0, x1, x2, x3), min(y0, y1, y2, y3)
-    xmax, ymax = max(x0, x1, x2, x3), max(y0, y1, y2, y3)
-    return (xmin, ymin, xmax, ymax, absmax, (xmax - xmin) + (ymax - ymin),
-            kappa4, delta, sigma, half_h, edges)
+    return (min(x0, x1, x2, x3), min(y0, y1, y2, y3), max(x0, x1, x2, x3),
+            max(y0, y1, y2, y3), absmax, kappa4, delta)
 
 
 @dataclass(frozen=True)
@@ -95,10 +82,9 @@ class OrientedBox:
     The area and the counter-clockwise (CCW) corner order are computed once,
     here; the CCW corners are also kept as float pairs for `rotated_iou`.
     So is what its exact rejection rule reads: the bounds, the largest
-    |coordinate|, delta = COLLINEAR_TOL / shortest edge, kappa = 1 / the
+    |coordinate|, delta = COLLINEAR_TOL / shortest edge and kappa = 1 / the
     smallest sine of a corner angle (1 for a rectangle; inf for a flat,
-    reflex or non-finite corner), and how far apart the lines of two
-    opposite edges run.
+    reflex or non-finite corner).
     """
 
     corners: np.ndarray
@@ -112,7 +98,7 @@ class OrientedBox:
             raise DegenerateBox("box corners contain NaN/Inf")
         pts = list(zip(coords[0::2], coords[1::2]))
         absmax = max(map(abs, coords))
-        if absmax < 1e153:  # each term is below 2 absmax**2: no overflow
+        if absmax < 1e153:  # each term is below 8 absmax**2: no overflow
             signed = _signed_area(pts)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -167,8 +153,14 @@ class Detection:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
 
-def _cut(p: tuple[float, float], q: tuple[float, float], t: float) -> tuple[float, float]:
-    """The point a fraction t of the way from p to q."""
+def _cut(p: tuple[float, float], q: tuple[float, float],
+         dp: float, dq: float) -> tuple[float, float]:
+    """Where segment p-q crosses a clip edge's line, from the signed
+    distances dp at p and dq at q. The cut fraction t is clamped to [0, 1],
+    so the point stays on the segment where the tolerance band gives dp and
+    dq the same sign."""
+    t = dp / (dp - dq)
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
     return p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])
 
 
@@ -194,65 +186,31 @@ def _clip_convex(subject, clip) -> list[tuple[float, float]]:
             if dp >= -COLLINEAR_TOL:
                 output.append(p)
                 if dq < -COLLINEAR_TOL:
-                    output.append(_cut(p, pts[(j + 1) % m], dp / (dp - dq)))
+                    output.append(_cut(p, pts[(j + 1) % m], dp, dq))
             elif dq >= -COLLINEAR_TOL:
-                output.append(_cut(p, pts[(j + 1) % m], dp / (dp - dq)))
+                output.append(_cut(p, pts[(j + 1) % m], dp, dq))
     return output
 
 
 def clip_reach(a: OrientedBox, b: OrientedBox) -> float:
     """How far apart the bounds of a and b must lie for `rotated_iou(a, b)`
-    to skip the clip: 4 kappa_b (delta_b + rho) where (R2) holds, else inf
-    (see `rotated_iou`)."""
-    ax0, ay0, ax1, ay1, am, a_ext = a._reach[:6]
-    bx0, by0, bx1, by1, bm, b_ext, kappa4, delta, sigma, half_h = b._reach[:10]
-    sx, sy = max(bx0 - ax1, ax0 - bx1, 0.0), max(by0 - ay1, ay0 - by1, 0.0)
-    m = 1.0 + max(am, bm)
-    rho = ROUNDING_PER_PX * m
-    if m <= _MAX_COORD and (a_ext + b_ext + sx + sy) * sigma + 3.0 * rho <= half_h:
-        return kappa4 * (delta + rho)
-    return math.inf
+    to skip the clip: 4 kappa_b (delta_b + rho) where 1 + M <= 2**500,
+    else inf (rule (R1) of `rotated_iou`)."""
+    am = a._reach[4]
+    _, _, _, _, bm, kappa4, delta = b._reach
+    m = 1.0 + (am if am > bm else bm)
+    if m > _MAX_COORD:
+        return math.inf
+    return kappa4 * (delta + ROUNDING_PER_PX * m)
 
 
 def _beyond_reach(a: OrientedBox, b: OrientedBox) -> bool:
     """The rejection rule of `rotated_iou`: True only where the clip of a
-    by b provably returns no vertex. (R1) and (R2) repeat `clip_reach`
-    inline: this runs on every scored pair."""
-    ax0, ay0, ax1, ay1, am, a_ext, _, _, _, _, _ = a._reach
-    bx0, by0, bx1, by1, bm, b_ext, kappa4, delta, sigma, half_h, edges = b._reach
-    # the bound separations, 0 where the bounds overlap
-    sx = bx0 - ax1 if bx0 - ax1 > ax0 - bx1 else ax0 - bx1
-    sy = by0 - ay1 if by0 - ay1 > ay0 - by1 else ay0 - by1
-    if sx <= 0.0:
-        if sy <= 0.0:
-            return False
-        sx = 0.0
-    elif sy < 0.0:
-        sy = 0.0
-    m = 1.0 + (am if am > bm else bm)
-    rho = ROUNDING_PER_PX * m
-    if not ((sx if sx > sy else sy) > kappa4 * (delta + rho) and m <= _MAX_COORD
-            and (a_ext + b_ext + sx + sy) * sigma + 3.0 * rho <= half_h):
-        return False
-    # (R3): a corner of a that reaches edge j of b must not land in the
-    # band -tol <= d < 0 there, with d computed exactly as the clip does
-    (x0, y0, ex0, ey0), (x1, y1, ex1, ey1), (x2, y2, ex2, ey2) = edges
-    tol = -COLLINEAR_TOL
-    for px, py in a._ccw_pts:
-        d = ex0 * (py - y0) - ey0 * (px - x0)
-        if d < tol:
-            continue
-        if d < 0.0:
-            return False
-        d = ex1 * (py - y1) - ey1 * (px - x1)
-        if d < tol:
-            continue
-        if d < 0.0:
-            return False
-        d = ex2 * (py - y2) - ey2 * (px - x2)
-        if tol <= d < 0.0:
-            return False
-    return True
+    by b provably returns no vertex."""
+    ax0, ay0, ax1, ay1, _, _, _ = a._reach
+    bx0, by0, bx1, by1, _, _, _ = b._reach
+    gap = max(bx0 - ax1, ax0 - bx1, by0 - ay1, ay0 - by1)
+    return gap > 0.0 and gap > clip_reach(a, b)  # overlapping bounds: no reach needed
 
 
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
@@ -261,52 +219,38 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     The intersection is a's CCW corners clipped by b's CCW edges 0..3 in
     turn (`_clip_convex`). Edge j keeps a point p iff its
     d_j(p) = cross(e_j, p - A_j) >= -tol (tol = COLLINEAR_TOL): p lies at
-    most tol / |e_j| <= delta_b outside the edge's line.
+    most tol / |e_j| <= delta_b outside the edge's line. A segment from a
+    kept to a dropped point, or back, is cut at t = d_p / (d_p - d_q),
+    clamped to [0, 1].
 
     Rejection rule. Let gap be the largest of the four separations of the
-    bounds of a and b, D the sum of both boxes' x and y extents and their
-    positive separations (at least the diameter of their joint bounds), M
-    the largest |coordinate| of either box and
+    bounds of a and b, M the largest |coordinate| of either box and
     rho = 2**-40 (1 + M). The clip is skipped, and 0.0 returned, when
-      (R1) gap > 4 kappa_b (delta_b + rho)  (`clip_reach`);
-      (R2) D sigma_b + 3 rho <= h_b / 2 and 1 + M <= 2**500, where h_b is
-           the smaller height of b's CCW corners 0 and 1 over the line of
-           its edge 2, and sigma_b the rate at which that height changes
-           along edge 0 (0 up to rounding for a rectangle or parallelogram);
-      (R3) no corner of a that edges 0..j-1 keep has -tol <= d_j < 0 at
-           edge j, for j = 0, 1, 2 (the clip's own arithmetic).
+      (R1) gap > 4 kappa_b (delta_b + rho) and 1 + M <= 2**500
+    (`clip_reach`).
 
     Proof that the clip then returns no vertex, so the IoU is 0.0 either
-    way. By (R2) no product overflows, and each rounding of a d, a cut
-    fraction t or a cut point moves a point or a line by at most ~10 u M
-    (u = 2**-53), far below rho.
-      1. A cut at edge j has t in [0, 1] when its kept endpoint has
-         d_j >= 0. Only a kept endpoint with -tol <= d_j < 0 (in edge j's
-         band) gives t outside [0, 1]; that cut point can land anywhere on
-         edge j's line, even inside b, so the bounds alone prove nothing.
-      2. Induction over edges 0, 1, 2: while no vertex has been in the band
-         of the edge it reached, every cut point is a rounded convex
-         combination of earlier vertices, so every vertex reaching edge j
-         lies within rho of conv(a) and of each half-plane already applied.
-         None of them is in edge j's band either. For a corner of a this
-         is (R3). A cut made at edge j - 1 lies on that edge's line; in
-         edge j's band it would lie within kappa (delta + 2 rho) of b's
-         corner j, a point of b's bounds, and within rho of a's bounds,
-         against (R1). A cut made at edge 0 that reaches edge 2 lies on
-         edge 0's line within D + 2 rho of every point of edge 0, so its
-         height over edge 2's line is at least h - D sigma - 3 rho >= h / 2
-         by (R2): d_2 > 0.
-      3. So a vertex kept at edge 3 would lie within rho of all four
-         relaxed half-planes. Take b's corner V that is extreme towards a
-         (its smallest x if gap is b's xmin - a's xmax, and so on). The
-         relaxed half-planes of V's two edges meet in a wedge that opens
-         away from a, with apex within kappa (2 delta + 2 rho) of V, and no
+    way. As 1 + M <= 2**500 no product overflows, and each rounding of a d,
+    a t or a cut point moves a point or a line by at most ~10 u M
+    (u = 2**-53); over the four edges that stays far below rho.
+      1. A cut point is a rounded convex combination of the segment's ends
+         p and q. Unclamped, it lies on edge j's line up to rounding;
+         clamped, it is whichever of p and q edge j keeps.
+      2. By induction over the edges, every vertex that edge j outputs lies
+         within rho of conv(a), so of a's bounds, and at most
+         delta_b + rho outside the line of each of edges 0..j: a kept vertex
+         passed edge j's test, a cut point by 1, and the earlier edges'
+         half-planes and conv(a) are convex, so cuts between their points
+         stay in them.
+      3. Take b's corner V that is extreme towards a (its smallest x if gap
+         is b's xmin - a's xmax, and so on). The half-planes of V's two
+         edges, moved out by delta_b + rho, meet in a wedge that opens away
+         from a, with apex within kappa_b (2 delta_b + 2 rho) of V, and no
          point within rho of a's bounds reaches it when
-         gap > 2 kappa (delta + rho) + rho. So edge 3 keeps and cuts
-         nothing, and the clip returns [].
-    (R1) asks for twice that reach and (R2) for half of h, which covers the
-    relative rounding of kappa, delta, sigma, h and gap (each below 2**-20,
-    as kappa <= 2**30).
+         gap > 2 kappa_b (delta_b + rho) + rho. So edge 3 outputs nothing,
+         and the clip returns [].
+    (R1) asks for twice that reach, which covers the relative rounding of
+    kappa, delta and gap (each below 2**-20, as kappa <= 2**30).
     """
     area_a, area_b = a.area, b.area
     if area_a <= SLIVER_AREA or area_b <= SLIVER_AREA:

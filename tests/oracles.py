@@ -353,8 +353,10 @@ def refine_offsets(region: np.ndarray, psf: np.ndarray,
 
 
 def signed_area_roll(poly: np.ndarray) -> float:
-    """Shoelace signed area of an (n, 2) polygon, positive for CCW."""
-    x, y = poly[:, 0], poly[:, 1]
+    """Shoelace signed area of an (n, 2) polygon about its first corner,
+    positive for CCW."""
+    rel = poly - poly[0]
+    x, y = rel[:, 0], rel[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
@@ -391,7 +393,8 @@ def box_ccw(corners: np.ndarray) -> np.ndarray:
 
 
 def clip_convex_np(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman on numpy rows: clip a convex CCW polygon by another."""
+    """Sutherland-Hodgman on numpy rows: clip a convex CCW polygon by another,
+    with each cut fraction clamped to [0, 1]."""
     output = list(subject)
     n = len(clip)
     for i in range(n):
@@ -408,10 +411,10 @@ def clip_convex_np(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
             if dp >= -COLLINEAR_TOL:
                 output.append(p)
                 if dq < -COLLINEAR_TOL:
-                    t = dp / (dp - dq)
+                    t = min(max(dp / (dp - dq), 0.0), 1.0)
                     output.append(p + t * (q - p))
             elif dq >= -COLLINEAR_TOL:
-                t = dp / (dp - dq)
+                t = min(max(dp / (dp - dq), 0.0), 1.0)
                 output.append(p + t * (q - p))
     return np.array(output) if output else np.empty((0, 2))
 

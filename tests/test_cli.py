@@ -113,8 +113,9 @@ def test_malformed_data_is_data_error(tmp_path):
 
 
 @pytest.mark.parametrize("corners", [
-    "1e200 1e200 2e200 1e200 2e200 2e200 1e200 2e200",  # shoelace area NaN
+    "1e200 1e200 2e200 1e200 2e200 2e200 1e200 2e200",  # shoelace area inf
     "0 0 1e200 0 1e200 1e200 0 1e200",                  # shoelace area inf
+    "0 0 2e200 1e200 2e200 2e200 1e200 2e200",          # shoelace area NaN
 ])
 def test_eval_box_whose_area_is_not_finite_is_data_error(tmp_path, capsys, corners):
     gts = tmp_path / "gts"

@@ -1,5 +1,6 @@
 """The README's library example runs, and every public name resolves."""
 
+import pkgutil
 import re
 from pathlib import Path
 
@@ -28,3 +29,17 @@ def test_public_names_resolve_and_readme_library_example_runs(tmp_path, monkeypa
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert len(namespace["kps"].points) == 9
     assert namespace["fits"]
+
+
+def test_readme_scatterkit_references_resolve():
+    """Every backticked `scatterkit.<module>.<name>` in the README names
+    something that exists, so a renamed or deleted helper fails here."""
+    refs = set(re.findall(r"`(scatterkit(?:\.\w+)+)", README.read_text()))
+    assert "scatterkit.metrics.clip_reach" in refs
+    missing = []
+    for ref in sorted(refs):
+        try:
+            pkgutil.resolve_name(ref)
+        except (ImportError, AttributeError):
+            missing.append(ref)
+    assert missing == []

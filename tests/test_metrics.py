@@ -1,5 +1,7 @@
 """Rotated IoU, average precision, proposal metrics, report rendering."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,8 +144,9 @@ DEGENERATE_CASES = [
     [[0, 0], [1e-7, 0], [1e-7, 1e-7], [0, 1e-7]],      # area 1e-14
     [[0, 0], [2, 0], [1, 0.5], [1, 2]],                # dart: one reflex corner
     [[0, 0], [2, 0], [2, 2], [1, 2 + 1e-10]],          # cross within tolerance
-    [[1e200, 1e200], [2e200, 1e200], [2e200, 2e200], [1e200, 2e200]],  # area NaN
+    [[1e200, 1e200], [2e200, 1e200], [2e200, 2e200], [1e200, 2e200]],  # area inf
     [[0, 0], [1e200, 0], [1e200, 1e200], [0, 1e200]],  # area overflows to inf
+    [[0, 0], [2e200, 1e200], [2e200, 2e200], [1e200, 2e200]],  # area NaN: inf - inf
 ]
 
 
@@ -239,8 +242,8 @@ def _near_group(rng, size):
     or 4 x reach, or 1e-16..1e-2 x size), or turned slightly and moved
     along one of its edge lines, so that its corners fall near that line."""
     w, h = size * rng.uniform(0.3, 1.0, 2)
-    # far offsets only where the shoelace's cancellation (~1e-16 x offset^2)
-    # stays far below the box's own area
+    # far offsets only for boxes over 1 px, as this family has always been
+    # drawn; `test_shoelace_keeps_a_tiny_far_box_exact` covers the others
     offset = rng.choice([0.0, 1e2, 1e4]) if size > 1.0 else 0.0
     center = size * rng.uniform(-2.0, 2.0, 2) + offset * rng.choice([-1.0, 1.0], 2)
     shape = int(rng.integers(0, 4))
@@ -290,34 +293,59 @@ def _assert_box_matches_oracle(corners):
     return box, (area, ccw)
 
 
-def test_rotated_iou_area_and_ccw_equal_oracle_bit_for_bit():
-    """100,000 ordered pairs: every IoU, area and CCW order equals the
-    per-call numpy implementation exactly, over sizes from 1e-3 to 1e4 px."""
-    rng = np.random.Generator(np.random.PCG64(74))
-    pairs = mismatches = 0
-    for g in range(6250):
+def _family(seed, groups, kinds):
+    """Groups of four corner arrays, each at one size from 1e-3 to 1e4 px,
+    of the kinds in turn."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for g in range(groups):
         size = 10.0 ** rng.uniform(-3.0, 4.0)
-        boxes = [_assert_box_matches_oracle(c) for c in _group(rng, KINDS[g % 5], size)]
-        for a, (area_a, ccw_a) in boxes:
-            for b, (area_b, ccw_b) in boxes:
-                pairs += 1
-                mismatches += rotated_iou(a, b) != iou_from_parts(area_a, ccw_a,
-                                                                  area_b, ccw_b)
-    assert pairs == 100_000
+        yield _group(rng, kinds[g % len(kinds)], size)
+
+
+# 100,000 ordered pairs of every kind, and 20,000 of boxes just outside one
+# another, where the rejection rule decides
+FAMILIES = {"mixed": (74, 6250, KINDS), "near": (75, 1250, ("near",))}
+
+
+def test_rotated_iou_area_and_ccw_equal_oracle_bit_for_bit():
+    """120,000 ordered pairs: every IoU, area and CCW order equals the
+    per-call numpy implementation exactly, over sizes from 1e-3 to 1e4 px."""
+    mismatches = 0
+    for name, expected in (("mixed", 100_000), ("near", 20_000)):
+        pairs = 0
+        for corners in _family(*FAMILIES[name]):
+            boxes = [_assert_box_matches_oracle(c) for c in corners]
+            for a, (area_a, ccw_a) in boxes:
+                for b, (area_b, ccw_b) in boxes:
+                    pairs += 1
+                    mismatches += rotated_iou(a, b) != iou_from_parts(area_a, ccw_a,
+                                                                      area_b, ccw_b)
+        assert pairs == expected
     assert mismatches == 0
-    # boxes just outside one another, where the rejection rule decides
-    near_rng = np.random.Generator(np.random.PCG64(75))
-    near = 0
-    for _ in range(1250):
-        size = 10.0 ** near_rng.uniform(-3.0, 4.0)
-        boxes = [_assert_box_matches_oracle(c) for c in _group(near_rng, "near", size)]
-        for a, (area_a, ccw_a) in boxes:
-            for b, (area_b, ccw_b) in boxes:
-                near += 1
-                mismatches += rotated_iou(a, b) != iou_from_parts(area_a, ccw_a,
-                                                                  area_b, ccw_b)
-    assert near == 20_000
-    assert mismatches == 0
+
+
+def test_clip_stays_in_the_subject_bounds_and_clips_rejected_pairs_to_nothing():
+    """What the proof in `rotated_iou` rests on, on both oracle families and
+    the spike pair: every vertex the clip returns lies within the subject's
+    bounds +- rho, and every pair the rejection rule skips clips to []."""
+    rejected = 0
+    groups = [list(_spike_pair())]
+    for name in FAMILIES:
+        groups += [[OrientedBox(corners=c) for c in corners]
+                   for corners in _family(*FAMILIES[name])]
+    for boxes in groups:
+        bounds = [(*box.corners.min(axis=0), *box.corners.max(axis=0),
+                   np.abs(box.corners).max()) for box in boxes]
+        for a, (x0, y0, x1, y1, am) in zip(boxes, bounds):
+            for b, (_, _, _, _, bm) in zip(boxes, bounds):
+                poly = metrics._clip_convex(a._ccw_pts, b._ccw_pts)
+                rho = metrics.ROUNDING_PER_PX * (1.0 + max(am, bm))
+                assert all(x0 - rho <= x <= x1 + rho and y0 - rho <= y <= y1 + rho
+                           for x, y in poly)
+                if metrics._beyond_reach(a, b):
+                    rejected += 1
+                    assert poly == []
+    assert rejected > 10_000, rejected
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -362,11 +390,74 @@ def test_rotated_iou_is_finite_and_in_unit_interval_up_to_1e300(data):
         assert np.isfinite(iou) and 0.0 <= iou <= 1.0
 
 
+def test_shoelace_keeps_a_tiny_far_box_exact():
+    """A ~6e-4 px kite at (1e4, 1e4): summed on raw coordinates, whose
+    products round to ~1e-8, its area read twice the exact value, and a
+    copy moved up by its own height read 0 and was rejected."""
+    kite = _kite(np.array([1e4, 1e4]), 3.75e-4, 1.28e-5, 0.6)
+    height = np.ptp(kite[:, 1])
+    for corners in (kite, kite + [0.0, height]):
+        pts = [(Fraction(x), Fraction(y)) for x, y in corners.tolist()]
+        exact = abs(sum(px * qy - qx * py for (px, py), (qx, qy)
+                        in zip(pts, pts[1:] + pts[:1]))) / 2
+        assert OrientedBox(corners=corners).area == pytest.approx(float(exact), rel=1e-12)
+
+
+# sides and offsets near 1e154, where the shoelace terms leave the float range
+OVERFLOW_WINDOW = [
+    [[0, 0], [1e154, 0], [1e154, 1e154], [0, 1e154]],      # area inf
+    [[-7e153, 0], [0, -7e153], [7e153, 0], [0, 7e153]],    # area 9.8e307, terms sum to inf
+    [[-1e154, -1e154], [3e153, -1e154], [3e153, 3e153], [-1e154, 3e153]],  # area inf
+    _rect_corners([0.0, 1.2e154], 1e140, 1e140, 0.5),      # ~70 ulps of its offset wide
+    # accepted, although their raw-coordinate shoelace terms overflow
+    [[1.5e154, 1.5e154], [3e154, 1.5e154], [3e154, 1.6e154], [1.5e154, 1.6e154]],
+    [[1e154, 1e154], [1.5e154, 1e154], [1.5e154, 1.5e154], [1e154, 1.5e154]],
+    _rect_corners([1e154, -1e154], 1.3e154, 6.5e153, 0.5),
+]
+
+
+@pytest.mark.parametrize("corners", OVERFLOW_WINDOW)
+def test_boxes_near_1e154_build_or_raise_degenerate_box_and_score_in_unit_interval(corners):
+    reason = degenerate_reason(corners)
+    if reason is not None:
+        with pytest.raises(DegenerateBox) as exc:
+            OrientedBox(corners=corners)
+        assert str(exc.value) == reason
+        return
+    arr = np.asarray(corners, dtype=np.float64)
+    step = np.ptp(arr, axis=0)
+    a = OrientedBox(corners=arr)
+    for shift in (0.25, 3.0):  # overlapping, then far apart
+        b = OrientedBox(corners=arr + shift * step)
+        for x, y in ((a, b), (b, a), (a, a)):
+            iou = rotated_iou(x, y)
+            assert np.isfinite(iou) and 0.0 <= iou <= 1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert iou == rotated_iou_np(x.corners, y.corners)
+
+
+def test_eval_of_predictions_near_1e154_exits_3_or_scores(tmp_path, capsys):
+    gts = tmp_path / "gts"
+    gts.mkdir()
+    (gts / "img0.txt").write_text("0 0 4 0 4 4 0 4 ship 0\n")
+    preds = tmp_path / "preds.txt"
+    # a 5e153 px square at 1e154: its raw shoelace terms overflow, but not
+    # those about its first corner
+    preds.write_text("img0 0 0.9 1e154 1e154 1.5e154 1e154 1.5e154 1.5e154 1e154 1.5e154\n")
+    assert main(["eval", "--preds", str(preds), "--gts", str(gts)]) == 0
+    assert "map = 0.000000" in capsys.readouterr().out
+    preds.write_text("img0 0 0.9 0 0 1e154 0 1e154 1e154 0 1e154\n")
+    assert main(["eval", "--preds", str(preds), "--gts", str(gts)]) == 3
+    err = capsys.readouterr().err
+    assert "box area is not finite" in err and "Traceback" not in err
+
+
 def _spike_pair():
     """A 100 px square and a 199 x 1 px box 1 px to its left whose top edge
     runs just below the line of the square's bottom edge, turned by 1e-13
-    rad: the clip's 1e-9 tolerance carries a cut along that line into the
-    square, and the IoU is 1.2e-14 although the bounds are 1 px apart."""
+    rad: with an unclamped cut fraction, the clip's 1e-9 tolerance carries a
+    cut along that line into the square, and the IoU reads 1.2e-14 although
+    the bounds are 1 px apart."""
     square = rect(0, 0, 100, 100)
     ang = 0.5e-11 / 51
     u, n = np.array([np.cos(ang), np.sin(ang)]), np.array([-np.sin(ang), np.cos(ang)])
@@ -389,12 +480,11 @@ def clip_calls(monkeypatch):
     return calls
 
 
-def test_rotated_iou_clips_pairs_whose_bounds_are_far_apart_when_it_must(clip_calls):
+def test_rotated_iou_scores_the_spike_pair_zero_without_the_clip(clip_calls):
     a, b = _spike_pair()
     assert _bound_gap(a, b) > 0.99 > 1e6 * clip_reach(a, b)
-    iou = rotated_iou(a, b)
-    assert iou == rotated_iou_np(a.corners, b.corners) > 1e-14
-    assert len(clip_calls) == 1
+    assert rotated_iou(a, b) == rotated_iou_np(a.corners, b.corners) == 0.0
+    assert clip_calls == []
 
 
 def test_rotated_iou_skips_the_clip_beyond_the_reach_and_only_there(clip_calls):
@@ -440,11 +530,6 @@ def test_clip_reach_is_infinite_where_the_proof_does_not_hold():
     assert clip_reach(square, flat) == np.inf
     dented = OrientedBox(corners=[[0, 0], [2, 0], [1, 2], [0.5 + 1e-11, 1]])  # reflex within tol
     assert clip_reach(square, dented) == np.inf
-    # the lines of CCW edges 0 and 2 of this trapezoid meet 60 px to its
-    # left: the proof covers boxes near it only
-    trapezoid = OrientedBox(corners=[[0, 0], [10, 0], [10, 1], [0, 1.2]])
-    assert np.isfinite(clip_reach(rect(11, 0, 12, 1), trapezoid))
-    assert clip_reach(rect(1e3, 0, 1e3 + 1, 1), trapezoid) == np.inf
     # past 2**500 the clip's products may overflow
     big = 2.0 ** 501
     assert clip_reach(rect(big, 0, big + 2.0 ** 460, 2.0 ** 460), square) == np.inf
