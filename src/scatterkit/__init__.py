@@ -11,7 +11,7 @@ from .ascmodel import (FittedScatterer, FrequencyGrid, Scatterer, SeparablePsf,
                        reconstruct, synth_image, synth_target)
 from .chipio import read_chip, write_chip, write_pgm
 from .config import RunConfig, canonical_text, config_hash, load_config
-from .decouple import DecoupleParams, ScatterRegion, decouple, decouple_steps
+from .decouple import DecoupleParams, ScatterRegion, decouple
 from .errors import ScatterKitError
 from .keypoints import (DogParams, KeypointSet, cluster_keypoints,
                         dog_keypoints, instance_seed, to_global)
@@ -36,7 +36,7 @@ __all__ = [
     "amplitude", "average_precision", "average_precision_grouped",
     "base_psf", "bce_loss",
     "canonical_text", "cluster_keypoints", "config_hash", "decouple",
-    "decouple_steps", "dog_keypoints", "downsample_pyramid",
+    "dog_keypoints", "downsample_pyramid",
     "enhance_features", "fft2d", "fit_scatterer", "forward_field",
     "greedy_point_match", "gt_scatter_map", "ifft2d", "instance_seed",
     "load_config", "max_ious", "mean_ap", "mean_nearest_distance",

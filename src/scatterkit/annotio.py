@@ -1,7 +1,8 @@
 """Annotation text formats, chip cropping, and the annotation pipelines.
 
-The physics pipeline is composed here alone: `run_skaa` runs
-`skaa_keypoints` (decouple -> fit -> cluster) on every crop.
+The physics pipeline is composed here alone: `run_skaa` runs decouple ->
+fit -> cluster on every crop, one loop pass each, with `skaa_keypoints`' own
+fit and cluster code; `--debug-dir` dumps come from the same regions.
 
 Base format is one instance per line:
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .ascmodel import FittedScatterer, FrequencyGrid, Scatterer, base_psf, fit_scatterer
 from .chipio import read_chip, write_chip, write_text_atomic
-from .decouple import DecoupleParams, decouple, decouple_steps
+from .decouple import DecoupleParams, ScatterRegion, decouple
 from .errors import (BadKeypointCount, BoxOutsideImage, MalformedLine,
                      OutOfBounds, ScatterKitError)
 from .keypoints import (DEFAULT_K, DogParams, KeypointSet, cluster_keypoints,
@@ -100,7 +101,7 @@ def _parse_line(line: str, line_no: int) -> InstanceAnnotation:
     except ValueError:
         raise MalformedLine(line_no, f"bad difficulty {tokens[9]!r}") from None
 
-    kps = None
+    pts = None
     rest = tokens[10:]
     if rest:
         if rest[0] != "kp":
@@ -113,9 +114,9 @@ def _parse_line(line: str, line_no: int) -> InstanceAnnotation:
             raise BadKeypointCount(
                 line_no, f"keypoint list must hold 2k numbers, got {len(coords)}")
         pts = tuple((coords[i], coords[i + 1]) for i in range(0, len(coords), 2))
-        kps = KeypointSet(points=pts, k=len(pts))
 
     try:
+        kps = None if pts is None else KeypointSet(points=pts, k=len(pts))
         box = OrientedBox(np.array(nums).reshape(4, 2))
         return InstanceAnnotation(box=box, class_name=class_name,
                                   difficulty=difficulty, keypoints=kps)
@@ -192,7 +193,7 @@ def crop_chip(image: ComplexRaster, box: OrientedBox) -> tuple[ComplexRaster, tu
             f"box AABB [{c[:, 0].min():.6g}, {c[:, 0].max():.6g}]x"
             f"[{c[:, 1].min():.6g}, {c[:, 1].max():.6g}] misses the "
             f"{image.width}x{image.height} image")
-    return ComplexRaster(image.samples[y0:y1, x0:x1].copy()), (x0, y0)
+    return ComplexRaster(image.samples[y0:y1, x0:x1]), (x0, y0)
 
 
 @dataclass(frozen=True)
@@ -241,13 +242,24 @@ class RunSummary:
         return float(np.mean(self.instance_ms)) if self.instance_ms else 0.0
 
 
+def _fit(regions: list[ScatterRegion], grid: FrequencyGrid, window: WindowRaster,
+         refine: bool) -> list[FittedScatterer]:
+    psf = base_psf(grid, window)
+    return [fit_scatterer(reg, psf, refine=refine) for reg in regions]
+
+
+def _keypoints(regions: list[ScatterRegion], grid: FrequencyGrid, window: WindowRaster,
+               k: int, rng_seed: int, refine: bool = False) -> KeypointSet:
+    """Fit -> cluster on decoupled regions: the path annotate shares."""
+    fits = _fit(regions, grid, window, refine)
+    return cluster_keypoints([(f.x, f.y) for f in fits], k=k, rng_seed=rng_seed)
+
+
 def fit_regions(img: ComplexRaster, grid: FrequencyGrid, window: WindowRaster,
                 dec_params: DecoupleParams = DecoupleParams(),
                 refine: bool = False) -> list[FittedScatterer]:
     """Decouple a chip and fit one scatterer per extracted region."""
-    psf = base_psf(grid, window)
-    return [fit_scatterer(reg, psf, refine=refine)
-            for reg in decouple(img, dec_params)]
+    return _fit(decouple(img, dec_params), grid, window, refine)
 
 
 def skaa_keypoints(img: ComplexRaster, grid: FrequencyGrid, window: WindowRaster,
@@ -255,17 +267,19 @@ def skaa_keypoints(img: ComplexRaster, grid: FrequencyGrid, window: WindowRaster
                    k: int = DEFAULT_K, rng_seed: int = 0,
                    refine: bool = False) -> KeypointSet:
     """Full physics path: decouple -> fit positions -> cluster to k keypoints."""
-    fits = fit_regions(img, grid, window, dec_params, refine=refine)
-    return cluster_keypoints([(f.x, f.y) for f in fits], k=k, rng_seed=rng_seed)
+    return _keypoints(decouple(img, dec_params), grid, window, k, rng_seed, refine)
 
 
-def _dump_steps(chip: ComplexRaster, dec_params: DecoupleParams,
+def _dump_steps(amp: AmplitudeRaster, regions: list[ScatterRegion],
                 debug_dir: Path, stem: str) -> None:
-    """Dump each step's residual and support: a second loop pass, for --debug-dir."""
-    for it, step in enumerate(decouple_steps(chip, dec_params)):
+    """Dump each step's residual and support, for --debug-dir; the residual
+    after step i is `amp` with the supports of steps 0..i set to 0.0."""
+    residual = amp.values.copy()
+    for it, region in enumerate(regions):
+        residual.ravel()[region.indices] = 0.0
         step_stem = f"{stem}_{it:02d}"
-        write_chip(AmplitudeRaster(step.residual), debug_dir / f"{step_stem}_residual.csar")
-        write_chip(AmplitudeRaster(step.region.support.astype(np.float64)),
+        write_chip(AmplitudeRaster(residual), debug_dir / f"{step_stem}_residual.csar")
+        write_chip(AmplitudeRaster(region.support.astype(np.float64)),
                    debug_dir / f"{step_stem}_labels.csar")
 
 
@@ -278,10 +292,12 @@ def _annotate_instance_skaa(image: ComplexRaster, ann: InstanceAnnotation,
     chip, origin = crop_chip(image, ann.box)
     grid = FrequencyGrid(height=chip.height, width=chip.width)
     window = taylor_window_2d(chip.height, chip.width, taylor)
+    amp = amplitude(chip)
+    regions = decouple(amp, dec_params)
     if debug_dir is not None:
-        _dump_steps(chip, dec_params, debug_dir, f"{image_id}_{idx:03d}")
-    kps = skaa_keypoints(chip, grid, window, dec_params, k=k,
-                         rng_seed=instance_seed(master_seed, image_id, idx))
+        _dump_steps(amp, regions, debug_dir, f"{image_id}_{idx:03d}")
+    kps = _keypoints(regions, grid, window, k,
+                     instance_seed(master_seed, image_id, idx))
     return replace(ann, keypoints=to_global(kps, origin))
 
 
@@ -322,7 +338,7 @@ def _run_annotator(index: DatasetIndex, out_dir: str | Path, worker,
             summary.failed_images += 1
             continue
         if isinstance(image, AmplitudeRaster):
-            image = ComplexRaster(image.values.astype(np.complex128))
+            image = ComplexRaster(image.values)
         extended = []
         for idx, ann in enumerate(annots):
             t0 = time.perf_counter()

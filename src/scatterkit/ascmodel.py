@@ -113,8 +113,8 @@ class SeparablePsf:
         col = np.asarray(self.col, dtype=np.float64)
         if row.ndim != 1 or col.ndim != 1 or row.size < 1 or col.size < 1:
             raise ValueError("psf factors must be non-empty 1-D arrays")
-        object.__setattr__(self, "row", _freeze(row))
-        object.__setattr__(self, "col", _freeze(col))
+        object.__setattr__(self, "row", _freeze(row, self.row))
+        object.__setattr__(self, "col", _freeze(col, self.col))
         for name, v in (("row_windows", row), ("col_windows", col)):
             n = v.size
             wrap = np.empty(2 * n)

@@ -116,11 +116,11 @@ def _parse_csar(data: bytes) -> ComplexRaster | AmplitudeRaster:
     if not np.isfinite(flat).all():
         raise BadSamples("payload holds NaN/Inf samples")
     if dtype == DTYPE_COMPLEX:
-        samples = flat.astype(np.float32).view(np.complex64).reshape(height, width)
-        return ComplexRaster(samples.astype(np.complex128))
+        # the raster's own promotion to complex128 is the one full-size copy
+        return ComplexRaster(flat.view("<c8").reshape(height, width))
     if (flat < 0).any():
         raise BadSamples("amplitude payload holds negative samples")
-    return AmplitudeRaster(flat.reshape(height, width).astype(np.float64))
+    return AmplitudeRaster(flat.reshape(height, width))
 
 
 def _parse_pgm(data: bytes) -> AmplitudeRaster:
@@ -156,7 +156,7 @@ def _parse_pgm(data: bytes) -> AmplitudeRaster:
     if len(data) - pos < n * dtype.itemsize:
         raise TruncatedPayload("PGM payload shorter than declared raster")
     values = np.frombuffer(data, dtype=dtype, count=n, offset=pos)
-    return AmplitudeRaster(values.reshape(height, width).astype(np.float64))
+    return AmplitudeRaster(values.reshape(height, width))
 
 
 def write_pgm(values01: np.ndarray, path: str | Path) -> None:

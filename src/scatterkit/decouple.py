@@ -14,13 +14,14 @@ compares residual amplitudes against a per-step threshold equivalent to the
 dB floor, and computes dB only to settle a comparison too close to call in
 amplitudes. A region leaves the loop as its ascending flat support indices
 and the residual values there; its full-frame images are built only when
-read.
+read. `decouple` returns the regions alone: lifting a region out sets the
+residual to 0.0 on its support, so the residual after step i is the
+amplitude with the supports of steps 0..i set to 0.0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -102,8 +103,9 @@ class ScatterRegion:
         if vals[at] != vals.max():
             raise ValueError("peak must attain the region maximum")
         object.__setattr__(self, "shape", (h, w))
-        object.__setattr__(self, "indices", _freeze(idx.astype(np.int64, copy=False)))
-        object.__setattr__(self, "amplitudes", _freeze(vals))
+        object.__setattr__(self, "indices",
+                           _freeze(idx.astype(np.int64, copy=False), self.indices))
+        object.__setattr__(self, "amplitudes", _freeze(vals, self.amplitudes))
         object.__setattr__(self, "peak", (py, px))
 
     @classmethod
@@ -143,14 +145,6 @@ class ScatterRegion:
         return float(np.sum(vals * vals))
 
 
-@dataclass(frozen=True)
-class DecoupleStep:
-    """One loop iteration: the region and the residual after it."""
-
-    region: ScatterRegion
-    residual: np.ndarray
-
-
 class _Frame:
     """Padded working copy of an amplitude raster.
 
@@ -167,7 +161,7 @@ class _Frame:
         self.pw = w + 2
         res = np.full((h + 2, w + 2), -np.inf)
         res[1:-1, 1:-1] = vals
-        self.res, self.res_inner = res.ravel(), res[1:-1, 1:-1]
+        self.res = res.ravel()
         # unpadded flat index of each padded one; border entries are never read
         self.unpadded = np.add.outer(np.arange(-1, h + 1) * w, np.arange(-1, w + 1)).ravel()
         self.res_view = memoryview(self.res)
@@ -256,10 +250,11 @@ def _db_precedes(p: int, v_p: float, q: int, v_q: float, peak: float, eps: float
     return p_db > q_db or (p_db == q_db and p < q)
 
 
-def _extract(amp: AmplitudeRaster,
-             params: DecoupleParams) -> Iterator[tuple[ScatterRegion, _Frame]]:
-    """The extraction loop; yields each region with the frame, whose
-    residual already has the region lifted out."""
+def decouple(img: ComplexRaster | AmplitudeRaster,
+             params: DecoupleParams = DecoupleParams()) -> list[ScatterRegion]:
+    """Extract up to n_max scattering regions, brightest first, until the
+    cap, an all-zero residual, or a residual peak under the floor."""
+    amp = img if isinstance(img, AmplitudeRaster) else amplitude(img)
     frame = _Frame(amp.values)
     res = frame.res
     orig_peak = frame.res_view[int(np.argmax(res))]
@@ -268,6 +263,7 @@ def _extract(amp: AmplitudeRaster,
     floor = params.min_peak_ratio * orig_peak
     block_ratio = 10.0 ** (params.tau_db / 10.0)
 
+    regions = []
     for _ in range(params.n_max):
         p = int(np.argmax(res))  # row-major first on ties
         peak = frame.res_view[p]
@@ -279,26 +275,6 @@ def _extract(amp: AmplitudeRaster,
         res[sup] = 0.0
         py, px = divmod(p, frame.pw)
         # sup is ascending and in the frame, and the peak attains the maximum
-        yield ScatterRegion._trusted(frame.shape, frame.unpadded[sup], amps,
-                                     (py - 1, px - 1)), frame
-
-
-def _amplitude(img: ComplexRaster | AmplitudeRaster) -> AmplitudeRaster:
-    return img if isinstance(img, AmplitudeRaster) else amplitude(img)
-
-
-def decouple_steps(img: ComplexRaster | AmplitudeRaster,
-                   params: DecoupleParams = DecoupleParams()) -> Iterator[DecoupleStep]:
-    """Yield extraction steps until the cap, an empty residual, or the floor.
-
-    The same loop as `decouple`, plus a full-frame copy of the residual
-    after each step.
-    """
-    for region, frame in _extract(_amplitude(img), params):
-        yield DecoupleStep(region=region, residual=frame.res_inner.copy())
-
-
-def decouple(img: ComplexRaster | AmplitudeRaster,
-             params: DecoupleParams = DecoupleParams()) -> list[ScatterRegion]:
-    """Extract up to n_max scattering regions, brightest first."""
-    return [region for region, _ in _extract(_amplitude(img), params)]
+        regions.append(ScatterRegion._trusted(frame.shape, frame.unpadded[sup], amps,
+                                              (py - 1, px - 1)))
+    return regions

@@ -2,7 +2,9 @@
 
 All rasters wrap a 2-D row-major numpy array and are immutable after
 construction (the backing array is marked read-only), so they are safe to
-share between threads without copying.
+share between threads without copying. A constructor keeps its own copy of
+a writable array it is given, so the caller's array stays writable and later
+writes to it do not reach the raster; a read-only array is kept as it is.
 """
 
 from __future__ import annotations
@@ -13,8 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze(arr: np.ndarray, source: object) -> np.ndarray:
+    """`arr`, a constructor's conversion of its argument `source`, as a
+    read-only C-contiguous array: copied while it shares memory with a
+    writable `source` array, frozen in place otherwise."""
     out = np.ascontiguousarray(arr)
+    if out.flags.writeable and isinstance(source, np.ndarray) and \
+            np.may_share_memory(out, source):
+        out = out.copy()
     out.setflags(write=False)
     return out
 
@@ -38,7 +46,7 @@ class ComplexRaster:
             raise ValueError(f"expected a non-empty 2-D array, got shape {arr.shape}")
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise ValueError("complex raster contains NaN/Inf samples")
-        object.__setattr__(self, "samples", _freeze(arr))
+        object.__setattr__(self, "samples", _freeze(arr, self.samples))
 
     @property
     def height(self) -> int:
@@ -63,7 +71,7 @@ class AmplitudeRaster:
             raise ValueError("amplitude raster contains NaN/Inf values")
         if np.any(arr < 0):
             raise ValueError("amplitude raster contains negative values")
-        object.__setattr__(self, "values", _freeze(arr))
+        object.__setattr__(self, "values", _freeze(arr, self.values))
 
     @property
     def height(self) -> int:
@@ -97,7 +105,7 @@ class WindowRaster:
             # np.isclose(peak, 1, rtol=0, atol=1e-12), without its overhead
             if not abs(float(taper.max()) - 1.0) <= 1e-12:
                 raise ValueError(f"{name} peak must be normalized to 1")
-            object.__setattr__(self, name, _freeze(taper))
+            object.__setattr__(self, name, _freeze(taper, getattr(self, name)))
 
     @property
     def height(self) -> int:
@@ -115,7 +123,9 @@ class WindowRaster:
 
 def amplitude(img: ComplexRaster) -> AmplitudeRaster:
     """Per-pixel complex modulus of a chip."""
-    return AmplitudeRaster(np.abs(img.samples))
+    vals = np.abs(img.samples)
+    vals.setflags(write=False)  # fresh, so the raster keeps it without a copy
+    return AmplitudeRaster(vals)
 
 
 def peak_db(values: np.ndarray, peak: float, eps: float) -> np.ndarray:

@@ -51,7 +51,7 @@ class ScatterMap:
             raise ValueError("scatter map contains NaN/Inf")
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("scatter map values must lie in [0, 1]")
-        object.__setattr__(self, "values", _freeze(arr))
+        object.__setattr__(self, "values", _freeze(arr, self.values))
 
     @property
     def height(self) -> int:
@@ -74,7 +74,7 @@ class FeatureGrid:
             raise ValueError(f"features must be (C, H, W) non-empty, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("features contain NaN/Inf")
-        object.__setattr__(self, "values", _freeze(arr))
+        object.__setattr__(self, "values", _freeze(arr, self.values))
 
     @property
     def channels(self) -> int:

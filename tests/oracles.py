@@ -1,5 +1,9 @@
 """Reference implementations the library's faster paths are checked against.
 
+`decouple_residuals` pairs each of `decouple`'s regions with the residual
+after it, rebuilt from the regions alone: the amplitude with the supports of
+that region and every earlier one set to 0.0.
+
 `decouple_steps_dense` is the extraction loop on full-frame arrays, with
 `mask_block_dense` and `grow_support_dense` as its two searches: every step
 re-wraps the residual, pads fresh dB, seed and support frames, and lifts the
@@ -46,11 +50,11 @@ import numpy as np
 
 from scatterkit.ascmodel import (FIT_DILATE_PX, FittedScatterer, FrequencyGrid,
                                  SeparablePsf)
-from scatterkit.decouple import DecoupleParams
+from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
 from scatterkit.errors import AllZeroRaster, EmptyInput, EmptyRegion
 from scatterkit.keypoints import KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet
 from scatterkit.metrics import COLLINEAR_TOL, SLIVER_AREA
-from scatterkit.raster import AmplitudeRaster, WindowRaster
+from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
 from scatterkit.spectral import fft2d, ifft2d
 
 N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -67,6 +71,26 @@ class DenseStep:
     peak: tuple[int, int]
     energy: float
     residual: np.ndarray
+
+
+@dataclass(frozen=True)
+class LoopStep:
+    """One region of `decouple` and the full-frame residual after it."""
+
+    region: ScatterRegion
+    residual: np.ndarray
+
+
+def decouple_residuals(img: ComplexRaster | AmplitudeRaster,
+                       params: DecoupleParams = DecoupleParams()) -> list[LoopStep]:
+    """`decouple(img, params)`, each region with the residual after it."""
+    amp = img if isinstance(img, AmplitudeRaster) else amplitude(img)
+    residual = amp.values.copy()
+    steps = []
+    for region in decouple(amp, params):
+        residual.ravel()[region.indices] = 0.0
+        steps.append(LoopStep(region=region, residual=residual.copy()))
+    return steps
 
 
 def mask_block_dense(r: AmplitudeRaster, tau_db: float) -> np.ndarray:

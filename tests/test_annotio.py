@@ -26,6 +26,9 @@ from scatterkit.metrics import OrientedBox
 from scatterkit.raster import ComplexRaster
 from scatterkit.spectral import taylor_window_2d
 
+# the package's `decouple` attribute is the function, not its module
+decouple_module = importlib.import_module("scatterkit.decouple")
+
 BOX_LINE = "0 0 4 0 4 4 0 4 tank 0"
 
 
@@ -415,6 +418,25 @@ def test_run_skaa_debug_dir_leaves_the_annotations_unchanged(tmp_path):
         assert (dumped / ann_path.name).read_bytes() == \
             (plain / ann_path.name).read_bytes()
     assert sorted(debug.glob("chip_00000_000_*_residual.csar"))
+
+
+def test_run_skaa_debug_dir_runs_the_extraction_loop_once_per_instance(
+        tmp_path, monkeypatch):
+    frames = []
+    inner = decouple_module._Frame
+
+    def counting(vals):
+        frames.append(vals.shape)
+        return inner(vals)
+
+    monkeypatch.setattr(decouple_module, "_Frame", counting)
+    debug = tmp_path / "debug"
+    summary = run_skaa(_three_instance_set(tmp_path), tmp_path / "out", master_seed=0,
+                       debug_dir=debug)
+    assert summary.instances == 3 and summary.failures == 0
+    assert len(frames) == 3
+    for image_id, idx in (("chip_00000", 0), ("chip_00000", 1), ("chip_00001", 0)):
+        assert sorted(debug.glob(f"{image_id}_{idx:03d}_*_residual.csar"))
 
 
 @pytest.mark.parametrize("window", [{"window_nbar": 0}, {"window_sidelobe_db": 3.0}])

@@ -128,6 +128,35 @@ def test_eval_box_whose_area_is_not_finite_is_data_error(tmp_path, capsys, corne
     assert "box area is not finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kp", ["nan 1", "1e400 1"])
+def test_non_finite_keypoint_in_an_annotation_is_data_error(tmp_path, capsys, caplog, kp):
+    data = synth(tmp_path, chips=2)
+    bad = data / "annots" / "chip_00001.txt"
+    lines = bad.read_text().splitlines()
+    lines[0] += f" kp {kp}"
+    bad.write_text("\n".join(lines) + "\n")
+    preds = tmp_path / "preds.txt"
+    preds.write_text("chip_00000 0 0.9 0 0 4 0 4 4 0 4\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for argv in (("eval", "--preds", str(preds), "--gts", str(data / "annots")),
+                 ("heatmap", "--annots", str(data / "annots"), "--dims", "32x32",
+                  "--out", str(tmp_path / "maps")),
+                 ("annotate", "--images", str(data / "images"),
+                  "--annots", str(data / "annots"), "--out", str(out), "--seed", "0")):
+        caplog.clear()
+        assert run_cli(*argv) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # annotate logs the file's error and carries on
+        assert "line 1: keypoints must be finite" in err + caplog.text, argv[0]
+    # annotate copies the bad file through, counts it, and annotates the rest
+    assert (out / "chip_00001.txt").read_bytes() == bad.read_bytes()
+    (ann,) = parse_annotation(out / "chip_00000.txt")
+    assert ann.keypoints is not None
+    assert "failed_images = 1" in (out / MANIFEST_NAME).read_text()
+
+
 def test_annotate_non_finite_chip_is_data_error(tmp_path):
     data = synth(tmp_path)
     chip = data / "images" / "chip_00000.csar"

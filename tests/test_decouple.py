@@ -13,15 +13,15 @@ from scipy import ndimage
 from scatterkit.annotio import crop_chip
 from scatterkit.ascmodel import (FrequencyGrid, Scatterer, base_psf, fit_scatterer,
                                  synth_image, synth_target)
-from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple, decouple_steps
+from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
 from scatterkit.errors import AllZeroRaster, EmptyRegion
 from scatterkit.keypoints import instance_seed
 from scatterkit.metrics import OrientedBox
 from scatterkit.raster import AmplitudeRaster, amplitude, peak_db
 from scatterkit.spectral import taylor_window_2d
 
-from oracles import (LabelMap, decouple_steps_dense, grow_labels,
-                     grow_support_dense, mask_block_dense)
+from oracles import (LabelMap, decouple_residuals, decouple_steps_dense,
+                     grow_labels, grow_support_dense, mask_block_dense)
 
 N4_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -317,7 +317,7 @@ def test_region_grow_equals_label_one_of_oracle_on_every_step():
         chip = synth_target(int(rng.integers(5, 16)), grid, window, rng,
                             speckle=bool(seed % 2))
         residual = np.abs(chip.image.samples)
-        for step in decouple_steps(chip.image, params):
+        for step in decouple_residuals(chip.image, params):
             r = AmplitudeRaster(residual)
             block = mask_block_dense(r, params.tau_db)
             np.testing.assert_array_equal(step.region.support,
@@ -330,7 +330,7 @@ def test_region_grow_equals_label_one_of_oracle_on_every_step():
 def test_decouple_impulse_single_region_zero_residual():
     vals = np.zeros((16, 16))
     vals[5, 9] = 3.0
-    steps = list(decouple_steps(AmplitudeRaster(vals)))
+    steps = decouple_residuals(AmplitudeRaster(vals))
     assert len(steps) == 1
     region = steps[0].region
     assert region.peak == (5, 9)
@@ -385,7 +385,7 @@ def test_decouple_loop_invariants():
         chip = synth_target(n, grid, window, rng)
         prev = np.abs(chip.image.samples)
         prev_peak = np.inf
-        steps = list(decouple_steps(chip.image, params))
+        steps = decouple_residuals(chip.image, params)
         assert 1 <= len(steps) <= params.n_max
         for step in steps:
             assert np.all(step.residual >= 0)
@@ -496,13 +496,12 @@ def test_first_support_matches_dense_searches():
 
 
 def _assert_regions_equal_validated_ones(amp: AmplitudeRaster) -> int:
-    """Every region decouple and decouple_steps yield passes the public
-    constructor and equals what it builds, field by field; returns the count."""
+    """Every region of two decouple runs passes the public constructor and
+    equals what it builds, field by field; returns the count."""
     regions = decouple(amp)
-    steps = list(decouple_steps(amp))
-    assert len(steps) == len(regions)
-    for region in regions + [step.region for step in steps]:
-        # before the constructor, which freezes a contiguous input in place
+    again = decouple(amp)
+    assert len(again) == len(regions)
+    for region in regions + again:
         assert not (region.indices.flags.writeable or region.amplitudes.flags.writeable)
         checked = ScatterRegion(shape=region.shape, indices=region.indices,
                                 amplitudes=region.amplitudes, peak=region.peak)
@@ -554,11 +553,12 @@ def test_loop_regions_equal_validated_ones(source):
 
 
 def _assert_loop_matches_dense_oracle(amp: AmplitudeRaster, params: DecoupleParams) -> int:
-    """Every step of decouple_steps and decouple equals the dense loop to the
-    last bit, and so does the fit of every region; returns the step count."""
+    """Every region of decouple, and the residual after it that the regions
+    fix, equals the dense loop's to the last bit, and so does the fit of every
+    region; returns the step count."""
     h, w = amp.values.shape
     psf = base_psf(FrequencyGrid(h, w), taylor_window_2d(h, w))
-    steps = list(decouple_steps(amp, params))
+    steps = decouple_residuals(amp, params)
     regions = decouple(amp, params)
     dense = list(decouple_steps_dense(amp, params))
     assert len(steps) == len(regions) == len(dense)
@@ -635,12 +635,12 @@ def test_loop_matches_dense_oracle_for_each_stop_reason():
     # n_max: the cap ends the loop with the residual still above the floor
     params = DecoupleParams(n_max=4)
     assert _assert_loop_matches_dense_oracle(amp, params) == 4
-    assert list(decouple_steps(amp, params))[-1].residual.max() >= params.min_peak_ratio * peak
+    assert decouple_residuals(amp, params)[-1].residual.max() >= params.min_peak_ratio * peak
 
     # peak floor: the residual peak falls under min_peak_ratio * the original peak
     params = DecoupleParams(min_peak_ratio=0.3)
     n = _assert_loop_matches_dense_oracle(amp, params)
-    last = list(decouple_steps(amp, params))[-1].residual.max()
+    last = decouple_residuals(amp, params)[-1].residual.max()
     assert n < params.n_max and 0.0 < last < 0.3 * peak
 
     # zero residual: every pixel has been lifted out before the cap
@@ -648,7 +648,7 @@ def test_loop_matches_dense_oracle_for_each_stop_reason():
     vals[[2, 2, 9, 13], [3, 11, 7, 1]] = [1.0, 0.8, 0.6, 0.9]
     n = _assert_loop_matches_dense_oracle(AmplitudeRaster(vals), DecoupleParams())
     assert n == 4
-    assert not list(decouple_steps(AmplitudeRaster(vals)))[-1].residual.any()
+    assert not decouple_residuals(AmplitudeRaster(vals))[-1].residual.any()
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

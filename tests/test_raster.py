@@ -5,8 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scatterkit.ascmodel import SeparablePsf
+from scatterkit.decouple import ScatterRegion
 from scatterkit.raster import (AmplitudeRaster, ComplexRaster, WindowRaster,
                                amplitude, peak_db)
+from scatterkit.supervision import FeatureGrid, ScatterMap
 
 
 def test_complex_raster_promotes_and_freezes():
@@ -133,3 +136,35 @@ def test_window_raster_holds_only_its_tapers():
     assert [f.name for f in dataclasses.fields(w)] == ["row_taper", "col_taper"]
     assert not w.row_taper.flags.writeable and not w.col_taper.flags.writeable
     np.testing.assert_array_equal(w.values, np.outer(row, col))
+
+
+def _stored_arrays(a2, z2, t1, idx, amps):
+    """What each constructor that keeps a caller's array stores of it."""
+    psf = SeparablePsf(t1, t1)
+    region = ScatterRegion(shape=(2, 3), indices=idx, amplitudes=amps, peak=(0, 1))
+    return [AmplitudeRaster(a2).values, ComplexRaster(z2).samples,
+            WindowRaster(t1, t1).row_taper, psf.row, psf.col,
+            ScatterMap(a2).values, FeatureGrid(a2[None]).values,
+            region.indices, region.amplitudes]
+
+
+def test_constructors_copy_a_writable_caller_array():
+    a2 = np.full((2, 3), 0.5)
+    big = np.full((5, 3), 0.5)
+    z2 = np.full((2, 3), 0.5 + 0.5j)
+    t1 = np.array([0.5, 1.0, 0.5])
+    idx, amps = np.array([1, 4]), np.array([2.0, 1.0])
+    # big[1:3] is a contiguous view of a writable array: it must not alias either
+    for a in (a2, big[1:3]):
+        stored = _stored_arrays(a, z2, t1, idx, amps)
+        for arr in (a, big, z2, t1, idx, amps):
+            assert arr.flags.writeable
+        for s in stored:
+            assert not s.flags.writeable
+            assert not any(np.may_share_memory(s, arr) for arr in (a, big, z2, t1, idx, amps))
+
+
+def test_constructors_keep_a_read_only_array_without_a_copy():
+    vals = np.full((2, 3), 0.5)
+    vals.setflags(write=False)
+    assert AmplitudeRaster(vals).values is vals
