@@ -68,6 +68,26 @@ def _dims(text: str) -> tuple[int, int]:
     return h, w
 
 
+def _amp_range(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(t) for t in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
+        raise argparse.ArgumentTypeError(f"need finite 0 < LO < HI, got {text!r}")
+    return lo, hi
+
+
+def _separation(text: str) -> float:
+    try:
+        px = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(px) and px >= 0):
+        raise argparse.ArgumentTypeError(f"need a finite PX >= 0, got {text!r}")
+    return px
+
+
 def _iou_threshold(text: str) -> float:
     try:
         thr = float(text)
@@ -164,7 +184,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         rng = np.random.Generator(np.random.PCG64(
             instance_seed(config.master_seed, chip_id, 0)))
         n = int(rng.integers(lo, hi + 1))
-        chip = synth_target(n, grid, window, rng, speckle=args.speckle)
+        chip = synth_target(n, grid, window, rng, amplitude_range=args.amp_range,
+                            min_separation=args.min_sep, speckle=args.speckle)
         write_chip(chip.image, images / f"{chip_id}.csar")
         write_annotation(
             [InstanceAnnotation(box=chip.box, class_name=chip.class_name,
@@ -422,6 +443,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True, help="master RNG seed")
     p.add_argument("--speckle", action="store_true",
                    help="apply multiplicative exponential speckle")
+    p.add_argument("--amp-range", type=_amp_range, default=(0.5, 1.5),
+                   metavar="LO:HI", help="scatterer amplitude range, 0 < LO < HI")
+    p.add_argument("--min-sep", type=_separation, default=3.0, metavar="PX",
+                   help="minimum scatterer separation (px), >= 0")
 
     p = add("annotate", cmd_annotate, "extend annotations with physics keypoints")
     p.add_argument("--images", required=True, help="chip image directory")

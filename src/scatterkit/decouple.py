@@ -4,7 +4,13 @@ Each pass masks the 4-connected block around the residual's peak, grows it
 over the log-amplitude surface in descending-brightness order, lifts the
 grown region out of the residual, and repeats — at most n_max times, or
 until the residual peak drops below a configurable fraction of the original
-peak. All tie-breaking is row-major, so results are fully deterministic.
+peak. That fraction defaults to the design sidelobe level of the default
+Taylor window, -35 dB (about 0.0178): the chips are formed through that
+window, so a residual peak below it cannot be told apart from a sidelobe of
+a stronger return, and peeling it off only feeds sidelobe debris to the fit
+and the clustering. This is the stopping threshold of CLEAN-style
+peak-subtraction loops (Hoegbom, A&AS 15, 1974). All tie-breaking is
+row-major, so results are fully deterministic.
 
 The loop runs in one padded working frame per chip (`_Frame`): the
 one-pixel border of -inf stays below every threshold, so neither search
@@ -28,6 +34,7 @@ import numpy as np
 from .errors import AllZeroRaster, EmptyRegion
 from .raster import (AmplitudeRaster, ComplexRaster, _freeze, _require_finite,
                      amplitude, peak_db)
+from .spectral import DEFAULT_SIDELOBE_DB
 
 
 # relative half-width of the amplitude bands in which the flood settles a
@@ -37,14 +44,21 @@ _DB_BAND = 1e-9
 
 @dataclass(frozen=True)
 class DecoupleParams:
-    """Thresholds of the extraction loop, all in residual-relative dB."""
+    """Thresholds of the extraction loop.
+
+    `tau_db` and `grow_floor_db` are in dB relative to each step's residual
+    peak. The loop stops once the residual peak falls below
+    `min_peak_ratio` times the original peak (0 disables this stop). Its
+    default is the default window's design sidelobe level as an amplitude
+    ratio, 10^(-35/20) ~ 0.0178: below it a peak may be a sidelobe of a
+    stronger return.
+    """
 
     tau_db: float = -3.0
     eps: float = 1e-6
     n_max: int = 20
     grow_floor_db: float = -20.0
-    # stop when residual peak < ratio * original peak; 0 disables early stop
-    min_peak_ratio: float = 1e-3
+    min_peak_ratio: float = 10 ** (DEFAULT_SIDELOBE_DB / 20)
 
     def __post_init__(self):
         _require_finite(tau_db=self.tau_db, eps=self.eps,

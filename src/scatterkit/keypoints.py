@@ -124,8 +124,12 @@ def cluster_keypoints(positions: list[tuple[float, float]], k: int = DEFAULT_K,
         empty = counts == 0
         new_centers[~empty] /= counts[~empty, None]
         if empty.any():
-            # revive every empty cluster at the worst-fit point
-            new_centers[empty] = arr[int(np.argmax(d2[rows, assign]))]
+            # revive every empty cluster at the worst-fit point, unless that
+            # point already sits on a centre: then every point does, and
+            # reviving there only swaps equal centres between slots
+            fit = d2[rows, assign]
+            worst = int(np.argmax(fit))
+            new_centers[empty] = arr[worst] if fit[worst] > 0.0 else centers[empty]
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
         if shift < KMEANS_TOL:

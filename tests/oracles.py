@@ -499,9 +499,11 @@ def cluster_keypoints_loop(positions: list[tuple[float, float]], k: int,
             if len(members):
                 new_centers[c] = members.mean(axis=0)
             else:
-                # revive an empty cluster at the worst-fit point
+                # revive an empty cluster at the worst-fit point, unless every
+                # point already sits on a centre: then keep its old centre
                 worst = int(np.argmax(d2[np.arange(len(arr)), assign]))
-                new_centers[c] = arr[worst]
+                if d2[worst, assign[worst]] > 0.0:
+                    new_centers[c] = arr[worst]
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
         if shift < KMEANS_TOL:

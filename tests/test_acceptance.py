@@ -25,6 +25,10 @@ project commits to:
 8. Physics keypoints beat the difference-of-Gaussians baseline (distance
    to truth scatterers) on >= 80% of speckled chips, via the CLI.
 9. Every CLI command is byte-deterministic across reruns and thread counts.
+10. On the hard family (amplitudes 0.02-1.5, a 37 dB spread, 3 px apart;
+    90 clean and 90 speckled chips), the keypoints of the shipped loop stop
+    lie no farther from the truth scatterers than those of the -60 dB stop,
+    and nearer than the DoG baseline's, via the CLI.
 """
 
 import contextlib
@@ -473,6 +477,47 @@ def test_keypoints_beat_dog_baseline_on_speckled_chips(speckled_set, measured,
     measured(f"win fraction {fraction:.2f} >= 0.80 over {chips} chips")
     assert chips == 100
     assert fraction >= 0.80
+
+
+# ----------------------------------------------------------- criterion 10
+
+def _mean_truth_distances(report: Path) -> tuple[float, float]:
+    """Mean over chips of the a and b truth-to-keypoint distances of an
+    `eval --keypoint-compare` report."""
+    pairs = re.findall(r"^chip \S+ a=(\S+) b=(\S+) ", report.read_text(), flags=re.M)
+    a, b = np.array(pairs, dtype=np.float64).T
+    return float(a.mean()), float(b.mean())
+
+
+@pytest.mark.acceptance(10, "hard-family keypoints: sidelobe stop vs -60 dB stop and DoG")
+def test_sidelobe_stop_keypoints_on_the_hard_family(tmp_path, measured):
+    readings = []
+    for family, seed, extra in [("clean", "0", []), ("speckled", "3", ["--speckle"])]:
+        data = tmp_path / family
+        run_cli(["synth", "--out", str(data), "--chips", "90", "--dim", str(DIM),
+                 "--scatterers", "5..15", "--seed", seed, "--amp-range", "0.02:1.5",
+                 "--min-sep", "3", *extra])
+        images, annots = str(data / "images"), str(data / "annots")
+        runs = {"shipped": [], "1e-3": ["--min-peak-ratio", "0.001"]}
+        for name, flags in runs.items():
+            run_cli(["annotate", "--images", images, "--annots", annots,
+                     "--out", str(tmp_path / f"{family}-{name}"), "--seed", seed, *flags])
+        run_cli(["baseline-dog", "--images", images, "--annots", annots,
+                 "--out", str(tmp_path / f"{family}-dog")])
+        px = {}
+        for other in ("1e-3", "dog"):
+            report = tmp_path / f"{family}-vs-{other}.txt"
+            run_cli(["eval", "--keypoint-compare",
+                     "--annots-a", str(tmp_path / f"{family}-shipped"),
+                     "--annots-b", str(tmp_path / f"{family}-{other}"),
+                     "--truth", str(data / "truth"), "--report", str(report)])
+            px["shipped"], px[other] = _mean_truth_distances(report)
+        readings.append((family, px))
+    measured("; ".join(f"{family} {px['shipped']:.2f} px <= 1e-3 stop {px['1e-3']:.2f}, "
+                       f"< DoG {px['dog']:.2f}" for family, px in readings))
+    for _, px in readings:
+        assert px["shipped"] <= px["1e-3"]
+        assert px["shipped"] < px["dog"]
 
 
 # ------------------------------------------------------------ criterion 9

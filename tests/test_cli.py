@@ -3,6 +3,7 @@
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +211,60 @@ def test_synth_writes_dataset(tmp_path, capsys):
         assert 2 <= len(truth) <= 4
         assert ann.class_name == "scatterer"
     assert "wrote 2 chips" in capsys.readouterr().out
+
+
+def test_synth_amplitude_range_and_separation_reach_the_truth(tmp_path):
+    out = synth(tmp_path, chips=4, dim=48,
+                extra=("--amp-range", "0.02:1.5", "--min-sep", "6"))
+    truth = [parse_truth(p) for p in sorted((out / "truth").glob("*.txt"))]
+    amps = [s.amplitude for chip in truth for s in chip]
+    assert min(amps) >= 0.02 and max(amps) <= 1.5 and min(amps) < 0.5
+    for chip in truth:
+        xy = np.array([(s.x, s.y) for s in chip])
+        gaps = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
+        assert gaps[~np.eye(len(xy), dtype=bool)].min() >= 6.0
+
+
+@pytest.mark.parametrize("flag", [
+    "--amp-range=nan:1", "--amp-range=0.1:inf", "--amp-range=1:1",
+    "--amp-range=1.5:0.5", "--amp-range=0:1", "--amp-range=-1:1",
+    "--amp-range=0.5", "--amp-range=a:b", "--min-sep=-1", "--min-sep=nan",
+    "--min-sep=inf", "--min-sep=three",
+])
+def test_synth_bad_amplitude_range_or_separation_is_usage_error(tmp_path, capsys, flag):
+    assert usage_exit("synth", "--out", str(tmp_path / "o"), "--chips", "1",
+                      "--seed", "0", flag) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag.split('=')[0]}:" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+# `annotate` outputs saved from commit 1f14f8a, whose default loop stop was
+# 1e-3, on `synth --chips 8 --dim 64 --scatterers 3..12 --seed 11`, clean and
+# speckled, annotated with `--seed 11`
+STOP_1E3_RUN = Path(__file__).resolve().parent / "data" / "annotate_stop_1e-3"
+STOP_1E3_CONFIG_SHA256 = "e797895793a8a4ed6af013b2635b03516739831afeef98525d783dcdb1ae2a0c"
+
+
+@pytest.mark.parametrize("family", ["clean", "speckled"])
+def test_annotate_with_the_1e3_stop_reproduces_the_saved_run(tmp_path, family):
+    extra = ("--speckle",) if family == "speckled" else ()
+    assert run_cli("synth", "--out", str(tmp_path / "data"), "--chips", "8",
+                   "--dim", "64", "--scatterers", "3..12", "--seed", "11", *extra) == 0
+    outputs = {}
+    for name, flags in [("stop-1e-3", ("--min-peak-ratio", "0.001")), ("default", ())]:
+        out = tmp_path / name
+        assert run_cli("annotate", "--images", str(tmp_path / "data" / "images"),
+                       "--annots", str(tmp_path / "data" / "annots"),
+                       "--out", str(out), "--seed", "11", *flags) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in sorted(out.glob("chip_*.txt"))}
+    saved = {p.name: p.read_bytes() for p in sorted((STOP_1E3_RUN / family).glob("*.txt"))}
+    assert len(saved) == 8
+    assert outputs["stop-1e-3"] == saved
+    manifest = (tmp_path / "stop-1e-3" / MANIFEST_NAME).read_text()
+    assert f"config_sha256 = {STOP_1E3_CONFIG_SHA256}\n" in manifest
+    # the default stop is another run
+    assert outputs["default"] != saved
 
 
 def test_synth_rerun_is_byte_identical(tmp_path):

@@ -8,6 +8,7 @@ from scatterkit import config
 from scatterkit.annotio import run_dog, run_skaa
 from scatterkit.config import (RunConfig, canonical_text, config_hash,
                                emit_config, emit_manifest, load_config)
+from scatterkit.decouple import DecoupleParams
 from scatterkit.errors import BadConfigField
 from scatterkit.keypoints import DEFAULT_K
 from scatterkit.spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB
@@ -45,7 +46,7 @@ def test_default_canonical_text_and_hash_are_pinned():
     assert canonical_text(RunConfig()) == (
         "decouple.eps = 1e-06\n"
         "decouple.grow_floor_db = -20.0\n"
-        "decouple.min_peak_ratio = 0.001\n"
+        "decouple.min_peak_ratio = 0.01778279410038923\n"
         "decouple.n_max = 20\n"
         "decouple.tau_db = -3.0\n"
         "dog.sigma1 = 1.0\n"
@@ -62,7 +63,13 @@ def test_default_canonical_text_and_hash_are_pinned():
         "window.nbar = 4\n"
         "window.sidelobe_db = -35.0\n")
     assert config_hash(RunConfig()) == \
-        "3f24d2abb4b58d620d46a4b4ccf5a7f94a0218e30f215c848b0df42b11e4f01d"
+        "2f44e8a38f28a3b4dcd5ac9fd68606ddc5e589b710508130190d40b75b2356d2"
+
+
+def test_default_loop_stop_is_the_window_sidelobe_level():
+    # a residual peak under the window's sidelobes may be a sidelobe itself
+    assert DecoupleParams().min_peak_ratio == 10 ** (DEFAULT_SIDELOBE_DB / 20)
+    assert RunConfig().decouple.min_peak_ratio == 10 ** (DEFAULT_SIDELOBE_DB / 20)
 
 
 def test_run_defaults_are_the_library_defaults():

@@ -269,10 +269,12 @@ def test_region_grow_settles_every_test_in_db_outside_the_normal_range(db_calls)
 
 
 def test_decouple_makes_no_full_frame_db_pass(db_calls):
+    # the -60 dB stop keeps the loop running its whole budget
     grid = FrequencyGrid(128, 128)
     chip = synth_target(10, grid, taylor_window_2d(128, 128),
                         np.random.Generator(np.random.PCG64(7)))
-    assert len(decouple(chip.image)) == DecoupleParams().n_max
+    params = DecoupleParams(min_peak_ratio=1e-3)
+    assert len(decouple(chip.image, params)) == params.n_max
     assert max(db_calls, default=0) <= 2
 
 
@@ -495,11 +497,12 @@ def test_first_support_matches_dense_searches():
                                       grow_support_dense(r, block, params))
 
 
-def _assert_regions_equal_validated_ones(amp: AmplitudeRaster) -> int:
+def _assert_regions_equal_validated_ones(amp: AmplitudeRaster,
+                                         params: DecoupleParams = DecoupleParams()) -> int:
     """Every region of two decouple runs passes the public constructor and
     equals what it builds, field by field; returns the count."""
-    regions = decouple(amp)
-    again = decouple(amp)
+    regions = decouple(amp, params)
+    again = decouple(amp, params)
     assert len(again) == len(regions)
     for region in regions + again:
         assert not (region.indices.flags.writeable or region.amplitudes.flags.writeable)
@@ -545,11 +548,14 @@ def _scene_crops(seed: int) -> Iterator[AmplitudeRaster]:
 
 @pytest.mark.parametrize("source", ["clean-seed-0", "speckled-seed-3", "scene-crops"])
 def test_loop_regions_equal_validated_ones(source):
+    params = DecoupleParams()
     if source == "scene-crops":
         amps = [a for seed in (5, 6, 7) for a in _scene_crops(seed)]
+        # the default stop ends a crop after ~10 steps; -60 dB runs ~20
+        params = DecoupleParams(min_peak_ratio=1e-3)
     else:
         amps = _acceptance_chips(int(source[-1]), source.startswith("speckled"))
-    assert sum(_assert_regions_equal_validated_ones(a) for a in amps) >= 600
+    assert sum(_assert_regions_equal_validated_ones(a, params) for a in amps) >= 600
 
 
 def _assert_loop_matches_dense_oracle(amp: AmplitudeRaster, params: DecoupleParams) -> int:
@@ -603,10 +609,11 @@ def test_loop_matches_dense_oracle_on_scene_crops():
         (x0, y0), (x1, y1) = pts.min(axis=0) - 3.0, pts.max(axis=0) + 3.0
         boxes.append(OrientedBox.from_rect(x0, y0, x1, y1))
     scene = synth_image(scatterers, FrequencyGrid(256, 256), taylor_window_2d(256, 256))
+    params = DecoupleParams(min_peak_ratio=1e-3)  # the -60 dB stop runs more steps
     n_steps = 0
     for box in boxes:
         chip, _ = crop_chip(scene, box)
-        n_steps += _assert_loop_matches_dense_oracle(amplitude(chip), DecoupleParams())
+        n_steps += _assert_loop_matches_dense_oracle(amplitude(chip), params)
     assert n_steps >= 150
 
 
@@ -619,7 +626,7 @@ def test_loop_matches_dense_oracle_below_hundred_eps():
     chip = synth_target(8, grid, window, np.random.Generator(np.random.PCG64(5)))
     vals = np.abs(chip.image.samples)
     amp = AmplitudeRaster(vals * (5e-5 / vals.max()))
-    params = DecoupleParams()
+    params = DecoupleParams(min_peak_ratio=1e-3)  # runs the whole budget
     assert _assert_loop_matches_dense_oracle(amp, params) == params.n_max
     zeros = sum(int(np.count_nonzero(r.amplitudes == 0)) for r in decouple(amp, params))
     assert zeros >= 10

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import scatterkit
 from scatterkit.cli import main
+from scatterkit.config import RunConfig, canonical_text
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -43,3 +44,14 @@ def test_readme_scatterkit_references_resolve():
         except (ImportError, AttributeError):
             missing.append(ref)
     assert missing == []
+
+
+def test_readme_configuration_block_gives_the_defaults():
+    """Each `key = value` of the README's configuration block is the value
+    `canonical_text` renders for the defaults, and no key is missing."""
+    section = README.read_text().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"^```\n(.*?)^```$", section, flags=re.M | re.S).group(1)
+    documented = dict(re.match(r"(\S+) = (\S+)", line).groups()
+                      for line in block.splitlines() if line.strip())
+    defaults = dict(line.split(" = ") for line in canonical_text(RunConfig()).splitlines())
+    assert documented == defaults

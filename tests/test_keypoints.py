@@ -75,7 +75,7 @@ def test_cluster_rejects_empty_and_bad_k():
 def _kmeans_case(rng: np.random.Generator, case: int) -> np.ndarray:
     """1-39 points, by case % 10: uniform (0-3), rounded to integers (4-6),
     all coincident (7-8), or in two coincident halves (9), whose empty
-    clusters keep k-means revolving for up to its iteration cap."""
+    clusters meet the revive rule with every point on a centre."""
     n = int(rng.integers(1, 40))
     kind = case % 10
     if kind <= 3:
@@ -101,14 +101,37 @@ def test_cluster_matches_per_cluster_loop_to_the_bit():
         k, seed = int(rng.integers(1, 12)), int(rng.integers(1 << 62))
         assert np.array(cluster_keypoints(pts, k, seed).points).tobytes() == \
             np.array(cluster_keypoints_loop(pts, k, seed).points).tobytes()
-    # integer duplicates, all-coincident points and two coincident halves;
-    # each of the 100 two-halves cases runs all KMEANS_MAX_ITER iterations
+    # integer duplicates, all-coincident points and two coincident halves
     rng = np.random.Generator(np.random.PCG64(53))
     for case in range(1000):
         pts = [tuple(p) for p in _kmeans_case(rng, case)]
         k, seed = int(rng.integers(1, 12)), int(rng.integers(1 << 62))
         assert np.array(cluster_keypoints(pts, k, seed).points).tobytes() == \
             np.array(cluster_keypoints_loop(pts, k, seed).points).tobytes(), case
+
+
+def test_cluster_converges_fast_on_two_locations(monkeypatch):
+    # the centroid of n equal points can be an ulp off the point; reviving an
+    # empty cluster at a point that already sits on a centre made the two
+    # groups swap slots on every iteration, up to KMEANS_MAX_ITER
+    iterations = []
+    argmin = np.argmin
+
+    def counting_argmin(*args, **kwargs):
+        iterations[-1] += 1
+        return argmin(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argmin", counting_argmin)
+    rng = np.random.Generator(np.random.PCG64(54))
+    for case in range(300):
+        halves = rng.uniform(0.0, 128.0, (2, 2))
+        pts = [tuple(p) for p in halves[np.arange(int(rng.integers(2, 40))) % 2]]
+        k, seed = int(rng.integers(3, 12)), int(rng.integers(1 << 62))
+        iterations.append(0)
+        kps = cluster_keypoints(pts, k, seed)
+        assert {tuple(p) for p in np.round(kps.as_array(), 9)} == \
+            {tuple(p) for p in np.round(halves, 9)}, case
+    assert max(iterations) <= 3, max(iterations)
 
 
 def test_kmeans_pp_init_matches_the_choice_oracle_to_the_bit():
