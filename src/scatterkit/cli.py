@@ -68,24 +68,19 @@ def _dims(text: str) -> tuple[int, int]:
     return h, w
 
 
+# far above any physical gain, and low enough that no chip's field overflows
+_MAX_AMPLITUDE = 1e6
+
+
 def _amp_range(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(t) for t in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
-        raise argparse.ArgumentTypeError(f"need finite 0 < LO < HI, got {text!r}")
+    if not 0 < lo < hi <= _MAX_AMPLITUDE:
+        raise argparse.ArgumentTypeError(
+            f"need 0 < LO < HI <= {_MAX_AMPLITUDE:g}, got {text!r}")
     return lo, hi
-
-
-def _separation(text: str) -> float:
-    try:
-        px = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(px) and px >= 0):
-        raise argparse.ArgumentTypeError(f"need a finite PX >= 0, got {text!r}")
-    return px
 
 
 def _iou_threshold(text: str) -> float:
@@ -185,7 +180,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             instance_seed(config.master_seed, chip_id, 0)))
         n = int(rng.integers(lo, hi + 1))
         chip = synth_target(n, grid, window, rng, amplitude_range=args.amp_range,
-                            min_separation=args.min_sep, speckle=args.speckle)
+                            speckle=args.speckle)
         write_chip(chip.image, images / f"{chip_id}.csar")
         write_annotation(
             [InstanceAnnotation(box=chip.box, class_name=chip.class_name,
@@ -193,7 +188,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
             annots / f"{chip_id}.txt")
         write_truth(list(chip.truth), truth / f"{chip_id}.txt")
     total_ms = (time.perf_counter() - t0) * 1e3
-    emit_manifest(config, {"synth_total": total_ms}, out / "run-manifest.txt")
+    inputs = {"chips": args.chips, "dim": args.dim, "scatterers": f"{lo}..{hi}",
+              "speckle": args.speckle, "amp_range": "{}:{}".format(*args.amp_range)}
+    emit_manifest(config, {"synth_total": total_ms}, out / "run-manifest.txt",
+                  inputs=inputs)
     print(f"wrote {args.chips} chips ({args.dim}x{args.dim}, "
           f"{lo}..{hi} scatterers) under {out}")
     return EXIT_OK
@@ -444,9 +442,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--speckle", action="store_true",
                    help="apply multiplicative exponential speckle")
     p.add_argument("--amp-range", type=_amp_range, default=(0.5, 1.5),
-                   metavar="LO:HI", help="scatterer amplitude range, 0 < LO < HI")
-    p.add_argument("--min-sep", type=_separation, default=3.0, metavar="PX",
-                   help="minimum scatterer separation (px), >= 0")
+                   metavar="LO:HI", help="scatterer amplitude range, 0 < LO < HI <= 1e6")
 
     p = add("annotate", cmd_annotate, "extend annotations with physics keypoints")
     p.add_argument("--images", required=True, help="chip image directory")

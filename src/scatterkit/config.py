@@ -94,8 +94,14 @@ def config_hash(config: RunConfig) -> str:
 
 def load_config(path: str | Path | None = None,
                 overrides: dict[str, object] | None = None) -> RunConfig:
-    """Defaults, then file values, then explicit overrides (flat keys)."""
+    """Defaults, then file values, then explicit overrides (flat keys).
+
+    `decouple.min_peak_ratio`, when neither the file nor the overrides set
+    it, follows `window.sidelobe_db`: the loop stops at the sidelobe level
+    of the window the chips are formed with.
+    """
     values = {key: _get(RunConfig(), key) for key in _FIELDS}
+    values["decouple.min_peak_ratio"] = None
     if path is not None:
         data = Path(path).read_bytes()
         if not data.isascii():
@@ -135,6 +141,9 @@ def _build(values: dict) -> RunConfig:
 
     top = {fname: values[key] for key, (sec, fname, _) in _FIELDS.items() if sec is None}
     try:
+        _check_window_params(values["window.nbar"], values["window.sidelobe_db"])
+        if values["decouple.min_peak_ratio"] is None:
+            values["decouple.min_peak_ratio"] = 10 ** (values["window.sidelobe_db"] / 20)
         return RunConfig(decouple=DecoupleParams(**section("decouple")),
                          dog=DogParams(**section("dog")),
                          supervision=SupervisionParams(**section("supervision")),
@@ -148,11 +157,17 @@ def emit_config(config: RunConfig, path: str | Path) -> None:
 
 
 def emit_manifest(config: RunConfig, timings: dict[str, float],
-                  path: str | Path, counts: dict[str, int] | None = None) -> None:
-    """Reproducibility record: config hash, seed, versions, counts, stage timings."""
+                  path: str | Path, counts: dict[str, int] | None = None,
+                  inputs: dict[str, object] | None = None) -> None:
+    """Reproducibility record: config hash, seed, the command's own inputs,
+    versions, counts, stage timings."""
     lines = [
         f"config_sha256 = {config_hash(config)}",
         f"master_seed = {config.master_seed}",
+    ]
+    for name in sorted(inputs or {}):
+        lines.append(f"input.{name} = {inputs[name]}")
+    lines += [
         f"python = {sys.version.split()[0]}",
         f"numpy = {np.__version__}",
     ]

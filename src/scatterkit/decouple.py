@@ -5,8 +5,8 @@ over the log-amplitude surface in descending-brightness order, lifts the
 grown region out of the residual, and repeats — at most n_max times, or
 until the residual peak drops below a configurable fraction of the original
 peak. That fraction defaults to the design sidelobe level of the default
-Taylor window, -35 dB (about 0.0178): the chips are formed through that
-window, so a residual peak below it cannot be told apart from a sidelobe of
+Taylor window, -35 dB (about 0.0178), and a run configuration with another
+window level moves it there: the chips are formed through that window, so a residual peak below it cannot be told apart from a sidelobe of
 a stronger return, and peeling it off only feeds sidelobe debris to the fit
 and the clustering. This is the stopping threshold of CLEAN-style
 peak-subtraction loops (Hoegbom, A&AS 15, 1974). All tie-breaking is
@@ -51,7 +51,9 @@ class DecoupleParams:
     `min_peak_ratio` times the original peak (0 disables this stop). Its
     default is the default window's design sidelobe level as an amplitude
     ratio, 10^(-35/20) ~ 0.0178: below it a peak may be a sidelobe of a
-    stronger return.
+    stronger return. Chips formed through another window want that
+    window's level, 10 ** (sidelobe_db / 20); `config.load_config` sets it
+    so when a config gives `window.sidelobe_db` but not this ratio.
     """
 
     tau_db: float = -3.0

@@ -496,7 +496,7 @@ def test_sidelobe_stop_keypoints_on_the_hard_family(tmp_path, measured):
         data = tmp_path / family
         run_cli(["synth", "--out", str(data), "--chips", "90", "--dim", str(DIM),
                  "--scatterers", "5..15", "--seed", seed, "--amp-range", "0.02:1.5",
-                 "--min-sep", "3", *extra])
+                 *extra])
         images, annots = str(data / "images"), str(data / "annots")
         runs = {"shipped": [], "1e-3": ["--min-peak-ratio", "0.001"]}
         for name, flags in runs.items():

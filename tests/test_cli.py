@@ -213,29 +213,50 @@ def test_synth_writes_dataset(tmp_path, capsys):
     assert "wrote 2 chips" in capsys.readouterr().out
 
 
-def test_synth_amplitude_range_and_separation_reach_the_truth(tmp_path):
-    out = synth(tmp_path, chips=4, dim=48,
-                extra=("--amp-range", "0.02:1.5", "--min-sep", "6"))
-    truth = [parse_truth(p) for p in sorted((out / "truth").glob("*.txt"))]
-    amps = [s.amplitude for chip in truth for s in chip]
+def test_synth_amplitude_range_reaches_the_truth(tmp_path):
+    out = synth(tmp_path, chips=4, dim=48, extra=("--amp-range", "0.02:1.5"))
+    amps = [s.amplitude for p in sorted((out / "truth").glob("*.txt"))
+            for s in parse_truth(p)]
     assert min(amps) >= 0.02 and max(amps) <= 1.5 and min(amps) < 0.5
-    for chip in truth:
-        xy = np.array([(s.x, s.y) for s in chip])
-        gaps = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
-        assert gaps[~np.eye(len(xy), dtype=bool)].min() >= 6.0
+
+
+def test_synth_manifest_records_the_dataset_flags(tmp_path):
+    def stable_lines(out):
+        return [ln for ln in (out / MANIFEST_NAME).read_text().splitlines()
+                if not ln.startswith("timing_ms.")]
+
+    default = synth(tmp_path, "default")
+    hard = synth(tmp_path, "hard", extra=("--amp-range", "0.02:1.5", "--speckle"))
+    assert [ln for ln in stable_lines(default) if ln.startswith("input.")] == [
+        "input.amp_range = 0.5:1.5", "input.chips = 2", "input.dim = 32",
+        "input.scatterers = 2..4", "input.speckle = False"]
+    assert "input.amp_range = 0.02:1.5" in stable_lines(hard)
+    assert "input.speckle = True" in stable_lines(hard)
+    assert stable_lines(synth(tmp_path, "again")) == stable_lines(default)
+
+
+def test_synth_and_annotate_at_the_amplitude_bound(tmp_path):
+    # the largest accepted amplitudes, summed and speckled, stay finite
+    data = synth(tmp_path, chips=2, dim=32, extra=("--amp-range", "9e5:1e6", "--speckle"))
+    out = tmp_path / "out"
+    assert run_cli("annotate", "--images", str(data / "images"),
+                   "--annots", str(data / "annots"), "--out", str(out), "--seed", "0") == 0
+    for ann in sorted(out.glob("chip_*.txt")):
+        (inst,) = parse_annotation(ann)
+        assert inst.keypoints is not None
 
 
 @pytest.mark.parametrize("flag", [
     "--amp-range=nan:1", "--amp-range=0.1:inf", "--amp-range=1:1",
     "--amp-range=1.5:0.5", "--amp-range=0:1", "--amp-range=-1:1",
-    "--amp-range=0.5", "--amp-range=a:b", "--min-sep=-1", "--min-sep=nan",
-    "--min-sep=inf", "--min-sep=three",
+    "--amp-range=0.5", "--amp-range=a:b", "--amp-range=1e308:1.7e308",
+    "--amp-range=1:1000001",
 ])
-def test_synth_bad_amplitude_range_or_separation_is_usage_error(tmp_path, capsys, flag):
+def test_synth_bad_amplitude_range_is_usage_error(tmp_path, capsys, flag):
     assert usage_exit("synth", "--out", str(tmp_path / "o"), "--chips", "1",
                       "--seed", "0", flag) == 1
     err = capsys.readouterr().err
-    assert f"argument {flag.split('=')[0]}:" in err and "Traceback" not in err
+    assert "argument --amp-range:" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -70,6 +70,20 @@ def test_default_loop_stop_is_the_window_sidelobe_level():
     # a residual peak under the window's sidelobes may be a sidelobe itself
     assert DecoupleParams().min_peak_ratio == 10 ** (DEFAULT_SIDELOBE_DB / 20)
     assert RunConfig().decouple.min_peak_ratio == 10 ** (DEFAULT_SIDELOBE_DB / 20)
+    assert load_config() == RunConfig()
+
+
+def test_loaded_loop_stop_follows_the_configured_window(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("window.sidelobe_db = -45.0\n")
+    assert load_config(path).decouple.min_peak_ratio == 10 ** (-45.0 / 20)
+    assert load_config(overrides={"window.sidelobe_db": -30.0}) \
+        .decouple.min_peak_ratio == 10 ** (-30.0 / 20)
+    # an explicit ratio wins, from the file or from the flags
+    assert load_config(path, {"decouple.min_peak_ratio": 1e-3}) \
+        .decouple.min_peak_ratio == 1e-3
+    path.write_text("window.sidelobe_db = -45.0\ndecouple.min_peak_ratio = 0.0\n")
+    assert load_config(path).decouple.min_peak_ratio == 0.0
 
 
 def test_run_defaults_are_the_library_defaults():
@@ -195,6 +209,10 @@ def test_manifest_contents(tmp_path):
     assert "timing_ms.annotate = 12.345" in text
     assert "timing_ms.io = 1.000" in text
     assert "python = " in text and "numpy = " in text
+    assert "input." not in text
+    emit_manifest(cfg, {}, path, inputs={"dim": 32, "amp_range": "0.5:1.5"})
+    assert path.read_text().splitlines()[2:4] == [
+        "input.amp_range = 0.5:1.5", "input.dim = 32"]
 
 
 def test_every_float_key_is_listed():
