@@ -9,6 +9,7 @@ is what the position fitter exploits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -90,6 +91,38 @@ def synth_image(scatterers: list[Scatterer], grid: FrequencyGrid,
     return ComplexRaster(ifft2d(window.values * field.samples))
 
 
+def _psf_axis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """One factor of a `SeparablePsf`: the read-only float64 factor `v`, its
+    (n + 1, n) strided windows and its squared norm."""
+    n = v.size
+    wrap = np.empty(2 * n)
+    wrap[0] = v[0]
+    wrap[1:n] = v[:0:-1]
+    wrap[n:] = wrap[:n]
+    step = wrap.strides[0]
+    return v, as_strided(wrap, (n + 1, n), (step, step), writeable=False), float(v @ v)
+
+
+# distinct window tapers whose PSF factors stay built
+PSF_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PSF_MEMO_SIZE)
+def _memo_psf_axis(taper: bytes) -> tuple[np.ndarray, np.ndarray, float]:
+    """`_psf_axis` of |IFFT| of a taper, given as the bytes of its float64
+    array: the factor a window's axis contributes to its `base_psf`.
+
+    The memo holds at most PSF_MEMO_SIZE axes, least recently used out
+    first. An axis of n samples holds 32 * n bytes (its key, factor and
+    doubled wrap; the windows are a view), so the memo never holds more
+    than PSF_MEMO_SIZE * 32 * n bytes for tapers of at most n samples
+    (8 MiB for n = 1024).
+    """
+    v = np.abs(np.fft.ifft(np.frombuffer(taper)))
+    v.setflags(write=False)
+    return _psf_axis(v)
+
+
 @dataclass(frozen=True)
 class SeparablePsf:
     """Amplitude response of a unit scatterer at (0, 0) under a separable window.
@@ -99,7 +132,9 @@ class SeparablePsf:
     the fit, each factor v of length n is flipped circularly and tiled twice,
     `wrap[k] = v[-k % n]`, and `row_windows`/`col_windows` are the (n + 1, n)
     strided views whose row k is `wrap[k:k + n]`, so that row k, entry j
-    holds `v[-(k + j) % n]`.
+    holds `v[-(k + j) % n]`. The constructor validates its factors and
+    builds each axis with `_psf_axis`; `base_psf` builds its PSFs from
+    cached axes through `_trusted` instead.
     """
 
     row: np.ndarray
@@ -113,18 +148,24 @@ class SeparablePsf:
         col = np.asarray(self.col, dtype=np.float64)
         if row.ndim != 1 or col.ndim != 1 or row.size < 1 or col.size < 1:
             raise ValueError("psf factors must be non-empty 1-D arrays")
-        object.__setattr__(self, "row", _freeze(row, self.row))
-        object.__setattr__(self, "col", _freeze(col, self.col))
-        for name, v in (("row_windows", row), ("col_windows", col)):
-            n = v.size
-            wrap = np.empty(2 * n)
-            wrap[0] = v[0]
-            wrap[1:n] = v[:0:-1]
-            wrap[n:] = wrap[:n]
-            step = wrap.strides[0]
-            object.__setattr__(self, name, as_strided(wrap, (n + 1, n), (step, step),
-                                                      writeable=False))
-        object.__setattr__(self, "norm_sq", float(row @ row) * float(col @ col))
+        self._set_axes(_psf_axis(_freeze(row, self.row)), _psf_axis(_freeze(col, self.col)))
+
+    @classmethod
+    def _trusted(cls, row_axis: tuple[np.ndarray, np.ndarray, float],
+                 col_axis: tuple[np.ndarray, np.ndarray, float]) -> SeparablePsf:
+        """A PSF from two `_psf_axis` results, without validation."""
+        psf = object.__new__(cls)
+        psf._set_axes(row_axis, col_axis)
+        return psf
+
+    def _set_axes(self, row_axis: tuple[np.ndarray, np.ndarray, float],
+                  col_axis: tuple[np.ndarray, np.ndarray, float]) -> None:
+        (row, row_windows, row_sq), (col, col_windows, col_sq) = row_axis, col_axis
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
+        object.__setattr__(self, "row_windows", row_windows)
+        object.__setattr__(self, "col_windows", col_windows)
+        object.__setattr__(self, "norm_sq", row_sq * col_sq)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -137,12 +178,17 @@ class SeparablePsf:
 
 
 def base_psf(grid: FrequencyGrid, window: WindowRaster) -> SeparablePsf:
-    """|IFFT of the window|: the amplitude response of a unit scatterer at (0, 0)."""
+    """|IFFT of the window|: the amplitude response of a unit scatterer at (0, 0).
+
+    The PSF is the outer product of |IFFT| of the two tapers, and each
+    factor, with its fit windows and squared norm, is computed once per
+    taper and shared read-only by every PSF built on that taper after that.
+    """
     if (window.height, window.width) != (grid.height, grid.width):
         raise DimMismatch(
             f"window {window.height}x{window.width} vs grid {grid.height}x{grid.width}")
-    return SeparablePsf(np.abs(np.fft.ifft(window.row_taper)),
-                        np.abs(np.fft.ifft(window.col_taper)))
+    return SeparablePsf._trusted(_memo_psf_axis(window.row_taper.tobytes()),
+                                 _memo_psf_axis(window.col_taper.tobytes()))
 
 
 def reconstruct(scatterer: Scatterer, grid: FrequencyGrid,

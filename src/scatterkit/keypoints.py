@@ -9,7 +9,9 @@ strongest candidates, and cluster those to the same size.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -72,31 +74,102 @@ class DogParams:
             raise ValueError(f"top_n must be positive, got {self.top_n}")
 
 
-def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _pairwise_sum(vals: list[float]) -> float:
+    """`np.add.reduce` of `vals` as a float64 array, bit for bit: numpy adds
+    up to 7 values in order from 0.0, up to 128 in 8 interleaved partial
+    sums, and splits a longer run in two at a multiple of 8 below its half."""
+    n = len(vals)
+    if n < 8:
+        total = 0.0
+        for v in vals:
+            total += v
+        return total
+    if n <= 128:
+        r = vals[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            for j in range(8):
+                r[j] += vals[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in vals[end:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(vals[:half]) + _pairwise_sum(vals[half:])
+
+
+def _kmeans_pp_init(pts: list[tuple[float, float]], k: int,
+                    rng: np.random.Generator) -> list[tuple[float, float]]:
+    """k-means++ seeding: each centre is drawn with probability proportional
+    to the squared distance to the nearest centre drawn before it."""
     n = len(pts)
-    centers = np.empty((k, 2))
-    centers[0] = pts[int(rng.integers(n))]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
-    for i in range(1, k):
-        total = d2.sum()
+    cx, cy = pts[int(rng.integers(n))]
+    centers = [(cx, cy)]
+    d2 = [(x - cx) * (x - cx) + (y - cy) * (y - cy) for x, y in pts]
+    for _ in range(1, k):
+        total = _pairwise_sum(d2)
         if total <= 0:  # all remaining points coincide with a center
             idx = int(rng.integers(n))
         elif not math.isfinite(total):  # Generator.choice rejected these weights too
             raise ValueError(f"squared distances must have a finite sum, got {total}")
         else:
-            # Generator.choice(n, p=d2 / total)'s own draw: the same cdf, one
-            # double from the stream, the same search
-            cdf = (d2 / total).cumsum()
-            cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(rng.random(), side="right"))
-        centers[i] = pts[idx]
-        d2 = np.minimum(d2, np.sum((pts - centers[i]) ** 2, axis=1))
+            # Generator.choice(n, p=d2 / total)'s own draw: the same cdf,
+            # divided by its last entry, one double from the stream, the
+            # same search
+            cdf = list(itertools.accumulate([d / total for d in d2]))
+            last = cdf[-1]
+            idx = bisect.bisect_right(cdf, rng.random(), key=lambda c: c / last)
+        cx, cy = pts[idx]
+        centers.append((cx, cy))
+        for i, (x, y) in enumerate(pts):
+            dx, dy = x - cx, y - cy
+            near = dx * dx + dy * dy
+            if near < d2[i]:
+                d2[i] = near
     return centers
+
+
+def _lloyd_step(pts: list[tuple[float, float]],
+                centers: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """One Lloyd update: each point joins its nearest centre (the first of
+    equals), and each centre moves to the mean of its members, summed in
+    index order."""
+    k = len(centers)
+    sum_x, sum_y, counts = [0.0] * k, [0.0] * k, [0] * k
+    worst = worst_d2 = None
+    for i, (x, y) in enumerate(pts):
+        nearest = nearest_d2 = None
+        for c, (cx, cy) in enumerate(centers):
+            dx, dy = x - cx, y - cy
+            d2 = dx * dx + dy * dy
+            if nearest is None or d2 < nearest_d2:
+                nearest, nearest_d2 = c, d2
+        sum_x[nearest] += x
+        sum_y[nearest] += y
+        counts[nearest] += 1
+        if worst is None or nearest_d2 > worst_d2:
+            worst, worst_d2 = i, nearest_d2
+    # revive every empty cluster at the worst-fit point, unless that point
+    # already sits on a centre: then every point does, and reviving there
+    # only swaps equal centres between slots
+    revived = pts[worst] if worst_d2 > 0.0 else None
+    return [(sum_x[c] / counts[c], sum_y[c] / counts[c]) if counts[c]
+            else (revived or centers[c]) for c in range(k)]
 
 
 def cluster_keypoints(positions: list[tuple[float, float]], k: int = DEFAULT_K,
                       rng_seed: int = 0) -> KeypointSet:
-    """k-means the positions down (or replicate them up) to exactly k points."""
+    """k-means the positions down (or replicate them up) to exactly k points.
+
+    The centres are seeded by k-means++ from `PCG64(rng_seed)` and refined by
+    Lloyd's updates until every coordinate moves by less than KMEANS_TOL px,
+    or for KMEANS_MAX_ITER updates. It all runs on Python floats, in numpy's
+    order of operations (squared distances as dx*dx + dy*dy, weight totals
+    in numpy's pairwise summation order), so for finite positions the
+    centres are those of the same steps on numpy arrays, bit for bit, at a
+    fraction of their per-call overhead on a few dozen points.
+    """
     if not positions:
         raise EmptyInput("no positions to cluster")
     if k < 1:
@@ -104,40 +177,20 @@ def cluster_keypoints(positions: list[tuple[float, float]], k: int = DEFAULT_K,
     pts = [tuple(map(float, p)) for p in positions]
     if len(pts) < k:
         pts = [pts[i % len(pts)] for i in range(k)]
-    arr = np.array(pts, dtype=np.float64)
 
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    centers = _kmeans_pp_init(arr, k, rng)
-    rows = np.arange(len(arr))
-    xs, ys = arr[:, :1].copy(), arr[:, 1:].copy()
+    centers = _kmeans_pp_init(pts, k, rng)
     for _ in range(KMEANS_MAX_ITER):
-        # dx² + dy² in the order a sum over the last axis of
-        # (arr[:, None, :] - centers) ** 2 adds them, so d2 keeps its bits
-        dx, dy = xs - centers[:, 0], ys - centers[:, 1]
-        d2 = dx * dx + dy * dy
-        assign = np.argmin(d2, axis=1)
-        # bincount sums each cluster's members in index order, as a mean over
-        # them does, so the centroids keep their bits
-        counts = np.bincount(assign, minlength=k)
-        new_centers = np.stack([np.bincount(assign, weights=arr[:, c], minlength=k)
-                                for c in (0, 1)], axis=1)
-        empty = counts == 0
-        new_centers[~empty] /= counts[~empty, None]
-        if empty.any():
-            # revive every empty cluster at the worst-fit point, unless that
-            # point already sits on a centre: then every point does, and
-            # reviving there only swaps equal centres between slots
-            fit = d2[rows, assign]
-            worst = int(np.argmax(fit))
-            new_centers[empty] = arr[worst] if fit[worst] > 0.0 else centers[empty]
-        shift = float(np.max(np.abs(new_centers - centers)))
+        new_centers = _lloyd_step(pts, centers)
+        # the largest shift is below KMEANS_TOL, and none is NaN
+        converged = all(abs(nx - cx) < KMEANS_TOL and abs(ny - cy) < KMEANS_TOL
+                        for (nx, ny), (cx, cy) in zip(new_centers, centers))
         centers = new_centers
-        if shift < KMEANS_TOL:
+        if converged:
             break
 
-    order = np.lexsort((centers[:, 0], centers[:, 1]))  # by (y, x)
-    pts_sorted = tuple((float(x), float(y)) for x, y in centers[order])
-    return KeypointSet(points=pts_sorted, k=k)
+    centers.sort(key=lambda c: (c[1], c[0]))  # by (y, x), stable
+    return KeypointSet(points=tuple(centers), k=k)
 
 
 def _gauss3x3(sigma: float) -> np.ndarray:

@@ -42,11 +42,15 @@ def _signed_area(pts) -> float:
     small polygon far from the origin. They are summed by np.add.reduce, the
     reduction np.sum runs: its order on small arrays matches neither `sum`
     nor `math.fsum`, and either would move the last bits of areas and IoUs.
+    Each term is halved before the sum, not the sum after it: the halving
+    is exact above the subnormal range, and a polygon whose area is finite
+    but whose doubled area is not (above ~9e307) keeps its finite area.
     """
     x0, y0 = pts[0]
     rel = [(x - x0, y - y0) for x, y in pts]
-    terms = [px * qy - qx * py for (px, py), (qx, qy) in zip(rel, rel[1:] + rel[:1])]
-    return 0.5 * float(np.add.reduce(terms))
+    terms = [0.5 * (px * qy - qx * py)
+             for (px, py), (qx, qy) in zip(rel, rel[1:] + rel[:1])]
+    return float(np.add.reduce(terms))
 
 
 def _reach_data(coords: list[float], crosses: list[float], orient: float,
@@ -98,7 +102,7 @@ class OrientedBox:
             raise DegenerateBox("box corners contain NaN/Inf")
         pts = list(zip(coords[0::2], coords[1::2]))
         absmax = max(map(abs, coords))
-        if absmax < 1e153:  # each term is below 8 absmax**2: no overflow
+        if absmax < 1e153:  # each term is below 4 absmax**2: no overflow
             signed = _signed_area(pts)
         else:
             with np.errstate(over="ignore", invalid="ignore"):

@@ -82,6 +82,18 @@ class AmplitudeRaster:
         return self.values.shape[1]
 
 
+def _taper_fault(taper: np.ndarray) -> str | None:
+    """Why a float64 array cannot be a `WindowRaster` taper, or None."""
+    if taper.ndim != 1 or taper.size < 1:
+        return "must be a non-empty 1-D array"
+    if np.any(taper <= 0) or np.any(taper > 1):
+        return "values must lie in (0, 1]"
+    # np.isclose(peak, 1, rtol=0, atol=1e-12), without its overhead
+    if not abs(float(taper.max()) - 1.0) <= 1e-12:
+        return "peak must be normalized to 1"
+    return None
+
+
 @dataclass(frozen=True)
 class WindowRaster:
     """Separable 2-D spectral taper, held as its two 1-D windows.
@@ -98,14 +110,19 @@ class WindowRaster:
     def __post_init__(self):
         for name in ("row_taper", "col_taper"):
             taper = np.asarray(getattr(self, name), dtype=np.float64)
-            if taper.ndim != 1 or taper.size < 1:
-                raise ValueError(f"{name} must be a non-empty 1-D array")
-            if np.any(taper <= 0) or np.any(taper > 1):
-                raise ValueError(f"{name} values must lie in (0, 1]")
-            # np.isclose(peak, 1, rtol=0, atol=1e-12), without its overhead
-            if not abs(float(taper.max()) - 1.0) <= 1e-12:
-                raise ValueError(f"{name} peak must be normalized to 1")
+            fault = _taper_fault(taper)
+            if fault is not None:
+                raise ValueError(f"{name} {fault}")
             object.__setattr__(self, name, _freeze(taper, getattr(self, name)))
+
+    @classmethod
+    def _trusted(cls, row_taper: np.ndarray, col_taper: np.ndarray) -> WindowRaster:
+        """A window without validation, for read-only float64 tapers that
+        `_taper_fault` has already passed."""
+        window = object.__new__(cls)
+        object.__setattr__(window, "row_taper", row_taper)
+        object.__setattr__(window, "col_taper", col_taper)
+        return window
 
     @property
     def height(self) -> int:

@@ -8,15 +8,18 @@ size is supported, not just powers of two.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import InvalidWindowParams
-from .raster import WindowRaster
+from .raster import WindowRaster, _taper_fault
 
 DEFAULT_NBAR = 4
 DEFAULT_SIDELOBE_DB = -35.0
+# distinct axis lengths whose Taylor tapers stay built
+TAPER_MEMO_SIZE = 256
 
 
 def fft2d(samples: np.ndarray) -> np.ndarray:
@@ -83,10 +86,34 @@ def taylor_window_2d(height: int, width: int, nbar: int = DEFAULT_NBAR,
     return _taylor_window_2d(height, width, _taylor_coefficients(nbar, sidelobe_db))
 
 
+@functools.lru_cache(maxsize=TAPER_MEMO_SIZE)
+def _memo_taper(length: int, ma: bytes, fm: bytes) -> tuple[np.ndarray, str | None]:
+    """The read-only taper `_taylor_taper(length, ma, fm)`, from the bytes of
+    the two coefficient arrays, and its `_taper_fault`.
+
+    The memo holds at most TAPER_MEMO_SIZE tapers, least recently used out
+    first, so it never holds more than TAPER_MEMO_SIZE * 8 * n bytes of
+    tapers for crops whose sides are at most n (2 MiB for n = 1024).
+    """
+    taper = _taylor_taper(length, np.frombuffer(ma), np.frombuffer(fm))
+    taper.setflags(write=False)
+    return taper, _taper_fault(taper)
+
+
 def _taylor_window_2d(height: int, width: int,
                       coeffs: tuple[np.ndarray, np.ndarray]) -> WindowRaster:
-    """`taylor_window_2d` from `_taylor_coefficients` computed once by the caller."""
-    return WindowRaster(_taylor_taper(height, *coeffs), _taylor_taper(width, *coeffs))
+    """`taylor_window_2d` from `_taylor_coefficients` computed once by the caller.
+
+    Each axis's taper is built and validated once per (length, coefficients)
+    and shared read-only by every window of that length after that, so the
+    window is built from the two tapers without validating them again.
+    """
+    key = coeffs[0].tobytes(), coeffs[1].tobytes()
+    (row, row_fault), (col, col_fault) = _memo_taper(height, *key), _memo_taper(width, *key)
+    for name, fault in (("row_taper", row_fault), ("col_taper", col_fault)):
+        if fault is not None:
+            raise ValueError(f"{name} {fault}")
+    return WindowRaster._trusted(row, col)
 
 
 def rectangular_window_2d(height: int, width: int) -> WindowRaster:

@@ -25,12 +25,15 @@ index. `psf_2d` is the PSF as the
 2-D inverse DFT of the window, and `refine_offsets` the parabolic refinement
 from full-frame rolls of that image.
 
-`cluster_keypoints_loop` is k-means with each centroid update as a loop
-over the clusters, a mean over each one's members, and its distances as a
-sum over the last axis; `cluster_keypoints` takes all centroids from two
-weighted `bincount`s. `kmeans_pp_init_choice` is the k-means++ seeding
-with each weighted draw by `Generator.choice`, which `_kmeans_pp_init`
-repeats from the same stream with its own cumulative sum and search.
+`cluster_keypoints_numpy` is k-means on numpy arrays, with its k-means++
+seeding in `kmeans_pp_init_numpy`: every Lloyd update takes all centroids
+from two weighted `bincount`s. `cluster_keypoints` runs the same steps on
+Python floats. `cluster_keypoints_loop` is k-means with each centroid
+update as a loop over the clusters, a mean over each one's members, and its
+distances as a sum over the last axis. `kmeans_pp_init_choice` is the
+k-means++ seeding with each weighted draw by `Generator.choice`, which
+`kmeans_pp_init_numpy` repeats from the same stream with its own
+cumulative sum and search.
 
 `rotated_iou_np` is the rotated-box IoU in numpy scalar arithmetic: every
 call recomputes both boxes' shoelace areas (`signed_area_roll`, with
@@ -42,6 +45,7 @@ and the CCW order once, and `metrics` clips on plain floats.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
@@ -378,10 +382,10 @@ def refine_offsets(region: np.ndarray, psf: np.ndarray,
 
 def signed_area_roll(poly: np.ndarray) -> float:
     """Shoelace signed area of an (n, 2) polygon about its first corner,
-    positive for CCW."""
+    positive for CCW, with each term halved before the sum."""
     rel = poly - poly[0]
     x, y = rel[:, 0], rel[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return float(np.sum(0.5 * (x * np.roll(y, -1) - np.roll(x, -1) * y)))
 
 
 def degenerate_reason(corners) -> str | None:
@@ -458,6 +462,75 @@ def iou_from_parts(area_a: float, ccw_a: np.ndarray,
 def rotated_iou_np(a: np.ndarray, b: np.ndarray) -> float:
     """IoU of two boxes given as valid (4, 2) corner arrays."""
     return iou_from_parts(box_area(a), box_ccw(a), box_area(b), box_ccw(b))
+
+
+def kmeans_pp_init_numpy(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding on numpy arrays, each weighted draw by the cdf and
+    search `Generator.choice` runs."""
+    n = len(pts)
+    centers = np.empty((k, 2))
+    centers[0] = pts[int(rng.integers(n))]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:  # all remaining points coincide with a center
+            idx = int(rng.integers(n))
+        elif not math.isfinite(total):  # Generator.choice rejected these weights too
+            raise ValueError(f"squared distances must have a finite sum, got {total}")
+        else:
+            # Generator.choice(n, p=d2 / total)'s own draw: the same cdf, one
+            # double from the stream, the same search
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
+        centers[i] = pts[idx]
+        d2 = np.minimum(d2, np.sum((pts - centers[i]) ** 2, axis=1))
+    return centers
+
+
+def cluster_keypoints_numpy(positions: list[tuple[float, float]], k: int,
+                            rng_seed: int = 0) -> KeypointSet:
+    """`cluster_keypoints` on numpy arrays: every Lloyd update is one
+    vectorized pass over the (points, centres) distance table."""
+    if not positions:
+        raise EmptyInput("no positions to cluster")
+    pts = [tuple(map(float, p)) for p in positions]
+    if len(pts) < k:
+        pts = [pts[i % len(pts)] for i in range(k)]
+    arr = np.array(pts, dtype=np.float64)
+
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    centers = kmeans_pp_init_numpy(arr, k, rng)
+    rows = np.arange(len(arr))
+    xs, ys = arr[:, :1].copy(), arr[:, 1:].copy()
+    for _ in range(KMEANS_MAX_ITER):
+        # dx² + dy² in the order a sum over the last axis of
+        # (arr[:, None, :] - centers) ** 2 adds them, so d2 keeps its bits
+        dx, dy = xs - centers[:, 0], ys - centers[:, 1]
+        d2 = dx * dx + dy * dy
+        assign = np.argmin(d2, axis=1)
+        # bincount sums each cluster's members in index order, as a mean over
+        # them does, so the centroids keep their bits
+        counts = np.bincount(assign, minlength=k)
+        new_centers = np.stack([np.bincount(assign, weights=arr[:, c], minlength=k)
+                                for c in (0, 1)], axis=1)
+        empty = counts == 0
+        new_centers[~empty] /= counts[~empty, None]
+        if empty.any():
+            # revive every empty cluster at the worst-fit point, unless that
+            # point already sits on a centre: then every point does, and
+            # reviving there only swaps equal centres between slots
+            fit = d2[rows, assign]
+            worst = int(np.argmax(fit))
+            new_centers[empty] = arr[worst] if fit[worst] > 0.0 else centers[empty]
+        shift = float(np.max(np.abs(new_centers - centers)))
+        centers = new_centers
+        if shift < KMEANS_TOL:
+            break
+
+    order = np.lexsort((centers[:, 0], centers[:, 1]))  # by (y, x)
+    pts_sorted = tuple((float(x), float(y)) for x, y in centers[order])
+    return KeypointSet(points=pts_sorted, k=k)
 
 
 def kmeans_pp_init_choice(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

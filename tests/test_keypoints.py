@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
+from scatterkit import keypoints
 from scatterkit.ascmodel import FrequencyGrid, Scatterer, synth_image
 from scatterkit.annotio import fit_regions, skaa_keypoints
 from scatterkit.errors import EmptyInput, NoCandidates
-from scatterkit.keypoints import (DogParams, KeypointSet, _kmeans_pp_init,
+from scatterkit.keypoints import (DogParams, KeypointSet, _pairwise_sum,
                                   cluster_keypoints, dog_candidates,
                                   dog_keypoints, dog_response, instance_seed,
                                   to_global)
 from scatterkit.raster import AmplitudeRaster
 from scatterkit.spectral import taylor_window_2d
 
-from oracles import cluster_keypoints_loop, kmeans_pp_init_choice
+from oracles import (cluster_keypoints_loop, cluster_keypoints_numpy,
+                     kmeans_pp_init_choice, kmeans_pp_init_numpy)
 
 # sha256("0:chip_00000:0") as an integer; pins the seed derivation forever
 PINNED_SEED = 111036133852682233449187380584068176767193868072678492542894896991942400593282
@@ -115,13 +117,13 @@ def test_cluster_converges_fast_on_two_locations(monkeypatch):
     # empty cluster at a point that already sits on a centre made the two
     # groups swap slots on every iteration, up to KMEANS_MAX_ITER
     iterations = []
-    argmin = np.argmin
+    lloyd_step = keypoints._lloyd_step
 
-    def counting_argmin(*args, **kwargs):
+    def counting_step(*args):
         iterations[-1] += 1
-        return argmin(*args, **kwargs)
+        return lloyd_step(*args)
 
-    monkeypatch.setattr(np, "argmin", counting_argmin)
+    monkeypatch.setattr(keypoints, "_lloyd_step", counting_step)
     rng = np.random.Generator(np.random.PCG64(54))
     for case in range(300):
         halves = rng.uniform(0.0, 128.0, (2, 2))
@@ -134,6 +136,19 @@ def test_cluster_converges_fast_on_two_locations(monkeypatch):
     assert max(iterations) <= 3, max(iterations)
 
 
+def test_lloyd_step_revives_empty_clusters_at_the_first_worst_point():
+    # both points fit the first centre 2 px off; the second runs empty
+    step = keypoints._lloyd_step
+    assert step([(0.0, 0.0), (4.0, 0.0)], [(2.0, 0.0), (100.0, 0.0)]) == \
+        [(2.0, 0.0), (0.0, 0.0)]
+    # every point sits on a centre: the empty one keeps its place
+    assert step([(1.0, 1.0), (1.0, 1.0)], [(1.0, 1.0), (1.0, 1.0)]) == \
+        [(1.0, 1.0), (1.0, 1.0)]
+    # equal distances go to the first centre
+    assert step([(0.0, 0.0), (2.0, 0.0)], [(1.0, 0.0), (1.0, 0.0), (9.0, 0.0)]) == \
+        [(1.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
+
+
 def test_kmeans_pp_init_matches_the_choice_oracle_to_the_bit():
     # k > n in about half the cases; the coincident cases take the
     # total <= 0 branch
@@ -142,7 +157,7 @@ def test_kmeans_pp_init_matches_the_choice_oracle_to_the_bit():
     for case in range(5000):
         pts = _kmeans_case(rng, case)
         k, seed = int(rng.integers(1, 12)), int(rng.integers(1 << 62))
-        got = _kmeans_pp_init(pts, k, np.random.Generator(np.random.PCG64(seed)))
+        got = kmeans_pp_init_numpy(pts, k, np.random.Generator(np.random.PCG64(seed)))
         ref = kmeans_pp_init_choice(pts, k, np.random.Generator(np.random.PCG64(seed)))
         assert got.tobytes() == ref.tobytes(), case
         zero_total += k > 1 and bool((pts == pts[0]).all())
@@ -153,11 +168,56 @@ def test_kmeans_pp_init_matches_the_choice_oracle_to_the_bit():
 @pytest.mark.parametrize("pts", [[(0.0, 0.0), (1e200, 0.0), (3.0, 4.0)],
                                  [(0.0, 0.0), (np.nan, 1.0), (3.0, 4.0)]])
 def test_kmeans_pp_init_rejects_weights_generator_choice_rejects(pts):
+    for seed in range(8):  # every first centre, whichever is drawn
+        with pytest.raises(ValueError, match="finite sum"):
+            cluster_keypoints(pts, 3, seed)
     pts = np.array(pts)
-    for init in (_kmeans_pp_init, kmeans_pp_init_choice):
+    for init in (kmeans_pp_init_numpy, kmeans_pp_init_choice):
         with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
-            for seed in range(8):  # every first centre, whichever is drawn
+            for seed in range(8):
                 init(pts, 3, np.random.Generator(np.random.PCG64(seed)))
+
+
+def test_pairwise_sum_is_numpys_sum_to_the_bit():
+    # up to 7 values, 8 partial sums up to 128, halves above that
+    rng = np.random.Generator(np.random.PCG64(55))
+    for n in [*range(1, 300), 511, 1000, 1025]:
+        vals = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 6, n)
+        assert _pairwise_sum(vals.tolist()) == float(np.add.reduce(vals)), n
+    assert _pairwise_sum([1e308, 1e308]) == np.inf
+
+
+def _assert_cluster_matches_oracles(pts, k: int, seed: int, case) -> None:
+    got = np.array(cluster_keypoints(pts, k, seed).points).tobytes()
+    assert got == np.array(cluster_keypoints_numpy(pts, k, seed).points).tobytes(), case
+    assert got == np.array(cluster_keypoints_loop(pts, k, seed).points).tobytes(), case
+
+
+def test_cluster_matches_the_numpy_oracle_to_the_bit():
+    rng = np.random.Generator(np.random.PCG64(56))
+    # 1 to 300 points, so the weight totals take every branch of the
+    # pairwise sum; k above n in the first cases
+    for n in range(1, 301):
+        kind = n % 3
+        pts = rng.uniform(0.0, 256.0, (n, 2))
+        if kind == 1:  # a 4 px lattice: coincident points and equal distances
+            pts = np.round(pts / 4.0) * 4.0
+        elif kind == 2:  # a few locations, each repeated
+            pts = rng.uniform(0.0, 256.0, (3, 2))[rng.integers(0, 3, n)]
+        k = int(rng.integers(1, 12)) if n > 12 else int(rng.integers(n, 13))
+        _assert_cluster_matches_oracles([tuple(p) for p in pts], k,
+                                        int(rng.integers(1 << 62)), n)
+    # DoG-size inputs: 30 candidates on the pixel lattice, clustered to 9
+    for case in range(300):
+        pts = np.floor(rng.uniform(0.0, rng.choice([16.0, 64.0, 128.0]), (30, 2)))
+        _assert_cluster_matches_oracles([tuple(p) for p in pts], 9,
+                                        int(rng.integers(1 << 62)), case)
+    # every point coincident, and two coincident halves, with n < k too
+    rng = np.random.Generator(np.random.PCG64(57))
+    for case in range(500):
+        pts = _kmeans_case(rng, 7 + case % 3)
+        _assert_cluster_matches_oracles([tuple(p) for p in pts], int(rng.integers(1, 12)),
+                                        int(rng.integers(1 << 62)), case)
 
 
 def test_cluster_determinism_and_bounding_box():

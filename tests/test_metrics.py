@@ -405,14 +405,17 @@ def test_shoelace_keeps_a_tiny_far_box_exact():
 
 # sides and offsets near 1e154, where the shoelace terms leave the float range
 OVERFLOW_WINDOW = [
-    [[0, 0], [1e154, 0], [1e154, 1e154], [0, 1e154]],      # area inf
-    [[-7e153, 0], [0, -7e153], [7e153, 0], [0, 7e153]],    # area 9.8e307, terms sum to inf
-    [[-1e154, -1e154], [3e153, -1e154], [3e153, 3e153], [-1e154, 3e153]],  # area inf
+    # accepted, although twice their area is not finite
+    [[0, 0], [1e154, 0], [1e154, 1e154], [0, 1e154]],      # area 1e308
+    [[-7e153, 0], [0, -7e153], [7e153, 0], [0, 7e153]],    # area 9.8e307
+    [[-1e154, -1e154], [3e153, -1e154], [3e153, 3e153], [-1e154, 3e153]],  # area 1.69e308
     _rect_corners([0.0, 1.2e154], 1e140, 1e140, 0.5),      # ~70 ulps of its offset wide
     # accepted, although their raw-coordinate shoelace terms overflow
     [[1.5e154, 1.5e154], [3e154, 1.5e154], [3e154, 1.6e154], [1.5e154, 1.6e154]],
     [[1e154, 1e154], [1.5e154, 1e154], [1.5e154, 1.5e154], [1e154, 1.5e154]],
     _rect_corners([1e154, -1e154], 1.3e154, 6.5e153, 0.5),
+    # area inf: its halved terms are finite, their sum is not
+    [[0, 0], [1.4e154, 0], [1.4e154, 1.4e154], [0, 1.4e154]],
 ]
 
 
@@ -446,7 +449,11 @@ def test_eval_of_predictions_near_1e154_exits_3_or_scores(tmp_path, capsys):
     preds.write_text("img0 0 0.9 1e154 1e154 1.5e154 1e154 1.5e154 1.5e154 1e154 1.5e154\n")
     assert main(["eval", "--preds", str(preds), "--gts", str(gts)]) == 0
     assert "map = 0.000000" in capsys.readouterr().out
+    # a 1e154 px square: its area, 1e308, is finite although twice it is not
     preds.write_text("img0 0 0.9 0 0 1e154 0 1e154 1e154 0 1e154\n")
+    assert main(["eval", "--preds", str(preds), "--gts", str(gts)]) == 0
+    assert "map = 0.000000" in capsys.readouterr().out
+    preds.write_text("img0 0 0.9 0 0 1.4e154 0 1.4e154 1.4e154 0 1.4e154\n")
     assert main(["eval", "--preds", str(preds), "--gts", str(gts)]) == 3
     err = capsys.readouterr().err
     assert "box area is not finite" in err and "Traceback" not in err
