@@ -182,7 +182,11 @@ def parse_predictions(path: str | Path) -> dict[str, list[Detection]]:
 
 
 def crop_chip(image: ComplexRaster, box: OrientedBox) -> tuple[ComplexRaster, tuple[int, int]]:
-    """Axis-aligned crop covering the rotated box, clamped to image bounds."""
+    """Axis-aligned crop covering the rotated box, clamped to image bounds.
+
+    The crop is a read-only view of the image's samples, which the image's
+    own construction checked: it is neither copied nor checked again.
+    """
     c = box.corners
     x0 = max(int(np.floor(c[:, 0].min())), 0)
     y0 = max(int(np.floor(c[:, 1].min())), 0)
@@ -193,7 +197,7 @@ def crop_chip(image: ComplexRaster, box: OrientedBox) -> tuple[ComplexRaster, tu
             f"box AABB [{c[:, 0].min():.6g}, {c[:, 0].max():.6g}]x"
             f"[{c[:, 1].min():.6g}, {c[:, 1].max():.6g}] misses the "
             f"{image.width}x{image.height} image")
-    return ComplexRaster(image.samples[y0:y1, x0:x1]), (x0, y0)
+    return ComplexRaster._trusted(image.samples[y0:y1, x0:x1]), (x0, y0)
 
 
 @dataclass(frozen=True)
@@ -292,10 +296,9 @@ def _annotate_instance_skaa(image: ComplexRaster, ann: InstanceAnnotation,
     chip, origin = crop_chip(image, ann.box)
     grid = FrequencyGrid(height=chip.height, width=chip.width)
     window = taylor_window_2d(chip.height, chip.width, taylor)
-    amp = amplitude(chip)
-    regions = decouple(amp, dec_params)
+    regions = decouple(chip, dec_params)
     if debug_dir is not None:
-        _dump_steps(amp, regions, debug_dir, f"{image_id}_{idx:03d}")
+        _dump_steps(amplitude(chip), regions, debug_dir, f"{image_id}_{idx:03d}")
     kps = _keypoints(regions, grid, window, k,
                      instance_seed(master_seed, image_id, idx))
     return replace(ann, keypoints=to_global(kps, origin))
@@ -337,8 +340,8 @@ def _run_annotator(index: DatasetIndex, out_dir: str | Path, worker,
             shutil.copyfile(ann_path, out_dir / ann_path.name)
             summary.failed_images += 1
             continue
-        if isinstance(image, AmplitudeRaster):
-            image = ComplexRaster(image.values)
+        if isinstance(image, AmplitudeRaster):  # checked when read
+            image = ComplexRaster._trusted(image.values.astype(np.complex128))
         extended = []
         for idx, ann in enumerate(annots):
             t0 = time.perf_counter()

@@ -116,8 +116,10 @@ def _parse_csar(data: bytes) -> ComplexRaster | AmplitudeRaster:
     if not np.isfinite(flat).all():
         raise BadSamples("payload holds NaN/Inf samples")
     if dtype == DTYPE_COMPLEX:
-        # the raster's own promotion to complex128 is the one full-size copy
-        return ComplexRaster(flat.view("<c8").reshape(height, width))
+        # the one full-size copy and, above, the one check: finite float32
+        # samples widen to finite complex128 exactly
+        return ComplexRaster._trusted(
+            flat.view("<c8").reshape(height, width).astype(np.complex128))
     if (flat < 0).any():
         raise BadSamples("amplitude payload holds negative samples")
     return AmplitudeRaster(flat.reshape(height, width))

@@ -15,25 +15,29 @@ row-major, so results are fully deterministic.
 The loop runs in one padded working frame per chip (`_Frame`): the
 one-pixel border of -inf stays below every threshold, so neither search
 checks bounds, and padded flat indices keep the row-major order of unpadded
-ones. The log-amplitude `peak_db` is monotone in the amplitude, so the flood
-compares residual amplitudes against a per-step threshold equivalent to the
-dB floor, and computes dB only to settle a comparison too close to call in
-amplitudes. A region leaves the loop as its ascending flat support indices
-and the residual values there; its full-frame images are built only when
-read. `decouple` returns the regions alone: lifting a region out sets the
-residual to 0.0 on its support, so the residual after step i is the
-amplitude with the supports of steps 0..i set to 0.0.
+ones. A complex chip's amplitude is computed once, straight into that
+frame: `annotate` passes each crop as it comes from `annotio.crop_chip`, a
+read-only view of the image checked when it was read, so a crop is neither
+copied nor checked before the loop reads it. The log-amplitude `peak_db` is
+monotone in the amplitude, so the flood compares residual amplitudes
+against a per-step threshold equivalent to the dB floor, and computes dB
+only to settle a comparison too close to call in amplitudes. A region
+leaves the loop as its ascending flat support indices and the residual
+values there; its full-frame images are built only when read. `decouple`
+returns the regions alone: lifting a region out sets the residual to 0.0 on
+its support, so the residual after step i is the amplitude with the
+supports of steps 0..i set to 0.0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllZeroRaster, EmptyRegion
-from .raster import (AmplitudeRaster, ComplexRaster, _freeze, _require_finite,
-                     amplitude, peak_db)
+from .raster import AmplitudeRaster, ComplexRaster, _freeze, _require_finite, peak_db
 from .spectral import DEFAULT_SIDELOBE_DB
 
 
@@ -162,13 +166,16 @@ class ScatterRegion:
 
 
 class _Frame:
-    """Padded working copy of an amplitude raster.
+    """Padded working frame of a chip's amplitude.
 
+    `vals` is a complex sample array, whose modulus is written straight
+    into the frame's interior, or an amplitude array, which is copied in.
     `res` is the flat (h + 2) x (w + 2) residual, read through a memoryview,
     which indexes to Python floats. Its border is -inf, below every
     threshold: with a large `eps` the grow threshold drops below zero, and
     zero-valued pixels pass it. A search marks the pixels it takes with its
-    own stamp in `mark`, so no mask is cleared between steps.
+    own stamp in the bytes of `mark`, so no mask is cleared between steps
+    until the stamp would pass 255.
     """
 
     def __init__(self, vals: np.ndarray):
@@ -176,18 +183,24 @@ class _Frame:
         self.shape = (h, w)
         self.pw = w + 2
         res = np.full((h + 2, w + 2), -np.inf)
-        res[1:-1, 1:-1] = vals
+        if vals.dtype.kind == "c":
+            np.abs(vals, out=res[1:-1, 1:-1])
+        else:
+            res[1:-1, 1:-1] = vals
         self.res = res.ravel()
         # unpadded flat index of each padded one; border entries are never read
         self.unpadded = np.add.outer(np.arange(-1, h + 1) * w, np.arange(-1, w + 1)).ravel()
         self.res_view = memoryview(self.res)
-        self.mark = [0] * res.size
+        self.mark = bytearray(res.size)
         self.stamp = 0
         self.n4 = (-self.pw, self.pw, -1, 1)
         self.n8 = (-self.pw - 1, -self.pw, -self.pw + 1, -1, 1,
                    self.pw - 1, self.pw, self.pw + 1)
 
     def _claim(self, pixels: list[int]) -> int:
+        if self.stamp == 255:
+            self.mark = bytearray(len(self.mark))
+            self.stamp = 0
         self.stamp += 1
         for q in pixels:
             self.mark[q] = self.stamp
@@ -269,11 +282,16 @@ def _db_precedes(p: int, v_p: float, q: int, v_q: float, peak: float, eps: float
 def decouple(img: ComplexRaster | AmplitudeRaster,
              params: DecoupleParams = DecoupleParams()) -> list[ScatterRegion]:
     """Extract up to n_max scattering regions, brightest first, until the
-    cap, an all-zero residual, or a residual peak under the floor."""
-    amp = img if isinstance(img, AmplitudeRaster) else amplitude(img)
-    frame = _Frame(amp.values)
+    cap, an all-zero residual, or a residual peak under the floor.
+
+    A complex chip's amplitude is computed once, into the working frame; a
+    modulus that overflows raises the ValueError `AmplitudeRaster` raises.
+    """
+    frame = _Frame(img.values if isinstance(img, AmplitudeRaster) else img.samples)
     res = frame.res
-    orig_peak = frame.res_view[int(np.argmax(res))]
+    orig_peak = frame.res_view[res.argmax()]
+    if not math.isfinite(orig_peak):
+        raise ValueError("amplitude raster contains NaN/Inf values")
     if orig_peak == 0.0:
         raise AllZeroRaster("cannot decouple an all-zero chip")
     floor = params.min_peak_ratio * orig_peak
@@ -281,7 +299,7 @@ def decouple(img: ComplexRaster | AmplitudeRaster,
 
     regions = []
     for _ in range(params.n_max):
-        p = int(np.argmax(res))  # row-major first on ties
+        p = int(res.argmax())  # row-major first on ties
         peak = frame.res_view[p]
         if peak == 0.0 or peak < floor:
             break

@@ -44,8 +44,9 @@ class KeypointSet:
             raise ValueError(f"k must be positive, got {self.k}")
         if len(self.points) != self.k:
             raise ValueError(f"expected {self.k} points, got {len(self.points)}")
-        if not np.isfinite(self.points).all():
-            raise ValueError("keypoints must be finite")
+        for x, y in self.points:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError("keypoints must be finite")
 
     def as_array(self) -> np.ndarray:
         return np.array(self.points, dtype=np.float64)

@@ -5,6 +5,8 @@ construction (the backing array is marked read-only), so they are safe to
 share between threads without copying. A constructor keeps its own copy of
 a writable array it is given, so the caller's array stays writable and later
 writes to it do not reach the raster; a read-only array is kept as it is.
+A crop (`annotio.crop_chip`) holds no copy: its samples are a read-only
+view of its image's, which were checked when the image was read.
 """
 
 from __future__ import annotations
@@ -47,6 +49,17 @@ class ComplexRaster:
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise ValueError("complex raster contains NaN/Inf samples")
         object.__setattr__(self, "samples", _freeze(arr, self.samples))
+
+    @classmethod
+    def _trusted(cls, samples: np.ndarray) -> ComplexRaster:
+        """A raster without a copy or a check, for a 2-D complex128 array
+        already known to be finite and either read-only or fresh; it is
+        frozen in place. The array may be a strided view, such as a crop of
+        a checked image."""
+        raster = object.__new__(cls)
+        samples.setflags(write=False)
+        object.__setattr__(raster, "samples", samples)
+        return raster
 
     @property
     def height(self) -> int:

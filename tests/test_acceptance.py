@@ -28,7 +28,8 @@ project commits to:
 10. On the hard family (amplitudes 0.02-1.5, a 37 dB spread, 3 px apart;
     90 clean and 90 speckled chips), the keypoints of the shipped loop stop
     lie no farther from the truth scatterers than those of the -60 dB stop,
-    and nearer than the DoG baseline's, via the CLI.
+    and nearer than the DoG baseline's, via the CLI. Criterion 1's top-9
+    recovery on these sets is reported alongside, without a bound.
 """
 
 import contextlib
@@ -489,6 +490,22 @@ def _mean_truth_distances(report: Path) -> tuple[float, float]:
     return float(a.mean()), float(b.mean())
 
 
+def _top9_recovery(root: Path) -> tuple[float, float, int]:
+    """Criterion 1's measure on a synth set: the mean and max distance from
+    each chip's top-9-by-amplitude truth scatterers to their greedy matches
+    among the extracted positions, and the count of those truths left
+    unmatched."""
+    distances, unmatched = [], 0
+    for truth_path in sorted((root / "truth").glob("*.txt")):
+        chip = read_chip(root / "images" / f"{truth_path.stem}.csar")
+        fit_xy = np.array([(f.x, f.y) for f in fit_regions(chip, GRID, WINDOW)])
+        top9 = sorted(parse_truth(truth_path), key=lambda s: -s.amplitude)[:9]
+        pairs = greedy_point_match(np.array([(s.x, s.y) for s in top9]), fit_xy)
+        distances += [d for _, _, d in pairs]
+        unmatched += len(top9) - len(pairs)
+    return float(np.mean(distances)), float(np.max(distances)), unmatched
+
+
 @pytest.mark.acceptance(10, "hard-family keypoints: sidelobe stop vs -60 dB stop and DoG")
 def test_sidelobe_stop_keypoints_on_the_hard_family(tmp_path, measured):
     readings = []
@@ -512,10 +529,13 @@ def test_sidelobe_stop_keypoints_on_the_hard_family(tmp_path, measured):
                      "--annots-b", str(tmp_path / f"{family}-{other}"),
                      "--truth", str(data / "truth"), "--report", str(report)])
             px["shipped"], px[other] = _mean_truth_distances(report)
-        readings.append((family, px))
-    measured("; ".join(f"{family} {px['shipped']:.2f} px <= 1e-3 stop {px['1e-3']:.2f}, "
-                       f"< DoG {px['dog']:.2f}" for family, px in readings))
-    for _, px in readings:
+        readings.append((family, px, _top9_recovery(data)))
+    # the top-9 recovery is reported, not gated
+    measured("; ".join(
+        f"{family} {px['shipped']:.2f} px <= 1e-3 stop {px['1e-3']:.2f}, "
+        f"< DoG {px['dog']:.2f} (top-9 recovery: mean {mean:.3f} px, max {worst:.3f} px, "
+        f"{unmatched} unmatched)" for family, px, (mean, worst, unmatched) in readings))
+    for _, px, _ in readings:
         assert px["shipped"] <= px["1e-3"]
         assert px["shipped"] < px["dog"]
 

@@ -23,7 +23,7 @@ from scatterkit.errors import (BadKeypointCount, BoxOutsideImage,
                                InvalidWindowParams, MalformedLine)
 from scatterkit.keypoints import KeypointSet, instance_seed, to_global
 from scatterkit.metrics import OrientedBox
-from scatterkit.raster import ComplexRaster
+from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
 from scatterkit.spectral import taylor_window_2d
 
 # the package's `decouple` attribute is the function, not its module
@@ -383,6 +383,49 @@ def test_run_skaa_builds_its_regions_without_validating_them(tmp_path, monkeypat
     with pytest.raises(ValueError, match="ascending"):
         ScatterRegion(shape=(4, 4), indices=[6, 5], amplitudes=[2.0, 1.0], peak=(1, 2))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", ["complex", "amplitude"])
+def test_run_skaa_checks_each_image_once_and_never_a_crop(tmp_path, monkeypatch, kind):
+    index = _three_instance_set(tmp_path)
+    if kind == "amplitude":
+        for img_path, _ in index.entries:
+            write_chip(amplitude(read_chip(img_path)), img_path)
+    checked, reads, crops = [], [], []
+
+    def counting(cls, field):
+        inner = cls.__post_init__
+
+        def wrapper(self):
+            checked.append((cls.__name__, np.shape(getattr(self, field))))
+            inner(self)
+        monkeypatch.setattr(cls, "__post_init__", wrapper)
+    counting(ComplexRaster, "samples")
+    counting(AmplitudeRaster, "values")
+
+    def reading(path):
+        reads.append(path)
+        return read_chip(path)
+
+    def cropping(image, box):
+        chip, origin = crop_chip(image, box)
+        crops.append((image, chip))
+        return chip, origin
+
+    monkeypatch.setattr(annotio, "read_chip", reading)
+    monkeypatch.setattr(annotio, "crop_chip", cropping)
+    summary = run_skaa(index, tmp_path / "out", master_seed=0)
+    assert summary.instances == 3 and summary.failures == 0
+    assert len(reads) == 2 and len(crops) == 3
+    # a complex payload is checked once, as float32, before any raster is
+    # built; an amplitude one by its AmplitudeRaster, which the run widens
+    # to complex samples without a second check
+    want = [] if kind == "complex" else [("AmplitudeRaster", (48, 48))] * 2
+    assert checked == want
+    for image, chip in crops:
+        assert chip.samples.dtype == np.complex128
+        assert not chip.samples.flags.writeable
+        assert np.shares_memory(chip.samples, image.samples)
 
 
 def test_run_skaa_writes_skaa_keypoints_of_each_crop(tmp_path):

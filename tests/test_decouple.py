@@ -17,7 +17,7 @@ from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
 from scatterkit.errors import AllZeroRaster, EmptyRegion
 from scatterkit.keypoints import instance_seed
 from scatterkit.metrics import OrientedBox
-from scatterkit.raster import AmplitudeRaster, amplitude, peak_db
+from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude, peak_db
 from scatterkit.spectral import taylor_window_2d
 
 from oracles import (LabelMap, decouple_residuals, decouple_steps_dense,
@@ -518,18 +518,19 @@ def _assert_regions_equal_validated_ones(amp: AmplitudeRaster,
     return len(regions)
 
 
-def _acceptance_chips(master_seed: int, speckle: bool) -> Iterator[AmplitudeRaster]:
+def _acceptance_chips(master_seed: int, speckle: bool,
+                      n_chips: int = 100) -> Iterator[ComplexRaster]:
     """The chips of `scatterkit synth --chips 100 --dim 128 --scatterers 5..15`."""
     grid = FrequencyGrid(128, 128)
     window = taylor_window_2d(128, 128, nbar=4, sidelobe_db=-35.0)
-    for i in range(100):
+    for i in range(n_chips):
         rng = np.random.Generator(np.random.PCG64(
             instance_seed(master_seed, f"chip_{i:05d}", 0)))
         n = int(rng.integers(5, 16))
-        yield amplitude(synth_target(n, grid, window, rng, speckle=speckle).image)
+        yield synth_target(n, grid, window, rng, speckle=speckle).image
 
 
-def _scene_crops(seed: int) -> Iterator[AmplitudeRaster]:
+def _scene_crops(seed: int) -> Iterator[ComplexRaster]:
     """Crops of a 256x256 scene of 12 compact targets (5..10 scatterers in
     ~24 px, one box each), as annotation runs crop them."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -543,19 +544,63 @@ def _scene_crops(seed: int) -> Iterator[AmplitudeRaster]:
         boxes.append(OrientedBox.from_rect(x0, y0, x1, y1))
     scene = synth_image(scatterers, FrequencyGrid(256, 256), taylor_window_2d(256, 256))
     for box in boxes:
-        yield amplitude(crop_chip(scene, box)[0])
+        yield crop_chip(scene, box)[0]
 
 
 @pytest.mark.parametrize("source", ["clean-seed-0", "speckled-seed-3", "scene-crops"])
 def test_loop_regions_equal_validated_ones(source):
     params = DecoupleParams()
     if source == "scene-crops":
-        amps = [a for seed in (5, 6, 7) for a in _scene_crops(seed)]
+        chips = [c for seed in (5, 6, 7) for c in _scene_crops(seed)]
         # the default stop ends a crop after ~10 steps; -60 dB runs ~20
         params = DecoupleParams(min_peak_ratio=1e-3)
     else:
-        amps = _acceptance_chips(int(source[-1]), source.startswith("speckled"))
-    assert sum(_assert_regions_equal_validated_ones(a, params) for a in amps) >= 600
+        chips = _acceptance_chips(int(source[-1]), source.startswith("speckled"))
+    assert sum(_assert_regions_equal_validated_ones(amplitude(c), params)
+               for c in chips) >= 600
+
+
+def _assert_same_regions(got: list[ScatterRegion], want: list[ScatterRegion]) -> int:
+    """Two region lists agree to the last bit; returns the count."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.peak == w.peak
+        for a, b in [(g.indices, w.indices), (g.amplitudes, w.amplitudes)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return len(got)
+
+
+@pytest.mark.parametrize("source", ["clean-seed-0", "speckled-seed-3", "scene-crops"])
+def test_decouple_of_a_chip_equals_decouple_of_its_amplitude(source):
+    # the loop writes |chip| straight into its frame, from a crop view as
+    # from a whole chip; amplitude() is the path it replaced
+    if source == "scene-crops":
+        chips = list(_scene_crops(5))
+        assert not any(c.samples.flags.c_contiguous for c in chips)
+    else:
+        inside = OrientedBox.from_rect(5, 3, 120, 126)
+        chips = [c for image in _acceptance_chips(int(source[-1]),
+                                                  source.startswith("speckled"), 10)
+                 for c in (image, crop_chip(image, inside)[0])]
+    n = sum(_assert_same_regions(decouple(c), decouple(amplitude(c))) for c in chips)
+    assert n >= 5 * len(chips)
+
+
+def test_decouple_of_a_chip_whose_amplitude_overflows_raises_as_amplitude_does():
+    z = np.ones((6, 7), dtype=np.complex128)
+    z[2, 3] = 1e308 + 1e308j  # |z| ~ 1.41e308, finite
+    chip = ComplexRaster(z)
+    _assert_same_regions(decouple(chip), decouple(amplitude(chip)))
+    z[2, 3] = 1.5e308 - 1.5e308j  # finite parts, |z| overflows to inf
+    chip = ComplexRaster(z)
+    crop, _ = crop_chip(chip, OrientedBox.from_rect(1, 1, 5, 4))
+    msg = "amplitude raster contains NaN/Inf values"
+    with np.errstate(over="ignore"):  # np.abs may flag the overflow
+        with pytest.raises(ValueError, match=msg):
+            amplitude(chip)
+        for img in (chip, crop):
+            with pytest.raises(ValueError, match=msg):
+                decouple(img)
 
 
 def _assert_loop_matches_dense_oracle(amp: AmplitudeRaster, params: DecoupleParams) -> int:
@@ -615,6 +660,17 @@ def test_loop_matches_dense_oracle_on_scene_crops():
         chip, _ = crop_chip(scene, box)
         n_steps += _assert_loop_matches_dense_oracle(amplitude(chip), params)
     assert n_steps >= 150
+
+
+def test_loop_matches_dense_oracle_past_255_search_stamps():
+    # each step runs two searches, each with the next one-byte mark stamp,
+    # so a loop of more than 127 steps clears the marks and starts again
+    grid = FrequencyGrid(64, 64)
+    window = taylor_window_2d(64, 64)
+    chip = synth_target(12, grid, window, np.random.Generator(np.random.PCG64(9)),
+                        speckle=True)
+    params = DecoupleParams(n_max=300, min_peak_ratio=0.0)
+    assert _assert_loop_matches_dense_oracle(amplitude(chip.image), params) > 127
 
 
 def test_loop_matches_dense_oracle_below_hundred_eps():

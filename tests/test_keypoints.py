@@ -42,6 +42,17 @@ def test_keypoint_set_validation_and_translation():
         KeypointSet(points=((np.nan, 0.0),), k=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("coord", [0, 1], ids=["x", "y"])
+def test_keypoint_set_rejects_non_finite_coordinates(bad, coord):
+    pt = [5.0, 6.0]
+    pt[coord] = bad
+    for points in ((tuple(pt),), ((1.0, 2.0), tuple(pt), (3.0, 4.0))):
+        with pytest.raises(ValueError, match="keypoints must be finite"):
+            KeypointSet(points=points, k=len(points))
+    KeypointSet(points=((1e308, -1e308), (0.0, 5e-324)), k=2)  # finite extremes pass
+
+
 def test_cluster_exact_count_is_identity_sorted_row_major():
     pts = [(5.0, 1.0), (0.0, 3.0), (9.0, 0.0), (2.0, 3.0)]
     kps = cluster_keypoints(pts, k=4, rng_seed=0)
