@@ -25,7 +25,7 @@ from .annotio import (InstanceAnnotation, RunSummary, index_dataset,
 from .ascmodel import FrequencyGrid, synth_target
 from .chipio import write_chip, write_pgm, write_text_atomic
 from .config import MANIFEST_NAME, RunConfig, emit_manifest, load_config
-from .errors import ScatterKitError
+from .errors import BadConfigField, ScatterKitError
 from .keypoints import KeypointSet, instance_seed
 from .metrics import (EvalReport, average_precision_grouped, max_ious, mean_ap,
                       mean_nearest_distance)
@@ -131,13 +131,30 @@ def _threshold_sweep(text: str) -> tuple[float, ...]:
 
 
 def _config_from(args: argparse.Namespace, **flag_to_key) -> RunConfig:
-    """Load --config (or defaults), then lay explicitly-given flags on top."""
-    overrides = {}
-    for flag, key in flag_to_key.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[key] = val
-    return load_config(args.config, overrides)
+    """Load --config (or defaults), then lay explicitly-given flags on top.
+
+    A configuration that fails validation only with the flags on top is a
+    usage error naming each flag whose value alone makes it fail; a config
+    file that fails without them stays a config error.
+    """
+    given = {flag: (key, getattr(args, flag)) for flag, key in flag_to_key.items()
+             if getattr(args, flag, None) is not None}
+    try:
+        return load_config(args.config, dict(given.values()))
+    except BadConfigField as exc:
+        load_config(args.config)  # a file that fails alone stays a config error
+        bad = [flag for flag, (key, val) in given.items()
+               if _fails_validation(args.config, {key: val})]
+        names = ", ".join("--" + flag.replace("_", "-") for flag in bad)
+        args.parser.error(f"argument {names}: {exc.message}")
+
+
+def _fails_validation(path: str | None, overrides: dict) -> bool:
+    try:
+        load_config(path, overrides)
+    except BadConfigField:
+        return True
+    return False
 
 
 def _write_report(text: str, path: str | None) -> None:

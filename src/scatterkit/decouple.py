@@ -1,16 +1,17 @@
 """Iterative scattering-region extraction from a complex chip.
 
 Each pass masks the 4-connected block around the residual's peak, grows it
-over the log-amplitude surface in descending-brightness order, lifts the
-grown region out of the residual, and repeats — at most n_max times, or
-until the residual peak drops below a configurable fraction of the original
-peak. That fraction defaults to the design sidelobe level of the default
-Taylor window, -35 dB (about 0.0178), and a run configuration with another
-window level moves it there: the chips are formed through that window, so a residual peak below it cannot be told apart from a sidelobe of
-a stronger return, and peeling it off only feeds sidelobe debris to the fit
-and the clustering. This is the stopping threshold of CLEAN-style
-peak-subtraction loops (Hoegbom, A&AS 15, 1974). All tie-breaking is
-row-major, so results are fully deterministic.
+over the residual in descending-amplitude order, lifts the grown region out
+of the residual, and repeats — at most n_max times, or until the residual
+peak drops below a configurable fraction of the original peak. That
+fraction defaults to the design sidelobe level of the default Taylor
+window, -35 dB (about 0.0178), and a run configuration with another window
+level moves it there: the chips are formed through that window, so a
+residual peak below it cannot be told apart from a sidelobe of a stronger
+return, and peeling it off only feeds sidelobe debris to the fit and the
+clustering. This is the stopping threshold of CLEAN-style peak-subtraction
+loops (Hoegbom, A&AS 15, 1974). All tie-breaking is row-major, so results
+are fully deterministic.
 
 The loop runs in one padded working frame per chip (`_Frame`): the
 one-pixel border of -inf stays below every threshold, so neither search
@@ -18,15 +19,13 @@ checks bounds, and padded flat indices keep the row-major order of unpadded
 ones. A complex chip's amplitude is computed once, straight into that
 frame: `annotate` passes each crop as it comes from `annotio.crop_chip`, a
 read-only view of the image checked when it was read, so a crop is neither
-copied nor checked before the loop reads it. The log-amplitude `peak_db` is
-monotone in the amplitude, so the flood compares residual amplitudes
-against a per-step threshold equivalent to the dB floor, and computes dB
-only to settle a comparison too close to call in amplitudes. A region
-leaves the loop as its ascending flat support indices and the residual
-values there; its full-frame images are built only when read. `decouple`
-returns the regions alone: lifting a region out sets the residual to 0.0 on
-its support, so the residual after step i is the amplitude with the
-supports of steps 0..i set to 0.0.
+copied nor checked before the loop reads it. The dB thresholds of
+`DecoupleParams` become amplitude ratios once per call, and every test in
+the loop compares amplitudes. A region leaves the loop as its ascending flat
+support indices and the residual values there; its full-frame images are
+built only when read. `decouple` returns the regions alone: lifting a region
+out sets the residual to 0.0 on its support, so the residual after step i is
+the amplitude with the supports of steps 0..i set to 0.0.
 """
 
 from __future__ import annotations
@@ -37,13 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroRaster, EmptyRegion
-from .raster import AmplitudeRaster, ComplexRaster, _freeze, _require_finite, peak_db
+from .raster import AmplitudeRaster, ComplexRaster, _freeze, _require_finite
 from .spectral import DEFAULT_SIDELOBE_DB
-
-
-# relative half-width of the amplitude bands in which the flood settles a
-# test on peak_db; far wider than peak_db's rounding (see `_Frame.grow`)
-_DB_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -171,11 +165,11 @@ class _Frame:
     `vals` is a complex sample array, whose modulus is written straight
     into the frame's interior, or an amplitude array, which is copied in.
     `res` is the flat (h + 2) x (w + 2) residual, read through a memoryview,
-    which indexes to Python floats. Its border is -inf, below every
-    threshold: with a large `eps` the grow threshold drops below zero, and
-    zero-valued pixels pass it. A search marks the pixels it takes with its
-    own stamp in the bytes of `mark`, so no mask is cleared between steps
-    until the stamp would pass 255.
+    which indexes to Python floats. Its border is -inf, which fails every
+    test, while with a large `eps` zero-valued pixels clear the grow floor's
+    `v + eps > thr`. A search marks the pixels it takes with its own stamp
+    in the bytes of `mark`, so no mask is cleared between steps until the
+    stamp would pass 255.
     """
 
     def __init__(self, vals: np.ndarray):
@@ -218,65 +212,31 @@ class _Frame:
                     block.append(q)
         return block
 
-    def grow(self, seeds: list[int], peak: float, params: DecoupleParams) -> list[int]:
-        """Seed block plus the above-floor pixels that join label 1.
+    def grow(self, seeds: list[int], thr: float, eps: float) -> list[int]:
+        """Seed block plus the pixels q with `v_q + eps > thr` that join label 1.
 
-        This is label 1 of the full multi-label growth over the residual's
-        `peak_db`, in which a pixel joins the minimum label among its
+        This is label 1 of the full multi-label growth over the residual
+        amplitudes `v`, in which a pixel joins the minimum label among its
         labeled 8-neighbors and the seed block is label 1: a pixel q joins
         when an 8-neighbor p already joined and p is a seed pixel, or p
-        precedes q in the descending-dB, row-major visiting order.
-
-        `peak_db` is monotone in the amplitude, so both tests run on the
-        residual amplitudes `v`. q clears the floor when `v_q >= hi` and
-        fails it when `v_q <= lo`, the amplitudes a relative 1e-9 either side
-        of `peak * 10^(floor/10) - eps`; p precedes q when `v_p - v_q > tol`
-        and does not when `v_p - v_q < -tol`, with `tol = 1e-9 * (v_p + eps)`.
-        In between, `peak_db` settles the test as the dB flood does: two
-        amplitudes a few ulps apart can round to one dB value and then tie
-        row-major. The bands are sound while the ratios `(v + eps) / peak`
-        at and above the floor are normal floats, whose dB is off by well
-        under 1e-11 of the ratio; when `10^(floor/10)` or
-        `peak * 10^(floor/10)` is below 1e-300, every test is settled in dB.
-        A ratio too large to be normal needs `eps` far above the peak, and
-        then every order test falls in its band and every pixel clears the
-        floor.
+        precedes q in the visiting order, `v_p > v_q`, or `v_p == v_q` and p
+        comes first in row-major order.
         """
-        eps, floor_db = params.eps, params.grow_floor_db
-        floor_ratio = 10.0 ** (floor_db / 10.0)
-        x = peak * floor_ratio
-        if floor_ratio >= 1e-300 and x >= 1e-300:
-            band = _DB_BAND
-            lo, hi = x * (1.0 - band) - eps, x * (1.0 + band) - eps
-        else:  # the floor or its ratio to the peak leaves the normal range
-            band, lo, hi = np.inf, -np.inf, np.inf
         support = list(seeds)
         n_seed = len(support)
         stamp, mark, res = self._claim(support), self.mark, self.res_view
         for i, p in enumerate(support):
             v_p = res[p]
             exempt = i < n_seed
-            tol = band * (v_p + eps)
             for d in self.n8:
                 q = p + d
                 if mark[q] == stamp:
                     continue
                 v_q = res[q]
-                if v_q <= lo or (v_q < hi and
-                                 peak_db(np.array([v_q]), peak, eps)[0] <= floor_db):
-                    continue
-                gap = v_p - v_q
-                if exempt or gap > tol or (gap >= -tol and
-                                           _db_precedes(p, v_p, q, v_q, peak, eps)):
+                if v_q + eps > thr and (exempt or v_p > v_q or (v_p == v_q and p < q)):
                     mark[q] = stamp
                     support.append(q)
         return support
-
-
-def _db_precedes(p: int, v_p: float, q: int, v_q: float, peak: float, eps: float) -> bool:
-    """Whether pixel p precedes q in the descending-dB, row-major order."""
-    p_db, q_db = peak_db(np.array([v_p, v_q]), peak, eps)
-    return p_db > q_db or (p_db == q_db and p < q)
 
 
 def decouple(img: ComplexRaster | AmplitudeRaster,
@@ -296,6 +256,7 @@ def decouple(img: ComplexRaster | AmplitudeRaster,
         raise AllZeroRaster("cannot decouple an all-zero chip")
     floor = params.min_peak_ratio * orig_peak
     block_ratio = 10.0 ** (params.tau_db / 10.0)
+    grow_ratio = 10.0 ** (params.grow_floor_db / 10.0)
 
     regions = []
     for _ in range(params.n_max):
@@ -304,7 +265,7 @@ def decouple(img: ComplexRaster | AmplitudeRaster,
         if peak == 0.0 or peak < floor:
             break
         seeds = frame.seed_block(p, peak * block_ratio)
-        sup = np.array(sorted(frame.grow(seeds, peak, params)))
+        sup = np.array(sorted(frame.grow(seeds, peak * grow_ratio, params.eps)))
         amps = res[sup]
         res[sup] = 0.0
         py, px = divmod(p, frame.pw)

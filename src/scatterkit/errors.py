@@ -119,3 +119,4 @@ class BadConfigField(ScatterKitError):
         where = f"{path}: " if path is not None else ""
         super().__init__(f"{where}bad config field '{field_path}'{detail}")
         self.field_path = field_path
+        self.message = message

@@ -1,4 +1,4 @@
-"""Raster value types and amplitude/dB conversions.
+"""Raster value types and the complex-to-amplitude conversion.
 
 All rasters wrap a 2-D row-major numpy array and are immutable after
 construction (the backing array is marked read-only), so they are safe to
@@ -157,11 +157,3 @@ def amplitude(img: ComplexRaster) -> AmplitudeRaster:
     vals.setflags(write=False)  # fresh, so the raster keeps it without a copy
     return AmplitudeRaster(vals)
 
-
-def peak_db(values: np.ndarray, peak: float, eps: float) -> np.ndarray:
-    """10*log10((values + eps) / peak), elementwise: the package's one dB formula.
-
-    The region grower calls it on one or two amplitudes to settle a near-tie
-    exactly as a dB pass over the frame would.
-    """
-    return 10.0 * np.log10((values + eps) / peak)

@@ -6,15 +6,20 @@ that region and every earlier one set to 0.0.
 
 `decouple_steps_dense` is the extraction loop on full-frame arrays, with
 `mask_block_dense` and `grow_support_dense` as its two searches: every step
-re-wraps the residual, pads fresh dB, seed and support frames, and lifts the
-region out with full-frame `where`/`maximum` passes. The library runs the
-same loop in one padded working frame, floods on amplitudes with dB
-computed only for near-ties, and hands regions on as support
-indices. `grow_labels` is the full multi-label region growth that the
-loop's flood reduces to its label-1 support; `fit_direct` is the per-candidate loop over
-a 2-D PSF image that `fit_scatterer` replaces with two products of the
-separable PSF's factors over the support's bounding box, with its own
-candidate box from full-frame row and column scans of the support.
+re-wraps the residual, pads fresh amplitude, seed and support frames, and
+lifts the region out with full-frame `where`/`maximum` passes. The library
+runs the same loop in one padded working frame and hands regions on as
+support indices. Both floods visit pixels in descending-amplitude order,
+row-major on equal amplitudes, and take a pixel above the floor when
+`v + eps > peak * 10^(grow_floor_db/10)`. `grow_support_db` is the retired
+flood over the log amplitude `peak_db`, `10*log10((v + eps) / peak)`, in
+which two amplitudes that round to one dB value tie row-major: on realistic
+inputs it gives the same supports. `grow_labels` is the full multi-label
+region growth that the loop's flood reduces to its label-1 support;
+`fit_direct` is the per-candidate loop over a 2-D PSF image that
+`fit_scatterer` replaces with two products of the separable PSF's factors
+over the support's bounding box, with its own candidate box from full-frame
+row and column scans of the support.
 `fit_fft` is the retired large-region path: the circular cross-correlation
 of the full frame with the 2-D PSF by the correlation theorem, cropped to
 the same candidate box. `fit_block_2d` is `fit_scatterer` as it was before
@@ -120,44 +125,67 @@ def mask_block_dense(r: AmplitudeRaster, tau_db: float) -> np.ndarray:
     return mask
 
 
-def grow_support_dense(r: AmplitudeRaster, seed_mask: np.ndarray,
-                       params: DecoupleParams) -> np.ndarray:
-    """Label-1 support of `grow_labels`, flooded over a padded dB frame."""
-    vals = r.values
+def peak_db(values: np.ndarray, peak: float, eps: float) -> np.ndarray:
+    """10*log10((values + eps) / peak), elementwise: the retired flood's dB."""
+    return 10.0 * np.log10((values + eps) / peak)
+
+
+def _padded_flood(seed_mask: np.ndarray, above: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Label-1 support of the flood from `seed_mask` over the pixels flagged
+    in `above`, in which p precedes q when `key[p] > key[q]`, or the keys
+    are equal and p comes first in row-major order."""
     seed = np.asarray(seed_mask, dtype=bool)
     if not seed.any():
         raise EmptyRegion("seed mask is empty")
-    peak = float(vals.max())
-    if peak == 0.0:
-        raise AllZeroRaster("cannot grow regions on an all-zero raster")
-    h, w = vals.shape
-    db = 10.0 * np.log10((vals + params.eps) / peak)
-
+    h, w = seed.shape
     pw = w + 2
-    pdb = np.full((h + 2, pw), -np.inf)
-    pdb[1:-1, 1:-1] = db
-    flat_db = pdb.ravel()
-    above = flat_db > params.grow_floor_db
-    pseed = np.zeros((h + 2, pw), dtype=bool)
-    pseed[1:-1, 1:-1] = seed
-    in_seed = pseed.ravel()
+
+    def padded(a, fill):
+        out = np.full((h + 2, pw), fill, dtype=a.dtype)
+        out[1:-1, 1:-1] = a
+        return out.ravel()
+
+    flat_key, flat_above = padded(key, -np.inf), padded(above, False)
+    in_seed = padded(seed, False)
     support = in_seed.copy()
     offsets = (-pw - 1, -pw, -pw + 1, -1, 1, pw - 1, pw, pw + 1)
 
     stack = np.flatnonzero(in_seed).tolist()
     while stack:
         p = stack.pop()
-        p_db = flat_db[p]
+        k_p = flat_key[p]
         exempt = in_seed[p]
         for d in offsets:
             q = p + d
-            if support[q] or not above[q]:
+            if support[q] or not flat_above[q]:
                 continue
-            q_db = flat_db[q]
-            if exempt or p_db > q_db or (p_db == q_db and p < q):
+            k_q = flat_key[q]
+            if exempt or k_p > k_q or (k_p == k_q and p < q):
                 support[q] = True
                 stack.append(q)
     return support.reshape(h + 2, pw)[1:-1, 1:-1].copy()
+
+
+def _peak(r: AmplitudeRaster) -> float:
+    peak = float(r.values.max())
+    if peak == 0.0:
+        raise AllZeroRaster("cannot grow regions on an all-zero raster")
+    return peak
+
+
+def grow_support_dense(r: AmplitudeRaster, seed_mask: np.ndarray,
+                       params: DecoupleParams) -> np.ndarray:
+    """Label-1 support of `grow_labels`, flooded over a padded amplitude frame."""
+    thr = _peak(r) * 10.0 ** (params.grow_floor_db / 10.0)
+    return _padded_flood(seed_mask, r.values + params.eps > thr, r.values)
+
+
+def grow_support_db(r: AmplitudeRaster, seed_mask: np.ndarray,
+                    params: DecoupleParams) -> np.ndarray:
+    """The retired flood: `grow_support_dense` with `peak_db` as both the
+    order and the floor test, `peak_db > grow_floor_db`."""
+    db = peak_db(r.values, _peak(r), params.eps)
+    return _padded_flood(seed_mask, db > params.grow_floor_db, db)
 
 
 def decouple_steps_dense(amp: AmplitudeRaster,
@@ -215,29 +243,29 @@ class LabelMap:
 
 def grow_labels(r: AmplitudeRaster, seed_mask: np.ndarray,
                 params: DecoupleParams) -> LabelMap:
-    """Grow labels over the log-amplitude surface in descending-dB order.
+    """Grow labels over the residual amplitudes in descending order.
 
-    Pixels above the grow floor are visited brightest-first (row-major on
-    ties). A pixel joins the minimum label among its labeled 8-neighbors;
-    with no labeled neighbor it founds a new label only if it also clears
-    tau_db, otherwise it stays unlabeled.
+    Pixels with `v + eps > peak * 10^(grow_floor_db/10)` are visited
+    brightest-first (row-major on ties). A pixel joins the minimum label
+    among its labeled 8-neighbors; with no labeled neighbor it founds a new
+    label only if it also clears tau_db, `v + eps > peak * 10^(tau_db/10)`,
+    otherwise it stays unlabeled.
     """
     vals = r.values
     if not np.asarray(seed_mask, dtype=bool).any():
         raise EmptyRegion("seed mask is empty")
-    peak = float(vals.max())
-    if peak == 0.0:
-        raise AllZeroRaster("cannot grow regions on an all-zero raster")
+    peak = _peak(r)
     h, w = vals.shape
-    db = 10.0 * np.log10((vals + params.eps) / peak)
+    lifted = vals + params.eps
 
     labels = np.zeros((h, w), dtype=np.int32)
     labels[np.asarray(seed_mask, dtype=bool)] = 1
     next_label = 2
 
-    flat_db = db.ravel()
-    omega = np.flatnonzero(flat_db > params.grow_floor_db)
-    order = omega[np.argsort(-flat_db[omega], kind="stable")]
+    flat = vals.ravel()
+    omega = np.flatnonzero(lifted.ravel() > peak * 10.0 ** (params.grow_floor_db / 10.0))
+    order = omega[np.argsort(-flat[omega], kind="stable")]
+    found_thr = peak * 10.0 ** (params.tau_db / 10.0)
 
     flat_labels = labels.ravel()
     for q in order:
@@ -253,7 +281,7 @@ def grow_labels(r: AmplitudeRaster, seed_mask: np.ndarray,
                     best = lab
         if best:
             labels[y, x] = best
-        elif db[y, x] > params.tau_db:
+        elif lifted[y, x] > found_thr:
             labels[y, x] = next_label
             next_label += 1
     return LabelMap(labels)

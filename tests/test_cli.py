@@ -398,6 +398,39 @@ def test_annotate_non_ascii_config_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, named", [
+    ("annotate", ("--tau", "0"), "--tau"),
+    ("annotate", ("--nmax", "0"), "--nmax"),
+    ("annotate", ("--min-peak-ratio", "-1"), "--min-peak-ratio"),
+    ("annotate", ("--min-peak-ratio", "inf"), "--min-peak-ratio"),
+    ("annotate", ("--keypoints", "0"), "--keypoints"),
+    ("annotate", ("--threads", "0"), "--threads"),
+    ("baseline-dog", ("--threads", "0"), "--threads"),
+], ids=["tau", "nmax", "negative-ratio", "infinite-ratio", "keypoints", "threads",
+        "dog-threads"])
+def test_out_of_range_flag_value_is_usage_error(tmp_path, capsys, command, flags, named):
+    seed = ("--seed", "0") if command == "annotate" else ()
+    assert usage_exit(command, "--images", str(tmp_path / "images"),
+                      "--annots", str(tmp_path / "annots"), "--out", str(tmp_path / "out"),
+                      *seed, *flags) == 1
+    err = capsys.readouterr().err
+    assert f"argument {named}:" in err and "--seed" not in err.splitlines()[-1]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_flag_overrides_an_out_of_range_config_value(tmp_path, capsys):
+    data = synth(tmp_path, chips=1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("decouple.tau_db = 0\n")
+    args = ("annotate", "--config", str(cfg), "--images", str(data / "images"),
+            "--annots", str(data / "annots"), "--seed", "0")
+    capsys.readouterr()
+    assert run_cli(*args, "--out", str(tmp_path / "bad")) == 3
+    assert "tau_db must be negative" in capsys.readouterr().err
+    assert run_cli(*args, "--out", str(tmp_path / "good"), "--tau", "-3") == 0
+
+
 @pytest.mark.parametrize("text", ["keypoint_k = 4\ngarbage\n", "decouple.n_maxx = 5\n",
                                   "keypoint_k = four\n"],
                          ids=["no-equals", "unknown-key", "unparseable"])

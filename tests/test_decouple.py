@@ -1,6 +1,5 @@
-"""Peak-block masking, log-surface region growth, and the extraction loop."""
+"""Peak-block masking, amplitude-ordered region growth, and the extraction loop."""
 
-import importlib
 from dataclasses import replace
 from typing import Iterator
 
@@ -17,27 +16,13 @@ from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
 from scatterkit.errors import AllZeroRaster, EmptyRegion
 from scatterkit.keypoints import instance_seed
 from scatterkit.metrics import OrientedBox
-from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude, peak_db
+from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
 from scatterkit.spectral import taylor_window_2d
 
-from oracles import (LabelMap, decouple_residuals, decouple_steps_dense,
-                     grow_labels, grow_support_dense, mask_block_dense)
+from oracles import (LabelMap, decouple_residuals, decouple_steps_dense, grow_labels,
+                     grow_support_db, grow_support_dense, mask_block_dense, peak_db)
 
 N4_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-
-
-@pytest.fixture
-def db_calls(monkeypatch):
-    """Sizes of the arrays the extraction loop hands to `peak_db`, in call order:
-    1 for a floor test settled in dB, 2 for an order test."""
-    sizes = []
-
-    def counting(values, *args, **kwargs):
-        sizes.append(np.asarray(values).size)
-        return peak_db(values, *args, **kwargs)
-
-    monkeypatch.setattr(importlib.import_module("scatterkit.decouple"), "peak_db", counting)
-    return sizes
 
 
 def first_support(r: AmplitudeRaster, params: DecoupleParams = DecoupleParams()) -> np.ndarray:
@@ -168,57 +153,59 @@ def test_region_grow_equal_db_plateau_uses_row_major_order():
     np.testing.assert_array_equal(support, grow_labels(r, seed, params).labels == 1)
 
 
-def test_region_grow_equal_db_of_distinct_amplitudes_uses_row_major_order(db_calls):
-    # 0.03 and the next float up round to the same dB, so the flood treats
-    # them as a plateau and the later one joins from the earlier one; a
-    # flood that compared amplitudes would leave it out
-    vals = np.zeros((3, 6))
-    vals[1] = [0.0, 1.0, 0.2, 0.03, 0.030000000000000002, 0.0]
-    params = DecoupleParams()
-    assert vals[1, 3] < vals[1, 4]
-    db = peak_db(vals[1, 3:5], 1.0, params.eps)
-    assert db[0] == db[1]
-    r = AmplitudeRaster(vals)
+def _assert_first_supports(r: AmplitudeRaster, params: DecoupleParams,
+                           by_amplitude: list[int], by_db: list[int]) -> None:
+    """The loop's first region and the dense amplitude flood have the flat
+    support `by_amplitude`; the retired dB flood has `by_db`."""
+    params = replace(params, n_max=1)
     seed = mask_block_dense(r, params.tau_db)
-    np.testing.assert_array_equal(np.flatnonzero(seed), [7])
-    expect = [7, 8, 9, 10]
-    np.testing.assert_array_equal(decouple(r, replace(params, n_max=1))[0].indices, expect)
-    np.testing.assert_array_equal(np.flatnonzero(grow_support_dense(r, seed, params)), expect)
+    np.testing.assert_array_equal(decouple(r, params)[0].indices, by_amplitude)
+    np.testing.assert_array_equal(np.flatnonzero(grow_support_dense(r, seed, params)),
+                                  by_amplitude)
     np.testing.assert_array_equal(np.flatnonzero(grow_labels(r, seed, params).labels == 1),
-                                  expect)
-    assert 2 in db_calls
+                                  by_amplitude)
+    np.testing.assert_array_equal(np.flatnonzero(grow_support_db(r, seed, params)), by_db)
 
 
-def test_region_grow_equal_v_plus_eps_of_distinct_amplitudes_uses_row_major_order(db_calls):
+def test_region_grow_orders_distinct_amplitudes_of_equal_db_by_amplitude():
+    # 0.03 and the next float up round to the same dB: the dB flood ties
+    # them row-major, so the later one joins from the earlier one, while in
+    # amplitude order the larger one comes first and stays out
+    vals = np.zeros((3, 6))
+    vals[1] = [0.0, 1.0, 0.2, 0.03, np.nextafter(0.03, np.inf), 0.0]
+    params = DecoupleParams()
+    db = peak_db(vals[1, 3:5], 1.0, params.eps)
+    assert vals[1, 3] < vals[1, 4] and db[0] == db[1]
+    r = AmplitudeRaster(vals)
+    np.testing.assert_array_equal(np.flatnonzero(mask_block_dense(r, params.tau_db)), [7])
+    _assert_first_supports(r, params, by_amplitude=[7, 8, 9], by_db=[7, 8, 9, 10])
+
+
+def test_region_grow_orders_distinct_amplitudes_of_equal_v_plus_eps_by_amplitude():
     # 1e-23 and 5e-23 vanish against eps, so both lie at the dB of eps alone,
-    # -10 dB below the peak: the smaller one joins from the peak and the
-    # larger one follows it in row-major order, which only dB can tell
-    params = DecoupleParams(n_max=1)
+    # -10 dB below the peak: the smaller one joins from the peak, and only
+    # the dB flood lets the larger one follow it in row-major order
+    params = DecoupleParams()
     vals = np.array([[1e-5, 1e-23, 5e-23]])
     assert vals[0, 1] + params.eps == vals[0, 2] + params.eps
-    r = AmplitudeRaster(vals)
-    np.testing.assert_array_equal(decouple(r, params)[0].indices, [0, 1, 2])
-    seed = mask_block_dense(r, params.tau_db)
-    np.testing.assert_array_equal(np.flatnonzero(grow_support_dense(r, seed, params)),
-                                  [0, 1, 2])
-    assert 2 in db_calls
+    _assert_first_supports(AmplitudeRaster(vals), params, by_amplitude=[0, 1],
+                           by_db=[0, 1, 2])
 
 
 @pytest.mark.parametrize("peak, eps, floor_db", [
     (1.0, 1e-6, -20.0),
-    # the floor's amplitude, about 1.6e-319, is subnormal, held to 1 part in
-    # 32,000, so the flood settles every floor test in dB
+    # the floor's amplitude, about 1.6e-319, is subnormal
     (1e-305, 2e-323, -138.0),
-])
-def test_region_grow_floor_is_settled_in_db_at_the_smallest_joining_amplitude(
-        db_calls, peak, eps, floor_db):
-    # the smallest amplitude above the floor joins and the float below it
-    # does not; both lie where the flood settles the floor test on peak_db
+], ids=["unit-peak", "subnormal-floor"])
+def test_region_grow_floor_admits_the_smallest_amplitude_above_it(peak, eps, floor_db):
+    # the smallest v with v + eps > peak * 10^(floor/10) joins, and the
+    # float below it does not
     params = DecoupleParams(eps=eps, grow_floor_db=floor_db)
+    thr = peak * 10.0 ** (floor_db / 10.0)
     below, lowest = 0, int(np.float64(peak).view(np.int64))
     while lowest - below > 1:  # nonnegative floats order as their bit patterns
         mid = (below + lowest) // 2
-        if peak_db(np.array([mid]).view(np.float64), peak, eps)[0] > floor_db:
+        if float(np.array([mid]).view(np.float64)[0]) + eps > thr:
             lowest = mid
         else:
             below = mid
@@ -226,20 +213,18 @@ def test_region_grow_floor_is_settled_in_db_at_the_smallest_joining_amplitude(
         vals = np.zeros((3, 4))
         vals[1, 1] = peak
         vals[1, 2] = np.array([bits]).view(np.float64)[0]
-        db_calls.clear()
         r = AmplitudeRaster(vals)
         support = first_support(r, params)
         assert support[1, 2] == joins
         np.testing.assert_array_equal(
             support, grow_support_dense(r, mask_block_dense(r, params.tau_db), params))
-        assert 1 in db_calls
 
 
-def test_region_grow_with_large_eps_takes_zeros_but_never_the_border(db_calls):
+def test_region_grow_with_large_eps_takes_zeros_but_never_the_border():
     # against a peak of 1, eps = 10 puts every amplitude within 0.5 dB of
-    # the peak, so the floor's amplitude is negative and zeros clear it; the
-    # equal zeros join in row-major order, and the flood stops at the -inf
-    # border of the frame, which a border of 0 or -1 would cross
+    # the peak, so zeros clear the floor; the equal zeros join in row-major
+    # order, and the flood stops at the -inf border of the frame, which a
+    # border of 0 or -1 would cross
     params = DecoupleParams(eps=10.0, n_max=1)
     vals = np.zeros((4, 5))
     vals[1, 2] = 1.0
@@ -248,34 +233,19 @@ def test_region_grow_with_large_eps_takes_zeros_but_never_the_border(db_calls):
     np.testing.assert_array_equal(region.indices, np.arange(1, 20))
     seed = mask_block_dense(r, params.tau_db)
     np.testing.assert_array_equal(region.support, grow_support_dense(r, seed, params))
-    assert 2 in db_calls
 
 
-def test_region_grow_settles_every_test_in_db_outside_the_normal_range(db_calls):
+def test_region_grow_orders_by_amplitude_outside_the_normal_range():
     # against a 1e300 peak, 1e-20 and 1.0001e-20 give ratios near 1e-320,
-    # subnormal floats that round to one dB value, so they tie row-major
-    # although the amplitudes differ by 1e-4 of themselves; both clear the
-    # -3210 dB floor, whose ratio 10^-321 is subnormal too
-    params = DecoupleParams(eps=1e-300, grow_floor_db=-3210.0, n_max=1)
+    # subnormal floats that round to one dB value, so the dB flood ties them
+    # row-major although the amplitudes differ by 1e-4 of themselves; both
+    # clear the -3210 dB floor, whose ratio 10^-321 is subnormal too
+    params = DecoupleParams(eps=1e-300, grow_floor_db=-3210.0)
     vals = np.array([[1e300, 1e-20, 1.0001e-20]])
     db = peak_db(vals[0, 1:], 1e300, params.eps)
     assert db[0] == db[1]
-    r = AmplitudeRaster(vals)
-    np.testing.assert_array_equal(decouple(r, params)[0].indices, [0, 1, 2])
-    seed = mask_block_dense(r, params.tau_db)
-    np.testing.assert_array_equal(np.flatnonzero(grow_support_dense(r, seed, params)),
-                                  [0, 1, 2])
-    assert 1 in db_calls and 2 in db_calls
-
-
-def test_decouple_makes_no_full_frame_db_pass(db_calls):
-    # the -60 dB stop keeps the loop running its whole budget
-    grid = FrequencyGrid(128, 128)
-    chip = synth_target(10, grid, taylor_window_2d(128, 128),
-                        np.random.Generator(np.random.PCG64(7)))
-    params = DecoupleParams(min_peak_ratio=1e-3)
-    assert len(decouple(chip.image, params)) == params.n_max
-    assert max(db_calls, default=0) <= 2
+    _assert_first_supports(AmplitudeRaster(vals), params, by_amplitude=[0, 1],
+                           by_db=[0, 1, 2])
 
 
 def test_region_grow_darker_pixel_joins_through_seed_exemption():
@@ -629,15 +599,39 @@ def _assert_loop_matches_dense_oracle(amp: AmplitudeRaster, params: DecouplePara
     return len(steps)
 
 
-def test_loop_matches_dense_oracle_on_chips():
+def _oracle_chips() -> Iterator[AmplitudeRaster]:
+    """20 128x128 chips of 5..15 scatterers, clean and speckled in turn."""
     grid = FrequencyGrid(128, 128)
     window = taylor_window_2d(128, 128)
-    n_steps = 0
     for seed in range(20):
         rng = np.random.Generator(np.random.PCG64(300 + seed))
         chip = synth_target(int(rng.integers(5, 16)), grid, window, rng,
                             speckle=bool(seed % 2))
-        n_steps += _assert_loop_matches_dense_oracle(amplitude(chip.image), DecoupleParams())
+        yield amplitude(chip.image)
+
+
+def test_loop_matches_dense_oracle_on_chips():
+    n_steps = sum(_assert_loop_matches_dense_oracle(amp, DecoupleParams())
+                  for amp in _oracle_chips())
+    assert n_steps >= 200
+
+
+@pytest.mark.parametrize("min_peak_ratio", [DecoupleParams().min_peak_ratio, 1e-3],
+                         ids=["sidelobe-stop", "60db-stop"])
+def test_amplitude_flood_equals_db_flood_on_chips(min_peak_ratio):
+    # the amplitude order differs from the dB order only on ties that
+    # log10's rounding makes; no step of these chips meets one
+    params = DecoupleParams(min_peak_ratio=min_peak_ratio)
+    n_steps = 0
+    for amp in _oracle_chips():
+        residual = amp.values
+        for step in decouple_residuals(amp, params):
+            r = AmplitudeRaster(residual)
+            block = mask_block_dense(r, params.tau_db)
+            np.testing.assert_array_equal(step.region.support,
+                                          grow_support_db(r, block, params))
+            residual = step.residual
+            n_steps += 1
     assert n_steps >= 200
 
 
@@ -717,12 +711,15 @@ def test_loop_matches_dense_oracle_for_each_stop_reason():
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.data())
 def test_loop_matches_dense_oracle_on_random_rasters(data):
-    # few distinct levels make equal-dB plateaus; a 1e-5 scale or a large
-    # eps puts the peak under 100 * eps; frames down to 1 px wide exercise
-    # the border
+    # few distinct levels make plateaus of equal amplitude, and each level's
+    # next float up a distinct amplitude 1 ulp above it; a 1e-5 scale or a
+    # large eps puts the peak under 100 * eps; frames down to 1 px wide
+    # exercise the border
     h = data.draw(st.integers(1, 10), label="height")
     w = data.draw(st.integers(1, 10), label="width")
-    levels = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 2.0]),
+    base = [0.0, 0.1, 0.25, 0.5, 1.0, 2.0]
+    levels = data.draw(st.lists(st.sampled_from(base + [float(np.nextafter(v, np.inf))
+                                                        for v in base]),
                                 min_size=h * w, max_size=h * w), label="levels")
     scale = data.draw(st.sampled_from([1.0, 1e-5]), label="scale")
     vals = np.array(levels).reshape(h, w) * scale

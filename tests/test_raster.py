@@ -1,4 +1,5 @@
-"""Raster value types: validation, immutability, amplitude and dB conversion."""
+"""Raster value types: validation, immutability and amplitude conversion;
+and `peak_db`, the dB formula of the retired flood kept in `oracles`."""
 
 import dataclasses
 
@@ -7,9 +8,10 @@ import pytest
 
 from scatterkit.ascmodel import SeparablePsf
 from scatterkit.decouple import ScatterRegion
-from scatterkit.raster import (AmplitudeRaster, ComplexRaster, WindowRaster,
-                               amplitude, peak_db)
+from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
 from scatterkit.supervision import FeatureGrid, ScatterMap
+
+from oracles import peak_db
 
 
 def test_complex_raster_promotes_and_freezes():
