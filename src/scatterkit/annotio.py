@@ -17,6 +17,7 @@ coordinates. Floats are written with 6 significant digits. Prediction files
 from __future__ import annotations
 
 import logging
+import math
 import shutil
 import time
 from dataclasses import dataclass, field, replace
@@ -24,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ascmodel import FittedScatterer, FrequencyGrid, Scatterer, base_psf, fit_scatterer
+from .ascmodel import (FittedScatterer, FrequencyGrid, Scatterer, base_psf, fit_scatterer,
+                       lay_out_regions)
 from .chipio import read_chip, write_chip, write_text_atomic
 from .decouple import DecoupleParams, ScatterRegion, decouple
 from .errors import (BadKeypointCount, BoxOutsideImage, MalformedLine,
@@ -61,9 +63,8 @@ class InstanceAnnotation:
         if self.difficulty not in (0, 1):
             raise ValueError(f"difficulty must be 0 or 1, got {self.difficulty}")
         if self.keypoints is not None:
-            c = self.box.corners
-            x0, y0 = c[:, 0].min() - 2.0, c[:, 1].min() - 2.0
-            x1, y1 = c[:, 0].max() + 2.0, c[:, 1].max() + 2.0
+            xmin, ymin, xmax, ymax = self.box.bounds
+            x0, y0, x1, y1 = xmin - 2.0, ymin - 2.0, xmax + 2.0, ymax + 2.0
             for x, y in self.keypoints.points:
                 if not (x0 <= x <= x1 and y0 <= y <= y1):
                     raise OutOfBounds(
@@ -187,15 +188,14 @@ def crop_chip(image: ComplexRaster, box: OrientedBox) -> tuple[ComplexRaster, tu
     The crop is a read-only view of the image's samples, which the image's
     own construction checked: it is neither copied nor checked again.
     """
-    c = box.corners
-    x0 = max(int(np.floor(c[:, 0].min())), 0)
-    y0 = max(int(np.floor(c[:, 1].min())), 0)
-    x1 = min(int(np.ceil(c[:, 0].max())), image.width)
-    y1 = min(int(np.ceil(c[:, 1].max())), image.height)
+    xmin, ymin, xmax, ymax = box.bounds
+    x0 = max(math.floor(xmin), 0)
+    y0 = max(math.floor(ymin), 0)
+    x1 = min(math.ceil(xmax), image.width)
+    y1 = min(math.ceil(ymax), image.height)
     if x1 <= x0 or y1 <= y0:
         raise BoxOutsideImage(
-            f"box AABB [{c[:, 0].min():.6g}, {c[:, 0].max():.6g}]x"
-            f"[{c[:, 1].min():.6g}, {c[:, 1].max():.6g}] misses the "
+            f"box AABB [{xmin:.6g}, {xmax:.6g}]x[{ymin:.6g}, {ymax:.6g}] misses the "
             f"{image.width}x{image.height} image")
     return ComplexRaster._trusted(image.samples[y0:y1, x0:x1]), (x0, y0)
 
@@ -248,8 +248,11 @@ class RunSummary:
 
 def _fit(regions: list[ScatterRegion], grid: FrequencyGrid, window: WindowRaster,
          refine: bool) -> list[FittedScatterer]:
+    """One fit per region: the regions' supports are laid out in one pass,
+    then each laid-out region is fitted on its own."""
     psf = base_psf(grid, window)
-    return [fit_scatterer(reg, psf, refine=refine) for reg in regions]
+    return [fit_scatterer(reg, psf, refine=refine)
+            for reg in lay_out_regions(regions, psf.shape)]
 
 
 def _keypoints(regions: list[ScatterRegion], grid: FrequencyGrid, window: WindowRaster,

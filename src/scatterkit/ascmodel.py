@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -207,43 +208,100 @@ class FittedScatterer:
     residual: float
 
 
-def _positive_support(region: ScatterRegion | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending flat indices of the region's positive pixels, and their values."""
-    if isinstance(region, ScatterRegion):
-        idx, vals = region.indices, region.amplitudes
-        keep = vals > 0
-        return (idx, vals) if keep.all() else (idx[keep], vals[keep])
-    flat = region.ravel()
-    idx = np.flatnonzero(flat > 0)
-    return idx, flat[idx]
+class LaidOutRegion(NamedTuple):
+    """One region's positive pixels, laid out for `fit_scatterer` by
+    `lay_out_regions`: the (h, w) frame, the pixels' rows, columns and
+    values in ascending flat-index order, the bounds (ry0, ry1, rx0, rx1) of
+    their bounding box, and that box as a block, zero off the pixels."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    bounds: tuple[int, int, int, int]
+    block: np.ndarray
 
 
-def fit_scatterer(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
+def lay_out_regions(regions: list[ScatterRegion | np.ndarray],
+                    shape: tuple[int, int]) -> list[LaidOutRegion]:
+    """The positive pixels of each region of an (h, w) frame, laid out for
+    the fit in one pass over all of them.
+
+    A region is a `ScatterRegion` or a full-frame array, zero off the
+    region's support. One `divmod` over the concatenated supports gives
+    every pixel's row and column. A region's indices ascend, so its first
+    and last pixels give its rows, and `reduceat` gives its columns. Every
+    bounding block is cut from one zeroed buffer, filled by one scatter.
+    Raises DimMismatch for a region of another shape and EmptyRegion for a
+    region without a positive pixel.
+    """
+    h, w = shape
+    indices, values = [], []
+    for region in regions:
+        if isinstance(region, ScatterRegion):
+            idx, vals = region.indices, region.amplitudes
+        else:
+            region = np.asarray(region, dtype=np.float64)
+            flat = region.ravel()
+            idx = np.flatnonzero(flat > 0)
+            vals = flat[idx]
+        if region.shape != (h, w):
+            raise DimMismatch(f"region {region.shape} vs psf {h}x{w}")
+        indices.append(idx)
+        values.append(vals)
+    if not indices:
+        return []
+    sizes = np.array([idx.size for idx in indices])
+    if not sizes.all():  # an array region without a positive pixel
+        raise EmptyRegion("cannot fit a scatterer to an empty region")
+    idx, val = np.concatenate(indices), np.concatenate(values)
+    keep = val > 0
+    if not keep.all():  # a `ScatterRegion` may hold values <= 0
+        sizes = np.add.reduceat(keep, np.cumsum(sizes) - sizes, dtype=np.intp)
+        if not sizes.all():
+            raise EmptyRegion("cannot fit a scatterer to an empty region")
+        idx, val = idx[keep], val[keep]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    sy, sx = np.divmod(idx, w)
+    ry0, ry1 = sy[starts], sy[ends - 1]
+    rx0, rx1 = np.minimum.reduceat(sx, starts), np.maximum.reduceat(sx, starts)
+    widths = rx1 - rx0 + 1
+    areas = (ry1 - ry0 + 1) * widths
+    offsets = np.cumsum(areas) - areas
+    buf = np.zeros(int(offsets[-1] + areas[-1]))
+    # pixel y * w + x of region r goes to offsets[r] + (y - ry0[r]) * widths[r] + x - rx0[r]
+    buf[np.repeat(offsets - ry0 * widths - rx0, sizes) + np.repeat(widths, sizes) * sy + sx] = val
+    out = []
+    for a, b, o, y0, y1, x0, x1 in zip(starts.tolist(), ends.tolist(), offsets.tolist(),
+                                       ry0.tolist(), ry1.tolist(), rx0.tolist(), rx1.tolist()):
+        by, bx = y1 - y0 + 1, x1 - x0 + 1
+        out.append(LaidOutRegion((h, w), sy[a:b], sx[a:b], val[a:b], (y0, y1, x0, x1),
+                                 buf[o:o + by * bx].reshape(by, bx)))
+    return out
+
+
+def fit_scatterer(region: ScatterRegion | LaidOutRegion | np.ndarray, psf: SeparablePsf,
                   refine: bool = False) -> FittedScatterer:
     """Least-squares fit of one shifted PSF to an extracted amplitude region.
 
     `region` is a `ScatterRegion` or a full-frame array, zero off the
-    region's support, and `psf` is the chip's `base_psf(grid, window)`, of
-    the same shape. Only the region's positive pixels are scored. The fit
-    minimizes || region - a * psf(x0, y0) ||_2 over integer (x0, y0) in the
-    support bounding box dilated by 2 px, with the gain a given in closed
-    form; since the psf norm is shift-invariant this is equivalent to
-    maximizing the correlation with the shifted psf. Ties resolve to the
-    smallest (y0, x0) in row-major order.
+    region's support, or one of `lay_out_regions`' results, and `psf` is the
+    chip's `base_psf(grid, window)`, of the same shape. Only the region's
+    positive pixels are scored. The fit minimizes
+    || region - a * psf(x0, y0) ||_2 over integer (x0, y0) in the support
+    bounding box dilated by 2 px, with the gain a given in closed form;
+    since the psf norm is shift-invariant this is equivalent to maximizing
+    the correlation with the shifted psf. Ties resolve to the smallest
+    (y0, x0) in row-major order.
     """
     h, w = psf.shape
-    if not isinstance(region, ScatterRegion):
-        region = np.asarray(region, dtype=np.float64)
-    if region.shape != (h, w):
+    if not isinstance(region, LaidOutRegion):
+        (region,) = lay_out_regions([region], (h, w))
+    elif region.shape != (h, w):
         raise DimMismatch(f"region {region.shape} vs psf {h}x{w}")
-    sup_idx, sv = _positive_support(region)
-    if sup_idx.size == 0:
-        raise EmptyRegion("cannot fit a scatterer to an empty region")
+    _, sy, sx, sv, (ry0, ry1, rx0, rx1), block = region
 
-    # the indices ascend, so the first and last give the support's rows
-    ry0, ry1 = int(sup_idx[0]) // w, int(sup_idx[-1]) // w
-    sy, sx = np.divmod(sup_idx, w)
-    rx0, rx1 = int(sx.min()), int(sx.max())
     # candidates: the support bounding box dilated by FIT_DILATE_PX, clamped
     y0, y1 = max(ry0 - FIT_DILATE_PX, 0), min(ry1 + FIT_DILATE_PX, h - 1)
     x0, x1 = max(rx0 - FIT_DILATE_PX, 0), min(rx1 + FIT_DILATE_PX, w - 1)
@@ -251,10 +309,6 @@ def fit_scatterer(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
 
     # support box pixel (r, c) meets the psf shifted to candidate (y0 + j,
     # x0 + i) at row[(ry0 + r - y0 - j) % h] * col[(rx0 + c - x0 - i) % w]
-    by, bx = ry1 - ry0 + 1, rx1 - rx0 + 1
-    block = np.zeros((by, bx))
-    # support pixel y * w + x goes to flat index (y - ry0) * bx + (x - rx0)
-    block.ravel()[sup_idx - (w - bx) * sy - (ry0 * bx + rx0)] = sv
     ay = psf.row_windows[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]  # (by, ny)
     ax = psf.col_windows[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]  # (bx, nx)
     crop = ay.T @ (block @ ax)

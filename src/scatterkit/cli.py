@@ -451,8 +451,8 @@ def _build_parser() -> _Parser:
 
     p = add("synth", cmd_synth, "generate a synthetic chip dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--chips", type=int, required=True, help="number of chips")
-    p.add_argument("--dim", type=int, default=128, help="chip side length (px)")
+    p.add_argument("--chips", type=_positive_int, required=True, help="number of chips")
+    p.add_argument("--dim", type=_positive_int, default=128, help="chip side length (px)")
     p.add_argument("--scatterers", type=_int_range, default=(5, 15),
                    metavar="MIN..MAX", help="scatterer count range")
     p.add_argument("--seed", type=int, required=True, help="master RNG seed")

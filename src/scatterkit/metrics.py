@@ -132,6 +132,11 @@ class OrientedBox:
         return self._area
 
     @property
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(xmin, ymin, xmax, ymax) of the corners, as Python floats."""
+        return self._reach[:4]
+
+    @property
     def centroid(self) -> tuple[float, float]:
         c = self.corners.mean(axis=0)
         return float(c[0]), float(c[1])

@@ -26,7 +26,10 @@ the same candidate box. `fit_block_2d` is `fit_scatterer` as it was before
 it read the support rows off the first and last index: it takes every bound
 from the support's row and column arrays and scatters the support into its
 bounding block by 2-D fancy indexing, where `fit_scatterer` uses one flat
-index. `psf_2d` is the PSF as the
+index. `fit_per_region` is `fit_scatterer` before the fit laid out all of
+an instance's supports in one pass (`ascmodel.lay_out_regions`): each
+region took its own positive mask, `divmod`, bounds and zeroed block.
+`psf_2d` is the PSF as the
 2-D inverse DFT of the window, and `refine_offsets` the parabolic refinement
 from full-frame rolls of that image.
 
@@ -60,7 +63,7 @@ import numpy as np
 from scatterkit.ascmodel import (FIT_DILATE_PX, FittedScatterer, FrequencyGrid,
                                  SeparablePsf)
 from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
-from scatterkit.errors import AllZeroRaster, EmptyInput, EmptyRegion
+from scatterkit.errors import AllZeroRaster, DimMismatch, EmptyInput, EmptyRegion
 from scatterkit.keypoints import KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet
 from scatterkit.metrics import COLLINEAR_TOL, SLIVER_AREA
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
@@ -376,6 +379,58 @@ def fit_block_2d(region: np.ndarray, psf: SeparablePsf,
     resid_sq = float(sv @ sv) - 2 * gain * best_c + gain * gain * psf_sq
     return FittedScatterer(x=fx, y=fy, amplitude=gain,
                            residual=float(np.sqrt(max(resid_sq, 0.0))))
+
+
+def _positive_support(region: ScatterRegion | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending flat indices of the region's positive pixels, and their values."""
+    if isinstance(region, ScatterRegion):
+        idx, vals = region.indices, region.amplitudes
+        keep = vals > 0
+        return (idx, vals) if keep.all() else (idx[keep], vals[keep])
+    flat = region.ravel()
+    idx = np.flatnonzero(flat > 0)
+    return idx, flat[idx]
+
+
+def fit_per_region(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
+                   refine: bool = False) -> FittedScatterer:
+    """`fit_scatterer` on one region, with its own positive mask, `divmod`,
+    bounds and zeroed block."""
+    h, w = psf.shape
+    if not isinstance(region, ScatterRegion):
+        region = np.asarray(region, dtype=np.float64)
+    if region.shape != (h, w):
+        raise DimMismatch(f"region {region.shape} vs psf {h}x{w}")
+    sup_idx, sv = _positive_support(region)
+    if sup_idx.size == 0:
+        raise EmptyRegion("cannot fit a scatterer to an empty region")
+    ry0, ry1 = int(sup_idx[0]) // w, int(sup_idx[-1]) // w
+    sy, sx = np.divmod(sup_idx, w)
+    rx0, rx1 = int(sx.min()), int(sx.max())
+    y0, y1 = max(ry0 - FIT_DILATE_PX, 0), min(ry1 + FIT_DILATE_PX, h - 1)
+    x0, x1 = max(rx0 - FIT_DILATE_PX, 0), min(rx1 + FIT_DILATE_PX, w - 1)
+    ny, nx = y1 - y0 + 1, x1 - x0 + 1
+    by, bx = ry1 - ry0 + 1, rx1 - rx0 + 1
+    block = np.zeros((by, bx))
+    block.ravel()[sup_idx - (w - bx) * sy - (ry0 * bx + rx0)] = sv
+    ay = psf.row_windows[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]
+    ax = psf.col_windows[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]
+    crop = ay.T @ (block @ ax)
+    dy, dx = divmod(int(crop.argmax()), nx)
+    best_y, best_x, best_c = y0 + dy, x0 + dx, float(crop[dy, dx])
+    fx, fy = float(best_x), float(best_y)
+    if refine:
+        def corr_at(cy: int, cx: int) -> float:
+            return float(sv @ (psf.row[(sy - cy) % h] * psf.col[(sx - cx) % w]))
+        fy = best_y + _parabolic_offset(corr_at(best_y - 1, best_x), best_c,
+                                        corr_at(best_y + 1, best_x))
+        fx = best_x + _parabolic_offset(corr_at(best_y, best_x - 1), best_c,
+                                        corr_at(best_y, best_x + 1))
+    psf_sq = psf.norm_sq
+    gain = best_c / psf_sq if psf_sq > 0 else 0.0
+    resid_sq = float(sv @ sv) - 2 * gain * best_c + gain * gain * psf_sq
+    return FittedScatterer(x=fx, y=fy, amplitude=gain,
+                           residual=math.sqrt(max(resid_sq, 0.0)))
 
 
 def psf_2d(grid: FrequencyGrid, window: WindowRaster) -> np.ndarray:

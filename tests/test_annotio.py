@@ -20,7 +20,7 @@ from scatterkit.ascmodel import FrequencyGrid, Scatterer, synth_target
 from scatterkit.chipio import read_chip, write_chip
 from scatterkit.decouple import DecoupleParams, ScatterRegion
 from scatterkit.errors import (BadKeypointCount, BoxOutsideImage,
-                               InvalidWindowParams, MalformedLine)
+                               InvalidWindowParams, MalformedLine, OutOfBounds)
 from scatterkit.keypoints import KeypointSet, instance_seed, to_global
 from scatterkit.metrics import OrientedBox
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
@@ -207,6 +207,58 @@ def test_crop_rejects_box_outside_image():
         crop_chip(img, OrientedBox.from_rect(100, 100, 120, 120))
     with pytest.raises(BoxOutsideImage):
         crop_chip(img, OrientedBox.from_rect(-20, -20, -5, -5))
+
+
+def _crop_by_corner_reductions(image, box):
+    """`crop_chip`'s origin and window, or its error message, from numpy
+    reductions over the corner array."""
+    c = box.corners
+    x0 = max(int(np.floor(c[:, 0].min())), 0)
+    y0 = max(int(np.floor(c[:, 1].min())), 0)
+    x1 = min(int(np.ceil(c[:, 0].max())), image.width)
+    y1 = min(int(np.ceil(c[:, 1].max())), image.height)
+    if x1 <= x0 or y1 <= y0:
+        return (f"box AABB [{c[:, 0].min():.6g}, {c[:, 0].max():.6g}]x"
+                f"[{c[:, 1].min():.6g}, {c[:, 1].max():.6g}] misses the "
+                f"{image.width}x{image.height} image")
+    return (x0, y0), image.samples[y0:y1, x0:x1]
+
+
+def test_crop_and_keypoint_check_read_the_box_bounds_as_the_corners_give_them():
+    img = _image64()
+    rng = np.random.Generator(np.random.PCG64(41))
+    n_outside = 0
+    for _ in range(300):
+        center = rng.uniform(-40.0, 104.0, size=2)
+        half = rng.uniform(0.5, 30.0, size=2)
+        theta = rng.uniform(0.0, np.pi)
+        u, v = np.array([np.cos(theta), np.sin(theta)]), np.array([-np.sin(theta), np.cos(theta)])
+        box = OrientedBox(np.array([center + s * half[0] * u + t * half[1] * v
+                                    for s, t in [(1, 1), (-1, 1), (-1, -1), (1, -1)]]))
+        c = box.corners
+        assert box.bounds == (c[:, 0].min(), c[:, 1].min(), c[:, 0].max(), c[:, 1].max())
+        ref = _crop_by_corner_reductions(img, box)
+        if isinstance(ref, str):
+            n_outside += 1
+            with pytest.raises(BoxOutsideImage) as exc:
+                crop_chip(img, box)
+            assert str(exc.value) == ref
+        else:
+            chip, origin = crop_chip(img, box)
+            assert origin == ref[0] and np.array_equal(chip.samples, ref[1])
+        # a keypoint 2 px beyond the bounds is kept, one further is rejected
+        x_far = float(c[:, 0].max()) + 2.0
+        InstanceAnnotation(box=box, class_name="t",
+                           keypoints=KeypointSet(((x_far, float(c[0, 1])),), k=1))
+        x_out = float(c[:, 0].min()) - 2.5
+        with pytest.raises(OutOfBounds) as exc:
+            InstanceAnnotation(box=box, class_name="t",
+                               keypoints=KeypointSet(((x_out, float(c[0, 1])),), k=1))
+        x0, y0 = c[:, 0].min() - 2.0, c[:, 1].min() - 2.0
+        x1, y1 = c[:, 0].max() + 2.0, c[:, 1].max() + 2.0
+        assert str(exc.value) == (f"keypoint ({x_out}, {float(c[0, 1])}) outside box AABB "
+                                  f"[{x0}, {x1}]x[{y0}, {y1}]")
+    assert 30 <= n_outside <= 270
 
 
 def test_index_dataset_pairs_and_validates(tmp_path):
@@ -480,6 +532,35 @@ def test_run_skaa_debug_dir_runs_the_extraction_loop_once_per_instance(
     assert len(frames) == 3
     for image_id, idx in (("chip_00000", 0), ("chip_00000", 1), ("chip_00001", 0)):
         assert sorted(debug.glob(f"{image_id}_{idx:03d}_*_residual.csar"))
+
+
+def test_fit_lays_out_each_instance_once_and_fits_each_region(tmp_path, monkeypatch):
+    layouts, fits = [], []
+    lay_out, fit = annotio.lay_out_regions, annotio.fit_scatterer
+
+    def laying_out(regions, shape):
+        layouts.append(len(regions))
+        return lay_out(regions, shape)
+
+    def fitting(region, psf, refine=False):
+        fits.append(region.shape)
+        return fit(region, psf, refine=refine)
+
+    monkeypatch.setattr(annotio, "lay_out_regions", laying_out)
+    monkeypatch.setattr(annotio, "fit_scatterer", fitting)
+    summary = run_skaa(_three_instance_set(tmp_path), tmp_path / "out", master_seed=0)
+    assert summary.instances == 3 and summary.failures == 0
+    assert len(layouts) == 3 and min(layouts) >= 2
+    assert len(fits) == sum(layouts)
+
+    chip = synth_target(6, FrequencyGrid(48, 48), taylor_window_2d(48, 48),
+                        np.random.Generator(np.random.PCG64(5)))
+    layouts.clear()
+    fits.clear()
+    grid, window = FrequencyGrid(48, 48), taylor_window_2d(48, 48)
+    annotio.fit_regions(chip.image, grid, window, refine=True)
+    annotio.skaa_keypoints(chip.image, grid, window)
+    assert len(layouts) == 2 and len(fits) == sum(layouts)
 
 
 @pytest.mark.parametrize("window", [{"window_nbar": 0}, {"window_sidelobe_db": 3.0}])

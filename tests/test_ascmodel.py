@@ -6,16 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatterkit.ascmodel as ascmodel
+from scatterkit.annotio import _fit, crop_chip
 from scatterkit.ascmodel import (FrequencyGrid, Scatterer, SeparablePsf,
                                  base_psf, fit_scatterer, forward_field,
-                                 reconstruct, synth_image, synth_target)
-from scatterkit.decouple import ScatterRegion, decouple
+                                 lay_out_regions, reconstruct, synth_image,
+                                 synth_target)
+from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
 from scatterkit.errors import (DimMismatch, EmptyInput, EmptyRegion,
                                InfeasiblePlacement, OutOfBounds)
+from scatterkit.keypoints import instance_seed
 from scatterkit.raster import amplitude
 from scatterkit.spectral import ifft2d, rectangular_window_2d, taylor_window_2d
 
-from oracles import fit_block_2d, fit_direct, fit_fft, psf_2d, refine_offsets
+from oracles import (fit_block_2d, fit_direct, fit_fft, fit_per_region, psf_2d,
+                     refine_offsets)
 
 GRID32 = FrequencyGrid(32, 32)
 TAYLOR32 = taylor_window_2d(32, 32)
@@ -539,6 +543,149 @@ def test_fit_rejects_empty_region_and_bad_dims():
     with pytest.raises(DimMismatch):
         fit_scatterer(ScatterRegion(shape=(16, 32), indices=[3], amplitudes=[1.0],
                                     peak=(0, 3)), PSF32)
+
+
+# ------------------------------------------------- one layout per instance
+
+def _region(values):
+    """The `ScatterRegion` of a full-frame array, peaked at its maximum."""
+    h, w = values.shape
+    idx = np.flatnonzero(values)
+    return ScatterRegion(shape=(h, w), indices=idx, amplitudes=values.ravel()[idx],
+                         peak=divmod(int(np.argmax(values)), w))
+
+
+def _assert_layout_fits_equal_the_oracle(regions, psf):
+    """Each region fitted from one layout of all of them equals, field by
+    field, the retired per-region fit; so do its own layout and `_fit`."""
+    laid_out = lay_out_regions(regions, psf.shape)
+    assert len(laid_out) == len(regions)
+    for refine in (False, True):
+        refs = [fit_per_region(r, psf, refine=refine) for r in regions]
+        assert [fit_scatterer(r, psf, refine=refine) for r in laid_out] == refs
+        assert [fit_scatterer(r, psf, refine=refine) for r in regions] == refs
+    return len(regions)
+
+
+def _chip_family(master_seed, n_chips, speckle, amplitude_range=(0.5, 1.5)):
+    """Decoupled 128x128 chips drawn as `synth --scatterers 5..15` draws
+    them: each chip's grid, window and regions."""
+    grid, window = FrequencyGrid(128, 128), taylor_window_2d(128, 128)
+    for i in range(n_chips):
+        rng = np.random.Generator(np.random.PCG64(
+            instance_seed(master_seed, f"chip_{i:05d}", 0)))
+        chip = synth_target(int(rng.integers(5, 16)), grid, window, rng,
+                            amplitude_range=amplitude_range, speckle=speckle)
+        yield grid, window, decouple(chip.image)
+
+
+def _scene_crops(seeds, dim=128):
+    """Decoupled crops of scenes with four compact targets each, boxed by
+    `synth_target`'s rule, as a multi-target `annotate` input is."""
+    grid, window = FrequencyGrid(dim, dim), taylor_window_2d(dim, dim)
+    for seed in seeds:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        scatterers, boxes = [], []
+        for cy, cx in [(32, 32), (32, 96), (96, 32), (96, 96)]:
+            pts = np.array([cx, cy]) + rng.uniform(-12.0, 12.0, size=(int(rng.integers(3, 8)), 2))
+            scatterers += [Scatterer(float(x), float(y), float(rng.uniform(0.5, 1.5)))
+                           for x, y in pts]
+            boxes.append(ascmodel._enclosing_box(pts, float(rng.uniform(0.0, np.pi)), 3.0))
+        image = synth_image(scatterers, grid, window)
+        for box in boxes:
+            chip, _ = crop_chip(image, box)
+            yield (FrequencyGrid(chip.height, chip.width),
+                   taylor_window_2d(chip.height, chip.width), decouple(chip))
+
+
+@pytest.mark.parametrize("family", ["clean", "speckled", "scenes",
+                                    "hard-clean", "hard-speckled"])
+def test_layout_fits_equal_the_per_region_oracle_on_decoupled_chips(family):
+    # the annotate families, and criterion 10's hard sets in full (amplitudes
+    # 0.02-1.5, seeds 0 and 3); `_fit` is the one fit path of annotate,
+    # fit_regions, skaa_keypoints and criterion 1
+    chips = {
+        "clean": lambda: _chip_family(0, 20, False),
+        "speckled": lambda: _chip_family(3, 20, True),
+        "scenes": lambda: _scene_crops(range(4)),
+        "hard-clean": lambda: _chip_family(0, 90, False, (0.02, 1.5)),
+        "hard-speckled": lambda: _chip_family(3, 90, True, (0.02, 1.5)),
+    }[family]()
+    n = 0
+    for grid, window, regions in chips:
+        psf = base_psf(grid, window)
+        n += _assert_layout_fits_equal_the_oracle(regions, psf)
+        for refine in (False, True):
+            assert _fit(regions, grid, window, refine) == \
+                [fit_per_region(r, psf, refine=refine) for r in regions]
+    assert n >= 100
+
+
+@pytest.mark.parametrize("psf", [
+    PSF32, SeparablePsf(row=np.random.default_rng(32).uniform(0.05, 1.0, 24),
+                        col=np.random.default_rng(33).uniform(0.05, 1.0, 20))],
+    ids=["taylor-32x32", "asymmetric-24x20"])
+def test_layout_of_edge_and_single_pixel_regions_equals_the_oracle(psf):
+    # every region in one layout: supports on each frame edge (clamped
+    # candidate boxes), the full width, one row or column, and single pixels
+    rng = np.random.Generator(np.random.PCG64(34))
+    h, w = psf.shape
+    regions = [_region(np.where(support, rng.uniform(0.1, 2.0, (h, w)), 0.0))
+               for support in _block_edge_supports(h, w, rng)]
+    for band in ["top", "bottom", "left", "right"]:
+        allowed = _edge_band(band, h, w)
+        keep = allowed & (rng.random((h, w)) < 0.3)
+        keep.flat[rng.choice(np.flatnonzero(allowed))] = True
+        regions.append(_region(np.where(keep, rng.uniform(0.1, 2.0, (h, w)), 0.0)))
+    for cell in rng.choice(h * w, size=8, replace=False):
+        single = np.zeros((h, w))
+        single.flat[cell] = rng.uniform(0.1, 2.0)
+        regions.append(_region(single))
+    assert sum(r.indices.size == 1 for r in regions) >= 12
+    _assert_layout_fits_equal_the_oracle(regions, psf)
+    # a full-frame array region takes the same layout as its ScatterRegion
+    for region in regions[:10]:
+        assert fit_scatterer(region.values, psf) == fit_per_region(region.values, psf)
+
+
+def test_layout_bounds_exclude_zero_valued_pixels_joined_under_a_large_eps():
+    # with eps = 0.05 a region grows over pixels that earlier regions set to
+    # 0.0; the fit scores and bounds the positive pixels alone
+    grid, window = FrequencyGrid(64, 64), taylor_window_2d(64, 64)
+    psf = base_psf(grid, window)
+    n_zero = n_narrowed = 0
+    for seed in range(6):
+        chip = synth_target(8, grid, window, np.random.Generator(np.random.PCG64(seed)))
+        regions = decouple(chip.image, DecoupleParams(eps=0.05))
+        _assert_layout_fits_equal_the_oracle(regions, psf)
+        for region, laid in zip(regions, lay_out_regions(regions, psf.shape)):
+            pos = region.amplitudes > 0
+            sy, sx = np.divmod(region.indices[pos], 64)
+            assert laid.bounds == (sy.min(), sy.max(), sx.min(), sx.max())
+            assert laid.values.tolist() == region.amplitudes[pos].tolist()
+            assert laid.block.shape == (sy.max() - sy.min() + 1, sx.max() - sx.min() + 1)
+            n_zero += not pos.all()
+            ay, ax = np.divmod(region.indices, 64)
+            n_narrowed += laid.bounds != (ay.min(), ay.max(), ax.min(), ax.max())
+    assert n_zero >= 20 and n_narrowed >= 20
+
+
+def test_layout_rejects_a_region_without_a_positive_pixel_and_takes_none():
+    good = _region(np.where(np.eye(32) > 0, 1.0, 0.0))
+    zero = ScatterRegion(shape=(32, 32), indices=[3, 4], amplitudes=[0.0, -0.0],
+                         peak=(0, 3))
+    for regions in ([zero], [good, zero], [zero, good], [good, np.zeros((32, 32))]):
+        with pytest.raises(EmptyRegion):
+            lay_out_regions(regions, (32, 32))
+        with pytest.raises(EmptyRegion):
+            _fit(regions, GRID32, TAYLOR32, False)
+    with pytest.raises(DimMismatch):
+        lay_out_regions([good, np.ones((16, 16))], (32, 32))
+    (laid,) = lay_out_regions([good], (32, 32))
+    with pytest.raises(DimMismatch):
+        fit_scatterer(laid, base_psf(FrequencyGrid(32, 16), taylor_window_2d(32, 16)))
+    assert lay_out_regions([], (32, 32)) == []
+    assert _fit([], GRID32, TAYLOR32, True) == []
 
 
 def test_scatterer_validation():

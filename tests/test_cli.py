@@ -288,6 +288,37 @@ def test_annotate_with_the_1e3_stop_reproduces_the_saved_run(tmp_path, family):
     assert outputs["default"] != saved
 
 
+# `annotate` outputs at the default configuration, saved from commit a9160b7
+# (each region's fit built its own support block), on the sets above
+DEFAULT_RUN = Path(__file__).resolve().parent / "data" / "annotate_default"
+
+
+@pytest.mark.parametrize("family", ["clean", "speckled"])
+def test_annotate_with_the_default_config_reproduces_the_saved_run(tmp_path, family):
+    extra = ("--speckle",) if family == "speckled" else ()
+    assert run_cli("synth", "--out", str(tmp_path / "data"), "--chips", "8",
+                   "--dim", "64", "--scatterers", "3..12", "--seed", "11", *extra) == 0
+    out = tmp_path / "out"
+    assert run_cli("annotate", "--images", str(tmp_path / "data" / "images"),
+                   "--annots", str(tmp_path / "data" / "annots"),
+                   "--out", str(out), "--seed", "11") == 0
+    saved = {p.name: p.read_bytes() for p in sorted((DEFAULT_RUN / family).glob("*.txt"))}
+    assert len(saved) == 8
+    assert {p.name: p.read_bytes() for p in sorted(out.glob("chip_*.txt"))} == saved
+
+
+@pytest.mark.parametrize("flag, value", [("--chips", "0"), ("--chips", "-1"),
+                                         ("--dim", "0"), ("--dim", "-3")])
+def test_synth_non_positive_chips_or_dim_is_usage_error(tmp_path, capsys, flag, value):
+    args = {"--chips": "1", "--dim": "32", flag: value}
+    assert usage_exit("synth", "--out", str(tmp_path / "o"), "--seed", "0",
+                      *(f"{k}={v}" for k, v in args.items())) == 1
+    out, err = capsys.readouterr()
+    assert f"argument {flag}:" in err and "Traceback" not in err
+    assert "wrote" not in out
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_rerun_is_byte_identical(tmp_path):
     a = synth(tmp_path, "a")
     b = synth(tmp_path, "b")
