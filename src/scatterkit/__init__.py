@@ -16,9 +16,10 @@ from .errors import ScatterKitError
 from .keypoints import (DogParams, KeypointSet, cluster_keypoints,
                         dog_keypoints, instance_seed, to_global)
 from .metrics import (Detection, EvalReport, OrientedBox, average_precision,
-                      average_precision_grouped, greedy_point_match, max_ious,
-                      mean_ap, mean_nearest_distance, phr_curve,
-                      proposal_precision, rotated_iou)
+                      average_precision_grouped, evaluate_detections,
+                      greedy_point_match, iou_matrix, max_ious, mean_ap,
+                      mean_nearest_distance, phr_curve, proposal_precision,
+                      rotated_iou)
 from .raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
 from .spectral import (fft2d, ifft2d, rectangular_window_2d, taylor_window,
                        taylor_window_2d)
@@ -37,8 +38,8 @@ __all__ = [
     "base_psf", "bce_loss",
     "canonical_text", "cluster_keypoints", "config_hash", "decouple",
     "dog_keypoints", "downsample_pyramid",
-    "enhance_features", "fft2d", "fit_scatterer", "forward_field",
-    "greedy_point_match", "gt_scatter_map", "ifft2d", "instance_seed",
+    "enhance_features", "evaluate_detections", "fft2d", "fit_scatterer", "forward_field",
+    "greedy_point_match", "gt_scatter_map", "ifft2d", "instance_seed", "iou_matrix",
     "load_config", "max_ious", "mean_ap", "mean_nearest_distance",
     "phr_curve", "proposal_precision", "read_chip", "reconstruct",
     "rectangular_window_2d", "rotated_iou", "skaa_keypoints", "synth_image",

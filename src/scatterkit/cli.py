@@ -27,8 +27,7 @@ from .chipio import write_chip, write_pgm, write_text_atomic
 from .config import MANIFEST_NAME, RunConfig, emit_manifest, load_config
 from .errors import BadConfigField, ScatterKitError
 from .keypoints import KeypointSet, instance_seed
-from .metrics import (EvalReport, average_precision_grouped, max_ious, mean_ap,
-                      mean_nearest_distance)
+from .metrics import evaluate_detections, mean_nearest_distance
 from .raster import AmplitudeRaster
 from .spectral import taylor_window_2d
 from .supervision import downsample_pyramid, gt_scatter_map
@@ -323,29 +322,9 @@ def _eval_detections(args: argparse.Namespace) -> int:
         sorted({a.class_name for annots in gts.values() for a in annots}))}
     if args.ignore_difficult:
         gts = {img: [a for a in annots if a.difficulty == 0] for img, annots in gts.items()}
-    per_class = {}
-    for name in sorted({a.class_name for annots in gts.values() for a in annots}):
-        cid = class_ids[name]
-        gts_by_image = {img: [a.box for a in annots if a.class_name == name]
-                        for img, annots in gts.items()}
-        dets_by_image = {img: [d for d in ds if d.class_id == cid]
-                         for img, ds in preds.items()}
-        per_class[name] = average_precision_grouped(gts_by_image=gts_by_image,
-                                                    dets_by_image=dets_by_image,
-                                                    iou_thr=args.iou)
-
-    # proposal-quality metrics pool every prediction box against its image's GT
-    best = np.concatenate([np.zeros(0)] + [
-        max_ious([d.box for d in ds], [a.box for a in gts.get(img, [])])
-        for img, ds in sorted(preds.items())])
-    phr = [(float(t), float(np.mean(best > t)) if best.size else 0.0)
-           for t in args.phr]
-    prec = float(np.mean(best > args.iou)) if best.size else 0.0
-
-    report = EvalReport(per_class_ap=per_class,
-                        map50=mean_ap(per_class) if per_class else 0.0,
-                        phr=phr, proposal_precision=prec, iou_thr=args.iou,
-                        class_id_map=class_ids)
+    report = evaluate_detections(
+        preds, {img: [(a.class_name, a.box) for a in annots] for img, annots in gts.items()},
+        class_ids, args.iou, args.phr)
     _write_report(report.render(), args.report)
     return EXIT_OK
 

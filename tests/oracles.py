@@ -49,6 +49,12 @@ call recomputes both boxes' shoelace areas (`signed_area_roll`, with
 clips with `clip_convex_np`. `degenerate_reason` is the box validation
 those corners went through, on numpy rows. `OrientedBox` computes the area
 and the CCW order once, and `metrics` clips on plain floats.
+
+`average_precision_grouped_scalar` and `max_ious_scalar` are the retired
+per-pair loops: AP calls `rotated_iou` for each detection against each of
+its image's GT boxes still unmatched, in rank order, and `max_ious` for
+every (proposal, GT) pair. The library scores each pair once, in one IoU
+matrix per image (`metrics.iou_matrix`), and matches on its rows.
 """
 
 from __future__ import annotations
@@ -65,7 +71,8 @@ from scatterkit.ascmodel import (FIT_DILATE_PX, FittedScatterer, FrequencyGrid,
 from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
 from scatterkit.errors import AllZeroRaster, DimMismatch, EmptyInput, EmptyRegion
 from scatterkit.keypoints import KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet
-from scatterkit.metrics import COLLINEAR_TOL, SLIVER_AREA
+from scatterkit.metrics import (COLLINEAR_TOL, SLIVER_AREA, Detection, OrientedBox,
+                                _envelope_ap, rotated_iou)
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
 from scatterkit.spectral import fft2d, ifft2d
 
@@ -545,6 +552,50 @@ def iou_from_parts(area_a: float, ccw_a: np.ndarray,
 def rotated_iou_np(a: np.ndarray, b: np.ndarray) -> float:
     """IoU of two boxes given as valid (4, 2) corner arrays."""
     return iou_from_parts(box_area(a), box_ccw(a), box_area(b), box_ccw(b))
+
+
+def average_precision_grouped_scalar(dets_by_image: dict[str, list[Detection]],
+                                     gts_by_image: dict[str, list[OrientedBox]],
+                                     iou_thr: float) -> float:
+    """Single-class AP, scoring each pair by `rotated_iou` as it is reached."""
+    n_gt = sum(len(g) for g in gts_by_image.values())
+    flat = [(img, d) for img, ds in sorted(dets_by_image.items()) for d in ds]
+    if n_gt == 0 or not flat:
+        return 0.0
+
+    def rank(entry: tuple[str, Detection]) -> tuple:
+        img, det = entry
+        cx, cy = det.box.centroid
+        return -det.score, cy, cx, img
+
+    flat.sort(key=rank)
+    matched = {img: [False] * len(g) for img, g in gts_by_image.items()}
+    tp_flags = []
+    for img, det in flat:
+        gts = gts_by_image.get(img, [])
+        best_iou, best_g = 0.0, -1
+        for g, gt in enumerate(gts):
+            if matched[img][g]:
+                continue
+            iou = rotated_iou(det.box, gt)
+            if iou > best_iou:
+                best_iou, best_g = iou, g
+        if best_g >= 0 and best_iou > iou_thr:
+            matched[img][best_g] = True
+            tp_flags.append(True)
+        else:
+            tp_flags.append(False)
+    return _envelope_ap(tp_flags, n_gt)
+
+
+def max_ious_scalar(proposals: list[OrientedBox], gts: list[OrientedBox]) -> np.ndarray:
+    out = np.zeros(len(proposals))
+    for i, p in enumerate(proposals):
+        for g in gts:
+            iou = rotated_iou(p, g)
+            if iou > out[i]:
+                out[i] = iou
+    return out
 
 
 def kmeans_pp_init_numpy(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

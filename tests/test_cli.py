@@ -92,6 +92,19 @@ def test_eval_phr_sweep_spans_both_ends_of_unit_interval(tmp_path, capsys):
     assert len(_threshold_sweep("0:1:1e-4")) == 10_001
 
 
+def test_eval_phr_labels_are_distinct_and_read_back_as_the_thresholds(tmp_path, capsys):
+    args = one_box_eval_args(tmp_path)
+    assert run_cli(*args, "--phr=0.5:0.52:0.005") == 0
+    labels = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("phr ")]
+    assert labels == ["t=0.50", "t=0.505", "t=0.51", "t=0.515", "t=0.52"]
+    assert run_cli(*args, "--phr=0:1:0.0625") == 0
+    labels = [line.split()[1][2:] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("phr ")]
+    assert labels[:3] == ["0.00", "0.0625", "0.125"] and labels[-1] == "1.00"
+    assert [float(t) for t in labels] == list(_threshold_sweep("0:1:0.0625"))
+
+
 def test_eval_requires_inputs(tmp_path):
     assert usage_exit("eval") == 1
     assert usage_exit("eval", "--keypoint-compare", "--annots-a",
@@ -305,6 +318,22 @@ def test_annotate_with_the_default_config_reproduces_the_saved_run(tmp_path, fam
     saved = {p.name: p.read_bytes() for p in sorted((DEFAULT_RUN / family).glob("*.txt"))}
     assert len(saved) == 8
     assert {p.name: p.read_bytes() for p in sorted(out.glob("chip_*.txt"))} == saved
+
+
+# `eval` reports saved from commit f0e3527 (which scored each pair once for
+# AP and again for PHR and precision) on a small seeded set: 3 GT images of
+# 4 classes, "boat" only difficult, one image without predictions, one
+# without GT, class ids no GT has, and tied scores
+EVAL_RUN = Path(__file__).resolve().parent / "data" / "eval_default"
+
+
+@pytest.mark.parametrize("flags, saved", [((), "report.txt"),
+                                          (("--ignore-difficult",), "report_ignore_difficult.txt")])
+def test_eval_reproduces_the_saved_reports(tmp_path, flags, saved):
+    report = tmp_path / "report.txt"
+    assert run_cli("eval", "--preds", str(EVAL_RUN / "preds.txt"), "--gts", str(EVAL_RUN / "gts"),
+                   "--report", str(report), *flags) == 0
+    assert report.read_bytes() == (EVAL_RUN / saved).read_bytes()
 
 
 @pytest.mark.parametrize("flag, value", [("--chips", "0"), ("--chips", "-1"),

@@ -1,5 +1,6 @@
 """Rotated IoU, average precision, proposal metrics, report rendering."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,15 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterkit import metrics
+from scatterkit.annotio import parse_annotation, parse_predictions
 from scatterkit.cli import main
 from scatterkit.errors import DegenerateBox, EmptyClasses, EmptyProposals
 from scatterkit.metrics import (COLLINEAR_TOL, Detection, EvalReport, OrientedBox,
                                 average_precision, average_precision_grouped, clip_reach,
-                                greedy_point_match, max_ious, mean_ap,
+                                greedy_point_match, iou_matrix, max_ious, mean_ap,
                                 mean_nearest_distance, phr_curve,
                                 proposal_precision, rotated_iou)
 
-from oracles import box_area, box_ccw, degenerate_reason, iou_from_parts, rotated_iou_np
+from oracles import (average_precision_grouped_scalar, box_area, box_ccw, degenerate_reason,
+                     iou_from_parts, max_ious_scalar, rotated_iou_np)
 
 
 def rect(x0, y0, x1, y1):
@@ -542,7 +545,7 @@ def test_clip_reach_is_infinite_where_the_proof_does_not_hold():
     assert clip_reach(rect(big, 0, big + 2.0 ** 460, 2.0 ** 460), square) == np.inf
 
 
-def test_eval_clips_exactly_the_pairs_whose_bounds_overlap(tmp_path, monkeypatch, clip_calls):
+def test_eval_clips_exactly_the_pairs_whose_bounds_overlap(tmp_path, clip_calls):
     rng = np.random.Generator(np.random.PCG64(77))
     gts = tmp_path / "gts"
     gts.mkdir()
@@ -562,19 +565,188 @@ def test_eval_clips_exactly_the_pairs_whose_bounds_overlap(tmp_path, monkeypatch
         (gts / f"{image}.txt").write_text("\n".join(lines) + "\n")
     preds = tmp_path / "preds.txt"
     preds.write_text("\n".join(pred_lines) + "\n")
-    scored = []
-    real_iou = metrics.rotated_iou
-
-    def recording(a, b):
-        scored.append(_bound_gap(a, b))
-        return real_iou(a, b)
-
-    monkeypatch.setattr(metrics, "rotated_iou", recording)
+    # every same-image (prediction, GT) pair, keyed as the clip sees it
+    pairs = {}
+    for image, dets in parse_predictions(preds).items():
+        for gt in parse_annotation(gts / f"{image}.txt"):
+            for det in dets:
+                pairs[det.box._ccw_pts, gt.box._ccw_pts] = _bound_gap(det.box, gt.box)
+    assert len(pairs) == 2 * 12 * 6  # no two boxes share their corners
+    overlapping = {key for key, gap in pairs.items() if gap <= 0.0}
+    assert 0 < len(overlapping) < len(pairs)
     assert main(["eval", "--preds", str(preds), "--gts", str(gts)]) == 0
-    overlapping = sum(gap <= 0.0 for gap in scored)
-    assert all(gap <= 0.0 or gap > 1e-3 for gap in scored)
-    assert 0 < overlapping < len(scored)
-    assert len(clip_calls) == overlapping
+    # each overlapping pair is clipped once, and no other pair: neither one
+    # across images nor one whose bounds lie apart (all of those by > 1e-3)
+    assert all(gap <= 0.0 or gap > 1e-3 for gap in pairs.values())
+    assert Counter(clip_calls) == Counter(overlapping)
+
+
+def _assert_matrix_is_the_scalar_rule(boxes_a, boxes_b):
+    """`iou_matrix` is `rotated_iou`, and its skip mask `_beyond_reach`,
+    entry for entry and bit for bit; returns the skip mask."""
+    shape = (len(boxes_a), len(boxes_b))
+    expected = np.array([[rotated_iou(a, b) for b in boxes_b] for a in boxes_a]).reshape(shape)
+    ious = iou_matrix(boxes_a, boxes_b)
+    assert ious.shape == shape and ious.dtype == np.float64
+    assert ious.tobytes() == expected.tobytes()
+    skip = metrics._skip_mask(boxes_a, boxes_b)
+    assert skip.shape == shape
+    assert skip.tolist() == [[metrics._beyond_reach(a, b) for b in boxes_b] for a in boxes_a]
+    return skip
+
+
+def test_iou_matrix_equals_rotated_iou_on_both_oracle_families():
+    """Sets of 12 boxes (three groups) from both families, each set scored
+    against the next: near pairs on both sides of the reach, kites and
+    slanted parallelograms, shared edges, and sizes from 1e-3 to 1e4 px."""
+    skipped = pairs = 0
+    for name in FAMILIES:
+        seed, _, kinds = FAMILIES[name]
+        sets = [[OrientedBox(corners=c) for group in chunk for c in group]
+                for chunk in zip(*[_family(seed, 240, kinds)] * 3)]
+        for boxes_a, boxes_b in zip(sets, sets[1:] + sets[:1]):
+            for a, b in ((boxes_a, boxes_a), (boxes_a, boxes_b)):
+                skip = _assert_matrix_is_the_scalar_rule(a, b)
+                skipped += int(skip.sum())
+                pairs += skip.size
+    assert pairs == 2 * 2 * 80 * 144
+    assert 0.2 * pairs < skipped < 0.95 * pairs
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_iou_matrix_equals_rotated_iou_on_drawn_box_sets(data):
+    scale = 10.0 ** data.draw(st.floats(-3.0, 4.0), label="log10 size")
+    sets = []
+    for name in "ab":
+        n = data.draw(st.integers(0, 5), label=f"{name} count")
+        sets.append([OrientedBox(corners=_rect_corners(
+            scale * np.array(data.draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                                       label=f"{name} center")),
+            *(scale * np.array(data.draw(st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)),
+                                         label=f"{name} size"))),
+            data.draw(st.floats(0.0, np.pi), label=f"{name} angle"))) for _ in range(n)])
+    _assert_matrix_is_the_scalar_rule(*sets)
+    _assert_matrix_is_the_scalar_rule(sets[1], sets[0])
+
+
+def test_iou_matrix_on_the_spike_pair_infinite_reach_and_huge_coordinates():
+    """No numpy warning (pytest turns them into errors) where a bounds gap
+    or the reach overflows, and the scalar rule's verdict everywhere."""
+    spike, square = _spike_pair()
+    flat = OrientedBox(corners=[[0, 0], [1, 0], [2, 0], [1, 1]])  # kappa = inf
+    far_flat = OrientedBox(corners=[[150, 0], [151, 0], [152, 0], [151, 1]])
+    big = 2.0 ** 501
+    past_2_500 = [rect(big, 0, big + 2.0 ** 460, 2.0 ** 460), rect(-big - 2.0 ** 460, 0, -big, 1.0)]
+    # ~1e308 apart along x: their gap overflows to inf
+    edge_of_range = [rect(1e308, 0, 1.1e308, 1e-300), rect(-1.1e308, 0, -1e308, 1e-300)]
+    boxes = [spike, square, flat, far_flat, *past_2_500, *edge_of_range]
+    assert clip_reach(square, flat) == np.inf
+    assert clip_reach(past_2_500[0], square) == np.inf
+    skip = _assert_matrix_is_the_scalar_rule(boxes, boxes)
+    assert skip[0, 1] and skip[1, 0]  # the spike pair
+    assert not skip[:, 2:4].any()  # nothing is clipped by a flat corner unscored
+    assert skip[3, 1]  # the flat box is far from the square
+    assert not skip[4:].any() and not skip[:, 4:].any()  # nor beyond 2**500
+
+
+def test_iou_matrix_of_empty_lists():
+    boxes = [rect(0, 0, 1, 1), rect(3, 0, 4, 1)]
+    for a, b in (([], boxes), (boxes, []), ([], [])):
+        assert _assert_matrix_is_the_scalar_rule(a, b).shape == (len(a), len(b))
+    assert max_ious(boxes, []).tolist() == [0.0, 0.0]
+    assert max_ious([], []).shape == (0,)
+
+
+def _drawn_detections(rng, images=4, per_image=8, classes=3):
+    """Jittered predictions around GT boxes in a few images, with tied
+    scores and centroids, wrong classes, an image without GT and one
+    without predictions."""
+    dets, gts = {}, {}
+    for i in range(images):
+        img = f"im{i}"
+        boxes = [(int(rng.integers(0, classes)),
+                  rotated(*rng.uniform(20, 180, 2), *rng.uniform(8, 30, 2), rng.uniform(0, np.pi)))
+                 for _ in range(per_image)]
+        if i != images - 1:
+            gts[img] = boxes
+        if i == 0:
+            continue
+        ds = []
+        for cid, box in boxes:
+            cx, cy = box.centroid
+            for _ in range(2):
+                ds.append(Detection(rotated(cx + rng.normal(0, 2), cy + rng.normal(0, 2),
+                                            *rng.uniform(8, 30, 2), rng.uniform(0, np.pi)),
+                                    round(float(rng.uniform(0, 1)), 1),
+                                    cid if rng.random() < 0.8 else int(rng.integers(0, classes + 1))))
+            ds.append(Detection(box, 0.5, cid))  # exact copies tie on centroid
+        dets[img] = ds
+    return dets, gts
+
+
+def test_ap_and_max_ious_equal_the_retired_per_pair_loops():
+    rng = np.random.Generator(np.random.PCG64(78))
+    for _ in range(12):
+        dets, gts = _drawn_detections(rng)
+        for cid in range(4):
+            ds = {img: [d for d in v if d.class_id == cid] for img, v in dets.items()}
+            gs = {img: [b for c, b in v if c == cid] for img, v in gts.items()}
+            for thr in (0.1, 0.5, 0.7):
+                assert average_precision_grouped(ds, gs, thr) == \
+                    average_precision_grouped_scalar(ds, gs, thr)
+        for img, ds in dets.items():
+            boxes = [b for _, b in gts.get(img, [])]
+            proposals = [d.box for d in ds]
+            assert max_ious(proposals, boxes).tobytes() == \
+                max_ious_scalar(proposals, boxes).tobytes()
+
+
+def test_evaluate_detections_composes_the_library_metrics():
+    """Per-class AP over one shared matrix per image equals each class's own
+    `average_precision_grouped`; PHR and precision pool `max_ious`."""
+    rng = np.random.Generator(np.random.PCG64(79))
+    names = ("plane", "ship", "tank")
+    thresholds = [0.05 * i for i in range(1, 17)]
+    for _ in range(8):
+        dets, gts = _drawn_detections(rng)
+        named = {img: [(names[c], b) for c, b in v] for img, v in gts.items()}
+        ids = {name: i for i, name in enumerate(names)}
+        report = metrics.evaluate_detections(dets, named, ids, 0.5, thresholds)
+        present = sorted({n for v in named.values() for n, _ in v})
+        expected_ap = {name: average_precision_grouped(
+            {img: [d for d in v if d.class_id == ids[name]] for img, v in dets.items()},
+            {img: [b for n, b in v if n == name] for img, v in named.items()}, 0.5)
+            for name in present}
+        assert report.per_class_ap == expected_ap
+        assert report.map50 == mean_ap(expected_ap)
+        best = np.concatenate([max_ious([d.box for d in v], [b for _, b in named.get(img, [])])
+                               for img, v in sorted(dets.items())])
+        assert report.phr == [(t, float(np.mean(best > t))) for t in thresholds]
+        assert report.proposal_precision == float(np.mean(best > 0.5))
+        assert report.class_id_map == ids and report.iou_thr == 0.5
+
+
+def test_evaluate_detections_without_predictions_or_gt():
+    box = rect(0, 0, 4, 4)
+    report = metrics.evaluate_detections({}, {"im": [("tank", box)]}, {"tank": 0}, 0.5, [0.5])
+    assert report.per_class_ap == {"tank": 0.0} and report.phr == [(0.5, 0.0)]
+    report = metrics.evaluate_detections({"im": [Detection(box, 0.9)]}, {}, {}, 0.5, [0.5])
+    assert report.per_class_ap == {} and report.map50 == 0.0
+    assert report.phr == [(0.5, 0.0)] and report.proposal_precision == 0.0
+    with pytest.raises(ValueError):
+        metrics.evaluate_detections({}, {}, {}, 1.0, [])
+
+
+def test_phr_labels_take_the_fewest_decimals_that_read_back():
+    default = [round(0.05 * i, 10) for i in range(1, 17)]
+    assert [metrics._threshold_label(t) for t in default] == [f"{t:.2f}" for t in default]
+    rng = np.random.Generator(np.random.PCG64(80))
+    for t in [0.0, 1.0, 0.505, 1e-5, 0.1 + 0.2, *rng.uniform(0, 1, 200), *rng.uniform(0, 1, 50).round(4)]:
+        label = metrics._threshold_label(float(t))
+        decimals = len(label.split(".")[1])
+        assert float(label) == t and decimals >= 2
+        assert decimals == 2 or float(f"{t:.{decimals - 1}f}") != t
 
 
 def test_max_ious_is_the_best_iou_per_proposal():
@@ -625,6 +797,16 @@ def test_ap_duplicate_detections_only_first_matches():
     dets = [Detection(rect(0, 0, 4, 4), 0.9), Detection(rect(0, 0, 4, 4), 0.8)]
     # second hit on a matched GT is a false positive; envelope keeps AP at 1
     assert average_precision(dets, gts, 0.5) == 1.0
+
+
+def test_ap_equal_iou_matches_the_lower_gt_index():
+    # the first detection overlaps both GT boxes by exactly 1/3; it takes
+    # box 0, which the second detection needed, so that one misses
+    gts = [rect(0, 0, 4, 4), rect(4, 0, 8, 4)]
+    dets = [Detection(rect(2, 0, 6, 4), 0.9), Detection(rect(0, 0, 4, 4), 0.8)]
+    assert rotated_iou(dets[0].box, gts[0]) == rotated_iou(dets[0].box, gts[1]) > 0.3
+    assert average_precision(dets, gts, 0.3) == 0.5
+    assert average_precision(dets, gts[::-1], 0.3) == 1.0
 
 
 def test_ap_grouped_keeps_images_separate():
