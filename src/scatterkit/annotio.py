@@ -35,9 +35,7 @@ from .keypoints import (DEFAULT_K, DogParams, KeypointSet, cluster_keypoints,
                         dog_keypoints, instance_seed, to_global)
 from .metrics import Detection, OrientedBox
 from .raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
-from .spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, _taylor_coefficients
-# the benchmark times each crop's window build under this name
-from .spectral import _taylor_window_2d as taylor_window_2d
+from .spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, _check_window_params, taylor_window_2d
 
 log = logging.getLogger("scatterkit")
 
@@ -292,13 +290,12 @@ def _dump_steps(amp: AmplitudeRaster, regions: list[ScatterRegion],
 
 def _annotate_instance_skaa(image: ComplexRaster, ann: InstanceAnnotation,
                             image_id: str, idx: int, master_seed: int,
-                            dec_params: DecoupleParams, k: int,
-                            taylor: tuple[np.ndarray, np.ndarray],
+                            dec_params: DecoupleParams, k: int, window_nbar: int,
+                            window_sidelobe_db: float,
                             debug_dir: Path | None = None) -> InstanceAnnotation:
-    """`taylor` is the run's `_taylor_coefficients`, shared by every crop."""
     chip, origin = crop_chip(image, ann.box)
     grid = FrequencyGrid(height=chip.height, width=chip.width)
-    window = taylor_window_2d(chip.height, chip.width, taylor)
+    window = taylor_window_2d(chip.height, chip.width, window_nbar, window_sidelobe_db)
     regions = decouple(chip, dec_params)
     if debug_dir is not None:
         _dump_steps(amplitude(chip), regions, debug_dir, f"{image_id}_{idx:03d}")
@@ -367,19 +364,19 @@ def run_skaa(index: DatasetIndex, out_dir: str | Path, *, master_seed: int,
              debug_dir: str | Path | None = None) -> RunSummary:
     """Physics pipeline over a dataset: every instance gains k keypoints.
 
-    The Taylor coefficients depend on the window parameters alone, so the
-    run computes them once and builds each crop's tapers from them; bad
-    window parameters raise InvalidWindowParams before anything is written.
+    Each crop's window comes from `taylor_window_2d`, whose memo builds a
+    taper once per (length, window parameters); bad window parameters raise
+    InvalidWindowParams before anything is written.
     """
-    taylor = _taylor_coefficients(window_nbar, window_sidelobe_db)
+    _check_window_params(window_nbar, window_sidelobe_db)
     if debug_dir is not None:
         debug_dir = Path(debug_dir)
         debug_dir.mkdir(parents=True, exist_ok=True)
 
     def worker(image, ann, image_id, idx):
         return _annotate_instance_skaa(
-            image, ann, image_id, idx, master_seed, dec_params, k, taylor,
-            debug_dir=debug_dir)
+            image, ann, image_id, idx, master_seed, dec_params, k, window_nbar,
+            window_sidelobe_db, debug_dir=debug_dir)
     return _run_annotator(index, out_dir, worker, threads=threads)
 
 

@@ -10,6 +10,7 @@ bench (annotation throughput). Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import sys
@@ -413,6 +414,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- main
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scatterkit",
                      description="Physics-consistent scattering keypoints for "

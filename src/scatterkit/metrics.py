@@ -8,7 +8,7 @@ Conventions (also emitted in every eval report):
     [0, 1]), and areas are summed about a polygon's first corner.
   - A pair whose bounding rectangles lie further apart than a proven reach
     scores 0.0 without the clip, exactly as the clip would score it (the
-    rule and its proof are in `rotated_iou`); no IoU value changes.
+    rule (R1) and its proof are in `_skip_mask`); no IoU value changes.
   - A detection matches a ground-truth box only with IoU strictly greater
     than the threshold; matching is greedy in score order against the
     highest-IoU unmatched ground truth (ties -> lower GT index).
@@ -20,10 +20,11 @@ Conventions (also emitted in every eval report):
 An evaluation (`evaluate_detections`) computes each image's IoU matrix, over
 all its predictions and all its GT boxes, once (`iou_matrix`). The rejection
 rule (R1) is applied to the whole matrix on arrays, so only the pairs within
-reach go through the clip, once each. Per-class AP matches on that class's
-rows and columns, and the row maxima give PHR and proposal precision. The
-matrix's temporaries scale as predictions x GT per image, 8 bytes a pair:
-trivial at 36 x 12, ~0.8 MB each at 1,000 x 100.
+reach go through the clip, once each; `rotated_iou` is the 1 x 1 matrix.
+Per-class AP matches on that class's rows and columns, and the row maxima
+give PHR and proposal precision. The matrix's temporaries scale as
+predictions x GT per image, 8 bytes a pair: trivial at 36 x 12, ~0.8 MB
+each at 1,000 x 100.
 """
 
 from __future__ import annotations
@@ -67,13 +68,13 @@ def _signed_area(pts) -> float:
 
 def _reach_data(coords: list[float], crosses: list[float], orient: float,
                 absmax: float) -> tuple:
-    """What `rotated_iou`'s rejection rule reads of one box.
+    """What the rejection rule (R1) reads of one box.
 
     From the corner floats `coords` (x0, y0, ..., x3, y3) and the convexity
     cross products (`crosses[i]` at corner i + 1, between edges i and
     i + 1), with orient = +1 for CCW corners and -1 for CW ones: the bounds
     (xmin, ymin, xmax, ymax), the largest |coordinate|, 4 kappa and delta.
-    The names are those of the proof in `rotated_iou`.
+    The names are those of the proof in `_skip_mask`.
     """
     x0, y0, x1, y1, x2, y2, x3, y3 = coords
     c0, c1, c2, c3 = crosses
@@ -95,12 +96,12 @@ def _reach_data(coords: list[float], crosses: list[float], orient: float,
 class OrientedBox:
     """Rotated rectangle stored as 4 (x, y) corners in consistent winding.
 
-    The area and the counter-clockwise (CCW) corner order are computed once,
-    here; the CCW corners are also kept as float pairs for `rotated_iou`.
-    So is what its exact rejection rule reads: the bounds, the largest
-    |coordinate|, delta = COLLINEAR_TOL / shortest edge and kappa = 1 / the
-    smallest sine of a corner angle (1 for a rectangle; inf for a flat,
-    reflex or non-finite corner).
+    The area, the centroid and the counter-clockwise (CCW) corner order are
+    computed once, here; the CCW corners are also kept as float pairs for
+    the clip. So is what the exact rejection rule (R1) reads: the bounds,
+    the largest |coordinate|, delta = COLLINEAR_TOL / shortest edge and
+    kappa = 1 / the smallest sine of a corner angle (1 for a rectangle; inf
+    for a flat, reflex or non-finite corner).
     """
 
     corners: np.ndarray
@@ -129,6 +130,8 @@ class OrientedBox:
         arr.setflags(write=False)
         object.__setattr__(self, "corners", arr)
         object.__setattr__(self, "_area", abs(signed))
+        x0, y0, x1, y1, x2, y2, x3, y3 = coords  # summed as corners.mean(axis=0) sums
+        object.__setattr__(self, "_centroid", ((x0 + x1 + x2 + x3) / 4, (y0 + y1 + y2 + y3) / 4))
         object.__setattr__(self, "_ccw", arr if signed > 0 else arr[::-1])
         object.__setattr__(self, "_ccw_pts", tuple(pts) if signed > 0 else tuple(pts[::-1]))
         object.__setattr__(self, "_reach", _reach_data(coords, crosses,
@@ -146,8 +149,7 @@ class OrientedBox:
 
     @property
     def centroid(self) -> tuple[float, float]:
-        c = self.corners.mean(axis=0)
-        return float(c[0]), float(c[1])
+        return self._centroid
 
     def ccw_corners(self) -> np.ndarray:
         return self._ccw
@@ -209,32 +211,38 @@ def _clip_convex(subject, clip) -> list[tuple[float, float]]:
     return output
 
 
+def _gap_and_reach(boxes_a: list[OrientedBox],
+                   boxes_b: list[OrientedBox]) -> tuple[np.ndarray, np.ndarray]:
+    """Entry [i, j] of each array, for a = boxes_a[i] and b = boxes_b[j]:
+    the largest of the four separations of the bounds of a and b, and the
+    reach 4 kappa_b (delta_b + rho) where 1 + M <= 2**500, else inf (the
+    names are those of `_skip_mask`). Read from each box's stored `_reach`;
+    an overflow is inf, as in Python's float arithmetic."""
+    n_a = len(boxes_a)
+    r = np.array([box._reach for box in (*boxes_a, *boxes_b)], dtype=np.float64).reshape(-1, 7).T
+    ra, rb = r[:, :n_a, None], r[:, None, n_a:]  # a along rows, b along columns
+    with np.errstate(over="ignore"):
+        sep = np.maximum(rb[:2] - ra[2:4], ra[:2] - rb[2:4])  # along x, along y
+        gap = np.maximum(sep[0], sep[1])
+        m = 1.0 + np.maximum(ra[4], rb[4])
+        reach = rb[5] * (rb[6] + ROUNDING_PER_PX * m)  # 4 kappa_b (delta_b + rho)
+    reach[m > _MAX_COORD] = np.inf
+    return gap, reach
+
+
 def clip_reach(a: OrientedBox, b: OrientedBox) -> float:
     """How far apart the bounds of a and b must lie for `rotated_iou(a, b)`
     to skip the clip: 4 kappa_b (delta_b + rho) where 1 + M <= 2**500,
-    else inf (rule (R1) of `rotated_iou`)."""
-    am = a._reach[4]
-    _, _, _, _, bm, kappa4, delta = b._reach
-    m = 1.0 + (am if am > bm else bm)
-    if m > _MAX_COORD:
-        return math.inf
-    return kappa4 * (delta + ROUNDING_PER_PX * m)
+    else inf (rule (R1) of `_skip_mask`)."""
+    return float(_gap_and_reach([a], [b])[1][0, 0])
 
 
-def _beyond_reach(a: OrientedBox, b: OrientedBox) -> bool:
-    """The rejection rule of `rotated_iou`: True only where the clip of a
-    by b provably returns no vertex."""
-    ax0, ay0, ax1, ay1, _, _, _ = a._reach
-    bx0, by0, bx1, by1, _, _, _ = b._reach
-    gap = max(bx0 - ax1, ax0 - bx1, by0 - ay1, ay0 - by1)
-    return gap > 0.0 and gap > clip_reach(a, b)  # overlapping bounds: no reach needed
+def _skip_mask(boxes_a: list[OrientedBox], boxes_b: list[OrientedBox]) -> np.ndarray:
+    """Rule (R1) on every pair: entry [i, j] is True only where the clip of
+    a = boxes_a[i] by b = boxes_b[j] provably returns no vertex.
 
-
-def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
-    """Intersection-over-union of two rotated boxes, in [0, 1].
-
-    The intersection is a's CCW corners clipped by b's CCW edges 0..3 in
-    turn (`_clip_convex`). Edge j keeps a point p iff its
+    The clip (`_clipped_iou`) is a's CCW corners clipped by b's CCW edges
+    0..3 in turn (`_clip_convex`). Edge j keeps a point p iff its
     d_j(p) = cross(e_j, p - A_j) >= -tol (tol = COLLINEAR_TOL): p lies at
     most tol / |e_j| <= delta_b outside the edge's line. A segment from a
     kept to a dropped point, or back, is cut at t = d_p / (d_p - d_q),
@@ -242,9 +250,9 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
 
     Rejection rule. Let gap be the largest of the four separations of the
     bounds of a and b, M the largest |coordinate| of either box and
-    rho = 2**-40 (1 + M). The clip is skipped, and 0.0 returned, when
+    rho = 2**-40 (1 + M). The clip is skipped, and 0.0 scored, when
       (R1) gap > 4 kappa_b (delta_b + rho) and 1 + M <= 2**500
-    (`clip_reach`).
+    (`_gap_and_reach`; `clip_reach` reads one pair's reach).
 
     Proof that the clip then returns no vertex, so the IoU is 0.0 either
     way. As 1 + M <= 2**500 no product overflows, and each rounding of a d,
@@ -269,48 +277,42 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     (R1) asks for twice that reach, which covers the relative rounding of
     kappa, delta and gap (each below 2**-20, as kappa <= 2**30).
     """
+    gap, reach = _gap_and_reach(boxes_a, boxes_b)
+    return gap > reach  # the reach is > 0: overlapping bounds are never skipped
+
+
+def _clipped_iou(a: OrientedBox, b: OrientedBox) -> float:
+    """IoU of a and b from the clip of a's CCW corners by b's CCW edges."""
     area_a, area_b = a.area, b.area
-    if area_a <= SLIVER_AREA or area_b <= SLIVER_AREA:
-        raise DegenerateBox("IoU of a zero-area box is undefined")
-    if _beyond_reach(a, b):
-        return 0.0
     inter_poly = _clip_convex(a._ccw_pts, b._ccw_pts)
     inter = abs(_signed_area(inter_poly)) if len(inter_poly) >= 3 else 0.0
     if inter < SLIVER_AREA:
         inter = 0.0
     inter = min(inter, area_a, area_b)
     union = area_a + area_b - inter
-    return float(inter / union)
-
-
-def _skip_mask(boxes_a: list[OrientedBox], boxes_b: list[OrientedBox]) -> np.ndarray:
-    """Rule (R1) of `rotated_iou` on every pair at once: entry [i, j] is
-    `_beyond_reach(boxes_a[i], boxes_b[j])`, computed with the same float
-    operations on arrays built from each box's stored `_reach`."""
-    ra = np.array([a._reach for a in boxes_a], dtype=np.float64).reshape(-1, 7)
-    rb = np.array([b._reach for b in boxes_b], dtype=np.float64).reshape(-1, 7)
-    ax0, ay0, ax1, ay1, am = (ra[:, k, None] for k in range(5))
-    bx0, by0, bx1, by1, bm, kappa4, delta = rb.T
-    with np.errstate(over="ignore"):  # an overflow is inf, as in Python's float arithmetic
-        gap = np.maximum(np.maximum(bx0 - ax1, ax0 - bx1), np.maximum(by0 - ay1, ay0 - by1))
-        m = 1.0 + np.maximum(am, bm)
-        reach = np.where(m > _MAX_COORD, np.inf, kappa4 * (delta + ROUNDING_PER_PX * m))
-    return (gap > 0.0) & (gap > reach)
+    return inter / union
 
 
 def iou_matrix(boxes_a: list[OrientedBox], boxes_b: list[OrientedBox]) -> np.ndarray:
-    """Entry [i, j] is `rotated_iou(boxes_a[i], boxes_b[j])`, bit for bit.
+    """Entry [i, j] is the IoU of boxes_a[i] and boxes_b[j], in [0, 1].
 
     Rule (R1) is applied to the whole matrix at once (`_skip_mask`), so only
-    the pairs within reach go through `rotated_iou` and its clip, once each.
-    The temporaries are a few len(boxes_a) x len(boxes_b) float arrays.
+    the pairs within reach go through the clip (`_clipped_iou`), once each;
+    the others score 0.0, as the clip would. The temporaries are a few
+    len(boxes_a) x len(boxes_b) float arrays.
     """
     out = np.zeros((len(boxes_a), len(boxes_b)))
     if out.size:
         rows, cols = np.nonzero(~_skip_mask(boxes_a, boxes_b))
         for i, j in zip(rows.tolist(), cols.tolist()):
-            out[i, j] = rotated_iou(boxes_a[i], boxes_b[j])
+            out[i, j] = _clipped_iou(boxes_a[i], boxes_b[j])
     return out
+
+
+def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
+    """Intersection-over-union of two rotated boxes, in [0, 1]: the 1 x 1
+    `iou_matrix`."""
+    return float(iou_matrix([a], [b])[0, 0])
 
 
 def _check_iou_thr(iou_thr: float) -> None:

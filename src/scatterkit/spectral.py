@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -33,7 +34,10 @@ def ifft2d(spectrum: np.ndarray) -> np.ndarray:
 
 
 def _check_window_params(nbar: int, sidelobe_db: float) -> None:
-    """Raise InvalidWindowParams unless nbar >= 1 and sidelobe_db is finite and < 0."""
+    """Raise InvalidWindowParams unless nbar is an integer >= 1 and
+    sidelobe_db is finite and < 0."""
+    if not isinstance(nbar, numbers.Integral):
+        raise InvalidWindowParams(f"nbar must be an integer, got {nbar!r}")
     if nbar <= 0:
         raise InvalidWindowParams(f"nbar must be >= 1, got {nbar}")
     if not math.isfinite(sidelobe_db) or sidelobe_db >= 0:
@@ -82,38 +86,30 @@ def taylor_window(length: int, nbar: int = DEFAULT_NBAR,
 
 def taylor_window_2d(height: int, width: int, nbar: int = DEFAULT_NBAR,
                      sidelobe_db: float = DEFAULT_SIDELOBE_DB) -> WindowRaster:
-    """Separable 2-D Taylor taper: per-axis 1-D tapers, no 2-D array built."""
-    return _taylor_window_2d(height, width, _taylor_coefficients(nbar, sidelobe_db))
+    """Separable 2-D Taylor taper: per-axis 1-D tapers, no 2-D array built.
+    Each taper is built and validated once per (length, nbar, sidelobe_db)
+    (`_memo_taper`) and then shared read-only, so it is not checked again."""
+    _check_window_params(nbar, sidelobe_db)  # before the memo: 4.0 must not hit 4's entry
+    (row, row_fault), (col, col_fault) = (_memo_taper(height, nbar, sidelobe_db),
+                                          _memo_taper(width, nbar, sidelobe_db))
+    for name, fault in (("row_taper", row_fault), ("col_taper", col_fault)):
+        if fault is not None:
+            raise ValueError(f"{name} {fault}")
+    return WindowRaster._trusted(row, col)
 
 
 @functools.lru_cache(maxsize=TAPER_MEMO_SIZE)
-def _memo_taper(length: int, ma: bytes, fm: bytes) -> tuple[np.ndarray, str | None]:
-    """The read-only taper `_taylor_taper(length, ma, fm)`, from the bytes of
-    the two coefficient arrays, and its `_taper_fault`.
+def _memo_taper(length: int, nbar: int, sidelobe_db: float) -> tuple[np.ndarray, str | None]:
+    """The read-only taper `taylor_window(length, nbar, sidelobe_db)` and its
+    `_taper_fault`; Taylor's coefficients are computed only on a miss.
 
     The memo holds at most TAPER_MEMO_SIZE tapers, least recently used out
     first, so it never holds more than TAPER_MEMO_SIZE * 8 * n bytes of
     tapers for crops whose sides are at most n (2 MiB for n = 1024).
     """
-    taper = _taylor_taper(length, np.frombuffer(ma), np.frombuffer(fm))
+    taper = _taylor_taper(length, *_taylor_coefficients(nbar, sidelobe_db))
     taper.setflags(write=False)
     return taper, _taper_fault(taper)
-
-
-def _taylor_window_2d(height: int, width: int,
-                      coeffs: tuple[np.ndarray, np.ndarray]) -> WindowRaster:
-    """`taylor_window_2d` from `_taylor_coefficients` computed once by the caller.
-
-    Each axis's taper is built and validated once per (length, coefficients)
-    and shared read-only by every window of that length after that, so the
-    window is built from the two tapers without validating them again.
-    """
-    key = coeffs[0].tobytes(), coeffs[1].tobytes()
-    (row, row_fault), (col, col_fault) = _memo_taper(height, *key), _memo_taper(width, *key)
-    for name, fault in (("row_taper", row_fault), ("col_taper", col_fault)):
-        if fault is not None:
-            raise ValueError(f"{name} {fault}")
-    return WindowRaster._trusted(row, col)
 
 
 def rectangular_window_2d(height: int, width: int) -> WindowRaster:

@@ -50,10 +50,15 @@ clips with `clip_convex_np`. `degenerate_reason` is the box validation
 those corners went through, on numpy rows. `OrientedBox` computes the area
 and the CCW order once, and `metrics` clips on plain floats.
 
+`rotated_iou_scalar` is the retired single-pair path: the rejection rule
+(R1) for one pair on Python floats (`beyond_reach`, with its reach from
+`clip_reach_scalar`), then the library's clip. The library holds R1 and its
+reach once, on arrays (`metrics._skip_mask`, `metrics.clip_reach`), and
+scores a single pair as the 1 x 1 `metrics.iou_matrix`.
 `average_precision_grouped_scalar` and `max_ious_scalar` are the retired
-per-pair loops: AP calls `rotated_iou` for each detection against each of
-its image's GT boxes still unmatched, in rank order, and `max_ious` for
-every (proposal, GT) pair. The library scores each pair once, in one IoU
+per-pair loops: AP calls `rotated_iou_scalar` for each detection against
+each of its image's GT boxes still unmatched, in rank order, and `max_ious`
+for every (proposal, GT) pair. The library scores each pair once, in one IoU
 matrix per image (`metrics.iou_matrix`), and matches on its rows.
 """
 
@@ -71,8 +76,8 @@ from scatterkit.ascmodel import (FIT_DILATE_PX, FittedScatterer, FrequencyGrid,
 from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
 from scatterkit.errors import AllZeroRaster, DimMismatch, EmptyInput, EmptyRegion
 from scatterkit.keypoints import KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet
-from scatterkit.metrics import (COLLINEAR_TOL, SLIVER_AREA, Detection, OrientedBox,
-                                _envelope_ap, rotated_iou)
+from scatterkit.metrics import (COLLINEAR_TOL, ROUNDING_PER_PX, SLIVER_AREA, _MAX_COORD,
+                                Detection, OrientedBox, _clipped_iou, _envelope_ap)
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
 from scatterkit.spectral import fft2d, ifft2d
 
@@ -554,10 +559,35 @@ def rotated_iou_np(a: np.ndarray, b: np.ndarray) -> float:
     return iou_from_parts(box_area(a), box_ccw(a), box_area(b), box_ccw(b))
 
 
+def clip_reach_scalar(a: OrientedBox, b: OrientedBox) -> float:
+    """The reach of rule (R1) on Python floats: 4 kappa_b (delta_b + rho)
+    where 1 + M <= 2**500, else inf."""
+    am = a._reach[4]
+    _, _, _, _, bm, kappa4, delta = b._reach
+    m = 1.0 + (am if am > bm else bm)
+    if m > _MAX_COORD:
+        return math.inf
+    return kappa4 * (delta + ROUNDING_PER_PX * m)
+
+
+def beyond_reach(a: OrientedBox, b: OrientedBox) -> bool:
+    """Rule (R1) for one pair: True only where the clip of a by b provably
+    returns no vertex."""
+    ax0, ay0, ax1, ay1, _, _, _ = a._reach
+    bx0, by0, bx1, by1, _, _, _ = b._reach
+    gap = max(bx0 - ax1, ax0 - bx1, by0 - ay1, ay0 - by1)
+    return gap > 0.0 and gap > clip_reach_scalar(a, b)  # overlapping bounds: no reach needed
+
+
+def rotated_iou_scalar(a: OrientedBox, b: OrientedBox) -> float:
+    """IoU of one pair: 0.0 where R1 rejects it, else the clip's."""
+    return 0.0 if beyond_reach(a, b) else _clipped_iou(a, b)
+
+
 def average_precision_grouped_scalar(dets_by_image: dict[str, list[Detection]],
                                      gts_by_image: dict[str, list[OrientedBox]],
                                      iou_thr: float) -> float:
-    """Single-class AP, scoring each pair by `rotated_iou` as it is reached."""
+    """Single-class AP, scoring each pair by `rotated_iou_scalar` as it is reached."""
     n_gt = sum(len(g) for g in gts_by_image.values())
     flat = [(img, d) for img, ds in sorted(dets_by_image.items()) for d in ds]
     if n_gt == 0 or not flat:
@@ -577,7 +607,7 @@ def average_precision_grouped_scalar(dets_by_image: dict[str, list[Detection]],
         for g, gt in enumerate(gts):
             if matched[img][g]:
                 continue
-            iou = rotated_iou(det.box, gt)
+            iou = rotated_iou_scalar(det.box, gt)
             if iou > best_iou:
                 best_iou, best_g = iou, g
         if best_g >= 0 and best_iou > iou_thr:
@@ -592,7 +622,7 @@ def max_ious_scalar(proposals: list[OrientedBox], gts: list[OrientedBox]) -> np.
     out = np.zeros(len(proposals))
     for i, p in enumerate(proposals):
         for g in gts:
-            iou = rotated_iou(p, g)
+            iou = rotated_iou_scalar(p, g)
             if iou > out[i]:
                 out[i] = iou
     return out

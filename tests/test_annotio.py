@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scatterkit import annotio
+from scatterkit import annotio, spectral
 from scatterkit.annotio import (DatasetIndex, InstanceAnnotation, crop_chip,
                                 format_annotation, index_dataset,
                                 parse_annotation, parse_predictions,
@@ -387,30 +387,42 @@ def test_threads_run_every_instance_serially_on_the_calling_thread(
 
 
 @pytest.mark.parametrize("debug", [False, True])
-def test_run_skaa_computes_the_taylor_coefficients_once(tmp_path, monkeypatch, debug):
+def test_run_skaa_builds_each_window_through_the_taper_memo(tmp_path, monkeypatch, debug):
     index = _mini_dataset(tmp_path, n_chips=3)
     for _, ann_path in index.entries:
         write_annotation(parse_annotation(ann_path) * 4, ann_path)
-    calls = {"_taylor_coefficients": [], "taylor_window_2d": []}
+    calls = {"taylor_window_2d": [], "_taylor_coefficients": []}
 
-    def counting(name):
-        inner = getattr(annotio, name)
+    def counting(module, name):
+        inner = getattr(module, name)
 
         def wrapper(*args):
             calls[name].append(args)
             return inner(*args)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    # each crop's window is still built under annotio's own
-    # `taylor_window_2d` name, the one the benchmark's stage timers wrap
-    for name in calls:
-        monkeypatch.setattr(annotio, name, counting(name))
-    summary = run_skaa(index, tmp_path / "out", master_seed=0, window_nbar=5,
-                       window_sidelobe_db=-30.0,
-                       debug_dir=tmp_path / "debug" if debug else None)
-    assert summary.instances == 12 and summary.failures == 0
-    assert calls["_taylor_coefficients"] == [(5, -30.0)]
-    assert len(calls["taylor_window_2d"]) == 12
+    # each crop's window is built under annotio's own `taylor_window_2d`
+    # name, the one the benchmark's stage timers wrap
+    counting(annotio, "taylor_window_2d")
+    counting(spectral, "_taylor_coefficients")
+    spectral._memo_taper.cache_clear()
+    for run in ("cold", "warm"):
+        summary = run_skaa(index, tmp_path / run, master_seed=0, window_nbar=5,
+                           window_sidelobe_db=-30.0,
+                           debug_dir=tmp_path / "debug" if debug else None)
+        assert summary.instances == 12 and summary.failures == 0
+        windows = calls["taylor_window_2d"]
+        assert [args[2:] for args in windows] == [(5, -30.0)] * 12
+        # Taylor's coefficients only on a memo miss: once per side length
+        lengths = {n for args in windows for n in args[:2]}
+        expected = [(5, -30.0)] * len(lengths) if run == "cold" else []
+        assert calls["_taylor_coefficients"] == expected
+        assert spectral._memo_taper.cache_info().misses == len(lengths)
+        for name in calls:
+            calls[name].clear()
+    for _, ann_path in index.entries:
+        assert (tmp_path / "warm" / ann_path.name).read_bytes() == \
+            (tmp_path / "cold" / ann_path.name).read_bytes()
     if debug:
         assert any((tmp_path / "debug").iterdir())
 
@@ -570,6 +582,20 @@ def test_run_skaa_rejects_bad_window_params_before_writing(tmp_path, window):
     with pytest.raises(InvalidWindowParams):
         run_skaa(index, out, master_seed=0, debug_dir=debug, **window)
     assert not out.exists() and not debug.exists()
+
+
+@pytest.mark.parametrize("nbar", [4.0, 4.5])
+def test_run_skaa_rejects_a_non_integer_nbar_with_the_memo_cold_and_warm(tmp_path, nbar):
+    index = _mini_dataset(tmp_path, n_chips=2)
+    spectral._memo_taper.cache_clear()
+    for memo in ("cold", "warm"):
+        out, debug = tmp_path / memo, tmp_path / f"{memo}_debug"
+        with pytest.raises(InvalidWindowParams, match="nbar must be an integer"):
+            run_skaa(index, out, master_seed=0, debug_dir=debug, window_nbar=nbar)
+        assert not out.exists() and not debug.exists()
+        # fills the memo with nbar 4's tapers of these crops
+        assert run_skaa(index, tmp_path / f"{memo}_4", master_seed=0, window_nbar=4).failures == 0
+    assert spectral._memo_taper.cache_info().currsize > 0
 
 
 def test_run_rejects_non_positive_threads(tmp_path):

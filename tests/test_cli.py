@@ -10,6 +10,7 @@ import pytest
 
 from scatterkit.annotio import crop_chip, parse_annotation, parse_truth
 from scatterkit.chipio import read_chip, write_chip
+from scatterkit import cli
 from scatterkit.cli import _threshold_sweep, main
 from scatterkit.config import MANIFEST_NAME
 from scatterkit.decouple import DecoupleParams
@@ -34,6 +35,29 @@ def synth(tmp_path, name="data", chips=2, dim=32, seed=0, extra=()):
                    "--dim", str(dim), "--scatterers", "2..4",
                    "--seed", str(seed), *extra) == 0
     return out
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, capsys):
+    """In-process calls share one parser, and a usage error after
+    successful calls on other subcommands still exits 1 with the message
+    a fresh parser gives."""
+    bad = ("synth", "--out", str(tmp_path / "x"), "--chips", "0", "--seed", "0")
+    cli._build_parser.cache_clear()
+    assert usage_exit(*bad) == 1
+    fresh = capsys.readouterr().err
+    assert "argument --chips" in fresh
+    cli._build_parser.cache_clear()
+    data = synth(tmp_path, chips=1)
+    assert run_cli("baseline-dog", "--images", str(data / "images"), "--annots",
+                   str(data / "annots"), "--out", str(tmp_path / "dog")) == 0
+    eval_args = one_box_eval_args(tmp_path)
+    assert run_cli(*eval_args) == 0
+    capsys.readouterr()
+    assert usage_exit(*bad) == 1
+    assert capsys.readouterr().err == fresh
+    assert run_cli(*eval_args) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
 
 
 def test_no_arguments_is_usage_error():

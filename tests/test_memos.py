@@ -7,6 +7,7 @@ import pytest
 
 from scatterkit import ascmodel, spectral
 from scatterkit.ascmodel import FrequencyGrid, SeparablePsf, base_psf
+from scatterkit.errors import InvalidWindowParams
 from scatterkit.raster import WindowRaster
 from scatterkit.spectral import rectangular_window_2d, taylor_window, taylor_window_2d
 
@@ -88,6 +89,20 @@ def test_a_bad_taper_is_reported_for_its_axis_as_the_constructor_does():
             with pytest.raises(ValueError) as got:
                 taylor_window_2d(h, w, 4, -1.0)
             assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("nbar", [4.0, 4.5])
+def test_a_non_integer_nbar_is_rejected_with_the_memo_cold_and_warm(nbar):
+    spectral._memo_taper.cache_clear()
+    for _ in ("cold", "warm"):
+        for build in (lambda: taylor_window(16, nbar), lambda: taylor_window_2d(16, 24, nbar),
+                      lambda: taylor_window_2d(16, 24, nbar=nbar, sidelobe_db=-35.0)):
+            with pytest.raises(InvalidWindowParams, match="nbar must be an integer"):
+                build()
+        window = taylor_window_2d(16, 24, 4)  # fills the memo for these lengths
+    assert spectral._memo_taper.cache_info().currsize == 2
+    # an integer of another type is the same key, and the same taper
+    assert taylor_window_2d(16, 24, np.int64(4)).row_taper is window.row_taper
 
 
 def test_memos_stay_within_their_bounds():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scatterkit import metrics
@@ -18,8 +18,9 @@ from scatterkit.metrics import (COLLINEAR_TOL, Detection, EvalReport, OrientedBo
                                 mean_nearest_distance, phr_curve,
                                 proposal_precision, rotated_iou)
 
-from oracles import (average_precision_grouped_scalar, box_area, box_ccw, degenerate_reason,
-                     iou_from_parts, max_ious_scalar, rotated_iou_np)
+from oracles import (average_precision_grouped_scalar, beyond_reach, box_area, box_ccw,
+                     clip_reach_scalar, degenerate_reason, iou_from_parts, max_ious_scalar,
+                     rotated_iou_np, rotated_iou_scalar)
 
 
 def rect(x0, y0, x1, y1):
@@ -345,7 +346,7 @@ def test_clip_stays_in_the_subject_bounds_and_clips_rejected_pairs_to_nothing():
                 rho = metrics.ROUNDING_PER_PX * (1.0 + max(am, bm))
                 assert all(x0 - rho <= x <= x1 + rho and y0 - rho <= y <= y1 + rho
                            for x, y in poly)
-                if metrics._beyond_reach(a, b):
+                if beyond_reach(a, b):
                     rejected += 1
                     assert poly == []
     assert rejected > 10_000, rejected
@@ -370,6 +371,33 @@ def test_rotated_iou_equals_oracle_on_drawn_boxes(data):
     assert rotated_iou(a, b) == rotated_iou_np(*corners)
     assert rotated_iou(b, a) == rotated_iou_np(corners[1], corners[0])
     assert rotated_iou(a, a) == rotated_iou_np(corners[0], corners[0])
+
+
+def _assert_centroid_is_the_numpy_mean(box):
+    mean = box.corners.mean(axis=0)
+    assert np.array(box.centroid).tobytes() == mean.tobytes()
+    assert all(type(v) is float for v in box.centroid)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_centroid_is_the_numpy_mean_of_the_corners_bit_for_bit(data):
+    """The centroid stored when the box is built is `corners.mean(axis=0)`
+    to the bit, at sizes from 1e-3 to 1e4 px and offsets up to 1e15 px."""
+    size = 10.0 ** data.draw(st.floats(-3.0, 4.0), label="log10 size")
+    offset = np.array(data.draw(st.tuples(st.floats(-1e15, 1e15), st.floats(-1e15, 1e15)),
+                                label="offset"))
+    corners = _rect_corners(offset, *(size * np.array(data.draw(
+        st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)), label="size"))),
+        data.draw(st.floats(0.0, np.pi), label="angle"))
+    assume(degenerate_reason(corners) is None)
+    _assert_centroid_is_the_numpy_mean(OrientedBox(corners=corners))
+
+
+def test_centroid_is_the_numpy_mean_on_the_oracle_family():
+    for corners in _family(*FAMILIES["mixed"]):
+        for c in corners:
+            _assert_centroid_is_the_numpy_mean(OrientedBox(corners=c))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -545,6 +573,27 @@ def test_clip_reach_is_infinite_where_the_proof_does_not_hold():
     assert clip_reach(rect(big, 0, big + 2.0 ** 460, 2.0 ** 460), square) == np.inf
 
 
+def test_clip_reach_equals_the_scalar_oracle_bit_for_bit():
+    """`clip_reach` reads the matrix rule. On every ordered pair of each
+    group of both oracle families, and where the proof does not hold (a
+    flat or dented b, a box past 2**500), it is the scalar formula to the
+    bit, inf included."""
+    square = rect(0, 0, 1, 1)
+    flat = OrientedBox(corners=[[0, 0], [1, 0], [2, 0], [1, 1]])
+    dented = OrientedBox(corners=[[0, 0], [2, 0], [1, 2], [0.5 + 1e-11, 1]])
+    big = 2.0 ** 501
+    special = [square, flat, dented, rect(big, 0, big + 2.0 ** 460, 2.0 ** 460)]
+    assert [[clip_reach(a, b) == np.inf for b in special] for a in special] == \
+        [[False, True, True, True]] * 3 + [[True] * 4]
+    groups = [special, list(_spike_pair())]
+    for name in FAMILIES:
+        groups += [[OrientedBox(corners=c) for c in corners]
+                   for corners in _family(*FAMILIES[name])]
+    mismatches = [(a.corners, b.corners) for boxes in groups for a in boxes for b in boxes
+                  if clip_reach(a, b).hex() != clip_reach_scalar(a, b).hex()]
+    assert mismatches == []
+
+
 def test_eval_clips_exactly_the_pairs_whose_bounds_overlap(tmp_path, clip_calls):
     rng = np.random.Generator(np.random.PCG64(77))
     gts = tmp_path / "gts"
@@ -582,16 +631,18 @@ def test_eval_clips_exactly_the_pairs_whose_bounds_overlap(tmp_path, clip_calls)
 
 
 def _assert_matrix_is_the_scalar_rule(boxes_a, boxes_b):
-    """`iou_matrix` is `rotated_iou`, and its skip mask `_beyond_reach`,
-    entry for entry and bit for bit; returns the skip mask."""
+    """`iou_matrix` is the retired scalar path (`rotated_iou_scalar`), and
+    its skip mask the scalar rule (`beyond_reach`), entry for entry and bit
+    for bit; returns the skip mask."""
     shape = (len(boxes_a), len(boxes_b))
-    expected = np.array([[rotated_iou(a, b) for b in boxes_b] for a in boxes_a]).reshape(shape)
+    expected = np.array([[rotated_iou_scalar(a, b) for b in boxes_b]
+                         for a in boxes_a]).reshape(shape)
     ious = iou_matrix(boxes_a, boxes_b)
     assert ious.shape == shape and ious.dtype == np.float64
     assert ious.tobytes() == expected.tobytes()
     skip = metrics._skip_mask(boxes_a, boxes_b)
     assert skip.shape == shape
-    assert skip.tolist() == [[metrics._beyond_reach(a, b) for b in boxes_b] for a in boxes_a]
+    assert skip.tolist() == [[beyond_reach(a, b) for b in boxes_b] for a in boxes_a]
     return skip
 
 
