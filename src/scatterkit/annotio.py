@@ -25,13 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .ascmodel import (FittedScatterer, FrequencyGrid, Scatterer, base_psf, fit_scatterer,
-                       lay_out_regions)
+from .ascmodel import FittedScatterer, Scatterer, base_psf, fit_scatterer, lay_out_regions
 from .chipio import read_chip, write_chip, write_text_atomic
 from .decouple import DecoupleParams, ScatterRegion, decouple
 from .errors import (BadKeypointCount, BoxOutsideImage, MalformedLine,
                      OutOfBounds, ScatterKitError)
-from .keypoints import (DEFAULT_K, DogParams, KeypointSet, cluster_keypoints,
+from .keypoints import (DEFAULT_K, DogParams, KeypointSet, _check_top_n, cluster_keypoints,
                         dog_keypoints, instance_seed, to_global)
 from .metrics import Detection, OrientedBox
 from .raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
@@ -115,7 +114,7 @@ def _parse_line(line: str, line_no: int) -> InstanceAnnotation:
         pts = tuple((coords[i], coords[i + 1]) for i in range(0, len(coords), 2))
 
     try:
-        kps = None if pts is None else KeypointSet(points=pts, k=len(pts))
+        kps = None if pts is None else KeypointSet(points=pts)
         box = OrientedBox(np.array(nums).reshape(4, 2))
         return InstanceAnnotation(box=box, class_name=class_name,
                                   difficulty=difficulty, keypoints=kps)
@@ -244,35 +243,35 @@ class RunSummary:
         return float(np.mean(self.instance_ms)) if self.instance_ms else 0.0
 
 
-def _fit(regions: list[ScatterRegion], grid: FrequencyGrid, window: WindowRaster,
+def _fit(regions: list[ScatterRegion], window: WindowRaster,
          refine: bool) -> list[FittedScatterer]:
     """One fit per region: the regions' supports are laid out in one pass,
     then each laid-out region is fitted on its own."""
-    psf = base_psf(grid, window)
+    psf = base_psf(window)
     return [fit_scatterer(reg, psf, refine=refine)
             for reg in lay_out_regions(regions, psf.shape)]
 
 
-def _keypoints(regions: list[ScatterRegion], grid: FrequencyGrid, window: WindowRaster,
+def _keypoints(regions: list[ScatterRegion], window: WindowRaster,
                k: int, rng_seed: int, refine: bool = False) -> KeypointSet:
     """Fit -> cluster on decoupled regions: the path annotate shares."""
-    fits = _fit(regions, grid, window, refine)
+    fits = _fit(regions, window, refine)
     return cluster_keypoints([(f.x, f.y) for f in fits], k=k, rng_seed=rng_seed)
 
 
-def fit_regions(img: ComplexRaster, grid: FrequencyGrid, window: WindowRaster,
+def fit_regions(img: ComplexRaster, window: WindowRaster,
                 dec_params: DecoupleParams = DecoupleParams(),
                 refine: bool = False) -> list[FittedScatterer]:
     """Decouple a chip and fit one scatterer per extracted region."""
-    return _fit(decouple(img, dec_params), grid, window, refine)
+    return _fit(decouple(img, dec_params), window, refine)
 
 
-def skaa_keypoints(img: ComplexRaster, grid: FrequencyGrid, window: WindowRaster,
+def skaa_keypoints(img: ComplexRaster, window: WindowRaster,
                    dec_params: DecoupleParams = DecoupleParams(),
                    k: int = DEFAULT_K, rng_seed: int = 0,
                    refine: bool = False) -> KeypointSet:
     """Full physics path: decouple -> fit positions -> cluster to k keypoints."""
-    return _keypoints(decouple(img, dec_params), grid, window, k, rng_seed, refine)
+    return _keypoints(decouple(img, dec_params), window, k, rng_seed, refine)
 
 
 def _dump_steps(amp: AmplitudeRaster, regions: list[ScatterRegion],
@@ -294,13 +293,11 @@ def _annotate_instance_skaa(image: ComplexRaster, ann: InstanceAnnotation,
                             window_sidelobe_db: float,
                             debug_dir: Path | None = None) -> InstanceAnnotation:
     chip, origin = crop_chip(image, ann.box)
-    grid = FrequencyGrid(height=chip.height, width=chip.width)
     window = taylor_window_2d(chip.height, chip.width, window_nbar, window_sidelobe_db)
     regions = decouple(chip, dec_params)
     if debug_dir is not None:
         _dump_steps(amplitude(chip), regions, debug_dir, f"{image_id}_{idx:03d}")
-    kps = _keypoints(regions, grid, window, k,
-                     instance_seed(master_seed, image_id, idx))
+    kps = _keypoints(regions, window, k, instance_seed(master_seed, image_id, idx))
     return replace(ann, keypoints=to_global(kps, origin))
 
 
@@ -383,7 +380,13 @@ def run_skaa(index: DatasetIndex, out_dir: str | Path, *, master_seed: int,
 def run_dog(index: DatasetIndex, out_dir: str | Path, *, master_seed: int = 0,
             dog_params: DogParams = DogParams(), k: int = DEFAULT_K,
             threads: int = 1) -> RunSummary:
-    """DoG baseline over a dataset, same output format as run_skaa."""
+    """DoG baseline over a dataset, same output format as run_skaa.
+
+    A `k` above `dog_params.top_n` raises ValueError before anything is
+    written.
+    """
+    _check_top_n(dog_params, k)
+
     def worker(image, ann, image_id, idx):
         return _annotate_instance_dog(image, ann, image_id, idx, master_seed,
                                       dog_params, k)

@@ -178,16 +178,14 @@ class SeparablePsf:
         return np.outer(self.row, self.col)
 
 
-def base_psf(grid: FrequencyGrid, window: WindowRaster) -> SeparablePsf:
+def base_psf(window: WindowRaster) -> SeparablePsf:
     """|IFFT of the window|: the amplitude response of a unit scatterer at (0, 0).
 
-    The PSF is the outer product of |IFFT| of the two tapers, and each
-    factor, with its fit windows and squared norm, is computed once per
-    taper and shared read-only by every PSF built on that taper after that.
+    The PSF is the outer product of |IFFT| of the two tapers, so its shape
+    is the window's. Each factor, with its fit windows and squared norm, is
+    computed once per taper and shared read-only by every PSF built on that
+    taper after that.
     """
-    if (window.height, window.width) != (grid.height, grid.width):
-        raise DimMismatch(
-            f"window {window.height}x{window.width} vs grid {grid.height}x{grid.width}")
     return SeparablePsf._trusted(_memo_psf_axis(window.row_taper.tobytes()),
                                  _memo_psf_axis(window.col_taper.tobytes()))
 
@@ -287,7 +285,7 @@ def fit_scatterer(region: ScatterRegion | LaidOutRegion | np.ndarray, psf: Separ
 
     `region` is a `ScatterRegion` or a full-frame array, zero off the
     region's support, or one of `lay_out_regions`' results, and `psf` is the
-    chip's `base_psf(grid, window)`, of the same shape. Only the region's
+    chip's `base_psf(window)`, of the same shape. Only the region's
     positive pixels are scored. The fit minimizes
     || region - a * psf(x0, y0) ||_2 over integer (x0, y0) in the support
     bounding box dilated by 2 px, with the gain a given in closed form;

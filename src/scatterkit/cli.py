@@ -27,7 +27,7 @@ from .ascmodel import FrequencyGrid, synth_target
 from .chipio import write_chip, write_pgm, write_text_atomic
 from .config import MANIFEST_NAME, RunConfig, emit_manifest, load_config
 from .errors import BadConfigField, ScatterKitError
-from .keypoints import KeypointSet, instance_seed
+from .keypoints import KeypointSet, _check_top_n, instance_seed
 from .metrics import evaluate_detections, mean_nearest_distance
 from .raster import AmplitudeRaster
 from .spectral import taylor_window_2d
@@ -240,6 +240,12 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 def cmd_baseline_dog(args: argparse.Namespace) -> int:
     config = _config_from(args, keypoints="keypoint_k", threads="threads")
+    try:
+        _check_top_n(config.dog, config.keypoint_k)
+    except ValueError as exc:
+        if args.keypoints is not None:
+            args.parser.error(f"argument --keypoints: {exc}")
+        raise BadConfigField("keypoint_k", str(exc), path=args.config) from None
     index = index_dataset(args.images, args.annots)
     t0 = time.perf_counter()
     summary = run_dog(index, args.out, master_seed=config.master_seed,
@@ -289,7 +295,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         if not len(points):
             log.warning("%s: no keypoints, skipped", ann_path.name)
             continue
-        kps = KeypointSet(points=tuple(map(tuple, points.tolist())), k=len(points))
+        kps = KeypointSet(points=tuple(map(tuple, points.tolist())))
         m = gt_scatter_map(kps, h, w, sigma=config.supervision.sigma)
         levels = downsample_pyramid(m, config.supervision.levels, pool=config.pool)
         for lvl, sm in enumerate(levels):

@@ -82,15 +82,14 @@ class ScatterRegion:
 
     `indices` are the support's flat row-major indices, strictly ascending,
     and `amplitudes` the region's values there, finite; off the support the
-    region is zero. `values`, `support` and `energy` are computed on each
-    access. The constructor validates its input; the extraction loop builds
-    its regions, valid by construction, through `_trusted` instead.
+    region is zero. `peak`, `values`, `support` and `energy` are computed on
+    each access. The constructor validates its input; the extraction loop
+    builds its regions, valid by construction, through `_trusted` instead.
     """
 
     shape: tuple[int, int]
     indices: np.ndarray
     amplitudes: np.ndarray
-    peak: tuple[int, int]  # (y, x)
 
     def __post_init__(self):
         h, w = (int(n) for n in self.shape)
@@ -110,23 +109,16 @@ class ScatterRegion:
             raise ValueError("support indices must be strictly ascending")
         if idx[0] < 0 or idx[-1] >= h * w:
             raise ValueError(f"support indices must lie in [0, {h * w})")
-        py, px = (int(v) for v in self.peak)
-        at = int(np.searchsorted(idx, py * w + px))
-        if not (0 <= py < h and 0 <= px < w) or at == idx.size or idx[at] != py * w + px:
-            raise ValueError("peak must lie inside the support")
-        if vals[at] != vals.max():
-            raise ValueError("peak must attain the region maximum")
         object.__setattr__(self, "shape", (h, w))
         object.__setattr__(self, "indices",
                            _freeze(idx.astype(np.int64, copy=False), self.indices))
         object.__setattr__(self, "amplitudes", _freeze(vals, self.amplitudes))
-        object.__setattr__(self, "peak", (py, px))
 
     @classmethod
     def _trusted(cls, shape: tuple[int, int], indices: np.ndarray,
-                 amplitudes: np.ndarray, peak: tuple[int, int]) -> ScatterRegion:
+                 amplitudes: np.ndarray) -> ScatterRegion:
         """A region without validation, for input that already meets every
-        rule the constructor checks: `shape` and `peak` tuples of ints, and
+        rule the constructor checks: `shape` a tuple of ints, and
         `indices`/`amplitudes` fresh C-contiguous int64/float64 arrays, which
         are frozen in place."""
         region = object.__new__(cls)
@@ -135,8 +127,13 @@ class ScatterRegion:
         object.__setattr__(region, "shape", shape)
         object.__setattr__(region, "indices", indices)
         object.__setattr__(region, "amplitudes", amplitudes)
-        object.__setattr__(region, "peak", peak)
         return region
+
+    @property
+    def peak(self) -> tuple[int, int]:
+        """(y, x) of the first maximum of `amplitudes`: the indices ascend,
+        so it is the row-major first of the region's maxima."""
+        return divmod(int(self.indices[self.amplitudes.argmax()]), self.shape[1])
 
     @property
     def values(self) -> np.ndarray:
@@ -268,8 +265,6 @@ def decouple(img: ComplexRaster | AmplitudeRaster,
         sup = np.array(sorted(frame.grow(seeds, peak * grow_ratio, params.eps)))
         amps = res[sup]
         res[sup] = 0.0
-        py, px = divmod(p, frame.pw)
-        # sup is ascending and in the frame, and the peak attains the maximum
-        regions.append(ScatterRegion._trusted(frame.shape, frame.unpadded[sup], amps,
-                                              (py - 1, px - 1)))
+        # sup is ascending and in the frame
+        regions.append(ScatterRegion._trusted(frame.shape, frame.unpadded[sup], amps))
     return regions

@@ -69,10 +69,6 @@ class NoCandidates(ScatterKitError):
     """DoG detector found no pixel above threshold."""
 
 
-class EmptyKeypoints(ScatterKitError):
-    """Scatter-map generation called with an empty keypoint set."""
-
-
 # --- metrics ----------------------------------------------------------------
 
 class DegenerateBox(ScatterKitError):

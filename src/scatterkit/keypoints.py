@@ -34,26 +34,26 @@ def instance_seed(master_seed: int, image_id: str, instance_idx: int) -> int:
 
 @dataclass(frozen=True)
 class KeypointSet:
-    """Exactly k (x, y) points, sorted row-major for determinism."""
+    """At least one finite (x, y) point; `k` is their count."""
 
     points: tuple[tuple[float, float], ...]
-    k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if len(self.points) != self.k:
-            raise ValueError(f"expected {self.k} points, got {len(self.points)}")
+        if not self.points:
+            raise ValueError("a keypoint set needs at least one point")
         for x, y in self.points:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError("keypoints must be finite")
+
+    @property
+    def k(self) -> int:
+        return len(self.points)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.points, dtype=np.float64)
 
     def translated(self, dx: float, dy: float) -> "KeypointSet":
-        return KeypointSet(
-            points=tuple((x + dx, y + dy) for x, y in self.points), k=self.k)
+        return KeypointSet(points=tuple((x + dx, y + dy) for x, y in self.points))
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def cluster_keypoints(positions: list[tuple[float, float]], k: int = DEFAULT_K,
             break
 
     centers.sort(key=lambda c: (c[1], c[0]))  # by (y, x), stable
-    return KeypointSet(points=tuple(centers), k=k)
+    return KeypointSet(points=tuple(centers))
 
 
 def _gauss3x3(sigma: float) -> np.ndarray:
@@ -232,11 +232,16 @@ def dog_candidates(r: AmplitudeRaster,
     return [(float(q % w), float(q // w)) for q in ranked]
 
 
+def _check_top_n(params: DogParams, k: int) -> None:
+    """The DoG baseline keeps at most `top_n` candidates to cluster to k."""
+    if params.top_n < k:
+        raise ValueError(f"top_n ({params.top_n}) must be >= k ({k})")
+
+
 def dog_keypoints(r: AmplitudeRaster, params: DogParams = DogParams(),
                   k: int = DEFAULT_K, rng_seed: int = 0) -> KeypointSet:
     """DoG baseline: threshold the band-pass response, then cluster to k."""
-    if params.top_n < k:
-        raise ValueError(f"top_n ({params.top_n}) must be >= k ({k})")
+    _check_top_n(params, k)
     return cluster_keypoints(dog_candidates(r, params), k=k, rng_seed=rng_seed)
 
 

@@ -8,15 +8,30 @@ with 2x2 pooling, and used to modulate feature activations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDims, DimMismatch, EmptyKeypoints, OutOfBounds
+from .errors import BadDims, DimMismatch, OutOfBounds
 from .keypoints import KeypointSet
 from .raster import _freeze, _require_finite
 
 BCE_CLAMP = 1e-7
+
+
+def _exponent_scale(sigma: float) -> float:
+    """1 / (2 sigma^2), the scale of a unit Gaussian's exponent.
+
+    Raises ValueError unless sigma is positive and the scale finite: below
+    sigma ~ 5e-155 px, 2 sigma^2 is subnormal or 0 and the scale overflows.
+    """
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    two_var = 2.0 * sigma * sigma
+    if two_var == 0.0 or not math.isfinite(1.0 / two_var):
+        raise ValueError(f"sigma {sigma} is too small: 1 / (2 sigma^2) overflows")
+    return 1.0 / two_var
 
 
 @dataclass(frozen=True)
@@ -29,8 +44,7 @@ class SupervisionParams:
 
     def __post_init__(self):
         _require_finite(sigma=self.sigma, loss_weight=self.loss_weight)
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _exponent_scale(self.sigma)
         if self.loss_weight < 0:
             raise ValueError(f"loss_weight must be >= 0, got {self.loss_weight}")
         if self.levels < 1:
@@ -92,14 +106,10 @@ class FeatureGrid:
 def gt_scatter_map(kps: KeypointSet, height: int, width: int,
                    sigma: float = 1.0) -> ScatterMap:
     """Pixelwise max of unit Gaussians centered on the keypoints."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if kps.k < 1 or not kps.points:
-        raise EmptyKeypoints("cannot build a scatter map from zero keypoints")
+    inv = _exponent_scale(sigma)
     ys = np.arange(height, dtype=np.float64).reshape(-1, 1)
     xs = np.arange(width, dtype=np.float64).reshape(1, -1)
     out = np.zeros((height, width))
-    inv = 1.0 / (2.0 * sigma * sigma)
     for x_k, y_k in kps.points:
         if not (0 <= x_k < width and 0 <= y_k < height):
             raise OutOfBounds(f"keypoint ({x_k}, {y_k}) outside {width}x{height} map")

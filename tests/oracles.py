@@ -71,8 +71,7 @@ from typing import Iterator
 
 import numpy as np
 
-from scatterkit.ascmodel import (FIT_DILATE_PX, FittedScatterer, FrequencyGrid,
-                                 SeparablePsf)
+from scatterkit.ascmodel import FIT_DILATE_PX, FittedScatterer, SeparablePsf
 from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
 from scatterkit.errors import AllZeroRaster, DimMismatch, EmptyInput, EmptyRegion
 from scatterkit.keypoints import KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet
@@ -445,9 +444,8 @@ def fit_per_region(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
                            residual=math.sqrt(max(resid_sq, 0.0)))
 
 
-def psf_2d(grid: FrequencyGrid, window: WindowRaster) -> np.ndarray:
+def psf_2d(window: WindowRaster) -> np.ndarray:
     """|IFFT2 of the window|: the unit scatterer's amplitude image at (0, 0)."""
-    assert (window.height, window.width) == (grid.height, grid.width)
     return np.abs(ifft2d(window.values.astype(np.complex128)))
 
 
@@ -694,7 +692,7 @@ def cluster_keypoints_numpy(positions: list[tuple[float, float]], k: int,
 
     order = np.lexsort((centers[:, 0], centers[:, 1]))  # by (y, x)
     pts_sorted = tuple((float(x), float(y)) for x, y in centers[order])
-    return KeypointSet(points=pts_sorted, k=k)
+    return KeypointSet(points=pts_sorted)
 
 
 def kmeans_pp_init_choice(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -748,4 +746,4 @@ def cluster_keypoints_loop(positions: list[tuple[float, float]], k: int,
 
     order = np.lexsort((centers[:, 0], centers[:, 1]))  # by (y, x)
     pts_sorted = tuple((float(x), float(y)) for x, y in centers[order])
-    return KeypointSet(points=pts_sorted, k=k)
+    return KeypointSet(points=pts_sorted)

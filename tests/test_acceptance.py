@@ -98,7 +98,7 @@ def test_extracted_positions_recover_synthetic_truth(clean_set, measured):
     worst = 0.0
     for truth_path in sorted((clean_set / "truth").glob("*.txt")):
         chip = read_chip(clean_set / "images" / f"{truth_path.stem}.csar")
-        fits = fit_regions(chip, GRID, WINDOW)
+        fits = fit_regions(chip, WINDOW)
         fit_xy = np.array([(f.x, f.y) for f in fits])
         top9 = sorted(parse_truth(truth_path), key=lambda s: -s.amplitude)[:9]
         truth_xy = np.array([(s.x, s.y) for s in top9])
@@ -132,7 +132,7 @@ def test_bench_median_instance_time(clean_set, measured):
 def test_fit_time_on_a_large_region():
     """Median of 5 fits of a 512x512 region with a 59,826-px disk support: <= 8 ms."""
     window = taylor_window_2d(512, 512)
-    psf = base_psf(FrequencyGrid(512, 512), window)
+    psf = base_psf(window)
     rng = np.random.Generator(np.random.PCG64(60))
     yy, xx = np.mgrid[:512, :512]
     disk = (yy - 250.3) ** 2 + (xx - 262.1) ** 2 <= 138 ** 2
@@ -376,7 +376,7 @@ def test_average_precision_matches_exhaustive_oracle(measured):
 # ------------------------------------------------------------ criterion 6
 
 def _keypoints(points):
-    return KeypointSet(points=tuple(points), k=len(points))
+    return KeypointSet(points=tuple(points))
 
 
 @pytest.mark.acceptance(6, "supervision artifacts")
@@ -498,7 +498,7 @@ def _top9_recovery(root: Path) -> tuple[float, float, int]:
     distances, unmatched = [], 0
     for truth_path in sorted((root / "truth").glob("*.txt")):
         chip = read_chip(root / "images" / f"{truth_path.stem}.csar")
-        fit_xy = np.array([(f.x, f.y) for f in fit_regions(chip, GRID, WINDOW)])
+        fit_xy = np.array([(f.x, f.y) for f in fit_regions(chip, WINDOW)])
         top9 = sorted(parse_truth(truth_path), key=lambda s: -s.amplitude)[:9]
         pairs = greedy_point_match(np.array([(s.x, s.y) for s in top9]), fit_xy)
         distances += [d for _, _, d in pairs]

@@ -21,7 +21,7 @@ from scatterkit.chipio import read_chip, write_chip
 from scatterkit.decouple import DecoupleParams, ScatterRegion
 from scatterkit.errors import (BadKeypointCount, BoxOutsideImage,
                                InvalidWindowParams, MalformedLine, OutOfBounds)
-from scatterkit.keypoints import KeypointSet, instance_seed, to_global
+from scatterkit.keypoints import DogParams, KeypointSet, instance_seed, to_global
 from scatterkit.metrics import OrientedBox
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
 from scatterkit.spectral import taylor_window_2d
@@ -118,7 +118,7 @@ def test_annotation_round_trip_exact(tmp_path):
         InstanceAnnotation(
             box=OrientedBox.from_rect(1.25, 2.5, 21.25, 30.5),
             class_name="tank", difficulty=0,
-            keypoints=KeypointSet(points=((3.5, 4.25), (10.0, 11.0)), k=2)),
+            keypoints=KeypointSet(points=((3.5, 4.25), (10.0, 11.0)))),
         InstanceAnnotation(
             box=OrientedBox.from_rect(5.0, 5.0, 9.0, 9.0),
             class_name="ship", difficulty=1),
@@ -249,11 +249,11 @@ def test_crop_and_keypoint_check_read_the_box_bounds_as_the_corners_give_them():
         # a keypoint 2 px beyond the bounds is kept, one further is rejected
         x_far = float(c[:, 0].max()) + 2.0
         InstanceAnnotation(box=box, class_name="t",
-                           keypoints=KeypointSet(((x_far, float(c[0, 1])),), k=1))
+                           keypoints=KeypointSet(((x_far, float(c[0, 1])),)))
         x_out = float(c[:, 0].min()) - 2.5
         with pytest.raises(OutOfBounds) as exc:
             InstanceAnnotation(box=box, class_name="t",
-                               keypoints=KeypointSet(((x_out, float(c[0, 1])),), k=1))
+                               keypoints=KeypointSet(((x_out, float(c[0, 1])),)))
         x0, y0 = c[:, 0].min() - 2.0, c[:, 1].min() - 2.0
         x1, y1 = c[:, 0].max() + 2.0, c[:, 1].max() + 2.0
         assert str(exc.value) == (f"keypoint ({x_out}, {float(c[0, 1])}) outside box AABB "
@@ -353,6 +353,14 @@ def test_run_skaa_keeps_degenerate_instances(tmp_path, caplog):
     assert zero_ann[0].keypoints is None  # original line kept verbatim
 
 
+def test_run_dog_rejects_k_above_top_n_before_writing(tmp_path):
+    index = _mini_dataset(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"top_n \(5\) must be >= k \(6\)"):
+        run_dog(index, out, dog_params=DogParams(top_n=5), k=6)
+    assert not out.exists()
+
+
 def test_run_dog_baseline(tmp_path):
     index = _mini_dataset(tmp_path)
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
@@ -442,10 +450,10 @@ def test_run_skaa_builds_its_regions_without_validating_them(tmp_path, monkeypat
     assert summary.instances == 3 and summary.failures == 0
     assert calls == []
     # the public constructor still validates
-    ScatterRegion(shape=(4, 4), indices=[5], amplitudes=[2.0], peak=(1, 1))
+    ScatterRegion(shape=(4, 4), indices=[5], amplitudes=[2.0])
     assert len(calls) == 1
     with pytest.raises(ValueError, match="ascending"):
-        ScatterRegion(shape=(4, 4), indices=[6, 5], amplitudes=[2.0, 1.0], peak=(1, 2))
+        ScatterRegion(shape=(4, 4), indices=[6, 5], amplitudes=[2.0, 1.0])
     assert len(calls) == 2
 
 
@@ -508,8 +516,7 @@ def test_run_skaa_writes_skaa_keypoints_of_each_crop(tmp_path):
             chip, origin = crop_chip(image, ann.box)
             window = taylor_window_2d(chip.height, chip.width, nbar=5,
                                       sidelobe_db=-30.0)
-            kps = skaa_keypoints(chip, FrequencyGrid(chip.height, chip.width),
-                                 window, dec_params, k=4,
+            kps = skaa_keypoints(chip, window, dec_params, k=4,
                                  rng_seed=instance_seed(11, img_path.stem, idx))
             expected.append(replace(ann, keypoints=to_global(kps, origin)))
         assert (out / ann_path.name).read_text() == format_annotation(expected)
@@ -569,9 +576,9 @@ def test_fit_lays_out_each_instance_once_and_fits_each_region(tmp_path, monkeypa
                         np.random.Generator(np.random.PCG64(5)))
     layouts.clear()
     fits.clear()
-    grid, window = FrequencyGrid(48, 48), taylor_window_2d(48, 48)
-    annotio.fit_regions(chip.image, grid, window, refine=True)
-    annotio.skaa_keypoints(chip.image, grid, window)
+    window = taylor_window_2d(48, 48)
+    annotio.fit_regions(chip.image, window, refine=True)
+    annotio.skaa_keypoints(chip.image, window)
     assert len(layouts) == 2 and len(fits) == sum(layouts)
 
 

@@ -24,7 +24,7 @@ from oracles import (fit_block_2d, fit_direct, fit_fft, fit_per_region, psf_2d,
 GRID32 = FrequencyGrid(32, 32)
 TAYLOR32 = taylor_window_2d(32, 32)
 RECT32 = rectangular_window_2d(32, 32)
-PSF32 = base_psf(GRID32, TAYLOR32)
+PSF32 = base_psf(TAYLOR32)
 
 
 def naive_field(scatterers, grid):
@@ -99,16 +99,15 @@ def test_reconstruct_peak_sits_at_center_position():
 
 def test_reconstruct_equals_rolled_base_psf():
     img = reconstruct(Scatterer(x=9.0, y=21.0, amplitude=1.0), GRID32, TAYLOR32)
-    rolled = np.roll(base_psf(GRID32, TAYLOR32).values, (21, 9), axis=(0, 1))
+    rolled = np.roll(base_psf(TAYLOR32).values, (21, 9), axis=(0, 1))
     np.testing.assert_allclose(np.abs(img.samples), rolled, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("height,width", [(32, 32), (48, 40), (64, 64), (128, 128)])
 def test_base_psf_equals_2d_inverse_dft_of_window(height, width):
-    grid = FrequencyGrid(height, width)
     window = taylor_window_2d(height, width)
-    psf = base_psf(grid, window)
-    ref = psf_2d(grid, window)
+    psf = base_psf(window)
+    ref = psf_2d(window)
     assert psf.shape == (height, width)
     np.testing.assert_allclose(psf.values, ref, rtol=0, atol=1e-14 * ref.max())
     assert psf.norm_sq == pytest.approx(float(np.sum(ref * ref)), rel=1e-12)
@@ -120,7 +119,7 @@ def test_base_psf_builds_no_2d_transform(monkeypatch):
     monkeypatch.setattr(np.fft, "ifft2", forbidden)
     monkeypatch.setattr(np.fft, "fft2", forbidden)
     monkeypatch.setattr(ascmodel, "ifft2d", forbidden)
-    psf = base_psf(FrequencyGrid(48, 40), taylor_window_2d(48, 40))
+    psf = base_psf(taylor_window_2d(48, 40))
     small = np.zeros((48, 40))
     small[10:13, 20:22] = 1.0
     # 1,584 support pixels times 48 x 40 candidates: 3.0 M products
@@ -214,7 +213,7 @@ def test_fit_self_consistency_on_full_psf():
     region = np.abs(reconstruct(Scatterer(20.0, 30.0, 1.0),
                                 FrequencyGrid(48, 48),
                                 taylor_window_2d(48, 48)).samples)
-    fit = fit_scatterer(region, base_psf(FrequencyGrid(48, 48), taylor_window_2d(48, 48)))
+    fit = fit_scatterer(region, base_psf(taylor_window_2d(48, 48)))
     assert (fit.x, fit.y) == (20.0, 30.0)
     assert fit.amplitude == pytest.approx(1.0, rel=1e-9)
     # closed-form residual cancels O(1) terms, so float64 leaves ~1e-8
@@ -238,12 +237,12 @@ def test_fit_recovers_fractional_position_from_decoupled_region():
     window = taylor_window_2d(64, 64)
     chip = synth_image([Scatterer(40.0, 41.0, 1.0)], grid, window)
     regions = decouple(chip)
-    fit = fit_scatterer(regions[0].values, base_psf(grid, window))
+    fit = fit_scatterer(regions[0].values, base_psf(window))
     assert np.hypot(fit.x - 40.0, fit.y - 41.0) <= 1.0
 
 
-def _fit_objective(region, grid, window, x0, y0):
-    psf = np.roll(base_psf(grid, window).values, (y0, x0), axis=(0, 1))
+def _fit_objective(region, window, x0, y0):
+    psf = np.roll(base_psf(window).values, (y0, x0), axis=(0, 1))
     gain = float(np.sum(region * psf) / np.sum(psf * psf))
     return float(np.sum((region - gain * psf) ** 2))
 
@@ -255,12 +254,12 @@ def test_fit_is_locally_optimal():
         region = np.abs(reconstruct(Scatterer(x0, y0, 1.0), GRID32, TAYLOR32).samples)
         region[region < 0.05] = 0.0  # confine to a realistic support
         fit = fit_scatterer(region, PSF32)
-        best = _fit_objective(region, GRID32, TAYLOR32, int(fit.x), int(fit.y))
+        best = _fit_objective(region, TAYLOR32, int(fit.x), int(fit.y))
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
                 nx, ny = int(fit.x) + dx, int(fit.y) + dy
                 if 0 <= nx < 32 and 0 <= ny < 32:
-                    assert best <= _fit_objective(region, GRID32, TAYLOR32, nx, ny) + 1e-9
+                    assert best <= _fit_objective(region, TAYLOR32, nx, ny) + 1e-9
 
 
 def _assert_fit_matches_fft(region, psf):
@@ -285,7 +284,7 @@ def test_fit_direct_and_fft_paths_agree():
 def test_fit_on_large_regions_matches_fft_oracle(dim, n_support):
     grid = FrequencyGrid(dim, dim)
     window = taylor_window_2d(dim, dim)
-    psf = base_psf(grid, window)
+    psf = base_psf(window)
     rng = np.random.Generator(np.random.PCG64(dim))
     for _ in range(3):
         truth = [Scatterer(float(x), float(y), float(a))
@@ -308,7 +307,7 @@ def _assert_fit_matches_oracle(region, psf):
 def test_fit_matches_per_candidate_oracle_on_decoupled_chips():
     grid = FrequencyGrid(128, 128)
     window = taylor_window_2d(128, 128)
-    psf = base_psf(grid, window)
+    psf = base_psf(window)
     n_fits = 0
     for seed in range(20):
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -405,8 +404,7 @@ def test_fit_equals_the_2d_block_oracle_bit_for_bit(psf):
     for support in _block_edge_supports(h, w, rng):
         values = np.where(support, rng.uniform(0.1, 2.0, (h, w)), 0.0)
         idx = np.flatnonzero(support)
-        region = ScatterRegion(shape=(h, w), indices=idx, amplitudes=values.ravel()[idx],
-                               peak=divmod(int(np.argmax(values)), w))
+        region = ScatterRegion(shape=(h, w), indices=idx, amplitudes=values.ravel()[idx])
         for refine in (False, True):
             ref = fit_block_2d(values, psf, refine=refine)
             assert fit_scatterer(values, psf, refine=refine) == ref
@@ -426,7 +424,7 @@ def test_fit_on_psfs_wrapping_the_frame_edges_matches_oracle():
 def test_fit_gather_spanning_several_chunks_matches_oracle():
     grid = FrequencyGrid(64, 64)
     window = taylor_window_2d(64, 64)
-    psf = base_psf(grid, window)
+    psf = base_psf(window)
     region = np.abs(reconstruct(Scatterer(30.4, 22.7, 1.0), grid, window).samples)
     region[region < 0.003 * region.max()] = 0.0
     support = region > 0
@@ -441,8 +439,8 @@ def test_fit_gather_spanning_several_chunks_matches_oracle():
 def test_fit_refinement_matches_rolled_psf_oracle_on_decoupled_chips():
     grid = FrequencyGrid(128, 128)
     window = taylor_window_2d(128, 128)
-    psf = base_psf(grid, window)
-    ref_psf = psf_2d(grid, window)
+    psf = base_psf(window)
+    ref_psf = psf_2d(window)
     n_refined = 0
     for seed in range(20):
         rng = np.random.Generator(np.random.PCG64(100 + seed))
@@ -509,8 +507,8 @@ def test_fit_subpixel_refinement_tightens_fractional_fits():
     window = taylor_window_2d(64, 64)
     region = np.abs(reconstruct(Scatterer(30.4, 22.7, 1.0), grid, window).samples)
     region[region < 0.05] = 0.0
-    coarse = fit_scatterer(region, base_psf(grid, window))
-    refined = fit_scatterer(region, base_psf(grid, window), refine=True)
+    coarse = fit_scatterer(region, base_psf(window))
+    refined = fit_scatterer(region, base_psf(window), refine=True)
     err_coarse = np.hypot(coarse.x - 30.4, coarse.y - 22.7)
     err_refined = np.hypot(refined.x - 30.4, refined.y - 22.7)
     assert err_refined <= err_coarse
@@ -524,8 +522,7 @@ def test_fit_takes_a_region_like_its_full_frame_array():
         idx = np.sort(rng.choice(32 * 32, size=12, replace=False))
         vals = rng.uniform(0.1, 2.0, size=12)
         vals[rng.integers(12)] = 0.0
-        region = ScatterRegion(shape=(32, 32), indices=idx, amplitudes=vals,
-                               peak=divmod(int(idx[np.argmax(vals)]), 32))
+        region = ScatterRegion(shape=(32, 32), indices=idx, amplitudes=vals)
         for refine in (False, True):
             assert fit_scatterer(region, PSF32, refine=refine) == \
                 fit_scatterer(region.values, PSF32, refine=refine)
@@ -537,22 +534,20 @@ def test_fit_rejects_empty_region_and_bad_dims():
         fit_scatterer(np.zeros((32, 32)), PSF32)
     with pytest.raises(DimMismatch):
         fit_scatterer(np.ones((16, 16)), PSF32)
-    zero = ScatterRegion(shape=(32, 32), indices=[3, 4], amplitudes=[0.0, 0.0], peak=(0, 3))
+    zero = ScatterRegion(shape=(32, 32), indices=[3, 4], amplitudes=[0.0, 0.0])
     with pytest.raises(EmptyRegion):
         fit_scatterer(zero, PSF32)
     with pytest.raises(DimMismatch):
-        fit_scatterer(ScatterRegion(shape=(16, 32), indices=[3], amplitudes=[1.0],
-                                    peak=(0, 3)), PSF32)
+        fit_scatterer(ScatterRegion(shape=(16, 32), indices=[3], amplitudes=[1.0]), PSF32)
 
 
 # ------------------------------------------------- one layout per instance
 
 def _region(values):
-    """The `ScatterRegion` of a full-frame array, peaked at its maximum."""
+    """The `ScatterRegion` of a full-frame array."""
     h, w = values.shape
     idx = np.flatnonzero(values)
-    return ScatterRegion(shape=(h, w), indices=idx, amplitudes=values.ravel()[idx],
-                         peak=divmod(int(np.argmax(values)), w))
+    return ScatterRegion(shape=(h, w), indices=idx, amplitudes=values.ravel()[idx])
 
 
 def _assert_layout_fits_equal_the_oracle(regions, psf):
@@ -569,14 +564,14 @@ def _assert_layout_fits_equal_the_oracle(regions, psf):
 
 def _chip_family(master_seed, n_chips, speckle, amplitude_range=(0.5, 1.5)):
     """Decoupled 128x128 chips drawn as `synth --scatterers 5..15` draws
-    them: each chip's grid, window and regions."""
+    them: each chip's window and regions."""
     grid, window = FrequencyGrid(128, 128), taylor_window_2d(128, 128)
     for i in range(n_chips):
         rng = np.random.Generator(np.random.PCG64(
             instance_seed(master_seed, f"chip_{i:05d}", 0)))
         chip = synth_target(int(rng.integers(5, 16)), grid, window, rng,
                             amplitude_range=amplitude_range, speckle=speckle)
-        yield grid, window, decouple(chip.image)
+        yield window, decouple(chip.image)
 
 
 def _scene_crops(seeds, dim=128):
@@ -594,8 +589,7 @@ def _scene_crops(seeds, dim=128):
         image = synth_image(scatterers, grid, window)
         for box in boxes:
             chip, _ = crop_chip(image, box)
-            yield (FrequencyGrid(chip.height, chip.width),
-                   taylor_window_2d(chip.height, chip.width), decouple(chip))
+            yield taylor_window_2d(chip.height, chip.width), decouple(chip)
 
 
 @pytest.mark.parametrize("family", ["clean", "speckled", "scenes",
@@ -612,11 +606,11 @@ def test_layout_fits_equal_the_per_region_oracle_on_decoupled_chips(family):
         "hard-speckled": lambda: _chip_family(3, 90, True, (0.02, 1.5)),
     }[family]()
     n = 0
-    for grid, window, regions in chips:
-        psf = base_psf(grid, window)
+    for window, regions in chips:
+        psf = base_psf(window)
         n += _assert_layout_fits_equal_the_oracle(regions, psf)
         for refine in (False, True):
-            assert _fit(regions, grid, window, refine) == \
+            assert _fit(regions, window, refine) == \
                 [fit_per_region(r, psf, refine=refine) for r in regions]
     assert n >= 100
 
@@ -652,7 +646,7 @@ def test_layout_bounds_exclude_zero_valued_pixels_joined_under_a_large_eps():
     # with eps = 0.05 a region grows over pixels that earlier regions set to
     # 0.0; the fit scores and bounds the positive pixels alone
     grid, window = FrequencyGrid(64, 64), taylor_window_2d(64, 64)
-    psf = base_psf(grid, window)
+    psf = base_psf(window)
     n_zero = n_narrowed = 0
     for seed in range(6):
         chip = synth_target(8, grid, window, np.random.Generator(np.random.PCG64(seed)))
@@ -672,20 +666,19 @@ def test_layout_bounds_exclude_zero_valued_pixels_joined_under_a_large_eps():
 
 def test_layout_rejects_a_region_without_a_positive_pixel_and_takes_none():
     good = _region(np.where(np.eye(32) > 0, 1.0, 0.0))
-    zero = ScatterRegion(shape=(32, 32), indices=[3, 4], amplitudes=[0.0, -0.0],
-                         peak=(0, 3))
+    zero = ScatterRegion(shape=(32, 32), indices=[3, 4], amplitudes=[0.0, -0.0])
     for regions in ([zero], [good, zero], [zero, good], [good, np.zeros((32, 32))]):
         with pytest.raises(EmptyRegion):
             lay_out_regions(regions, (32, 32))
         with pytest.raises(EmptyRegion):
-            _fit(regions, GRID32, TAYLOR32, False)
+            _fit(regions, TAYLOR32, False)
     with pytest.raises(DimMismatch):
         lay_out_regions([good, np.ones((16, 16))], (32, 32))
     (laid,) = lay_out_regions([good], (32, 32))
     with pytest.raises(DimMismatch):
-        fit_scatterer(laid, base_psf(FrequencyGrid(32, 16), taylor_window_2d(32, 16)))
+        fit_scatterer(laid, base_psf(taylor_window_2d(32, 16)))
     assert lay_out_regions([], (32, 32)) == []
-    assert _fit([], GRID32, TAYLOR32, True) == []
+    assert _fit([], TAYLOR32, True) == []
 
 
 def test_scatterer_validation():

@@ -556,6 +556,59 @@ def test_baseline_dog_pipeline(tmp_path):
     assert ann.keypoints is not None and ann.keypoints.k == 9
 
 
+def _cli_process(*argv):
+    return subprocess.run([sys.executable, "-m", "scatterkit.cli", *argv],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_baseline_dog_keypoints_above_top_n_fail_before_writing(tmp_path, form):
+    # the DoG baseline clusters at most dog.top_n (30) candidates
+    data = synth(tmp_path)
+    out = tmp_path / "dog"
+    if form == "flag":
+        given = ("--keypoints", "40")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("keypoint_k = 40\n")
+        given = ("--config", str(cfg))
+    proc = _cli_process("baseline-dog", "--images", str(data / "images"),
+                        "--annots", str(data / "annots"), "--out", str(out), *given)
+    assert "Traceback" not in proc.stderr
+    assert "top_n (30) must be >= k (40)" in proc.stderr
+    if form == "flag":
+        assert proc.returncode == 1 and "argument --keypoints:" in proc.stderr
+    else:
+        assert proc.returncode == 3 and f"{cfg}: bad config field 'keypoint_k'" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-160"])
+def test_heatmap_sigma_whose_gaussian_scale_overflows_is_rejected(tmp_path, form, sigma):
+    # 2 sigma^2 underflows to 0 at 1e-200 and to a subnormal at 1e-160, where
+    # a keypoint on a pixel centre made 0 * inf = NaN
+    annots = tmp_path / "annots"
+    annots.mkdir()
+    (annots / "a.txt").write_text("2 2 12 2 12 12 2 12 scatterer 0 kp 5 5 8 6.5\n")
+    out = tmp_path / "maps"
+    if form == "flag":
+        given = ("--sigma", sigma)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"supervision.sigma = {sigma}\n")
+        given = ("--config", str(cfg))
+    proc = _cli_process("heatmap", "--annots", str(annots), "--dims", "16x16",
+                        "--out", str(out), *given)
+    assert "Traceback" not in proc.stderr
+    assert "1 / (2 sigma^2) overflows" in proc.stderr
+    if form == "flag":
+        assert proc.returncode == 1 and "argument --sigma:" in proc.stderr
+    else:
+        assert proc.returncode == 3 and "bad config field" in proc.stderr
+    assert not out.exists()
+
+
 def test_heatmap_pyramid(tmp_path, capsys):
     data = synth(tmp_path)
     skaa = tmp_path / "skaa"

@@ -408,30 +408,23 @@ def test_label_map_validation():
 
 
 def test_scatter_region_validation():
-    ScatterRegion(shape=(4, 4), indices=[5], amplitudes=[2.0], peak=(1, 1))
+    ScatterRegion(shape=(4, 4), indices=[5], amplitudes=[2.0])
     with pytest.raises(EmptyRegion):
         ScatterRegion(shape=(4, 4), indices=np.zeros(0, dtype=np.int64),
-                      amplitudes=np.zeros(0), peak=(0, 0))
-    with pytest.raises(ValueError):
-        ScatterRegion(shape=(4, 4), indices=np.arange(16), amplitudes=np.ravel(
-            np.eye(4) * 2.0), peak=(0, 1))  # peak not at the maximum
+                      amplitudes=np.zeros(0))
 
 
 @pytest.mark.parametrize("kwargs, error", [
     (dict(indices=np.zeros(0, dtype=np.int64), amplitudes=np.zeros(0)), EmptyRegion),
-    (dict(peak=(0, 0)), ValueError),                     # peak outside the support
-    (dict(amplitudes=[1.0, 3.0, 2.0]), ValueError),      # peak below the region maximum
     (dict(indices=[6, 5, 9]), ValueError),               # unsorted
-    (dict(indices=[5, 5, 9], peak=(1, 1)), ValueError),  # duplicate
+    (dict(indices=[5, 5, 9]), ValueError),               # duplicate
     (dict(indices=[-1, 5, 9]), ValueError),              # below the frame
     (dict(indices=[5, 6, 16]), ValueError),              # past the frame
-    (dict(peak=(1, 5)), ValueError),                     # peak column outside the frame
     (dict(indices=[5.0, 6.0, 9.0]), ValueError),         # not integers
     (dict(amplitudes=[3.0, 2.0]), ValueError),           # one value short
-], ids=["empty", "peak-off-support", "peak-below-max", "unsorted", "duplicate",
-        "negative", "past-end", "peak-off-frame", "float-indices", "length"])
+], ids=["empty", "unsorted", "duplicate", "negative", "past-end", "float-indices", "length"])
 def test_scatter_region_rejects(kwargs, error):
-    good = dict(shape=(4, 4), indices=[5, 6, 9], amplitudes=[3.0, 2.0, 1.0], peak=(1, 1))
+    good = dict(shape=(4, 4), indices=[5, 6, 9], amplitudes=[3.0, 2.0, 1.0])
     ScatterRegion(**good)
     with pytest.raises(error):
         ScatterRegion(**{**good, **kwargs})
@@ -440,15 +433,13 @@ def test_scatter_region_rejects(kwargs, error):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
 def test_scatter_region_rejects_non_finite_amplitudes(bad):
     with pytest.raises(ValueError, match="amplitudes must be finite"):
-        ScatterRegion(shape=(8, 8), indices=[0], amplitudes=[bad], peak=(0, 0))
+        ScatterRegion(shape=(8, 8), indices=[0], amplitudes=[bad])
     with pytest.raises(ValueError, match="amplitudes must be finite"):
-        ScatterRegion(shape=(4, 4), indices=[5, 6, 9], amplitudes=[3.0, bad, 1.0],
-                      peak=(1, 1))
+        ScatterRegion(shape=(4, 4), indices=[5, 6, 9], amplitudes=[3.0, bad, 1.0])
 
 
 def test_scatter_region_builds_full_frame_images_on_access():
-    region = ScatterRegion(shape=(3, 4), indices=[1, 6, 11], amplitudes=[2.0, 0.0, 0.5],
-                           peak=(0, 1))
+    region = ScatterRegion(shape=(3, 4), indices=[1, 6, 11], amplitudes=[2.0, 0.0, 0.5])
     expect = np.zeros((3, 4))
     expect.flat[[1, 6, 11]] = [2.0, 0.0, 0.5]
     np.testing.assert_array_equal(region.values, expect)
@@ -477,7 +468,7 @@ def _assert_regions_equal_validated_ones(amp: AmplitudeRaster,
     for region in regions + again:
         assert not (region.indices.flags.writeable or region.amplitudes.flags.writeable)
         checked = ScatterRegion(shape=region.shape, indices=region.indices,
-                                amplitudes=region.amplitudes, peak=region.peak)
+                                amplitudes=region.amplitudes)
         assert region.shape == checked.shape and region.peak == checked.peak
         assert all(type(n) is int for n in region.shape + region.peak)
         for got, want, dtype in [(region.indices, checked.indices, np.int64),
@@ -578,7 +569,7 @@ def _assert_loop_matches_dense_oracle(amp: AmplitudeRaster, params: DecouplePara
     fix, equals the dense loop's to the last bit, and so does the fit of every
     region; returns the step count."""
     h, w = amp.values.shape
-    psf = base_psf(FrequencyGrid(h, w), taylor_window_2d(h, w))
+    psf = base_psf(taylor_window_2d(h, w))
     steps = decouple_residuals(amp, params)
     regions = decouple(amp, params)
     dense = list(decouple_steps_dense(amp, params))

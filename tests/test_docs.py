@@ -1,11 +1,13 @@
-"""The README's library example runs, and every public name resolves."""
+"""The README's library example runs, every public name resolves, and the
+README's usage blocks list each subcommand's flags."""
 
+import argparse
 import pkgutil
 import re
 from pathlib import Path
 
 import scatterkit
-from scatterkit.cli import main
+from scatterkit.cli import _build_parser, main
 from scatterkit.config import RunConfig, canonical_text
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -55,3 +57,31 @@ def test_readme_configuration_block_gives_the_defaults():
                       for line in block.splitlines() if line.strip())
     defaults = dict(line.split(" = ") for line in canonical_text(RunConfig()).splitlines())
     assert documented == defaults
+
+
+def _subcommand_parsers() -> dict:
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_readme_usage_blocks_list_each_subcommand_flag():
+    """The usage block under each `### `<cmd>`` heading of `## Commands`
+    names exactly the flags the parser defines for that subcommand: every
+    option once by its first spelling (an alias such as `--pgm` may stand
+    in for it), and nothing else. `--config`, stated once for all commands,
+    and `-h/--help` are left out."""
+    section = README.read_text().split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
+    parts = re.split(r"^### `([\w-]+)`.*$", section, flags=re.M)
+    usage = {cmd: re.search(r"^```sh\n(.*?)^```$", body, flags=re.M | re.S).group(1)
+             for cmd, body in zip(parts[1::2], parts[2::2])}
+    parsers = _subcommand_parsers()
+    assert sorted(usage) == sorted(parsers)
+    for cmd, p in parsers.items():
+        actions = [a for a in p._actions
+                   if a.option_strings and a.dest not in ("help", "config")]
+        documented = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", usage[cmd]))
+        spellings = {s for a in actions for s in a.option_strings}
+        assert documented - spellings == set(), cmd
+        assert [a.option_strings for a in actions
+                if documented.isdisjoint(a.option_strings)] == [], cmd

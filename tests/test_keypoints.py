@@ -30,16 +30,15 @@ def test_instance_seed_is_stable_and_distinct():
 
 
 def test_keypoint_set_validation_and_translation():
-    kps = KeypointSet(points=((1.0, 2.0), (3.0, 4.0)), k=2)
+    kps = KeypointSet(points=((1.0, 2.0), (3.0, 4.0)))
     np.testing.assert_array_equal(kps.as_array(), [[1, 2], [3, 4]])
     moved = kps.translated(10.0, -1.0)
     assert moved.points == ((11.0, 1.0), (13.0, 3.0))
+    assert (kps.k, moved.k) == (2, 2)
     with pytest.raises(ValueError):
-        KeypointSet(points=((1.0, 2.0),), k=2)
+        KeypointSet(points=())
     with pytest.raises(ValueError):
-        KeypointSet(points=(), k=0)
-    with pytest.raises(ValueError):
-        KeypointSet(points=((np.nan, 0.0),), k=1)
+        KeypointSet(points=((np.nan, 0.0),))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -49,8 +48,8 @@ def test_keypoint_set_rejects_non_finite_coordinates(bad, coord):
     pt[coord] = bad
     for points in ((tuple(pt),), ((1.0, 2.0), tuple(pt), (3.0, 4.0))):
         with pytest.raises(ValueError, match="keypoints must be finite"):
-            KeypointSet(points=points, k=len(points))
-    KeypointSet(points=((1e308, -1e308), (0.0, 5e-324)), k=2)  # finite extremes pass
+            KeypointSet(points=points)
+    KeypointSet(points=((1e308, -1e308), (0.0, 5e-324)))  # finite extremes pass
 
 
 def test_cluster_exact_count_is_identity_sorted_row_major():
@@ -330,7 +329,7 @@ def test_dog_keypoints_requires_enough_candidates():
 
 
 def test_to_global_translation_round_trip():
-    kps = KeypointSet(points=((1.0, 2.0), (3.5, 4.5)), k=2)
+    kps = KeypointSet(points=((1.0, 2.0), (3.5, 4.5)))
     shifted = to_global(kps, (10.0, 20.0))
     assert shifted.points == ((11.0, 22.0), (13.5, 24.5))
     back = shifted.translated(-10.0, -20.0)
@@ -342,7 +341,7 @@ def test_fit_regions_recovers_separated_truths():
     window = taylor_window_2d(48, 48)
     truths = [Scatterer(10.0, 10.0, 1.0), Scatterer(35.0, 12.0, 0.9),
               Scatterer(12.0, 36.0, 0.8), Scatterer(36.0, 38.0, 0.7)]
-    fits = fit_regions(synth_image(truths, grid, window), grid, window)
+    fits = fit_regions(synth_image(truths, grid, window), window)
     assert len(fits) >= 4
     for truth, fit in zip(truths, fits):
         assert np.hypot(fit.x - truth.x, fit.y - truth.y) <= 1.0
@@ -355,7 +354,7 @@ def test_skaa_keypoints_deterministic_set():
     window = taylor_window_2d(48, 48)
     chip = synth_image([Scatterer(10.0, 10.0, 1.0), Scatterer(35.0, 12.0, 0.9),
                         Scatterer(12.0, 36.0, 0.8)], grid, window)
-    a = skaa_keypoints(chip, grid, window, k=3, rng_seed=7)
-    b = skaa_keypoints(chip, grid, window, k=3, rng_seed=7)
+    a = skaa_keypoints(chip, window, k=3, rng_seed=7)
+    b = skaa_keypoints(chip, window, k=3, rng_seed=7)
     assert a.points == b.points
     assert a.k == 3

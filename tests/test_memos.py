@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scatterkit import ascmodel, spectral
-from scatterkit.ascmodel import FrequencyGrid, SeparablePsf, base_psf
+from scatterkit.ascmodel import SeparablePsf, base_psf
 from scatterkit.errors import InvalidWindowParams
 from scatterkit.raster import WindowRaster
 from scatterkit.spectral import rectangular_window_2d, taylor_window, taylor_window_2d
@@ -45,7 +45,7 @@ def test_cached_tapers_windows_and_psfs_equal_a_fresh_build(nbar, sidelobe_db):
             window = taylor_window_2d(n, m, nbar, sidelobe_db)
             assert window.row_taper.tobytes() == fresh_row.tobytes(), n
             assert window.col_taper.tobytes() == fresh_col.tobytes(), n
-            psf = base_psf(FrequencyGrid(n, m), window)
+            psf = base_psf(window)
             _assert_psf_bits(psf, _fresh_psf(WindowRaster(fresh_row, fresh_col)))
             _assert_read_only(window.row_taper, window.col_taper, psf.row, psf.col,
                               psf.row_windows, psf.col_windows)
@@ -55,7 +55,7 @@ def test_rectangular_window_psf_equals_a_fresh_build():
     for n in [1, 2, 64, *PRIMES]:
         window = rectangular_window_2d(n, n + 1)
         for _ in range(2):
-            _assert_psf_bits(base_psf(FrequencyGrid(n, n + 1), window), _fresh_psf(window))
+            _assert_psf_bits(base_psf(window), _fresh_psf(window))
 
 
 def test_each_taper_and_psf_axis_is_built_once(monkeypatch):
@@ -75,7 +75,7 @@ def test_each_taper_and_psf_axis_is_built_once(monkeypatch):
     monkeypatch.setattr(spectral, "_taper_fault", counting_fault)
     monkeypatch.setattr(np.fft, "ifft", counting_ifft)
     for h, w in ((40, 40), (40, 56), (56, 40), (40, 40)):
-        base_psf(FrequencyGrid(h, w), taylor_window_2d(h, w))
+        base_psf(taylor_window_2d(h, w))
     assert sorted(checks) == [40, 56] and sorted(transforms) == [40, 56]
 
 
@@ -111,7 +111,7 @@ def test_memos_stay_within_their_bounds():
         assert memo.cache_info().maxsize == size
     for n in range(1, spectral.TAPER_MEMO_SIZE + 60):
         window = taylor_window_2d(n, n)
-        psf = base_psf(FrequencyGrid(n, n), window)
+        psf = base_psf(window)
         assert spectral._memo_taper.cache_info().currsize <= spectral.TAPER_MEMO_SIZE
         assert ascmodel._memo_psf_axis.cache_info().currsize <= ascmodel.PSF_MEMO_SIZE
     # the memos are full, and an evicted length builds again to the same bits
@@ -119,4 +119,4 @@ def test_memos_stay_within_their_bounds():
     assert ascmodel._memo_psf_axis.cache_info().currsize == ascmodel.PSF_MEMO_SIZE
     window = taylor_window_2d(1, 2)
     assert window.row_taper.tobytes() == taylor_window(1).tobytes()
-    _assert_psf_bits(base_psf(FrequencyGrid(1, 2), window), _fresh_psf(window))
+    _assert_psf_bits(base_psf(window), _fresh_psf(window))

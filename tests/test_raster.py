@@ -143,7 +143,7 @@ def test_window_raster_holds_only_its_tapers():
 def _stored_arrays(a2, z2, t1, idx, amps):
     """What each constructor that keeps a caller's array stores of it."""
     psf = SeparablePsf(t1, t1)
-    region = ScatterRegion(shape=(2, 3), indices=idx, amplitudes=amps, peak=(0, 1))
+    region = ScatterRegion(shape=(2, 3), indices=idx, amplitudes=amps)
     return [AmplitudeRaster(a2).values, ComplexRaster(z2).samples,
             WindowRaster(t1, t1).row_taper, psf.row, psf.col,
             ScatterMap(a2).values, FeatureGrid(a2[None]).values,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from scatterkit.errors import BadDims, DimMismatch, EmptyKeypoints, OutOfBounds
+from scatterkit.errors import BadDims, DimMismatch, OutOfBounds
 from scatterkit.keypoints import KeypointSet
 from scatterkit.supervision import (FeatureGrid, ScatterMap, SupervisionParams,
                                     bce_loss, downsample_pyramid,
@@ -13,13 +13,29 @@ from scatterkit.supervision import (FeatureGrid, ScatterMap, SupervisionParams,
 
 
 def kps_of(*points):
-    return KeypointSet(points=tuple(points), k=len(points))
+    return KeypointSet(points=tuple(points))
 
 
 def test_map_is_one_exactly_at_on_grid_keypoint():
     m = gt_scatter_map(kps_of((4.0, 6.0)), 12, 12, sigma=1.0)
     assert m.values[6, 4] == 1.0
     assert m.values.max() == 1.0
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 1e-160])
+def test_sigma_whose_gaussian_scale_overflows_is_rejected(sigma):
+    # 2 sigma^2 is 0 at 1e-200 and subnormal at 1e-160: 1 / (2 sigma^2) overflows
+    with pytest.raises(ValueError, match="overflows"):
+        SupervisionParams(sigma=sigma)
+    with pytest.raises(ValueError, match="overflows"):
+        gt_scatter_map(kps_of((4.0, 6.0)), 12, 12, sigma=sigma)
+
+
+def test_smallest_sigmas_give_a_point_map():
+    for sigma in (1e-150, 1e-100):
+        assert SupervisionParams(sigma=sigma).sigma == sigma
+        m = gt_scatter_map(kps_of((4.0, 6.0), (7.5, 2.0)), 12, 12, sigma=sigma)
+        assert m.values[6, 4] == 1.0 and np.count_nonzero(m.values) == 1
 
 
 def test_map_known_value_one_pixel_diagonal():
@@ -218,5 +234,5 @@ def test_supervision_params_validation():
 
 
 def test_empty_keypoints_rejected():
-    with pytest.raises((EmptyKeypoints, ValueError)):
-        gt_scatter_map(KeypointSet(points=(), k=0), 8, 8)
+    with pytest.raises(ValueError, match="at least one point"):
+        gt_scatter_map(KeypointSet(points=()), 8, 8)
