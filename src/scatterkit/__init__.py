@@ -8,7 +8,7 @@ sets, build Gaussian supervision maps, and evaluate with rotated-box metrics.
 from .annotio import skaa_keypoints
 from .ascmodel import (FittedScatterer, FrequencyGrid, Scatterer, SeparablePsf,
                        SynthChip, base_psf, fit_scatterer, forward_field,
-                       reconstruct, synth_image, synth_target)
+                       synth_image, synth_target)
 from .chipio import read_chip, write_chip, write_pgm
 from .config import RunConfig, canonical_text, config_hash, load_config
 from .decouple import DecoupleParams, ScatterRegion, decouple
@@ -21,8 +21,7 @@ from .metrics import (Detection, EvalReport, OrientedBox, average_precision,
                       mean_nearest_distance, phr_curve, proposal_precision,
                       rotated_iou)
 from .raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
-from .spectral import (fft2d, ifft2d, rectangular_window_2d, taylor_window,
-                       taylor_window_2d)
+from .spectral import rectangular_window_2d, taylor_window, taylor_window_2d
 from .supervision import (FeatureGrid, ScatterMap, SupervisionParams, bce_loss,
                           downsample_pyramid, enhance_features, gt_scatter_map)
 
@@ -38,10 +37,10 @@ __all__ = [
     "base_psf", "bce_loss",
     "canonical_text", "cluster_keypoints", "config_hash", "decouple",
     "dog_keypoints", "downsample_pyramid",
-    "enhance_features", "evaluate_detections", "fft2d", "fit_scatterer", "forward_field",
-    "greedy_point_match", "gt_scatter_map", "ifft2d", "instance_seed", "iou_matrix",
+    "enhance_features", "evaluate_detections", "fit_scatterer", "forward_field",
+    "greedy_point_match", "gt_scatter_map", "instance_seed", "iou_matrix",
     "load_config", "max_ious", "mean_ap", "mean_nearest_distance",
-    "phr_curve", "proposal_precision", "read_chip", "reconstruct",
+    "phr_curve", "proposal_precision", "read_chip",
     "rectangular_window_2d", "rotated_iou", "skaa_keypoints", "synth_image",
     "synth_target", "taylor_window", "taylor_window_2d", "to_global",
     "write_chip", "write_pgm",

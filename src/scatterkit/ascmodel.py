@@ -22,7 +22,6 @@ from .errors import (DimMismatch, EmptyInput, EmptyRegion, InfeasiblePlacement,
                      OutOfBounds)
 from .metrics import OrientedBox
 from .raster import ComplexRaster, WindowRaster, _freeze
-from .spectral import ifft2d
 
 FIT_DILATE_PX = 2
 
@@ -89,7 +88,7 @@ def synth_image(scatterers: list[Scatterer], grid: FrequencyGrid,
         raise DimMismatch(
             f"window {window.height}x{window.width} vs grid {grid.height}x{grid.width}")
     field = forward_field(scatterers, grid)
-    return ComplexRaster(ifft2d(window.values * field.samples))
+    return ComplexRaster(np.fft.ifft2(window.values * field.samples))
 
 
 def _psf_axis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -188,12 +187,6 @@ def base_psf(window: WindowRaster) -> SeparablePsf:
     """
     return SeparablePsf._trusted(_memo_psf_axis(window.row_taper.tobytes()),
                                  _memo_psf_axis(window.col_taper.tobytes()))
-
-
-def reconstruct(scatterer: Scatterer, grid: FrequencyGrid,
-                window: WindowRaster) -> ComplexRaster:
-    """Single-scatterer chip; identical to synth_image([s], ...)."""
-    return synth_image([scatterer], grid, window)
 
 
 @dataclass(frozen=True)

@@ -288,15 +288,20 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    written = 0
+    written = failed = 0
     t0 = time.perf_counter()
     for ann_path in _annotation_files(annots_dir):
-        points = _keypoints_of(ann_path)
-        if not len(points):
-            log.warning("%s: no keypoints, skipped", ann_path.name)
+        try:
+            points = _keypoints_of(ann_path)
+            if not len(points):
+                log.warning("%s: no keypoints, skipped", ann_path.name)
+                continue
+            kps = KeypointSet(points=tuple(map(tuple, points.tolist())))
+            m = gt_scatter_map(kps, h, w, sigma=config.supervision.sigma)
+        except ScatterKitError as exc:
+            log.warning("%s: %s (no maps written)", ann_path.name, exc)
+            failed += 1
             continue
-        kps = KeypointSet(points=tuple(map(tuple, points.tolist())))
-        m = gt_scatter_map(kps, h, w, sigma=config.supervision.sigma)
         levels = downsample_pyramid(m, config.supervision.levels, pool=config.pool)
         for lvl, sm in enumerate(levels):
             stem = f"{ann_path.stem}_L{lvl}"
@@ -305,9 +310,14 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
                 write_pgm(sm.values, out / f"{stem}.pgm")
         written += 1
     total_ms = (time.perf_counter() - t0) * 1e3
-    emit_manifest(config, {"heatmap_total": total_ms}, out / "run-manifest.txt")
+    emit_manifest(config, {"heatmap_total": total_ms}, out / "run-manifest.txt",
+                  counts={"failed_files": failed} if failed else None)
     print(f"wrote {config.supervision.levels}-level pyramids "
           f"for {written} annotation files under {out}")
+    if failed:
+        print(f"scatterkit: data error: {failed} annotation file(s) failed and got "
+              f"no maps", file=sys.stderr)
+        return EXIT_DATA
     return EXIT_OK
 
 
@@ -413,6 +423,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_DATA
     print(f"instances = {len(all_ms)} ({args.repeat} repeats)")
+    if not all_ms:
+        return EXIT_OK
     print(f"median_ms_per_instance = {np.median(all_ms):.2f}")
     print(f"mean_ms_per_instance = {np.mean(all_ms):.2f}")
     return EXIT_OK

@@ -1,9 +1,9 @@
-"""Run configuration: defaults, flat-text load/emit, hashing, manifests.
+"""Run configuration: defaults, flat-text load, hashing, manifests.
 
 The canonical form is a key-sorted ``key = value`` document; the config hash
 is the SHA-256 of those bytes. Defaults reproduce the reference parameter
-set: tau = -3 dB, eps = 1e-6, n_max = 20, k = 9, sigma = 1, loss weight 1,
-and DoG (1.0, 1.6, |D| > 5, top 30).
+set: tau = -3 dB, eps = 1e-6, n_max = 20, k = 9, sigma = 1, and DoG
+(1.0, 1.6, |D| > 5, top 30).
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ _FIELDS: dict[str, tuple[str | None, str, type]] = {
     "dog.threshold": ("dog", "threshold", float),
     "dog.top_n": ("dog", "top_n", int),
     "supervision.sigma": ("supervision", "sigma", float),
-    "supervision.loss_weight": ("supervision", "loss_weight", float),
     "supervision.levels": ("supervision", "levels", int),
     "keypoint_k": (None, "keypoint_k", int),
     "pool": (None, "pool", str),
@@ -150,10 +149,6 @@ def _build(values: dict) -> RunConfig:
                          **top)
     except (ValueError, InvalidWindowParams) as exc:
         raise BadConfigField("(validation)", str(exc)) from None
-
-
-def emit_config(config: RunConfig, path: str | Path) -> None:
-    write_text_atomic(path, canonical_text(config))
 
 
 def emit_manifest(config: RunConfig, timings: dict[str, float],

@@ -82,8 +82,8 @@ class ScatterRegion:
 
     `indices` are the support's flat row-major indices, strictly ascending,
     and `amplitudes` the region's values there, finite; off the support the
-    region is zero. `peak`, `values`, `support` and `energy` are computed on
-    each access. The constructor validates its input; the extraction loop
+    region is zero. `peak`, `values` and `support` are computed on each
+    access. The constructor validates its input; the extraction loop
     builds its regions, valid by construction, through `_trusted` instead.
     """
 
@@ -148,12 +148,6 @@ class ScatterRegion:
         out = np.zeros(self.shape, dtype=bool)
         out.ravel()[self.indices] = True
         return out
-
-    @property
-    def energy(self) -> float:
-        """Sum of squared values, summed over the full frame in row-major order."""
-        vals = self.values
-        return float(np.sum(vals * vals))
 
 
 class _Frame:

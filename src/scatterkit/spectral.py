@@ -1,9 +1,8 @@
-"""2-D spectral transforms and the Taylor taper.
+"""The Taylor taper and the 2-D windows built from it.
 
-Normalization convention: the forward transform is unnormalized and the
-inverse carries the full 1/(H*W) factor, so a unit constant spectrum inverts
-to a unit impulse at (0, 0). The contract is the plain DFT, so any raster
-size is supported, not just powers of two.
+Windows weight a spectrum before numpy's inverse DFT (`np.fft.ifft2`),
+which carries the full 1/(H*W) factor, so the all-ones window inverts a
+unit constant spectrum to a unit impulse at (0, 0).
 """
 
 from __future__ import annotations
@@ -21,16 +20,6 @@ DEFAULT_NBAR = 4
 DEFAULT_SIDELOBE_DB = -35.0
 # distinct axis lengths whose Taylor tapers stay built
 TAPER_MEMO_SIZE = 256
-
-
-def fft2d(samples: np.ndarray) -> np.ndarray:
-    """Unnormalized forward 2-D DFT."""
-    return np.fft.fft2(samples)
-
-
-def ifft2d(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse 2-D DFT with 1/(H*W) normalization (fft2d's exact inverse)."""
-    return np.fft.ifft2(spectrum)
 
 
 def _check_window_params(nbar: int, sidelobe_db: float) -> None:

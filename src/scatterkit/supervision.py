@@ -36,17 +36,14 @@ def _exponent_scale(sigma: float) -> float:
 
 @dataclass(frozen=True)
 class SupervisionParams:
-    """Gaussian radius, loss weight, and pyramid depth."""
+    """Gaussian radius and pyramid depth."""
 
     sigma: float = 1.0
-    loss_weight: float = 1.0  # consumed by external trainers; kept for config parity
     levels: int = 4
 
     def __post_init__(self):
-        _require_finite(sigma=self.sigma, loss_weight=self.loss_weight)
+        _require_finite(sigma=self.sigma)
         _exponent_scale(self.sigma)
-        if self.loss_weight < 0:
-            raise ValueError(f"loss_weight must be >= 0, got {self.loss_weight}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
 
@@ -91,10 +88,6 @@ class FeatureGrid:
         object.__setattr__(self, "values", _freeze(arr, self.values))
 
     @property
-    def channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def height(self) -> int:
         return self.values.shape[1]
 
@@ -114,7 +107,8 @@ def gt_scatter_map(kps: KeypointSet, height: int, width: int,
         if not (0 <= x_k < width and 0 <= y_k < height):
             raise OutOfBounds(f"keypoint ({x_k}, {y_k}) outside {width}x{height} map")
         d2 = (xs - x_k) ** 2 + (ys - y_k) ** 2
-        np.maximum(out, np.exp(-d2 * inv), out=out)
+        with np.errstate(over="ignore"):  # a tiny sigma: d2 * inv is inf, exp(-inf) = 0
+            np.maximum(out, np.exp(-d2 * inv), out=out)
     return ScatterMap(out)
 
 

@@ -78,7 +78,6 @@ from scatterkit.keypoints import KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet
 from scatterkit.metrics import (COLLINEAR_TOL, ROUNDING_PER_PX, SLIVER_AREA, _MAX_COORD,
                                 Detection, OrientedBox, _clipped_iou, _envelope_ap)
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
-from scatterkit.spectral import fft2d, ifft2d
 
 N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 N8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
@@ -87,12 +86,11 @@ N8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 @dataclass(frozen=True)
 class DenseStep:
     """One step of the dense loop: full-frame region values and support,
-    the peak (y, x), the region energy, and the residual after the step."""
+    the peak (y, x), and the residual after the step."""
 
     values: np.ndarray
     support: np.ndarray
     peak: tuple[int, int]
-    energy: float
     residual: np.ndarray
 
 
@@ -220,10 +218,9 @@ def decouple_steps_dense(amp: AmplitudeRaster,
         sup = grow_support_dense(cur, seed, params)
         region_vals = np.where(sup, residual, 0.0)
         py, px = divmod(int(np.argmax(residual)), residual.shape[1])
-        energy = float(np.sum(region_vals * region_vals))
         residual = np.maximum(residual - region_vals, 0.0)
         yield DenseStep(values=region_vals, support=sup, peak=(py, px),
-                        energy=energy, residual=residual.copy())
+                        residual=residual.copy())
 
 
 @dataclass(frozen=True)
@@ -346,7 +343,7 @@ def fit_fft(region: np.ndarray, psf: np.ndarray) -> FittedScatterer:
     """
     h, w = psf.shape
     y0, y1, x0, x1 = _candidate_bbox(region > 0, h, w)
-    corr = np.real(ifft2d(fft2d(region) * np.conj(fft2d(psf))))
+    corr = np.real(np.fft.ifft2(np.fft.fft2(region) * np.conj(np.fft.fft2(psf))))
     crop = corr[y0:y1 + 1, x0:x1 + 1]
     best_y, best_x = divmod(int(np.argmax(crop)), x1 - x0 + 1)
     best_c = float(crop[best_y, best_x])
@@ -446,7 +443,7 @@ def fit_per_region(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
 
 def psf_2d(window: WindowRaster) -> np.ndarray:
     """|IFFT2 of the window|: the unit scatterer's amplitude image at (0, 0)."""
-    return np.abs(ifft2d(window.values.astype(np.complex128)))
+    return np.abs(np.fft.ifft2(window.values.astype(np.complex128)))
 
 
 def _corr_at(region: np.ndarray, psf: np.ndarray, cy: int, cx: int) -> float:

@@ -447,13 +447,11 @@ def test_default_config_constants(measured):
     assert cfg.decouple.n_max == 20
     assert cfg.keypoint_k == 9
     assert cfg.supervision.sigma == 1.0
-    assert cfg.supervision.loss_weight == 1.0
     assert cfg.dog.sigma1 == 1.0
     assert cfg.dog.sigma2 == 1.6
     assert cfg.dog.threshold == 5.0
     assert cfg.dog.top_n == 30
-    measured("tau -3 dB, eps 1e-6, n_max 20, k 9, sigma 1, weight 1, "
-             "dog 1.0/1.6/5/30")
+    measured("tau -3 dB, eps 1e-6, n_max 20, k 9, sigma 1, dog 1.0/1.6/5/30")
 
 
 # ------------------------------------------------------------ criterion 8

@@ -9,14 +9,14 @@ import scatterkit.ascmodel as ascmodel
 from scatterkit.annotio import _fit, crop_chip
 from scatterkit.ascmodel import (FrequencyGrid, Scatterer, SeparablePsf,
                                  base_psf, fit_scatterer, forward_field,
-                                 lay_out_regions, reconstruct, synth_image,
+                                 lay_out_regions, synth_image,
                                  synth_target)
 from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
 from scatterkit.errors import (DimMismatch, EmptyInput, EmptyRegion,
                                InfeasiblePlacement, OutOfBounds)
 from scatterkit.keypoints import instance_seed
 from scatterkit.raster import amplitude
-from scatterkit.spectral import ifft2d, rectangular_window_2d, taylor_window_2d
+from scatterkit.spectral import rectangular_window_2d, taylor_window_2d
 
 from oracles import (fit_block_2d, fit_direct, fit_fft, fit_per_region, psf_2d,
                      refine_offsets)
@@ -67,7 +67,7 @@ def test_forward_field_is_linear():
 
 def test_forward_field_integer_position_shift_theorem():
     field = forward_field([Scatterer(x=11.0, y=5.0, amplitude=1.0)], GRID32)
-    img = ifft2d(field.samples)
+    img = np.fft.ifft2(field.samples)
     assert img[5, 11] == pytest.approx(1.0, abs=1e-12)
     masked = img.copy()
     masked[5, 11] = 0
@@ -84,7 +84,7 @@ def test_forward_field_bounds_and_empty():
 
 
 def test_reconstruct_rect_window_is_unit_impulse():
-    img = reconstruct(Scatterer(0.0, 0.0, 1.0), GRID32, RECT32)
+    img = synth_image([Scatterer(0.0, 0.0, 1.0)], GRID32, RECT32)
     assert img.samples[0, 0] == pytest.approx(1.0, abs=1e-12)
     rest = img.samples.copy()
     rest[0, 0] = 0
@@ -92,13 +92,13 @@ def test_reconstruct_rect_window_is_unit_impulse():
 
 
 def test_reconstruct_peak_sits_at_center_position():
-    img = reconstruct(Scatterer(x=16.0, y=16.0, amplitude=1.0), GRID32, TAYLOR32)
+    img = synth_image([Scatterer(x=16.0, y=16.0, amplitude=1.0)], GRID32, TAYLOR32)
     amp = np.abs(img.samples)
     assert np.unravel_index(np.argmax(amp), amp.shape) == (16, 16)
 
 
 def test_reconstruct_equals_rolled_base_psf():
-    img = reconstruct(Scatterer(x=9.0, y=21.0, amplitude=1.0), GRID32, TAYLOR32)
+    img = synth_image([Scatterer(x=9.0, y=21.0, amplitude=1.0)], GRID32, TAYLOR32)
     rolled = np.roll(base_psf(TAYLOR32).values, (21, 9), axis=(0, 1))
     np.testing.assert_allclose(np.abs(img.samples), rolled, rtol=0, atol=1e-12)
 
@@ -118,7 +118,6 @@ def test_base_psf_builds_no_2d_transform(monkeypatch):
         raise AssertionError("2-D FFT called")
     monkeypatch.setattr(np.fft, "ifft2", forbidden)
     monkeypatch.setattr(np.fft, "fft2", forbidden)
-    monkeypatch.setattr(ascmodel, "ifft2d", forbidden)
     psf = base_psf(taylor_window_2d(48, 40))
     small = np.zeros((48, 40))
     small[10:13, 20:22] = 1.0
@@ -157,7 +156,7 @@ def test_separable_psf_windows_equal_the_tiled_sliding_view(n):
 
 def test_reconstruct_dim_mismatch():
     with pytest.raises(DimMismatch):
-        reconstruct(Scatterer(0.0, 0.0, 1.0), FrequencyGrid(16, 16), TAYLOR32)
+        synth_image([Scatterer(0.0, 0.0, 1.0)], FrequencyGrid(16, 16), TAYLOR32)
 
 
 def test_translation_equivariance_of_amplitude():
@@ -167,8 +166,8 @@ def test_translation_equivariance_of_amplitude():
                           float(rng.uniform(0.5, 1.5))) for _ in range(3)]
         dx, dy = int(rng.integers(-5, 6)), int(rng.integers(-5, 6))
         shifted = [Scatterer(s.x + dx, s.y + dy, s.amplitude) for s in base]
-        amp0 = np.abs(ifft2d(forward_field(base, GRID32).samples))
-        amp1 = np.abs(ifft2d(forward_field(shifted, GRID32).samples))
+        amp0 = np.abs(np.fft.ifft2(forward_field(base, GRID32).samples))
+        amp1 = np.abs(np.fft.ifft2(forward_field(shifted, GRID32).samples))
         np.testing.assert_allclose(amp1, np.roll(amp0, (dy, dx), axis=(0, 1)),
                                    rtol=0, atol=1e-9)
 
@@ -176,7 +175,7 @@ def test_translation_equivariance_of_amplitude():
 def test_psf_mainlobe_width_matches_1d_window_oracle():
     grid = FrequencyGrid(64, 64)
     window = taylor_window_2d(64, 64)
-    img = np.abs(reconstruct(Scatterer(32.0, 32.0, 1.0), grid, window).samples)
+    img = np.abs(synth_image([Scatterer(32.0, 32.0, 1.0)], grid, window).samples)
     # separability: through-peak profiles equal the 1-D window PSFs
     profile_x = img[32, :] / img[32, 32]
     psf_1d = np.abs(np.fft.ifft(window.col_taper))
@@ -210,7 +209,7 @@ def test_fit_single_pixel_impulse():
 
 
 def test_fit_self_consistency_on_full_psf():
-    region = np.abs(reconstruct(Scatterer(20.0, 30.0, 1.0),
+    region = np.abs(synth_image([Scatterer(20.0, 30.0, 1.0)],
                                 FrequencyGrid(48, 48),
                                 taylor_window_2d(48, 48)).samples)
     fit = fit_scatterer(region, base_psf(taylor_window_2d(48, 48)))
@@ -225,7 +224,7 @@ def test_fit_round_trip_integer_positions():
     for _ in range(20):
         x0, y0 = (int(v) for v in rng.integers(0, 32, size=2))
         amp = float(rng.uniform(0.3, 3.0))
-        region = np.abs(reconstruct(Scatterer(float(x0), float(y0), amp),
+        region = np.abs(synth_image([Scatterer(float(x0), float(y0), amp)],
                                     GRID32, TAYLOR32).samples)
         fit = fit_scatterer(region, PSF32)
         assert (fit.x, fit.y) == (float(x0), float(y0))
@@ -251,7 +250,7 @@ def test_fit_is_locally_optimal():
     rng = np.random.Generator(np.random.PCG64(25))
     for _ in range(10):
         x0, y0 = (float(v) for v in rng.uniform(4, 28, size=2))
-        region = np.abs(reconstruct(Scatterer(x0, y0, 1.0), GRID32, TAYLOR32).samples)
+        region = np.abs(synth_image([Scatterer(x0, y0, 1.0)], GRID32, TAYLOR32).samples)
         region[region < 0.05] = 0.0  # confine to a realistic support
         fit = fit_scatterer(region, PSF32)
         best = _fit_objective(region, TAYLOR32, int(fit.x), int(fit.y))
@@ -275,7 +274,7 @@ def test_fit_direct_and_fft_paths_agree():
     rng = np.random.Generator(np.random.PCG64(26))
     for _ in range(10):
         x0, y0 = (float(v) for v in rng.uniform(4, 28, size=2))
-        region = np.abs(reconstruct(Scatterer(x0, y0, 1.0), GRID32, TAYLOR32).samples)
+        region = np.abs(synth_image([Scatterer(x0, y0, 1.0)], GRID32, TAYLOR32).samples)
         region[region < 0.05] = 0.0
         _assert_fit_matches_fft(region, PSF32)
 
@@ -416,7 +415,7 @@ def test_fit_equals_the_2d_block_oracle_bit_for_bit(psf):
 def test_fit_on_psfs_wrapping_the_frame_edges_matches_oracle():
     for x0, y0 in [(0.0, 0.0), (31.0, 31.0), (0.4, 16.0), (31.6, 9.3), (12.0, 0.2),
                    (20.5, 31.5), (0.5, 31.5), (31.2, 0.7)]:
-        region = np.abs(reconstruct(Scatterer(x0, y0, 1.0), GRID32, TAYLOR32).samples)
+        region = np.abs(synth_image([Scatterer(x0, y0, 1.0)], GRID32, TAYLOR32).samples)
         region[region < 0.05] = 0.0
         _assert_fit_matches_oracle(region, PSF32)
 
@@ -425,7 +424,7 @@ def test_fit_gather_spanning_several_chunks_matches_oracle():
     grid = FrequencyGrid(64, 64)
     window = taylor_window_2d(64, 64)
     psf = base_psf(window)
-    region = np.abs(reconstruct(Scatterer(30.4, 22.7, 1.0), grid, window).samples)
+    region = np.abs(synth_image([Scatterer(30.4, 22.7, 1.0)], grid, window).samples)
     region[region < 0.003 * region.max()] = 0.0
     support = region > 0
     rows = np.flatnonzero(support.any(axis=1))
@@ -505,7 +504,7 @@ def test_fit_on_random_separable_psf_maximizes_oracle_score(data):
 def test_fit_subpixel_refinement_tightens_fractional_fits():
     grid = FrequencyGrid(64, 64)
     window = taylor_window_2d(64, 64)
-    region = np.abs(reconstruct(Scatterer(30.4, 22.7, 1.0), grid, window).samples)
+    region = np.abs(synth_image([Scatterer(30.4, 22.7, 1.0)], grid, window).samples)
     region[region < 0.05] = 0.0
     coarse = fit_scatterer(region, base_psf(window))
     refined = fit_scatterer(region, base_psf(window), refine=True)

@@ -10,7 +10,7 @@ from scatterkit import cli
 from scatterkit.annotio import InstanceAnnotation, write_annotation, write_truth
 from scatterkit.ascmodel import Scatterer
 from scatterkit.chipio import read_chip, write_chip, write_pgm, write_text_atomic
-from scatterkit.config import RunConfig, emit_config, emit_manifest
+from scatterkit.config import RunConfig, canonical_text, emit_manifest
 from scatterkit.metrics import OrientedBox
 from scatterkit.errors import BadDims, BadMagic, BadSamples, TruncatedPayload
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
@@ -184,7 +184,7 @@ def test_write_text_atomic_failing_midway_keeps_previous_file(tmp_path, monkeypa
     lambda p: write_annotation([InstanceAnnotation(
         box=OrientedBox.from_rect(0, 0, 4, 4), class_name="tank")], p),
     lambda p: write_truth([Scatterer(1.0, 2.0, 0.5)], p),
-    lambda p: emit_config(RunConfig(), p),
+    lambda p: write_text_atomic(p, canonical_text(RunConfig())),
     lambda p: emit_manifest(RunConfig(), {"total": 1.0}, p),
     lambda p: cli._write_report("report\n", str(p)),
 ], ids=["annotation", "truth", "config", "manifest", "report"])

@@ -301,7 +301,7 @@ def test_synth_bad_amplitude_range_is_usage_error(tmp_path, capsys, flag):
 # 1e-3, on `synth --chips 8 --dim 64 --scatterers 3..12 --seed 11`, clean and
 # speckled, annotated with `--seed 11`
 STOP_1E3_RUN = Path(__file__).resolve().parent / "data" / "annotate_stop_1e-3"
-STOP_1E3_CONFIG_SHA256 = "e797895793a8a4ed6af013b2635b03516739831afeef98525d783dcdb1ae2a0c"
+STOP_1E3_CONFIG_SHA256 = "2f150ee403c2d5d4d23ade538962866fa3c0ed7bee7b9afecd39f0b0602fae46"
 
 
 @pytest.mark.parametrize("family", ["clean", "speckled"])
@@ -516,8 +516,8 @@ def test_flag_overrides_an_out_of_range_config_value(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["keypoint_k = 4\ngarbage\n", "decouple.n_maxx = 5\n",
-                                  "keypoint_k = four\n"],
-                         ids=["no-equals", "unknown-key", "unparseable"])
+                                  "keypoint_k = four\n", "supervision.loss_weight = 1.0\n"],
+                         ids=["no-equals", "unknown-key", "unparseable", "retired-key"])
 def test_annotate_config_line_error_names_the_file(tmp_path, capsys, text):
     data = synth(tmp_path, chips=1)
     cfg = tmp_path / "run.cfg"
@@ -636,6 +636,41 @@ def test_heatmap_skips_annotations_without_keypoints(tmp_path, capsys):
     assert "for 0 annotation files" in capsys.readouterr().out
 
 
+def test_heatmap_tiny_sigma_writes_point_maps_without_warnings(tmp_path):
+    # d2 / (2 sigma^2) overflows to inf off the keypoints, and exp(-inf) = 0
+    annots = tmp_path / "annots"
+    annots.mkdir()
+    (annots / "a.txt").write_text("2 2 120 2 120 120 2 120 scatterer 0 kp 5 5 100 64\n")
+    out = tmp_path / "maps"
+    proc = _cli_process("heatmap", "--annots", str(annots), "--dims", "128x128",
+                        "--sigma", "1e-154", "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    m = read_chip(out / "a_L0.csar").values
+    assert np.count_nonzero(m) == 2 and m[5, 5] == m[64, 100] == 1.0
+
+
+def test_heatmap_maps_the_good_files_when_one_fails(tmp_path, capsys, caplog):
+    annots = tmp_path / "annots"
+    annots.mkdir()
+    good = "2 2 12 2 12 12 2 12 scatterer 0 kp 5 5 8 6.5\n"
+    for stem in ("a", "d"):
+        (annots / f"{stem}.txt").write_text(good)
+    (annots / "b.txt").write_text("2 2 12 2 12 12 2 12 scatterer 0 kp 5 5 15 6\n")
+    (annots / "c.txt").write_text("2 2 12 2 12 12 2 12 scatterer 0 kp 5\n")
+    out = tmp_path / "maps"
+    code = run_cli("heatmap", "--annots", str(annots), "--dims", "16x12",
+                   "--levels", "2", "--out", str(out))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "for 2 annotation files" in captured.out
+    assert "2 annotation file(s) failed" in captured.err
+    assert "Traceback" not in captured.err
+    assert "b.txt" in caplog.text and "c.txt" in caplog.text
+    assert sorted(p.name for p in out.glob("*.csar")) == [
+        "a_L0.csar", "a_L1.csar", "d_L0.csar", "d_L1.csar"]
+    assert "failed_files = 2\n" in (out / MANIFEST_NAME).read_text()
+
+
 def _write_perfect_predictions(data, path):
     lines = []
     for ann_path in sorted((data / "annots").glob("*.txt")):
@@ -729,6 +764,22 @@ def test_bench_reports_timing(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "instances = 4 (2 repeats)" in out
     assert "median_ms_per_instance = " in out
+
+
+@pytest.mark.parametrize("empty", ["no-images", "no-lines"])
+def test_bench_on_a_dataset_without_instances_prints_no_timings(tmp_path, capsys, empty):
+    if empty == "no-images":
+        data = tmp_path / "data"
+        for name in ("images", "annots"):
+            (data / name).mkdir(parents=True)
+    else:
+        data = synth(tmp_path)
+        for ann in (data / "annots").glob("*.txt"):
+            ann.write_text("")
+    capsys.readouterr()
+    assert run_cli("bench", "--images", str(data / "images"),
+                   "--annots", str(data / "annots"), "--repeat", "2") == 0
+    assert capsys.readouterr() == ("instances = 0 (2 repeats)\n", "")
 
 
 @pytest.mark.parametrize("repeat", ["0", "-2", "1.5", "x"])

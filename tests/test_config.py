@@ -6,8 +6,9 @@ import pytest
 
 from scatterkit import config
 from scatterkit.annotio import run_dog, run_skaa
+from scatterkit.chipio import write_text_atomic
 from scatterkit.config import (RunConfig, canonical_text, config_hash,
-                               emit_config, emit_manifest, load_config)
+                               emit_manifest, load_config)
 from scatterkit.decouple import DecoupleParams
 from scatterkit.errors import BadConfigField
 from scatterkit.keypoints import DEFAULT_K
@@ -23,7 +24,6 @@ def test_defaults_match_reference_parameter_set():
     assert cfg.decouple.n_max == 20
     assert cfg.keypoint_k == 9
     assert cfg.supervision.sigma == 1.0
-    assert cfg.supervision.loss_weight == 1.0
     assert cfg.dog.sigma1 == 1.0
     assert cfg.dog.sigma2 == 1.6
     assert cfg.dog.threshold == 5.0
@@ -57,13 +57,12 @@ def test_default_canonical_text_and_hash_are_pinned():
         "master_seed = 0\n"
         "pool = max\n"
         "supervision.levels = 4\n"
-        "supervision.loss_weight = 1.0\n"
         "supervision.sigma = 1.0\n"
         "threads = 1\n"
         "window.nbar = 4\n"
         "window.sidelobe_db = -35.0\n")
     assert config_hash(RunConfig()) == \
-        "2f44e8a38f28a3b4dcd5ac9fd68606ddc5e589b710508130190d40b75b2356d2"
+        "11f4bdb9fc60c850d3518fe68a6c9e302c49e7bc803318776e89853112b31284"
 
 
 def test_default_loop_stop_is_the_window_sidelobe_level():
@@ -109,7 +108,7 @@ def test_emit_then_load_round_trip(tmp_path):
     cfg = load_config(overrides={"decouple.tau_db": -4.5, "master_seed": 17,
                                  "pool": "avg"})
     path = tmp_path / "run.cfg"
-    emit_config(cfg, path)
+    write_text_atomic(path, canonical_text(cfg))
     back = load_config(path)
     assert back == cfg
     assert canonical_text(back) == canonical_text(cfg)
@@ -155,7 +154,8 @@ def test_load_rejects_unparseable_value(tmp_path):
     ("keypoint_k = 4\ngarbage\n", "line 2"),
     ("decouple.n_maxx = 5\n", "decouple.n_maxx"),
     ("keypoint_k = four\n", "keypoint_k"),
-], ids=["no-equals", "unknown-key", "unparseable"])
+    ("supervision.loss_weight = 1.0\n", "supervision.loss_weight"),
+], ids=["no-equals", "unknown-key", "unparseable", "retired-key"])
 def test_load_line_errors_name_the_file(tmp_path, text, field):
     path = tmp_path / "run.cfg"
     path.write_text(text)
@@ -219,7 +219,7 @@ def test_every_float_key_is_listed():
     assert FLOAT_KEYS == [
         "decouple.eps", "decouple.grow_floor_db", "decouple.min_peak_ratio",
         "decouple.tau_db", "dog.sigma1", "dog.sigma2", "dog.threshold",
-        "supervision.loss_weight", "supervision.sigma", "window.sidelobe_db"]
+        "supervision.sigma", "window.sidelobe_db"]
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])

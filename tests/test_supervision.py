@@ -32,7 +32,8 @@ def test_sigma_whose_gaussian_scale_overflows_is_rejected(sigma):
 
 
 def test_smallest_sigmas_give_a_point_map():
-    for sigma in (1e-150, 1e-100):
+    # at 1e-154, d2 / (2 sigma^2) overflows to inf off the keypoint: no warning
+    for sigma in (1e-154, 1e-150, 1e-100):
         assert SupervisionParams(sigma=sigma).sigma == sigma
         m = gt_scatter_map(kps_of((4.0, 6.0), (7.5, 2.0)), 12, 12, sigma=sigma)
         assert m.values[6, 4] == 1.0 and np.count_nonzero(m.values) == 1
@@ -224,11 +225,9 @@ def test_scatter_map_and_feature_grid_validation():
 
 def test_supervision_params_validation():
     p = SupervisionParams()
-    assert (p.sigma, p.loss_weight, p.levels) == (1.0, 1.0, 4)
+    assert (p.sigma, p.levels) == (1.0, 4)
     with pytest.raises(ValueError):
         SupervisionParams(sigma=0.0)
-    with pytest.raises(ValueError):
-        SupervisionParams(loss_weight=-1.0)
     with pytest.raises(ValueError):
         SupervisionParams(levels=0)
 
