@@ -28,11 +28,11 @@ import numpy as np
 from .ascmodel import FittedScatterer, Scatterer, base_psf, fit_scatterer, lay_out_regions
 from .chipio import read_chip, write_chip, write_text_atomic
 from .decouple import DecoupleParams, ScatterRegion, decouple
-from .errors import (BadKeypointCount, BoxOutsideImage, MalformedLine,
+from .errors import (BadKeypointCount, BoxOutsideImage, DegenerateBox, MalformedLine,
                      OutOfBounds, ScatterKitError)
 from .keypoints import (DEFAULT_K, DogParams, KeypointSet, _check_top_n, cluster_keypoints,
                         dog_keypoints, instance_seed, to_global)
-from .metrics import Detection, OrientedBox
+from .metrics import Detection, OrientedBox, boxes_from_corners
 from .raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
 from .spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, _check_window_params, taylor_window_2d
 
@@ -80,12 +80,51 @@ def _ascii_lines(path: str | Path):
             raise MalformedLine(0, f"not ascii text: {exc}") from None
 
 
+def _boxed_lines(path: str | Path, read):
+    """Yield (line number, box, fields) for each non-blank line of a file.
+
+    `read(line_no, line)` turns a line into its fields and its 8 corner
+    floats, or raises. Every line is read first, then all the boxes are
+    built from one (n, 4, 2) stack of the corners (`boxes_from_corners`). A
+    line that fails to read stops the reading, but it is raised only after
+    the earlier lines are yielded: a degenerate box (MalformedLine) or a
+    caller's error on an earlier line comes first, so the error raised is
+    always the first bad line's.
+    """
+    lines, corners = [], []
+    try:
+        for line_no, line in _ascii_lines(path):
+            fields, nums = read(line_no, line)
+            lines.append((line_no, fields))
+            corners.append(nums)
+        unread = None
+    except (ScatterKitError, OSError) as exc:
+        unread = exc
+    stack = np.array(corners, dtype=np.float64).reshape(-1, 4, 2)
+    for (line_no, fields), box in zip(lines, boxes_from_corners(stack)):
+        if isinstance(box, DegenerateBox):
+            raise MalformedLine(line_no, str(box))
+        yield line_no, box, fields
+    if unread is not None:
+        raise unread
+
+
 def parse_annotation(path: str | Path) -> list[InstanceAnnotation]:
-    """Read one annotation file; blank lines are ignored."""
-    return [_parse_line(line, line_no) for line_no, line in _ascii_lines(path)]
+    """Read one annotation file; blank lines are ignored. The file's boxes
+    are built in one pass (`_boxed_lines`)."""
+    out = []
+    for line_no, box, (class_name, difficulty, kps) in _boxed_lines(path, _annotation_fields):
+        try:
+            out.append(InstanceAnnotation(box=box, class_name=class_name,
+                                          difficulty=difficulty, keypoints=kps))
+        except (ScatterKitError, ValueError) as exc:
+            raise MalformedLine(line_no, str(exc)) from None
+    return out
 
 
-def _parse_line(line: str, line_no: int) -> InstanceAnnotation:
+def _annotation_fields(line_no: int, line: str) -> tuple[tuple, list[float]]:
+    """(class name, difficulty, keypoints or None) and the corner floats of
+    one annotation line."""
     tokens = line.split()
     if len(tokens) < 10:
         raise MalformedLine(line_no, f"expected >= 10 tokens, got {len(tokens)}")
@@ -99,7 +138,7 @@ def _parse_line(line: str, line_no: int) -> InstanceAnnotation:
     except ValueError:
         raise MalformedLine(line_no, f"bad difficulty {tokens[9]!r}") from None
 
-    pts = None
+    kps = None
     rest = tokens[10:]
     if rest:
         if rest[0] != "kp":
@@ -111,15 +150,11 @@ def _parse_line(line: str, line_no: int) -> InstanceAnnotation:
         if not coords or len(coords) % 2:
             raise BadKeypointCount(
                 line_no, f"keypoint list must hold 2k numbers, got {len(coords)}")
-        pts = tuple((coords[i], coords[i + 1]) for i in range(0, len(coords), 2))
-
-    try:
-        kps = None if pts is None else KeypointSet(points=pts)
-        box = OrientedBox(np.array(nums).reshape(4, 2))
-        return InstanceAnnotation(box=box, class_name=class_name,
-                                  difficulty=difficulty, keypoints=kps)
-    except (ScatterKitError, ValueError) as exc:
-        raise MalformedLine(line_no, str(exc)) from None
+        try:
+            kps = KeypointSet(points=tuple(zip(coords[0::2], coords[1::2])))
+        except ValueError as exc:
+            raise MalformedLine(line_no, str(exc)) from None
+    return (class_name, difficulty, kps), nums
 
 
 def format_annotation(annots: list[InstanceAnnotation]) -> str:
@@ -160,23 +195,28 @@ def write_truth(scatterers: list[Scatterer], path: str | Path) -> None:
 
 
 def parse_predictions(path: str | Path) -> dict[str, list[Detection]]:
-    """Read a prediction file into per-image detection lists."""
+    """Read a prediction file into per-image detection lists. The file's
+    boxes are built in one pass (`_boxed_lines`)."""
     out: dict[str, list[Detection]] = {}
-    for line_no, line in _ascii_lines(path):
-        tokens = line.split()
-        if len(tokens) != 11:
-            raise MalformedLine(line_no, f"expected 11 tokens, got {len(tokens)}")
-        image_id = tokens[0]
+    for line_no, box, (image_id, class_id, score) in _boxed_lines(path, _prediction_fields):
         try:
-            class_id = int(tokens[1])
-            score = float(tokens[2])
-            nums = [float(t) for t in tokens[3:]]
-            det = Detection(box=OrientedBox(np.array(nums).reshape(4, 2)),
-                            score=score, class_id=class_id)
-        except (ScatterKitError, ValueError) as exc:
+            det = Detection(box=box, score=score, class_id=class_id)
+        except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from None
         out.setdefault(image_id, []).append(det)
     return out
+
+
+def _prediction_fields(line_no: int, line: str) -> tuple[tuple, list[float]]:
+    """(image id, class id, score) and the corner floats of one prediction line."""
+    tokens = line.split()
+    if len(tokens) != 11:
+        raise MalformedLine(line_no, f"expected 11 tokens, got {len(tokens)}")
+    try:
+        fields = (tokens[0], int(tokens[1]), float(tokens[2]))
+        return fields, [float(t) for t in tokens[3:]]
+    except ValueError as exc:
+        raise MalformedLine(line_no, str(exc)) from None
 
 
 def crop_chip(image: ComplexRaster, box: OrientedBox) -> tuple[ComplexRaster, tuple[int, int]]:

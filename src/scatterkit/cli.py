@@ -25,7 +25,7 @@ from .annotio import (InstanceAnnotation, RunSummary, index_dataset,
                       run_skaa, write_annotation, write_truth)
 from .ascmodel import FrequencyGrid, synth_target
 from .chipio import write_chip, write_pgm, write_text_atomic
-from .config import MANIFEST_NAME, RunConfig, emit_manifest, load_config
+from .config import MANIFEST_NAME, RunConfig, _file_values, _with_overrides, emit_manifest
 from .errors import BadConfigField, ScatterKitError
 from .keypoints import KeypointSet, _check_top_n, instance_seed
 from .metrics import evaluate_detections, mean_nearest_distance
@@ -133,25 +133,27 @@ def _threshold_sweep(text: str) -> tuple[float, ...]:
 def _config_from(args: argparse.Namespace, **flag_to_key) -> RunConfig:
     """Load --config (or defaults), then lay explicitly-given flags on top.
 
-    A configuration that fails validation only with the flags on top is a
-    usage error naming each flag whose value alone makes it fail; a config
-    file that fails without them stays a config error.
+    The file is read once. A configuration that fails validation only with
+    the flags on top is a usage error naming each flag whose value alone
+    makes it fail; a config file that fails without them stays a config
+    error.
     """
     given = {flag: (key, getattr(args, flag)) for flag, key in flag_to_key.items()
              if getattr(args, flag, None) is not None}
+    file_values = _file_values(args.config)
     try:
-        return load_config(args.config, dict(given.values()))
+        return _with_overrides(file_values, dict(given.values()))
     except BadConfigField as exc:
-        load_config(args.config)  # a file that fails alone stays a config error
+        _with_overrides(file_values)  # a file that fails alone stays a config error
         bad = [flag for flag, (key, val) in given.items()
-               if _fails_validation(args.config, {key: val})]
+               if _fails_validation(file_values, {key: val})]
         names = ", ".join("--" + flag.replace("_", "-") for flag in bad)
         args.parser.error(f"argument {names}: {exc.message}")
 
 
-def _fails_validation(path: str | None, overrides: dict) -> bool:
+def _fails_validation(file_values: dict, overrides: dict) -> bool:
     try:
-        load_config(path, overrides)
+        _with_overrides(file_values, overrides)
     except BadConfigField:
         return True
     return False
@@ -282,6 +284,10 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     config = _config_from(args, sigma="supervision.sigma",
                           levels="supervision.levels", pool="pool")
     h, w = args.dims
+    levels = config.supervision.levels
+    if min(h & -h, w & -w).bit_length() < levels:  # h & -h: the largest power of 2 dividing h
+        args.parser.error(f"argument --dims: {h}x{w} map not divisible by "
+                          f"2^{levels - 1} for {levels} levels")
     annots_dir = Path(args.annots)
     if not annots_dir.is_dir():
         raise FileNotFoundError(f"not a directory: {annots_dir}")

@@ -99,21 +99,37 @@ def load_config(path: str | Path | None = None,
     it, follows `window.sidelobe_db`: the loop stops at the sidelobe level
     of the window the chips are formed with.
     """
+    return _with_overrides(_file_values(path), overrides)
+
+
+def _file_values(path: str | Path | None) -> dict[str, object]:
+    """The values the config file at `path` sets, by flat key; none for no
+    file. A caller reads the file once, so a pipe or FIFO loads as a regular
+    file does."""
+    values: dict[str, object] = {}
+    if path is None:
+        return values
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        raise BadConfigField(str(path), "not ASCII text")
+    for line_no, raw in enumerate(data.decode("ascii").splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise BadConfigField(f"line {line_no}", f"expected 'key = value': {raw!r}",
+                                 path=str(path))
+        key, _, text = (t.strip() for t in line.partition("="))
+        values[key] = _coerce(key, text, str(path))
+    return values
+
+
+def _with_overrides(file_values: dict[str, object],
+                    overrides: dict[str, object] | None = None) -> RunConfig:
+    """The configuration of `_file_values`' result with overrides on top."""
     values = {key: _get(RunConfig(), key) for key in _FIELDS}
     values["decouple.min_peak_ratio"] = None
-    if path is not None:
-        data = Path(path).read_bytes()
-        if not data.isascii():
-            raise BadConfigField(str(path), "not ASCII text")
-        for line_no, raw in enumerate(data.decode("ascii").splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise BadConfigField(f"line {line_no}", f"expected 'key = value': {raw!r}",
-                                     path=str(path))
-            key, _, text = (t.strip() for t in line.partition("="))
-            values[key] = _coerce(key, text, str(path))
+    values.update(file_values)
     for key, val in (overrides or {}).items():
         if key not in _FIELDS:
             raise BadConfigField(key, "unknown configuration field")

@@ -50,6 +50,15 @@ clips with `clip_convex_np`. `degenerate_reason` is the box validation
 those corners went through, on numpy rows. `OrientedBox` computes the area
 and the CCW order once, and `metrics` clips on plain floats.
 
+`box_fields_scalar` is the retired `OrientedBox` constructor: every check
+and stored value (`_area`, `_centroid`, `_ccw`, `_ccw_pts`, `_reach`)
+derived for one box on Python floats, and `oriented_box_scalar` a box built
+from it. `parse_annotation_per_line` and `parse_predictions_per_line` are
+the retired parsers that built each line's box on its own, as that
+constructor. The library builds all of a file's boxes from one stack of
+corners in one array pass (`metrics.boxes_from_corners`), and a single
+`OrientedBox` is its one-row case.
+
 `rotated_iou_scalar` is the retired single-pair path: the rejection rule
 (R1) for one pair on Python floats (`beyond_reach`, with its reach from
 `clip_reach_scalar`), then the library's clip. The library holds R1 and its
@@ -71,12 +80,15 @@ from typing import Iterator
 
 import numpy as np
 
+from scatterkit.annotio import InstanceAnnotation, _ascii_lines
 from scatterkit.ascmodel import FIT_DILATE_PX, FittedScatterer, SeparablePsf
 from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
-from scatterkit.errors import AllZeroRaster, DimMismatch, EmptyInput, EmptyRegion
+from scatterkit.errors import (AllZeroRaster, BadKeypointCount, DegenerateBox, DimMismatch,
+                               EmptyInput, EmptyRegion, MalformedLine, ScatterKitError)
 from scatterkit.keypoints import KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet
-from scatterkit.metrics import (COLLINEAR_TOL, ROUNDING_PER_PX, SLIVER_AREA, _MAX_COORD,
-                                Detection, OrientedBox, _clipped_iou, _envelope_ap)
+from scatterkit.metrics import (_MAX_COORD, _MIN_SINE, COLLINEAR_TOL, ROUNDING_PER_PX,
+                                SLIVER_AREA, Detection, OrientedBox, _clipped_iou,
+                                _envelope_ap, _signed_area)
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
 
 N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -500,6 +512,134 @@ def degenerate_reason(corners) -> str | None:
     if np.any(crosses > COLLINEAR_TOL) and np.any(crosses < -COLLINEAR_TOL):
         return "corners do not form a convex simple quadrilateral"
     return None
+
+
+def _reach_data(coords: list[float], crosses: list[float], orient: float,
+                absmax: float) -> tuple:
+    """What the rejection rule (R1) reads of one box: the bounds, the
+    largest |coordinate|, 4 kappa and delta, from the corner floats and the
+    convexity cross products (`crosses[i]` at corner i + 1), with orient =
+    +1 for CCW corners and -1 for CW ones."""
+    x0, y0, x1, y1, x2, y2, x3, y3 = coords
+    c0, c1, c2, c3 = crosses
+    hypot = math.hypot
+    l0, l1, l2, l3 = hypot(x1 - x0, y1 - y0), hypot(x2 - x1, y2 - y1), \
+        hypot(x3 - x2, y3 - y2), hypot(x0 - x3, y0 - y3)
+    kappa4 = delta = math.inf
+    d0, d1, d2, d3 = l0 * l1, l1 * l2, l2 * l3, l3 * l0
+    if d0 > 0.0 and d1 > 0.0 and d2 > 0.0 and d3 > 0.0:
+        sine = min(orient * c0 / d0, orient * c1 / d1, orient * c2 / d2, orient * c3 / d3)
+        if sine >= _MIN_SINE:  # False for a flat, reflex or NaN corner
+            kappa4 = 4.0 / sine
+            delta = COLLINEAR_TOL / min(l0, l1, l2, l3)
+    return (min(x0, x1, x2, x3), min(y0, y1, y2, y3), max(x0, x1, x2, x3),
+            max(y0, y1, y2, y3), absmax, kappa4, delta)
+
+
+def box_fields_scalar(corners) -> dict:
+    """The fields `OrientedBox` stores for these corners, one box on Python
+    floats; raises DegenerateBox, with its message, where it does."""
+    arr = np.asarray(corners, dtype=np.float64)
+    if arr.shape != (4, 2):
+        raise DegenerateBox(f"expected 4 corner pairs, got shape {arr.shape}")
+    coords = arr.ravel().tolist()
+    if not all(map(math.isfinite, coords)):
+        raise DegenerateBox("box corners contain NaN/Inf")
+    pts = list(zip(coords[0::2], coords[1::2]))
+    signed = _signed_area(pts)  # Python floats: an overflow is inf or nan, not a warning
+    if not math.isfinite(signed):
+        raise DegenerateBox("box area is not finite")
+    if abs(signed) <= SLIVER_AREA:
+        raise DegenerateBox("box has (near-)zero area")
+    # Simple + convex <=> all consecutive-edge cross products share a sign.
+    crosses = []
+    for i in range(4):
+        (ax, ay), (bx, by), (cx, cy) = pts[i], pts[(i + 1) % 4], pts[(i + 2) % 4]
+        crosses.append((bx - ax) * (cy - by) - (by - ay) * (cx - bx))
+    if any(c > COLLINEAR_TOL for c in crosses) and \
+            any(c < -COLLINEAR_TOL for c in crosses):
+        raise DegenerateBox("corners do not form a convex simple quadrilateral")
+    x0, y0, x1, y1, x2, y2, x3, y3 = coords  # summed as corners.mean(axis=0) sums
+    return {
+        "_area": abs(signed),
+        "_centroid": ((x0 + x1 + x2 + x3) / 4, (y0 + y1 + y2 + y3) / 4),
+        "_ccw": arr if signed > 0 else arr[::-1],
+        "_ccw_pts": tuple(pts) if signed > 0 else tuple(pts[::-1]),
+        "_reach": _reach_data(coords, crosses, 1.0 if signed > 0 else -1.0,
+                              max(map(abs, coords))),
+    }
+
+
+def oriented_box_scalar(corners) -> OrientedBox:
+    """An `OrientedBox` of a read-only copy of the corners, its fields from
+    `box_fields_scalar`."""
+    arr = np.array(corners, dtype=np.float64)
+    arr.setflags(write=False)
+    box = object.__new__(OrientedBox)
+    box.__dict__.update(corners=arr, **box_fields_scalar(arr))
+    return box
+
+
+def _annotation_line(line: str, line_no: int) -> InstanceAnnotation:
+    tokens = line.split()
+    if len(tokens) < 10:
+        raise MalformedLine(line_no, f"expected >= 10 tokens, got {len(tokens)}")
+    try:
+        nums = [float(t) for t in tokens[:8]]
+    except ValueError as exc:
+        raise MalformedLine(line_no, f"bad corner value: {exc}") from None
+    class_name = tokens[8]
+    try:
+        difficulty = int(tokens[9])
+    except ValueError:
+        raise MalformedLine(line_no, f"bad difficulty {tokens[9]!r}") from None
+
+    pts = None
+    rest = tokens[10:]
+    if rest:
+        if rest[0] != "kp":
+            raise MalformedLine(line_no, f"unknown trailing token {rest[0]!r}")
+        try:
+            coords = [float(t) for t in rest[1:]]
+        except ValueError as exc:
+            raise MalformedLine(line_no, f"bad keypoint value: {exc}") from None
+        if not coords or len(coords) % 2:
+            raise BadKeypointCount(
+                line_no, f"keypoint list must hold 2k numbers, got {len(coords)}")
+        pts = tuple((coords[i], coords[i + 1]) for i in range(0, len(coords), 2))
+
+    try:
+        kps = None if pts is None else KeypointSet(points=pts)
+        box = oriented_box_scalar(np.array(nums).reshape(4, 2))
+        return InstanceAnnotation(box=box, class_name=class_name,
+                                  difficulty=difficulty, keypoints=kps)
+    except (ScatterKitError, ValueError) as exc:
+        raise MalformedLine(line_no, str(exc)) from None
+
+
+def parse_annotation_per_line(path) -> list[InstanceAnnotation]:
+    """`parse_annotation`, each line parsed and its box built on its own."""
+    return [_annotation_line(line, line_no) for line_no, line in _ascii_lines(path)]
+
+
+def parse_predictions_per_line(path) -> dict[str, list[Detection]]:
+    """`parse_predictions`, each line parsed and its box built on its own."""
+    out: dict[str, list[Detection]] = {}
+    for line_no, line in _ascii_lines(path):
+        tokens = line.split()
+        if len(tokens) != 11:
+            raise MalformedLine(line_no, f"expected 11 tokens, got {len(tokens)}")
+        image_id = tokens[0]
+        try:
+            class_id = int(tokens[1])
+            score = float(tokens[2])
+            nums = [float(t) for t in tokens[3:]]
+            det = Detection(box=oriented_box_scalar(np.array(nums).reshape(4, 2)),
+                            score=score, class_id=class_id)
+        except (ScatterKitError, ValueError) as exc:
+            raise MalformedLine(line_no, str(exc)) from None
+        out.setdefault(image_id, []).append(det)
+    return out
 
 
 def box_area(corners: np.ndarray) -> float:

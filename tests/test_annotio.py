@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatterkit import annotio, spectral
 from scatterkit.annotio import (DatasetIndex, InstanceAnnotation, crop_chip,
@@ -19,12 +21,15 @@ from scatterkit.annotio import (DatasetIndex, InstanceAnnotation, crop_chip,
 from scatterkit.ascmodel import FrequencyGrid, Scatterer, synth_target
 from scatterkit.chipio import read_chip, write_chip
 from scatterkit.decouple import DecoupleParams, ScatterRegion
-from scatterkit.errors import (BadKeypointCount, BoxOutsideImage,
-                               InvalidWindowParams, MalformedLine, OutOfBounds)
+from scatterkit.errors import (BadKeypointCount, BoxOutsideImage, InvalidWindowParams,
+                               MalformedLine, OutOfBounds, ScatterKitError)
 from scatterkit.keypoints import DogParams, KeypointSet, instance_seed, to_global
 from scatterkit.metrics import OrientedBox
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
 from scatterkit.spectral import taylor_window_2d
+
+from oracles import parse_annotation_per_line, parse_predictions_per_line
+from test_metrics import _float_bits
 
 # the package's `decouple` attribute is the function, not its module
 decouple_module = importlib.import_module("scatterkit.decouple")
@@ -165,6 +170,186 @@ def test_parse_predictions(tmp_path):
     p.write_text("img0 0 1.9 0 0 4 0 4 4 0 4\n")  # score out of range
     with pytest.raises(MalformedLine):
         parse_predictions(p)
+
+
+# --------------------------------------------- parsers vs per-line oracles
+
+def _box_fields(box):
+    return (box.corners.tobytes(), box.ccw_corners().tobytes(),
+            *(_float_bits(box.__dict__[name])
+              for name in ("_area", "_centroid", "_ccw_pts", "_reach")))
+
+
+def _annotation_fields(a):
+    kps = None if a.keypoints is None else _float_bits(a.keypoints.points)
+    return a.class_name, a.difficulty, kps, _box_fields(a.box)
+
+
+def _prediction_fields(preds):
+    return [(img, [(d.class_id, _float_bits(d.score), _box_fields(d.box)) for d in ds])
+            for img, ds in preds.items()]
+
+
+def _outcome(parse, path, fields):
+    """The parsed file's fields, or the class, message and line of its
+    error; any other exception escapes."""
+    try:
+        return fields(parse(path))
+    except (ScatterKitError, OSError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+@st.composite
+def _corner_tokens(draw):
+    """A line's 8 corner tokens, mostly of a good rotated box, else of a
+    bowtie, a dart, a zero-area or collinear box, or with a NaN, infinite,
+    non-numeric or signed-zero token."""
+    cx, cy = draw(st.floats(0.0, 200.0)), draw(st.floats(0.0, 200.0))
+    w, h = draw(st.floats(0.5, 50.0)), draw(st.floats(0.5, 50.0))
+    c, s = np.cos(draw(st.floats(0.0, 3.2))), np.sin(draw(st.floats(0.0, 3.2)))
+    half = np.array([[-w, -h], [w, -h], [w, h], [-w, h]]) / 2.0
+    corners = half @ np.array([[c, s], [-s, c]]) + [cx, cy]
+    kind = draw(st.sampled_from(["good"] * 12 + ["bowtie", "dart", "point", "line", "token",
+                                                   "zeros"]))
+    if kind == "bowtie":
+        corners = corners[[0, 2, 1, 3]]
+    elif kind == "dart":  # corner 2 pulled in past the centre: one reflex corner
+        corners[2] = [cx, cy] + 0.3 * ([cx, cy] - corners[2])
+    elif kind == "point":
+        corners = np.repeat(corners[:1], 4, axis=0)
+    elif kind == "line":
+        corners = corners[0] + np.outer([0.0, 1.0, 2.0, 3.0], corners[1] - corners[0])
+    elif kind == "zeros":
+        return draw(st.sampled_from(["0 -0 4 0 4 4 -0 4", "-0 -0 -0 3 -2 3 -2 -0",
+                                     "0 0 -0 -0 1 1 0 1"])).split()
+    fmt = draw(st.sampled_from(["{:.6g}", "{!r}"]))
+    tokens = [fmt.format(float(v)) for v in corners.ravel()]
+    if kind == "token":
+        tokens[draw(st.integers(0, 7))] = draw(st.sampled_from(
+            ["nan", "inf", "-inf", "abc", "1e", "--1", "1e999"]))
+    return tokens
+
+
+@st.composite
+def _annotation_line(draw):
+    corners = draw(_corner_tokens())
+    try:
+        xs, ys = [float(t) for t in corners[0::2]], [float(t) for t in corners[1::2]]
+    except ValueError:
+        xs = ys = [0.0]
+    if not np.isfinite(xs + ys).all():
+        xs = ys = [0.0]
+    tail = [draw(st.sampled_from(["ship", "plane"])),
+            draw(st.sampled_from(["0"] * 8 + ["1"] * 4 + ["2", "x", "-1"]))]
+    kp = draw(st.sampled_from(["none"] * 6 + ["good"] * 6 + ["far", "odd", "empty", "nan",
+                                                             "word", "trailing"]))
+    if kp == "good" or kp == "far":
+        k = draw(st.integers(1, 4))
+        pad = 10.0 if kp == "far" else 0.0
+        for _ in range(k):
+            tail += [repr(draw(st.floats(min(xs), max(xs))) + pad),
+                     repr(draw(st.floats(min(ys), max(ys))))]
+        tail.insert(2, "kp")
+    elif kp != "none":
+        tail += {"odd": ["kp", "1", "2", "3"], "empty": ["kp"], "nan": ["kp", "1", "nan"],
+                 "word": ["kp", "1", "y"], "trailing": ["zz", "1"]}[kp]
+    tokens = corners + tail
+    if draw(st.integers(0, 29)) == 0:  # a bad token count
+        tokens = tokens[:draw(st.integers(0, 9))]
+    return " ".join(tokens)
+
+
+@st.composite
+def _prediction_line(draw):
+    tokens = [draw(st.sampled_from(["img_a", "img_b", "img_c"])),
+              draw(st.sampled_from(["0"] * 8 + ["2"] * 4 + ["1.5", "z"])),
+              draw(st.sampled_from(["0.9", "0.05", "1", "0", "-0"] * 4
+                                   + ["1.5", "-0.1", "nan", "inf", "s"]))]
+    tokens += draw(_corner_tokens())
+    if draw(st.integers(0, 29)) == 0:  # a bad token count
+        tokens = tokens[:draw(st.integers(0, 10))] if draw(st.booleans()) else tokens + ["7"]
+    return " ".join(tokens)
+
+
+def _file_text(draw, line):
+    lines = draw(st.lists(st.one_of(line, st.just("")), max_size=10))
+    return "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_parse_annotation_equals_the_per_line_parser(tmp_path_factory, data):
+    """The same annotations, field for field and bit for bit, or the same
+    error class, line and message, as the retired per-line parser."""
+    path = tmp_path_factory.getbasetemp() / "hypothesis_annotation.txt"
+    path.write_text(_file_text(data.draw, _annotation_line()))
+    fields = lambda annots: [_annotation_fields(a) for a in annots]  # noqa: E731
+    assert _outcome(parse_annotation, path, fields) == \
+        _outcome(parse_annotation_per_line, path, fields)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_parse_predictions_equals_the_per_line_parser(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "hypothesis_predictions.txt"
+    path.write_text(_file_text(data.draw, _prediction_line()))
+    assert _outcome(parse_predictions, path, _prediction_fields) == \
+        _outcome(parse_predictions_per_line, path, _prediction_fields)
+
+
+def test_parsers_equal_the_per_line_parsers_on_long_good_files(tmp_path):
+    """120 good lines of each format, rotated boxes from 1e-3 to 1e4 px
+    with keypoints: the same fields, bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(81))
+    ann_lines, pred_lines = [], []
+    for i in range(120):
+        size = 10.0 ** rng.uniform(-3.0, 4.0)
+        c, s = np.cos(rng.uniform(0.0, np.pi)), np.sin(rng.uniform(0.0, np.pi))
+        half = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]) \
+            * size * rng.uniform(0.2, 1.0, 2)
+        corners = half @ np.array([[c, s], [-s, c]]) + size * rng.uniform(-3.0, 3.0, 2)
+        nums = " ".join(repr(float(v)) if i % 2 else f"{v:.6g}" for v in corners.ravel())
+        kps = " ".join(repr(float(v)) for v in
+                       (corners.mean(axis=0) + rng.uniform(-0.1, 0.1, (3, 2)) * size).ravel())
+        ann_lines.append(f"{nums} ship {i % 2} kp {kps}" if i % 3 else f"{nums} tank 0")
+        pred_lines.append(f"img_{i % 4} {i % 3} {rng.uniform():.6g} {nums}")
+    annots, preds = tmp_path / "a.txt", tmp_path / "p.txt"
+    annots.write_text("\n".join(ann_lines) + "\n")
+    preds.write_text("\n\n".join(pred_lines) + "\n")
+    got = [_annotation_fields(a) for a in parse_annotation(annots)]
+    assert len(got) == 120
+    assert got == [_annotation_fields(a) for a in parse_annotation_per_line(annots)]
+    assert _prediction_fields(parse_predictions(preds)) == \
+        _prediction_fields(parse_predictions_per_line(preds))
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n  \n\t\n"], ids=["empty", "newline", "blank"])
+def test_parsers_read_an_empty_file_as_no_records(tmp_path, text):
+    p = tmp_path / "a.txt"
+    p.write_text(text)
+    assert parse_annotation(p) == parse_annotation_per_line(p) == []
+    assert parse_predictions(p) == parse_predictions_per_line(p) == {}
+
+
+@pytest.mark.parametrize("parse", [parse_annotation, parse_annotation_per_line])
+def test_parse_reports_the_first_bad_line_whichever_check_it_fails(tmp_path, parse):
+    p = tmp_path / "a.txt"
+    bowtie = "0 0 4 4 4 0 0 5 tank 0"
+    p.write_text(f"{BOX_LINE}\n{bowtie}\n{BOX_LINE}\n0 0 4\n")
+    with pytest.raises(MalformedLine, match="^line 2: corners do not form"):
+        parse(p)
+    p.write_text(f"{BOX_LINE}\n0 0 4\n{bowtie}\n")
+    with pytest.raises(MalformedLine, match="^line 2: expected >= 10 tokens"):
+        parse(p)
+    p.write_text(f"{BOX_LINE}\n0 0 4 0 4 4 0 4 tank 0 kp 9 9\n{bowtie}\n\xe9\n",
+                 encoding="latin-1")
+    with pytest.raises(MalformedLine, match="^line 0: not ascii text"):
+        parse(p)
+    p.write_text(f"{BOX_LINE}\n0 0 4 0 4 4 0 4 tank 0 kp 9 9\n{bowtie}\n")
+    with pytest.raises(MalformedLine, match="^line 2: keypoint"):
+        parse(p)
+    with pytest.raises(FileNotFoundError):
+        parse(tmp_path / "missing.txt")
 
 
 def _image64():

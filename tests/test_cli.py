@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: exit codes, outputs, config layering."""
 
+import os
 import struct
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 
 from scatterkit.annotio import crop_chip, parse_annotation, parse_truth
 from scatterkit.chipio import read_chip, write_chip
-from scatterkit import cli
+from scatterkit import annotio, cli, metrics
 from scatterkit.cli import _threshold_sweep, main
 from scatterkit.config import MANIFEST_NAME
 from scatterkit.decouple import DecoupleParams
@@ -58,6 +61,34 @@ def test_main_builds_the_parser_once_per_process(tmp_path, capsys):
     assert run_cli(*eval_args) == 0
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 4)
+
+
+def test_each_parsed_file_builds_its_boxes_in_one_call(tmp_path, monkeypatch):
+    """`eval` and `annotate` build each file's boxes from one stack of all
+    its lines' corners: one derivation call per parsed file, none per line."""
+    data = synth(tmp_path, chips=2)
+    calls = []
+    real = metrics.boxes_from_corners
+
+    def counting(stack):
+        calls.append(len(stack))
+        return real(stack)
+
+    monkeypatch.setattr(metrics, "boxes_from_corners", counting)
+    monkeypatch.setattr(annotio, "boxes_from_corners", counting)
+    gts = tmp_path / "gts"
+    gts.mkdir()
+    box = "0 0 4 0 4 4 0 4"
+    (gts / "img0.txt").write_text(f"{box} tank 0\n{box} ship 1\n\n{box} tank 0\n")
+    (gts / "img1.txt").write_text(f"{box} tank 0\n{box} ship 0\n")
+    preds = tmp_path / "preds.txt"
+    preds.write_text("".join(f"img{i % 2} 0 0.{i + 1} {box}\n" for i in range(5)))
+    assert run_cli("eval", "--preds", str(preds), "--gts", str(gts)) == 0
+    assert calls == [5, 3, 2]
+    calls.clear()
+    assert run_cli("annotate", "--images", str(data / "images"), "--annots",
+                   str(data / "annots"), "--out", str(tmp_path / "skaa"), "--seed", "0") == 0
+    assert calls == [1, 1]
 
 
 def test_no_arguments_is_usage_error():
@@ -482,6 +513,75 @@ def test_annotate_non_ascii_config_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _serve_fifo(path, text):
+    """Make `path` a FIFO that gives `text` to its first reader and nothing
+    to any later one, as a shell's `<(echo ...)` pipe reads when opened
+    again; returns the function that stops serving."""
+    os.mkfifo(path)
+    stop = threading.Event()
+
+    def serve():
+        payload = text.encode("ascii")
+        while not stop.is_set():
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+            except OSError:  # no reader yet
+                time.sleep(0.001)
+                continue
+            os.write(fd, payload)
+            os.close(fd)
+            payload = b""
+            time.sleep(0.001)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+
+    def stop_serving():
+        stop.set()
+        thread.join()
+    return stop_serving
+
+
+@pytest.mark.parametrize("text", [
+    "supervision.loss_weight = 1.0\n",   # unknown key
+    "decouple.tau_db = 0\n",             # out of range without the flags
+], ids=["unknown-key", "out-of-range"])
+def test_fifo_config_fails_as_a_regular_file_does(tmp_path, capsys, text):
+    """--config is read once: a FIFO gets the config error (exit 3) a
+    regular file with the same text gets, not a usage error from reading it
+    empty the second time."""
+    outcomes = []
+    for form in ("file", "fifo"):
+        cfg = tmp_path / f"run-{form}.cfg"
+        if form == "file":
+            cfg.write_text(text)
+        else:
+            stop_serving = _serve_fifo(cfg, text)
+        try:
+            code = run_cli("synth", "--out", str(tmp_path / form), "--chips", "1",
+                           "--dim", "16", "--seed", "0", "--config", str(cfg))
+        finally:
+            if form == "fifo":
+                stop_serving()
+        outcomes.append((code, capsys.readouterr().err.replace(str(cfg), "CFG")))
+    assert outcomes[0] == outcomes[1]
+    code, err = outcomes[0]
+    assert code == 3 and "bad config field" in err and "argument" not in err
+    assert not (tmp_path / "fifo").exists()
+
+
+def test_fifo_config_with_a_bad_flag_names_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    stop_serving = _serve_fifo(cfg, "keypoint_k = 4\n")
+    try:
+        assert usage_exit("annotate", "--config", str(cfg), "--images", str(tmp_path),
+                          "--annots", str(tmp_path), "--out", str(tmp_path / "out"),
+                          "--seed", "0", "--nmax", "0") == 1
+    finally:
+        stop_serving()
+    assert "argument --nmax:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flags, named", [
     ("annotate", ("--tau", "0"), "--tau"),
     ("annotate", ("--nmax", "0"), "--nmax"),
@@ -606,6 +706,44 @@ def test_heatmap_sigma_whose_gaussian_scale_overflows_is_rejected(tmp_path, form
         assert proc.returncode == 1 and "argument --sigma:" in proc.stderr
     else:
         assert proc.returncode == 3 and "bad config field" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("keypoints", [True, False], ids=["keypoints", "no-keypoints"])
+@pytest.mark.parametrize("dims, flags, levels", [
+    ("30x30", (), 4), ("32x12", (), 4), ("24x24", ("--levels", "5"), 5),
+    ("18x18", ("--config", "CFG"), 3),
+])
+def test_heatmap_dims_not_divisible_for_the_levels_is_usage_error(tmp_path, capsys, keypoints,
+                                                                  dims, flags, levels):
+    annots = tmp_path / "annots"
+    annots.mkdir()
+    kp = " kp 5 5 8 6.5" if keypoints else ""
+    (annots / "a.txt").write_text(f"2 2 12 2 12 12 2 12 scatterer 0{kp}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("supervision.levels = 3\n")
+    flags = tuple(str(cfg) if f == "CFG" else f for f in flags)
+    out = tmp_path / "maps"
+    assert usage_exit("heatmap", "--annots", str(annots), "--dims", dims,
+                      "--out", str(out), *flags) == 1
+    err = capsys.readouterr().err
+    assert f"argument --dims: {dims} map not divisible by 2^{levels - 1} for {levels} levels" \
+        in err
+    assert not out.exists()
+
+
+def test_heatmap_dims_divisible_for_the_levels_are_accepted(tmp_path, capsys):
+    annots = tmp_path / "annots"
+    annots.mkdir()
+    (annots / "a.txt").write_text("2 2 12 2 12 12 2 12 scatterer 0 kp 5 5 8 6.5\n")
+    for dims, levels in (("30x30", "2"), ("16x48", "5"), ("9x11", "1")):
+        out = tmp_path / f"maps-{dims}"
+        assert run_cli("heatmap", "--annots", str(annots), "--dims", dims,
+                       "--levels", levels, "--out", str(out)) == 0
+        assert len(list(out.glob("a_L*.csar"))) == int(levels)
+    out = tmp_path / "maps-40-levels"
+    assert usage_exit("heatmap", "--annots", str(annots), "--dims", "16x16",
+                      "--levels", "40", "--out", str(out)) == 1
     assert not out.exists()
 
 

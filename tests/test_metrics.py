@@ -13,14 +13,16 @@ from scatterkit.annotio import parse_annotation, parse_predictions
 from scatterkit.cli import main
 from scatterkit.errors import DegenerateBox, EmptyClasses, EmptyProposals
 from scatterkit.metrics import (COLLINEAR_TOL, Detection, EvalReport, OrientedBox,
-                                average_precision, average_precision_grouped, clip_reach,
+                                average_precision, average_precision_grouped,
+                                boxes_from_corners, clip_reach,
                                 greedy_point_match, iou_matrix, max_ious, mean_ap,
                                 mean_nearest_distance, phr_curve,
                                 proposal_precision, rotated_iou)
 
 from oracles import (average_precision_grouped_scalar, beyond_reach, box_area, box_ccw,
-                     clip_reach_scalar, degenerate_reason, iou_from_parts, max_ious_scalar,
-                     rotated_iou_np, rotated_iou_scalar)
+                     box_fields_scalar, clip_reach_scalar, degenerate_reason, iou_from_parts,
+                     max_ious_scalar, rotated_iou_np, rotated_iou_scalar)
+from test_acceptance import _criterion4_pairs
 
 
 def rect(x0, y0, x1, y1):
@@ -144,6 +146,7 @@ DEGENERATE_CASES = [
     [[0, 0], [1, np.nan], [1, 1], [0, 1]],
     [[0, 0], [0, 0], [0, 1], [0, 1]],                  # rect(0, 0, 0, 1)
     [[0, 0], [1, 0], [1, 1]],                          # three corners
+    np.zeros((1, 4, 2)),                               # a stack of one box
     [[0, 0], [1, 0], [1, np.inf], [0, 1]],
     [[0, 0], [1e-7, 0], [1e-7, 1e-7], [0, 1e-7]],      # area 1e-14
     [[0, 0], [2, 0], [1, 0.5], [1, 2]],                # dart: one reflex corner
@@ -488,6 +491,96 @@ def test_eval_of_predictions_near_1e154_exits_3_or_scores(tmp_path, capsys):
     assert main(["eval", "--preds", str(preds), "--gts", str(gts)]) == 3
     err = capsys.readouterr().err
     assert "box area is not finite" in err and "Traceback" not in err
+
+
+def _float_bits(value):
+    """`value`, a float or nested tuples of floats, as float.hex strings: two
+    values map to equal results only if every float is bit-identical (a
+    numpy scalar is refused, not read as a float)."""
+    if type(value) is float:
+        return value.hex()
+    assert type(value) is tuple, type(value)
+    return tuple(_float_bits(v) for v in value)
+
+
+def _assert_box_fields_equal_the_scalar_oracle(got, corners):
+    """`got`, a box or a DegenerateBox, is what the one-box scalar
+    derivation gives these corners, field for field and bit for bit."""
+    try:
+        want = box_fields_scalar(corners)
+    except DegenerateBox as exc:
+        assert isinstance(got, DegenerateBox) and str(got) == str(exc)
+        assert str(exc) == degenerate_reason(corners)
+        return
+    assert degenerate_reason(corners) is None
+    assert isinstance(got, OrientedBox), got
+    for name in ("_area", "_centroid", "_ccw_pts", "_reach"):
+        assert _float_bits(got.__dict__[name]) == _float_bits(want[name]), name
+    assert _float_bits(got.bounds) == _float_bits(want["_reach"][:4])
+    assert got.corners.tobytes() == np.asarray(corners, dtype=np.float64).tobytes()
+    assert got.ccw_corners().tobytes() == want["_ccw"].tobytes()
+    assert not got.corners.flags.writeable and not got.ccw_corners().flags.writeable
+
+
+def _wide_range_corners(seed, count):
+    """Rotated rectangles from 1e-3 to 1e150 px, up to 3 sizes from the
+    origin or offset by up to 1e150 px, and a few with signed zeros."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out = []
+    for _ in range(count):
+        size = 10.0 ** rng.uniform(-3.0, 150.0)
+        offset = 10.0 ** rng.uniform(-3.0, 150.0) if rng.random() < 0.5 else 0.0
+        center = size * rng.uniform(-3.0, 3.0, 2) + offset * rng.choice([-1.0, 1.0], 2)
+        out.append(_rect_corners(center, *(size * rng.uniform(0.2, 1.0, 2)),
+                                 rng.uniform(0.0, np.pi)))
+    out += [np.array([[-0.0, 0.0], [1.0, -0.0], [1.0, 1.0], [0.0, 1.0]]),
+            np.array([[0.0, -0.0], [-0.0, 0.0], [-1.0, 1.0], [-0.0, 1.0]])[::-1],
+            np.array([[0.0, -0.0], [0.0, -2.0], [-0.0, -3.0], [-0.0, 2.0]])]
+    return out
+
+
+BOX_FIELD_SETS = {
+    "criterion 4": lambda: [box.corners for pair in _criterion4_pairs() for box in pair],
+    "overflow window": lambda: OVERFLOW_WINDOW,
+    "degenerate": lambda: [c for c in DEGENERATE_CASES if np.shape(c) == (4, 2)],
+    "1e-3 to 1e150 px": lambda: _wide_range_corners(76, 3000),
+}
+
+
+@pytest.mark.parametrize("name", list(BOX_FIELD_SETS))
+def test_box_fields_equal_the_scalar_oracle_bit_for_bit(name):
+    """Every field, the bounds and each rejection message, whether the boxes
+    are built as one stack or one at a time."""
+    corners = [np.asarray(c, dtype=np.float64) for c in BOX_FIELD_SETS[name]()]
+    stacked = boxes_from_corners(np.array(corners))
+    assert len(stacked) == len(corners)
+    for c, got in zip(corners, stacked):
+        _assert_box_fields_equal_the_scalar_oracle(got, c)
+        try:
+            single = OrientedBox(corners=c)
+        except DegenerateBox as exc:
+            single = exc
+        _assert_box_fields_equal_the_scalar_oracle(single, c)
+
+
+def test_box_stack_without_rows_builds_nothing():
+    assert boxes_from_corners(np.empty((0, 4, 2))) == []
+
+
+def test_box_corners_are_a_read_only_copy():
+    corners = np.array([[1.0, 2.0], [5.0, 2.5], [4.5, 8.0], [0.5, 7.5]])
+    stack = np.array([corners, corners[::-1]])
+    box = OrientedBox(corners=corners)
+    assert corners.flags.writeable
+    corners[0, 0] = 99.0
+    assert box.corners[0, 0] == 1.0 and box.bounds[0] == 0.5
+    with pytest.raises(ValueError):
+        box.corners[0, 0] = 3.0
+    boxes = boxes_from_corners(stack)
+    assert not stack.flags.writeable
+    for box, row in zip(boxes, stack):
+        assert not box.corners.flags.writeable and not box.ccw_corners().flags.writeable
+        assert box.corners.tobytes() == row.tobytes()
 
 
 def _spike_pair():
