@@ -289,7 +289,7 @@ def _fit(regions: list[ScatterRegion], window: WindowRaster,
     then each laid-out region is fitted on its own."""
     psf = base_psf(window)
     return [fit_scatterer(reg, psf, refine=refine)
-            for reg in lay_out_regions(regions, psf.shape)]
+            for reg in lay_out_regions(regions)]
 
 
 def _keypoints(regions: list[ScatterRegion], window: WindowRaster,

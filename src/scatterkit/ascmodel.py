@@ -213,41 +213,28 @@ class LaidOutRegion(NamedTuple):
     block: np.ndarray
 
 
-def lay_out_regions(regions: list[ScatterRegion | np.ndarray],
-                    shape: tuple[int, int]) -> list[LaidOutRegion]:
-    """The positive pixels of each region of an (h, w) frame, laid out for
-    the fit in one pass over all of them.
+def lay_out_regions(regions: list[ScatterRegion]) -> list[LaidOutRegion]:
+    """The positive pixels of each region, laid out for the fit in one pass
+    over all of them.
 
-    A region is a `ScatterRegion` or a full-frame array, zero off the
-    region's support. One `divmod` over the concatenated supports gives
-    every pixel's row and column. A region's indices ascend, so its first
-    and last pixels give its rows, and `reduceat` gives its columns. Every
-    bounding block is cut from one zeroed buffer, filled by one scatter.
-    Raises DimMismatch for a region of another shape and EmptyRegion for a
-    region without a positive pixel.
+    The regions share one (h, w) frame, read off the first. One `divmod`
+    over the concatenated supports gives every pixel's row and column. A
+    region's indices ascend, so its first and last pixels give its rows,
+    and `reduceat` gives its columns. Every bounding block is cut from one
+    zeroed buffer, filled by one scatter. Raises DimMismatch for regions of
+    different frames and EmptyRegion for a region without a positive pixel.
     """
-    h, w = shape
-    indices, values = [], []
-    for region in regions:
-        if isinstance(region, ScatterRegion):
-            idx, vals = region.indices, region.amplitudes
-        else:
-            region = np.asarray(region, dtype=np.float64)
-            flat = region.ravel()
-            idx = np.flatnonzero(flat > 0)
-            vals = flat[idx]
-        if region.shape != (h, w):
-            raise DimMismatch(f"region {region.shape} vs psf {h}x{w}")
-        indices.append(idx)
-        values.append(vals)
-    if not indices:
+    if not regions:
         return []
-    sizes = np.array([idx.size for idx in indices])
-    if not sizes.all():  # an array region without a positive pixel
-        raise EmptyRegion("cannot fit a scatterer to an empty region")
-    idx, val = np.concatenate(indices), np.concatenate(values)
+    h, w = regions[0].shape
+    for region in regions:
+        if region.shape != (h, w):
+            raise DimMismatch(f"region {region.shape} vs region {h}x{w}")
+    sizes = np.array([region.indices.size for region in regions])
+    idx = np.concatenate([region.indices for region in regions])
+    val = np.concatenate([region.amplitudes for region in regions])
     keep = val > 0
-    if not keep.all():  # a `ScatterRegion` may hold values <= 0
+    if not keep.all():  # a region may hold values <= 0
         sizes = np.add.reduceat(keep, np.cumsum(sizes) - sizes, dtype=np.intp)
         if not sizes.all():
             raise EmptyRegion("cannot fit a scatterer to an empty region")
@@ -272,25 +259,24 @@ def lay_out_regions(regions: list[ScatterRegion | np.ndarray],
     return out
 
 
-def fit_scatterer(region: ScatterRegion | LaidOutRegion | np.ndarray, psf: SeparablePsf,
+def fit_scatterer(region: ScatterRegion | LaidOutRegion, psf: SeparablePsf,
                   refine: bool = False) -> FittedScatterer:
     """Least-squares fit of one shifted PSF to an extracted amplitude region.
 
-    `region` is a `ScatterRegion` or a full-frame array, zero off the
-    region's support, or one of `lay_out_regions`' results, and `psf` is the
-    chip's `base_psf(window)`, of the same shape. Only the region's
-    positive pixels are scored. The fit minimizes
-    || region - a * psf(x0, y0) ||_2 over integer (x0, y0) in the support
-    bounding box dilated by 2 px, with the gain a given in closed form;
-    since the psf norm is shift-invariant this is equivalent to maximizing
-    the correlation with the shifted psf. Ties resolve to the smallest
-    (y0, x0) in row-major order.
+    `region` is a `ScatterRegion` or one of `lay_out_regions`' results, and
+    `psf` is the chip's `base_psf(window)`, of the region's frame (another
+    frame raises DimMismatch). Only the region's positive pixels are
+    scored. The fit minimizes || region - a * psf(x0, y0) ||_2 over integer
+    (x0, y0) in the support bounding box dilated by 2 px, with the gain a
+    given in closed form; since the psf norm is shift-invariant this is
+    equivalent to maximizing the correlation with the shifted psf. Ties
+    resolve to the smallest (y0, x0) in row-major order.
     """
     h, w = psf.shape
-    if not isinstance(region, LaidOutRegion):
-        (region,) = lay_out_regions([region], (h, w))
-    elif region.shape != (h, w):
+    if region.shape != (h, w):
         raise DimMismatch(f"region {region.shape} vs psf {h}x{w}")
+    if not isinstance(region, LaidOutRegion):
+        (region,) = lay_out_regions([region])
     _, sy, sx, sv, (ry0, ry1, rx0, rx1), block = region
 
     # candidates: the support bounding box dilated by FIT_DILATE_PX, clamped

@@ -31,7 +31,7 @@ from .keypoints import KeypointSet, _check_top_n, instance_seed
 from .metrics import evaluate_detections, mean_nearest_distance
 from .raster import AmplitudeRaster
 from .spectral import taylor_window_2d
-from .supervision import downsample_pyramid, gt_scatter_map
+from .supervision import _pyramid_fits, downsample_pyramid, gt_scatter_map
 
 EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_DATA = 0, 1, 2, 3
 
@@ -285,7 +285,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
                           levels="supervision.levels", pool="pool")
     h, w = args.dims
     levels = config.supervision.levels
-    if min(h & -h, w & -w).bit_length() < levels:  # h & -h: the largest power of 2 dividing h
+    if not _pyramid_fits(h, w, levels):
         args.parser.error(f"argument --dims: {h}x{w} map not divisible by "
                           f"2^{levels - 1} for {levels} levels")
     annots_dir = Path(args.annots)

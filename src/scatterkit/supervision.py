@@ -133,12 +133,17 @@ def _pool2x2(arr: np.ndarray, op: str) -> np.ndarray:
     raise ValueError(f"unknown pool op {op!r}")
 
 
+def _pyramid_fits(height: int, width: int, levels: int) -> bool:
+    """Whether 2^(levels - 1) divides both dims, without building the power:
+    h & -h is the largest power of 2 dividing h."""
+    return min(height & -height, width & -width).bit_length() >= levels
+
+
 def downsample_pyramid(m: ScatterMap, levels: int, pool: str = "max") -> list[ScatterMap]:
     """Level 0 is the input; each further level is a 2x2 pool of the previous."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    factor = 2 ** (levels - 1)
-    if m.height % factor or m.width % factor:
+    if not _pyramid_fits(m.height, m.width, levels):
         raise BadDims(
             f"{m.height}x{m.width} map not divisible by 2^{levels - 1} for {levels} levels")
     out = [m]

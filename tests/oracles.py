@@ -29,7 +29,9 @@ bounding block by 2-D fancy indexing, where `fit_scatterer` uses one flat
 index. `fit_per_region` is `fit_scatterer` before the fit laid out all of
 an instance's supports in one pass (`ascmodel.lay_out_regions`): each
 region took its own positive mask, `divmod`, bounds and zeroed block.
-`psf_2d` is the PSF as the
+`positive_region` is the `ScatterRegion` of a dense frame's positive
+pixels, for fitting a full-frame array as the retired array form of
+`fit_scatterer` did. `psf_2d` is the PSF as the
 2-D inverse DFT of the window, and `refine_offsets` the parabolic refinement
 from full-frame rolls of that image.
 
@@ -308,6 +310,13 @@ def grow_labels(r: AmplitudeRaster, seed_mask: np.ndarray,
             labels[y, x] = next_label
             next_label += 1
     return LabelMap(labels)
+
+
+def positive_region(values: np.ndarray) -> ScatterRegion:
+    """The `ScatterRegion` of a dense frame's positive pixels: what the fit
+    scores of a full-frame region array."""
+    idx = np.flatnonzero(values > 0)
+    return ScatterRegion(shape=values.shape, indices=idx, amplitudes=values.ravel()[idx])
 
 
 def _candidate_bbox(support: np.ndarray, h: int, w: int) -> tuple[int, int, int, int]:

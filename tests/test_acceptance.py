@@ -45,7 +45,7 @@ from scatterkit.ascmodel import FrequencyGrid, base_psf, fit_scatterer, synth_ta
 from scatterkit.chipio import read_chip
 from scatterkit.cli import main
 from scatterkit.config import MANIFEST_NAME, RunConfig
-from scatterkit.decouple import DecoupleParams, decouple
+from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
 from scatterkit.keypoints import KeypointSet
 from scatterkit.metrics import (Detection, OrientedBox,
                                 average_precision_grouped, greedy_point_match,
@@ -136,11 +136,14 @@ def test_fit_time_on_a_large_region():
     rng = np.random.Generator(np.random.PCG64(60))
     yy, xx = np.mgrid[:512, :512]
     disk = (yy - 250.3) ** 2 + (xx - 262.1) ** 2 <= 138 ** 2
-    region = np.where(disk, rng.uniform(0.1, 1.0, (512, 512)), 0.0)
+    values = np.where(disk, rng.uniform(0.1, 1.0, (512, 512)), 0.0)
     times, cpu = [], []
     for _ in range(5):
+        # the region is built inside the timed section, so each fit also
+        # pays the full-frame scan for its support
         t0, c0 = time.perf_counter(), time.process_time()
-        fit_scatterer(region, psf)
+        idx = np.flatnonzero(values > 0)
+        fit_scatterer(ScatterRegion((512, 512), idx, values.ravel()[idx]), psf)
         times.append((time.perf_counter() - t0) * 1e3)
         cpu.append((time.process_time() - c0) * 1e3)
     ms = float(np.median(times))

@@ -742,9 +742,9 @@ def test_fit_lays_out_each_instance_once_and_fits_each_region(tmp_path, monkeypa
     layouts, fits = [], []
     lay_out, fit = annotio.lay_out_regions, annotio.fit_scatterer
 
-    def laying_out(regions, shape):
+    def laying_out(regions):
         layouts.append(len(regions))
-        return lay_out(regions, shape)
+        return lay_out(regions)
 
     def fitting(region, psf, refine=False):
         fits.append(region.shape)

@@ -18,8 +18,8 @@ from scatterkit.keypoints import instance_seed
 from scatterkit.raster import amplitude
 from scatterkit.spectral import rectangular_window_2d, taylor_window_2d
 
-from oracles import (fit_block_2d, fit_direct, fit_fft, fit_per_region, psf_2d,
-                     refine_offsets)
+from oracles import (fit_block_2d, fit_direct, fit_fft, fit_per_region, positive_region,
+                     psf_2d, refine_offsets)
 
 GRID32 = FrequencyGrid(32, 32)
 TAYLOR32 = taylor_window_2d(32, 32)
@@ -124,7 +124,7 @@ def test_base_psf_builds_no_2d_transform(monkeypatch):
     # 1,584 support pixels times 48 x 40 candidates: 3.0 M products
     large = np.zeros((48, 40))
     large[2:46, 2:38] = 1.0
-    for region in (small, large):
+    for region in (positive_region(small), positive_region(large)):
         fit_scatterer(region, psf)
         fit_scatterer(region, psf, refine=True)
 
@@ -204,7 +204,7 @@ def test_psf_mainlobe_width_matches_1d_window_oracle():
 def test_fit_single_pixel_impulse():
     region = np.zeros((32, 32))
     region[5, 7] = 1.0
-    fit = fit_scatterer(region, PSF32)
+    fit = fit_scatterer(positive_region(region), PSF32)
     assert (fit.x, fit.y) == (7.0, 5.0)
 
 
@@ -212,7 +212,7 @@ def test_fit_self_consistency_on_full_psf():
     region = np.abs(synth_image([Scatterer(20.0, 30.0, 1.0)],
                                 FrequencyGrid(48, 48),
                                 taylor_window_2d(48, 48)).samples)
-    fit = fit_scatterer(region, base_psf(taylor_window_2d(48, 48)))
+    fit = fit_scatterer(positive_region(region), base_psf(taylor_window_2d(48, 48)))
     assert (fit.x, fit.y) == (20.0, 30.0)
     assert fit.amplitude == pytest.approx(1.0, rel=1e-9)
     # closed-form residual cancels O(1) terms, so float64 leaves ~1e-8
@@ -226,7 +226,7 @@ def test_fit_round_trip_integer_positions():
         amp = float(rng.uniform(0.3, 3.0))
         region = np.abs(synth_image([Scatterer(float(x0), float(y0), amp)],
                                     GRID32, TAYLOR32).samples)
-        fit = fit_scatterer(region, PSF32)
+        fit = fit_scatterer(positive_region(region), PSF32)
         assert (fit.x, fit.y) == (float(x0), float(y0))
         assert fit.amplitude == pytest.approx(amp, rel=1e-9)
 
@@ -236,7 +236,7 @@ def test_fit_recovers_fractional_position_from_decoupled_region():
     window = taylor_window_2d(64, 64)
     chip = synth_image([Scatterer(40.0, 41.0, 1.0)], grid, window)
     regions = decouple(chip)
-    fit = fit_scatterer(regions[0].values, base_psf(window))
+    fit = fit_scatterer(regions[0], base_psf(window))
     assert np.hypot(fit.x - 40.0, fit.y - 41.0) <= 1.0
 
 
@@ -252,7 +252,7 @@ def test_fit_is_locally_optimal():
         x0, y0 = (float(v) for v in rng.uniform(4, 28, size=2))
         region = np.abs(synth_image([Scatterer(x0, y0, 1.0)], GRID32, TAYLOR32).samples)
         region[region < 0.05] = 0.0  # confine to a realistic support
-        fit = fit_scatterer(region, PSF32)
+        fit = fit_scatterer(positive_region(region), PSF32)
         best = _fit_objective(region, TAYLOR32, int(fit.x), int(fit.y))
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
@@ -263,8 +263,7 @@ def test_fit_is_locally_optimal():
 
 def _assert_fit_matches_fft(region, psf):
     fit = fit_scatterer(region, psf)
-    dense = region.values if isinstance(region, ScatterRegion) else region
-    ref = fit_fft(dense, psf.values)
+    ref = fit_fft(region.values, psf.values)
     assert (fit.x, fit.y) == (ref.x, ref.y)
     assert fit.amplitude == pytest.approx(ref.amplitude, rel=1e-9)
     assert fit.residual == pytest.approx(ref.residual, rel=1e-6, abs=1e-9)
@@ -276,7 +275,7 @@ def test_fit_direct_and_fft_paths_agree():
         x0, y0 = (float(v) for v in rng.uniform(4, 28, size=2))
         region = np.abs(synth_image([Scatterer(x0, y0, 1.0)], GRID32, TAYLOR32).samples)
         region[region < 0.05] = 0.0
-        _assert_fit_matches_fft(region, PSF32)
+        _assert_fit_matches_fft(positive_region(region), PSF32)
 
 
 @pytest.mark.parametrize("dim,n_support", [(256, 2_000), (512, 20_000)])
@@ -292,11 +291,11 @@ def test_fit_on_large_regions_matches_fft_oracle(dim, n_support):
         region = np.abs(synth_image(truth, grid, window).samples)
         region[region < np.partition(region.ravel(), -n_support)[-n_support]] = 0.0
         assert np.count_nonzero(region) == n_support
-        _assert_fit_matches_fft(region, psf)
+        _assert_fit_matches_fft(positive_region(region), psf)
 
 
 def _assert_fit_matches_oracle(region, psf):
-    fit = fit_scatterer(region, psf)
+    fit = fit_scatterer(positive_region(region), psf)
     ref = fit_direct(region, psf.values)
     assert (fit.x, fit.y) == (ref.x, ref.y)
     assert fit.amplitude == pytest.approx(ref.amplitude, rel=1e-12)
@@ -325,7 +324,7 @@ def test_fit_exact_tie_resolves_row_major_first():
     psf = SeparablePsf(row=e0, col=e0 + e1)
     region = np.zeros((16, 16))
     region[6, 9] = 2.0
-    fit = fit_scatterer(region, psf)
+    fit = fit_scatterer(positive_region(region), psf)
     assert (fit.x, fit.y) == (8.0, 6.0)
     _assert_fit_matches_oracle(region, psf)
 
@@ -402,12 +401,10 @@ def test_fit_equals_the_2d_block_oracle_bit_for_bit(psf):
     n = 0
     for support in _block_edge_supports(h, w, rng):
         values = np.where(support, rng.uniform(0.1, 2.0, (h, w)), 0.0)
-        idx = np.flatnonzero(support)
-        region = ScatterRegion(shape=(h, w), indices=idx, amplitudes=values.ravel()[idx])
+        region = positive_region(values)
         for refine in (False, True):
-            ref = fit_block_2d(values, psf, refine=refine)
-            assert fit_scatterer(values, psf, refine=refine) == ref
-            assert fit_scatterer(region, psf, refine=refine) == ref
+            assert fit_scatterer(region, psf, refine=refine) == \
+                fit_block_2d(values, psf, refine=refine)
         n += 1
     assert n == 30 + 4 + 35
 
@@ -446,7 +443,7 @@ def test_fit_refinement_matches_rolled_psf_oracle_on_decoupled_chips():
         chip = synth_target(int(rng.integers(5, 16)), grid, window, rng,
                             speckle=bool(seed % 2))
         for region in decouple(chip.image):
-            fit = fit_scatterer(region.values, psf, refine=True)
+            fit = fit_scatterer(region, psf, refine=True)
             coarse = fit_direct(region.values, ref_psf)
             dy, dx = refine_offsets(region.values, ref_psf, int(coarse.y), int(coarse.x))
             assert fit.y == pytest.approx(coarse.y + dy, rel=0, abs=1e-12)
@@ -462,7 +459,7 @@ def test_fit_refinement_matches_rolled_psf_oracle_on_asymmetric_factors():
     psf = SeparablePsf(row=rng.uniform(0.05, 1.0, 24), col=rng.uniform(0.05, 1.0, 20))
     for _ in range(20):
         region = np.where(rng.random((24, 20)) < 0.3, rng.uniform(0.1, 2.0, (24, 20)), 0.0)
-        fit = fit_scatterer(region, psf, refine=True)
+        fit = fit_scatterer(positive_region(region), psf, refine=True)
         coarse = fit_direct(region, psf.values)
         dy, dx = refine_offsets(region, psf.values, int(coarse.y), int(coarse.x))
         assert fit.y == pytest.approx(coarse.y + dy, rel=0, abs=1e-12)
@@ -492,7 +489,7 @@ def test_fit_on_random_separable_psf_maximizes_oracle_score(data):
     region[cells] = vals
     region = region.reshape(h, w)
     psf = SeparablePsf(row=row, col=col)
-    fit = fit_scatterer(region, psf)
+    fit = fit_scatterer(positive_region(region), psf)
     ref = fit_direct(region, psf.values)
     # an exact tie may resolve differently under another summation order, so
     # the picked position must score the oracle's maximum, not equal its argmax
@@ -506,8 +503,8 @@ def test_fit_subpixel_refinement_tightens_fractional_fits():
     window = taylor_window_2d(64, 64)
     region = np.abs(synth_image([Scatterer(30.4, 22.7, 1.0)], grid, window).samples)
     region[region < 0.05] = 0.0
-    coarse = fit_scatterer(region, base_psf(window))
-    refined = fit_scatterer(region, base_psf(window), refine=True)
+    coarse = fit_scatterer(positive_region(region), base_psf(window))
+    refined = fit_scatterer(positive_region(region), base_psf(window), refine=True)
     err_coarse = np.hypot(coarse.x - 30.4, coarse.y - 22.7)
     err_refined = np.hypot(refined.x - 30.4, refined.y - 22.7)
     assert err_refined <= err_coarse
@@ -515,7 +512,8 @@ def test_fit_subpixel_refinement_tightens_fractional_fits():
 
 
 def test_fit_takes_a_region_like_its_full_frame_array():
-    # the region holds a zero-valued support pixel, which the fit drops
+    # the region holds a zero-valued support pixel, which the fit drops as
+    # the full-frame oracles drop the zero off the support
     rng = np.random.Generator(np.random.PCG64(27))
     for _ in range(10):
         idx = np.sort(rng.choice(32 * 32, size=12, replace=False))
@@ -524,35 +522,25 @@ def test_fit_takes_a_region_like_its_full_frame_array():
         region = ScatterRegion(shape=(32, 32), indices=idx, amplitudes=vals)
         for refine in (False, True):
             assert fit_scatterer(region, PSF32, refine=refine) == \
-                fit_scatterer(region.values, PSF32, refine=refine)
+                fit_block_2d(region.values, PSF32, refine=refine)
         _assert_fit_matches_fft(region, PSF32)
 
 
 def test_fit_rejects_empty_region_and_bad_dims():
-    with pytest.raises(EmptyRegion):
-        fit_scatterer(np.zeros((32, 32)), PSF32)
-    with pytest.raises(DimMismatch):
-        fit_scatterer(np.ones((16, 16)), PSF32)
-    zero = ScatterRegion(shape=(32, 32), indices=[3, 4], amplitudes=[0.0, 0.0])
+    zero = ScatterRegion(shape=(32, 32), indices=[3, 4], amplitudes=[0.0, -1.0])
     with pytest.raises(EmptyRegion):
         fit_scatterer(zero, PSF32)
-    with pytest.raises(DimMismatch):
-        fit_scatterer(ScatterRegion(shape=(16, 32), indices=[3], amplitudes=[1.0]), PSF32)
+    for shape in [(16, 32), (32, 16), (16, 16)]:
+        with pytest.raises(DimMismatch, match=rf"region \({shape[0]}, {shape[1]}\) vs psf 32x32"):
+            fit_scatterer(ScatterRegion(shape=shape, indices=[3], amplitudes=[1.0]), PSF32)
 
 
 # ------------------------------------------------- one layout per instance
 
-def _region(values):
-    """The `ScatterRegion` of a full-frame array."""
-    h, w = values.shape
-    idx = np.flatnonzero(values)
-    return ScatterRegion(shape=(h, w), indices=idx, amplitudes=values.ravel()[idx])
-
-
 def _assert_layout_fits_equal_the_oracle(regions, psf):
     """Each region fitted from one layout of all of them equals, field by
     field, the retired per-region fit; so do its own layout and `_fit`."""
-    laid_out = lay_out_regions(regions, psf.shape)
+    laid_out = lay_out_regions(regions)
     assert len(laid_out) == len(regions)
     for refine in (False, True):
         refs = [fit_per_region(r, psf, refine=refine) for r in regions]
@@ -623,22 +611,19 @@ def test_layout_of_edge_and_single_pixel_regions_equals_the_oracle(psf):
     # candidate boxes), the full width, one row or column, and single pixels
     rng = np.random.Generator(np.random.PCG64(34))
     h, w = psf.shape
-    regions = [_region(np.where(support, rng.uniform(0.1, 2.0, (h, w)), 0.0))
+    regions = [positive_region(np.where(support, rng.uniform(0.1, 2.0, (h, w)), 0.0))
                for support in _block_edge_supports(h, w, rng)]
     for band in ["top", "bottom", "left", "right"]:
         allowed = _edge_band(band, h, w)
         keep = allowed & (rng.random((h, w)) < 0.3)
         keep.flat[rng.choice(np.flatnonzero(allowed))] = True
-        regions.append(_region(np.where(keep, rng.uniform(0.1, 2.0, (h, w)), 0.0)))
+        regions.append(positive_region(np.where(keep, rng.uniform(0.1, 2.0, (h, w)), 0.0)))
     for cell in rng.choice(h * w, size=8, replace=False):
         single = np.zeros((h, w))
         single.flat[cell] = rng.uniform(0.1, 2.0)
-        regions.append(_region(single))
+        regions.append(positive_region(single))
     assert sum(r.indices.size == 1 for r in regions) >= 12
     _assert_layout_fits_equal_the_oracle(regions, psf)
-    # a full-frame array region takes the same layout as its ScatterRegion
-    for region in regions[:10]:
-        assert fit_scatterer(region.values, psf) == fit_per_region(region.values, psf)
 
 
 def test_layout_bounds_exclude_zero_valued_pixels_joined_under_a_large_eps():
@@ -651,7 +636,7 @@ def test_layout_bounds_exclude_zero_valued_pixels_joined_under_a_large_eps():
         chip = synth_target(8, grid, window, np.random.Generator(np.random.PCG64(seed)))
         regions = decouple(chip.image, DecoupleParams(eps=0.05))
         _assert_layout_fits_equal_the_oracle(regions, psf)
-        for region, laid in zip(regions, lay_out_regions(regions, psf.shape)):
+        for region, laid in zip(regions, lay_out_regions(regions)):
             pos = region.amplitudes > 0
             sy, sx = np.divmod(region.indices[pos], 64)
             assert laid.bounds == (sy.min(), sy.max(), sx.min(), sx.max())
@@ -664,19 +649,32 @@ def test_layout_bounds_exclude_zero_valued_pixels_joined_under_a_large_eps():
 
 
 def test_layout_rejects_a_region_without_a_positive_pixel_and_takes_none():
-    good = _region(np.where(np.eye(32) > 0, 1.0, 0.0))
+    good = positive_region(np.where(np.eye(32) > 0, 1.0, 0.0))
     zero = ScatterRegion(shape=(32, 32), indices=[3, 4], amplitudes=[0.0, -0.0])
-    for regions in ([zero], [good, zero], [zero, good], [good, np.zeros((32, 32))]):
+    negative = ScatterRegion(shape=(32, 32), indices=[5], amplitudes=[-1.0])
+    for regions in ([zero], [good, zero], [zero, good], [good, negative]):
         with pytest.raises(EmptyRegion):
-            lay_out_regions(regions, (32, 32))
+            lay_out_regions(regions)
         with pytest.raises(EmptyRegion):
             _fit(regions, TAYLOR32, False)
-    with pytest.raises(DimMismatch):
-        lay_out_regions([good, np.ones((16, 16))], (32, 32))
-    (laid,) = lay_out_regions([good], (32, 32))
-    with pytest.raises(DimMismatch):
+    # the layout reads its frame off its regions and rejects mixed frames;
+    # only the fit holds a region's frame against the PSF's
+    small = ScatterRegion(shape=(16, 32), indices=[3], amplitudes=[1.0])
+    for regions in ([good, small], [small, good]):
+        with pytest.raises(DimMismatch, match=r"region \((16, 32|32, 32)\) vs region"):
+            lay_out_regions(regions)
+        with pytest.raises(DimMismatch):
+            _fit(regions, TAYLOR32, False)
+    (laid,) = lay_out_regions([small])
+    assert laid.shape == (16, 32)
+    with pytest.raises(DimMismatch, match=r"region \(16, 32\) vs psf 32x32"):
+        fit_scatterer(laid, PSF32)
+    with pytest.raises(DimMismatch, match=r"region \(16, 32\) vs psf 32x32"):
+        _fit([small], TAYLOR32, False)
+    (laid,) = lay_out_regions([good])
+    with pytest.raises(DimMismatch, match=r"region \(32, 32\) vs psf 32x16"):
         fit_scatterer(laid, base_psf(taylor_window_2d(32, 16)))
-    assert lay_out_regions([], (32, 32)) == []
+    assert lay_out_regions([]) == []
     assert _fit([], TAYLOR32, True) == []
 
 

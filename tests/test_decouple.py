@@ -19,8 +19,9 @@ from scatterkit.metrics import OrientedBox
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
 from scatterkit.spectral import taylor_window_2d
 
-from oracles import (LabelMap, decouple_residuals, decouple_steps_dense, grow_labels,
-                     grow_support_db, grow_support_dense, mask_block_dense, peak_db)
+from oracles import (LabelMap, decouple_residuals, decouple_steps_dense, fit_block_2d,
+                     grow_labels, grow_support_db, grow_support_dense, mask_block_dense,
+                     peak_db)
 
 N4_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -584,7 +585,7 @@ def _assert_loop_matches_dense_oracle(amp: AmplitudeRaster, params: DecouplePara
         AmplitudeRaster(step.residual)  # what the next step reads stays valid
         for refine in (False, True):
             assert fit_scatterer(region, psf, refine=refine) == \
-                fit_scatterer(ref.values, psf, refine=refine)
+                fit_block_2d(ref.values, psf, refine=refine)
     return len(steps)
 
 

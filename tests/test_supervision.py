@@ -1,6 +1,7 @@
 """Gaussian scatter maps, BCE loss, pooling pyramid, feature enhancement."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from scatterkit.errors import BadDims, DimMismatch, OutOfBounds
 from scatterkit.keypoints import KeypointSet
 from scatterkit.supervision import (FeatureGrid, ScatterMap, SupervisionParams,
-                                    bce_loss, downsample_pyramid,
+                                    _pyramid_fits, bce_loss, downsample_pyramid,
                                     enhance_features, gt_scatter_map)
 
 
@@ -179,6 +180,24 @@ def test_pyramid_rejects_indivisible_dims():
         downsample_pyramid(ScatterMap(np.zeros((6, 8))), 3)
     with pytest.raises(ValueError):
         downsample_pyramid(ScatterMap(np.zeros((8, 8))), 0)
+
+
+def test_pyramid_divisibility_equals_the_power_of_two_rule():
+    for h in range(1, 70):
+        for w in (1, 2, 12, 48, 64, 96, 128):
+            for levels in range(1, 10):
+                factor = 2 ** (levels - 1)
+                assert _pyramid_fits(h, w, levels) == (h % factor == 0 and w % factor == 0)
+
+
+def test_pyramid_of_huge_levels_is_rejected_without_the_power_of_two():
+    # 2 ** (10**12 - 1) alone would take ~125 GB
+    m = ScatterMap(np.zeros((8, 8)))
+    t0 = time.perf_counter()
+    with pytest.raises(BadDims, match=r"8x8 map not divisible by 2\^999999999999 for "
+                                      r"1000000000000 levels"):
+        downsample_pyramid(m, 10**12)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_enhance_zero_map_is_identity():
