@@ -283,35 +283,31 @@ class RunSummary:
         return float(np.mean(self.instance_ms)) if self.instance_ms else 0.0
 
 
-def _fit(regions: list[ScatterRegion], window: WindowRaster,
-         refine: bool) -> list[FittedScatterer]:
+def _fit(regions: list[ScatterRegion], window: WindowRaster) -> list[FittedScatterer]:
     """One fit per region: the regions' supports are laid out in one pass,
     then each laid-out region is fitted on its own."""
     psf = base_psf(window)
-    return [fit_scatterer(reg, psf, refine=refine)
-            for reg in lay_out_regions(regions)]
+    return [fit_scatterer(reg, psf) for reg in lay_out_regions(regions)]
 
 
 def _keypoints(regions: list[ScatterRegion], window: WindowRaster,
-               k: int, rng_seed: int, refine: bool = False) -> KeypointSet:
+               k: int, rng_seed: int) -> KeypointSet:
     """Fit -> cluster on decoupled regions: the path annotate shares."""
-    fits = _fit(regions, window, refine)
+    fits = _fit(regions, window)
     return cluster_keypoints([(f.x, f.y) for f in fits], k=k, rng_seed=rng_seed)
 
 
 def fit_regions(img: ComplexRaster, window: WindowRaster,
-                dec_params: DecoupleParams = DecoupleParams(),
-                refine: bool = False) -> list[FittedScatterer]:
+                dec_params: DecoupleParams = DecoupleParams()) -> list[FittedScatterer]:
     """Decouple a chip and fit one scatterer per extracted region."""
-    return _fit(decouple(img, dec_params), window, refine)
+    return _fit(decouple(img, dec_params), window)
 
 
 def skaa_keypoints(img: ComplexRaster, window: WindowRaster,
                    dec_params: DecoupleParams = DecoupleParams(),
-                   k: int = DEFAULT_K, rng_seed: int = 0,
-                   refine: bool = False) -> KeypointSet:
+                   k: int = DEFAULT_K, rng_seed: int = 0) -> KeypointSet:
     """Full physics path: decouple -> fit positions -> cluster to k keypoints."""
-    return _keypoints(decouple(img, dec_params), window, k, rng_seed, refine)
+    return _keypoints(decouple(img, dec_params), window, k, rng_seed)
 
 
 def _dump_steps(amp: AmplitudeRaster, regions: list[ScatterRegion],
@@ -350,20 +346,15 @@ def _annotate_instance_dog(image: ComplexRaster, ann: InstanceAnnotation,
     return replace(ann, keypoints=to_global(kps, origin))
 
 
-def _run_annotator(index: DatasetIndex, out_dir: str | Path, worker,
-                   threads: int = 1) -> RunSummary:
+def _run_annotator(index: DatasetIndex, out_dir: str | Path, worker) -> RunSummary:
     """Shared driver: crop/annotate every instance, write per-image files.
 
     `worker(image, ann, image_id, idx)` returns the extended annotation.
     Failures on degenerate instances keep the original line and are logged.
     An image whose chip or annotation file fails to parse is logged, its
     annotation file is copied through unchanged, and the run goes on.
-    Every instance runs in index order on the calling thread. `threads` is
-    validated but changes nothing: the per-instance work is Python loops over
-    small arrays, so a thread pool only traded the GIL and cost throughput.
+    Every instance runs in index order on the calling thread.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = RunSummary()
@@ -403,8 +394,11 @@ def run_skaa(index: DatasetIndex, out_dir: str | Path, *, master_seed: int,
 
     Each crop's window comes from `taylor_window_2d`, whose memo builds a
     taper once per (length, window parameters); bad window parameters raise
-    InvalidWindowParams before anything is written.
+    InvalidWindowParams before anything is written. `threads` must be >= 1
+    and changes nothing: a thread pool only traded the GIL.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     _check_window_params(window_nbar, window_sidelobe_db)
     if debug_dir is not None:
         debug_dir = Path(debug_dir)
@@ -414,12 +408,11 @@ def run_skaa(index: DatasetIndex, out_dir: str | Path, *, master_seed: int,
         return _annotate_instance_skaa(
             image, ann, image_id, idx, master_seed, dec_params, k, window_nbar,
             window_sidelobe_db, debug_dir=debug_dir)
-    return _run_annotator(index, out_dir, worker, threads=threads)
+    return _run_annotator(index, out_dir, worker)
 
 
 def run_dog(index: DatasetIndex, out_dir: str | Path, *, master_seed: int = 0,
-            dog_params: DogParams = DogParams(), k: int = DEFAULT_K,
-            threads: int = 1) -> RunSummary:
+            dog_params: DogParams = DogParams(), k: int = DEFAULT_K) -> RunSummary:
     """DoG baseline over a dataset, same output format as run_skaa.
 
     A `k` above `dog_params.top_n` raises ValueError before anything is
@@ -430,4 +423,4 @@ def run_dog(index: DatasetIndex, out_dir: str | Path, *, master_seed: int = 0,
     def worker(image, ann, image_id, idx):
         return _annotate_instance_dog(image, ann, image_id, idx, master_seed,
                                       dog_params, k)
-    return _run_annotator(index, out_dir, worker, threads=threads)
+    return _run_annotator(index, out_dir, worker)

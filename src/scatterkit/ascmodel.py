@@ -24,6 +24,8 @@ from .metrics import OrientedBox
 from .raster import ComplexRaster, WindowRaster, _freeze
 
 FIT_DILATE_PX = 2
+SYNTH_BORDER_PX = 4.0
+SYNTH_BOX_MARGIN_PX = 3.0
 
 
 @dataclass(frozen=True)
@@ -221,13 +223,16 @@ def lay_out_regions(regions: list[ScatterRegion]) -> list[LaidOutRegion]:
     over the concatenated supports gives every pixel's row and column. A
     region's indices ascend, so its first and last pixels give its rows,
     and `reduceat` gives its columns. Every bounding block is cut from one
-    zeroed buffer, filled by one scatter. Raises DimMismatch for regions of
-    different frames and EmptyRegion for a region without a positive pixel.
+    zeroed buffer, filled by one scatter. Raises TypeError for a region that
+    is not a `ScatterRegion`, DimMismatch for regions of different frames and
+    EmptyRegion for a region without a positive pixel.
     """
     if not regions:
         return []
     h, w = regions[0].shape
     for region in regions:
+        if not isinstance(region, ScatterRegion):
+            raise TypeError(f"expected a ScatterRegion, got {type(region).__name__}")
         if region.shape != (h, w):
             raise DimMismatch(f"region {region.shape} vs region {h}x{w}")
     sizes = np.array([region.indices.size for region in regions])
@@ -263,20 +268,21 @@ def fit_scatterer(region: ScatterRegion | LaidOutRegion, psf: SeparablePsf,
                   refine: bool = False) -> FittedScatterer:
     """Least-squares fit of one shifted PSF to an extracted amplitude region.
 
-    `region` is a `ScatterRegion` or one of `lay_out_regions`' results, and
-    `psf` is the chip's `base_psf(window)`, of the region's frame (another
-    frame raises DimMismatch). Only the region's positive pixels are
-    scored. The fit minimizes || region - a * psf(x0, y0) ||_2 over integer
-    (x0, y0) in the support bounding box dilated by 2 px, with the gain a
-    given in closed form; since the psf norm is shift-invariant this is
-    equivalent to maximizing the correlation with the shifted psf. Ties
-    resolve to the smallest (y0, x0) in row-major order.
+    `region` is a `ScatterRegion` or one of `lay_out_regions`' results
+    (anything else raises TypeError), and `psf` is the chip's
+    `base_psf(window)`, of the region's frame (another frame raises
+    DimMismatch). Only the region's positive pixels are scored. The fit
+    minimizes || region - a * psf(x0, y0) ||_2 over integer (x0, y0) in the
+    support bounding box dilated by 2 px, with the gain a given in closed
+    form; since the psf norm is shift-invariant this is equivalent to
+    maximizing the correlation with the shifted psf. Ties resolve to the
+    smallest (y0, x0) in row-major order.
     """
+    if not isinstance(region, LaidOutRegion):
+        (region,) = lay_out_regions([region])
     h, w = psf.shape
     if region.shape != (h, w):
         raise DimMismatch(f"region {region.shape} vs psf {h}x{w}")
-    if not isinstance(region, LaidOutRegion):
-        (region,) = lay_out_regions([region])
     _, sy, sx, sv, (ry0, ry1, rx0, rx1), block = region
 
     # candidates: the support bounding box dilated by FIT_DILATE_PX, clamped
@@ -342,28 +348,28 @@ def _enclosing_box(positions: np.ndarray, theta: float, margin: float) -> Orient
 def synth_target(n_scatterers: int, grid: FrequencyGrid, window: WindowRaster,
                  rng: np.random.Generator,
                  amplitude_range: tuple[float, float] = (0.5, 1.5),
-                 min_separation: float = 3.0, border_margin: float = 4.0,
-                 box_margin: float = 3.0,
+                 min_separation: float = 3.0,
                  speckle: bool = False) -> SynthChip:
     """Draw a random scatterer layout and synthesize its chip + annotation.
 
-    Positions are uniform with a border margin and pairwise minimum
-    separation (rejection-sampled; raises InfeasiblePlacement after 1000
-    failed draws for a point). The annotation is a randomly oriented
-    rectangle enclosing all scatterers with a margin, re-drawn axis-aligned
-    if the rotated one would leave the image.
+    Positions are uniform, SYNTH_BORDER_PX clear of the edges, with a
+    pairwise minimum separation (rejection-sampled; raises
+    InfeasiblePlacement after 1000 failed draws for a point). The annotation
+    is a randomly oriented rectangle enclosing all scatterers with a
+    SYNTH_BOX_MARGIN_PX margin, re-drawn axis-aligned if the rotated one
+    would leave the image.
     """
     if n_scatterers < 1:
         raise ValueError(f"need at least one scatterer, got {n_scatterers}")
     h, w = grid.height, grid.width
-    if w - 2 * border_margin <= 0 or h - 2 * border_margin <= 0:
-        raise InfeasiblePlacement(f"{w}x{h} chip too small for {border_margin}px margins")
+    if min(h, w) <= 2 * SYNTH_BORDER_PX:
+        raise InfeasiblePlacement(f"{w}x{h} chip too small for {SYNTH_BORDER_PX}px margins")
 
     placed: list[tuple[float, float]] = []
     for _ in range(n_scatterers):
         for _attempt in range(1000):
-            x = float(rng.uniform(border_margin, w - border_margin))
-            y = float(rng.uniform(border_margin, h - border_margin))
+            x = float(rng.uniform(SYNTH_BORDER_PX, w - SYNTH_BORDER_PX))
+            y = float(rng.uniform(SYNTH_BORDER_PX, h - SYNTH_BORDER_PX))
             if all((x - px) ** 2 + (y - py) ** 2 >= min_separation ** 2
                    for px, py in placed):
                 placed.append((x, y))
@@ -381,14 +387,14 @@ def synth_target(n_scatterers: int, grid: FrequencyGrid, window: WindowRaster,
     box = None
     for _attempt in range(50):
         theta = float(rng.uniform(0.0, np.pi))
-        cand = _enclosing_box(positions, theta, box_margin)
+        cand = _enclosing_box(positions, theta, SYNTH_BOX_MARGIN_PX)
         c = cand.corners
         if (c[:, 0] >= 0).all() and (c[:, 0] < w).all() and \
            (c[:, 1] >= 0).all() and (c[:, 1] < h).all():
             box = cand
             break
     if box is None:
-        box = _enclosing_box(positions, 0.0, box_margin)
+        box = _enclosing_box(positions, 0.0, SYNTH_BOX_MARGIN_PX)
 
     image = synth_image(list(scatterers), grid, window)
     if speckle:

@@ -23,7 +23,7 @@ import numpy as np
 from .annotio import (InstanceAnnotation, RunSummary, index_dataset,
                       parse_annotation, parse_predictions, parse_truth, run_dog,
                       run_skaa, write_annotation, write_truth)
-from .ascmodel import FrequencyGrid, synth_target
+from .ascmodel import SYNTH_BORDER_PX, FrequencyGrid, synth_target
 from .chipio import write_chip, write_pgm, write_text_atomic
 from .config import MANIFEST_NAME, RunConfig, _file_values, _with_overrides, emit_manifest
 from .errors import BadConfigField, ScatterKitError
@@ -183,15 +183,18 @@ def _keypoints_of(ann_path: Path) -> np.ndarray:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _config_from(args, seed="master_seed")
+    if args.dim <= 2 * SYNTH_BORDER_PX:
+        args.parser.error(f"argument --dim: must exceed {2 * SYNTH_BORDER_PX:g}, twice the "
+                          f"{SYNTH_BORDER_PX:g} px placement border, got {args.dim}")
+    grid = FrequencyGrid(height=args.dim, width=args.dim)
+    window = taylor_window_2d(args.dim, args.dim, nbar=config.window_nbar,
+                              sidelobe_db=config.window_sidelobe_db)
     lo, hi = args.scatterers
     out = Path(args.out)
     images, annots, truth = out / "images", out / "annots", out / "truth"
     for d in (images, annots, truth):
         d.mkdir(parents=True, exist_ok=True)
 
-    grid = FrequencyGrid(height=args.dim, width=args.dim)
-    window = taylor_window_2d(args.dim, args.dim, nbar=config.window_nbar,
-                              sidelobe_db=config.window_sidelobe_db)
     t0 = time.perf_counter()
     for i in range(args.chips):
         chip_id = f"chip_{i:05d}"
@@ -222,18 +225,17 @@ def _skaa_kwargs(config: RunConfig) -> dict:
     """The keyword arguments `run_skaa` takes from a run configuration."""
     return dict(master_seed=config.master_seed, dec_params=config.decouple,
                 k=config.keypoint_k, window_nbar=config.window_nbar,
-                window_sidelobe_db=config.window_sidelobe_db,
-                threads=config.threads)
+                window_sidelobe_db=config.window_sidelobe_db)
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     config = _config_from(
         args, tau="decouple.tau_db", nmax="decouple.n_max",
         min_peak_ratio="decouple.min_peak_ratio", keypoints="keypoint_k",
-        seed="master_seed", threads="threads")
+        seed="master_seed")
     index = index_dataset(args.images, args.annots)
     t0 = time.perf_counter()
-    summary = run_skaa(index, args.out, debug_dir=args.debug_dir,
+    summary = run_skaa(index, args.out, debug_dir=args.debug_dir, threads=args.threads,
                        **_skaa_kwargs(config))
     total_ms = (time.perf_counter() - t0) * 1e3
     return _finish_annotation_run(config, summary, "annotate_total", total_ms,
@@ -241,7 +243,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline_dog(args: argparse.Namespace) -> int:
-    config = _config_from(args, keypoints="keypoint_k", threads="threads")
+    config = _config_from(args, keypoints="keypoint_k")
     try:
         _check_top_n(config.dog, config.keypoint_k)
     except ValueError as exc:
@@ -251,8 +253,7 @@ def cmd_baseline_dog(args: argparse.Namespace) -> int:
     index = index_dataset(args.images, args.annots)
     t0 = time.perf_counter()
     summary = run_dog(index, args.out, master_seed=config.master_seed,
-                      dog_params=config.dog, k=config.keypoint_k,
-                      threads=config.threads)
+                      dog_params=config.dog, k=config.keypoint_k)
     total_ms = (time.perf_counter() - t0) * 1e3
     return _finish_annotation_run(config, summary, "baseline_total", total_ms,
                                   Path(args.out))
@@ -414,8 +415,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- bench
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = _config_from(args, seed="master_seed", threads="threads",
-                          nmax="decouple.n_max")
+    config = _config_from(args, seed="master_seed", nmax="decouple.n_max")
     index = index_dataset(args.images, args.annots)
     all_ms = []
     failed_images = 0
@@ -447,10 +447,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, config=True):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="FILE", default=None,
-                       help="flat key=value config file; flags override it")
+        if config:
+            p.add_argument("--config", metavar="FILE", default=None,
+                           help="flat key=value config file; flags override it")
         p.set_defaults(func=func, parser=p)
         return p
 
@@ -476,8 +477,8 @@ def _build_parser() -> _Parser:
                    help="early-stop floor relative to the original peak")
     p.add_argument("--keypoints", type=int, default=None, help="keypoints per instance")
     p.add_argument("--seed", type=int, required=True, help="master RNG seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; instances run serially")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted for compatibility, >= 1; instances run serially")
     p.add_argument("--debug-dir", default=None,
                    help="dump per-iteration residuals and region supports here")
 
@@ -487,8 +488,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--annots", required=True, help="base annotation directory")
     p.add_argument("--out", required=True, help="extended annotation directory")
     p.add_argument("--keypoints", type=int, default=None, help="keypoints per instance")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; instances run serially")
 
     p = add("heatmap", cmd_heatmap, "build supervision-map pyramids")
     p.add_argument("--annots", required=True, help="extended annotation directory")
@@ -502,7 +501,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--png", "--pgm", action="store_true", dest="png",
                    help="also write 8-bit PGM visualizations")
 
-    p = add("eval", cmd_eval, "detection metrics or keypoint comparison")
+    p = add("eval", cmd_eval, "detection metrics or keypoint comparison", config=False)
     p.add_argument("--preds", default=None, help="prediction file")
     p.add_argument("--gts", default=None, help="ground-truth annotation directory")
     p.add_argument("--iou", type=_iou_threshold, default=0.5,
@@ -524,8 +523,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--repeat", type=_positive_int, default=1,
                    help="dataset passes, >= 1")
     p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; instances run serially")
     p.add_argument("--nmax", type=int, default=None, help="max regions per chip")
 
     return parser

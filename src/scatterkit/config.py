@@ -37,15 +37,12 @@ class RunConfig:
     window_nbar: int = DEFAULT_NBAR
     window_sidelobe_db: float = DEFAULT_SIDELOBE_DB
     master_seed: int = 0
-    threads: int = 1  # accepted for compatibility; instances run serially
 
     def __post_init__(self):
         if self.keypoint_k < 1:
             raise ValueError(f"keypoint_k must be >= 1, got {self.keypoint_k}")
         if self.pool not in ("max", "avg"):
             raise ValueError(f"pool must be 'max' or 'avg', got {self.pool!r}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         _check_window_params(self.window_nbar, self.window_sidelobe_db)
 
 
@@ -67,7 +64,6 @@ _FIELDS: dict[str, tuple[str | None, str, type]] = {
     "window.nbar": (None, "window_nbar", int),
     "window.sidelobe_db": (None, "window_sidelobe_db", float),
     "master_seed": (None, "master_seed", int),
-    "threads": (None, "threads", int),
 }
 
 

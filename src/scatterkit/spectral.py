@@ -18,20 +18,26 @@ from .raster import WindowRaster, _taper_fault
 
 DEFAULT_NBAR = 4
 DEFAULT_SIDELOBE_DB = -35.0
+# measured: Taylor's coefficients overflow float64 from nbar 405 on at every
+# level in [-6165, -1e-12] dB, and 10^(-sidelobe_db/20) below -6165 dB
+MAX_NBAR = 400
+MIN_SIDELOBE_DB = -6000.0
 # distinct axis lengths whose Taylor tapers stay built
 TAPER_MEMO_SIZE = 256
 
 
 def _check_window_params(nbar: int, sidelobe_db: float) -> None:
-    """Raise InvalidWindowParams unless nbar is an integer >= 1 and
-    sidelobe_db is finite and < 0."""
+    """Raise InvalidWindowParams unless nbar is an integer in [1, MAX_NBAR]
+    and sidelobe_db is finite and in [MIN_SIDELOBE_DB, 0): the parameters
+    whose Taylor coefficients are finite, whatever the taper's length."""
     if not isinstance(nbar, numbers.Integral):
         raise InvalidWindowParams(f"nbar must be an integer, got {nbar!r}")
-    if nbar <= 0:
-        raise InvalidWindowParams(f"nbar must be >= 1, got {nbar}")
-    if not math.isfinite(sidelobe_db) or sidelobe_db >= 0:
+    if not 1 <= nbar <= MAX_NBAR:
+        raise InvalidWindowParams(f"nbar must lie in [1, {MAX_NBAR}], got {nbar}")
+    if not (math.isfinite(sidelobe_db) and MIN_SIDELOBE_DB <= sidelobe_db < 0):
         raise InvalidWindowParams(
-            f"sidelobe level must be finite and < 0 dB, got {sidelobe_db}")
+            f"sidelobe level must be finite and in [{MIN_SIDELOBE_DB:g}, 0) dB, "
+            f"got {sidelobe_db}")
 
 
 def _taylor_coefficients(nbar: int, sidelobe_db: float) -> tuple[np.ndarray, np.ndarray]:
@@ -63,10 +69,10 @@ def taylor_window(length: int, nbar: int = DEFAULT_NBAR,
                   sidelobe_db: float = DEFAULT_SIDELOBE_DB) -> np.ndarray:
     """Symmetric 1-D Taylor taper, max-normalized to 1.
 
-    sidelobe_db is the design sidelobe level and must be negative
-    (e.g. -35 for 35 dB of suppression). The taper is Taylor's n-bar
-    distribution (T. T. Taylor, IRE Trans. Antennas Propag. 3(1), 1955),
-    evaluated in the same order of operations as
+    sidelobe_db is the design sidelobe level, in [MIN_SIDELOBE_DB, 0) (e.g.
+    -35 for 35 dB of suppression), and nbar lies in [1, MAX_NBAR]. The taper
+    is Taylor's n-bar distribution (T. T. Taylor, IRE Trans. Antennas
+    Propag. 3(1), 1955), evaluated in the same order of operations as
     `scipy.signal.windows.taylor(length, nbar, -sidelobe_db, norm=False)`,
     so the two agree bit for bit.
     """
@@ -79,26 +85,27 @@ def taylor_window_2d(height: int, width: int, nbar: int = DEFAULT_NBAR,
     Each taper is built and validated once per (length, nbar, sidelobe_db)
     (`_memo_taper`) and then shared read-only, so it is not checked again."""
     _check_window_params(nbar, sidelobe_db)  # before the memo: 4.0 must not hit 4's entry
-    (row, row_fault), (col, col_fault) = (_memo_taper(height, nbar, sidelobe_db),
-                                          _memo_taper(width, nbar, sidelobe_db))
-    for name, fault in (("row_taper", row_fault), ("col_taper", col_fault)):
-        if fault is not None:
-            raise ValueError(f"{name} {fault}")
-    return WindowRaster._trusted(row, col)
+    return WindowRaster._trusted(_memo_taper(height, nbar, sidelobe_db),
+                                 _memo_taper(width, nbar, sidelobe_db))
 
 
 @functools.lru_cache(maxsize=TAPER_MEMO_SIZE)
-def _memo_taper(length: int, nbar: int, sidelobe_db: float) -> tuple[np.ndarray, str | None]:
-    """The read-only taper `taylor_window(length, nbar, sidelobe_db)` and its
-    `_taper_fault`; Taylor's coefficients are computed only on a miss.
+def _memo_taper(length: int, nbar: int, sidelobe_db: float) -> np.ndarray:
+    """The read-only taper `taylor_window(length, nbar, sidelobe_db)`, or
+    InvalidWindowParams naming the length if `_taper_fault` rejects it;
+    Taylor's coefficients are computed only on a miss.
 
     The memo holds at most TAPER_MEMO_SIZE tapers, least recently used out
     first, so it never holds more than TAPER_MEMO_SIZE * 8 * n bytes of
     tapers for crops whose sides are at most n (2 MiB for n = 1024).
     """
     taper = _taylor_taper(length, *_taylor_coefficients(nbar, sidelobe_db))
+    fault = _taper_fault(taper)
+    if fault is not None:
+        raise InvalidWindowParams(f"Taylor taper of length {length} (nbar {nbar}, "
+                                  f"{sidelobe_db} dB): {fault}")
     taper.setflags(write=False)
-    return taper, _taper_fault(taper)
+    return taper
 
 
 def rectangular_window_2d(height: int, width: int) -> WindowRaster:

@@ -574,7 +574,8 @@ def test_threads_run_every_instance_serially_on_the_calling_thread(
         return inner(image, ann, image_id, idx, *args, **kwargs)
 
     monkeypatch.setattr(annotio, target, recording)
-    summary = run(index, tmp_path / "out", master_seed=0, threads=4)
+    threads = {"threads": 4} if run is run_skaa else {}
+    summary = run(index, tmp_path / "out", master_seed=0, **threads)
     assert summary.instances == 3 and summary.failures == 0
     assert calls == [(i, threading.get_ident()) for i in range(3)]
 
@@ -746,9 +747,9 @@ def test_fit_lays_out_each_instance_once_and_fits_each_region(tmp_path, monkeypa
         layouts.append(len(regions))
         return lay_out(regions)
 
-    def fitting(region, psf, refine=False):
+    def fitting(region, psf):
         fits.append(region.shape)
-        return fit(region, psf, refine=refine)
+        return fit(region, psf)
 
     monkeypatch.setattr(annotio, "lay_out_regions", laying_out)
     monkeypatch.setattr(annotio, "fit_scatterer", fitting)
@@ -762,7 +763,7 @@ def test_fit_lays_out_each_instance_once_and_fits_each_region(tmp_path, monkeypa
     layouts.clear()
     fits.clear()
     window = taylor_window_2d(48, 48)
-    annotio.fit_regions(chip.image, window, refine=True)
+    annotio.fit_regions(chip.image, window)
     annotio.skaa_keypoints(chip.image, window)
     assert len(layouts) == 2 and len(fits) == sum(layouts)
 

@@ -596,9 +596,7 @@ def test_layout_fits_equal_the_per_region_oracle_on_decoupled_chips(family):
     for window, regions in chips:
         psf = base_psf(window)
         n += _assert_layout_fits_equal_the_oracle(regions, psf)
-        for refine in (False, True):
-            assert _fit(regions, window, refine) == \
-                [fit_per_region(r, psf, refine=refine) for r in regions]
+        assert _fit(regions, window) == [fit_per_region(r, psf) for r in regions]
     assert n >= 100
 
 
@@ -656,7 +654,7 @@ def test_layout_rejects_a_region_without_a_positive_pixel_and_takes_none():
         with pytest.raises(EmptyRegion):
             lay_out_regions(regions)
         with pytest.raises(EmptyRegion):
-            _fit(regions, TAYLOR32, False)
+            _fit(regions, TAYLOR32)
     # the layout reads its frame off its regions and rejects mixed frames;
     # only the fit holds a region's frame against the PSF's
     small = ScatterRegion(shape=(16, 32), indices=[3], amplitudes=[1.0])
@@ -664,18 +662,30 @@ def test_layout_rejects_a_region_without_a_positive_pixel_and_takes_none():
         with pytest.raises(DimMismatch, match=r"region \((16, 32|32, 32)\) vs region"):
             lay_out_regions(regions)
         with pytest.raises(DimMismatch):
-            _fit(regions, TAYLOR32, False)
+            _fit(regions, TAYLOR32)
     (laid,) = lay_out_regions([small])
     assert laid.shape == (16, 32)
     with pytest.raises(DimMismatch, match=r"region \(16, 32\) vs psf 32x32"):
         fit_scatterer(laid, PSF32)
     with pytest.raises(DimMismatch, match=r"region \(16, 32\) vs psf 32x32"):
-        _fit([small], TAYLOR32, False)
+        _fit([small], TAYLOR32)
     (laid,) = lay_out_regions([good])
     with pytest.raises(DimMismatch, match=r"region \(32, 32\) vs psf 32x16"):
         fit_scatterer(laid, base_psf(taylor_window_2d(32, 16)))
     assert lay_out_regions([]) == []
-    assert _fit([], TAYLOR32, True) == []
+    assert _fit([], TAYLOR32) == []
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (16, 32)], ids=["frame", "other"])
+def test_an_array_region_is_a_type_error_naming_scatter_region(shape):
+    # the retired full-frame array form, given to either entry point
+    m = np.zeros(shape)
+    m[3, 4] = 1.0
+    good = positive_region(np.where(np.eye(32) > 0, 1.0, 0.0))
+    for call in (lambda: fit_scatterer(m, PSF32), lambda: lay_out_regions([m]),
+                 lambda: lay_out_regions([good, m])):
+        with pytest.raises(TypeError, match="expected a ScatterRegion, got ndarray"):
+            call()
 
 
 def test_scatterer_validation():

@@ -332,7 +332,7 @@ def test_synth_bad_amplitude_range_is_usage_error(tmp_path, capsys, flag):
 # 1e-3, on `synth --chips 8 --dim 64 --scatterers 3..12 --seed 11`, clean and
 # speckled, annotated with `--seed 11`
 STOP_1E3_RUN = Path(__file__).resolve().parent / "data" / "annotate_stop_1e-3"
-STOP_1E3_CONFIG_SHA256 = "2f150ee403c2d5d4d23ade538962866fa3c0ed7bee7b9afecd39f0b0602fae46"
+STOP_1E3_CONFIG_SHA256 = "85c0c8ccea914414bb9e184f713fbfd30617330776936618ac14300130bebc10"
 
 
 @pytest.mark.parametrize("family", ["clean", "speckled"])
@@ -401,6 +401,19 @@ def test_synth_non_positive_chips_or_dim_is_usage_error(tmp_path, capsys, flag, 
     assert f"argument {flag}:" in err and "Traceback" not in err
     assert "wrote" not in out
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("dim", ["1", "8"])
+def test_synth_dim_within_the_placement_border_is_usage_error(tmp_path, capsys, dim):
+    assert usage_exit("synth", "--out", str(tmp_path / "o"), "--chips", "1", "--seed", "0",
+                      "--dim", dim) == 1
+    err = capsys.readouterr().err
+    assert f"argument --dim: must exceed 8, twice the 4 px placement border, got {dim}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    # one pixel past the border on each side places a scatterer
+    assert run_cli("synth", "--out", str(tmp_path / "o9"), "--chips", "1", "--seed", "0",
+                   "--dim", "9", "--scatterers", "1..1") == 0
 
 
 def test_synth_rerun_is_byte_identical(tmp_path):
@@ -589,9 +602,7 @@ def test_fifo_config_with_a_bad_flag_names_the_flag(tmp_path, capsys):
     ("annotate", ("--min-peak-ratio", "inf"), "--min-peak-ratio"),
     ("annotate", ("--keypoints", "0"), "--keypoints"),
     ("annotate", ("--threads", "0"), "--threads"),
-    ("baseline-dog", ("--threads", "0"), "--threads"),
-], ids=["tau", "nmax", "negative-ratio", "infinite-ratio", "keypoints", "threads",
-        "dog-threads"])
+], ids=["tau", "nmax", "negative-ratio", "infinite-ratio", "keypoints", "threads"])
 def test_out_of_range_flag_value_is_usage_error(tmp_path, capsys, command, flags, named):
     seed = ("--seed", "0") if command == "annotate" else ()
     assert usage_exit(command, "--images", str(tmp_path / "images"),
@@ -616,8 +627,10 @@ def test_flag_overrides_an_out_of_range_config_value(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["keypoint_k = 4\ngarbage\n", "decouple.n_maxx = 5\n",
-                                  "keypoint_k = four\n", "supervision.loss_weight = 1.0\n"],
-                         ids=["no-equals", "unknown-key", "unparseable", "retired-key"])
+                                  "keypoint_k = four\n", "supervision.loss_weight = 1.0\n",
+                                  "threads = 1\n"],
+                         ids=["no-equals", "unknown-key", "unparseable", "retired-key",
+                              "retired-threads"])
 def test_annotate_config_line_error_names_the_file(tmp_path, capsys, text):
     data = synth(tmp_path, chips=1)
     cfg = tmp_path / "run.cfg"
@@ -631,6 +644,90 @@ def test_annotate_config_line_error_names_the_file(tmp_path, capsys, text):
     assert "Traceback" not in err
     assert f"{cfg}: bad config field" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("baseline-dog", "--images", "IN", "--annots", "IN", "--out", "OUT", "--threads", "1"),
+    ("bench", "--images", "IN", "--annots", "IN", "--threads", "1"),
+    ("eval", "--preds", "IN/p.txt", "--gts", "IN", "--config", "IN/run.cfg"),
+], ids=["baseline-dog-threads", "bench-threads", "eval-config"])
+def test_a_retired_flag_is_usage_error(tmp_path, capsys, argv):
+    argv = [a.replace("IN", str(tmp_path)).replace("OUT", str(tmp_path / "out")) for a in argv]
+    assert usage_exit(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# the required flags of every subcommand that reads --config
+_CONFIG_RUN_FLAGS = {"--images": "images", "--annots": "annots", "--out": "out",
+                     "--chips": "1", "--seed": "0", "--dims": "16x16"}
+
+
+def _config_commands() -> dict:
+    (sub,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    return {cmd: p for cmd, p in sub.choices.items() if "--config" in p._option_string_actions}
+
+
+@pytest.mark.parametrize("command", sorted(_config_commands()))
+def test_each_config_reading_command_fails_on_a_missing_or_bad_config(tmp_path, capsys,
+                                                                      command):
+    parser = _config_commands()[command]
+    required = [a.option_strings[0] for a in parser._actions if a.required]
+    assert set(required) <= set(_CONFIG_RUN_FLAGS), command
+    data = synth(tmp_path, chips=1)
+    argv = [command]
+    for flag in required:
+        value = _CONFIG_RUN_FLAGS[flag]
+        argv += [flag, str(data / value) if value in ("images", "annots", "out") else value]
+    bad_key = tmp_path / "bad.cfg"
+    bad_key.write_text("bogus_key = 1\n")
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    capsys.readouterr()
+    for cfg, code, message in ((tmp_path / "missing.cfg", 2, "i/o error"),
+                               (bad_key, 3, "bad config field 'bogus_key'")):
+        assert run_cli(*argv, "--config", str(cfg)) == code, (command, cfg.name)
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+
+def test_config_is_offered_by_every_command_but_eval():
+    (sub,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    assert sorted(_config_commands()) == sorted(set(sub.choices) - {"eval"})
+
+
+@pytest.mark.parametrize("line, command, code, message", [
+    ("window.sidelobe_db = -10000", "annotate", 3, "sidelobe level must be finite and in"),
+    ("window.sidelobe_db = -10000", "synth", 3, "sidelobe level must be finite and in"),
+    ("window.nbar = 500", "annotate", 3, "nbar must lie in [1, 400], got 500"),
+    ("window.nbar = 500", "synth", 3, "nbar must lie in [1, 400], got 500"),
+    ("window.sidelobe_db = -1", "annotate", 0, "(kept original line)"),
+    ("window.sidelobe_db = -1", "synth", 3, "Taylor taper of length 20 (nbar 4, -1.0 dB)"),
+], ids=["level-annotate", "level-synth", "nbar-annotate", "nbar-synth",
+        "negative-taper-annotate", "negative-taper-synth"])
+def test_a_window_that_cannot_be_built_is_an_exit_code_not_a_traceback(
+        tmp_path, line, command, code, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ("synth", "--out", str(out), "--chips", "1", "--dim", "20", "--seed", "0")
+    else:
+        data = synth(tmp_path, chips=3)
+        argv = ("annotate", "--images", str(data / "images"), "--annots",
+                str(data / "annots"), "--out", str(out), "--seed", "0")
+    proc = _cli_process(*argv, "--config", str(cfg))
+    assert proc.returncode == code
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    if code == 0:
+        # each instance whose crop length has no taper keeps its line
+        assert "Taylor taper of length" in proc.stderr
+        assert "(0 kept unchanged)" not in proc.stdout
+    else:
+        assert not out.exists()
 
 
 def test_annotate_threads_do_not_change_output(tmp_path):

@@ -58,11 +58,10 @@ def test_default_canonical_text_and_hash_are_pinned():
         "pool = max\n"
         "supervision.levels = 4\n"
         "supervision.sigma = 1.0\n"
-        "threads = 1\n"
         "window.nbar = 4\n"
         "window.sidelobe_db = -35.0\n")
     assert config_hash(RunConfig()) == \
-        "11f4bdb9fc60c850d3518fe68a6c9e302c49e7bc803318776e89853112b31284"
+        "bde4ada00e905ed03f125007c39caa0656bf546290a4d9f7bb1a24c072e35f1d"
 
 
 def test_default_loop_stop_is_the_window_sidelobe_level():
@@ -195,8 +194,6 @@ def test_run_config_validation():
         RunConfig(keypoint_k=0)
     with pytest.raises(ValueError):
         RunConfig(pool="sum")
-    with pytest.raises(ValueError):
-        RunConfig(threads=0)
 
 
 def test_manifest_contents(tmp_path):

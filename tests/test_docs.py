@@ -69,8 +69,8 @@ def test_readme_usage_blocks_list_each_subcommand_flag():
     """The usage block under each `### `<cmd>`` heading of `## Commands`
     names exactly the flags the parser defines for that subcommand: every
     option once by its first spelling (an alias such as `--pgm` may stand
-    in for it), and nothing else. `--config`, stated once for all commands,
-    and `-h/--help` are left out."""
+    in for it), and nothing else. `--config`, stated once for the commands
+    that read it, and `-h/--help` are left out."""
     section = README.read_text().split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
     parts = re.split(r"^### `([\w-]+)`.*$", section, flags=re.M)
     usage = {cmd: re.search(r"^```sh\n(.*?)^```$", body, flags=re.M | re.S).group(1)

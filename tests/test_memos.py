@@ -79,16 +79,19 @@ def test_each_taper_and_psf_axis_is_built_once(monkeypatch):
     assert sorted(checks) == [40, 56] and sorted(transforms) == [40, 56]
 
 
-def test_a_bad_taper_is_reported_for_its_axis_as_the_constructor_does():
+def test_a_bad_taper_length_is_invalid_window_params_naming_the_length():
     # Taylor tapers with a -1 dB design level dip below 0 at some lengths
     bad = next(n for n in range(2, 100) if taylor_window(n, 4, -1.0).min() <= 0)
+    with pytest.raises(ValueError, match=r"values must lie in \(0, 1\]"):
+        WindowRaster(taylor_window(bad, 4, -1.0), taylor_window(3, 4, -1.0))
+    spectral._memo_taper.cache_clear()
     for h, w in ((bad, 3), (3, bad), (bad, bad)):
-        with pytest.raises(ValueError) as ref:
-            WindowRaster(taylor_window(h, 4, -1.0), taylor_window(w, 4, -1.0))
-        for _ in range(2):  # the fault is cached with the taper
-            with pytest.raises(ValueError) as got:
+        for _ in range(2):  # the memo keeps no fault, and raises again
+            with pytest.raises(InvalidWindowParams,
+                               match=rf"^Taylor taper of length {bad} \(nbar 4, -1.0 dB\): "
+                                     r"values must lie in \(0, 1\]$"):
                 taylor_window_2d(h, w, 4, -1.0)
-            assert str(got.value) == str(ref.value)
+    assert spectral._memo_taper.cache_info().currsize == 1  # length 3's taper
 
 
 @pytest.mark.parametrize("nbar", [4.0, 4.5])

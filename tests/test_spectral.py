@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from scatterkit.errors import InvalidWindowParams
-from scatterkit.spectral import (rectangular_window_2d, taylor_window,
-                                 taylor_window_2d)
+from scatterkit.spectral import (MAX_NBAR, MIN_SIDELOBE_DB, rectangular_window_2d,
+                                 taylor_window, taylor_window_2d)
 
 
 def naive_dft2(x: np.ndarray) -> np.ndarray:
@@ -97,11 +97,18 @@ def test_taylor_window_equals_scipy_taylor_bit_for_bit():
 @pytest.mark.parametrize("kwargs", [
     {"nbar": 0}, {"nbar": -1}, {"sidelobe_db": 0.0}, {"sidelobe_db": 35.0},
     {"sidelobe_db": float("nan")}, {"sidelobe_db": float("-inf")},
-    {"sidelobe_db": float("inf")},
+    {"sidelobe_db": float("inf")}, {"nbar": 401}, {"nbar": 10 ** 9},
+    {"sidelobe_db": -6000.5}, {"sidelobe_db": -10000.0},
 ])
 def test_taylor_window_rejects_bad_params(kwargs):
     with pytest.raises(InvalidWindowParams):
         taylor_window(32, **kwargs)
+
+
+@pytest.mark.parametrize("sidelobe_db", [-1e-12, -35.0, MIN_SIDELOBE_DB])
+def test_taylor_window_at_the_nbar_bound_builds_without_overflow(sidelobe_db):
+    # any numpy overflow warning fails the suite; from nbar 405 on one is raised
+    assert np.isfinite(taylor_window(64, nbar=MAX_NBAR, sidelobe_db=sidelobe_db)).all()
 
 
 def test_taylor_window_rejects_bad_length():
