@@ -263,9 +263,11 @@ def _finish_annotation_run(config: RunConfig, summary: RunSummary, total_name: s
                            total_ms: float, out: Path) -> int:
     """Manifest and summary line of annotate/baseline-dog; exit 3 if an image failed.
 
-    The manifest gains a `failed_images` line only when an image failed.
+    The manifest gains a `failed_images` line only when an image failed, and
+    a `failed_instances` line only when an instance was kept unchanged.
     """
-    counts = {"failed_images": summary.failed_images} if summary.failed_images else None
+    counts = {name: n for name, n in (("failed_images", summary.failed_images),
+                                      ("failed_instances", summary.failures)) if n}
     emit_manifest(config, {total_name: total_ms, "instance_mean": summary.mean_ms},
                   out / "run-manifest.txt", counts=counts)
     print(f"annotated {summary.instances} instances "

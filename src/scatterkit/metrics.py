@@ -32,6 +32,16 @@ every stored value of a stack of corners in one array pass, and a single
 at a time: an array Sutherland-Hodgman clip pays numpy's fixed cost per
 call (several times the scalar clip on a 1 x 1 matrix) and gained nothing
 at ~60 pairs an image.
+
+The pair kernel (`_clip_convex`, then the area and ratio in `_clipped_iou`)
+walks each clip edge once, with no list of distances and no helper calls,
+but it runs the same IEEE operations, in the same order, as the retired
+per-edge clip and shoelace area kept in `tests/oracles.py`, so every IoU
+equals theirs bit for bit; the tests hold the polygons and IoUs to them.
+PHR and proposal precision share one rule (`_hit_rates`): the share of
+predictions whose best IoU lies strictly above a threshold, every threshold
+of a sweep in one comparison. The shares are sums of 0s and 1s, so they
+equal a per-threshold mean bit for bit.
 """
 
 from __future__ import annotations
@@ -51,26 +61,6 @@ SLIVER_AREA = 1e-12
 ROUNDING_PER_PX = 2.0 ** -40
 _MIN_SINE = 2.0 ** -30    # flatter corners get kappa = inf: never skipped
 _MAX_COORD = 2.0 ** 500   # above this 1 + M the clip's products may overflow
-
-
-def _signed_area(pts) -> float:
-    """Shoelace area of (x, y) float pairs, positive for CCW.
-
-    The terms are taken about the first point: on raw coordinates each would
-    carry a rounding error of ~1e-16 x offset**2, which swamps the area of a
-    small polygon far from the origin. They are summed in the order of
-    np.add.reduce, the reduction np.sum runs (`_pairwise_sum` reproduces it
-    on Python floats): that order on small arrays matches neither `sum` nor
-    `math.fsum`, and either would move the last bits of areas and IoUs.
-    Each term is halved before the sum, not the sum after it: the halving
-    is exact above the subnormal range, and a polygon whose area is finite
-    but whose doubled area is not (above ~9e307) keeps its finite area.
-    """
-    x0, y0 = pts[0]
-    rel = [(x - x0, y - y0) for x, y in pts]
-    terms = [0.5 * (px * qy - qx * py)
-             for (px, py), (qx, qy) in zip(rel, rel[1:] + rel[:1])]
-    return _pairwise_sum(terms)
 
 
 # A stack's (x or y, corner, box) view c taken at these corners, [0] minus
@@ -94,11 +84,21 @@ def boxes_from_corners(stack: np.ndarray) -> list[OrientedBox | DegenerateBox]:
     made read-only, and each box's `corners` is its row. The arithmetic is
     that of one box on Python floats, bit for bit: the halved shoelace terms
     about the first corner are summed as (((0.0 + t0) + t1) + t2) + t3, the
-    order `_signed_area` sums four terms in, and the centroid is
+    order np.add.reduce sums four terms in, and the centroid is
     (x0 + x1 + x2 + x3) / 4 (`np.add.accumulate` adds in order); edge
     lengths come from `math.hypot` (np.hypot differs in the last bit on some
     edges), and the bounds from `min` and `max`. An overflow is inf or NaN,
     as on Python floats, and warns nothing.
+
+    Every shoelace area here and in `_clipped_iou` is taken the same way.
+    The terms are taken about the first corner: on raw coordinates each
+    would carry a rounding error of ~1e-16 x offset**2, which swamps the
+    area of a small polygon far from the origin. They are summed in the
+    order of np.add.reduce (`_pairwise_sum` reproduces it on Python floats),
+    which on small arrays matches neither `sum` nor `math.fsum`. Each term
+    is halved before the sum, not the sum after it: the halving is exact
+    above the subnormal range, and a polygon whose area is finite but whose
+    doubled area is not (above ~9e307) keeps its finite area.
     """
     n = len(stack)
     stack.setflags(write=False)
@@ -211,42 +211,44 @@ class Detection:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
 
-def _cut(p: tuple[float, float], q: tuple[float, float],
-         dp: float, dq: float) -> tuple[float, float]:
-    """Where segment p-q crosses a clip edge's line, from the signed
-    distances dp at p and dq at q. The cut fraction t is clamped to [0, 1],
-    so the point stays on the segment where the tolerance band gives dp and
-    dq the same sign."""
-    t = dp / (dp - dq)
-    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-    return p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])
+_INSIDE = -COLLINEAR_TOL  # a signed distance >= this keeps its point
 
 
 def _clip_convex(subject, clip) -> list[tuple[float, float]]:
     """Sutherland-Hodgman: clip a convex CCW polygon by a convex CCW polygon.
 
-    Both polygons and the result are sequences of (x, y) float pairs.
+    Both polygons and the result are sequences of (x, y) float pairs. Each
+    edge of `clip` in turn, from clip[0] -> clip[1] to clip[-1] -> clip[0],
+    keeps the points whose signed distance d = cross(edge, p - start) is at
+    least -COLLINEAR_TOL and cuts each segment p -> q whose ends it splits
+    at t = d_p / (d_p - d_q), clamped to [0, 1], so the cut point stays on
+    the segment where the tolerance band gives d_p and d_q the same sign.
     """
     output = list(subject)
-    n = len(clip)
-    for i in range(n):
+    for (ax, ay), (bx, by) in zip(clip, (*clip[1:], clip[0])):
         if not output:
             break
-        (ax, ay), (bx, by) = clip[i], clip[(i + 1) % n]
         ex, ey = bx - ax, by - ay
         pts = output
-        m = len(pts)
         output = []
-        # signed distance from the clip edge; >= -tol counts as inside
-        d = [ex * (py - ay) - ey * (px - ax) for px, py in pts]
-        for j, p in enumerate(pts):
-            dp, dq = d[j], d[(j + 1) % m]
-            if dp >= -COLLINEAR_TOL:
-                output.append(p)
-                if dq < -COLLINEAR_TOL:
-                    output.append(_cut(p, pts[(j + 1) % m], dp, dq))
-            elif dq >= -COLLINEAR_TOL:
-                output.append(_cut(p, pts[(j + 1) % m], dp, dq))
+        append = output.append
+        p = pts[0]
+        px, py = p
+        dp = ex * (py - ay) - ey * (px - ax)
+        for q in (*pts[1:], p):
+            qx, qy = q
+            dq = ex * (qy - ay) - ey * (qx - ax)
+            if dp >= _INSIDE:
+                append(p)
+                if dq < _INSIDE:
+                    t = dp / (dp - dq)
+                    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+                    append((px + t * (qx - px), py + t * (qy - py)))
+            elif dq >= _INSIDE:
+                t = dp / (dp - dq)
+                t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+                append((px + t * (qx - px), py + t * (qy - py)))
+            p, px, py, dp = q, qx, qy, dq
     return output
 
 
@@ -321,15 +323,33 @@ def _skip_mask(boxes_a: list[OrientedBox], boxes_b: list[OrientedBox]) -> np.nda
 
 
 def _clipped_iou(a: OrientedBox, b: OrientedBox) -> float:
-    """IoU of a and b from the clip of a's CCW corners by b's CCW edges."""
-    area_a, area_b = a.area, b.area
-    inter_poly = _clip_convex(a._ccw_pts, b._ccw_pts)
-    inter = abs(_signed_area(inter_poly)) if len(inter_poly) >= 3 else 0.0
-    if inter < SLIVER_AREA:
-        inter = 0.0
-    inter = min(inter, area_a, area_b)
-    union = area_a + area_b - inter
-    return inter / union
+    """IoU of a and b from the clip of a's CCW corners by b's CCW edges.
+
+    The intersection's area is the shoelace sum about its first vertex, each
+    term halved before the sum and the terms summed in np.add.reduce's order
+    by `_pairwise_sum` (see `boxes_from_corners` for why that order and the
+    halving).
+    """
+    area_a, area_b = a._area, b._area
+    poly = _clip_convex(a._ccw_pts, b._ccw_pts)
+    inter = 0.0
+    if len(poly) >= 3:
+        x0, y0 = poly[0]
+        px, py = x0 - x0, y0 - y0
+        terms = []
+        for x, y in (*poly[1:], poly[0]):
+            qx, qy = x - x0, y - y0
+            terms.append(0.5 * (px * qy - qx * py))
+            px, py = qx, qy
+        inter = abs(_pairwise_sum(terms))
+        if inter < SLIVER_AREA:
+            inter = 0.0
+    # min(inter, area_a, area_b), which keeps a NaN inter
+    if area_a < inter:
+        inter = area_a
+    if area_b < inter:
+        inter = area_b
+    return inter / (area_a + area_b - inter)
 
 
 def iou_matrix(boxes_a: list[OrientedBox], boxes_b: list[OrientedBox]) -> np.ndarray:
@@ -343,8 +363,8 @@ def iou_matrix(boxes_a: list[OrientedBox], boxes_b: list[OrientedBox]) -> np.nda
     out = np.zeros((len(boxes_a), len(boxes_b)))
     if out.size:
         rows, cols = np.nonzero(~_skip_mask(boxes_a, boxes_b))
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            out[i, j] = _clipped_iou(boxes_a[i], boxes_b[j])
+        out[rows, cols] = [_clipped_iou(boxes_a[i], boxes_b[j])
+                           for i, j in zip(rows.tolist(), cols.tolist())]
     return out
 
 
@@ -368,11 +388,11 @@ def _envelope_ap(tp_flags: list[bool], n_gt: int) -> float:
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     ap = 0.0
     prev_r = 0.0
-    for p, r in zip(envelope, recall):
+    for p, r in zip(envelope.tolist(), recall.tolist()):
         if r > prev_r:
             ap += (r - prev_r) * p
             prev_r = r
-    return float(ap)
+    return ap
 
 
 def _rank(entry: tuple[str, Detection, list[float]]) -> tuple:
@@ -474,6 +494,18 @@ def max_ious(proposals: list[OrientedBox], gts: list[OrientedBox]) -> np.ndarray
     return iou_matrix(proposals, gts).max(axis=1, initial=0.0)
 
 
+def _hit_rates(best: np.ndarray, thresholds) -> list[float]:
+    """The share of `best` strictly above each threshold, 0.0 each where
+    `best` is empty: every threshold in one comparison. A share is a sum of
+    0s and 1s, exact in any order, over len(best), so each equals
+    `np.mean(best > t)` bit for bit. The one hit-rate rule of PHR and
+    proposal precision."""
+    thr = np.asarray(thresholds, dtype=np.float64)
+    if not best.size:
+        return [0.0] * thr.size
+    return (best[:, None] > thr).mean(axis=0).tolist()
+
+
 def phr_curve(proposals: list[OrientedBox], gts: list[OrientedBox],
               thresholds: list[float]) -> list[tuple[float, float]]:
     """Proposal hit rate: share of proposals with max-IoU strictly above t."""
@@ -482,8 +514,7 @@ def phr_curve(proposals: list[OrientedBox], gts: list[OrientedBox],
     thr = list(thresholds)
     if any(b <= a for a, b in zip(thr, thr[1:])):
         raise ValueError("thresholds must be sorted strictly ascending")
-    best = max_ious(proposals, gts)
-    return [(float(t), float(np.mean(best > t))) for t in thr]
+    return list(zip(map(float, thr), _hit_rates(max_ious(proposals, gts), thr)))
 
 
 def proposal_precision(proposals: list[OrientedBox], gts: list[OrientedBox],
@@ -491,8 +522,7 @@ def proposal_precision(proposals: list[OrientedBox], gts: list[OrientedBox],
     """Share of proposals whose max-IoU against any GT strictly exceeds iou_thr."""
     if not proposals:
         raise EmptyProposals("precision of an empty proposal list")
-    best = max_ious(proposals, gts)
-    return float(np.mean(best > iou_thr))
+    return _hit_rates(max_ious(proposals, gts), [iou_thr])[0]
 
 
 @dataclass
@@ -571,10 +601,8 @@ def evaluate_detections(dets_by_image: dict[str, list[Detection]],
             scored[name] += [(img, d, [row[g] for g in cols])
                              for d, row in zip(ds, rows) if d.class_id == cid]
     per_class = {name: _matched_ap(scored[name], n_gt[name], iou_thr) for name in names}
-    pooled = np.concatenate(best)
+    *rates, precision = _hit_rates(np.concatenate(best), [*phr_thresholds, iou_thr])
     return EvalReport(
         per_class_ap=per_class, map50=mean_ap(per_class) if per_class else 0.0,
-        phr=[(float(t), float(np.mean(pooled > t)) if pooled.size else 0.0)
-             for t in phr_thresholds],
-        proposal_precision=float(np.mean(pooled > iou_thr)) if pooled.size else 0.0,
+        phr=list(zip(map(float, phr_thresholds), rates)), proposal_precision=precision,
         iou_thr=iou_thr, class_id_map=dict(class_id_map))

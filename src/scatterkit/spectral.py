@@ -24,6 +24,10 @@ MAX_NBAR = 400
 MIN_SIDELOBE_DB = -6000.0
 # distinct axis lengths whose Taylor tapers stay built
 TAPER_MEMO_SIZE = 256
+# (nbar, sidelobe_db) pairs whose Taylor coefficients stay built: each entry
+# holds 2 (nbar - 1) floats, so the memo holds at most
+# COEFF_MEMO_SIZE * 16 * (MAX_NBAR - 1) bytes (~100 KiB)
+COEFF_MEMO_SIZE = 16
 
 
 def _check_window_params(nbar: int, sidelobe_db: float) -> None:
@@ -40,8 +44,13 @@ def _check_window_params(nbar: int, sidelobe_db: float) -> None:
             f"got {sidelobe_db}")
 
 
+@functools.lru_cache(maxsize=COEFF_MEMO_SIZE, typed=True)
 def _taylor_coefficients(nbar: int, sidelobe_db: float) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor's indices m = 1..nbar-1 and coefficients Fm, which no length changes."""
+    """Taylor's indices m = 1..nbar-1 and coefficients Fm, which no length
+    changes, read-only. Each pair is computed once while it stays in the
+    memo, so tapers of new or faulty lengths do not repeat the O(nbar^2)
+    pass. The memo is typed: nbar 4.0 is its own key, checked and rejected,
+    not 4's entry."""
     _check_window_params(nbar, sidelobe_db)
     a = np.arccosh(10 ** (-sidelobe_db / 20)) / np.pi
     s2 = nbar ** 2 / (a ** 2 + (nbar - 0.5) ** 2)
@@ -52,6 +61,8 @@ def _taylor_coefficients(nbar: int, sidelobe_db: float) -> tuple[np.ndarray, np.
         numer = (-1) ** mi * np.prod(1 - m2[mi] / s2 / (a ** 2 + (ma - 0.5) ** 2))
         denom = 2 * np.prod(1 - m2[mi] / m2[:mi]) * np.prod(1 - m2[mi] / m2[mi + 1:])
         fm[mi] = numer / denom
+    ma.setflags(write=False)
+    fm.setflags(write=False)
     return ma, fm
 
 

@@ -61,16 +61,28 @@ constructor. The library builds all of a file's boxes from one stack of
 corners in one array pass (`metrics.boxes_from_corners`), and a single
 `OrientedBox` is its one-row case.
 
+`clip_convex_scalar` is the retired Sutherland-Hodgman clip: each edge
+takes the list of its signed distances, walks it by `% m` indexing and
+cuts by `cut_scalar`. `signed_area_scalar` is the retired shoelace area,
+its halved terms about the first point summed by `_pairwise_sum`, and
+`clipped_iou_scalar` the IoU from the two. The library runs the same float
+operations in the same order in one pass per edge (`metrics._clip_convex`)
+and takes the area inline (`metrics._clipped_iou`).
+
 `rotated_iou_scalar` is the retired single-pair path: the rejection rule
 (R1) for one pair on Python floats (`beyond_reach`, with its reach from
-`clip_reach_scalar`), then the library's clip. The library holds R1 and its
-reach once, on arrays (`metrics._skip_mask`, `metrics.clip_reach`), and
+`clip_reach_scalar`), then `clipped_iou_scalar`. The library holds R1 and
+its reach once, on arrays (`metrics._skip_mask`, `metrics.clip_reach`), and
 scores a single pair as the 1 x 1 `metrics.iou_matrix`.
 `average_precision_grouped_scalar` and `max_ious_scalar` are the retired
 per-pair loops: AP calls `rotated_iou_scalar` for each detection against
 each of its image's GT boxes still unmatched, in rank order, and `max_ious`
 for every (proposal, GT) pair. The library scores each pair once, in one IoU
 matrix per image (`metrics.iou_matrix`), and matches on its rows.
+`envelope_ap_np` is the retired AP integral over numpy scalars, and
+`hit_rates_loop` the retired hit rates, one `np.mean` per threshold; the
+library integrates on Python floats (`metrics._envelope_ap`) and compares
+every threshold at once (`metrics._hit_rates`).
 """
 
 from __future__ import annotations
@@ -87,10 +99,9 @@ from scatterkit.ascmodel import FIT_DILATE_PX, FittedScatterer, SeparablePsf
 from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
 from scatterkit.errors import (AllZeroRaster, BadKeypointCount, DegenerateBox, DimMismatch,
                                EmptyInput, EmptyRegion, MalformedLine, ScatterKitError)
-from scatterkit.keypoints import KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet
+from scatterkit.keypoints import KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet, _pairwise_sum
 from scatterkit.metrics import (_MAX_COORD, _MIN_SINE, COLLINEAR_TOL, ROUNDING_PER_PX,
-                                SLIVER_AREA, Detection, OrientedBox, _clipped_iou,
-                                _envelope_ap, _signed_area)
+                                SLIVER_AREA, Detection, OrientedBox)
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
 
 N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -555,7 +566,7 @@ def box_fields_scalar(corners) -> dict:
     if not all(map(math.isfinite, coords)):
         raise DegenerateBox("box corners contain NaN/Inf")
     pts = list(zip(coords[0::2], coords[1::2]))
-    signed = _signed_area(pts)  # Python floats: an overflow is inf or nan, not a warning
+    signed = signed_area_scalar(pts)  # Python floats: an overflow is inf or nan, not a warning
     if not math.isfinite(signed):
         raise DegenerateBox("box area is not finite")
     if abs(signed) <= SLIVER_AREA:
@@ -703,6 +714,63 @@ def rotated_iou_np(a: np.ndarray, b: np.ndarray) -> float:
     return iou_from_parts(box_area(a), box_ccw(a), box_area(b), box_ccw(b))
 
 
+def signed_area_scalar(pts) -> float:
+    """Shoelace area of (x, y) float pairs, positive for CCW: the halved
+    terms about the first point, summed in np.add.reduce's order."""
+    x0, y0 = pts[0]
+    rel = [(x - x0, y - y0) for x, y in pts]
+    terms = [0.5 * (px * qy - qx * py)
+             for (px, py), (qx, qy) in zip(rel, rel[1:] + rel[:1])]
+    return _pairwise_sum(terms)
+
+
+def cut_scalar(p: tuple[float, float], q: tuple[float, float],
+               dp: float, dq: float) -> tuple[float, float]:
+    """Where segment p-q crosses a clip edge's line, from the signed
+    distances dp at p and dq at q, with the cut fraction clamped to [0, 1]."""
+    t = dp / (dp - dq)
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    return p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])
+
+
+def clip_convex_scalar(subject, clip) -> list[tuple[float, float]]:
+    """Sutherland-Hodgman on (x, y) float pairs: clip a convex CCW polygon
+    by a convex CCW polygon, one list of signed distances per edge."""
+    output = list(subject)
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            break
+        (ax, ay), (bx, by) = clip[i], clip[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        pts = output
+        m = len(pts)
+        output = []
+        # signed distance from the clip edge; >= -tol counts as inside
+        d = [ex * (py - ay) - ey * (px - ax) for px, py in pts]
+        for j, p in enumerate(pts):
+            dp, dq = d[j], d[(j + 1) % m]
+            if dp >= -COLLINEAR_TOL:
+                output.append(p)
+                if dq < -COLLINEAR_TOL:
+                    output.append(cut_scalar(p, pts[(j + 1) % m], dp, dq))
+            elif dq >= -COLLINEAR_TOL:
+                output.append(cut_scalar(p, pts[(j + 1) % m], dp, dq))
+    return output
+
+
+def clipped_iou_scalar(a: OrientedBox, b: OrientedBox) -> float:
+    """IoU of a and b from the clip of a's CCW corners by b's CCW edges."""
+    area_a, area_b = a.area, b.area
+    inter_poly = clip_convex_scalar(a._ccw_pts, b._ccw_pts)
+    inter = abs(signed_area_scalar(inter_poly)) if len(inter_poly) >= 3 else 0.0
+    if inter < SLIVER_AREA:
+        inter = 0.0
+    inter = min(inter, area_a, area_b)
+    union = area_a + area_b - inter
+    return inter / union
+
+
 def clip_reach_scalar(a: OrientedBox, b: OrientedBox) -> float:
     """The reach of rule (R1) on Python floats: 4 kappa_b (delta_b + rho)
     where 1 + M <= 2**500, else inf."""
@@ -725,7 +793,7 @@ def beyond_reach(a: OrientedBox, b: OrientedBox) -> bool:
 
 def rotated_iou_scalar(a: OrientedBox, b: OrientedBox) -> float:
     """IoU of one pair: 0.0 where R1 rejects it, else the clip's."""
-    return 0.0 if beyond_reach(a, b) else _clipped_iou(a, b)
+    return 0.0 if beyond_reach(a, b) else clipped_iou_scalar(a, b)
 
 
 def average_precision_grouped_scalar(dets_by_image: dict[str, list[Detection]],
@@ -759,7 +827,30 @@ def average_precision_grouped_scalar(dets_by_image: dict[str, list[Detection]],
             tp_flags.append(True)
         else:
             tp_flags.append(False)
-    return _envelope_ap(tp_flags, n_gt)
+    return envelope_ap_np(tp_flags, n_gt)
+
+
+def envelope_ap_np(tp_flags: list[bool], n_gt: int) -> float:
+    """Area under the monotone precision envelope, integrated over numpy
+    scalars."""
+    tp = np.cumsum(tp_flags).astype(np.float64)
+    fp = np.cumsum([not t for t in tp_flags]).astype(np.float64)
+    precision = tp / (tp + fp)
+    recall = tp / n_gt
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = 0.0
+    prev_r = 0.0
+    for p, r in zip(envelope, recall):
+        if r > prev_r:
+            ap += (r - prev_r) * p
+            prev_r = r
+    return float(ap)
+
+
+def hit_rates_loop(best: np.ndarray, thresholds) -> list[float]:
+    """Share of `best` strictly above each threshold, one `np.mean` per
+    threshold; 0.0 each where `best` is empty."""
+    return [float(np.mean(best > t)) if best.size else 0.0 for t in thresholds]
 
 
 def max_ious_scalar(proposals: list[OrientedBox], gts: list[OrientedBox]) -> np.ndarray:

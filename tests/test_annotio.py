@@ -585,7 +585,7 @@ def test_run_skaa_builds_each_window_through_the_taper_memo(tmp_path, monkeypatc
     index = _mini_dataset(tmp_path, n_chips=3)
     for _, ann_path in index.entries:
         write_annotation(parse_annotation(ann_path) * 4, ann_path)
-    calls = {"taylor_window_2d": [], "_taylor_coefficients": []}
+    calls = {"taylor_window_2d": []}
 
     def counting(module, name):
         inner = getattr(module, name)
@@ -598,8 +598,8 @@ def test_run_skaa_builds_each_window_through_the_taper_memo(tmp_path, monkeypatc
     # each crop's window is built under annotio's own `taylor_window_2d`
     # name, the one the benchmark's stage timers wrap
     counting(annotio, "taylor_window_2d")
-    counting(spectral, "_taylor_coefficients")
     spectral._memo_taper.cache_clear()
+    spectral._taylor_coefficients.cache_clear()
     for run in ("cold", "warm"):
         summary = run_skaa(index, tmp_path / run, master_seed=0, window_nbar=5,
                            window_sidelobe_db=-30.0,
@@ -607,11 +607,11 @@ def test_run_skaa_builds_each_window_through_the_taper_memo(tmp_path, monkeypatc
         assert summary.instances == 12 and summary.failures == 0
         windows = calls["taylor_window_2d"]
         assert [args[2:] for args in windows] == [(5, -30.0)] * 12
-        # Taylor's coefficients only on a memo miss: once per side length
+        # a taper only on a memo miss, once per side length, and Taylor's
+        # coefficients once for the parameter pair
         lengths = {n for args in windows for n in args[:2]}
-        expected = [(5, -30.0)] * len(lengths) if run == "cold" else []
-        assert calls["_taylor_coefficients"] == expected
         assert spectral._memo_taper.cache_info().misses == len(lengths)
+        assert spectral._taylor_coefficients.cache_info().misses == 1
         for name in calls:
             calls[name].clear()
     for _, ann_path in index.entries:

@@ -730,6 +730,23 @@ def test_a_window_that_cannot_be_built_is_an_exit_code_not_a_traceback(
         assert not out.exists()
 
 
+def test_a_run_whose_instances_all_fail_counts_them_in_the_manifest(tmp_path, capsys):
+    """Every crop of these chips has a taper length at which a -1 dB Taylor
+    taper dips below 0: the run still exits 0, and its manifest says so."""
+    data = synth(tmp_path, chips=3)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window.sidelobe_db = -1\n")
+    manifests = {}
+    for name, extra in (("failed", ("--config", str(cfg))), ("good", ())):
+        out = tmp_path / name
+        assert run_cli("annotate", "--images", str(data / "images"), "--annots",
+                       str(data / "annots"), "--out", str(out), "--seed", "0", *extra) == 0
+        manifests[name] = (out / MANIFEST_NAME).read_text()
+    assert "annotated 3 instances (3 kept unchanged)" in capsys.readouterr().out
+    assert "\nfailed_instances = 3\n" in manifests["failed"]
+    assert "failed_" not in manifests["good"]
+
+
 def test_annotate_threads_do_not_change_output(tmp_path):
     data = synth(tmp_path)
     out1, out4 = tmp_path / "t1", tmp_path / "t4"

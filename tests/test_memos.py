@@ -94,6 +94,37 @@ def test_a_bad_taper_length_is_invalid_window_params_naming_the_length():
     assert spectral._memo_taper.cache_info().currsize == 1  # length 3's taper
 
 
+def test_a_faulty_length_computes_the_coefficients_once():
+    """Twenty windows of a length whose taper is faulty: each raises, naming
+    the length, and Taylor's coefficients are computed for the first only."""
+    bad = next(n for n in range(2, 100) if taylor_window(n, 4, -1.0).min() <= 0)
+    spectral._memo_taper.cache_clear()
+    spectral._taylor_coefficients.cache_clear()
+    for _ in range(20):
+        with pytest.raises(InvalidWindowParams,
+                           match=rf"^Taylor taper of length {bad} \(nbar 4, -1.0 dB\): "):
+            taylor_window_2d(bad, bad, 4, -1.0)
+    info = spectral._taylor_coefficients.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+    assert spectral._memo_taper.cache_info().currsize == 0
+
+
+def test_the_coefficient_memo_is_bounded_read_only_and_typed():
+    spectral._taylor_coefficients.cache_clear()
+    assert spectral._taylor_coefficients.cache_info().maxsize == spectral.COEFF_MEMO_SIZE
+    for level in range(-10, -10 - 2 * spectral.COEFF_MEMO_SIZE, -1):
+        _assert_read_only(*spectral._taylor_coefficients(4, float(level)))
+        assert spectral._taylor_coefficients.cache_info().currsize <= spectral.COEFF_MEMO_SIZE
+    # a pair built again, after it left the memo, has the same bits
+    ma, fm = spectral._taylor_coefficients(4, -10.0)
+    spectral._taylor_coefficients.cache_clear()
+    again = spectral._taylor_coefficients(4, -10.0)
+    assert ma.tobytes() == again[0].tobytes() and fm.tobytes() == again[1].tobytes()
+    # 4.0 is not 4's entry: it is checked, and rejected
+    with pytest.raises(InvalidWindowParams, match="nbar must be an integer"):
+        spectral._taylor_coefficients(4.0, -10.0)
+
+
 @pytest.mark.parametrize("nbar", [4.0, 4.5])
 def test_a_non_integer_nbar_is_rejected_with_the_memo_cold_and_warm(nbar):
     spectral._memo_taper.cache_clear()

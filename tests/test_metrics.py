@@ -20,8 +20,9 @@ from scatterkit.metrics import (COLLINEAR_TOL, Detection, EvalReport, OrientedBo
                                 proposal_precision, rotated_iou)
 
 from oracles import (average_precision_grouped_scalar, beyond_reach, box_area, box_ccw,
-                     box_fields_scalar, clip_reach_scalar, degenerate_reason, iou_from_parts,
-                     max_ious_scalar, rotated_iou_np, rotated_iou_scalar)
+                     box_fields_scalar, clip_convex_scalar, clip_reach_scalar,
+                     clipped_iou_scalar, degenerate_reason, envelope_ap_np, hit_rates_loop,
+                     iou_from_parts, max_ious_scalar, rotated_iou_np, rotated_iou_scalar)
 from test_acceptance import _criterion4_pairs
 
 
@@ -800,6 +801,135 @@ def test_iou_matrix_of_empty_lists():
         assert _assert_matrix_is_the_scalar_rule(a, b).shape == (len(a), len(b))
     assert max_ious(boxes, []).tolist() == [0.0, 0.0]
     assert max_ious([], []).shape == (0,)
+
+
+def _assert_kernel_is_the_retired_clip(boxes, sizes):
+    """For both orders of every pair of `boxes`, the clip's polygon and the
+    IoU equal the retired clip's and area's bit for bit; counts each
+    polygon's size in `sizes`."""
+    for a in boxes:
+        for b in boxes:
+            poly = metrics._clip_convex(a._ccw_pts, b._ccw_pts)
+            want = clip_convex_scalar(a._ccw_pts, b._ccw_pts)
+            assert _float_bits(tuple(poly)) == _float_bits(tuple(want))
+            assert _float_bits(metrics._clipped_iou(a, b)) == _float_bits(clipped_iou_scalar(a, b))
+            sizes[len(poly)] += 1
+
+
+def _kernel_edge_boxes():
+    """Boxes where the clip's corner cases live: on the line -COLLINEAR_TOL
+    outside the unit square's bottom and left edges (whose distances are
+    exact), so a corner sits on the tolerance and a cut is clamped; a flat
+    and a dented corner (kappa = inf); overlapping boxes past 2**500; boxes
+    ~1e308 apart; and the spike pair."""
+    tol = COLLINEAR_TOL
+    big = 2.0 ** 501
+    kite = [[0.4, -0.5], [0.8, -tol], [0.6, 0.5], [0.2, -tol]]
+    return [rect(0, 0, 1, 1), rect(0.25, -tol, 0.75, 0.5), rect(-tol, 0.25, 0.5, 0.75),
+            OrientedBox(corners=kite), OrientedBox(corners=np.array(kite)[::-1, ::-1]),
+            OrientedBox(corners=[[0, 0], [1, 0], [2, 0], [1, 1]]),
+            OrientedBox(corners=[[0, 0], [1, 2e-10], [2, 0], [1, 1]]),
+            rect(big, 0, big + 2.0 ** 460, 2.0 ** 460),
+            rect(big + 2.0 ** 459, 2.0 ** 458, big + 2.0 ** 461, 2.0 ** 461),
+            rect(-big - 2.0 ** 460, 0, -big, 1.0),
+            rect(1e308, 0, 1.1e308, 1e-300), rect(1.05e308, 0, 1.15e308, 2e-300),
+            rect(-1.1e308, 0, -1e308, 1e-300), *_spike_pair()]
+
+
+def test_clip_and_iou_are_the_retired_clip_bit_for_bit():
+    """Every polygon and IoU of the pair kernel equals the retired clip's,
+    over criterion 4's pairs, both oracle families, the corner cases and
+    the near-1e154 window, with every polygon size from 0 and 3 to 8: of
+    the 124,288 ordered pairs, 24,108 clip to nothing and 2,035, 80,368,
+    6,339, 6,419, 2,930 and 2,089 to 3 to 8 vertices."""
+    sizes = Counter()
+    for a, b in _criterion4_pairs():
+        _assert_kernel_is_the_retired_clip([a, b], sizes)
+    for name in FAMILIES:
+        for corners in _family(*FAMILIES[name]):
+            _assert_kernel_is_the_retired_clip([OrientedBox(corners=c) for c in corners], sizes)
+    _assert_kernel_is_the_retired_clip(_kernel_edge_boxes(), sizes)
+    for corners in OVERFLOW_WINDOW:
+        if degenerate_reason(corners) is None:
+            arr = np.asarray(corners, dtype=np.float64)
+            _assert_kernel_is_the_retired_clip(
+                [OrientedBox(corners=arr + shift * np.ptp(arr, axis=0)) for shift in (0, 0.25, 3)],
+                sizes)
+    assert {0, 3, 4, 5, 6, 7, 8} <= set(sizes), sizes
+
+
+def test_the_corner_cases_reach_the_tolerance_and_the_clamp():
+    """The kite's corner (0.8, -tol) lies exactly on the tolerance line of
+    the square's bottom edge, so that edge keeps it, and cuts the segment
+    to it from (0.4, -0.5) at t = 1, clamped down from just above 1."""
+    square, _, _, kite = _kernel_edge_boxes()[:4]
+    dp, dq = -0.5, -COLLINEAR_TOL  # the two corners' distances from the edge
+    assert dp / (dp - dq) > 1.0
+    poly = metrics._clip_convex(kite._ccw_pts, square._ccw_pts)
+    assert poly[:2] == [(0.4 + 1.0 * (0.8 - 0.4), -0.5 + 1.0 * (dq + 0.5)), (0.8, dq)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_clip_and_iou_are_the_retired_clip_on_drawn_box_sets(data):
+    scale = 10.0 ** data.draw(st.floats(-3.0, 4.0), label="log10 size")
+    boxes = []
+    for i in range(data.draw(st.integers(2, 5), label="count")):
+        c = _rect_corners(
+            scale * np.array(data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                                       label=f"{i} center")),
+            *(scale * np.array(data.draw(st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)),
+                                         label=f"{i} size"))),
+            data.draw(st.floats(0.0, np.pi), label=f"{i} angle"))
+        c = np.roll(c, data.draw(st.integers(0, 3), label=f"{i} start"), axis=0)
+        boxes.append(OrientedBox(corners=c[::-1] if data.draw(st.booleans(),
+                                                              label=f"{i} reversed") else c))
+    _assert_kernel_is_the_retired_clip(boxes, Counter())
+
+
+_RATE_GRID = [0.0, 0.05, 0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_hit_rates_equal_one_mean_per_threshold_bit_for_bit(data):
+    """Empty and long arrays, values exactly on a threshold, and repeated
+    or unsorted thresholds."""
+    value = st.one_of(st.sampled_from(_RATE_GRID), st.floats(0.0, 1.0))
+    best = np.array(data.draw(st.lists(value, max_size=300), label="best"), dtype=np.float64)
+    thresholds = data.draw(st.lists(value, max_size=20), label="thresholds")
+    got = metrics._hit_rates(best, thresholds)
+    assert _float_bits(tuple(got)) == _float_bits(tuple(hit_rates_loop(best, thresholds)))
+
+
+def test_hit_rates_on_the_threshold_repeated_and_empty():
+    best = np.array([0.5, 0.5, 0.25, 1.0, 0.0, 1 / 3, 0.7])
+    thresholds = [0.5, 0.5, 0.25, 0.0, 1.0, 1 / 3, 0.7, 0.7]
+    assert metrics._hit_rates(best, thresholds) == hit_rates_loop(best, thresholds) == \
+        [2 / 7, 2 / 7, 5 / 7, 6 / 7, 0.0, 4 / 7, 1 / 7, 1 / 7]
+    assert metrics._hit_rates(np.zeros(0), thresholds) == [0.0] * 8
+    assert metrics._hit_rates(best, []) == [] == hit_rates_loop(best, [])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_envelope_ap_on_floats_equals_the_numpy_scalar_oracle(data):
+    flags = data.draw(st.lists(st.booleans(), max_size=200), label="flags")
+    n_gt = data.draw(st.integers(max(1, sum(flags)), sum(flags) + 40), label="n_gt")
+    got = metrics._envelope_ap(flags, n_gt)
+    assert type(got) is float and got.hex() == envelope_ap_np(flags, n_gt).hex()
+
+
+def test_phr_and_precision_keep_their_errors_and_messages():
+    box = rect(0, 0, 1, 1)
+    with pytest.raises(EmptyProposals, match=r"^PHR of an empty proposal list$"):
+        phr_curve([], [box], [0.5])
+    for thresholds in ([0.5, 0.5], [0.5, 0.4]):
+        with pytest.raises(ValueError, match=r"^thresholds must be sorted strictly ascending$"):
+            phr_curve([box], [box], thresholds)
+    with pytest.raises(EmptyProposals, match=r"^precision of an empty proposal list$"):
+        proposal_precision([], [box])
+    assert phr_curve([box], [box], []) == []
 
 
 def _drawn_detections(rng, images=4, per_image=8, classes=3):
