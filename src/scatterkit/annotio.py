@@ -11,7 +11,9 @@ Base format is one instance per line:
 optionally extended with a literal ``kp`` token followed by 2k keypoint
 coordinates. Floats are written with 6 significant digits. Prediction files
 ("image_id class_id score x1 .. y4") and scatterer truth sidecars
-("x y amplitude") share the same numeric convention.
+("x y amplitude") share the same numeric convention. All three are read by
+`chipio.read_text_lines`; a parse error names the first bad line, or line 0
+for a non-ASCII byte anywhere in the file.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .ascmodel import FittedScatterer, Scatterer, base_psf, fit_scatterer, lay_out_regions
-from .chipio import read_chip, write_chip, write_text_atomic
+from .chipio import read_chip, read_text_lines, write_atomic, write_chip
 from .decouple import DecoupleParams, ScatterRegion, decouple
 from .errors import (BadKeypointCount, BoxOutsideImage, DegenerateBox, MalformedLine,
                      OutOfBounds, ScatterKitError)
@@ -69,57 +71,50 @@ class InstanceAnnotation:
                         f"[{x0}, {x1}]x[{y0}, {y1}]")
 
 
-def _ascii_lines(path: str | Path):
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line:
-                    yield line_no, line
-        except UnicodeDecodeError as exc:
-            raise MalformedLine(0, f"not ascii text: {exc}") from None
+def _lines(path: str | Path) -> list[tuple[int, str]]:
+    """A record file's numbered non-blank lines; a non-ASCII byte is line 0."""
+    try:
+        return read_text_lines(path)
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(0, f"not ascii text: {exc}") from None
 
 
-def _boxed_lines(path: str | Path, read):
-    """Yield (line number, box, fields) for each non-blank line of a file.
+def _boxed_records(path: str | Path, read, build) -> list:
+    """One record per non-blank line of a file, each built on its line's box.
 
     `read(line_no, line)` turns a line into its fields and its 8 corner
-    floats, or raises. Every line is read first, then all the boxes are
-    built from one (n, 4, 2) stack of the corners (`boxes_from_corners`). A
-    line that fails to read stops the reading, but it is raised only after
-    the earlier lines are yielded: a degenerate box (MalformedLine) or a
-    caller's error on an earlier line comes first, so the error raised is
-    always the first bad line's.
+    floats, or raises MalformedLine. Lines are read up to the first that
+    fails, their boxes built from one stack of corners (`boxes_from_corners`)
+    and their records by `build(box, *fields)`; only then is the failed
+    read raised, so the error raised is always the first bad line's.
     """
     lines, corners = [], []
     try:
-        for line_no, line in _ascii_lines(path):
+        for line_no, line in _lines(path):
             fields, nums = read(line_no, line)
             lines.append((line_no, fields))
             corners.append(nums)
         unread = None
-    except (ScatterKitError, OSError) as exc:
+    except MalformedLine as exc:
         unread = exc
     stack = np.array(corners, dtype=np.float64).reshape(-1, 4, 2)
+    records = []
     for (line_no, fields), box in zip(lines, boxes_from_corners(stack)):
         if isinstance(box, DegenerateBox):
             raise MalformedLine(line_no, str(box))
-        yield line_no, box, fields
+        try:
+            records.append(build(box, *fields))
+        except (ScatterKitError, ValueError) as exc:
+            raise MalformedLine(line_no, str(exc)) from None
     if unread is not None:
         raise unread
+    return records
 
 
 def parse_annotation(path: str | Path) -> list[InstanceAnnotation]:
     """Read one annotation file; blank lines are ignored. The file's boxes
-    are built in one pass (`_boxed_lines`)."""
-    out = []
-    for line_no, box, (class_name, difficulty, kps) in _boxed_lines(path, _annotation_fields):
-        try:
-            out.append(InstanceAnnotation(box=box, class_name=class_name,
-                                          difficulty=difficulty, keypoints=kps))
-        except (ScatterKitError, ValueError) as exc:
-            raise MalformedLine(line_no, str(exc)) from None
-    return out
+    are built in one pass (`_boxed_records`)."""
+    return _boxed_records(path, _annotation_fields, InstanceAnnotation)
 
 
 def _annotation_fields(line_no: int, line: str) -> tuple[tuple, list[float]]:
@@ -171,40 +166,42 @@ def format_annotation(annots: list[InstanceAnnotation]) -> str:
 
 
 def write_annotation(annots: list[InstanceAnnotation], path: str | Path) -> None:
-    write_text_atomic(path, format_annotation(annots))
+    write_atomic(path, format_annotation(annots))
 
 
 def parse_truth(path: str | Path) -> list[Scatterer]:
     """Read a scatterer truth sidecar (``x y amplitude`` per line)."""
-    out = []
-    for line_no, line in _ascii_lines(path):
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise MalformedLine(line_no, f"expected 3 tokens, got {len(tokens)}")
-        try:
-            x, y, a = (float(t) for t in tokens)
-            out.append(Scatterer(x=x, y=y, amplitude=a))
-        except ValueError as exc:
-            raise MalformedLine(line_no, str(exc)) from None
-    return out
+    return [_scatterer(line_no, line) for line_no, line in _lines(path)]
+
+
+def _scatterer(line_no: int, line: str) -> Scatterer:
+    tokens = line.split()
+    if len(tokens) != 3:
+        raise MalformedLine(line_no, f"expected 3 tokens, got {len(tokens)}")
+    try:
+        x, y, a = (float(t) for t in tokens)
+        return Scatterer(x=x, y=y, amplitude=a)
+    except ValueError as exc:
+        raise MalformedLine(line_no, str(exc)) from None
 
 
 def write_truth(scatterers: list[Scatterer], path: str | Path) -> None:
     lines = [f"{_fmt(s.x)} {_fmt(s.y)} {_fmt(s.amplitude)}" for s in scatterers]
-    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def parse_predictions(path: str | Path) -> dict[str, list[Detection]]:
     """Read a prediction file into per-image detection lists. The file's
-    boxes are built in one pass (`_boxed_lines`)."""
+    boxes are built in one pass (`_boxed_records`)."""
     out: dict[str, list[Detection]] = {}
-    for line_no, box, (image_id, class_id, score) in _boxed_lines(path, _prediction_fields):
-        try:
-            det = Detection(box=box, score=score, class_id=class_id)
-        except ValueError as exc:
-            raise MalformedLine(line_no, str(exc)) from None
+    for image_id, det in _boxed_records(path, _prediction_fields, _detection):
         out.setdefault(image_id, []).append(det)
     return out
+
+
+def _detection(box: OrientedBox, image_id: str, class_id: int,
+               score: float) -> tuple[str, Detection]:
+    return image_id, Detection(box=box, score=score, class_id=class_id)
 
 
 def _prediction_fields(line_no: int, line: str) -> tuple[tuple, list[float]]:

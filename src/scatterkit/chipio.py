@@ -14,7 +14,7 @@ Samples are float32 on disk and promoted to float64/complex128 in memory, so
 file -> raster -> file round trips are byte-identical. Binary PGM (P5, 8- or
 16-bit) is accepted as an amplitude-only input format.
 
-`write_text_atomic` is the one text writer of the package's result files.
+`read_text_lines` reads every text input; `write_atomic` writes every result.
 """
 
 from __future__ import annotations
@@ -40,20 +40,35 @@ _HEADER = struct.Struct("<4sBBHII")
 MAX_DIM = 1 << 20
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Replace `path` with ASCII `text` in one step, or leave it as it was.
+def read_text_lines(path: str | Path) -> list[tuple[int, str]]:
+    """The numbered non-blank lines of the ASCII text file at `path`.
 
-    The text goes to a temporary file in the same directory, which then
+    The file is read once, so a pipe or FIFO reads as a regular file does.
+    Lines end at universal newlines (\\n, \\r\\n, \\r) alone. A non-ASCII
+    byte raises UnicodeDecodeError, its position counted from the file's start.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().decode("ascii")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [(line_no, line) for line_no, line in enumerate(lines, start=1) if line.strip()]
+
+
+def write_atomic(path: str | Path, data: bytes | str) -> None:
+    """Replace `path` with bytes or ASCII text in one step, or leave it as it was.
+
+    The data goes to a temporary file in the same directory, which then
     replaces `path` by `os.replace`; a write that fails removes its
     temporary file, so readers see the old file or the new one, never a
     part. The data is not fsynced, so this guards against failed writes
     and crashes of the process, not of the machine.
     """
+    if isinstance(data, str):
+        data = data.encode("ascii")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -71,9 +86,7 @@ def write_chip(raster: ComplexRaster | AmplitudeRaster, path: str | Path) -> Non
     else:
         raise TypeError(f"cannot serialize {type(raster).__name__}")
     header = _HEADER.pack(MAGIC, VERSION, dtype, 0, raster.height, raster.width)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload.astype("<f4").tobytes())
+    write_atomic(path, header + payload.astype("<f4").tobytes())
 
 
 def read_chip(path: str | Path) -> ComplexRaster | AmplitudeRaster:
@@ -170,6 +183,4 @@ def write_pgm(values01: np.ndarray, path: str | Path) -> None:
         raise ValueError("PGM visualization expects values in [0, 1]")
     gray = np.floor(arr * 255.0 + 0.5).astype(np.uint8)
     h, w = gray.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(gray.tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + gray.tobytes())

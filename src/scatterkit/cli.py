@@ -24,7 +24,7 @@ from .annotio import (InstanceAnnotation, RunSummary, index_dataset,
                       parse_annotation, parse_predictions, parse_truth, run_dog,
                       run_skaa, write_annotation, write_truth)
 from .ascmodel import SYNTH_BORDER_PX, FrequencyGrid, synth_target
-from .chipio import write_chip, write_pgm, write_text_atomic
+from .chipio import write_atomic, write_chip, write_pgm
 from .config import MANIFEST_NAME, RunConfig, _file_values, _with_overrides, emit_manifest
 from .errors import BadConfigField, ScatterKitError
 from .keypoints import KeypointSet, _check_top_n, instance_seed
@@ -162,7 +162,7 @@ def _fails_validation(file_values: dict, overrides: dict) -> bool:
 def _write_report(text: str, path: str | None) -> None:
     sys.stdout.write(text)
     if path:
-        write_text_atomic(path, text)
+        write_atomic(path, text)
 
 
 def _annotation_files(directory: Path) -> list[Path]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chipio import write_text_atomic
+from .chipio import read_text_lines, write_atomic
 from .decouple import DecoupleParams
 from .errors import BadConfigField, InvalidWindowParams
 from .keypoints import DEFAULT_K, DogParams
@@ -100,15 +100,16 @@ def load_config(path: str | Path | None = None,
 
 def _file_values(path: str | Path | None) -> dict[str, object]:
     """The values the config file at `path` sets, by flat key; none for no
-    file. A caller reads the file once, so a pipe or FIFO loads as a regular
-    file does."""
+    file. The file is read once (`read_text_lines`), so a pipe or FIFO
+    loads as a regular file does."""
     values: dict[str, object] = {}
     if path is None:
         return values
-    data = Path(path).read_bytes()
-    if not data.isascii():
-        raise BadConfigField(str(path), "not ASCII text")
-    for line_no, raw in enumerate(data.decode("ascii").splitlines(), start=1):
+    try:
+        lines = read_text_lines(path)
+    except UnicodeDecodeError:
+        raise BadConfigField(str(path), "not ASCII text") from None
+    for line_no, raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -182,4 +183,4 @@ def emit_manifest(config: RunConfig, timings: dict[str, float],
         lines.append(f"{name} = {counts[name]}")
     for stage in sorted(timings):
         lines.append(f"timing_ms.{stage} = {timings[stage]:.3f}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -86,19 +86,15 @@ class EmptyProposals(ScatterKitError):
 # --- annotation I/O ---------------------------------------------------------
 
 class MalformedLine(ScatterKitError):
-    """Annotation line does not match the expected token layout."""
+    """Record-file line (0: the whole file) does not match its format."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-class BadKeypointCount(ScatterKitError):
+class BadKeypointCount(MalformedLine):
     """Keypoint extension does not carry exactly 2k numbers."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class BoxOutsideImage(ScatterKitError):

@@ -94,7 +94,7 @@ from typing import Iterator
 
 import numpy as np
 
-from scatterkit.annotio import InstanceAnnotation, _ascii_lines
+from scatterkit.annotio import InstanceAnnotation
 from scatterkit.ascmodel import FIT_DILATE_PX, FittedScatterer, SeparablePsf
 from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
 from scatterkit.errors import (AllZeroRaster, BadKeypointCount, DegenerateBox, DimMismatch,
@@ -635,6 +635,20 @@ def _annotation_line(line: str, line_no: int) -> InstanceAnnotation:
                                   difficulty=difficulty, keypoints=kps)
     except (ScatterKitError, ValueError) as exc:
         raise MalformedLine(line_no, str(exc)) from None
+
+
+def _ascii_lines(path):
+    """The retired line reader of the record files: text mode, decoded in
+    8 KiB chunks, so a non-ASCII byte past the first chunk is met only after
+    the lines before it are yielded."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line:
+                    yield line_no, line
+        except UnicodeDecodeError as exc:
+            raise MalformedLine(0, f"not ascii text: {exc}") from None
 
 
 def parse_annotation_per_line(path) -> list[InstanceAnnotation]:

@@ -1,6 +1,9 @@
 """Annotation text formats, cropping, dataset indexing, annotation runs."""
 
+import contextlib
 import importlib.util
+import io
+import itertools
 import struct
 import sys
 import threading
@@ -20,6 +23,7 @@ from scatterkit.annotio import (DatasetIndex, InstanceAnnotation, crop_chip,
                                 write_annotation, write_truth)
 from scatterkit.ascmodel import FrequencyGrid, Scatterer, synth_target
 from scatterkit.chipio import read_chip, write_chip
+from scatterkit.cli import main
 from scatterkit.decouple import DecoupleParams, ScatterRegion
 from scatterkit.errors import (BadKeypointCount, BoxOutsideImage, InvalidWindowParams,
                                MalformedLine, OutOfBounds, ScatterKitError)
@@ -28,7 +32,7 @@ from scatterkit.metrics import OrientedBox
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
 from scatterkit.spectral import taylor_window_2d
 
-from oracles import parse_annotation_per_line, parse_predictions_per_line
+from oracles import _ascii_lines, parse_annotation_per_line, parse_predictions_per_line
 from test_metrics import _float_bits
 
 # the package's `decouple` attribute is the function, not its module
@@ -66,7 +70,8 @@ def test_parse_odd_keypoint_count_rejected(tmp_path):
     with pytest.raises(BadKeypointCount) as exc:
         parse_annotation(p)
     assert exc.value.line_no == 1
-    assert "17" in str(exc.value)
+    assert str(exc.value) == "line 1: keypoint list must hold 2k numbers, got 17"
+    assert isinstance(exc.value, MalformedLine)
 
 
 def test_parse_empty_keypoint_list_rejected(tmp_path):
@@ -350,6 +355,108 @@ def test_parse_reports_the_first_bad_line_whichever_check_it_fails(tmp_path, par
         parse(p)
     with pytest.raises(FileNotFoundError):
         parse(tmp_path / "missing.txt")
+
+
+@pytest.mark.parametrize("parse, good, short", [
+    (parse_annotation, BOX_LINE, "0 0 4"),
+    (parse_predictions, "img0 0 0.9 0 0 4 0 4 4 0 4", "img0 0 0.9"),
+    (parse_truth, "1 2 0.5", "1 2"),
+], ids=["annotation", "predictions", "truth"])
+def test_a_non_ascii_byte_is_line_0_at_any_file_size(tmp_path, parse, good, short):
+    """A non-ASCII byte on the last line of a file whose line 2 is bad is
+    the whole file's error, line 0, at its byte position from the start of
+    the file, whether the file is under or over 8 KiB. The retired reader
+    decoded 8 KiB at a time, so past that size it met line 2 first."""
+    p = tmp_path / "records.txt"
+    for n_good in (1, 1500):
+        data = "\n".join([good, short] + [good] * n_good + [good + " \xe9"]).encode("latin-1")
+        p.write_bytes(data + b"\n")
+        pos = data.index(b"\xe9")
+        with pytest.raises(MalformedLine) as exc:
+            parse(p)
+        assert exc.value.line_no == 0
+        assert str(exc.value) == ("line 0: not ascii text: 'ascii' codec can't decode byte "
+                                  f"0xe9 in position {pos}: ordinal not in range(128)")
+    assert len(data) > 8192
+    assert list(itertools.islice(_ascii_lines(p), 2)) == [(1, good), (2, short)]
+
+
+@st.composite
+def _truth_file(draw):
+    """The bytes of a truth sidecar: good ``x y amplitude`` lines, some with
+    a bad token count, a non-finite, negative or non-numeric value, a
+    non-ASCII byte, a \\r, \\f or \\v, or a comment; joined by \\n, \\r\\n
+    or \\r."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        tokens = [draw(st.sampled_from(["1", "2.5", "0", "-0", "1e3", "120.25", "-3"]))
+                  for _ in range(2)] + [draw(st.sampled_from(["0.5", "1", "0", "-0", "7e2"]))]
+        kind = draw(st.sampled_from(["good"] * 6 + ["count", "value", "byte", "space",
+                                                    "comment", "blank"]))
+        if kind == "count":
+            tokens = tokens[:draw(st.integers(0, 2))] if draw(st.booleans()) else tokens + ["4"]
+        elif kind == "value":
+            tokens[draw(st.integers(0, 2))] = draw(st.sampled_from(
+                ["nan", "inf", "-inf", "1e999", "-0.5", "-1e-300", "abc", "1e", "0x10", "--1"]))
+        elif kind == "comment":
+            tokens = draw(st.sampled_from([["#", *tokens], [*tokens, "#", "note"], ["#"]]))
+        line = " ".join(tokens).encode("ascii")
+        if kind == "byte":
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from([b"\xe9", b"\x80", b"\xff"])) + line[at:]
+        elif kind == "space":
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from([b"\r", b"\f", b"\v", b"\t"])) + line[at:]
+        elif kind == "blank":
+            line = draw(st.sampled_from([b"", b" ", b"\t\f\v"]))
+        lines.append(line)
+    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else b"")
+
+
+@pytest.fixture(scope="module")
+def keypoint_runs(tmp_path_factory):
+    """Two annotation directories holding one keypoint file, `chip.txt`."""
+    root = tmp_path_factory.mktemp("keypoint_runs")
+    for name in ("a", "b"):
+        (root / name).mkdir()
+        (root / name / "chip.txt").write_text(f"{BOX_LINE} kp 1 1 3 3\n")
+    return root
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_truth_reader_raises_only_its_errors_and_main_exits_by_the_table(
+        keypoint_runs, data):
+    """A fuzzed truth sidecar parses or raises a ScatterKitError (an
+    OSError is the only other allowed escape). Through `eval
+    --keypoint-compare`, it exits 0 or 3 (data error) as the parse does,
+    and no traceback reaches stderr."""
+    truth = keypoint_runs / "truth"
+    truth.mkdir(exist_ok=True)
+    path = truth / "chip.txt"
+    text = data.draw(_truth_file())
+    path.write_bytes(text)
+    n_lines = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+    try:
+        scatterers = parse_truth(path)
+        expected = 0
+    except ScatterKitError as exc:
+        expected = 3
+        assert isinstance(exc, MalformedLine)
+        if text.isascii():
+            assert 1 <= exc.line_no <= n_lines
+        else:
+            assert exc.line_no == 0
+    else:
+        assert all(isinstance(s, Scatterer) for s in scatterers)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", "--keypoint-compare", "--annots-a", str(keypoint_runs / "a"),
+                     "--annots-b", str(keypoint_runs / "b"), "--truth", str(truth)])
+    assert code == expected
+    assert "Traceback" not in err.getvalue()
+    assert ("data error" in err.getvalue()) == (expected == 3)
 
 
 def _image64():
@@ -882,3 +989,29 @@ def test_dog_run_fires_the_dog_span_inside_every_instance(tmp_path, Tracer):
     assert len(instances) == 3
     parents = {s.parent for s in tracer.spans if s.name == "keypoints.dog_keypoints"}
     assert parents == set(instances)
+
+
+def test_parse_and_io_spans_fire_once_per_file(tmp_path, Tracer):
+    """The parse and I/O layers sit under the names `perfbench/spans.py`
+    wraps: `run_skaa` reads, parses and writes each image once, and `eval`
+    parses its prediction file once and each GT file once. Without them,
+    `annotio.parse_annotation.ms_per_image` and `annotio.parse_predictions.ms`
+    would read 0."""
+    index = _three_instance_set(tmp_path)
+    with Tracer() as tracer:
+        run_skaa(index, tmp_path / "out", master_seed=0)
+    names = [s.name for s in tracer.spans]
+    for name in ("chipio.read_chip", "annotio.parse_annotation", "annotio.write_annotation"):
+        assert names.count(name) == len(index.entries), name
+
+    gts = tmp_path / "gts"
+    gts.mkdir()
+    for stem in ("img0", "img1", "img2"):
+        (gts / f"{stem}.txt").write_text(BOX_LINE + "\n")
+    preds = tmp_path / "preds.txt"
+    preds.write_text("img0 0 0.9 0 0 4 0 4 4 0 4\nimg2 0 0.5 0 0 4 0 4 4 0 4\n")
+    with Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
+        assert main(["eval", "--preds", str(preds), "--gts", str(gts)]) == 0
+    names = [s.name for s in tracer.spans]
+    assert names.count("annotio.parse_predictions") == 1
+    assert names.count("annotio.parse_annotation") == 3

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from scatterkit import cli
-from scatterkit.annotio import InstanceAnnotation, write_annotation, write_truth
+from scatterkit.annotio import (InstanceAnnotation, parse_annotation, parse_predictions,
+                                parse_truth, write_annotation, write_truth)
 from scatterkit.ascmodel import Scatterer
-from scatterkit.chipio import read_chip, write_chip, write_pgm, write_text_atomic
-from scatterkit.config import RunConfig, canonical_text, emit_manifest
+from scatterkit.chipio import read_chip, read_text_lines, write_atomic, write_chip, write_pgm
+from scatterkit.config import RunConfig, canonical_text, emit_manifest, load_config
 from scatterkit.metrics import OrientedBox
-from scatterkit.errors import BadDims, BadMagic, BadSamples, TruncatedPayload
+from scatterkit.errors import (BadConfigField, BadDims, BadMagic, BadSamples, MalformedLine,
+                               TruncatedPayload)
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
 
 
@@ -164,18 +166,18 @@ def _fail_replace(src, dst):
     raise OSError("no space left on device")
 
 
-def test_write_text_atomic_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
+def test_write_atomic_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "out.txt"
-    write_text_atomic(path, "old\n")
-    write_text_atomic(path, "new\n")
+    write_atomic(path, "old\n")
+    write_atomic(path, "new\n")
     assert path.read_text() == "new\n"
     with pytest.raises(UnicodeEncodeError):  # raised inside the write
-        write_text_atomic(path, "caf\u00e9\n")
+        write_atomic(path, "caf\u00e9\n")
     assert path.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
     monkeypatch.setattr(os, "replace", _fail_replace)
     with pytest.raises(OSError, match="no space"):
-        write_text_atomic(path, "newer\n")
+        write_atomic(path, "newer\n")
     assert path.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
@@ -184,10 +186,12 @@ def test_write_text_atomic_failing_midway_keeps_previous_file(tmp_path, monkeypa
     lambda p: write_annotation([InstanceAnnotation(
         box=OrientedBox.from_rect(0, 0, 4, 4), class_name="tank")], p),
     lambda p: write_truth([Scatterer(1.0, 2.0, 0.5)], p),
-    lambda p: write_text_atomic(p, canonical_text(RunConfig())),
+    lambda p: write_atomic(p, canonical_text(RunConfig())),
     lambda p: emit_manifest(RunConfig(), {"total": 1.0}, p),
     lambda p: cli._write_report("report\n", str(p)),
-], ids=["annotation", "truth", "config", "manifest", "report"])
+    lambda p: write_chip(AmplitudeRaster(np.ones((2, 3))), p),
+    lambda p: write_pgm(np.ones((2, 3)), p),
+], ids=["annotation", "truth", "config", "manifest", "report", "chip", "pgm"])
 def test_result_writers_replace_their_file_atomically(tmp_path, monkeypatch, capsys, write):
     path = tmp_path / "result.txt"
     path.write_text("previous\n")
@@ -198,4 +202,49 @@ def test_result_writers_replace_their_file_atomically(tmp_path, monkeypatch, cap
     assert [p.name for p in tmp_path.iterdir()] == ["result.txt"]
     monkeypatch.undo()
     write(path)
-    assert path.read_text() != "previous\n"
+    assert path.read_bytes() != b"previous\n"
+
+
+def test_a_failed_chip_write_keeps_the_old_chip(tmp_path, monkeypatch):
+    path = tmp_path / "chip.csar"
+    old = ComplexRaster(np.full((2, 3), 1 + 2j))
+    write_chip(old, path)
+    data = path.read_bytes()
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    with pytest.raises(OSError, match="no space"):
+        write_chip(AmplitudeRaster(np.ones((4, 4))), path)
+    assert path.read_bytes() == data
+    assert [p.name for p in tmp_path.iterdir()] == ["chip.csar"]
+    np.testing.assert_array_equal(read_chip(path).samples, old.samples)
+
+
+# one good line of each text format, and one bad line of it, whose error
+# names its line number
+_FORMATS = {
+    "annotation": ("0 0 4 0 4 4 0 4 tank 0", "0 0 4", parse_annotation,
+                   lambda exc: exc.line_no),
+    "predictions": ("img0 0 0.9 0 0 4 0 4 4 0 4", "img0 0", parse_predictions,
+                    lambda exc: exc.line_no),
+    "truth": ("1 2 0.5", "1 2", parse_truth, lambda exc: exc.line_no),
+    "config": ("keypoint_k = 4", "garbage", load_config,
+               lambda exc: int(exc.field_path.removeprefix("line "))),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_FORMATS))
+def test_every_text_format_numbers_its_lines_by_one_rule(tmp_path, fmt):
+    """The same bytes give the same line numbers in every text format:
+    \\r\\n, \\n and a lone \\r end lines; \\t, \\f and \\v stay inside
+    one; lines of whitespace alone are skipped but counted; the last line
+    needs no newline."""
+    good, bad, parse, line_no = _FORMATS[fmt]
+    spaced = good.replace(" ", "\t", 1).replace(" ", "\f", 1).replace(" ", "\v", 1)
+    text = f"{good}\r\n \t\f\v \r{spaced}\n\r\n\v\n{good}\r{bad}"
+    path = tmp_path / "file.txt"
+    path.write_bytes(text.encode("ascii"))
+    assert read_text_lines(path) == [(1, good), (3, spaced), (6, good), (7, bad)]
+    with pytest.raises((MalformedLine, BadConfigField)) as exc:
+        parse(path)
+    assert line_no(exc.value) == 7
+    path.write_bytes(text.rsplit(bad, 1)[0].encode("ascii"))
+    parse(path)

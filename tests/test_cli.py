@@ -173,12 +173,18 @@ def test_missing_directory_is_io_error(tmp_path):
     assert code == 2
 
 
-def test_malformed_data_is_data_error(tmp_path):
+def test_malformed_data_is_data_error(tmp_path, capsys):
     preds = tmp_path / "preds.txt"
     preds.write_text("not a prediction line\n")
     gts = tmp_path / "gts"
     gts.mkdir()
     assert run_cli("eval", "--preds", str(preds), "--gts", str(gts)) == 3
+    preds.write_text("img0 0 0.9 0 0 4 0 4 4 0 4\n")
+    (gts / "img0.txt").write_text("0 0 4 0 4 4 0 4 tank 0 kp 1 2 3\n")
+    capsys.readouterr()
+    assert run_cli("eval", "--preds", str(preds), "--gts", str(gts)) == 3
+    assert capsys.readouterr().err == ("scatterkit: data error: line 1: keypoint list must "
+                                       "hold 2k numbers, got 3\n")
 
 
 @pytest.mark.parametrize("corners", [

@@ -1,16 +1,21 @@
 """Run configuration: defaults, canonical text, hashing, load/override rules."""
 
+import contextlib
 import inspect
+import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatterkit import config
 from scatterkit.annotio import run_dog, run_skaa
-from scatterkit.chipio import write_text_atomic
+from scatterkit.chipio import write_atomic
+from scatterkit.cli import main
 from scatterkit.config import (RunConfig, canonical_text, config_hash,
                                emit_manifest, load_config)
 from scatterkit.decouple import DecoupleParams
-from scatterkit.errors import BadConfigField
+from scatterkit.errors import BadConfigField, ScatterKitError
 from scatterkit.keypoints import DEFAULT_K
 from scatterkit.spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB
 
@@ -107,7 +112,7 @@ def test_emit_then_load_round_trip(tmp_path):
     cfg = load_config(overrides={"decouple.tau_db": -4.5, "master_seed": 17,
                                  "pool": "avg"})
     path = tmp_path / "run.cfg"
-    write_text_atomic(path, canonical_text(cfg))
+    write_atomic(path, canonical_text(cfg))
     back = load_config(path)
     assert back == cfg
     assert canonical_text(back) == canonical_text(cfg)
@@ -230,3 +235,92 @@ def test_load_rejects_non_finite_float(tmp_path, key, text):
     assert "finite" in str(exc.value)
     with pytest.raises(BadConfigField):
         load_config(overrides={key: float(text)})
+
+
+@pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1d", "\x1e"])
+def test_a_form_feed_or_vertical_tab_does_not_end_a_config_line(tmp_path, sep):
+    """Two `key = value` pairs with a \\f, \\v or \\x1c-\\x1e between them
+    are one line, whose value does not parse."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"keypoint_k = 4{sep}pool = avg\n")
+    with pytest.raises(BadConfigField) as exc:
+        load_config(path)
+    assert str(exc.value) == (f"{path}: bad config field 'keypoint_k': cannot parse "
+                              f"{'4' + sep + 'pool = avg'!r} as int")
+
+
+_CONFIG_VALUES = {int: ["4", "1", "0", "-1", "30", "99999999999999999999", "4.0"],
+                  float: ["-3.0", "-20", "1e-06", "0.5", "1.6", "-35.0", "0", "1e308"],
+                  str: ["max", "avg", "median"]}
+
+
+@st.composite
+def _config_file(draw):
+    """The bytes of a config file: good `key = value` lines, some with a
+    non-finite, out-of-range or non-numeric value, a non-ASCII byte, a
+    \\r, \\f or \\v, a comment, an unknown key or no `=`; joined by \\n,
+    \\r\\n or \\r."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        key = draw(st.sampled_from(sorted(config._FIELDS)))
+        value = draw(st.sampled_from(_CONFIG_VALUES[config._FIELDS[key][2]]))
+        kind = draw(st.sampled_from(["good"] * 6 + ["value", "byte", "space", "comment",
+                                                    "unknown", "no-equals", "blank"]))
+        if kind == "value":
+            value = draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "four", "", "0x10",
+                                          "1_0", "--1", "-1e-300"]))
+        elif kind == "unknown":
+            key = draw(st.sampled_from(["bogus", "decouple", "supervision.loss_weight", "=",
+                                        "keypoint_k.x"]))
+        line = f"{key} = {value}"
+        if kind == "comment":
+            line = draw(st.sampled_from([f"# {line}", f"{line}  # note", "#", f"{line}#="]))
+        elif kind == "no-equals":
+            line = line.replace("=", draw(st.sampled_from(["", ":", "-"])))
+        line = line.encode("ascii")
+        if kind == "byte":
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from([b"\xe9", b"\x80", b"\xff"])) + line[at:]
+        elif kind == "space":
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from([b"\r", b"\f", b"\v", b"\t"])) + line[at:]
+        elif kind == "blank":
+            line = draw(st.sampled_from([b"", b" ", b"\t\f\v"]))
+        lines.append(line)
+    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else b"")
+
+
+@pytest.fixture(scope="module")
+def empty_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("empty_dataset")
+    for name in ("images", "annots"):
+        (root / name).mkdir()
+    return root
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_reader_raises_only_its_errors_and_main_exits_by_the_table(
+        empty_dataset, data):
+    """A fuzzed config file loads or raises a ScatterKitError (an OSError
+    is the only other allowed escape). `bench --config` on it exits 0 or
+    3 (data error) as the load does, and no traceback reaches stderr."""
+    path = empty_dataset / "run.cfg"
+    text = data.draw(_config_file())
+    path.write_bytes(text)
+    try:
+        load_config(path)
+        expected = 0
+    except ScatterKitError as exc:
+        expected = 3
+        assert isinstance(exc, BadConfigField)
+        if not text.isascii():
+            assert exc.field_path == str(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["bench", "--images", str(empty_dataset / "images"), "--annots",
+                     str(empty_dataset / "annots"), "--config", str(path)])
+    assert code == expected
+    assert "Traceback" not in err.getvalue()
+    assert ("data error" in err.getvalue()) == (expected == 3)
