@@ -26,12 +26,14 @@ give PHR and proposal precision. The matrix's temporaries scale as
 predictions x GT per image, 8 bytes a pair: trivial at 36 x 12, ~0.8 MB
 each at 1,000 x 100.
 
-A file's boxes are built together: `boxes_from_corners` checks and derives
-every stored value of a stack of corners in one array pass, and a single
-`OrientedBox` is its one-row case. The clip stays on Python floats, one pair
-at a time: an array Sutherland-Hodgman clip pays numpy's fixed cost per
-call (several times the scalar clip on a 1 x 1 matrix) and gained nothing
-at ~60 pairs an image.
+Boxes and pairs are both worked on Python floats. `boxes_from_corners`
+checks and derives every stored value of each row of a stack of corners in
+one straight-line pass, and a single `OrientedBox` is its one-row case: an
+array pass over the stack paid numpy's fixed cost on every call, 5 to 7
+times the scalar pass on the one-box file of a chip, and was only ~10 %
+faster at 1,000 boxes. The clip works one pair at a time: an array
+Sutherland-Hodgman clip pays numpy's fixed cost per call (several times the
+scalar clip on a 1 x 1 matrix) and gained nothing at ~60 pairs an image.
 
 The pair kernel (`_clip_convex`, then the area and ratio in `_clipped_iou`)
 walks each clip edge once, with no list of distances and no helper calls,
@@ -62,14 +64,6 @@ ROUNDING_PER_PX = 2.0 ** -40
 _MIN_SINE = 2.0 ** -30    # flatter corners get kappa = inf: never skipped
 _MAX_COORD = 2.0 ** 500   # above this 1 + M the clip's products may overflow
 
-
-# A stack's (x or y, corner, box) view c taken at these corners, [0] minus
-# [1]: in row 0 the edges 0, 1, 2, 3, 0, 1 (edge i runs from corner i to
-# i + 1), in row 1 the corners 0, 0, 1, 2, 3, 0 about corner 0
-_CORNERS = np.array([[[1, 2, 3, 0, 1, 2], [0, 0, 1, 2, 3, 0]],
-                     [[0, 1, 2, 3, 0, 1], [0, 0, 0, 0, 0, 0]]])
-# 0-d arrays: numpy applies them to an array faster than a Python float
-_HALF, _FOUR, _ONE = np.array(0.5), np.array(4.0), np.array(1.0)
 _REASONS = ("box corners contain NaN/Inf", "box area is not finite",
             "box has (near-)zero area", "corners do not form a convex simple quadrilateral")
 
@@ -78,17 +72,13 @@ def boxes_from_corners(stack: np.ndarray) -> list[OrientedBox | DegenerateBox]:
     """One `OrientedBox`, or the `DegenerateBox` it would raise, per row of an
     (n, 4, 2) float64 stack of corners; nothing is raised.
 
-    Every check and stored value of `OrientedBox` is derived here: the
-    arithmetic for the whole stack in one array pass, then each box from its
-    row's results; `OrientedBox(corners)` is the one-row case. The stack is
-    made read-only, and each box's `corners` is its row. The arithmetic is
-    that of one box on Python floats, bit for bit: the halved shoelace terms
-    about the first corner are summed as (((0.0 + t0) + t1) + t2) + t3, the
-    order np.add.reduce sums four terms in, and the centroid is
-    (x0 + x1 + x2 + x3) / 4 (`np.add.accumulate` adds in order); edge
-    lengths come from `math.hypot` (np.hypot differs in the last bit on some
-    edges), and the bounds from `min` and `max`. An overflow is inf or NaN,
-    as on Python floats, and warns nothing.
+    Every check and stored value of `OrientedBox` is derived here, each row's
+    box on Python floats in one straight pass, and `OrientedBox(corners)` is
+    the one-row case. The stack is made read-only, and each box's `corners`
+    is its row. An overflow is inf or NaN and warns nothing. Edge lengths
+    come from `math.hypot` (np.hypot differs in the last bit on some edges),
+    the centroid is (((x0 + x1) + x2) + x3) / 4, as `corners.mean(axis=0)`
+    sums, and the bounds come from `min` and `max`.
 
     Every shoelace area here and in `_clipped_iou` is taken the same way.
     The terms are taken about the first corner: on raw coordinates each
@@ -98,56 +88,59 @@ def boxes_from_corners(stack: np.ndarray) -> list[OrientedBox | DegenerateBox]:
     which on small arrays matches neither `sum` nor `math.fsum`. Each term
     is halved before the sum, not the sum after it: the halving is exact
     above the subnormal range, and a polygon whose area is finite but whose
-    doubled area is not (above ~9e307) keeps its finite area.
+    doubled area is not (above ~9e307) keeps its finite area. About corner
+    0, the terms of corners 0, 1 and of corners 3, 0 are cross products with
+    a zero vector: +-0.0, or NaN where the other vector overflows, and then
+    the term of corners 1, 2 or of corners 2, 3, which holds that vector
+    too, is not finite either. So a box's area is the sum of its other two
+    terms, bit for bit the four-term sum wherever that is finite and not
+    zero; elsewhere both are rejected with the same message.
     """
-    n = len(stack)
     stack.setflags(write=False)
-    c = stack.T  # (x or y, corner, box)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        taken = c.take(_CORNERS, axis=1)
-        vec = taken[:, 0] - taken[:, 1]
-        # cross[0, i]: edge i x edge i + 1, at corner i + 1 (i < 4); cross[1]:
-        # 0.0, then twice the shoelace terms of corners 0 and 1, ..., 3 and 0
-        cross = vec[0, :, :5] * vec[1, :, 1:] - vec[0, :, 1:] * vec[1, :, :5]
-        signed = np.add.accumulate(_HALF * cross[1])[4]
-        turns = cross[0, :4]
-        # what the rejection rule (R1) reads: kappa = 1 / the smallest corner
-        # sine and delta = COLLINEAR_TOL / the shortest edge (`_skip_mask`)
-        ex, ey = vec[:, 0, :5].reshape(2, -1).tolist()
-        lengths = np.fromiter(map(math.hypot, ex, ey), np.float64, 5 * n).reshape(5, n)
-        spans = lengths[:4] * lengths[1:]
-        sines = turns * np.copysign(_ONE, signed) / spans
-        centroid = np.add.accumulate(c, axis=1)[:, 3] / _FOUR
-        # simple + convex <=> all consecutive-edge cross products share a
-        # sign; `min` of the sines is at least _MIN_SINE iff the first one is
-        # and no other is below it (a NaN after the first is passed over)
-        per_box = zip(stack, stack.reshape(n, 8).tolist(), centroid.T.tolist(), signed.tolist(),
-                      np.fmax.reduce(turns).tolist(), np.fmin.reduce(turns).tolist(),
-                      sines[0].tolist(), np.fmin.reduce(sines).tolist(),
-                      np.minimum.reduce(spans).tolist(), np.minimum.reduce(lengths).tolist())
     out = []
-    append, new, isfinite, inf = out.append, object.__new__, math.isfinite, math.inf
-    for corners, pts, (cx, cy), s, turn_hi, turn_lo, sine0, sine, span, shortest in per_box:
+    append, new, hypot, inf, tol = out.append, object.__new__, math.hypot, math.inf, COLLINEAR_TOL
+    for corners, pts in zip(stack, stack.reshape(len(stack), 8).tolist()):
+        x0, y0, x1, y1, x2, y2, x3, y3 = pts
+        # edge i runs from corner i to i + 1; turn i, at corner i + 1, is
+        # edge i x edge i + 1
+        ex0, ey0, ex1, ey1 = x1 - x0, y1 - y0, x2 - x1, y2 - y1
+        ex2, ey2, ex3, ey3 = x3 - x2, y3 - y2, x0 - x3, y0 - y3
+        t0, t1, t2, t3 = (ex0 * ey1 - ex1 * ey0, ex1 * ey2 - ex2 * ey1,
+                          ex2 * ey3 - ex3 * ey2, ex3 * ey0 - ex0 * ey3)
+        # corners 2 and 3 about corner 0 (corner 1 about it is edge 0)
+        ax, ay, bx, by = x2 - x0, y2 - y0, x3 - x0, y3 - y0
+        s = 0.5 * (ex0 * ay - ax * ey0) + 0.5 * (ax * by - bx * ay)
         area = abs(s)
-        bent = turn_hi > COLLINEAR_TOL and turn_lo < -COLLINEAR_TOL
-        if bent or not SLIVER_AREA < area < inf:
-            append(DegenerateBox(_REASONS[0 if not all(map(isfinite, pts)) else
+        # simple + convex <=> all turns share a sign; a NaN turn is passed over
+        if ((t0 > tol or t1 > tol or t2 > tol or t3 > tol)
+                and (t0 < -tol or t1 < -tol or t2 < -tol or t3 < -tol)
+                or not SLIVER_AREA < area < inf):
+            append(DegenerateBox(_REASONS[0 if not all(map(math.isfinite, pts)) else
                                           1 if not area < inf else
                                           2 if not area > SLIVER_AREA else 3]))
             continue
-        # False for a flat, reflex or NaN corner
-        sharp = span > 0.0 and sine0 >= _MIN_SINE and sine >= _MIN_SINE
-        x0, y0, x1, y1, x2, y2, x3, y3 = pts
+        # what the rejection rule (R1) reads: kappa = 1 / the smallest corner
+        # sine and delta = COLLINEAR_TOL / the shortest edge (`_skip_mask`),
+        # both inf for a flat, reflex or NaN corner
+        l0, l1, l2, l3 = hypot(ex0, ey0), hypot(ex1, ey1), hypot(ex2, ey2), hypot(ex3, ey3)
+        d0, d1, d2, d3 = l0 * l1, l1 * l2, l2 * l3, l3 * l0
+        kappa4 = delta = inf
+        if d0 > 0.0 and d1 > 0.0 and d2 > 0.0 and d3 > 0.0:
+            o = 1.0 if s > 0.0 else -1.0
+            # `min` keeps a NaN first sine and passes over a later one
+            sine = min(t0 * o / d0, t1 * o / d1, t2 * o / d2, t3 * o / d3)
+            if sine >= _MIN_SINE:
+                kappa4, delta = 4.0 / sine, tol / min(l0, l1, l2, l3)
         xmin, ymin, xmax, ymax = min(x0, x1, x2, x3), min(y0, y1, y2, y3), \
             max(x0, x1, x2, x3), max(y0, y1, y2, y3)
         box = new(OrientedBox)
         box.__dict__.update(
-            corners=corners, _area=area, _centroid=(cx, cy),
+            corners=corners, _area=area,
+            _centroid=((x0 + x1 + x2 + x3) / 4.0, (y0 + y1 + y2 + y3) / 4.0),
             _ccw=corners if s > 0.0 else corners[::-1],
             _ccw_pts=((x0, y0), (x1, y1), (x2, y2), (x3, y3)) if s > 0.0
             else ((x3, y3), (x2, y2), (x1, y1), (x0, y0)),
-            _reach=(xmin, ymin, xmax, ymax, max(-xmin, -ymin, xmax, ymax),
-                    4.0 / sine if sharp else inf, COLLINEAR_TOL / shortest if sharp else inf))
+            _reach=(xmin, ymin, xmax, ymax, max(-xmin, -ymin, xmax, ymax), kappa4, delta))
         append(box)
     return out
 

@@ -58,8 +58,9 @@ derived for one box on Python floats, and `oriented_box_scalar` a box built
 from it. `parse_annotation_per_line` and `parse_predictions_per_line` are
 the retired parsers that built each line's box on its own, as that
 constructor. The library builds all of a file's boxes from one stack of
-corners in one array pass (`metrics.boxes_from_corners`), and a single
-`OrientedBox` is its one-row case.
+corners in one call (`metrics.boxes_from_corners`), each row on Python
+floats and bit for bit as that constructor, and a single `OrientedBox` is
+its one-row case.
 
 `clip_convex_scalar` is the retired Sutherland-Hodgman clip: each edge
 takes the list of its signed distances, walks it by `% m` indexing and

@@ -1,10 +1,14 @@
 """CSAR container and PGM parsing: round trips and malformed-file handling."""
 
+import contextlib
+import io
 import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatterkit import cli
 from scatterkit.annotio import (InstanceAnnotation, parse_annotation, parse_predictions,
@@ -14,7 +18,7 @@ from scatterkit.chipio import read_chip, read_text_lines, write_atomic, write_ch
 from scatterkit.config import RunConfig, canonical_text, emit_manifest, load_config
 from scatterkit.metrics import OrientedBox
 from scatterkit.errors import (BadConfigField, BadDims, BadMagic, BadSamples, MalformedLine,
-                               TruncatedPayload)
+                               ScatterKitError, TruncatedPayload)
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
 
 
@@ -248,3 +252,108 @@ def test_every_text_format_numbers_its_lines_by_one_rule(tmp_path, fmt):
     assert line_no(exc.value) == 7
     path.write_bytes(text.rsplit(bad, 1)[0].encode("ascii"))
     parse(path)
+
+
+# Seeded mutations of valid chips: a reader may only raise its own errors (a
+# ScatterKitError) or an OSError, and `annotate` exits by the README's table.
+
+_ANNOTATION = b"4 4 19 4 19 19 4 19 ship 0\n"
+
+
+def _base_chips() -> dict[str, bytes]:
+    """Valid 24 x 24 chips, each with a bright 3 x 3 target at its centre."""
+    rng = np.random.Generator(np.random.PCG64(91))
+    amp = rng.uniform(0.0, 0.2, (24, 24))
+    amp[10:13, 10:13] = 1.0
+    z = (amp * np.exp(1j * rng.uniform(0.0, 2 * np.pi, amp.shape))).astype(np.complex64)
+    return {
+        "pgm8": b"P5\n# base\n24 24\n255\n" + np.floor(255.0 * amp).astype(np.uint8).tobytes(),
+        "pgm16": b"P5 24\t24 65535\r" + np.floor(65535.0 * amp).astype(">u2").tobytes(),
+        "csar-complex": _csar_header(dtype=0, height=24, width=24) + z.view("<f4").tobytes(),
+        "csar-amplitude": (_csar_header(dtype=1, height=24, width=24)
+                           + amp.astype("<f4").tobytes()),
+    }
+
+
+_CHIPS = _base_chips()
+_TOKENS = [b" ", b"\n", b"\r", b"\t", b"#", b"# note\n", b"P5", b"CSAR", b"0", b"-1", b"+7",
+           b"1_0", b"255", b"256", b"65535", b"65536", b"99999999999999999999", b"\x00",
+           b"\xff", b"\x01", b"\x02"]
+# little-endian u32 header values and float32 samples
+_WORDS = [*(struct.pack("<I", v) for v in (0, 1, 12, 24, 48, 1 << 20, 2**32 - 1)),
+          *(struct.pack("<f", v) for v in (np.nan, np.inf, -np.inf, -1.0, -0.0, 3e38))]
+
+
+@st.composite
+def _mutated_chip(draw, base: bytes) -> bytes:
+    """`base` after 1 to 3 edits: a byte set, a token or a 4-byte word
+    (written at a multiple of 4, where CSAR fields and samples lie) written
+    over, bytes inserted, a run deleted, or the tail cut. A third of the
+    edits fall in the first 24 bytes, where the headers are, a third in
+    bytes 8 to 23 (past the CSAR magic, version, dtype and reserved field)
+    and a third after them."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = draw(st.sampled_from([(0, 24), (8, 24), (24, len(base))]))
+        pos = min(draw(st.integers(lo, hi - 1)), max(len(data) - 1, 0))
+        op = draw(st.sampled_from(["set", "token", "word", "word", "insert", "delete", "cut"]))
+        if op == "set" and data:
+            data[pos] = draw(st.integers(0, 255))
+        elif op == "token":
+            token = draw(st.sampled_from(_TOKENS))
+            data[pos:pos + len(token)] = token
+        elif op == "word":
+            pos -= pos % 4
+            data[pos:pos + 4] = draw(st.sampled_from(_WORDS))
+        elif op == "insert":
+            data[pos:pos] = draw(st.sampled_from(_TOKENS) | st.binary(min_size=1, max_size=4))
+        elif op == "delete":
+            del data[pos:pos + draw(st.integers(1, 8))]
+        elif op == "cut":
+            del data[pos:]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def chip_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("chip_fuzz")
+    for name in ("images", "annots"):
+        (root / name).mkdir()
+    (root / "annots" / "chip.txt").write_bytes(_ANNOTATION)
+    return root
+
+
+@pytest.mark.parametrize("kind", sorted(_CHIPS))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_chips_raise_only_reader_errors_and_annotate_exits_by_the_table(
+        chip_dataset, kind, data):
+    """A mutated CSAR or PGM chip reads as a raster or raises a
+    ScatterKitError (an OSError is the only other allowed escape). Through
+    `annotate` it exits as the read does: 0, 3 (data error) or 2 (I/O
+    error); a chip with a data error has its annotation copied unchanged,
+    and no traceback reaches stderr."""
+    suffix = ".pgm" if kind.startswith("pgm") else ".csar"
+    for old in (chip_dataset / "images").iterdir():
+        old.unlink()
+    path = chip_dataset / "images" / f"chip{suffix}"
+    path.write_bytes(data.draw(_mutated_chip(_CHIPS[kind])))
+    try:
+        raster = read_chip(path)
+        expected = 0
+    except (ScatterKitError, OSError) as exc:
+        expected = 3 if isinstance(exc, ScatterKitError) else 2
+    else:
+        assert isinstance(raster, (ComplexRaster, AmplitudeRaster))
+    out = chip_dataset / "out"
+    (out / "chip.txt").unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["annotate", "--images", str(chip_dataset / "images"),
+                         "--annots", str(chip_dataset / "annots"), "--out", str(out),
+                         "--seed", "0"])
+    assert code == expected
+    assert "Traceback" not in err.getvalue()
+    assert ("data error" in err.getvalue()) == (expected == 3)
+    if expected == 3:
+        assert (out / "chip.txt").read_bytes() == _ANNOTATION
