@@ -266,14 +266,18 @@ def index_dataset(images_dir: str | Path, annots_dir: str | Path) -> DatasetInde
 class RunSummary:
     """Per-instance timing and failure accounting for one annotation run.
 
-    `failures` counts instances kept unchanged, `failed_images` images whose
-    chip or annotation file could not be read.
+    `instance_ms` holds one time per instance attempted, so `instances` is
+    its length. `failures` counts instances kept unchanged, `failed_images`
+    images whose chip or annotation file could not be read.
     """
 
-    instances: int = 0
     failures: int = 0
     failed_images: int = 0
     instance_ms: list[float] = field(default_factory=list)
+
+    @property
+    def instances(self) -> int:
+        return len(self.instance_ms)
 
     @property
     def mean_ms(self) -> float:
@@ -377,7 +381,6 @@ def _run_annotator(index: DatasetIndex, out_dir: str | Path, worker) -> RunSumma
                 extended.append(ann)
                 summary.failures += 1
             summary.instance_ms.append((time.perf_counter() - t0) * 1e3)
-        summary.instances += len(extended)
         write_annotation(extended, out_dir / ann_path.name)
     return summary
 

@@ -125,7 +125,7 @@ def _memo_psf_axis(taper: bytes) -> tuple[np.ndarray, np.ndarray, float]:
     return _psf_axis(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparablePsf:
     """Amplitude response of a unit scatterer at (0, 0) under a separable window.
 

@@ -76,7 +76,7 @@ class DecoupleParams:
             raise ValueError(f"min_peak_ratio must be >= 0, got {self.min_peak_ratio}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatterRegion:
     """One extracted region of an (h, w) frame, stored by its support.
 

@@ -137,7 +137,6 @@ def boxes_from_corners(stack: np.ndarray) -> list[OrientedBox | DegenerateBox]:
         box.__dict__.update(
             corners=corners, _area=area,
             _centroid=((x0 + x1 + x2 + x3) / 4.0, (y0 + y1 + y2 + y3) / 4.0),
-            _ccw=corners if s > 0.0 else corners[::-1],
             _ccw_pts=((x0, y0), (x1, y1), (x2, y2), (x3, y3)) if s > 0.0
             else ((x3, y3), (x2, y2), (x1, y1), (x0, y0)),
             _reach=(xmin, ymin, xmax, ymax, max(-xmin, -ymin, xmax, ymax), kappa4, delta))
@@ -145,18 +144,20 @@ def boxes_from_corners(stack: np.ndarray) -> list[OrientedBox | DegenerateBox]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientedBox:
     """Rotated rectangle stored as 4 (x, y) corners in consistent winding.
 
     The area, the centroid and the counter-clockwise (CCW) corner order are
-    computed once, when the box is built; the CCW corners are also kept as
-    float pairs for the clip. So is what the exact rejection rule (R1)
-    reads: the bounds, the largest |coordinate|, delta = COLLINEAR_TOL /
+    computed once, when the box is built, the CCW corners as the float pairs
+    the clip reads; `ccw_corners()` builds a new read-only array of them on
+    each call. What the exact rejection rule (R1) reads is computed then
+    too: the bounds, the largest |coordinate|, delta = COLLINEAR_TOL /
     shortest edge and kappa = 1 / the smallest sine of a corner angle (1 for
     a rectangle; inf for a flat, reflex or non-finite corner). A box is the
     one-row case of `boxes_from_corners`, which builds a file's boxes from
     one stack of corners; `corners` is a read-only copy of what was given.
+    Boxes compare and hash by identity: compare `corners` for content.
     """
 
     corners: np.ndarray
@@ -184,7 +185,10 @@ class OrientedBox:
         return self._centroid
 
     def ccw_corners(self) -> np.ndarray:
-        return self._ccw
+        """The corners in CCW order, as a new read-only (4, 2) array."""
+        ccw = np.array(self._ccw_pts)
+        ccw.setflags(write=False)
+        return ccw
 
     @staticmethod
     def from_rect(x0: float, y0: float, x1: float, y1: float) -> "OrientedBox":
@@ -520,20 +524,25 @@ def proposal_precision(proposals: list[OrientedBox], gts: list[OrientedBox],
 
 @dataclass
 class EvalReport:
-    """Aggregated detection-evaluation results."""
+    """Aggregated detection-evaluation results; `map50` is derived from
+    `per_class_ap`."""
 
     per_class_ap: dict[str, float]
-    map50: float
     phr: list[tuple[float, float]] = field(default_factory=list)
     proposal_precision: float = 0.0
     iou_thr: float = 0.5
     class_id_map: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = list(self.per_class_ap.values()) + [self.map50, self.proposal_precision]
+        vals = list(self.per_class_ap.values()) + [self.proposal_precision]
         vals += [r for _, r in self.phr]
         if any(not 0.0 <= v <= 1.0 for v in vals):
             raise ValueError("all APs and rates must lie in [0, 1]")
+
+    @property
+    def map50(self) -> float:
+        """`mean_ap` of the per-class APs, 0.0 when there is no class."""
+        return mean_ap(self.per_class_ap) if self.per_class_ap else 0.0
 
     def render(self) -> str:
         lines = [
@@ -596,6 +605,5 @@ def evaluate_detections(dets_by_image: dict[str, list[Detection]],
     per_class = {name: _matched_ap(scored[name], n_gt[name], iou_thr) for name in names}
     *rates, precision = _hit_rates(np.concatenate(best), [*phr_thresholds, iou_thr])
     return EvalReport(
-        per_class_ap=per_class, map50=mean_ap(per_class) if per_class else 0.0,
-        phr=list(zip(map(float, phr_thresholds), rates)), proposal_precision=precision,
-        iou_thr=iou_thr, class_id_map=dict(class_id_map))
+        per_class_ap=per_class, phr=list(zip(map(float, phr_thresholds), rates)),
+        proposal_precision=precision, iou_thr=iou_thr, class_id_map=dict(class_id_map))

@@ -7,6 +7,8 @@ a writable array it is given, so the caller's array stays writable and later
 writes to it do not reach the raster; a read-only array is kept as it is.
 A crop (`annotio.crop_chip`) holds no copy: its samples are a read-only
 view of its image's, which were checked when the image was read.
+Like every value type here that holds an array, a raster compares and
+hashes by identity (`eq=False`): compare `samples` or `values` for content.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexRaster:
     """2-D grid of complex field samples (an SLC chip or a spectrum)."""
 
@@ -70,7 +72,7 @@ class ComplexRaster:
         return self.samples.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeRaster:
     """2-D grid of non-negative amplitude values."""
 
@@ -107,7 +109,7 @@ def _taper_fault(taper: np.ndarray) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowRaster:
     """Separable 2-D spectral taper, held as its two 1-D windows.
 

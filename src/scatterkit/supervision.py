@@ -48,7 +48,7 @@ class SupervisionParams:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatterMap:
     """Dense per-pixel response in [0, 1]."""
 
@@ -73,7 +73,7 @@ class ScatterMap:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureGrid:
     """Channel-first activation stack (C, H, W)."""
 

@@ -53,10 +53,11 @@ those corners went through, on numpy rows. `OrientedBox` computes the area
 and the CCW order once, and `metrics` clips on plain floats.
 
 `box_fields_scalar` is the retired `OrientedBox` constructor: every check
-and stored value (`_area`, `_centroid`, `_ccw`, `_ccw_pts`, `_reach`)
-derived for one box on Python floats, and `oriented_box_scalar` a box built
-from it. `parse_annotation_per_line` and `parse_predictions_per_line` are
-the retired parsers that built each line's box on its own, as that
+and stored value (`_area`, `_centroid`, `_ccw_pts`, `_reach`) derived for
+one box on Python floats, with `_ccw`, the CCW corner array that
+`ccw_corners()` builds, and `oriented_box_scalar` a box built from the
+stored values. `parse_annotation_per_line` and `parse_predictions_per_line`
+are the retired parsers that built each line's box on its own, as that
 constructor. The library builds all of a file's boxes from one stack of
 corners in one call (`metrics.boxes_from_corners`), each row on Python
 floats and bit for bit as that constructor, and a single `OrientedBox` is
@@ -596,8 +597,10 @@ def oriented_box_scalar(corners) -> OrientedBox:
     `box_fields_scalar`."""
     arr = np.array(corners, dtype=np.float64)
     arr.setflags(write=False)
+    fields = box_fields_scalar(arr)
+    del fields["_ccw"]
     box = object.__new__(OrientedBox)
-    box.__dict__.update(corners=arr, **box_fields_scalar(arr))
+    box.__dict__.update(corners=arr, **fields)
     return box
 
 

@@ -1,6 +1,7 @@
 """Annotation text formats, cropping, dataset indexing, annotation runs."""
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import itertools
@@ -643,6 +644,21 @@ def test_run_skaa_keeps_degenerate_instances(tmp_path, caplog):
     assert summary.failures == 1
     zero_ann = parse_annotation(out / "chip_00001.txt")
     assert zero_ann[0].keypoints is None  # original line kept verbatim
+
+
+def test_run_summary_counts_each_attempted_instance_once(tmp_path):
+    """`instances` is the number of instance times, failed instances
+    included; an image that cannot be read adds neither."""
+    _mini_dataset(tmp_path, n_chips=3, all_zero_last=True)
+    (tmp_path / "images" / "chip_00003.csar").write_bytes(b"not a chip")
+    (tmp_path / "annots" / "chip_00003.txt").write_text(BOX_LINE + "\n")
+    summary = run_skaa(index_dataset(tmp_path / "images", tmp_path / "annots"),
+                       tmp_path / "out", master_seed=0)
+    assert (summary.failures, summary.failed_images) == (1, 1)
+    assert summary.instances == len(summary.instance_ms) == 3
+    assert "instances" not in {f.name for f in dataclasses.fields(summary)}
+    with pytest.raises(AttributeError):
+        summary.instances = 4
 
 
 def test_run_dog_rejects_k_above_top_n_before_writing(tmp_path):

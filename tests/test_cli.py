@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, outputs, config layering."""
 
+import dataclasses
 import os
 import struct
 import subprocess
@@ -17,6 +18,7 @@ from scatterkit import annotio, cli, metrics
 from scatterkit.cli import _threshold_sweep, main
 from scatterkit.config import MANIFEST_NAME
 from scatterkit.decouple import DecoupleParams
+from scatterkit.metrics import mean_ap
 from scatterkit.raster import AmplitudeRaster, amplitude
 
 from oracles import decouple_steps_dense
@@ -395,6 +397,27 @@ def test_eval_reproduces_the_saved_reports(tmp_path, flags, saved):
     assert run_cli("eval", "--preds", str(EVAL_RUN / "preds.txt"), "--gts", str(EVAL_RUN / "gts"),
                    "--report", str(report), *flags) == 0
     assert report.read_bytes() == (EVAL_RUN / saved).read_bytes()
+
+
+@pytest.mark.parametrize("flags, saved", [((), "report.txt"),
+                                          (("--ignore-difficult",), "report_ignore_difficult.txt")])
+def test_eval_map_is_the_mean_of_the_reported_class_aps(tmp_path, monkeypatch, flags, saved):
+    """The report's `map50` is `mean_ap` of its per-class APs bit for bit,
+    and renders as the saved report's `map` line."""
+    reports = []
+
+    def recording(*args):
+        reports.append(metrics.evaluate_detections(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "evaluate_detections", recording)
+    assert run_cli("eval", "--preds", str(EVAL_RUN / "preds.txt"), "--gts", str(EVAL_RUN / "gts"),
+                   "--report", str(tmp_path / "report.txt"), *flags) == 0
+    (report,) = reports
+    assert "map50" not in {f.name for f in dataclasses.fields(report)}
+    assert len(report.per_class_ap) > 1
+    assert report.map50.hex() == mean_ap(report.per_class_ap).hex()
+    assert f"\nmap = {report.map50:.6f}\n" in (EVAL_RUN / saved).read_text()
 
 
 @pytest.mark.parametrize("flag, value", [("--chips", "0"), ("--chips", "-1"),

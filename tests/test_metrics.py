@@ -1296,7 +1296,7 @@ def test_mean_nearest_distance_rejects_empty_sets():
 
 
 def test_eval_report_validation_and_render():
-    report = EvalReport(per_class_ap={"tank": 0.5}, map50=0.5,
+    report = EvalReport(per_class_ap={"tank": 0.5},
                         phr=[(0.25, 1.0), (0.5, 0.5)], proposal_precision=0.75,
                         iou_thr=0.5, class_id_map={"tank": 0})
     text = report.render()
@@ -1308,7 +1308,7 @@ def test_eval_report_validation_and_render():
     assert "phr t=0.25 rate=1.000000" in text
     assert text.endswith("\n")
     with pytest.raises(ValueError):
-        EvalReport(per_class_ap={"x": 1.5}, map50=0.5)
+        EvalReport(per_class_ap={"x": 1.5})
 
 
 def test_detection_validation():
