@@ -35,7 +35,7 @@ from .errors import (BadKeypointCount, BoxOutsideImage, DegenerateBox, Malformed
 from .keypoints import (DEFAULT_K, DogParams, KeypointSet, _check_top_n, cluster_keypoints,
                         dog_keypoints, instance_seed, to_global)
 from .metrics import Detection, OrientedBox, boxes_from_corners
-from .raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
+from .raster import AmplitudeRaster, ComplexRaster, WindowRaster, _unchecked, amplitude
 from .spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, _check_window_params, taylor_window_2d
 
 log = logging.getLogger("scatterkit")
@@ -216,11 +216,13 @@ def _prediction_fields(line_no: int, line: str) -> tuple[tuple, list[float]]:
         raise MalformedLine(line_no, str(exc)) from None
 
 
-def crop_chip(image: ComplexRaster, box: OrientedBox) -> tuple[ComplexRaster, tuple[int, int]]:
+def crop_chip(image: ComplexRaster | AmplitudeRaster,
+              box: OrientedBox) -> tuple[ComplexRaster | AmplitudeRaster, tuple[int, int]]:
     """Axis-aligned crop covering the rotated box, clamped to image bounds.
 
-    The crop is a read-only view of the image's samples, which the image's
-    own construction checked: it is neither copied nor checked again.
+    The crop is a raster of the image's kind, holding a read-only view of
+    the image's array, which the image's own construction checked: it is
+    neither copied nor checked again.
     """
     xmin, ymin, xmax, ymax = box.bounds
     x0 = max(math.floor(xmin), 0)
@@ -231,7 +233,9 @@ def crop_chip(image: ComplexRaster, box: OrientedBox) -> tuple[ComplexRaster, tu
         raise BoxOutsideImage(
             f"box AABB [{xmin:.6g}, {xmax:.6g}]x[{ymin:.6g}, {ymax:.6g}] misses the "
             f"{image.width}x{image.height} image")
-    return ComplexRaster._trusted(image.samples[y0:y1, x0:x1]), (x0, y0)
+    if isinstance(image, AmplitudeRaster):
+        return _unchecked(AmplitudeRaster, values=image.values[y0:y1, x0:x1]), (x0, y0)
+    return _unchecked(ComplexRaster, samples=image.samples[y0:y1, x0:x1]), (x0, y0)
 
 
 @dataclass(frozen=True)
@@ -298,13 +302,13 @@ def _keypoints(regions: list[ScatterRegion], window: WindowRaster,
     return cluster_keypoints([(f.x, f.y) for f in fits], k=k, rng_seed=rng_seed)
 
 
-def fit_regions(img: ComplexRaster, window: WindowRaster,
+def fit_regions(img: ComplexRaster | AmplitudeRaster, window: WindowRaster,
                 dec_params: DecoupleParams = DecoupleParams()) -> list[FittedScatterer]:
     """Decouple a chip and fit one scatterer per extracted region."""
     return _fit(decouple(img, dec_params), window)
 
 
-def skaa_keypoints(img: ComplexRaster, window: WindowRaster,
+def skaa_keypoints(img: ComplexRaster | AmplitudeRaster, window: WindowRaster,
                    dec_params: DecoupleParams = DecoupleParams(),
                    k: int = DEFAULT_K, rng_seed: int = 0) -> KeypointSet:
     """Full physics path: decouple -> fit positions -> cluster to k keypoints."""
@@ -324,7 +328,7 @@ def _dump_steps(amp: AmplitudeRaster, regions: list[ScatterRegion],
                    debug_dir / f"{step_stem}_labels.csar")
 
 
-def _annotate_instance_skaa(image: ComplexRaster, ann: InstanceAnnotation,
+def _annotate_instance_skaa(image: ComplexRaster | AmplitudeRaster, ann: InstanceAnnotation,
                             image_id: str, idx: int, master_seed: int,
                             dec_params: DecoupleParams, k: int, window_nbar: int,
                             window_sidelobe_db: float,
@@ -338,7 +342,7 @@ def _annotate_instance_skaa(image: ComplexRaster, ann: InstanceAnnotation,
     return replace(ann, keypoints=to_global(kps, origin))
 
 
-def _annotate_instance_dog(image: ComplexRaster, ann: InstanceAnnotation,
+def _annotate_instance_dog(image: ComplexRaster | AmplitudeRaster, ann: InstanceAnnotation,
                            image_id: str, idx: int, master_seed: int,
                            dog_params: DogParams, k: int) -> InstanceAnnotation:
     chip, origin = crop_chip(image, ann.box)
@@ -354,6 +358,7 @@ def _run_annotator(index: DatasetIndex, out_dir: str | Path, worker) -> RunSumma
     Failures on degenerate instances keep the original line and are logged.
     An image whose chip or annotation file fails to parse is logged, its
     annotation file is copied through unchanged, and the run goes on.
+    Each image is cropped as it was read, complex or amplitude.
     Every instance runs in index order on the calling thread.
     """
     out_dir = Path(out_dir)
@@ -369,8 +374,6 @@ def _run_annotator(index: DatasetIndex, out_dir: str | Path, worker) -> RunSumma
             shutil.copyfile(ann_path, out_dir / ann_path.name)
             summary.failed_images += 1
             continue
-        if isinstance(image, AmplitudeRaster):  # checked when read
-            image = ComplexRaster._trusted(image.values.astype(np.complex128))
         extended = []
         for idx, ann in enumerate(annots):
             t0 = time.perf_counter()

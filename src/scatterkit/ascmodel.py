@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -21,7 +20,7 @@ from .decouple import ScatterRegion
 from .errors import (DimMismatch, EmptyInput, EmptyRegion, InfeasiblePlacement,
                      OutOfBounds)
 from .metrics import OrientedBox
-from .raster import ComplexRaster, WindowRaster, _freeze
+from .raster import ComplexRaster, WindowRaster, _freeze, _unchecked
 
 FIT_DILATE_PX = 2
 SYNTH_BORDER_PX = 4.0
@@ -105,6 +104,14 @@ def _psf_axis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return v, as_strided(wrap, (n + 1, n), (step, step), writeable=False), float(v @ v)
 
 
+def _psf_fields(row_axis: tuple[np.ndarray, np.ndarray, float],
+                col_axis: tuple[np.ndarray, np.ndarray, float]) -> dict[str, object]:
+    """The fields of the `SeparablePsf` of two `_psf_axis` results."""
+    (row, row_windows, row_sq), (col, col_windows, col_sq) = row_axis, col_axis
+    return dict(row=row, col=col, row_windows=row_windows, col_windows=col_windows,
+                norm_sq=row_sq * col_sq)
+
+
 # distinct window tapers whose PSF factors stay built
 PSF_MEMO_SIZE = 256
 
@@ -136,7 +143,7 @@ class SeparablePsf:
     strided views whose row k is `wrap[k:k + n]`, so that row k, entry j
     holds `v[-(k + j) % n]`. The constructor validates its factors and
     builds each axis with `_psf_axis`; `base_psf` builds its PSFs from
-    cached axes through `_trusted` instead.
+    cached axes through `raster._unchecked`.
     """
 
     row: np.ndarray
@@ -150,24 +157,8 @@ class SeparablePsf:
         col = np.asarray(self.col, dtype=np.float64)
         if row.ndim != 1 or col.ndim != 1 or row.size < 1 or col.size < 1:
             raise ValueError("psf factors must be non-empty 1-D arrays")
-        self._set_axes(_psf_axis(_freeze(row, self.row)), _psf_axis(_freeze(col, self.col)))
-
-    @classmethod
-    def _trusted(cls, row_axis: tuple[np.ndarray, np.ndarray, float],
-                 col_axis: tuple[np.ndarray, np.ndarray, float]) -> SeparablePsf:
-        """A PSF from two `_psf_axis` results, without validation."""
-        psf = object.__new__(cls)
-        psf._set_axes(row_axis, col_axis)
-        return psf
-
-    def _set_axes(self, row_axis: tuple[np.ndarray, np.ndarray, float],
-                  col_axis: tuple[np.ndarray, np.ndarray, float]) -> None:
-        (row, row_windows, row_sq), (col, col_windows, col_sq) = row_axis, col_axis
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "col", col)
-        object.__setattr__(self, "row_windows", row_windows)
-        object.__setattr__(self, "col_windows", col_windows)
-        object.__setattr__(self, "norm_sq", row_sq * col_sq)
+        self.__dict__.update(_psf_fields(_psf_axis(_freeze(row, self.row)),
+                                         _psf_axis(_freeze(col, self.col))))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -187,8 +178,9 @@ def base_psf(window: WindowRaster) -> SeparablePsf:
     computed once per taper and shared read-only by every PSF built on that
     taper after that.
     """
-    return SeparablePsf._trusted(_memo_psf_axis(window.row_taper.tobytes()),
-                                 _memo_psf_axis(window.col_taper.tobytes()))
+    fields = _psf_fields(_memo_psf_axis(window.row_taper.tobytes()),
+                         _memo_psf_axis(window.col_taper.tobytes()))
+    return _unchecked(SeparablePsf, **fields)
 
 
 @dataclass(frozen=True)
@@ -201,11 +193,13 @@ class FittedScatterer:
     residual: float
 
 
-class LaidOutRegion(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class LaidOutRegion:
     """One region's positive pixels, laid out for `fit_scatterer` by
     `lay_out_regions`: the (h, w) frame, the pixels' rows, columns and
     values in ascending flat-index order, the bounds (ry0, ry1, rx0, rx1) of
-    their bounding box, and that box as a block, zero off the pixels."""
+    their bounding box, and that box as a block, zero off the pixels. Its
+    arrays are read-only; it compares and hashes by identity."""
 
     shape: tuple[int, int]
     rows: np.ndarray
@@ -255,12 +249,15 @@ def lay_out_regions(regions: list[ScatterRegion]) -> list[LaidOutRegion]:
     buf = np.zeros(int(offsets[-1] + areas[-1]))
     # pixel y * w + x of region r goes to offsets[r] + (y - ry0[r]) * widths[r] + x - rx0[r]
     buf[np.repeat(offsets - ry0 * widths - rx0, sizes) + np.repeat(widths, sizes) * sy + sx] = val
+    for arr in (sy, sx, val, buf):  # so that every view cut below is read-only
+        arr.setflags(write=False)
     out = []
     for a, b, o, y0, y1, x0, x1 in zip(starts.tolist(), ends.tolist(), offsets.tolist(),
                                        ry0.tolist(), ry1.tolist(), rx0.tolist(), rx1.tolist()):
         by, bx = y1 - y0 + 1, x1 - x0 + 1
-        out.append(LaidOutRegion((h, w), sy[a:b], sx[a:b], val[a:b], (y0, y1, x0, x1),
-                                 buf[o:o + by * bx].reshape(by, bx)))
+        out.append(_unchecked(LaidOutRegion, shape=(h, w), rows=sy[a:b], cols=sx[a:b],
+                              values=val[a:b], bounds=(y0, y1, x0, x1),
+                              block=buf[o:o + by * bx].reshape(by, bx)))
     return out
 
 
@@ -283,7 +280,7 @@ def fit_scatterer(region: ScatterRegion | LaidOutRegion, psf: SeparablePsf,
     h, w = psf.shape
     if region.shape != (h, w):
         raise DimMismatch(f"region {region.shape} vs psf {h}x{w}")
-    _, sy, sx, sv, (ry0, ry1, rx0, rx1), block = region
+    sy, sx, sv, (ry0, ry1, rx0, rx1) = region.rows, region.cols, region.values, region.bounds
 
     # candidates: the support bounding box dilated by FIT_DILATE_PX, clamped
     y0, y1 = max(ry0 - FIT_DILATE_PX, 0), min(ry1 + FIT_DILATE_PX, h - 1)
@@ -294,7 +291,7 @@ def fit_scatterer(region: ScatterRegion | LaidOutRegion, psf: SeparablePsf,
     # x0 + i) at row[(ry0 + r - y0 - j) % h] * col[(rx0 + c - x0 - i) % w]
     ay = psf.row_windows[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]  # (by, ny)
     ax = psf.col_windows[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]  # (bx, nx)
-    crop = ay.T @ (block @ ax)
+    crop = ay.T @ (region.block @ ax)
     dy, dx = divmod(int(crop.argmax()), nx)  # first occurrence = row-major tie-break
     best_y, best_x, best_c = y0 + dy, x0 + dx, float(crop[dy, dx])
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (BadDims, BadMagic, BadSamples, ChipFormatError,
                      TruncatedPayload)
-from .raster import AmplitudeRaster, ComplexRaster
+from .raster import AmplitudeRaster, ComplexRaster, _unchecked
 
 MAGIC = b"CSAR"
 VERSION = 1
@@ -131,8 +131,8 @@ def _parse_csar(data: bytes) -> ComplexRaster | AmplitudeRaster:
     if dtype == DTYPE_COMPLEX:
         # the one full-size copy and, above, the one check: finite float32
         # samples widen to finite complex128 exactly
-        return ComplexRaster._trusted(
-            flat.view("<c8").reshape(height, width).astype(np.complex128))
+        return _unchecked(ComplexRaster, samples=flat.view("<c8").reshape(
+            height, width).astype(np.complex128))
     if (flat < 0).any():
         raise BadSamples("amplitude payload holds negative samples")
     return AmplitudeRaster(flat.reshape(height, width))

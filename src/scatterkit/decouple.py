@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroRaster, EmptyRegion
-from .raster import AmplitudeRaster, ComplexRaster, _freeze, _require_finite
+from .raster import AmplitudeRaster, ComplexRaster, _freeze, _require_finite, _unchecked
 from .spectral import DEFAULT_SIDELOBE_DB
 
 
@@ -84,7 +84,7 @@ class ScatterRegion:
     and `amplitudes` the region's values there, finite; off the support the
     region is zero. `peak`, `values` and `support` are computed on each
     access. The constructor validates its input; the extraction loop
-    builds its regions, valid by construction, through `_trusted` instead.
+    builds its regions, valid by construction, through `raster._unchecked`.
     """
 
     shape: tuple[int, int]
@@ -113,21 +113,6 @@ class ScatterRegion:
         object.__setattr__(self, "indices",
                            _freeze(idx.astype(np.int64, copy=False), self.indices))
         object.__setattr__(self, "amplitudes", _freeze(vals, self.amplitudes))
-
-    @classmethod
-    def _trusted(cls, shape: tuple[int, int], indices: np.ndarray,
-                 amplitudes: np.ndarray) -> ScatterRegion:
-        """A region without validation, for input that already meets every
-        rule the constructor checks: `shape` a tuple of ints, and
-        `indices`/`amplitudes` fresh C-contiguous int64/float64 arrays, which
-        are frozen in place."""
-        region = object.__new__(cls)
-        indices.setflags(write=False)
-        amplitudes.setflags(write=False)
-        object.__setattr__(region, "shape", shape)
-        object.__setattr__(region, "indices", indices)
-        object.__setattr__(region, "amplitudes", amplitudes)
-        return region
 
     @property
     def peak(self) -> tuple[int, int]:
@@ -259,6 +244,8 @@ def decouple(img: ComplexRaster | AmplitudeRaster,
         sup = np.array(sorted(frame.grow(seeds, peak * grow_ratio, params.eps)))
         amps = res[sup]
         res[sup] = 0.0
-        # sup is ascending and in the frame
-        regions.append(ScatterRegion._trusted(frame.shape, frame.unpadded[sup], amps))
+        # sup is ascending and in the frame, and both arrays are fresh
+        # C-contiguous int64/float64 ones
+        regions.append(_unchecked(ScatterRegion, shape=frame.shape,
+                                  indices=frame.unpadded[sup], amplitudes=amps))
     return regions

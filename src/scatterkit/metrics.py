@@ -55,6 +55,7 @@ import numpy as np
 
 from .errors import DegenerateBox, EmptyClasses, EmptyProposals
 from .keypoints import _pairwise_sum
+from .raster import _unchecked
 
 COLLINEAR_TOL = 1e-9
 SLIVER_AREA = 1e-12
@@ -98,7 +99,7 @@ def boxes_from_corners(stack: np.ndarray) -> list[OrientedBox | DegenerateBox]:
     """
     stack.setflags(write=False)
     out = []
-    append, new, hypot, inf, tol = out.append, object.__new__, math.hypot, math.inf, COLLINEAR_TOL
+    append, hypot, inf, tol = out.append, math.hypot, math.inf, COLLINEAR_TOL
     for corners, pts in zip(stack, stack.reshape(len(stack), 8).tolist()):
         x0, y0, x1, y1, x2, y2, x3, y3 = pts
         # edge i runs from corner i to i + 1; turn i, at corner i + 1, is
@@ -133,14 +134,12 @@ def boxes_from_corners(stack: np.ndarray) -> list[OrientedBox | DegenerateBox]:
                 kappa4, delta = 4.0 / sine, tol / min(l0, l1, l2, l3)
         xmin, ymin, xmax, ymax = min(x0, x1, x2, x3), min(y0, y1, y2, y3), \
             max(x0, x1, x2, x3), max(y0, y1, y2, y3)
-        box = new(OrientedBox)
-        box.__dict__.update(
-            corners=corners, _area=area,
+        append(_unchecked(
+            OrientedBox, corners=corners, _area=area,
             _centroid=((x0 + x1 + x2 + x3) / 4.0, (y0 + y1 + y2 + y3) / 4.0),
             _ccw_pts=((x0, y0), (x1, y1), (x2, y2), (x3, y3)) if s > 0.0
             else ((x3, y3), (x2, y2), (x1, y1), (x0, y0)),
-            _reach=(xmin, ymin, xmax, ymax, max(-xmin, -ymin, xmax, ymax), kappa4, delta))
-        append(box)
+            _reach=(xmin, ymin, xmax, ymax, max(-xmin, -ymin, xmax, ymax), kappa4, delta)))
     return out
 
 

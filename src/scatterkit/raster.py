@@ -5,8 +5,11 @@ construction (the backing array is marked read-only), so they are safe to
 share between threads without copying. A constructor keeps its own copy of
 a writable array it is given, so the caller's array stays writable and later
 writes to it do not reach the raster; a read-only array is kept as it is.
-A crop (`annotio.crop_chip`) holds no copy: its samples are a read-only
-view of its image's, which were checked when the image was read.
+Every value type of the package that holds an array is built either by
+its checked constructor or by `_unchecked`, from fields its caller has
+already made to meet those checks. A crop (`annotio.crop_chip`) is built
+the second way: its array is a read-only view of its image's, which was
+checked when the image was read.
 Like every value type here that holds an array, a raster compares and
 hashes by identity (`eq=False`): compare `samples` or `values` for content.
 """
@@ -15,8 +18,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
+_ndarray = np.ndarray  # one global lookup per field, not two
+
+
+def _unchecked(cls: type[T], **fields: object) -> T:
+    """A frozen `cls` value holding `fields`, built without its constructor:
+    none of the constructor's checks or copies run, and each numpy array
+    among `fields` is made read-only in place.
+
+    The caller has built the fields to meet every rule the constructor
+    checks (shape, dtype, finiteness, order, ...); a value that breaks one
+    is not caught here or later. An array may be a view, such as a crop of
+    a checked image: it is kept as it is, and nothing may write through its
+    base afterwards. This is the one unchecked way to build a value.
+    """
+    value = object.__new__(cls)
+    for v in fields.values():
+        if isinstance(v, _ndarray) and v.flags.writeable:
+            v.setflags(write=False)
+    value.__dict__.update(fields)
+    return value
 
 
 def _freeze(arr: np.ndarray, source: object) -> np.ndarray:
@@ -51,17 +77,6 @@ class ComplexRaster:
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise ValueError("complex raster contains NaN/Inf samples")
         object.__setattr__(self, "samples", _freeze(arr, self.samples))
-
-    @classmethod
-    def _trusted(cls, samples: np.ndarray) -> ComplexRaster:
-        """A raster without a copy or a check, for a 2-D complex128 array
-        already known to be finite and either read-only or fresh; it is
-        frozen in place. The array may be a strided view, such as a crop of
-        a checked image."""
-        raster = object.__new__(cls)
-        samples.setflags(write=False)
-        object.__setattr__(raster, "samples", samples)
-        return raster
 
     @property
     def height(self) -> int:
@@ -130,15 +145,6 @@ class WindowRaster:
                 raise ValueError(f"{name} {fault}")
             object.__setattr__(self, name, _freeze(taper, getattr(self, name)))
 
-    @classmethod
-    def _trusted(cls, row_taper: np.ndarray, col_taper: np.ndarray) -> WindowRaster:
-        """A window without validation, for read-only float64 tapers that
-        `_taper_fault` has already passed."""
-        window = object.__new__(cls)
-        object.__setattr__(window, "row_taper", row_taper)
-        object.__setattr__(window, "col_taper", col_taper)
-        return window
-
     @property
     def height(self) -> int:
         return self.row_taper.size
@@ -153,8 +159,11 @@ class WindowRaster:
         return np.outer(self.row_taper, self.col_taper)
 
 
-def amplitude(img: ComplexRaster) -> AmplitudeRaster:
-    """Per-pixel complex modulus of a chip."""
+def amplitude(img: ComplexRaster | AmplitudeRaster) -> AmplitudeRaster:
+    """Per-pixel complex modulus of a chip; an amplitude chip is returned
+    as it is."""
+    if isinstance(img, AmplitudeRaster):
+        return img
     vals = np.abs(img.samples)
     vals.setflags(write=False)  # fresh, so the raster keeps it without a copy
     return AmplitudeRaster(vals)

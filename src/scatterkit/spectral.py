@@ -14,7 +14,7 @@ import numbers
 import numpy as np
 
 from .errors import InvalidWindowParams
-from .raster import WindowRaster, _taper_fault
+from .raster import WindowRaster, _taper_fault, _unchecked
 
 DEFAULT_NBAR = 4
 DEFAULT_SIDELOBE_DB = -35.0
@@ -96,8 +96,8 @@ def taylor_window_2d(height: int, width: int, nbar: int = DEFAULT_NBAR,
     Each taper is built and validated once per (length, nbar, sidelobe_db)
     (`_memo_taper`) and then shared read-only, so it is not checked again."""
     _check_window_params(nbar, sidelobe_db)  # before the memo: 4.0 must not hit 4's entry
-    return WindowRaster._trusted(_memo_taper(height, nbar, sidelobe_db),
-                                 _memo_taper(width, nbar, sidelobe_db))
+    return _unchecked(WindowRaster, row_taper=_memo_taper(height, nbar, sidelobe_db),
+                      col_taper=_memo_taper(width, nbar, sidelobe_db))
 
 
 @functools.lru_cache(maxsize=TAPER_MEMO_SIZE)

@@ -104,7 +104,7 @@ from scatterkit.errors import (AllZeroRaster, BadKeypointCount, DegenerateBox, D
 from scatterkit.keypoints import KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet, _pairwise_sum
 from scatterkit.metrics import (_MAX_COORD, _MIN_SINE, COLLINEAR_TOL, ROUNDING_PER_PX,
                                 SLIVER_AREA, Detection, OrientedBox)
-from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
+from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster, _unchecked, amplitude
 
 N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 N8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
@@ -599,9 +599,7 @@ def oriented_box_scalar(corners) -> OrientedBox:
     arr.setflags(write=False)
     fields = box_fields_scalar(arr)
     del fields["_ccw"]
-    box = object.__new__(OrientedBox)
-    box.__dict__.update(corners=arr, **fields)
-    return box
+    return _unchecked(OrientedBox, corners=arr, **fields)
 
 
 def _annotation_line(line: str, line_no: int) -> InstanceAnnotation:

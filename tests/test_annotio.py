@@ -799,14 +799,15 @@ def test_run_skaa_checks_each_image_once_and_never_a_crop(tmp_path, monkeypatch,
     assert summary.instances == 3 and summary.failures == 0
     assert len(reads) == 2 and len(crops) == 3
     # a complex payload is checked once, as float32, before any raster is
-    # built; an amplitude one by its AmplitudeRaster, which the run widens
-    # to complex samples without a second check
+    # built; an amplitude one by its AmplitudeRaster, which the run crops
+    # as it was read, without a second check
     want = [] if kind == "complex" else [("AmplitudeRaster", (48, 48))] * 2
     assert checked == want
+    field, dtype = ("samples", np.complex128) if kind == "complex" else ("values", np.float64)
     for image, chip in crops:
-        assert chip.samples.dtype == np.complex128
-        assert not chip.samples.flags.writeable
-        assert np.shares_memory(chip.samples, image.samples)
+        assert getattr(chip, field).dtype == dtype
+        assert not getattr(chip, field).flags.writeable
+        assert np.shares_memory(getattr(chip, field), getattr(image, field))
 
 
 def test_run_skaa_writes_skaa_keypoints_of_each_crop(tmp_path):

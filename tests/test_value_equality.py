@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scatterkit.annotio import InstanceAnnotation, parse_annotation, parse_predictions
-from scatterkit.ascmodel import Scatterer, SeparablePsf, SynthChip
+from scatterkit.ascmodel import Scatterer, SeparablePsf, SynthChip, lay_out_regions
 from scatterkit.decouple import ScatterRegion
 from scatterkit.metrics import Detection, OrientedBox
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster
@@ -18,6 +18,7 @@ from scatterkit.supervision import FeatureGrid, ScatterMap
 SRC = Path(__file__).resolve().parent.parent / "src" / "scatterkit"
 EVAL_RUN = Path(__file__).resolve().parent / "data" / "eval_default"
 
+_REGION = ScatterRegion((2, 3), np.array([1, 4]), np.array([0.5, 1.0]))
 ARRAY_TYPES = {
     "ComplexRaster": lambda: ComplexRaster(np.ones((2, 3), dtype=np.complex128)),
     "AmplitudeRaster": lambda: AmplitudeRaster(np.ones((2, 3))),
@@ -27,6 +28,7 @@ ARRAY_TYPES = {
     "SeparablePsf": lambda: SeparablePsf(np.array([1.0, 0.5]), np.array([0.25, 1.0, 0.5])),
     "ScatterRegion": lambda: ScatterRegion((2, 3), np.array([1, 4]), np.array([0.5, 1.0])),
     "OrientedBox": lambda: OrientedBox.from_rect(0, 0, 4, 2),
+    "LaidOutRegion": lambda: lay_out_regions([_REGION])[0],  # twins: two layouts of one region
 }
 
 
@@ -67,6 +69,26 @@ def test_every_array_holding_dataclass_declares_eq_false():
                     raising.append(f"{path.name}:{node.lineno} {node.name}")
     assert raising == []
     assert holders == set(ARRAY_TYPES)
+
+
+def _array_named_tuples(source: str) -> list[str]:
+    """The `NamedTuple` classes of `source` with a field annotated
+    `np.ndarray`: a tuple compares its fields, so `==` raises on them."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+                    for base in node.bases)
+            and any(isinstance(s, ast.AnnAssign) and _holds_ndarray(s.annotation)
+                    for s in node.body)]
+
+
+def test_no_named_tuple_holds_an_array():
+    assert _array_named_tuples("class A(typing.NamedTuple):\n    x: np.ndarray\n"
+                               "class B(NamedTuple):\n    y: int\n"
+                               "class C(NamedTuple):\n    z: tuple[np.ndarray, int]\n") \
+        == ["A", "C"]
+    assert [(path.name, name) for path in sorted(SRC.glob("*.py"))
+            for name in _array_named_tuples(path.read_text())] == []
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_TYPES))
