@@ -2,7 +2,13 @@
 
 The physics pipeline is composed here alone: `run_skaa` runs decouple ->
 fit -> cluster on every crop, one loop pass each, with `skaa_keypoints`' own
-fit and cluster code; `--debug-dir` dumps come from the same regions.
+fit and cluster code. Its `--debug-dir` dump comes from the same regions, as
+two files per instance: `{image}_{idx:03d}_amplitude.csar`, the crop's
+amplitude, and `{image}_{idx:03d}_supports.txt`, one line per extraction
+step holding that region's ascending flat row-major indices into the crop
+(an empty file when no step ran). The residual after step i is the
+amplitude with the indices of lines 0..i set to 0.0; a pixel may sit on
+more than one line.
 
 Base format is one instance per line:
 
@@ -30,8 +36,8 @@ import numpy as np
 from .ascmodel import FittedScatterer, Scatterer, base_psf, fit_scatterer, lay_out_regions
 from .chipio import read_chip, read_text_lines, write_atomic, write_chip
 from .decouple import DecoupleParams, ScatterRegion, decouple
-from .errors import (BadKeypointCount, BoxOutsideImage, DegenerateBox, MalformedLine,
-                     OutOfBounds, ScatterKitError)
+from .errors import (BadKeypointCount, BoxOutsideImage, DegenerateBox, DuplicateStem,
+                     MalformedLine, OutOfBounds, ScatterKitError)
 from .keypoints import (DEFAULT_K, DogParams, KeypointSet, _check_top_n, cluster_keypoints,
                         dog_keypoints, instance_seed, to_global)
 from .metrics import Detection, OrientedBox, boxes_from_corners
@@ -240,12 +246,23 @@ def crop_chip(image: ComplexRaster | AmplitudeRaster,
 
 @dataclass(frozen=True)
 class DatasetIndex:
-    """Paired image/annotation paths; every file verified to exist."""
+    """Paired image/annotation paths; every file verified to exist.
+
+    Image stems are unique: each names one annotation file, one output file
+    and one `--debug-dir` stem, so two images sharing one (`x.csar` and
+    `x.pgm`) raise DuplicateStem before anything is read or written.
+    """
 
     entries: tuple[tuple[Path, Path], ...]
     root: Path
 
     def __post_init__(self):
+        by_stem = {}
+        for img, _ in self.entries:
+            if img.stem in by_stem:
+                raise DuplicateStem(
+                    f"images {by_stem[img.stem]} and {img} share the stem {img.stem!r}")
+            by_stem[img.stem] = img
         for img, ann in self.entries:
             if not img.is_file():
                 raise FileNotFoundError(f"missing image {img}")
@@ -317,15 +334,11 @@ def skaa_keypoints(img: ComplexRaster | AmplitudeRaster, window: WindowRaster,
 
 def _dump_steps(amp: AmplitudeRaster, regions: list[ScatterRegion],
                 debug_dir: Path, stem: str) -> None:
-    """Dump each step's residual and support, for --debug-dir; the residual
-    after step i is `amp` with the supports of steps 0..i set to 0.0."""
-    residual = amp.values.copy()
-    for it, region in enumerate(regions):
-        residual.ravel()[region.indices] = 0.0
-        step_stem = f"{stem}_{it:02d}"
-        write_chip(AmplitudeRaster(residual), debug_dir / f"{step_stem}_residual.csar")
-        write_chip(AmplitudeRaster(region.support.astype(np.float64)),
-                   debug_dir / f"{step_stem}_labels.csar")
+    """Dump the crop's amplitude and one line of support indices per step,
+    for --debug-dir (see the module docstring)."""
+    write_chip(amp, debug_dir / f"{stem}_amplitude.csar")
+    write_atomic(debug_dir / f"{stem}_supports.txt",
+                 "".join(" ".join(map(str, r.indices.tolist())) + "\n" for r in regions))
 
 
 def _annotate_instance_skaa(image: ComplexRaster | AmplitudeRaster, ann: InstanceAnnotation,

@@ -482,7 +482,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="accepted for compatibility, >= 1; instances run serially")
     p.add_argument("--debug-dir", default=None,
-                   help="dump per-iteration residuals and region supports here")
+                   help="dump each instance's amplitude and per-step supports here")
 
     p = add("baseline-dog", cmd_baseline_dog,
             "extend annotations with difference-of-Gaussians keypoints")

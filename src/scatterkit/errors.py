@@ -101,6 +101,10 @@ class BoxOutsideImage(ScatterKitError):
     """Crop box does not intersect the image bounds."""
 
 
+class DuplicateStem(ScatterKitError):
+    """Two images of one dataset share a stem, so one annotation file and one output name."""
+
+
 # --- configuration ----------------------------------------------------------
 
 class BadConfigField(ScatterKitError):

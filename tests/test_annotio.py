@@ -26,8 +26,9 @@ from scatterkit.ascmodel import FrequencyGrid, Scatterer, synth_target
 from scatterkit.chipio import read_chip, write_chip
 from scatterkit.cli import main
 from scatterkit.decouple import DecoupleParams, ScatterRegion
-from scatterkit.errors import (BadKeypointCount, BoxOutsideImage, InvalidWindowParams,
-                               MalformedLine, OutOfBounds, ScatterKitError)
+from scatterkit.errors import (BadKeypointCount, BoxOutsideImage, DuplicateStem,
+                               InvalidWindowParams, MalformedLine, OutOfBounds,
+                               ScatterKitError)
 from scatterkit.keypoints import DogParams, KeypointSet, instance_seed, to_global
 from scatterkit.metrics import OrientedBox
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
@@ -568,6 +569,12 @@ def test_index_dataset_pairs_and_validates(tmp_path):
     assert [img.stem for img, _ in index.entries] == ["a", "b"]
     with pytest.raises(FileNotFoundError):
         index_dataset(tmp_path / "nope", annots)
+    # two images with one stem would share a.txt and one output name
+    (images / "a.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+    with pytest.raises(DuplicateStem) as exc:
+        index_dataset(images, annots)
+    assert f"images {images / 'a.csar'} and {images / 'a.pgm'} share" in str(exc.value)
+    (images / "a.pgm").unlink()
     (images / "c.csar").write_bytes(b"")
     with pytest.raises(FileNotFoundError):
         index_dataset(images, annots)  # c.txt missing
@@ -841,7 +848,8 @@ def test_run_skaa_debug_dir_leaves_the_annotations_unchanged(tmp_path):
     for _, ann_path in index.entries:
         assert (dumped / ann_path.name).read_bytes() == \
             (plain / ann_path.name).read_bytes()
-    assert sorted(debug.glob("chip_00000_000_*_residual.csar"))
+    assert sorted(p.name for p in debug.glob("chip_00000_000_*")) == \
+        ["chip_00000_000_amplitude.csar", "chip_00000_000_supports.txt"]
 
 
 def test_run_skaa_debug_dir_runs_the_extraction_loop_once_per_instance(
@@ -860,7 +868,9 @@ def test_run_skaa_debug_dir_runs_the_extraction_loop_once_per_instance(
     assert summary.instances == 3 and summary.failures == 0
     assert len(frames) == 3
     for image_id, idx in (("chip_00000", 0), ("chip_00000", 1), ("chip_00001", 0)):
-        assert sorted(debug.glob(f"{image_id}_{idx:03d}_*_residual.csar"))
+        stem = f"{image_id}_{idx:03d}"
+        assert sorted(p.name for p in debug.glob(f"{stem}_*")) == \
+            [f"{stem}_amplitude.csar", f"{stem}_supports.txt"]
 
 
 def test_fit_lays_out_each_instance_once_and_fits_each_region(tmp_path, monkeypatch):

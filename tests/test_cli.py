@@ -22,6 +22,7 @@ from scatterkit.metrics import mean_ap
 from scatterkit.raster import AmplitudeRaster, amplitude
 
 from oracles import decouple_steps_dense
+from test_golden import _amplitude_copy, _scene
 
 
 def run_cli(*argv):
@@ -492,34 +493,73 @@ def test_annotate_debug_dump(tmp_path):
     run_cli("annotate", "--images", str(data / "images"),
             "--annots", str(data / "annots"), "--out", str(out),
             "--seed", "0", "--nmax", "3", "--debug-dir", str(debug))
-    residuals = sorted(debug.glob("*_residual.csar"))
-    labels = sorted(debug.glob("*_labels.csar"))
-    assert residuals and len(residuals) == len(labels)
+    assert sorted(p.name for p in debug.iterdir()) == \
+        ["chip_00000_000_amplitude.csar", "chip_00000_000_supports.txt"]
+    assert 1 <= len((debug / "chip_00000_000_supports.txt").read_text().splitlines()) <= 3
+
+
+def _debug_inputs(tmp_path, kind):
+    """A dataset directory of `kind`: complex chips clean or speckled, a
+    multi-target scene, 8-bit PGM chips, or amplitude chips scaled by 0.01,
+    where the grow test's absolute `eps` lets a support take pixels an
+    earlier step already lifted."""
+    if kind == "multi":
+        _scene(tmp_path / "data", seed=3)
+        return tmp_path / "data"
+    data = synth(tmp_path, chips=2, dim=48, extra=("--speckle",) if kind == "speckled" else ())
+    if kind == "pgm8":
+        _amplitude_copy(data, tmp_path / "pgm8", "pgm8")
+        return tmp_path / "pgm8"
+    if kind == "scaled":
+        for img_path in (data / "images").iterdir():
+            write_chip(AmplitudeRaster(amplitude(read_chip(img_path)).values * 0.01), img_path)
+    return data
 
 
 def test_annotate_debug_dump_equals_dense_oracle(tmp_path):
-    data = synth(tmp_path, chips=2, dim=48)
+    """Every step's residual and 0/1 support, rebuilt from an instance's
+    two dump files, equals the dense extraction loop's, bit for bit after
+    the float32 rounding of the chip format, on every kind of input."""
+    for kind in ("clean", "speckled", "multi", "pgm8", "scaled"):
+        (tmp_path / kind).mkdir()
+        retaken = _check_debug_dump(tmp_path / kind, kind)
+        assert (retaken > 0) == (kind == "scaled"), kind
+
+
+def _check_debug_dump(tmp_path, kind) -> int:
+    """Check one input kind's dump against the dense oracle; return the
+    number of pixels a support shares with an earlier step's."""
+    data = _debug_inputs(tmp_path, kind)
     debug = tmp_path / "debug"
-    run_cli("annotate", "--images", str(data / "images"),
-            "--annots", str(data / "annots"), "--out", str(tmp_path / "skaa"),
-            "--seed", "0", "--nmax", "6", "--debug-dir", str(debug))
-    expected = tmp_path / "expected"
-    expected.mkdir()
-    for image_id in ("chip_00000", "chip_00001"):
-        image = read_chip(data / "images" / f"{image_id}.csar")
-        for idx, ann in enumerate(parse_annotation(data / "annots" / f"{image_id}.txt")):
-            chip, _ = crop_chip(image, ann.box)
-            steps = decouple_steps_dense(amplitude(chip), DecoupleParams(n_max=6))
-            for it, step in enumerate(steps):
-                stem = f"{image_id}_{idx:03d}_{it:02d}"
-                write_chip(AmplitudeRaster(step.residual), expected / f"{stem}_residual.csar")
-                write_chip(AmplitudeRaster(step.support.astype(np.float64)),
-                           expected / f"{stem}_labels.csar")
-    names = sorted(p.name for p in expected.iterdir())
-    assert len(names) >= 8
-    assert sorted(p.name for p in debug.iterdir()) == names
-    for name in names:
-        assert (debug / name).read_bytes() == (expected / name).read_bytes(), name
+    assert run_cli("annotate", "--images", str(data / "images"),
+                   "--annots", str(data / "annots"), "--out", str(tmp_path / "skaa"),
+                   "--seed", "0", "--nmax", "6", "--debug-dir", str(debug)) == 0
+    names, retaken = [], 0
+    for img_path in sorted((data / "images").iterdir()):
+        image = read_chip(img_path)
+        for i, ann in enumerate(parse_annotation(data / "annots" / f"{img_path.stem}.txt")):
+            stem = f"{img_path.stem}_{i:03d}"
+            names += [f"{stem}_amplitude.csar", f"{stem}_supports.txt"]
+            amp = amplitude(crop_chip(image, ann.box)[0])
+            steps = list(decouple_steps_dense(amp, DecoupleParams(n_max=6)))
+            residual = read_chip(debug / f"{stem}_amplitude.csar").values.copy()
+            assert residual.astype(np.float32).tobytes() == amp.values.astype(np.float32).tobytes()
+            lines = (debug / f"{stem}_supports.txt").read_text().splitlines()
+            assert len(lines) == len(steps) >= 1
+            taken = np.zeros(residual.shape, dtype=bool)
+            for line, step in zip(lines, steps):
+                idx = np.array(line.split(), dtype=np.int64)
+                assert (np.diff(idx) > 0).all()
+                support = np.zeros(residual.shape, dtype=bool)
+                support.ravel()[idx] = True
+                retaken += int((support & taken).sum())
+                taken |= support
+                residual[support] = 0.0
+                assert residual.astype(np.float32).tobytes() == \
+                    step.residual.astype(np.float32).tobytes()
+                assert np.array_equal(support, step.support)
+    assert sorted(p.name for p in debug.iterdir()) == sorted(names)
+    return retaken
 
 
 @pytest.mark.parametrize("line", ["decouple.eps = nan", "window.sidelobe_db = nan",
@@ -673,6 +713,23 @@ def test_annotate_config_line_error_names_the_file(tmp_path, capsys, text):
     assert "Traceback" not in err
     assert f"{cfg}: bad config field" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["annotate", "baseline-dog", "bench"])
+def test_two_images_with_one_stem_are_a_data_error_before_any_write(tmp_path, capsys, command):
+    data = synth(tmp_path, chips=2)
+    pgm = data / "images" / "chip_00000.pgm"
+    pgm.write_bytes(b"P5\n32 32\n255\n" + bytes(32 * 32))
+    out = ("--out", str(tmp_path / "out")) if command != "bench" else ()
+    seed = ("--seed", "0") if command == "annotate" else ()
+    debug = ("--debug-dir", str(tmp_path / "debug")) if command == "annotate" else ()
+    capsys.readouterr()
+    assert run_cli(command, "--images", str(data / "images"), "--annots",
+                   str(data / "annots"), *out, *seed, *debug) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"images {data / 'images' / 'chip_00000.csar'} and {pgm} share the stem" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
 @pytest.mark.parametrize("argv", [
