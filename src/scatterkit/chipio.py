@@ -76,15 +76,20 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
 
 
 def write_chip(raster: ComplexRaster | AmplitudeRaster, path: str | Path) -> None:
-    """Serialize a raster to a CSAR container (complex -> interleaved f32)."""
-    if isinstance(raster, ComplexRaster):
-        dtype = DTYPE_COMPLEX
-        payload = raster.samples.astype(np.complex64).view(np.float32)
-    elif isinstance(raster, AmplitudeRaster):
-        dtype = DTYPE_AMPLITUDE
-        payload = raster.values.astype(np.float32)
-    else:
-        raise TypeError(f"cannot serialize {type(raster).__name__}")
+    """Serialize a raster to a CSAR container (complex -> interleaved f32).
+    A value beyond float32's range, which would be written as an Inf that
+    `read_chip` rejects, raises BadSamples naming `path`; nothing is written."""
+    with np.errstate(over="ignore"):  # such a value is refused below
+        if isinstance(raster, ComplexRaster):
+            dtype = DTYPE_COMPLEX
+            payload = raster.samples.astype(np.complex64).view(np.float32)
+        elif isinstance(raster, AmplitudeRaster):
+            dtype = DTYPE_AMPLITUDE
+            payload = raster.values.astype(np.float32)
+        else:
+            raise TypeError(f"cannot serialize {type(raster).__name__}")
+    if not np.isfinite(payload).all():
+        raise BadSamples(f"{path}: a sample lies beyond float32's range (nothing written)")
     header = _HEADER.pack(MAGIC, VERSION, dtype, 0, raster.height, raster.width)
     write_atomic(path, header + payload.astype("<f4").tobytes())
 
@@ -179,7 +184,7 @@ def write_pgm(values01: np.ndarray, path: str | Path) -> None:
     arr = np.asarray(values01, dtype=np.float64)
     if arr.ndim != 2:
         raise BadDims("PGM writer expects a 2-D array")
-    if arr.min() < 0 or arr.max() > 1:
+    if not (arr.min() >= 0 and arr.max() <= 1):  # NaN fails both
         raise ValueError("PGM visualization expects values in [0, 1]")
     gray = np.floor(arr * 255.0 + 0.5).astype(np.uint8)
     h, w = gray.shape

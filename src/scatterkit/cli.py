@@ -29,7 +29,6 @@ from .config import MANIFEST_NAME, RunConfig, _file_values, _with_overrides, emi
 from .errors import BadConfigField, ScatterKitError
 from .keypoints import KeypointSet, _check_top_n, instance_seed
 from .metrics import evaluate_detections, mean_nearest_distance
-from .raster import AmplitudeRaster
 from .spectral import taylor_window_2d
 from .supervision import _pyramid_fits, downsample_pyramid, gt_scatter_map
 
@@ -314,7 +313,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         levels = downsample_pyramid(m, config.supervision.levels, pool=config.pool)
         for lvl, sm in enumerate(levels):
             stem = f"{ann_path.stem}_L{lvl}"
-            write_chip(AmplitudeRaster(sm.values), out / f"{stem}.csar")
+            write_chip(sm, out / f"{stem}.csar")
             if args.png:
                 write_pgm(sm.values, out / f"{stem}.pgm")
         written += 1

@@ -46,12 +46,13 @@ class DecoupleParams:
 
     `tau_db` and `grow_floor_db` are in dB relative to each step's residual
     peak. The loop stops once the residual peak falls below
-    `min_peak_ratio` times the original peak (0 disables this stop). Its
-    default is the default window's design sidelobe level as an amplitude
-    ratio, 10^(-35/20) ~ 0.0178: below it a peak may be a sidelobe of a
-    stronger return. Chips formed through another window want that
-    window's level, 10 ** (sidelobe_db / 20); `config.load_config` sets it
-    so when a config gives `window.sidelobe_db` but not this ratio.
+    `min_peak_ratio` times the original peak (0 disables this stop; the
+    first step's peak is the original peak, so 1 runs one step and above 1
+    none would run). Its default is the default window's design sidelobe
+    level as an amplitude ratio, 10^(-35/20) ~ 0.0178: below it a peak may
+    be a sidelobe of a stronger return. Chips formed through another window
+    want that window's level, 10 ** (sidelobe_db / 20); `config.load_config`
+    sets it so when a config gives `window.sidelobe_db` but not this ratio.
     """
 
     tau_db: float = -3.0
@@ -72,8 +73,8 @@ class DecoupleParams:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.min_peak_ratio < 0:
-            raise ValueError(f"min_peak_ratio must be >= 0, got {self.min_peak_ratio}")
+        if not 0 <= self.min_peak_ratio <= 1:
+            raise ValueError(f"min_peak_ratio must lie in [0, 1], got {self.min_peak_ratio}")
 
 
 @dataclass(frozen=True, eq=False)

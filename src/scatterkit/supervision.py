@@ -1,9 +1,10 @@
 """Scattering-map supervision artifacts.
 
 A keypoint set induces a ground-truth map whose value at each pixel is the
-maximum of unit-height Gaussians centered on the keypoints. The map is
-compared against predictions with a clamped BCE loss, shrunk level-by-level
-with 2x2 pooling, and used to modulate feature activations.
+maximum of unit-height Gaussians centered on the keypoints; `exp` is
+monotone, so that is the Gaussian of the distance to the nearest keypoint.
+The map is compared against predictions with a clamped BCE loss, shrunk
+level-by-level with 2x2 pooling, and used to modulate feature activations.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import BadDims, DimMismatch, OutOfBounds
 from .keypoints import KeypointSet
-from .raster import _freeze, _require_finite
+from .raster import AmplitudeRaster, _freeze, _require_finite
 
 BCE_CLAMP = 1e-7
 
@@ -49,28 +50,14 @@ class SupervisionParams:
 
 
 @dataclass(frozen=True, eq=False)
-class ScatterMap:
-    """Dense per-pixel response in [0, 1]."""
-
-    values: np.ndarray
+class ScatterMap(AmplitudeRaster):
+    """Dense per-pixel response in [0, 1]: an amplitude raster whose values
+    are at most 1."""
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"scatter map must be 2-D non-empty, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("scatter map contains NaN/Inf")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        super().__post_init__()
+        if self.values.max() > 1.0:
             raise ValueError("scatter map values must lie in [0, 1]")
-        object.__setattr__(self, "values", _freeze(arr, self.values))
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,18 +85,19 @@ class FeatureGrid:
 
 def gt_scatter_map(kps: KeypointSet, height: int, width: int,
                    sigma: float = 1.0) -> ScatterMap:
-    """Pixelwise max of unit Gaussians centered on the keypoints."""
+    """Pixelwise max of unit Gaussians centered on the keypoints, built as
+    one `exp` of each pixel's least squared distance to a keypoint: `exp` is
+    monotone, so the bits are the max's (tests/oracles.py keeps the max)."""
     inv = _exponent_scale(sigma)
     ys = np.arange(height, dtype=np.float64).reshape(-1, 1)
     xs = np.arange(width, dtype=np.float64).reshape(1, -1)
-    out = np.zeros((height, width))
+    d2 = np.full((height, width), np.inf)
     for x_k, y_k in kps.points:
         if not (0 <= x_k < width and 0 <= y_k < height):
             raise OutOfBounds(f"keypoint ({x_k}, {y_k}) outside {width}x{height} map")
-        d2 = (xs - x_k) ** 2 + (ys - y_k) ** 2
-        with np.errstate(over="ignore"):  # a tiny sigma: d2 * inv is inf, exp(-inf) = 0
-            np.maximum(out, np.exp(-d2 * inv), out=out)
-    return ScatterMap(out)
+        np.minimum(d2, (xs - x_k) ** 2 + (ys - y_k) ** 2, out=d2)
+    with np.errstate(over="ignore"):  # a tiny sigma: d2 * inv is inf, exp(-inf) = 0
+        return ScatterMap(np.exp(-d2 * inv))
 
 
 def bce_loss(pred: ScatterMap, gt: ScatterMap) -> float:

@@ -85,6 +85,11 @@ matrix per image (`metrics.iou_matrix`), and matches on its rows.
 `hit_rates_loop` the retired hit rates, one `np.mean` per threshold; the
 library integrates on Python floats (`metrics._envelope_ap`) and compares
 every threshold at once (`metrics._hit_rates`).
+
+`gt_scatter_map_max` is the retired supervision map: one full-frame `exp`
+per keypoint, merged by a running `np.maximum`. The library takes the
+least squared distance to a keypoint first and one `exp` of it
+(`supervision.gt_scatter_map`).
 """
 
 from __future__ import annotations
@@ -100,11 +105,13 @@ from scatterkit.annotio import InstanceAnnotation
 from scatterkit.ascmodel import FIT_DILATE_PX, FittedScatterer, SeparablePsf
 from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
 from scatterkit.errors import (AllZeroRaster, BadKeypointCount, DegenerateBox, DimMismatch,
-                               EmptyInput, EmptyRegion, MalformedLine, ScatterKitError)
+                               EmptyInput, EmptyRegion, MalformedLine, OutOfBounds,
+                               ScatterKitError)
 from scatterkit.keypoints import KMEANS_MAX_ITER, KMEANS_TOL, KeypointSet, _pairwise_sum
 from scatterkit.metrics import (_MAX_COORD, _MIN_SINE, COLLINEAR_TOL, ROUNDING_PER_PX,
                                 SLIVER_AREA, Detection, OrientedBox)
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster, _unchecked, amplitude
+from scatterkit.supervision import ScatterMap, _exponent_scale
 
 N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 N8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
@@ -1000,3 +1007,20 @@ def cluster_keypoints_loop(positions: list[tuple[float, float]], k: int,
     order = np.lexsort((centers[:, 0], centers[:, 1]))  # by (y, x)
     pts_sorted = tuple((float(x), float(y)) for x, y in centers[order])
     return KeypointSet(points=pts_sorted)
+
+
+def gt_scatter_map_max(kps: KeypointSet, height: int, width: int,
+                       sigma: float = 1.0) -> ScatterMap:
+    """Pixelwise max of unit Gaussians centered on the keypoints, one
+    full-frame `exp` per keypoint."""
+    inv = _exponent_scale(sigma)
+    ys = np.arange(height, dtype=np.float64).reshape(-1, 1)
+    xs = np.arange(width, dtype=np.float64).reshape(1, -1)
+    out = np.zeros((height, width))
+    for x_k, y_k in kps.points:
+        if not (0 <= x_k < width and 0 <= y_k < height):
+            raise OutOfBounds(f"keypoint ({x_k}, {y_k}) outside {width}x{height} map")
+        d2 = (xs - x_k) ** 2 + (ys - y_k) ** 2
+        with np.errstate(over="ignore"):  # a tiny sigma: d2 * inv is inf, exp(-inf) = 0
+            np.maximum(out, np.exp(-d2 * inv), out=out)
+    return ScatterMap(out)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import struct
 
 import numpy as np
@@ -145,8 +146,25 @@ def test_write_pgm_rounds_half_up(tmp_path):
 
 
 def test_write_pgm_rejects_out_of_range(tmp_path):
-    with pytest.raises(ValueError):
-        write_pgm(np.array([[1.5]]), tmp_path / "x.pgm")
+    for bad in ([[1.5]], [[-0.1, 0.5]], [[np.nan, 0.5]]):
+        with pytest.raises(ValueError):
+            write_pgm(np.array(bad), tmp_path / "x.pgm")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_chip_refuses_what_float32_cannot_hold(tmp_path):
+    """A value beyond float32's range would be written as Inf, which the
+    reader rejects: the writer raises BadSamples naming the path and writes
+    nothing."""
+    for raster in (AmplitudeRaster(np.array([[1e39, 0.5]])),
+                   ComplexRaster(np.array([[0.5, 1j * -1e39]]))):
+        path = tmp_path / "x.csar"
+        with pytest.raises(BadSamples, match=f"^{re.escape(str(path))}: "):
+            write_chip(raster, path)
+        assert list(tmp_path.iterdir()) == []
+    edge = float(np.finfo(np.float32).max)
+    write_chip(AmplitudeRaster(np.array([[edge]])), tmp_path / "edge.csar")
+    assert read_chip(tmp_path / "edge.csar").values[0, 0] == edge
 
 
 def test_format_errors_name_the_file_and_keep_their_class(tmp_path):

@@ -19,7 +19,7 @@ from scatterkit.cli import _threshold_sweep, main
 from scatterkit.config import MANIFEST_NAME
 from scatterkit.decouple import DecoupleParams
 from scatterkit.metrics import mean_ap
-from scatterkit.raster import AmplitudeRaster, amplitude
+from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
 
 from oracles import decouple_steps_dense
 from test_golden import _amplitude_copy, _scene
@@ -498,6 +498,29 @@ def test_annotate_debug_dump(tmp_path):
     assert 1 <= len((debug / "chip_00000_000_supports.txt").read_text().splitlines()) <= 3
 
 
+def test_debug_dump_beyond_float32_keeps_its_instance_unchanged(tmp_path, caplog):
+    """A crop whose amplitude overflows float32 cannot be dumped: that
+    instance is a logged data error, kept unchanged, and no dump file of it
+    is left behind; the other instances annotate as without the flag."""
+    data = synth(tmp_path, chips=2)
+    chip = data / "images" / "chip_00000.csar"
+    samples = read_chip(chip).samples.copy()
+    samples[16, 16] = 3e38 + 3e38j  # each part fits float32, the modulus does not
+    write_chip(ComplexRaster(samples), chip)
+    args = ("annotate", "--images", str(data / "images"), "--annots", str(data / "annots"),
+            "--seed", "0")
+    assert run_cli(*args, "--out", str(tmp_path / "plain")) == 0
+    debug = tmp_path / "debug"
+    assert run_cli(*args, "--out", str(tmp_path / "dumped"), "--debug-dir", str(debug)) == 0
+    assert "chip_00000_000_amplitude.csar: a sample lies beyond float32's range" in caplog.text
+    assert sorted(p.name for p in debug.iterdir()) == \
+        ["chip_00001_000_amplitude.csar", "chip_00001_000_supports.txt"]
+    assert (tmp_path / "dumped" / "chip_00000.txt").read_bytes() == \
+        (data / "annots" / "chip_00000.txt").read_bytes()
+    assert (tmp_path / "dumped" / "chip_00001.txt").read_bytes() == \
+        (tmp_path / "plain" / "chip_00001.txt").read_bytes()
+
+
 def _debug_inputs(tmp_path, kind):
     """A dataset directory of `kind`: complex chips clean or speckled, a
     multi-target scene, 8-bit PGM chips, or amplitude chips scaled by 0.01,
@@ -669,9 +692,11 @@ def test_fifo_config_with_a_bad_flag_names_the_flag(tmp_path, capsys):
     ("annotate", ("--nmax", "0"), "--nmax"),
     ("annotate", ("--min-peak-ratio", "-1"), "--min-peak-ratio"),
     ("annotate", ("--min-peak-ratio", "inf"), "--min-peak-ratio"),
+    ("annotate", ("--min-peak-ratio", "1.5"), "--min-peak-ratio"),
     ("annotate", ("--keypoints", "0"), "--keypoints"),
     ("annotate", ("--threads", "0"), "--threads"),
-], ids=["tau", "nmax", "negative-ratio", "infinite-ratio", "keypoints", "threads"])
+], ids=["tau", "nmax", "negative-ratio", "infinite-ratio", "ratio-above-one", "keypoints",
+        "threads"])
 def test_out_of_range_flag_value_is_usage_error(tmp_path, capsys, command, flags, named):
     seed = ("--seed", "0") if command == "annotate" else ()
     assert usage_exit(command, "--images", str(tmp_path / "images"),
@@ -693,6 +718,19 @@ def test_flag_overrides_an_out_of_range_config_value(tmp_path, capsys):
     assert run_cli(*args, "--out", str(tmp_path / "bad")) == 3
     assert "tau_db must be negative" in capsys.readouterr().err
     assert run_cli(*args, "--out", str(tmp_path / "good"), "--tau", "-3") == 0
+
+
+def test_config_peak_ratio_above_one_is_data_error(tmp_path, capsys):
+    # the first step's peak is the original peak: a ratio above 1 runs no step
+    data = synth(tmp_path, chips=1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("decouple.min_peak_ratio = 1.5\n")
+    capsys.readouterr()
+    assert run_cli("annotate", "--config", str(cfg), "--images", str(data / "images"),
+                   "--annots", str(data / "annots"), "--out", str(tmp_path / "out"),
+                   "--seed", "0") == 3
+    assert "min_peak_ratio must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", ["keypoint_k = 4\ngarbage\n", "decouple.n_maxx = 5\n",

@@ -339,6 +339,7 @@ def test_decouple_min_peak_ratio_early_stop():
     vals[3, 3] = 1.0
     vals[12, 12] = 0.3
     r = AmplitudeRaster(vals)
+    assert len(decouple(r, DecoupleParams(min_peak_ratio=1.0))) == 1
     assert len(decouple(r, DecoupleParams(min_peak_ratio=0.5))) == 1
     assert len(decouple(r, DecoupleParams(min_peak_ratio=0.0))) == 2
 
@@ -395,6 +396,8 @@ def test_decouple_params_validation():
         DecoupleParams(n_max=0)
     with pytest.raises(ValueError):
         DecoupleParams(min_peak_ratio=-0.1)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got 1.5"):
+        DecoupleParams(min_peak_ratio=1.5)
 
 
 def test_label_map_validation():

@@ -51,22 +51,34 @@ def _dataclass_eq(decorator: ast.expr) -> bool | None:
     return True
 
 
+def _base_names(node: ast.ClassDef) -> set[str]:
+    return {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+
+
 def test_every_array_holding_dataclass_declares_eq_false():
-    """A dataclass with a field annotated `np.ndarray` must pass `eq=False`:
-    the generated `__eq__` compares field tuples, so two distinct instances
-    raise on the arrays' truth value, and a frozen one's `__hash__` hashes
-    an array."""
-    holders, raising = set(), []
+    """A dataclass with a field annotated `np.ndarray`, or with a base that
+    holds one, must pass `eq=False`: the generated `__eq__` compares field
+    tuples, so two distinct instances raise on the arrays' truth value, and
+    a frozen one's `__hash__` hashes an array."""
+    classes = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.ClassDef):
                 continue
             eqs = [eq for eq in map(_dataclass_eq, node.decorator_list) if eq is not None]
-            if eqs and any(isinstance(s, ast.AnnAssign) and _holds_ndarray(s.annotation)
-                           for s in node.body):
-                holders.add(node.name)
-                if eqs[0]:
-                    raising.append(f"{path.name}:{node.lineno} {node.name}")
+            if eqs:
+                classes[node.name] = (f"{path.name}:{node.lineno}", node, eqs[0])
+    holders = {name for name, (_, node, _) in classes.items()
+               if any(isinstance(s, ast.AnnAssign) and _holds_ndarray(s.annotation)
+                      for s in node.body)}
+    grown = True
+    while grown:  # a dataclass whose base holds an array inherits the field
+        heirs = {name for name, (_, node, _) in classes.items()
+                 if _base_names(node) & holders}
+        grown = not heirs <= holders
+        holders |= heirs
+    raising = [f"{where} {name}" for name, (where, _, eq) in classes.items()
+               if name in holders and eq]
     assert raising == []
     assert holders == set(ARRAY_TYPES)
 
