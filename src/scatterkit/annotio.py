@@ -18,8 +18,13 @@ optionally extended with a literal ``kp`` token followed by 2k keypoint
 coordinates. Floats are written with 6 significant digits. Prediction files
 ("image_id class_id score x1 .. y4") and scatterer truth sidecars
 ("x y amplitude") share the same numeric convention. All three are read by
-`chipio.read_text_lines`; a parse error names the first bad line, or line 0
-for a non-ASCII byte anywhere in the file.
+`chipio.read_text_lines`, once; a parse error names the first bad line, or
+line 0 for a non-ASCII byte anywhere in the file. An annotation or
+prediction file is parsed in one pass: its number tokens go through one
+`float()` pass, every record rule is checked on the file's columns, and
+only then are all its boxes and records built, unchecked. A file that
+breaks a rule is parsed again from the lines already read, line by line,
+for the first bad line's error; each rule's code is shared by both paths.
 """
 
 from __future__ import annotations
@@ -40,8 +45,9 @@ from .errors import (BadKeypointCount, BoxOutsideImage, DegenerateBox, Duplicate
                      MalformedLine, OutOfBounds, ScatterKitError)
 from .keypoints import (DEFAULT_K, DogParams, KeypointSet, _check_top_n, cluster_keypoints,
                         dog_keypoints, instance_seed, to_global)
-from .metrics import Detection, OrientedBox, boxes_from_corners
-from .raster import AmplitudeRaster, ComplexRaster, WindowRaster, _unchecked, amplitude
+from .metrics import Detection, OrientedBox, _box_fields, _scores_in_range, boxes_from_corners
+from .raster import (AmplitudeRaster, ComplexRaster, WindowRaster, _unchecked, _unchecked_all,
+                     amplitude)
 from .spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, _check_window_params, taylor_window_2d
 
 log = logging.getLogger("scatterkit")
@@ -51,6 +57,9 @@ FLOAT_FMT = "{:.6g}"
 
 def _fmt(v: float) -> str:
     return FLOAT_FMT.format(float(v))
+
+
+_DIFFICULTIES = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -65,16 +74,23 @@ class InstanceAnnotation:
     def __post_init__(self):
         if not self.class_name or any(c.isspace() for c in self.class_name):
             raise ValueError(f"bad class name {self.class_name!r}")
-        if self.difficulty not in (0, 1):
+        if self.difficulty not in _DIFFICULTIES:
             raise ValueError(f"difficulty must be 0 or 1, got {self.difficulty}")
         if self.keypoints is not None:
-            xmin, ymin, xmax, ymax = self.box.bounds
-            x0, y0, x1, y1 = xmin - 2.0, ymin - 2.0, xmax + 2.0, ymax + 2.0
-            for x, y in self.keypoints.points:
-                if not (x0 <= x <= x1 and y0 <= y <= y1):
-                    raise OutOfBounds(
-                        f"keypoint ({x}, {y}) outside box AABB "
-                        f"[{x0}, {x1}]x[{y0}, {y1}]")
+            stray = _stray_keypoint(self.box.bounds, self.keypoints.points)
+            if stray is not None:
+                raise OutOfBounds(stray)
+
+
+def _stray_keypoint(bounds: tuple[float, ...], points) -> str | None:
+    """Why the first of `points` outside the box bounds (xmin, ymin, xmax,
+    ymax) widened by 2 px breaks `InstanceAnnotation`'s rule, or None."""
+    xmin, ymin, xmax, ymax = bounds
+    x0, y0, x1, y1 = xmin - 2.0, ymin - 2.0, xmax + 2.0, ymax + 2.0
+    for x, y in points:
+        if not (x0 <= x <= x1 and y0 <= y <= y1):
+            return f"keypoint ({x}, {y}) outside box AABB [{x0}, {x1}]x[{y0}, {y1}]"
+    return None
 
 
 def _lines(path: str | Path) -> list[tuple[int, str]]:
@@ -85,8 +101,10 @@ def _lines(path: str | Path) -> list[tuple[int, str]]:
         raise MalformedLine(0, f"not ascii text: {exc}") from None
 
 
-def _boxed_records(path: str | Path, read, build) -> list:
-    """One record per non-blank line of a file, each built on its line's box.
+def _boxed_records(lines: list[tuple[int, str]], read, build) -> list:
+    """One record per numbered line, each built on its line's box, or the
+    first bad line's error: the per-line reader, which the record files
+    fall back to when a rule fails.
 
     `read(line_no, line)` turns a line into its fields and its 8 corner
     floats, or raises MalformedLine. Lines are read up to the first that
@@ -94,18 +112,18 @@ def _boxed_records(path: str | Path, read, build) -> list:
     and their records by `build(box, *fields)`; only then is the failed
     read raised, so the error raised is always the first bad line's.
     """
-    lines, corners = [], []
+    read_lines, corners = [], []
     try:
-        for line_no, line in _lines(path):
+        for line_no, line in lines:
             fields, nums = read(line_no, line)
-            lines.append((line_no, fields))
+            read_lines.append((line_no, fields))
             corners.append(nums)
         unread = None
     except MalformedLine as exc:
         unread = exc
     stack = np.array(corners, dtype=np.float64).reshape(-1, 4, 2)
     records = []
-    for (line_no, fields), box in zip(lines, boxes_from_corners(stack)):
+    for (line_no, fields), box in zip(read_lines, boxes_from_corners(stack)):
         if isinstance(box, DegenerateBox):
             raise MalformedLine(line_no, str(box))
         try:
@@ -118,9 +136,59 @@ def _boxed_records(path: str | Path, read, build) -> list:
 
 
 def parse_annotation(path: str | Path) -> list[InstanceAnnotation]:
-    """Read one annotation file; blank lines are ignored. The file's boxes
-    are built in one pass (`_boxed_records`)."""
-    return _boxed_records(path, _annotation_fields, InstanceAnnotation)
+    """Read one annotation file; blank lines are ignored. The file is read
+    once and its records built at once (`_annotations_at_once`); a file that
+    breaks a rule is read again from its lines, line by line
+    (`_boxed_records`), for the first bad line's error."""
+    lines = _lines(path)
+    annots = _annotations_at_once(lines)
+    if annots is None:
+        return _boxed_records(lines, _annotation_fields, InstanceAnnotation)
+    return annots
+
+
+def _annotations_at_once(lines: list[tuple[int, str]]) -> list[InstanceAnnotation] | None:
+    """The annotations of the numbered lines of a file, or None if a line
+    breaks a rule.
+
+    Each line is split once, every number token of the file goes through
+    one `float` pass and every difficulty through `int`, and each rule is
+    checked on the file's columns, by the rule's own code: the token counts,
+    the box checks (`_box_fields`), the difficulties and the 2 px rule
+    (`_stray_keypoint`). A class name is a token, so it is never empty and
+    holds no whitespace. A good box's bounds are finite, so a NaN or
+    infinite keypoint breaks the 2 px rule, and `KeypointSet`'s finiteness
+    rule needs no pass of its own. Only then are the boxes, keypoint sets
+    and annotations built, one call per class (`raster._unchecked_all`).
+    """
+    rows = [line.split() for _, line in lines]
+    # 10 tokens, or 10 and "kp" and 2k >= 2 keypoint numbers
+    if not all(len(r) == 10 or len(r) >= 13 and len(r) % 2 and r[10] == "kp" for r in rows):
+        return None
+    tokens = [t for r in rows for t in r[:8]]  # every corner, then every keypoint
+    tokens += [t for r in rows for t in r[11:]]
+    try:
+        difficulties = [int(r[9]) for r in rows]
+        nums = list(map(float, tokens))
+    except ValueError:
+        return None
+    n = len(rows)
+    boxes = _box_fields(np.array(nums[:8 * n], dtype=np.float64).reshape(n, 4, 2))
+    points, at = [], 8 * n
+    for r in rows:
+        coords = nums[at:at + max(len(r) - 11, 0)]
+        at += len(coords)
+        points.append(tuple(zip(coords[0::2], coords[1::2])) if coords else None)
+    # a box's `bounds` are the first four of its `_reach`
+    if DegenerateBox in map(type, boxes) or not set(difficulties).issubset(_DIFFICULTIES) \
+            or any(p and _stray_keypoint(b["_reach"][:4], p) for b, p in zip(boxes, points)):
+        return None
+    kpsets = iter(_unchecked_all(KeypointSet, [{"points": p} for p in points if p]))
+    return _unchecked_all(InstanceAnnotation, [
+        {"box": box, "class_name": r[8], "difficulty": d,
+         "keypoints": next(kpsets) if p else None}
+        for box, r, d, p in zip(_unchecked_all(OrientedBox, boxes), rows, difficulties,
+                                points)])
 
 
 def _annotation_fields(line_no: int, line: str) -> tuple[tuple, list[float]]:
@@ -197,12 +265,48 @@ def write_truth(scatterers: list[Scatterer], path: str | Path) -> None:
 
 
 def parse_predictions(path: str | Path) -> dict[str, list[Detection]]:
-    """Read a prediction file into per-image detection lists. The file's
-    boxes are built in one pass (`_boxed_records`)."""
+    """Read a prediction file into per-image detection lists. The file is
+    read once and its detections built at once (`_predictions_at_once`); a
+    file that breaks a rule is read again from its lines, line by line
+    (`_boxed_records`), for the first bad line's error."""
+    lines = _lines(path)
+    pairs = _predictions_at_once(lines)
+    if pairs is None:
+        pairs = _boxed_records(lines, _prediction_fields, _detection)
     out: dict[str, list[Detection]] = {}
-    for image_id, det in _boxed_records(path, _prediction_fields, _detection):
+    for image_id, det in pairs:
         out.setdefault(image_id, []).append(det)
     return out
+
+
+def _predictions_at_once(lines: list[tuple[int, str]]) -> list[tuple[str, Detection]] | None:
+    """(image id, detection) for each numbered line of a file, or None if a
+    line breaks a rule.
+
+    Each line is split once, every score and corner token of the file goes
+    through one `float` pass and every class id through `int`, and each rule
+    is checked on the file's columns, by the rule's own code: the token
+    counts, the scores (`metrics._scores_in_range`) and the box checks
+    (`_box_fields`). Only then are the boxes and detections built, one call
+    per class (`raster._unchecked_all`).
+    """
+    rows = [line.split() for _, line in lines]
+    if not {11}.issuperset(map(len, rows)):
+        return None
+    try:
+        class_ids = [int(r[1]) for r in rows]
+        nums = list(map(float, [t for r in rows for t in r[2:]]))
+    except ValueError:
+        return None
+    scores = nums[0::9]
+    del nums[0::9]  # the corners are left
+    boxes = _box_fields(np.array(nums, dtype=np.float64).reshape(-1, 4, 2))
+    if not _scores_in_range(scores) or DegenerateBox in map(type, boxes):
+        return None
+    dets = _unchecked_all(Detection, [
+        {"box": box, "score": score, "class_id": class_id}
+        for box, score, class_id in zip(_unchecked_all(OrientedBox, boxes), scores, class_ids)])
+    return [(r[0], det) for r, det in zip(rows, dets)]
 
 
 def _detection(box: OrientedBox, image_id: str, class_id: int,

@@ -20,7 +20,7 @@ from .decouple import ScatterRegion
 from .errors import (DimMismatch, EmptyInput, EmptyRegion, InfeasiblePlacement,
                      OutOfBounds)
 from .metrics import OrientedBox
-from .raster import ComplexRaster, WindowRaster, _freeze, _unchecked
+from .raster import ComplexRaster, WindowRaster, _freeze, _unchecked, _unchecked_all
 
 FIT_DILATE_PX = 2
 SYNTH_BORDER_PX = 4.0
@@ -251,14 +251,13 @@ def lay_out_regions(regions: list[ScatterRegion]) -> list[LaidOutRegion]:
     buf[np.repeat(offsets - ry0 * widths - rx0, sizes) + np.repeat(widths, sizes) * sy + sx] = val
     for arr in (sy, sx, val, buf):  # so that every view cut below is read-only
         arr.setflags(write=False)
-    out = []
+    rows = []
     for a, b, o, y0, y1, x0, x1 in zip(starts.tolist(), ends.tolist(), offsets.tolist(),
                                        ry0.tolist(), ry1.tolist(), rx0.tolist(), rx1.tolist()):
         by, bx = y1 - y0 + 1, x1 - x0 + 1
-        out.append(_unchecked(LaidOutRegion, shape=(h, w), rows=sy[a:b], cols=sx[a:b],
-                              values=val[a:b], bounds=(y0, y1, x0, x1),
-                              block=buf[o:o + by * bx].reshape(by, bx)))
-    return out
+        rows.append({"shape": (h, w), "rows": sy[a:b], "cols": sx[a:b], "values": val[a:b],
+                     "bounds": (y0, y1, x0, x1), "block": buf[o:o + by * bx].reshape(by, bx)})
+    return _unchecked_all(LaidOutRegion, rows)
 
 
 def fit_scatterer(region: ScatterRegion | LaidOutRegion, psf: SeparablePsf,

@@ -165,8 +165,10 @@ def _write_report(text: str, path: str | None) -> None:
 
 
 def _annotation_files(directory: Path) -> list[Path]:
-    """All *.txt annotation files, skipping any run manifest."""
-    return sorted(p for p in directory.glob("*.txt") if p.name != MANIFEST_NAME)
+    """All *.txt annotation files, skipping any run manifest and any
+    directory; a FIFO is kept, as the readers read it once."""
+    return sorted(p for p in directory.glob("*.txt")
+                  if p.name != MANIFEST_NAME and not p.is_dir())
 
 
 def _keypoints_of(ann_path: Path) -> np.ndarray:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroRaster, EmptyRegion
-from .raster import AmplitudeRaster, ComplexRaster, _freeze, _require_finite, _unchecked
+from .raster import AmplitudeRaster, ComplexRaster, _freeze, _require_finite, _unchecked_all
 from .spectral import DEFAULT_SIDELOBE_DB
 
 
@@ -85,7 +85,7 @@ class ScatterRegion:
     and `amplitudes` the region's values there, finite; off the support the
     region is zero. `peak`, `values` and `support` are computed on each
     access. The constructor validates its input; the extraction loop
-    builds its regions, valid by construction, through `raster._unchecked`.
+    builds its regions, valid by construction, through `raster._unchecked_all`.
     """
 
     shape: tuple[int, int]
@@ -235,7 +235,7 @@ def decouple(img: ComplexRaster | AmplitudeRaster,
     block_ratio = 10.0 ** (params.tau_db / 10.0)
     grow_ratio = 10.0 ** (params.grow_floor_db / 10.0)
 
-    regions = []
+    rows = []
     for _ in range(params.n_max):
         p = int(res.argmax())  # row-major first on ties
         peak = frame.res_view[p]
@@ -247,6 +247,5 @@ def decouple(img: ComplexRaster | AmplitudeRaster,
         res[sup] = 0.0
         # sup is ascending and in the frame, and both arrays are fresh
         # C-contiguous int64/float64 ones
-        regions.append(_unchecked(ScatterRegion, shape=frame.shape,
-                                  indices=frame.unpadded[sup], amplitudes=amps))
-    return regions
+        rows.append({"shape": frame.shape, "indices": frame.unpadded[sup], "amplitudes": amps})
+    return _unchecked_all(ScatterRegion, rows)

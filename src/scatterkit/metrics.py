@@ -26,12 +26,14 @@ give PHR and proposal precision. The matrix's temporaries scale as
 predictions x GT per image, 8 bytes a pair: trivial at 36 x 12, ~0.8 MB
 each at 1,000 x 100.
 
-Boxes and pairs are both worked on Python floats. `boxes_from_corners`
-checks and derives every stored value of each row of a stack of corners in
-one straight-line pass, and a single `OrientedBox` is its one-row case: an
+Boxes and pairs are both worked on Python floats. `_box_fields` checks
+and derives every stored value of each row of a stack of corners in one
+straight-line pass, and a single `OrientedBox` is its one-row case: an
 array pass over the stack paid numpy's fixed cost on every call, 5 to 7
 times the scalar pass on the one-box file of a chip, and was only ~10 %
-faster at 1,000 boxes. The clip works one pair at a time: an array
+faster at 1,000 boxes. `boxes_from_corners` builds a stack's boxes from
+those fields in one call (`raster._unchecked_all`), and so do the record
+parsers (`annotio`), once the whole file has met every rule. The clip works one pair at a time: an array
 Sutherland-Hodgman clip pays numpy's fixed cost per call (several times the
 scalar clip on a 1 x 1 matrix) and gained nothing at ~60 pairs an image.
 
@@ -55,7 +57,7 @@ import numpy as np
 
 from .errors import DegenerateBox, EmptyClasses, EmptyProposals
 from .keypoints import _pairwise_sum
-from .raster import _unchecked
+from .raster import _unchecked_all
 
 COLLINEAR_TOL = 1e-9
 SLIVER_AREA = 1e-12
@@ -73,13 +75,26 @@ def boxes_from_corners(stack: np.ndarray) -> list[OrientedBox | DegenerateBox]:
     """One `OrientedBox`, or the `DegenerateBox` it would raise, per row of an
     (n, 4, 2) float64 stack of corners; nothing is raised.
 
-    Every check and stored value of `OrientedBox` is derived here, each row's
-    box on Python floats in one straight pass, and `OrientedBox(corners)` is
-    the one-row case. The stack is made read-only, and each box's `corners`
-    is its row. An overflow is inf or NaN and warns nothing. Edge lengths
-    come from `math.hypot` (np.hypot differs in the last bit on some edges),
-    the centroid is (((x0 + x1) + x2) + x3) / 4, as `corners.mean(axis=0)`
-    sums, and the bounds come from `min` and `max`.
+    `OrientedBox(corners)` is the one-row case. The boxes' fields come from
+    `_box_fields`, and the boxes are built from them in one call
+    (`raster._unchecked_all`).
+    """
+    rows = _box_fields(stack)
+    built = iter(_unchecked_all(OrientedBox, [r for r in rows if type(r) is dict]))
+    return [r if type(r) is DegenerateBox else next(built) for r in rows]
+
+
+def _box_fields(stack: np.ndarray) -> list[dict[str, object] | DegenerateBox]:
+    """The stored fields of the `OrientedBox` of each row of an (n, 4, 2)
+    float64 stack of corners, or the `DegenerateBox` it would raise.
+
+    Every check and stored value of `OrientedBox` is derived here, each
+    row's on Python floats in one straight pass. The stack is made
+    read-only, and each row's `corners` is its row. An overflow is inf or
+    NaN and warns nothing. Edge lengths come from `math.hypot` (np.hypot
+    differs in the last bit on some edges), the centroid is
+    (((x0 + x1) + x2) + x3) / 4, as `corners.mean(axis=0)` sums, and the
+    bounds come from `min` and `max`.
 
     Every shoelace area here and in `_clipped_iou` is taken the same way.
     The terms are taken about the first corner: on raw coordinates each
@@ -134,12 +149,12 @@ def boxes_from_corners(stack: np.ndarray) -> list[OrientedBox | DegenerateBox]:
                 kappa4, delta = 4.0 / sine, tol / min(l0, l1, l2, l3)
         xmin, ymin, xmax, ymax = min(x0, x1, x2, x3), min(y0, y1, y2, y3), \
             max(x0, x1, x2, x3), max(y0, y1, y2, y3)
-        append(_unchecked(
-            OrientedBox, corners=corners, _area=area,
-            _centroid=((x0 + x1 + x2 + x3) / 4.0, (y0 + y1 + y2 + y3) / 4.0),
-            _ccw_pts=((x0, y0), (x1, y1), (x2, y2), (x3, y3)) if s > 0.0
+        append({
+            "corners": corners, "_area": area,
+            "_centroid": ((x0 + x1 + x2 + x3) / 4.0, (y0 + y1 + y2 + y3) / 4.0),
+            "_ccw_pts": ((x0, y0), (x1, y1), (x2, y2), (x3, y3)) if s > 0.0
             else ((x3, y3), (x2, y2), (x1, y1), (x0, y0)),
-            _reach=(xmin, ymin, xmax, ymax, max(-xmin, -ymin, xmax, ymax), kappa4, delta)))
+            "_reach": (xmin, ymin, xmax, ymax, max(-xmin, -ymin, xmax, ymax), kappa4, delta)})
     return out
 
 
@@ -153,9 +168,10 @@ class OrientedBox:
     each call. What the exact rejection rule (R1) reads is computed then
     too: the bounds, the largest |coordinate|, delta = COLLINEAR_TOL /
     shortest edge and kappa = 1 / the smallest sine of a corner angle (1 for
-    a rectangle; inf for a flat, reflex or non-finite corner). A box is the
-    one-row case of `boxes_from_corners`, which builds a file's boxes from
-    one stack of corners; `corners` is a read-only copy of what was given.
+    a rectangle; inf for a flat, reflex or non-finite corner). A box's
+    checks and fields are the one-row case of `_box_fields`, which derives
+    a file's boxes from one stack of corners; `corners` is a read-only copy
+    of what was given.
     Boxes compare and hash by identity: compare `corners` for content.
     """
 
@@ -165,10 +181,10 @@ class OrientedBox:
         stack = np.array(self.corners, dtype=np.float64)[None]
         if stack.shape != (1, 4, 2):
             raise DegenerateBox(f"expected 4 corner pairs, got shape {stack.shape[1:]}")
-        (box,) = boxes_from_corners(stack)
-        if isinstance(box, DegenerateBox):
-            raise box
-        self.__dict__.update(box.__dict__)
+        (fields,) = _box_fields(stack)
+        if type(fields) is DegenerateBox:
+            raise fields
+        self.__dict__.update(fields)
 
     @property
     def area(self) -> float:
@@ -203,8 +219,14 @@ class Detection:
     class_id: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
+        if not _scores_in_range((self.score,)):
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
+
+
+def _scores_in_range(scores) -> bool:
+    """Whether every score lies in [0, 1], the rule of `Detection` (NaN
+    does not)."""
+    return all(0.0 <= s <= 1.0 for s in scores)
 
 
 _INSIDE = -COLLINEAR_TOL  # a signed distance >= this keeps its point

@@ -5,11 +5,13 @@ construction (the backing array is marked read-only), so they are safe to
 share between threads without copying. A constructor keeps its own copy of
 a writable array it is given, so the caller's array stays writable and later
 writes to it do not reach the raster; a read-only array is kept as it is.
-Every value type of the package that holds an array is built either by
-its checked constructor or by `_unchecked`, from fields its caller has
-already made to meet those checks. A crop (`annotio.crop_chip`) is built
-the second way: its array is a read-only view of its image's, which was
-checked when the image was read.
+Every value type of the package is built either by its checked
+constructor or, from fields its caller has already made to meet those
+checks, by `_unchecked_all`, which builds many values of one class in one
+call (`_unchecked` is its one-value case). A crop (`annotio.crop_chip`) is
+built the second way: its array is a read-only view of its image's, which
+was checked when the image was read. So are a file's parsed boxes and
+records, once the whole file has met every rule (`annotio`).
 Like every value type here that holds an array, a raster compares and
 hashes by identity (`eq=False`): compare `samples` or `values` for content.
 """
@@ -23,26 +25,39 @@ from typing import TypeVar
 import numpy as np
 
 T = TypeVar("T")
-_ndarray = np.ndarray  # one global lookup per field, not two
 
 
 def _unchecked(cls: type[T], **fields: object) -> T:
     """A frozen `cls` value holding `fields`, built without its constructor:
-    none of the constructor's checks or copies run, and each numpy array
-    among `fields` is made read-only in place.
+    the one-row case of `_unchecked_all`, whose rules it follows."""
+    return _unchecked_all(cls, [fields])[0]
 
-    The caller has built the fields to meet every rule the constructor
-    checks (shape, dtype, finiteness, order, ...); a value that breaks one
-    is not caught here or later. An array may be a view, such as a crop of
-    a checked image: it is kept as it is, and nothing may write through its
-    base afterwards. This is the one unchecked way to build a value.
+
+def _unchecked_all(cls: type[T], rows: list[dict[str, object]]) -> list[T]:
+    """One frozen `cls` value per dict of fields in `rows`, each built
+    without its constructor: none of the constructor's checks or copies
+    run, and each numpy array among the fields is made read-only in place.
+
+    The fields that hold arrays are found once, on the first row; every
+    row holds its arrays in the same fields. The caller has built the
+    fields to meet every rule the constructor checks (shape, dtype,
+    finiteness, order, ...); a value that breaks one is not caught here or
+    later. An array may be a view, such as a crop of a checked image: it is
+    kept as it is, and nothing may write through its base afterwards. This
+    is the one unchecked way to build a value.
     """
-    value = object.__new__(cls)
-    for v in fields.values():
-        if isinstance(v, _ndarray) and v.flags.writeable:
-            v.setflags(write=False)
-    value.__dict__.update(fields)
-    return value
+    arrays = [name for name, v in rows[0].items() if isinstance(v, np.ndarray)] if rows else ()
+    new, out = object.__new__, []
+    append = out.append
+    for fields in rows:
+        for name in arrays:
+            arr = fields[name]
+            if arr.flags.writeable:
+                arr.setflags(write=False)
+        value = new(cls)
+        value.__dict__.update(fields)
+        append(value)
+    return out
 
 
 def _freeze(arr: np.ndarray, source: object) -> np.ndarray:

@@ -206,6 +206,13 @@ def _outcome(parse, path, fields):
         return type(exc), str(exc), getattr(exc, "line_no", None)
 
 
+# spellings a column conversion could read differently from `float()` and
+# `int()`: digit groups, signs and case, subnormals and their rounding,
+# overflow, and hexadecimal
+_SPELLINGS = ["1_0", "1__0", "_1", "-nan", "Infinity", "+.5e-3", "4.9e-324",
+              "2.4703282292062327e-324", "1e400", "0x1p3"]
+
+
 @st.composite
 def _corner_tokens(draw):
     """A line's 8 corner tokens, mostly of a good rotated box, else of a
@@ -233,7 +240,7 @@ def _corner_tokens(draw):
     tokens = [fmt.format(float(v)) for v in corners.ravel()]
     if kind == "token":
         tokens[draw(st.integers(0, 7))] = draw(st.sampled_from(
-            ["nan", "inf", "-inf", "abc", "1e", "--1", "1e999"]))
+            ["nan", "inf", "-inf", "abc", "1e", "--1", "1e999"] + _SPELLINGS))
     return tokens
 
 
@@ -249,13 +256,15 @@ def _annotation_line(draw):
     tail = [draw(st.sampled_from(["ship", "plane"])),
             draw(st.sampled_from(["0"] * 8 + ["1"] * 4 + ["2", "x", "-1"]))]
     kp = draw(st.sampled_from(["none"] * 6 + ["good"] * 6 + ["far", "odd", "empty", "nan",
-                                                             "word", "trailing"]))
-    if kp == "good" or kp == "far":
+                                                             "word", "trailing", "spelled"]))
+    if kp in ("good", "far", "spelled"):
         k = draw(st.integers(1, 4))
         pad = 10.0 if kp == "far" else 0.0
         for _ in range(k):
             tail += [repr(draw(st.floats(min(xs), max(xs))) + pad),
                      repr(draw(st.floats(min(ys), max(ys))))]
+        if kp == "spelled":
+            tail[draw(st.integers(2, len(tail) - 1))] = draw(st.sampled_from(_SPELLINGS))
         tail.insert(2, "kp")
     elif kp != "none":
         tail += {"odd": ["kp", "1", "2", "3"], "empty": ["kp"], "nan": ["kp", "1", "nan"],
@@ -269,9 +278,9 @@ def _annotation_line(draw):
 @st.composite
 def _prediction_line(draw):
     tokens = [draw(st.sampled_from(["img_a", "img_b", "img_c"])),
-              draw(st.sampled_from(["0"] * 8 + ["2"] * 4 + ["1.5", "z"])),
+              draw(st.sampled_from(["0"] * 8 + ["2"] * 4 + ["1.5", "z"] + _SPELLINGS)),
               draw(st.sampled_from(["0.9", "0.05", "1", "0", "-0"] * 4
-                                   + ["1.5", "-0.1", "nan", "inf", "s"]))]
+                                   + ["1.5", "-0.1", "nan", "inf", "s"] + _SPELLINGS))]
     tokens += draw(_corner_tokens())
     if draw(st.integers(0, 29)) == 0:  # a bad token count
         tokens = tokens[:draw(st.integers(0, 10))] if draw(st.booleans()) else tokens + ["7"]

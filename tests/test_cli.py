@@ -18,6 +18,7 @@ from scatterkit import annotio, cli, metrics
 from scatterkit.cli import _threshold_sweep, main
 from scatterkit.config import MANIFEST_NAME
 from scatterkit.decouple import DecoupleParams
+from scatterkit.errors import MalformedLine
 from scatterkit.metrics import mean_ap
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, amplitude
 
@@ -71,14 +72,14 @@ def test_each_parsed_file_builds_its_boxes_in_one_call(tmp_path, monkeypatch):
     its lines' corners: one derivation call per parsed file, none per line."""
     data = synth(tmp_path, chips=2)
     calls = []
-    real = metrics.boxes_from_corners
+    real = metrics._box_fields
 
     def counting(stack):
         calls.append(len(stack))
         return real(stack)
 
-    monkeypatch.setattr(metrics, "boxes_from_corners", counting)
-    monkeypatch.setattr(annotio, "boxes_from_corners", counting)
+    monkeypatch.setattr(metrics, "_box_fields", counting)
+    monkeypatch.setattr(annotio, "_box_fields", counting)
     gts = tmp_path / "gts"
     gts.mkdir()
     box = "0 0 4 0 4 4 0 4"
@@ -645,6 +646,73 @@ def _serve_fifo(path, text):
         stop.set()
         thread.join()
     return stop_serving
+
+
+def test_a_fifo_record_file_whose_last_line_is_bad_fails_as_a_regular_file_does(
+        tmp_path, capsys):
+    """A record file is read once, on the error path too: a FIFO, which
+    gives its text to its first reader only, gets the error a regular file
+    with that text gets, from `eval --preds` and from `parse_annotation`."""
+    box = "0 0 4 0 4 4 0 4"
+    preds_text = f"img0 0 0.9 {box}\nimg0 0 0.8 {box}\nimg0 0 1.5 {box}\n"
+    ann_text = f"{box} tank 0\n{box} ship 0 kp 1 1 9 9\n"  # (9, 9) lies past the 2 px
+    gts = tmp_path / "gts"
+    gts.mkdir()
+    (gts / "img0.txt").write_text(f"{box} tank 0\n")
+    outcomes, errors = [], []
+    for form in ("file", "fifo"):
+        preds, ann = tmp_path / f"preds-{form}.txt", tmp_path / f"ann-{form}.txt"
+        if form == "file":
+            preds.write_text(preds_text)
+            ann.write_text(ann_text)
+            stops = []
+        else:
+            stops = [_serve_fifo(preds, preds_text), _serve_fifo(ann, ann_text)]
+        try:
+            code = run_cli("eval", "--preds", str(preds), "--gts", str(gts))
+            with pytest.raises(MalformedLine) as exc:
+                parse_annotation(ann)
+        finally:
+            for stop_serving in stops:
+                stop_serving()
+        outcomes.append((code, capsys.readouterr().err.replace(str(preds), "PREDS")))
+        errors.append((type(exc.value), str(exc.value), exc.value.line_no))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (3, "scatterkit: data error: line 3: score must lie in [0, 1], "
+                              "got 1.5\n")
+    assert errors[0] == errors[1]
+    assert errors[0][1:] == ("line 2: keypoint (9.0, 9.0) outside box AABB "
+                             "[-2.0, 6.0]x[-2.0, 6.0]", 2)
+
+
+@pytest.mark.parametrize("command", ["eval", "heatmap", "keypoint-compare"])
+def test_a_directory_named_like_an_annotation_file_is_skipped(tmp_path, capsys, command):
+    """A `*.txt` directory among the annotation files is not one: each
+    command that lists them skips it, as `index_dataset` skips a non-file,
+    and prints what it prints without it."""
+    data = synth(tmp_path)
+    skaa = tmp_path / "skaa"
+    assert run_cli("annotate", "--images", str(data / "images"), "--annots",
+                   str(data / "annots"), "--out", str(skaa), "--seed", "0") == 0
+    preds = tmp_path / "preds.txt"
+    preds.write_text("chip_00000 0 0.9 0 0 4 0 4 4 0 4\n")
+    listed, argv = {
+        "eval": (data / "annots", ("eval", "--preds", str(preds), "--gts",
+                                   str(data / "annots"))),
+        "heatmap": (skaa, ("heatmap", "--annots", str(skaa), "--dims", "32x32",
+                           "--out", str(tmp_path / "maps"))),
+        "keypoint-compare": (data / "truth", ("eval", "--keypoint-compare", "--annots-a",
+                                              str(skaa), "--annots-b", str(skaa),
+                                              "--truth", str(data / "truth"))),
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    want = capsys.readouterr()
+    if command == "heatmap":
+        assert "for 2 annotation files" in want.out
+    (listed / "old.txt").mkdir()
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr() == want
 
 
 @pytest.mark.parametrize("text", [

@@ -1,9 +1,10 @@
-"""One unchecked way to build a value: `raster._unchecked`.
+"""One unchecked way to build a value: `raster._unchecked_all`.
 
-A value is built either by its checked constructor or by `_unchecked`, from
-fields the caller has already made to meet those checks. These tests hold
-the rule in the source, and hold every value the annotate path builds
-unchecked to what its checked constructor would build from the same fields.
+A value is built either by its checked constructor or by `_unchecked_all`
+(`_unchecked` is its one-value case), from fields the caller has already
+made to meet those checks. These tests hold the rule in the source, and
+hold every value the annotate and eval paths build unchecked to what its
+checked constructor would build from the same fields.
 """
 
 import ast
@@ -12,22 +13,26 @@ import importlib
 import importlib.util
 import struct
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scatterkit.annotio import crop_chip, index_dataset, run_dog, run_skaa
+from scatterkit.annotio import (crop_chip, index_dataset, parse_annotation, parse_predictions,
+                                run_dog, run_skaa)
 from scatterkit.chipio import read_chip, write_chip
 from scatterkit.metrics import OrientedBox
-from scatterkit.raster import AmplitudeRaster, ComplexRaster, _unchecked, amplitude
+from scatterkit.raster import AmplitudeRaster, ComplexRaster, _unchecked, _unchecked_all, amplitude
 
 from test_annotio import _mini_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "scatterkit"
-# the modules that build values through `_unchecked`
+# the modules that build values through `_unchecked` or `_unchecked_all`
 BUILDERS = ("annotio", "ascmodel", "chipio", "decouple", "metrics", "spectral")
+# the records built unchecked that hold no array
+RECORDS = {"InstanceAnnotation", "Detection", "KeypointSet"}
 
 
 class _Scopes(ast.NodeVisitor):
@@ -56,7 +61,7 @@ def test_object_new_is_used_only_inside_unchecked():
         scopes = _Scopes()
         scopes.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         uses += [(path.name, scope) for scope in scopes.uses]
-    assert uses == [("raster.py", "_unchecked")]
+    assert uses == [("raster.py", "_unchecked_all")]
 
 
 def test_no_retired_builder_name_is_left():
@@ -112,6 +117,44 @@ def _rebuilt(value):
     return cls(**{f.name: getattr(value, f.name) for f in dataclasses.fields(cls) if f.init})
 
 
+def _record_unchecked(monkeypatch) -> list:
+    """Every value the builder modules build unchecked from now on, in the
+    order built, through either builder."""
+    built = []
+
+    def recording(cls, **fields):
+        value = _unchecked(cls, **fields)
+        built.append(value)
+        return value
+
+    def recording_all(cls, rows):
+        values = _unchecked_all(cls, rows)
+        built.extend(values)
+        return values
+    for name in BUILDERS:
+        module = importlib.import_module(f"scatterkit.{name}")
+        for attr, builder in (("_unchecked", recording), ("_unchecked_all", recording_all)):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, builder)
+    return built
+
+
+def _assert_each_passes_its_checks(built):
+    """Each value holds only read-only arrays, none if it is a record, and
+    its checked constructor accepts its fields and derives every stored
+    value bit for bit."""
+    for value in built:
+        arrays = [v for v in vars(value).values() if isinstance(v, np.ndarray)]
+        if type(value).__name__ in RECORDS:
+            assert not arrays
+        else:
+            assert arrays and not any(a.flags.writeable for a in arrays)
+        again = _rebuilt(value)
+        assert vars(again).keys() == vars(value).keys()
+        assert {k: _bits(v) for k, v in vars(again).items()} == \
+            {k: _bits(v) for k, v in vars(value).items()}
+
+
 def _annotate_inputs(gen, root, kind):
     if kind == "scenes-multi":
         ds = gen.generate("scenes-multi", 0, root, fraction=0.34)
@@ -127,20 +170,12 @@ def _annotate_inputs(gen, root, kind):
                                   "chips-clean-amplitude"])
 def test_each_value_built_unchecked_on_the_annotate_path_passes_its_checks(
         gen, tmp_path, monkeypatch, kind):
-    """Every crop, window, region, PSF, laid-out region and parsed box that
-    annotate builds unchecked holds only read-only arrays, and its checked
-    constructor accepts its fields and derives every stored value bit for
-    bit."""
+    """Every crop, window, region, PSF, laid-out region, parsed box and
+    parsed annotation that annotate builds unchecked holds only read-only
+    arrays, or none if it is a record, and its checked constructor accepts
+    its fields and derives every stored value bit for bit."""
     index = _annotate_inputs(gen, tmp_path / "in", kind)
-    built = []
-
-    def recording(cls, **fields):
-        value = _unchecked(cls, **fields)
-        built.append(value)
-        return value
-    for name in BUILDERS:
-        monkeypatch.setattr(importlib.import_module(f"scatterkit.{name}"), "_unchecked",
-                            recording)
+    built = _record_unchecked(monkeypatch)
     summary = run_skaa(index, tmp_path / "out", master_seed=0)
     assert summary.instances > 0 and summary.failures == 0
     monkeypatch.undo()
@@ -148,14 +183,27 @@ def test_each_value_built_unchecked_on_the_annotate_path_passes_its_checks(
     names = {type(v).__name__ for v in built}
     crop = "AmplitudeRaster" if kind.endswith("-amplitude") else "ComplexRaster"
     assert names == {crop, "WindowRaster", "ScatterRegion", "SeparablePsf",
-                     "LaidOutRegion", "OrientedBox"}
-    for value in built:
-        arrays = [v for v in vars(value).values() if isinstance(v, np.ndarray)]
-        assert arrays and not any(a.flags.writeable for a in arrays)
-        again = _rebuilt(value)
-        assert vars(again).keys() == vars(value).keys()
-        assert {k: _bits(v) for k, v in vars(again).items()} == \
-            {k: _bits(v) for k, v in vars(value).items()}
+                     "LaidOutRegion", "OrientedBox", "InstanceAnnotation"}
+    _assert_each_passes_its_checks(built)
+
+
+def test_each_value_built_unchecked_on_the_eval_path_passes_its_checks(
+        gen, tmp_path, monkeypatch):
+    """Every box, detection, keypoint set and annotation that parsing the
+    `eval-rotated` prediction and GT files builds unchecked gives the same
+    fields, bit for bit, when its checked constructor builds it again."""
+    ds = gen.generate("eval-rotated", 0, tmp_path / "in", fraction=0.1)
+    built = _record_unchecked(monkeypatch)
+    n_det = n_gt = 0
+    for gts_dir, preds, _, _ in ds.shards:
+        n_det += sum(map(len, parse_predictions(preds).values()))
+        n_gt += sum(len(parse_annotation(path)) for path in sorted(gts_dir.iterdir()))
+    monkeypatch.undo()
+
+    assert n_det > 0 and n_gt > 0
+    assert Counter(type(value).__name__ for value in built) == {"OrientedBox": n_det + n_gt, "Detection": n_det,
+                      "KeypointSet": n_gt, "InstanceAnnotation": n_gt}
+    _assert_each_passes_its_checks(built)
 
 
 def _amplitude_twin_sets(tmp_path, fmt):
