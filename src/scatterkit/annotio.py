@@ -20,11 +20,14 @@ coordinates. Floats are written with 6 significant digits. Prediction files
 ("x y amplitude") share the same numeric convention. All three are read by
 `chipio.read_text_lines`, once; a parse error names the first bad line, or
 line 0 for a non-ASCII byte anywhere in the file. An annotation or
-prediction file is parsed in one pass: its number tokens go through one
-`float()` pass, every record rule is checked on the file's columns, and
-only then are all its boxes and records built, unchecked. A file that
-breaks a rule is parsed again from the lines already read, line by line,
-for the first bad line's error; each rule's code is shared by both paths.
+prediction file has one reader, which makes one loop over its lines: each
+is split, its tokens counted and converted, up to the first that cannot be
+read, whose error is kept. All the boxes read are derived from one stack of
+corners (`metrics._box_fields`), and each line's record rules are checked
+in line order; a line that breaks one is built by the checked
+constructors, whose first error is raised, before the kept one. Only then
+are all the file's boxes, keypoint sets and records built, unchecked
+(`raster._unchecked_all`).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import (BadKeypointCount, BoxOutsideImage, DegenerateBox, Duplicate
                      MalformedLine, OutOfBounds, ScatterKitError)
 from .keypoints import (DEFAULT_K, DogParams, KeypointSet, _check_top_n, cluster_keypoints,
                         dog_keypoints, instance_seed, to_global)
-from .metrics import Detection, OrientedBox, _box_fields, _scores_in_range, boxes_from_corners
+from .metrics import Detection, OrientedBox, _box_fields
 from .raster import (AmplitudeRaster, ComplexRaster, WindowRaster, _unchecked, _unchecked_all,
                      amplitude)
 from .spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, _check_window_params, taylor_window_2d
@@ -101,129 +104,77 @@ def _lines(path: str | Path) -> list[tuple[int, str]]:
         raise MalformedLine(0, f"not ascii text: {exc}") from None
 
 
-def _boxed_records(lines: list[tuple[int, str]], read, build) -> list:
-    """One record per numbered line, each built on its line's box, or the
-    first bad line's error: the per-line reader, which the record files
-    fall back to when a rule fails.
+def parse_annotation(path: str | Path) -> list[InstanceAnnotation]:
+    """Read one annotation file in one pass (see the module docstring);
+    blank lines are ignored.
 
-    `read(line_no, line)` turns a line into its fields and its 8 corner
-    floats, or raises MalformedLine. Lines are read up to the first that
-    fails, their boxes built from one stack of corners (`boxes_from_corners`)
-    and their records by `build(box, *fields)`; only then is the failed
-    read raised, so the error raised is always the first bad line's.
+    A line is good when its box and difficulty meet their rules and each
+    keypoint lies within the box's bounds widened by 2 px, the rule of
+    `_stray_keypoint`, checked inline. A good box's bounds are finite, so a
+    NaN or infinite keypoint breaks that rule too: `KeypointSet`'s
+    finiteness rule is looked up only for a line that is not good, when the
+    checked constructors build it for its error.
     """
-    read_lines, corners = [], []
-    try:
-        for line_no, line in lines:
-            fields, nums = read(line_no, line)
-            read_lines.append((line_no, fields))
-            corners.append(nums)
-        unread = None
-    except MalformedLine as exc:
-        unread = exc
-    stack = np.array(corners, dtype=np.float64).reshape(-1, 4, 2)
-    records = []
-    for (line_no, fields), box in zip(read_lines, boxes_from_corners(stack)):
-        if isinstance(box, DegenerateBox):
-            raise MalformedLine(line_no, str(box))
+    lines = _lines(path)
+    read, corners, unread = [], [], None  # read: (class name, difficulty, keypoints)
+    for line_no, line in lines:
+        r = line.split()
+        n = len(r)
         try:
-            records.append(build(box, *fields))
+            if n < 10:
+                raise MalformedLine(line_no, f"expected >= 10 tokens, got {n}")
+            try:
+                corners += map(float, r[:8])
+            except ValueError as exc:
+                raise MalformedLine(line_no, f"bad corner value: {exc}") from None
+            try:
+                difficulty = int(r[9])
+            except ValueError:
+                raise MalformedLine(line_no, f"bad difficulty {r[9]!r}") from None
+            points = None
+            if n > 10:
+                if r[10] != "kp":
+                    raise MalformedLine(line_no, f"unknown trailing token {r[10]!r}")
+                try:
+                    coords = list(map(float, r[11:]))
+                except ValueError as exc:
+                    raise MalformedLine(line_no, f"bad keypoint value: {exc}") from None
+                if not coords or len(coords) % 2:
+                    raise BadKeypointCount(
+                        line_no, f"keypoint list must hold 2k numbers, got {len(coords)}")
+                points = tuple(zip(coords[0::2], coords[1::2]))
+        except MalformedLine as exc:
+            unread = exc
+            break
+        read.append((r[8], difficulty, points))
+    del corners[8 * len(read):]  # an unread line's
+    boxes = _box_fields(np.array(corners, dtype=np.float64).reshape(-1, 4, 2))
+    for (class_name, difficulty, points), box, (line_no, _) in zip(read, boxes, lines):
+        if type(box) is dict and difficulty in _DIFFICULTIES:
+            if points is None:
+                continue
+            xmin, ymin, xmax, ymax = box["_reach"][:4]  # the box's `bounds`
+            for x, y in points:
+                if not (xmin - 2.0 <= x <= xmax + 2.0 and ymin - 2.0 <= y <= ymax + 2.0):
+                    break
+            else:
+                continue
+        try:
+            kps = None if points is None else KeypointSet(points=points)
+            if type(box) is DegenerateBox:
+                raise box
+            InstanceAnnotation(box=_unchecked(OrientedBox, **box), class_name=class_name,
+                               difficulty=difficulty, keypoints=kps)
         except (ScatterKitError, ValueError) as exc:
             raise MalformedLine(line_no, str(exc)) from None
     if unread is not None:
         raise unread
-    return records
-
-
-def parse_annotation(path: str | Path) -> list[InstanceAnnotation]:
-    """Read one annotation file; blank lines are ignored. The file is read
-    once and its records built at once (`_annotations_at_once`); a file that
-    breaks a rule is read again from its lines, line by line
-    (`_boxed_records`), for the first bad line's error."""
-    lines = _lines(path)
-    annots = _annotations_at_once(lines)
-    if annots is None:
-        return _boxed_records(lines, _annotation_fields, InstanceAnnotation)
-    return annots
-
-
-def _annotations_at_once(lines: list[tuple[int, str]]) -> list[InstanceAnnotation] | None:
-    """The annotations of the numbered lines of a file, or None if a line
-    breaks a rule.
-
-    Each line is split once, every number token of the file goes through
-    one `float` pass and every difficulty through `int`, and each rule is
-    checked on the file's columns, by the rule's own code: the token counts,
-    the box checks (`_box_fields`), the difficulties and the 2 px rule
-    (`_stray_keypoint`). A class name is a token, so it is never empty and
-    holds no whitespace. A good box's bounds are finite, so a NaN or
-    infinite keypoint breaks the 2 px rule, and `KeypointSet`'s finiteness
-    rule needs no pass of its own. Only then are the boxes, keypoint sets
-    and annotations built, one call per class (`raster._unchecked_all`).
-    """
-    rows = [line.split() for _, line in lines]
-    # 10 tokens, or 10 and "kp" and 2k >= 2 keypoint numbers
-    if not all(len(r) == 10 or len(r) >= 13 and len(r) % 2 and r[10] == "kp" for r in rows):
-        return None
-    tokens = [t for r in rows for t in r[:8]]  # every corner, then every keypoint
-    tokens += [t for r in rows for t in r[11:]]
-    try:
-        difficulties = [int(r[9]) for r in rows]
-        nums = list(map(float, tokens))
-    except ValueError:
-        return None
-    n = len(rows)
-    boxes = _box_fields(np.array(nums[:8 * n], dtype=np.float64).reshape(n, 4, 2))
-    points, at = [], 8 * n
-    for r in rows:
-        coords = nums[at:at + max(len(r) - 11, 0)]
-        at += len(coords)
-        points.append(tuple(zip(coords[0::2], coords[1::2])) if coords else None)
-    # a box's `bounds` are the first four of its `_reach`
-    if DegenerateBox in map(type, boxes) or not set(difficulties).issubset(_DIFFICULTIES) \
-            or any(p and _stray_keypoint(b["_reach"][:4], p) for b, p in zip(boxes, points)):
-        return None
-    kpsets = iter(_unchecked_all(KeypointSet, [{"points": p} for p in points if p]))
+    kpsets = iter(_unchecked_all(KeypointSet, [{"points": p} for _, _, p in read if p]))
     return _unchecked_all(InstanceAnnotation, [
-        {"box": box, "class_name": r[8], "difficulty": d,
-         "keypoints": next(kpsets) if p else None}
-        for box, r, d, p in zip(_unchecked_all(OrientedBox, boxes), rows, difficulties,
-                                points)])
-
-
-def _annotation_fields(line_no: int, line: str) -> tuple[tuple, list[float]]:
-    """(class name, difficulty, keypoints or None) and the corner floats of
-    one annotation line."""
-    tokens = line.split()
-    if len(tokens) < 10:
-        raise MalformedLine(line_no, f"expected >= 10 tokens, got {len(tokens)}")
-    try:
-        nums = [float(t) for t in tokens[:8]]
-    except ValueError as exc:
-        raise MalformedLine(line_no, f"bad corner value: {exc}") from None
-    class_name = tokens[8]
-    try:
-        difficulty = int(tokens[9])
-    except ValueError:
-        raise MalformedLine(line_no, f"bad difficulty {tokens[9]!r}") from None
-
-    kps = None
-    rest = tokens[10:]
-    if rest:
-        if rest[0] != "kp":
-            raise MalformedLine(line_no, f"unknown trailing token {rest[0]!r}")
-        try:
-            coords = [float(t) for t in rest[1:]]
-        except ValueError as exc:
-            raise MalformedLine(line_no, f"bad keypoint value: {exc}") from None
-        if not coords or len(coords) % 2:
-            raise BadKeypointCount(
-                line_no, f"keypoint list must hold 2k numbers, got {len(coords)}")
-        try:
-            kps = KeypointSet(points=tuple(zip(coords[0::2], coords[1::2])))
-        except ValueError as exc:
-            raise MalformedLine(line_no, str(exc)) from None
-    return (class_name, difficulty, kps), nums
+        {"box": box, "class_name": class_name, "difficulty": difficulty,
+         "keypoints": next(kpsets) if points else None}
+        for box, (class_name, difficulty, points) in zip(_unchecked_all(OrientedBox, boxes),
+                                                         read)])
 
 
 def format_annotation(annots: list[InstanceAnnotation]) -> str:
@@ -265,65 +216,43 @@ def write_truth(scatterers: list[Scatterer], path: str | Path) -> None:
 
 
 def parse_predictions(path: str | Path) -> dict[str, list[Detection]]:
-    """Read a prediction file into per-image detection lists. The file is
-    read once and its detections built at once (`_predictions_at_once`); a
-    file that breaks a rule is read again from its lines, line by line
-    (`_boxed_records`), for the first bad line's error."""
+    """Read a prediction file into per-image detection lists, in one pass,
+    as the module docstring says. A line whose box or score breaks its rule
+    is built by the checked constructors, in their order, for its error."""
     lines = _lines(path)
-    pairs = _predictions_at_once(lines)
-    if pairs is None:
-        pairs = _boxed_records(lines, _prediction_fields, _detection)
-    out: dict[str, list[Detection]] = {}
-    for image_id, det in pairs:
-        out.setdefault(image_id, []).append(det)
-    return out
-
-
-def _predictions_at_once(lines: list[tuple[int, str]]) -> list[tuple[str, Detection]] | None:
-    """(image id, detection) for each numbered line of a file, or None if a
-    line breaks a rule.
-
-    Each line is split once, every score and corner token of the file goes
-    through one `float` pass and every class id through `int`, and each rule
-    is checked on the file's columns, by the rule's own code: the token
-    counts, the scores (`metrics._scores_in_range`) and the box checks
-    (`_box_fields`). Only then are the boxes and detections built, one call
-    per class (`raster._unchecked_all`).
-    """
-    rows = [line.split() for _, line in lines]
-    if not {11}.issuperset(map(len, rows)):
-        return None
-    try:
-        class_ids = [int(r[1]) for r in rows]
-        nums = list(map(float, [t for r in rows for t in r[2:]]))
-    except ValueError:
-        return None
-    scores = nums[0::9]
-    del nums[0::9]  # the corners are left
-    boxes = _box_fields(np.array(nums, dtype=np.float64).reshape(-1, 4, 2))
-    if not _scores_in_range(scores) or DegenerateBox in map(type, boxes):
-        return None
+    read, corners, unread = [], [], None  # read: (image id, class id, score)
+    for line_no, line in lines:
+        r = line.split()
+        if len(r) != 11:
+            unread = MalformedLine(line_no, f"expected 11 tokens, got {len(r)}")
+            break
+        try:
+            fields = (r[0], int(r[1]), float(r[2]))
+            corners += map(float, r[3:])
+        except ValueError as exc:
+            unread = MalformedLine(line_no, str(exc))
+            break
+        read.append(fields)
+    del corners[8 * len(read):]  # an unread line's
+    boxes = _box_fields(np.array(corners, dtype=np.float64).reshape(-1, 4, 2))
+    for (_, class_id, score), box, (line_no, _) in zip(read, boxes, lines):
+        if type(box) is dict and 0.0 <= score <= 1.0:
+            continue
+        try:
+            if type(box) is DegenerateBox:
+                raise box
+            Detection(box=_unchecked(OrientedBox, **box), score=score, class_id=class_id)
+        except (ScatterKitError, ValueError) as exc:
+            raise MalformedLine(line_no, str(exc)) from None
+    if unread is not None:
+        raise unread
     dets = _unchecked_all(Detection, [
         {"box": box, "score": score, "class_id": class_id}
-        for box, score, class_id in zip(_unchecked_all(OrientedBox, boxes), scores, class_ids)])
-    return [(r[0], det) for r, det in zip(rows, dets)]
-
-
-def _detection(box: OrientedBox, image_id: str, class_id: int,
-               score: float) -> tuple[str, Detection]:
-    return image_id, Detection(box=box, score=score, class_id=class_id)
-
-
-def _prediction_fields(line_no: int, line: str) -> tuple[tuple, list[float]]:
-    """(image id, class id, score) and the corner floats of one prediction line."""
-    tokens = line.split()
-    if len(tokens) != 11:
-        raise MalformedLine(line_no, f"expected 11 tokens, got {len(tokens)}")
-    try:
-        fields = (tokens[0], int(tokens[1]), float(tokens[2]))
-        return fields, [float(t) for t in tokens[3:]]
-    except ValueError as exc:
-        raise MalformedLine(line_no, str(exc)) from None
+        for box, (_, class_id, score) in zip(_unchecked_all(OrientedBox, boxes), read)])
+    out: dict[str, list[Detection]] = {}
+    for (image_id, _, _), det in zip(read, dets):
+        out.setdefault(image_id, []).append(det)
+    return out
 
 
 def crop_chip(image: ComplexRaster | AmplitudeRaster,

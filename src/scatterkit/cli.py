@@ -171,13 +171,13 @@ def _annotation_files(directory: Path) -> list[Path]:
                   if p.name != MANIFEST_NAME and not p.is_dir())
 
 
-def _keypoints_of(ann_path: Path) -> np.ndarray:
-    """Every keypoint of an annotation file, in file order, as an (n, 2) array."""
+def _keypoints_of(ann_path: Path) -> list[tuple[float, float]]:
+    """Every keypoint of an annotation file, in file order."""
     pts = []
     for inst in parse_annotation(ann_path):
         if inst.keypoints is not None:
             pts.extend(inst.keypoints.points)
-    return np.array(pts, dtype=np.float64).reshape(-1, 2)
+    return pts
 
 
 # ---------------------------------------------------------------- synth
@@ -303,10 +303,10 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     for ann_path in _annotation_files(annots_dir):
         try:
             points = _keypoints_of(ann_path)
-            if not len(points):
+            if not points:
                 log.warning("%s: no keypoints, skipped", ann_path.name)
                 continue
-            kps = KeypointSet(points=tuple(map(tuple, points.tolist())))
+            kps = KeypointSet(points=tuple(points))
             m = gt_scatter_map(kps, h, w, sigma=config.supervision.sigma)
         except ScatterKitError as exc:
             log.warning("%s: %s (no maps written)", ann_path.name, exc)
@@ -373,10 +373,10 @@ def _eval_keypoint_compare(args: argparse.Namespace) -> int:
     for truth_path in _annotation_files(truth_dir):
         stem = truth_path.stem
         truth = parse_truth(truth_path)
-        truth_xy = np.array([(s.x, s.y) for s in truth]).reshape(-1, 2)
+        truth_xy = [(s.x, s.y) for s in truth]
         kp_a = _keypoints_of(dir_a / f"{stem}.txt")
         kp_b = _keypoints_of(dir_b / f"{stem}.txt")
-        if not len(truth_xy) or not len(kp_a) or not len(kp_b):
+        if not truth_xy or not kp_a or not kp_b:
             log.warning("%s: empty truth or keypoints, skipped", stem)
             continue
         da = mean_nearest_distance(truth_xy, kp_a)

@@ -31,9 +31,9 @@ and derives every stored value of each row of a stack of corners in one
 straight-line pass, and a single `OrientedBox` is its one-row case: an
 array pass over the stack paid numpy's fixed cost on every call, 5 to 7
 times the scalar pass on the one-box file of a chip, and was only ~10 %
-faster at 1,000 boxes. `boxes_from_corners` builds a stack's boxes from
-those fields in one call (`raster._unchecked_all`), and so do the record
-parsers (`annotio`), once the whole file has met every rule. The clip works one pair at a time: an array
+faster at 1,000 boxes. The record readers (`annotio`) derive all of a
+file's boxes from one stack and build them from those fields in one call
+(`raster._unchecked_all`). The clip works one pair at a time: an array
 Sutherland-Hodgman clip pays numpy's fixed cost per call (several times the
 scalar clip on a 1 x 1 matrix) and gained nothing at ~60 pairs an image.
 
@@ -57,7 +57,6 @@ import numpy as np
 
 from .errors import DegenerateBox, EmptyClasses, EmptyProposals
 from .keypoints import _pairwise_sum
-from .raster import _unchecked_all
 
 COLLINEAR_TOL = 1e-9
 SLIVER_AREA = 1e-12
@@ -69,19 +68,6 @@ _MAX_COORD = 2.0 ** 500   # above this 1 + M the clip's products may overflow
 
 _REASONS = ("box corners contain NaN/Inf", "box area is not finite",
             "box has (near-)zero area", "corners do not form a convex simple quadrilateral")
-
-
-def boxes_from_corners(stack: np.ndarray) -> list[OrientedBox | DegenerateBox]:
-    """One `OrientedBox`, or the `DegenerateBox` it would raise, per row of an
-    (n, 4, 2) float64 stack of corners; nothing is raised.
-
-    `OrientedBox(corners)` is the one-row case. The boxes' fields come from
-    `_box_fields`, and the boxes are built from them in one call
-    (`raster._unchecked_all`).
-    """
-    rows = _box_fields(stack)
-    built = iter(_unchecked_all(OrientedBox, [r for r in rows if type(r) is dict]))
-    return [r if type(r) is DegenerateBox else next(built) for r in rows]
 
 
 def _box_fields(stack: np.ndarray) -> list[dict[str, object] | DegenerateBox]:
@@ -219,14 +205,8 @@ class Detection:
     class_id: int = 0
 
     def __post_init__(self):
-        if not _scores_in_range((self.score,)):
+        if not 0.0 <= self.score <= 1.0:  # NaN does not
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
-
-
-def _scores_in_range(scores) -> bool:
-    """Whether every score lies in [0, 1], the rule of `Detection` (NaN
-    does not)."""
-    return all(0.0 <= s <= 1.0 for s in scores)
 
 
 _INSIDE = -COLLINEAR_TOL  # a signed distance >= this keeps its point
@@ -345,7 +325,7 @@ def _clipped_iou(a: OrientedBox, b: OrientedBox) -> float:
 
     The intersection's area is the shoelace sum about its first vertex, each
     term halved before the sum and the terms summed in np.add.reduce's order
-    by `_pairwise_sum` (see `boxes_from_corners` for why that order and the
+    by `_pairwise_sum` (see `_box_fields` for why that order and the
     halving).
     """
     area_a, area_b = a._area, b._area
@@ -483,9 +463,9 @@ def greedy_point_match(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, flo
     return out
 
 
-def mean_nearest_distance(references: np.ndarray,
-                          candidates: np.ndarray) -> float:
-    """Mean over reference points of the distance to the nearest candidate.
+def mean_nearest_distance(references, candidates) -> float:
+    """Mean over reference points of the distance to the nearest candidate;
+    each set is an (n, 2) array or a sequence of (x, y) pairs.
 
     One distance per reference; a candidate may serve several references.
     Unlike greedy_point_match this charges for every reference left without

@@ -10,8 +10,8 @@ constructor or, from fields its caller has already made to meet those
 checks, by `_unchecked_all`, which builds many values of one class in one
 call (`_unchecked` is its one-value case). A crop (`annotio.crop_chip`) is
 built the second way: its array is a read-only view of its image's, which
-was checked when the image was read. So are a file's parsed boxes and
-records, once the whole file has met every rule (`annotio`).
+was checked when the image was read. So are a record file's boxes and
+records, once every line has met every rule (`annotio`).
 Like every value type here that holds an array, a raster compares and
 hashes by identity (`eq=False`): compare `samples` or `values` for content.
 """

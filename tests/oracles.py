@@ -58,10 +58,10 @@ one box on Python floats, with `_ccw`, the CCW corner array that
 `ccw_corners()` builds, and `oriented_box_scalar` a box built from the
 stored values. `parse_annotation_per_line` and `parse_predictions_per_line`
 are the retired parsers that built each line's box on its own, as that
-constructor. The library builds all of a file's boxes from one stack of
-corners in one call (`metrics.boxes_from_corners`), each row on Python
-floats and bit for bit as that constructor, and a single `OrientedBox` is
-its one-row case.
+constructor. The library derives all of a file's boxes from one stack of
+corners in one call (`metrics._box_fields`), each row on Python floats and
+bit for bit as that constructor, and a single `OrientedBox` is its
+one-row case.
 
 `clip_convex_scalar` is the retired Sutherland-Hodgman clip: each edge
 takes the list of its signed distances, walks it by `% m` indexing and

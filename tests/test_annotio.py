@@ -364,8 +364,34 @@ def test_parse_reports_the_first_bad_line_whichever_check_it_fails(tmp_path, par
     p.write_text(f"{BOX_LINE}\n0 0 4 0 4 4 0 4 tank 0 kp 9 9\n{bowtie}\n")
     with pytest.raises(MalformedLine, match="^line 2: keypoint"):
         parse(p)
+    # one line breaking several rules reports the first its constructors check
+    for line, message in [("0 0 4 4 4 0 0 5 tank 2 kp nan 1", "keypoints must be finite"),
+                          ("0 0 4 4 4 0 0 5 tank 2", "corners do not form"),
+                          ("0 0 4 0 4 4 0 4 tank 2 kp 9 9", "difficulty must be 0 or 1")]:
+        p.write_text(f"{BOX_LINE}\n{line}\n{BOX_LINE} kp 99 1\n")
+        with pytest.raises(MalformedLine, match=f"^line 2: {message}"):
+            parse(p)
     with pytest.raises(FileNotFoundError):
         parse(tmp_path / "missing.txt")
+
+
+@pytest.mark.parametrize("parse", [parse_predictions, parse_predictions_per_line])
+def test_parse_predictions_reports_the_first_bad_line_whichever_check_it_fails(tmp_path,
+                                                                               parse):
+    p = tmp_path / "p.txt"
+    good, bowtie = "img0 0 0.9 0 0 4 0 4 4 0 4", "img0 0 0.9 0 0 4 4 4 0 0 5"
+    p.write_text(f"{good}\n{bowtie}\nimg0 0 0.9\n")
+    with pytest.raises(MalformedLine, match="^line 2: corners do not form"):
+        parse(p)
+    p.write_text(f"{good}\nimg0 0 1.5 0 0 4 0 4 4 0 4\n{bowtie}\n")
+    with pytest.raises(MalformedLine, match="^line 2: score must lie in"):
+        parse(p)
+    # one line breaking several rules reports the first its constructors check
+    for line, message in [("img0 z s 0 0 4 0 4 4 0 4", "invalid literal for int"),
+                          ("img0 0 1.5 0 0 4 4 4 0 0 5", "corners do not form")]:
+        p.write_text(f"{good}\n{line}\nimg0 0 0.9\n")
+        with pytest.raises(MalformedLine, match=f"^line 2: {message}"):
+            parse(p)
 
 
 @pytest.mark.parametrize("parse, good, short", [

@@ -14,11 +14,11 @@ from scatterkit.annotio import parse_annotation, parse_predictions
 from scatterkit.cli import main
 from scatterkit.errors import DegenerateBox, EmptyClasses, EmptyProposals
 from scatterkit.metrics import (COLLINEAR_TOL, Detection, EvalReport, OrientedBox,
-                                average_precision, average_precision_grouped,
-                                boxes_from_corners, clip_reach,
-                                greedy_point_match, iou_matrix, max_ious, mean_ap,
+                                _box_fields, average_precision, average_precision_grouped,
+                                clip_reach, greedy_point_match, iou_matrix, max_ious, mean_ap,
                                 mean_nearest_distance, phr_curve,
                                 proposal_precision, rotated_iou)
+from scatterkit.raster import _unchecked
 
 from oracles import (average_precision_grouped_scalar, beyond_reach, box_area, box_ccw,
                      box_fields_scalar, clip_convex_scalar, clip_reach_scalar,
@@ -506,8 +506,11 @@ def _float_bits(value):
 
 
 def _assert_box_fields_equal_the_scalar_oracle(got, corners):
-    """`got`, a box or a DegenerateBox, is what the one-box scalar
+    """`got`, a box, a DegenerateBox or a `_box_fields` row (checked as the
+    box the record readers build from it), is what the one-box scalar
     derivation gives these corners, field for field and bit for bit."""
+    if type(got) is dict:
+        got = _unchecked(OrientedBox, **got)
     try:
         want = box_fields_scalar(corners)
     except DegenerateBox as exc:
@@ -554,7 +557,7 @@ def test_box_fields_equal_the_scalar_oracle_bit_for_bit(name):
     """Every field, the bounds and each rejection message, whether the boxes
     are built as one stack or one at a time."""
     corners = [np.asarray(c, dtype=np.float64) for c in BOX_FIELD_SETS[name]()]
-    stacked = boxes_from_corners(np.array(corners))
+    stacked = _box_fields(np.array(corners))
     assert len(stacked) == len(corners)
     for c, got in zip(corners, stacked):
         _assert_box_fields_equal_the_scalar_oracle(got, c)
@@ -620,7 +623,7 @@ def test_drawn_box_stacks_equal_the_scalar_oracle_bit_for_bit(rows):
     `OrientedBox(c)`. The drawn rows reach the kernel's NaN rules: the
     convexity check passes over a NaN turn, and a NaN first sine leaves
     kappa inf where a later one is passed over."""
-    stacked = boxes_from_corners(np.array(rows).reshape(-1, 4, 2))
+    stacked = _box_fields(np.array(rows).reshape(-1, 4, 2))
     assert len(stacked) == len(rows)
     for c, got in zip(rows, stacked):
         try:
@@ -633,7 +636,7 @@ def test_drawn_box_stacks_equal_the_scalar_oracle_bit_for_bit(rows):
 
 
 def test_box_stack_without_rows_builds_nothing():
-    assert boxes_from_corners(np.empty((0, 4, 2))) == []
+    assert _box_fields(np.empty((0, 4, 2))) == []
 
 
 def test_box_corners_are_a_read_only_copy():
@@ -645,10 +648,12 @@ def test_box_corners_are_a_read_only_copy():
     assert box.corners[0, 0] == 1.0 and box.bounds[0] == 0.5
     with pytest.raises(ValueError):
         box.corners[0, 0] = 3.0
-    boxes = boxes_from_corners(stack)
+    rows = _box_fields(stack)
     assert not stack.flags.writeable
-    for box, row in zip(boxes, stack):
-        assert not box.corners.flags.writeable and not box.ccw_corners().flags.writeable
+    for fields, row in zip(rows, stack):
+        assert not fields["corners"].flags.writeable  # a view of the read-only stack
+        box = _unchecked(OrientedBox, **fields)
+        assert not box.ccw_corners().flags.writeable
         assert box.corners.tobytes() == row.tobytes()
 
 
