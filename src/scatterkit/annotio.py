@@ -2,9 +2,13 @@
 
 The physics pipeline is composed here alone: `run_skaa` runs decouple ->
 fit -> cluster on every crop, one loop pass each, with `skaa_keypoints`' own
-fit and cluster code. Its `--debug-dir` dump comes from the same regions, as
-two files per instance: `{image}_{idx:03d}_amplitude.csar`, the crop's
-amplitude, and `{image}_{idx:03d}_supports.txt`, one line per extraction
+fit and cluster code. The extraction loop hands a crop's supports on as one
+flat layout (`decouple._extract`), the fit kernel takes every region's
+position from it, and those positions are clustered: no region value is
+built, and no gain or residual computed. Its `--debug-dir` dump comes from
+the same layout, as two files per instance:
+`{image}_{idx:03d}_amplitude.csar`, the crop's amplitude, and
+`{image}_{idx:03d}_supports.txt`, one line per extraction
 step holding that region's ascending flat row-major indices into the crop
 (an empty file when no step ran). The residual after step i is the
 amplitude with the indices of lines 0..i set to 0.0; a pixel may sit on
@@ -32,6 +36,7 @@ are all the file's boxes, keypoint sets and records built, unchecked
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import shutil
@@ -41,16 +46,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .ascmodel import FittedScatterer, Scatterer, base_psf, fit_scatterer, lay_out_regions
+from .ascmodel import FittedScatterer, Scatterer, _fit_positions, _fitted, base_psf
 from .chipio import read_chip, read_text_lines, write_atomic, write_chip
-from .decouple import DecoupleParams, ScatterRegion, decouple
+from .decouple import DecoupleParams, _extract
 from .errors import (BadKeypointCount, BoxOutsideImage, DegenerateBox, DuplicateStem,
                      MalformedLine, OutOfBounds, ScatterKitError)
 from .keypoints import (DEFAULT_K, DogParams, KeypointSet, _check_top_n, cluster_keypoints,
                         dog_keypoints, instance_seed, to_global)
 from .metrics import Detection, OrientedBox, _box_fields
-from .raster import (AmplitudeRaster, ComplexRaster, WindowRaster, _unchecked, _unchecked_all,
-                     amplitude)
+from .raster import (AmplitudeRaster, ComplexRaster, WindowRaster, _require_index, _unchecked,
+                     _unchecked_all, amplitude)
 from .spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, _check_window_params, taylor_window_2d
 
 log = logging.getLogger("scatterkit")
@@ -338,40 +343,34 @@ class RunSummary:
         return float(np.mean(self.instance_ms)) if self.instance_ms else 0.0
 
 
-def _fit(regions: list[ScatterRegion], window: WindowRaster) -> list[FittedScatterer]:
-    """One fit per region: the regions' supports are laid out in one pass,
-    then each laid-out region is fitted on its own."""
-    psf = base_psf(window)
-    return [fit_scatterer(reg, psf) for reg in lay_out_regions(regions)]
-
-
-def _keypoints(regions: list[ScatterRegion], window: WindowRaster,
-               k: int, rng_seed: int) -> KeypointSet:
-    """Fit -> cluster on decoupled regions: the path annotate shares."""
-    fits = _fit(regions, window)
-    return cluster_keypoints([(f.x, f.y) for f in fits], k=k, rng_seed=rng_seed)
+def _keypoints(layout: tuple, window: WindowRaster, k: int, rng_seed: int) -> KeypointSet:
+    """Fit -> cluster on an extraction's flat layout (`decouple._extract`):
+    the path annotate shares. Only the regions' positions are fitted."""
+    (ys, xs, _), _ = _fit_positions(*layout, base_psf(window))
+    return cluster_keypoints(list(zip(xs, ys)), k=k, rng_seed=rng_seed)
 
 
 def fit_regions(img: ComplexRaster | AmplitudeRaster, window: WindowRaster,
                 dec_params: DecoupleParams = DecoupleParams()) -> list[FittedScatterer]:
     """Decouple a chip and fit one scatterer per extracted region."""
-    return _fit(decouple(img, dec_params), window)
+    return _fitted(*_extract(img, dec_params), base_psf(window))
 
 
 def skaa_keypoints(img: ComplexRaster | AmplitudeRaster, window: WindowRaster,
                    dec_params: DecoupleParams = DecoupleParams(),
                    k: int = DEFAULT_K, rng_seed: int = 0) -> KeypointSet:
     """Full physics path: decouple -> fit positions -> cluster to k keypoints."""
-    return _keypoints(decouple(img, dec_params), window, k, rng_seed)
+    return _keypoints(_extract(img, dec_params), window, k, rng_seed)
 
 
-def _dump_steps(amp: AmplitudeRaster, regions: list[ScatterRegion],
-                debug_dir: Path, stem: str) -> None:
+def _dump_steps(amp: AmplitudeRaster, layout: tuple, debug_dir: Path, stem: str) -> None:
     """Dump the crop's amplitude and one line of support indices per step,
     for --debug-dir (see the module docstring)."""
     write_chip(amp, debug_dir / f"{stem}_amplitude.csar")
-    write_atomic(debug_dir / f"{stem}_supports.txt",
-                 "".join(" ".join(map(str, r.indices.tolist())) + "\n" for r in regions))
+    _, indices, _, sizes = layout
+    tokens = list(map(str, indices.tolist()))
+    lines = (" ".join(tokens[b - n:b]) + "\n" for n, b in zip(sizes, itertools.accumulate(sizes)))
+    write_atomic(debug_dir / f"{stem}_supports.txt", "".join(lines))
 
 
 def _annotate_instance_skaa(image: ComplexRaster | AmplitudeRaster, ann: InstanceAnnotation,
@@ -381,10 +380,10 @@ def _annotate_instance_skaa(image: ComplexRaster | AmplitudeRaster, ann: Instanc
                             debug_dir: Path | None = None) -> InstanceAnnotation:
     chip, origin = crop_chip(image, ann.box)
     window = taylor_window_2d(chip.height, chip.width, window_nbar, window_sidelobe_db)
-    regions = decouple(chip, dec_params)
+    layout = _extract(chip, dec_params)
     if debug_dir is not None:
-        _dump_steps(amplitude(chip), regions, debug_dir, f"{image_id}_{idx:03d}")
-    kps = _keypoints(regions, window, k, instance_seed(master_seed, image_id, idx))
+        _dump_steps(amplitude(chip), layout, debug_dir, f"{image_id}_{idx:03d}")
+    kps = _keypoints(layout, window, k, instance_seed(master_seed, image_id, idx))
     return replace(ann, keypoints=to_global(kps, origin))
 
 
@@ -443,11 +442,13 @@ def run_skaa(index: DatasetIndex, out_dir: str | Path, *, master_seed: int,
 
     Each crop's window comes from `taylor_window_2d`, whose memo builds a
     taper once per (length, window parameters); bad window parameters raise
-    InvalidWindowParams before anything is written. `threads` must be >= 1
-    and changes nothing: a thread pool only traded the GIL.
+    InvalidWindowParams before anything is written, as a `k` that is not an
+    integer raises ValueError. `threads` must be >= 1 and changes nothing: a
+    thread pool only traded the GIL.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    _require_index(k=k)
     _check_window_params(window_nbar, window_sidelobe_db)
     if debug_dir is not None:
         debug_dir = Path(debug_dir)
@@ -464,9 +465,10 @@ def run_dog(index: DatasetIndex, out_dir: str | Path, *, master_seed: int = 0,
             dog_params: DogParams = DogParams(), k: int = DEFAULT_K) -> RunSummary:
     """DoG baseline over a dataset, same output format as run_skaa.
 
-    A `k` above `dog_params.top_n` raises ValueError before anything is
-    written.
+    A `k` that is not an integer, or above `dog_params.top_n`, raises
+    ValueError before anything is written.
     """
+    _require_index(k=k)
     _check_top_n(dog_params, k)
 
     def worker(image, ann, image_id, idx):

@@ -5,6 +5,14 @@ a * exp(-j*2*pi*(kx*x/W + ky*y/H)) to the spectrum; the complex chip is the
 windowed inverse FFT of the summed spectrum. For integer positions this makes
 the image an exact cyclic shift of the window's point-spread function, which
 is what the position fitter exploits.
+
+The fit has one kernel, `_fit_positions`, which takes an instance's regions
+as one flat layout (their frame, their concatenated support indices and
+amplitudes, and each region's size, as `decouple._extract` hands them on)
+and gives each region's best lattice position and correlation. `annotate`
+reads the positions alone; `_fitted` adds each region's gain and residual
+in closed form, for `annotio.fit_regions` and for `fit_scatterer`, its
+one-region case.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from .decouple import ScatterRegion
 from .errors import (DimMismatch, EmptyInput, EmptyRegion, InfeasiblePlacement,
                      OutOfBounds)
 from .metrics import OrientedBox
-from .raster import ComplexRaster, WindowRaster, _freeze, _unchecked, _unchecked_all
+from .raster import ComplexRaster, WindowRaster, _freeze, _unchecked
 
 FIT_DILATE_PX = 2
 SYNTH_BORDER_PX = 4.0
@@ -193,121 +201,119 @@ class FittedScatterer:
     residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class LaidOutRegion:
-    """One region's positive pixels, laid out for `fit_scatterer` by
-    `lay_out_regions`: the (h, w) frame, the pixels' rows, columns and
-    values in ascending flat-index order, the bounds (ry0, ry1, rx0, rx1) of
-    their bounding box, and that box as a block, zero off the pixels. Its
-    arrays are read-only; it compares and hashes by identity."""
+def _fit_positions(shape: tuple[int, int], indices: np.ndarray, amplitudes: np.ndarray,
+                   sizes: list[int], psf: SeparablePsf
+                   ) -> tuple[tuple[list[int], list[int], list[float]],
+                              tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The fit kernel: the best integer position of each region of a flat
+    layout, as `fit_scatterer` defines it.
 
-    shape: tuple[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    bounds: tuple[int, int, int, int]
-    block: np.ndarray
-
-
-def lay_out_regions(regions: list[ScatterRegion]) -> list[LaidOutRegion]:
-    """The positive pixels of each region, laid out for the fit in one pass
-    over all of them.
-
-    The regions share one (h, w) frame, read off the first. One `divmod`
-    over the concatenated supports gives every pixel's row and column. A
-    region's indices ascend, so its first and last pixels give its rows,
-    and `reduceat` gives its columns. Every bounding block is cut from one
-    zeroed buffer, filled by one scatter. Raises TypeError for a region that
-    is not a `ScatterRegion`, DimMismatch for regions of different frames and
-    EmptyRegion for a region without a positive pixel.
+    The layout is the regions' (h, w) frame, their ascending flat row-major
+    indices concatenated, the values there and each region's size; it holds
+    at least one region, as every extraction does. Only the positive pixels
+    are scored: a region without one raises EmptyRegion, and a frame other
+    than the PSF's raises DimMismatch. One pass over all the
+    pixels gives every region's rows, columns, bounds and candidate box: the
+    indices ascend, so a region's first and last pixels give its rows, and
+    `reduceat` gives its columns. One scatter fills every bounding block,
+    zero off the pixels, into one zeroed buffer. Then each region takes its
+    two window views and correlates its block with the shifted PSFs in two
+    products. Returns each region's best y, x and correlation, and the
+    positive pixels' indices and values with the end of each region in them.
     """
-    if not regions:
-        return []
-    h, w = regions[0].shape
-    for region in regions:
-        if not isinstance(region, ScatterRegion):
-            raise TypeError(f"expected a ScatterRegion, got {type(region).__name__}")
-        if region.shape != (h, w):
-            raise DimMismatch(f"region {region.shape} vs region {h}x{w}")
-    sizes = np.array([region.indices.size for region in regions])
-    idx = np.concatenate([region.indices for region in regions])
-    val = np.concatenate([region.amplitudes for region in regions])
-    keep = val > 0
+    h, w = psf.shape
+    sizes = np.asarray(sizes, dtype=np.intp)
+    keep = amplitudes > 0
     if not keep.all():  # a region may hold values <= 0
         sizes = np.add.reduceat(keep, np.cumsum(sizes) - sizes, dtype=np.intp)
         if not sizes.all():
             raise EmptyRegion("cannot fit a scatterer to an empty region")
-        idx, val = idx[keep], val[keep]
+        indices, amplitudes = indices[keep], amplitudes[keep]
+    if shape != (h, w):
+        raise DimMismatch(f"region {shape} vs psf {h}x{w}")
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    sy, sx = np.divmod(idx, w)
+    sy, sx = np.divmod(indices, w)
     ry0, ry1 = sy[starts], sy[ends - 1]
     rx0, rx1 = np.minimum.reduceat(sx, starts), np.maximum.reduceat(sx, starts)
-    widths = rx1 - rx0 + 1
-    areas = (ry1 - ry0 + 1) * widths
+    heights, widths = ry1 - ry0 + 1, rx1 - rx0 + 1
+    areas = heights * widths
     offsets = np.cumsum(areas) - areas
     buf = np.zeros(int(offsets[-1] + areas[-1]))
     # pixel y * w + x of region r goes to offsets[r] + (y - ry0[r]) * widths[r] + x - rx0[r]
-    buf[np.repeat(offsets - ry0 * widths - rx0, sizes) + np.repeat(widths, sizes) * sy + sx] = val
-    for arr in (sy, sx, val, buf):  # so that every view cut below is read-only
-        arr.setflags(write=False)
-    rows = []
-    for a, b, o, y0, y1, x0, x1 in zip(starts.tolist(), ends.tolist(), offsets.tolist(),
-                                       ry0.tolist(), ry1.tolist(), rx0.tolist(), rx1.tolist()):
-        by, bx = y1 - y0 + 1, x1 - x0 + 1
-        rows.append({"shape": (h, w), "rows": sy[a:b], "cols": sx[a:b], "values": val[a:b],
-                     "bounds": (y0, y1, x0, x1), "block": buf[o:o + by * bx].reshape(by, bx)})
-    return _unchecked_all(LaidOutRegion, rows)
+    dest = np.repeat(offsets - ry0 * widths - rx0, sizes) + np.repeat(widths, sizes) * sy + sx
+    buf[dest] = amplitudes
+    # candidates: the support bounding box dilated by FIT_DILATE_PX, clamped
+    y0, x0 = np.maximum(ry0 - FIT_DILATE_PX, 0), np.maximum(rx0 - FIT_DILATE_PX, 0)
+    ny = np.minimum(ry1 + FIT_DILATE_PX, h - 1) - y0 + 1
+    nx = np.minimum(rx1 + FIT_DILATE_PX, w - 1) - x0 + 1
+
+    # support box pixel (r, c) meets the psf shifted to candidate (y0 + j,
+    # x0 + i) at row[(ry0 + r - y0 - j) % h] * col[(rx0 + c - x0 - i) % w],
+    # which is entry (r, j) of row_windows[h + y0 - ry0 - r] and entry (c, i)
+    # of col_windows[w + x0 - rx0 - c]
+    rows_t, cols = psf.row_windows[::-1].T, psf.col_windows[::-1]
+    ys, xs, best = [], [], []
+    for o, by, bx, ty, tx, cy, cx, my, mx in zip(
+            offsets.tolist(), heights.tolist(), widths.tolist(), (ry0 - y0).tolist(),
+            (rx0 - x0).tolist(), y0.tolist(), x0.tolist(), ny.tolist(), nx.tolist()):
+        crop = rows_t[:my, ty:ty + by] @ (buf[o:o + by * bx].reshape(by, bx)
+                                          @ cols[tx:tx + bx, :mx])
+        k = int(crop.argmax())  # first occurrence = row-major tie-break
+        dy, dx = divmod(k, mx)
+        ys.append(cy + dy)
+        xs.append(cx + dx)
+        best.append(crop.item(k))
+    return (ys, xs, best), (indices, amplitudes, ends)
 
 
-def fit_scatterer(region: ScatterRegion | LaidOutRegion, psf: SeparablePsf,
+def _fitted(shape: tuple[int, int], indices: np.ndarray, amplitudes: np.ndarray,
+            sizes: list[int], psf: SeparablePsf, refine: bool = False) -> list[FittedScatterer]:
+    """Each region of a flat layout (`_fit_positions`) fitted, with its gain
+    and residual in closed form from its best correlation."""
+    (ys, xs, best), (indices, sv_all, ends) = _fit_positions(shape, indices, amplitudes,
+                                                             sizes, psf)
+    h, w = psf.shape
+    psf_sq = psf.norm_sq
+    fits, ends = [], ends.tolist()
+    for a, b, best_y, best_x, best_c in zip([0, *ends], ends, ys, xs, best):
+        sv = sv_all[a:b]
+        fx, fy = float(best_x), float(best_y)
+        if refine:
+            sy, sx = np.divmod(indices[a:b], w)
+
+            def corr_at(cy: int, cx: int) -> float:
+                return float(sv @ (psf.row[(sy - cy) % h] * psf.col[(sx - cx) % w]))
+            fy = best_y + _parabolic_offset(corr_at(best_y - 1, best_x), best_c,
+                                            corr_at(best_y + 1, best_x))
+            fx = best_x + _parabolic_offset(corr_at(best_y, best_x - 1), best_c,
+                                            corr_at(best_y, best_x + 1))
+        gain = best_c / psf_sq if psf_sq > 0 else 0.0
+        resid_sq = float(sv @ sv) - 2 * gain * best_c + gain * gain * psf_sq
+        fits.append(FittedScatterer(x=fx, y=fy, amplitude=gain,
+                                    residual=math.sqrt(max(resid_sq, 0.0))))
+    return fits
+
+
+def fit_scatterer(region: ScatterRegion, psf: SeparablePsf,
                   refine: bool = False) -> FittedScatterer:
     """Least-squares fit of one shifted PSF to an extracted amplitude region.
 
-    `region` is a `ScatterRegion` or one of `lay_out_regions`' results
-    (anything else raises TypeError), and `psf` is the chip's
-    `base_psf(window)`, of the region's frame (another frame raises
-    DimMismatch). Only the region's positive pixels are scored. The fit
-    minimizes || region - a * psf(x0, y0) ||_2 over integer (x0, y0) in the
-    support bounding box dilated by 2 px, with the gain a given in closed
-    form; since the psf norm is shift-invariant this is equivalent to
+    `region` is a `ScatterRegion` (anything else raises TypeError), and
+    `psf` is the chip's `base_psf(window)`, of the region's frame (another
+    frame raises DimMismatch). Only the region's positive pixels are scored.
+    The fit minimizes || region - a * psf(x0, y0) ||_2 over integer (x0, y0)
+    in the support bounding box dilated by 2 px, with the gain a given in
+    closed form; since the psf norm is shift-invariant this is equivalent to
     maximizing the correlation with the shifted psf. Ties resolve to the
-    smallest (y0, x0) in row-major order.
+    smallest (y0, x0) in row-major order. This is the one-region case of the
+    fit that `annotio.fit_regions` runs on all of a chip's regions.
     """
-    if not isinstance(region, LaidOutRegion):
-        (region,) = lay_out_regions([region])
-    h, w = psf.shape
-    if region.shape != (h, w):
-        raise DimMismatch(f"region {region.shape} vs psf {h}x{w}")
-    sy, sx, sv, (ry0, ry1, rx0, rx1) = region.rows, region.cols, region.values, region.bounds
-
-    # candidates: the support bounding box dilated by FIT_DILATE_PX, clamped
-    y0, y1 = max(ry0 - FIT_DILATE_PX, 0), min(ry1 + FIT_DILATE_PX, h - 1)
-    x0, x1 = max(rx0 - FIT_DILATE_PX, 0), min(rx1 + FIT_DILATE_PX, w - 1)
-    ny, nx = y1 - y0 + 1, x1 - x0 + 1
-
-    # support box pixel (r, c) meets the psf shifted to candidate (y0 + j,
-    # x0 + i) at row[(ry0 + r - y0 - j) % h] * col[(rx0 + c - x0 - i) % w]
-    ay = psf.row_windows[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]  # (by, ny)
-    ax = psf.col_windows[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]  # (bx, nx)
-    crop = ay.T @ (region.block @ ax)
-    dy, dx = divmod(int(crop.argmax()), nx)  # first occurrence = row-major tie-break
-    best_y, best_x, best_c = y0 + dy, x0 + dx, float(crop[dy, dx])
-
-    fx, fy = float(best_x), float(best_y)
-    if refine:
-        def corr_at(cy: int, cx: int) -> float:
-            return float(sv @ (psf.row[(sy - cy) % h] * psf.col[(sx - cx) % w]))
-        fy = best_y + _parabolic_offset(corr_at(best_y - 1, best_x), best_c,
-                                        corr_at(best_y + 1, best_x))
-        fx = best_x + _parabolic_offset(corr_at(best_y, best_x - 1), best_c,
-                                        corr_at(best_y, best_x + 1))
-
-    psf_sq = psf.norm_sq
-    gain = best_c / psf_sq if psf_sq > 0 else 0.0
-    resid_sq = float(sv @ sv) - 2 * gain * best_c + gain * gain * psf_sq
-    return FittedScatterer(x=fx, y=fy, amplitude=gain,
-                           residual=math.sqrt(max(resid_sq, 0.0)))
+    if not isinstance(region, ScatterRegion):
+        raise TypeError(f"expected a ScatterRegion, got {type(region).__name__}")
+    (fit,) = _fitted(region.shape, region.indices, region.amplitudes, [region.indices.size],
+                     psf, refine)
+    return fit
 
 
 def _parabolic_offset(lo: float, mid: float, hi: float) -> float:

@@ -19,6 +19,7 @@ from .chipio import read_text_lines, write_atomic
 from .decouple import DecoupleParams
 from .errors import BadConfigField, InvalidWindowParams
 from .keypoints import DEFAULT_K, DogParams
+from .raster import _require_index
 from .spectral import DEFAULT_NBAR, DEFAULT_SIDELOBE_DB, _check_window_params
 from .supervision import SupervisionParams
 
@@ -39,6 +40,7 @@ class RunConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        _require_index(keypoint_k=self.keypoint_k)
         if self.keypoint_k < 1:
             raise ValueError(f"keypoint_k must be >= 1, got {self.keypoint_k}")
         if self.pool not in ("max", "avg"):

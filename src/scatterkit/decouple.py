@@ -21,22 +21,29 @@ frame: `annotate` passes each crop as it comes from `annotio.crop_chip`, a
 read-only view of the image checked when it was read, so a crop is neither
 copied nor checked before the loop reads it. The dB thresholds of
 `DecoupleParams` become amplitude ratios once per call, and every test in
-the loop compares amplitudes. A region leaves the loop as its ascending flat
-support indices and the residual values there; its full-frame images are
-built only when read. `decouple` returns the regions alone: lifting a region
-out sets the residual to 0.0 on its support, so the residual after step i is
-the amplitude with the supports of steps 0..i set to 0.0.
+the loop compares amplitudes. Each step keeps its support as a sorted array
+of padded indices, and reads the residual there and sets it to 0.0 in one
+gather and one scatter. After the loop, one array holds every support's
+indices, converted to unpadded ones in one pass, and one array the residual
+values there: this flat layout (`_extract`), with each support's size, is
+what `annotate` hands to the fit. `decouple` builds its regions from it,
+each holding read-only views of its part; a region's full-frame images are
+built only when read. `decouple` returns the regions alone: lifting a
+region out sets the residual to 0.0 on its support, so the residual after
+step i is the amplitude with the supports of steps 0..i set to 0.0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllZeroRaster, EmptyRegion
-from .raster import AmplitudeRaster, ComplexRaster, _freeze, _require_finite, _unchecked_all
+from .raster import (AmplitudeRaster, ComplexRaster, _freeze, _require_finite, _require_index,
+                     _unchecked_all)
 from .spectral import DEFAULT_SIDELOBE_DB
 
 
@@ -65,6 +72,7 @@ class DecoupleParams:
         _require_finite(tau_db=self.tau_db, eps=self.eps,
                         grow_floor_db=self.grow_floor_db,
                         min_peak_ratio=self.min_peak_ratio)
+        _require_index(n_max=self.n_max)
         if self.tau_db >= 0:
             raise ValueError(f"tau_db must be negative, got {self.tau_db}")
         if self.grow_floor_db > self.tau_db:
@@ -159,8 +167,6 @@ class _Frame:
         else:
             res[1:-1, 1:-1] = vals
         self.res = res.ravel()
-        # unpadded flat index of each padded one; border entries are never read
-        self.unpadded = np.add.outer(np.arange(-1, h + 1) * w, np.arange(-1, w + 1)).ravel()
         self.res_view = memoryview(self.res)
         self.mark = bytearray(res.size)
         self.stamp = 0
@@ -216,17 +222,16 @@ class _Frame:
         return support
 
 
-def decouple(img: ComplexRaster | AmplitudeRaster,
-             params: DecoupleParams = DecoupleParams()) -> list[ScatterRegion]:
-    """Extract up to n_max scattering regions, brightest first, until the
-    cap, an all-zero residual, or a residual peak under the floor.
-
-    A complex chip's amplitude is computed once, into the working frame; a
-    modulus that overflows raises the ValueError `AmplitudeRaster` raises.
+def _extract(img: ComplexRaster | AmplitudeRaster, params: DecoupleParams
+             ) -> tuple[tuple[int, int], np.ndarray, np.ndarray, list[int]]:
+    """The extraction loop, whose regions leave it as one flat layout: the
+    chip's (h, w), every support's ascending flat row-major indices into the
+    chip, concatenated in step order, the residual values there, and each
+    support's size. It raises what `decouple` raises.
     """
     frame = _Frame(img.values if isinstance(img, AmplitudeRaster) else img.samples)
-    res = frame.res
-    orig_peak = frame.res_view[res.argmax()]
+    res, res_view = frame.res, frame.res_view
+    orig_peak = res_view[res.argmax()]
     if not math.isfinite(orig_peak):
         raise ValueError("amplitude raster contains NaN/Inf values")
     if orig_peak == 0.0:
@@ -235,17 +240,38 @@ def decouple(img: ComplexRaster | AmplitudeRaster,
     block_ratio = 10.0 ** (params.tau_db / 10.0)
     grow_ratio = 10.0 ** (params.grow_floor_db / 10.0)
 
-    rows = []
+    supports, amps, sizes = [], [], []  # the first step always runs
     for _ in range(params.n_max):
         p = int(res.argmax())  # row-major first on ties
-        peak = frame.res_view[p]
+        peak = res_view[p]
         if peak == 0.0 or peak < floor:
             break
         seeds = frame.seed_block(p, peak * block_ratio)
         sup = np.array(sorted(frame.grow(seeds, peak * grow_ratio, params.eps)))
-        amps = res[sup]
+        amps.append(res[sup])
         res[sup] = 0.0
-        # sup is ascending and in the frame, and both arrays are fresh
-        # C-contiguous int64/float64 ones
-        rows.append({"shape": frame.shape, "indices": frame.unpadded[sup], "amplitudes": amps})
-    return _unchecked_all(ScatterRegion, rows)
+        supports.append(sup)
+        sizes.append(sup.size)
+    padded = np.concatenate(supports)
+    # padded (y + 1) * (w + 2) + x + 1 to unpadded y * w + x
+    unpadded = padded - 2 * (padded // frame.pw) - (frame.pw - 1)
+    return frame.shape, unpadded, np.concatenate(amps), sizes
+
+
+def decouple(img: ComplexRaster | AmplitudeRaster,
+             params: DecoupleParams = DecoupleParams()) -> list[ScatterRegion]:
+    """Extract up to n_max scattering regions, brightest first, until the
+    cap, an all-zero residual, or a residual peak under the floor.
+
+    A complex chip's amplitude is computed once, into the working frame; a
+    modulus that overflows raises the ValueError `AmplitudeRaster` raises.
+    """
+    shape, indices, amps, sizes = _extract(img, params)
+    # each support is ascending and in the frame; the regions hold views of
+    # two fresh C-contiguous int64/float64 arrays, read-only from here on
+    indices.setflags(write=False)
+    amps.setflags(write=False)
+    ends = itertools.accumulate(sizes)
+    return _unchecked_all(ScatterRegion, [
+        {"shape": shape, "indices": indices[b - n:b], "amplitudes": amps[b - n:b]}
+        for n, b in zip(sizes, ends)])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, NoCandidates
-from .raster import AmplitudeRaster, _require_finite
+from .raster import AmplitudeRaster, _require_finite, _require_index
 
 DEFAULT_K = 9
 KMEANS_MAX_ITER = 100
@@ -67,6 +67,7 @@ class DogParams:
 
     def __post_init__(self):
         _require_finite(sigma1=self.sigma1, sigma2=self.sigma2, threshold=self.threshold)
+        _require_index(top_n=self.top_n)
         if not 0 < self.sigma1 < self.sigma2:
             raise ValueError("need sigma2 > sigma1 > 0")
         if self.threshold <= 0:
@@ -135,7 +136,8 @@ def _lloyd_step(pts: list[tuple[float, float]],
                 centers: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """One Lloyd update: each point joins its nearest centre (the first of
     equals), and each centre moves to the mean of its members, summed in
-    index order."""
+    index order. A point at squared distance 0.0 from a centre stops the
+    scan there: no later centre is strictly nearer."""
     k = len(centers)
     sum_x, sum_y, counts = [0.0] * k, [0.0] * k, [0] * k
     worst = worst_d2 = None
@@ -146,6 +148,8 @@ def _lloyd_step(pts: list[tuple[float, float]],
             d2 = dx * dx + dy * dy
             if nearest is None or d2 < nearest_d2:
                 nearest, nearest_d2 = c, d2
+                if d2 == 0.0:
+                    break
         sum_x[nearest] += x
         sum_y[nearest] += y
         counts[nearest] += 1
@@ -173,6 +177,7 @@ def cluster_keypoints(positions: list[tuple[float, float]], k: int = DEFAULT_K,
     """
     if not positions:
         raise EmptyInput("no positions to cluster")
+    _require_index(k=k)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     pts = [tuple(map(float, p)) for p in positions]

@@ -19,6 +19,7 @@ hashes by identity (`eq=False`): compare `samples` or `values` for content.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -77,6 +78,16 @@ def _require_finite(**values: float) -> None:
     for name, v in values.items():
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
+
+
+def _require_index(**values: object) -> None:
+    """Raise ValueError naming the first of `values` that is not an integer:
+    one that `operator.index` refuses, such as 2.5 or NaN."""
+    for name, v in values.items():
+        try:
+            operator.index(v)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {v!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadDims, DimMismatch, OutOfBounds
 from .keypoints import KeypointSet
-from .raster import AmplitudeRaster, _freeze, _require_finite
+from .raster import AmplitudeRaster, _freeze, _require_finite, _require_index
 
 BCE_CLAMP = 1e-7
 
@@ -44,6 +44,7 @@ class SupervisionParams:
 
     def __post_init__(self):
         _require_finite(sigma=self.sigma)
+        _require_index(levels=self.levels)
         _exponent_scale(self.sigma)
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")

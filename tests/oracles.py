@@ -27,8 +27,14 @@ it read the support rows off the first and last index: it takes every bound
 from the support's row and column arrays and scatters the support into its
 bounding block by 2-D fancy indexing, where `fit_scatterer` uses one flat
 index. `fit_per_region` is `fit_scatterer` before the fit laid out all of
-an instance's supports in one pass (`ascmodel.lay_out_regions`): each
-region took its own positive mask, `divmod`, bounds and zeroed block.
+an instance's supports in one pass: each region took its own positive
+mask, `divmod`, bounds and zeroed block. `lay_out_regions` is that retired
+pass, which concatenated the regions' supports again and built one
+`LaidOutRegion` each, and `fit_laid_out` the fit of one of them, with its
+gain and residual; `fit_laid_out_all` runs both over an instance. The
+library takes an instance's supports from the extraction loop as one flat
+layout and fits every position from it in one kernel
+(`ascmodel._fit_positions`).
 `positive_region` is the `ScatterRegion` of a dense frame's positive
 pixels, for fitting a full-frame array as the retired array form of
 `fit_scatterer` did. `psf_2d` is the PSF as the
@@ -480,6 +486,100 @@ def fit_per_region(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
     resid_sq = float(sv @ sv) - 2 * gain * best_c + gain * gain * psf_sq
     return FittedScatterer(x=fx, y=fy, amplitude=gain,
                            residual=math.sqrt(max(resid_sq, 0.0)))
+
+
+@dataclass(frozen=True, eq=False)
+class LaidOutRegion:
+    """One region's positive pixels, laid out for `fit_laid_out` by
+    `lay_out_regions`: the (h, w) frame, the pixels' rows, columns and
+    values in ascending flat-index order, the bounds (ry0, ry1, rx0, rx1) of
+    their bounding box, and that box as a block, zero off the pixels."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    bounds: tuple[int, int, int, int]
+    block: np.ndarray
+
+
+def lay_out_regions(regions: list[ScatterRegion]) -> list[LaidOutRegion]:
+    """The positive pixels of each region, laid out for the fit in one pass
+    over all of them: the supports concatenated again, one `LaidOutRegion`
+    each, every bounding block cut from one zeroed buffer."""
+    if not regions:
+        return []
+    h, w = regions[0].shape
+    for region in regions:
+        if not isinstance(region, ScatterRegion):
+            raise TypeError(f"expected a ScatterRegion, got {type(region).__name__}")
+        if region.shape != (h, w):
+            raise DimMismatch(f"region {region.shape} vs region {h}x{w}")
+    sizes = np.array([region.indices.size for region in regions])
+    idx = np.concatenate([region.indices for region in regions])
+    val = np.concatenate([region.amplitudes for region in regions])
+    keep = val > 0
+    if not keep.all():
+        sizes = np.add.reduceat(keep, np.cumsum(sizes) - sizes, dtype=np.intp)
+        if not sizes.all():
+            raise EmptyRegion("cannot fit a scatterer to an empty region")
+        idx, val = idx[keep], val[keep]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    sy, sx = np.divmod(idx, w)
+    ry0, ry1 = sy[starts], sy[ends - 1]
+    rx0, rx1 = np.minimum.reduceat(sx, starts), np.maximum.reduceat(sx, starts)
+    widths = rx1 - rx0 + 1
+    areas = (ry1 - ry0 + 1) * widths
+    offsets = np.cumsum(areas) - areas
+    buf = np.zeros(int(offsets[-1] + areas[-1]))
+    buf[np.repeat(offsets - ry0 * widths - rx0, sizes) + np.repeat(widths, sizes) * sy + sx] = val
+    out = []
+    for a, b, o, y0, y1, x0, x1 in zip(starts.tolist(), ends.tolist(), offsets.tolist(),
+                                       ry0.tolist(), ry1.tolist(), rx0.tolist(), rx1.tolist()):
+        by, bx = y1 - y0 + 1, x1 - x0 + 1
+        out.append(LaidOutRegion(shape=(h, w), rows=sy[a:b], cols=sx[a:b], values=val[a:b],
+                                 bounds=(y0, y1, x0, x1),
+                                 block=buf[o:o + by * bx].reshape(by, bx)))
+    return out
+
+
+def fit_laid_out(region: LaidOutRegion, psf: SeparablePsf,
+                 refine: bool = False) -> FittedScatterer:
+    """`fit_scatterer` on one of `lay_out_regions`' results: the products
+    over the window views of its bounds, and its gain and residual."""
+    h, w = psf.shape
+    if region.shape != (h, w):
+        raise DimMismatch(f"region {region.shape} vs psf {h}x{w}")
+    sy, sx, sv, (ry0, ry1, rx0, rx1) = region.rows, region.cols, region.values, region.bounds
+    y0, y1 = max(ry0 - FIT_DILATE_PX, 0), min(ry1 + FIT_DILATE_PX, h - 1)
+    x0, x1 = max(rx0 - FIT_DILATE_PX, 0), min(rx1 + FIT_DILATE_PX, w - 1)
+    ny, nx = y1 - y0 + 1, x1 - x0 + 1
+    ay = psf.row_windows[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]
+    ax = psf.col_windows[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]
+    crop = ay.T @ (region.block @ ax)
+    dy, dx = divmod(int(crop.argmax()), nx)
+    best_y, best_x, best_c = y0 + dy, x0 + dx, float(crop[dy, dx])
+    fx, fy = float(best_x), float(best_y)
+    if refine:
+        def corr_at(cy: int, cx: int) -> float:
+            return float(sv @ (psf.row[(sy - cy) % h] * psf.col[(sx - cx) % w]))
+        fy = best_y + _parabolic_offset(corr_at(best_y - 1, best_x), best_c,
+                                        corr_at(best_y + 1, best_x))
+        fx = best_x + _parabolic_offset(corr_at(best_y, best_x - 1), best_c,
+                                        corr_at(best_y, best_x + 1))
+    psf_sq = psf.norm_sq
+    gain = best_c / psf_sq if psf_sq > 0 else 0.0
+    resid_sq = float(sv @ sv) - 2 * gain * best_c + gain * gain * psf_sq
+    return FittedScatterer(x=fx, y=fy, amplitude=gain,
+                           residual=math.sqrt(max(resid_sq, 0.0)))
+
+
+def fit_laid_out_all(regions: list[ScatterRegion], psf: SeparablePsf,
+                     refine: bool = False) -> list[FittedScatterer]:
+    """The retired per-instance fit: one `lay_out_regions` of all the
+    regions, then one `fit_laid_out` per region."""
+    return [fit_laid_out(r, psf, refine=refine) for r in lay_out_regions(regions)]
 
 
 def psf_2d(window: WindowRaster) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scatterkit import annotio, spectral
+from scatterkit import annotio, ascmodel, spectral
 from scatterkit.annotio import (DatasetIndex, InstanceAnnotation, crop_chip,
                                 format_annotation, index_dataset,
                                 parse_annotation, parse_predictions,
@@ -909,32 +909,38 @@ def test_run_skaa_debug_dir_runs_the_extraction_loop_once_per_instance(
 
 
 def test_fit_lays_out_each_instance_once_and_fits_each_region(tmp_path, monkeypatch):
-    layouts, fits = [], []
-    lay_out, fit = annotio.lay_out_regions, annotio.fit_scatterer
+    # the fit kernel takes one flat layout per instance and gives one
+    # position per region; only `fit_regions` goes on to gains and residuals
+    layouts, fits, closed_forms = [], [], []
+    kernel, fitted = ascmodel._fit_positions, annotio._fitted
 
-    def laying_out(regions):
-        layouts.append(len(regions))
-        return lay_out(regions)
+    def fitting(shape, indices, amplitudes, sizes, psf):
+        layouts.append(len(sizes))
+        (ys, xs, best), positive = kernel(shape, indices, amplitudes, sizes, psf)
+        fits.extend(zip(ys, xs, best))
+        return (ys, xs, best), positive
 
-    def fitting(region, psf):
-        fits.append(region.shape)
-        return fit(region, psf)
+    def closing(*layout):
+        closed_forms.append(len(layout[3]))
+        return fitted(*layout)
 
-    monkeypatch.setattr(annotio, "lay_out_regions", laying_out)
-    monkeypatch.setattr(annotio, "fit_scatterer", fitting)
+    for module in (annotio, ascmodel):
+        monkeypatch.setattr(module, "_fit_positions", fitting)
+    monkeypatch.setattr(annotio, "_fitted", closing)
     summary = run_skaa(_three_instance_set(tmp_path), tmp_path / "out", master_seed=0)
     assert summary.instances == 3 and summary.failures == 0
     assert len(layouts) == 3 and min(layouts) >= 2
-    assert len(fits) == sum(layouts)
+    assert len(fits) == sum(layouts) and closed_forms == []
 
     chip = synth_target(6, FrequencyGrid(48, 48), taylor_window_2d(48, 48),
                         np.random.Generator(np.random.PCG64(5)))
     layouts.clear()
     fits.clear()
     window = taylor_window_2d(48, 48)
-    annotio.fit_regions(chip.image, window)
+    assert len(annotio.fit_regions(chip.image, window)) == layouts[0]
     annotio.skaa_keypoints(chip.image, window)
     assert len(layouts) == 2 and len(fits) == sum(layouts)
+    assert closed_forms == layouts[:1]
 
 
 @pytest.mark.parametrize("window", [{"window_nbar": 0}, {"window_sidelobe_db": 3.0}])
@@ -943,6 +949,19 @@ def test_run_skaa_rejects_bad_window_params_before_writing(tmp_path, window):
     out, debug = tmp_path / "out", tmp_path / "debug"
     with pytest.raises(InvalidWindowParams):
         run_skaa(index, out, master_seed=0, debug_dir=debug, **window)
+    assert not out.exists() and not debug.exists()
+
+
+@pytest.mark.parametrize("k", [2.5, float("nan")])
+def test_runs_reject_a_non_integer_k_before_writing(tmp_path, k):
+    # a ValueError is no ScatterKitError: from the first instance on it
+    # would abort the whole run, so it is raised before anything is written
+    index = _mini_dataset(tmp_path, n_chips=2)
+    out, debug = tmp_path / "out", tmp_path / "debug"
+    with pytest.raises(ValueError, match="k must be an integer"):
+        run_skaa(index, out, master_seed=0, debug_dir=debug, k=k)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        run_dog(index, out, master_seed=0, k=k)
     assert not out.exists() and not debug.exists()
 
 
@@ -1006,8 +1025,10 @@ def test_run_isolates_an_image_that_fails_to_parse(tmp_path, caplog, run, broken
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
+# `ascmodel.fit_scatterer` is not among them: annotate fits every position of
+# an instance in one kernel call and never calls `fit_scatterer`.
 SKAA_SPANS = ("annotio.instance", "annotio.crop_chip", "spectral.taylor_window_2d",
-              "ascmodel.fit_scatterer", "keypoints.cluster_keypoints")
+              "keypoints.cluster_keypoints")
 
 
 @pytest.fixture(scope="module")

@@ -6,20 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatterkit.ascmodel as ascmodel
-from scatterkit.annotio import _fit, crop_chip
-from scatterkit.ascmodel import (FrequencyGrid, Scatterer, SeparablePsf,
-                                 base_psf, fit_scatterer, forward_field,
-                                 lay_out_regions, synth_image,
-                                 synth_target)
-from scatterkit.decouple import DecoupleParams, ScatterRegion, decouple
+from scatterkit.annotio import crop_chip, fit_regions
+from scatterkit.ascmodel import (FrequencyGrid, Scatterer, SeparablePsf, _fit_positions,
+                                 _fitted, base_psf, fit_scatterer, forward_field,
+                                 synth_image, synth_target)
+from scatterkit.decouple import DecoupleParams, ScatterRegion, _extract, decouple
 from scatterkit.errors import (DimMismatch, EmptyInput, EmptyRegion,
                                InfeasiblePlacement, OutOfBounds)
 from scatterkit.keypoints import instance_seed
 from scatterkit.raster import amplitude
 from scatterkit.spectral import rectangular_window_2d, taylor_window_2d
 
-from oracles import (fit_block_2d, fit_direct, fit_fft, fit_per_region, positive_region,
-                     psf_2d, refine_offsets)
+from oracles import (fit_block_2d, fit_direct, fit_fft, fit_laid_out_all, fit_per_region,
+                     positive_region, psf_2d, refine_offsets)
 
 GRID32 = FrequencyGrid(32, 32)
 TAYLOR32 = taylor_window_2d(32, 32)
@@ -537,32 +536,41 @@ def test_fit_rejects_empty_region_and_bad_dims():
 
 # ------------------------------------------------- one layout per instance
 
+def _flat(regions):
+    """The flat layout of `regions`, as the extraction loop hands it on."""
+    return (regions[0].shape, np.concatenate([r.indices for r in regions]),
+            np.concatenate([r.amplitudes for r in regions]), [r.indices.size for r in regions])
+
+
 def _assert_layout_fits_equal_the_oracle(regions, psf):
-    """Each region fitted from one layout of all of them equals, field by
-    field, the retired per-region fit; so do its own layout and `_fit`."""
-    laid_out = lay_out_regions(regions)
-    assert len(laid_out) == len(regions)
-    for refine in (False, True):
+    """Each region fitted from one flat layout of all of them equals, field
+    by field, the retired layout's fit and the retired per-region fit; its
+    positions are the kernel's, and `fit_scatterer` fits each region alike."""
+    layout = _flat(regions)
+    for refine in (True, False):
         refs = [fit_per_region(r, psf, refine=refine) for r in regions]
-        assert [fit_scatterer(r, psf, refine=refine) for r in laid_out] == refs
+        assert fit_laid_out_all(regions, psf, refine=refine) == refs
+        assert _fitted(*layout, psf, refine=refine) == refs
         assert [fit_scatterer(r, psf, refine=refine) for r in regions] == refs
+    (ys, xs, _), _ = _fit_positions(*layout, psf)
+    assert list(zip(xs, ys)) == [(f.x, f.y) for f in refs]  # the unrefined fits
     return len(regions)
 
 
 def _chip_family(master_seed, n_chips, speckle, amplitude_range=(0.5, 1.5)):
-    """Decoupled 128x128 chips drawn as `synth --scatterers 5..15` draws
-    them: each chip's window and regions."""
+    """128x128 chips drawn as `synth --scatterers 5..15` draws them: each
+    chip's window and image."""
     grid, window = FrequencyGrid(128, 128), taylor_window_2d(128, 128)
     for i in range(n_chips):
         rng = np.random.Generator(np.random.PCG64(
             instance_seed(master_seed, f"chip_{i:05d}", 0)))
         chip = synth_target(int(rng.integers(5, 16)), grid, window, rng,
                             amplitude_range=amplitude_range, speckle=speckle)
-        yield window, decouple(chip.image)
+        yield window, chip.image
 
 
 def _scene_crops(seeds, dim=128):
-    """Decoupled crops of scenes with four compact targets each, boxed by
+    """Crops of scenes with four compact targets each, boxed by
     `synth_target`'s rule, as a multi-target `annotate` input is."""
     grid, window = FrequencyGrid(dim, dim), taylor_window_2d(dim, dim)
     for seed in seeds:
@@ -576,15 +584,15 @@ def _scene_crops(seeds, dim=128):
         image = synth_image(scatterers, grid, window)
         for box in boxes:
             chip, _ = crop_chip(image, box)
-            yield taylor_window_2d(chip.height, chip.width), decouple(chip)
+            yield taylor_window_2d(chip.height, chip.width), chip
 
 
 @pytest.mark.parametrize("family", ["clean", "speckled", "scenes",
                                     "hard-clean", "hard-speckled"])
 def test_layout_fits_equal_the_per_region_oracle_on_decoupled_chips(family):
     # the annotate families, and criterion 10's hard sets in full (amplitudes
-    # 0.02-1.5, seeds 0 and 3); `_fit` is the one fit path of annotate,
-    # fit_regions, skaa_keypoints and criterion 1
+    # 0.02-1.5, seeds 0 and 3): annotate's positions, `fit_regions` and
+    # `fit_scatterer` against the retired layout and per-region fits
     chips = {
         "clean": lambda: _chip_family(0, 20, False),
         "speckled": lambda: _chip_family(3, 20, True),
@@ -593,10 +601,14 @@ def test_layout_fits_equal_the_per_region_oracle_on_decoupled_chips(family):
         "hard-speckled": lambda: _chip_family(3, 90, True, (0.02, 1.5)),
     }[family]()
     n = 0
-    for window, regions in chips:
+    for window, image in chips:
         psf = base_psf(window)
+        regions = decouple(image)
         n += _assert_layout_fits_equal_the_oracle(regions, psf)
-        assert _fit(regions, window) == [fit_per_region(r, psf) for r in regions]
+        refs = fit_laid_out_all(regions, psf)
+        assert fit_regions(image, window) == refs
+        (ys, xs, _), _ = _fit_positions(*_extract(image, DecoupleParams()), psf)
+        assert list(zip(xs, ys)) == [(f.x, f.y) for f in refs]
     assert n >= 100
 
 
@@ -634,15 +646,16 @@ def test_layout_bounds_exclude_zero_valued_pixels_joined_under_a_large_eps():
         chip = synth_target(8, grid, window, np.random.Generator(np.random.PCG64(seed)))
         regions = decouple(chip.image, DecoupleParams(eps=0.05))
         _assert_layout_fits_equal_the_oracle(regions, psf)
-        for region, laid in zip(regions, lay_out_regions(regions)):
+        _, (indices, values, ends) = _fit_positions(*_flat(regions), psf)
+        for region, a, b in zip(regions, [0, *ends.tolist()], ends.tolist()):
             pos = region.amplitudes > 0
-            sy, sx = np.divmod(region.indices[pos], 64)
-            assert laid.bounds == (sy.min(), sy.max(), sx.min(), sx.max())
-            assert laid.values.tolist() == region.amplitudes[pos].tolist()
-            assert laid.block.shape == (sy.max() - sy.min() + 1, sx.max() - sx.min() + 1)
+            assert indices[a:b].tolist() == region.indices[pos].tolist()
+            assert values[a:b].tolist() == region.amplitudes[pos].tolist()
             n_zero += not pos.all()
+            sy, sx = np.divmod(region.indices[pos], 64)
             ay, ax = np.divmod(region.indices, 64)
-            n_narrowed += laid.bounds != (ay.min(), ay.max(), ax.min(), ax.max())
+            n_narrowed += (sy.min(), sy.max(), sx.min(), sx.max()) != \
+                (ay.min(), ay.max(), ax.min(), ax.max())
     assert n_zero >= 20 and n_narrowed >= 20
 
 
@@ -652,40 +665,29 @@ def test_layout_rejects_a_region_without_a_positive_pixel_and_takes_none():
     negative = ScatterRegion(shape=(32, 32), indices=[5], amplitudes=[-1.0])
     for regions in ([zero], [good, zero], [zero, good], [good, negative]):
         with pytest.raises(EmptyRegion):
-            lay_out_regions(regions)
+            _fit_positions(*_flat(regions), PSF32)
         with pytest.raises(EmptyRegion):
-            _fit(regions, TAYLOR32)
-    # the layout reads its frame off its regions and rejects mixed frames;
-    # only the fit holds a region's frame against the PSF's
+            _fitted(*_flat(regions), PSF32)
+        with pytest.raises(EmptyRegion):
+            fit_laid_out_all(regions, PSF32)
+    # a layout holds one frame, which the fit holds against the PSF's
     small = ScatterRegion(shape=(16, 32), indices=[3], amplitudes=[1.0])
-    for regions in ([good, small], [small, good]):
-        with pytest.raises(DimMismatch, match=r"region \((16, 32|32, 32)\) vs region"):
-            lay_out_regions(regions)
-        with pytest.raises(DimMismatch):
-            _fit(regions, TAYLOR32)
-    (laid,) = lay_out_regions([small])
-    assert laid.shape == (16, 32)
     with pytest.raises(DimMismatch, match=r"region \(16, 32\) vs psf 32x32"):
-        fit_scatterer(laid, PSF32)
-    with pytest.raises(DimMismatch, match=r"region \(16, 32\) vs psf 32x32"):
-        _fit([small], TAYLOR32)
-    (laid,) = lay_out_regions([good])
+        _fit_positions(*_flat([small]), PSF32)
     with pytest.raises(DimMismatch, match=r"region \(32, 32\) vs psf 32x16"):
-        fit_scatterer(laid, base_psf(taylor_window_2d(32, 16)))
-    assert lay_out_regions([]) == []
-    assert _fit([], TAYLOR32) == []
+        _fitted(*_flat([good]), base_psf(taylor_window_2d(32, 16)))
+    with pytest.raises(DimMismatch, match=r"region \(32, 32\) vs psf 32x16"):
+        fit_regions(synth_image([Scatterer(9.0, 9.0, 1.0)], GRID32, TAYLOR32),
+                    taylor_window_2d(32, 16))
 
 
 @pytest.mark.parametrize("shape", [(32, 32), (16, 32)], ids=["frame", "other"])
 def test_an_array_region_is_a_type_error_naming_scatter_region(shape):
-    # the retired full-frame array form, given to either entry point
+    # the retired full-frame array form
     m = np.zeros(shape)
     m[3, 4] = 1.0
-    good = positive_region(np.where(np.eye(32) > 0, 1.0, 0.0))
-    for call in (lambda: fit_scatterer(m, PSF32), lambda: lay_out_regions([m]),
-                 lambda: lay_out_regions([good, m])):
-        with pytest.raises(TypeError, match="expected a ScatterRegion, got ndarray"):
-            call()
+    with pytest.raises(TypeError, match="expected a ScatterRegion, got ndarray"):
+        fit_scatterer(m, PSF32)
 
 
 def test_scatterer_validation():

@@ -194,6 +194,12 @@ def test_load_rejects_invalid_combination(tmp_path):
         load_config(overrides={"pool": "median"})
 
 
+@pytest.mark.parametrize("k", [2.5, float("nan")])
+def test_run_config_rejects_a_non_integer_keypoint_k(k):
+    with pytest.raises(ValueError, match="keypoint_k must be an integer"):
+        RunConfig(keypoint_k=k)
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(keypoint_k=0)

@@ -400,6 +400,13 @@ def test_decouple_params_validation():
         DecoupleParams(min_peak_ratio=1.5)
 
 
+@pytest.mark.parametrize("n_max", [2.5, float("nan"), "3", None])
+def test_decouple_params_reject_a_non_integer_n_max(n_max):
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        DecoupleParams(n_max=n_max)
+    assert DecoupleParams(n_max=np.int64(3)).n_max == 3
+
+
 def test_label_map_validation():
     with pytest.raises(ValueError):
         LabelMap(np.array([[1, 3], [0, 0]]))  # label 2 missing

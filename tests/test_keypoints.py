@@ -84,6 +84,15 @@ def test_cluster_rejects_empty_and_bad_k():
         cluster_keypoints([(0.0, 0.0)], k=0)
 
 
+@pytest.mark.parametrize("count", [2.5, float("nan"), "9"])
+def test_non_integer_counts_are_rejected_where_they_are_set(count):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        cluster_keypoints([(0.0, 0.0), (1.0, 1.0)], k=count)
+    with pytest.raises(ValueError, match="top_n must be an integer"):
+        DogParams(top_n=count)
+    assert cluster_keypoints([(0.0, 0.0)], k=np.int64(2)).k == 2
+
+
 def _kmeans_case(rng: np.random.Generator, case: int) -> np.ndarray:
     """1-39 points, by case % 10: uniform (0-3), rounded to integers (4-6),
     all coincident (7-8), or in two coincident halves (9), whose empty

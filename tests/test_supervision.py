@@ -200,6 +200,12 @@ def test_pyramid_of_huge_levels_is_rejected_without_the_power_of_two():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("levels", [2.5, float("nan")])
+def test_supervision_params_reject_non_integer_levels(levels):
+    with pytest.raises(ValueError, match="levels must be an integer"):
+        SupervisionParams(levels=levels)
+
+
 def test_enhance_zero_map_is_identity():
     rng = np.random.Generator(np.random.PCG64(66))
     f = FeatureGrid(rng.normal(size=(3, 6, 6)))

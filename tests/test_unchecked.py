@@ -22,6 +22,7 @@ import pytest
 from scatterkit.annotio import (crop_chip, index_dataset, parse_annotation, parse_predictions,
                                 run_dog, run_skaa)
 from scatterkit.chipio import read_chip, write_chip
+from scatterkit.decouple import decouple
 from scatterkit.metrics import OrientedBox
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, _unchecked, _unchecked_all, amplitude
 
@@ -170,20 +171,38 @@ def _annotate_inputs(gen, root, kind):
                                   "chips-clean-amplitude"])
 def test_each_value_built_unchecked_on_the_annotate_path_passes_its_checks(
         gen, tmp_path, monkeypatch, kind):
-    """Every crop, window, region, PSF, laid-out region, parsed box and
-    parsed annotation that annotate builds unchecked holds only read-only
-    arrays, or none if it is a record, and its checked constructor accepts
-    its fields and derives every stored value bit for bit."""
+    """Every crop, window, PSF, parsed box and parsed annotation that
+    annotate builds unchecked holds only read-only arrays, or none if it is
+    a record, and its checked constructor accepts its fields and derives
+    every stored value bit for bit."""
     index = _annotate_inputs(gen, tmp_path / "in", kind)
     built = _record_unchecked(monkeypatch)
     summary = run_skaa(index, tmp_path / "out", master_seed=0)
     assert summary.instances > 0 and summary.failures == 0
     monkeypatch.undo()
 
+    # the fit takes each instance's supports as one flat layout, so no
+    # region value is built on this path
     names = {type(v).__name__ for v in built}
     crop = "AmplitudeRaster" if kind.endswith("-amplitude") else "ComplexRaster"
-    assert names == {crop, "WindowRaster", "ScatterRegion", "SeparablePsf",
-                     "LaidOutRegion", "OrientedBox", "InstanceAnnotation"}
+    assert names == {crop, "WindowRaster", "SeparablePsf", "OrientedBox", "InstanceAnnotation"}
+    _assert_each_passes_its_checks(built)
+
+
+@pytest.mark.parametrize("kind", ["chips-speckled", "scenes-multi"])
+def test_each_region_decouple_builds_unchecked_passes_its_checks(gen, tmp_path, monkeypatch,
+                                                                 kind):
+    """`decouple` builds its regions unchecked, as views of the extraction
+    loop's flat layout: each holds read-only arrays that its checked
+    constructor accepts and keeps bit for bit."""
+    index = _annotate_inputs(gen, tmp_path / "in", kind)
+    crops = [crop_chip(read_chip(img_path), ann.box)[0] for img_path, ann_path in index.entries
+             for ann in parse_annotation(ann_path)]
+    built = _record_unchecked(monkeypatch)
+    n_regions = sum(len(decouple(crop)) for crop in crops)
+    monkeypatch.undo()
+    assert {type(v).__name__ for v in built} == {"ScatterRegion"}
+    assert len(built) == n_regions > len(crops)
     _assert_each_passes_its_checks(built)
 
 

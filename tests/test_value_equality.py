@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scatterkit.annotio import InstanceAnnotation, parse_annotation, parse_predictions
-from scatterkit.ascmodel import Scatterer, SeparablePsf, SynthChip, lay_out_regions
+from scatterkit.ascmodel import Scatterer, SeparablePsf, SynthChip
 from scatterkit.decouple import ScatterRegion
 from scatterkit.metrics import Detection, OrientedBox
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster
@@ -18,7 +18,6 @@ from scatterkit.supervision import FeatureGrid, ScatterMap
 SRC = Path(__file__).resolve().parent.parent / "src" / "scatterkit"
 EVAL_RUN = Path(__file__).resolve().parent / "data" / "eval_default"
 
-_REGION = ScatterRegion((2, 3), np.array([1, 4]), np.array([0.5, 1.0]))
 ARRAY_TYPES = {
     "ComplexRaster": lambda: ComplexRaster(np.ones((2, 3), dtype=np.complex128)),
     "AmplitudeRaster": lambda: AmplitudeRaster(np.ones((2, 3))),
@@ -28,7 +27,6 @@ ARRAY_TYPES = {
     "SeparablePsf": lambda: SeparablePsf(np.array([1.0, 0.5]), np.array([0.25, 1.0, 0.5])),
     "ScatterRegion": lambda: ScatterRegion((2, 3), np.array([1, 4]), np.array([0.5, 1.0])),
     "OrientedBox": lambda: OrientedBox.from_rect(0, 0, 4, 2),
-    "LaidOutRegion": lambda: lay_out_regions([_REGION])[0],  # twins: two layouts of one region
 }
 
 
