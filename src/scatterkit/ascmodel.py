@@ -22,13 +22,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .decouple import ScatterRegion
 from .errors import (DimMismatch, EmptyInput, EmptyRegion, InfeasiblePlacement,
                      OutOfBounds)
 from .metrics import OrientedBox
-from .raster import ComplexRaster, WindowRaster, _freeze, _unchecked
+from .raster import ComplexRaster, WindowRaster, _freeze, _require_index, _unchecked
 
 FIT_DILATE_PX = 2
 SYNTH_BORDER_PX = 4.0
@@ -43,6 +43,7 @@ class FrequencyGrid:
     width: int
 
     def __post_init__(self):
+        _require_index(height=self.height, width=self.width)
         if self.height < 1 or self.width < 1:
             raise ValueError(f"grid dims must be positive, got {self.height}x{self.width}")
 
@@ -102,14 +103,9 @@ def synth_image(scatterers: list[Scatterer], grid: FrequencyGrid,
 
 def _psf_axis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """One factor of a `SeparablePsf`: the read-only float64 factor `v`, its
-    (n + 1, n) strided windows and its squared norm."""
-    n = v.size
-    wrap = np.empty(2 * n)
-    wrap[0] = v[0]
-    wrap[1:n] = v[:0:-1]
-    wrap[n:] = wrap[:n]
-    step = wrap.strides[0]
-    return v, as_strided(wrap, (n + 1, n), (step, step), writeable=False), float(v @ v)
+    (n, n) circulant windows, entry (a, b) = `v[(b - a) % n]`, a read-only
+    view of `v` tiled twice (row a starts at n - a), and its squared norm."""
+    return v, sliding_window_view(np.concatenate((v, v))[1:], v.size)[::-1], float(v @ v)
 
 
 def _psf_fields(row_axis: tuple[np.ndarray, np.ndarray, float],
@@ -130,10 +126,10 @@ def _memo_psf_axis(taper: bytes) -> tuple[np.ndarray, np.ndarray, float]:
     array: the factor a window's axis contributes to its `base_psf`.
 
     The memo holds at most PSF_MEMO_SIZE axes, least recently used out
-    first. An axis of n samples holds 32 * n bytes (its key, factor and
-    doubled wrap; the windows are a view), so the memo never holds more
-    than PSF_MEMO_SIZE * 32 * n bytes for tapers of at most n samples
-    (8 MiB for n = 1024).
+    first. An axis of n samples holds 32 * n bytes (its key, its factor
+    and the factor tiled twice, of which the windows are a view), so the
+    memo never holds more than PSF_MEMO_SIZE * 32 * n bytes for tapers of
+    at most n samples (8 MiB for n = 1024).
     """
     v = np.abs(np.fft.ifft(np.frombuffer(taper)))
     v.setflags(write=False)
@@ -146,12 +142,11 @@ class SeparablePsf:
 
     The window is the outer product of two 1-D tapers, so its inverse DFT is
     the outer product of theirs and the PSF image is `outer(row, col)`. For
-    the fit, each factor v of length n is flipped circularly and tiled twice,
-    `wrap[k] = v[-k % n]`, and `row_windows`/`col_windows` are the (n + 1, n)
-    strided views whose row k is `wrap[k:k + n]`, so that row k, entry j
-    holds `v[-(k + j) % n]`. The constructor validates its factors and
-    builds each axis with `_psf_axis`; `base_psf` builds its PSFs from
-    cached axes through `raster._unchecked`.
+    the fit, `row_windows`/`col_windows` are each factor v's (n, n) circulant
+    view, entry (a, b) = `v[(b - a) % n]`: the factor's response at b to a
+    unit scatterer at a. The constructor validates its factors and builds
+    each axis with `_psf_axis`; `base_psf` builds its PSFs from cached axes
+    through `raster._unchecked`.
     """
 
     row: np.ndarray
@@ -216,10 +211,11 @@ def _fit_positions(shape: tuple[int, int], indices: np.ndarray, amplitudes: np.n
     pixels gives every region's rows, columns, bounds and candidate box: the
     indices ascend, so a region's first and last pixels give its rows, and
     `reduceat` gives its columns. One scatter fills every bounding block,
-    zero off the pixels, into one zeroed buffer. Then each region takes its
-    two window views and correlates its block with the shifted PSFs in two
-    products. Returns each region's best y, x and correlation, and the
-    positive pixels' indices and values with the end of each region in them.
+    zero off the pixels, into one zeroed buffer. Then each region correlates
+    its block with the shifted PSFs in two products, of window rows sliced by
+    its candidate range and columns by its support range. Returns each
+    region's best y, x and correlation, and the positive pixels' indices and
+    values with the end of each region in them.
     """
     h, w = psf.shape
     sizes = np.asarray(sizes, dtype=np.intp)
@@ -248,17 +244,15 @@ def _fit_positions(shape: tuple[int, int], indices: np.ndarray, amplitudes: np.n
     ny = np.minimum(ry1 + FIT_DILATE_PX, h - 1) - y0 + 1
     nx = np.minimum(rx1 + FIT_DILATE_PX, w - 1) - x0 + 1
 
-    # support box pixel (r, c) meets the psf shifted to candidate (y0 + j,
-    # x0 + i) at row[(ry0 + r - y0 - j) % h] * col[(rx0 + c - x0 - i) % w],
-    # which is entry (r, j) of row_windows[h + y0 - ry0 - r] and entry (c, i)
-    # of col_windows[w + x0 - rx0 - c]
-    rows_t, cols = psf.row_windows[::-1].T, psf.col_windows[::-1]
+    # candidate (cy, cx) meets support pixel (y, x) at row[(y - cy) % h] *
+    # col[(x - cx) % w], entry (cy, y) of row_windows and (cx, x) of col_windows
+    rows, cols = psf.row_windows, psf.col_windows
     ys, xs, best = [], [], []
-    for o, by, bx, ty, tx, cy, cx, my, mx in zip(
-            offsets.tolist(), heights.tolist(), widths.tolist(), (ry0 - y0).tolist(),
-            (rx0 - x0).tolist(), y0.tolist(), x0.tolist(), ny.tolist(), nx.tolist()):
-        crop = rows_t[:my, ty:ty + by] @ (buf[o:o + by * bx].reshape(by, bx)
-                                          @ cols[tx:tx + bx, :mx])
+    for o, by, bx, sy0, sx0, cy, cx, my, mx in zip(
+            offsets.tolist(), heights.tolist(), widths.tolist(), ry0.tolist(),
+            rx0.tolist(), y0.tolist(), x0.tolist(), ny.tolist(), nx.tolist()):
+        crop = rows[cy:cy + my, sy0:sy0 + by] @ (buf[o:o + by * bx].reshape(by, bx)
+                                                 @ cols[cx:cx + mx, sx0:sx0 + bx].T)
         k = int(crop.argmax())  # first occurrence = row-major tie-break
         dy, dx = divmod(k, mx)
         ys.append(cy + dy)

@@ -22,13 +22,14 @@ read-only view of the image checked when it was read, so a crop is neither
 copied nor checked before the loop reads it. The dB thresholds of
 `DecoupleParams` become amplitude ratios once per call, and every test in
 the loop compares amplitudes. Each step keeps its support as a sorted array
-of padded indices, and reads the residual there and sets it to 0.0 in one
-gather and one scatter. After the loop, one array holds every support's
-indices, converted to unpadded ones in one pass, and one array the residual
-values there: this flat layout (`_extract`), with each support's size, is
-what `annotate` hands to the fit. `decouple` builds its regions from it,
-each holding read-only views of its part; a region's full-frame images are
-built only when read. `decouple` returns the regions alone: lifting a
+of padded indices: it reads the residual there and sets it to 0.0 in one
+gather and one scatter, and clears the searches' marks there in another.
+After the loop, one array holds every support's indices, converted to
+unpadded ones in one pass, and one array the residual values there: this
+flat layout (`_extract`), with each support's size, is what `annotate`
+hands to the fit. `decouple` builds its regions from it, each holding
+read-only views of its part; a region's full-frame images are built only
+when read. `decouple` returns the regions alone: lifting a
 region out sets the residual to 0.0 on its support, so the residual after
 step i is the amplitude with the supports of steps 0..i set to 0.0.
 """
@@ -101,7 +102,9 @@ class ScatterRegion:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        h, w = (int(n) for n in self.shape)
+        h, w = self.shape
+        _require_index(height=h, width=w)
+        h, w = int(h), int(w)
         if h < 1 or w < 1:
             raise ValueError(f"region frame must be non-empty, got {h}x{w}")
         idx = np.asarray(self.indices)
@@ -152,9 +155,10 @@ class _Frame:
     `res` is the flat (h + 2) x (w + 2) residual, read through a memoryview,
     which indexes to Python floats. Its border is -inf, which fails every
     test, while with a large `eps` zero-valued pixels clear the grow floor's
-    `v + eps > thr`. A search marks the pixels it takes with its own stamp
-    in the bytes of `mark`, so no mask is cleared between steps until the
-    stamp would pass 255.
+    `v + eps > thr`. The bytes of `mark` are 1 on the current step's support
+    and 0 elsewhere: `seed_block` marks the block it finds, `grow` takes
+    that block as marked and marks each pixel it adds, and the step clears
+    the marks on its support when it zeroes the residual there.
     """
 
     def __init__(self, vals: np.ndarray):
@@ -169,34 +173,25 @@ class _Frame:
         self.res = res.ravel()
         self.res_view = memoryview(self.res)
         self.mark = bytearray(res.size)
-        self.stamp = 0
         self.n4 = (-self.pw, self.pw, -1, 1)
         self.n8 = (-self.pw - 1, -self.pw, -self.pw + 1, -1, 1,
                    self.pw - 1, self.pw, self.pw + 1)
 
-    def _claim(self, pixels: list[int]) -> int:
-        if self.stamp == 255:
-            self.mark = bytearray(len(self.mark))
-            self.stamp = 0
-        self.stamp += 1
-        for q in pixels:
-            self.mark[q] = self.stamp
-        return self.stamp
-
     def seed_block(self, p: int, thr: float) -> list[int]:
-        """4-connected pixels above thr, found breadth-first from pixel p."""
+        """4-connected pixels above thr, marked as found breadth-first from pixel p."""
         block = [p]
-        stamp, mark, res = self._claim(block), self.mark, self.res_view
+        mark, res = self.mark, self.res_view
+        mark[p] = 1
         for y in block:
             for d in self.n4:
                 q = y + d
-                if mark[q] != stamp and res[q] > thr:
-                    mark[q] = stamp
+                if not mark[q] and res[q] > thr:
+                    mark[q] = 1
                     block.append(q)
         return block
 
     def grow(self, seeds: list[int], thr: float, eps: float) -> list[int]:
-        """Seed block plus the pixels q with `v_q + eps > thr` that join label 1.
+        """The marked seed block plus the pixels q with `v_q + eps > thr` that join label 1.
 
         This is label 1 of the full multi-label growth over the residual
         amplitudes `v`, in which a pixel joins the minimum label among its
@@ -207,17 +202,17 @@ class _Frame:
         """
         support = list(seeds)
         n_seed = len(support)
-        stamp, mark, res = self._claim(support), self.mark, self.res_view
+        mark, res = self.mark, self.res_view
         for i, p in enumerate(support):
             v_p = res[p]
             exempt = i < n_seed
             for d in self.n8:
                 q = p + d
-                if mark[q] == stamp:
+                if mark[q]:
                     continue
                 v_q = res[q]
                 if v_q + eps > thr and (exempt or v_p > v_q or (v_p == v_q and p < q)):
-                    mark[q] = stamp
+                    mark[q] = 1
                     support.append(q)
         return support
 
@@ -230,7 +225,7 @@ def _extract(img: ComplexRaster | AmplitudeRaster, params: DecoupleParams
     support's size. It raises what `decouple` raises.
     """
     frame = _Frame(img.values if isinstance(img, AmplitudeRaster) else img.samples)
-    res, res_view = frame.res, frame.res_view
+    res, res_view, mark = frame.res, frame.res_view, np.frombuffer(frame.mark, np.uint8)
     orig_peak = res_view[res.argmax()]
     if not math.isfinite(orig_peak):
         raise ValueError("amplitude raster contains NaN/Inf values")
@@ -250,6 +245,7 @@ def _extract(img: ComplexRaster | AmplitudeRaster, params: DecoupleParams
         sup = np.array(sorted(frame.grow(seeds, peak * grow_ratio, params.eps)))
         amps.append(res[sup])
         res[sup] = 0.0
+        mark[sup] = 0
         supports.append(sup)
         sizes.append(sup.size)
     padded = np.concatenate(supports)

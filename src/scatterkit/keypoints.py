@@ -1,10 +1,10 @@
 """Keypoint consolidation and the difference-of-Gaussians baseline.
 
-Fitted scatterer positions (`annotio.fit_regions`) are grouped into a
-fixed-size keypoint set with a small hand-rolled k-means (k-means++ init,
-deterministic under a fixed seed). The DoG path provides the comparison
-baseline: normalize, blur twice, threshold the band-pass response, keep the
-strongest candidates, and cluster those to the same size.
+`annotio._keypoints` groups the positions `ascmodel._fit_positions` fits
+into a fixed-size keypoint set with a small hand-rolled k-means (k-means++
+init, deterministic under a fixed seed). The DoG path provides the
+comparison baseline: normalize, blur twice, threshold the band-pass
+response, keep the strongest candidates, and cluster those to the same size.
 """
 
 from __future__ import annotations

@@ -510,14 +510,17 @@ def phr_curve(proposals: list[OrientedBox], gts: list[OrientedBox],
     if not proposals:
         raise EmptyProposals("PHR of an empty proposal list")
     thr = list(thresholds)
-    if any(b <= a for a, b in zip(thr, thr[1:])):
+    if not all(map(math.isfinite, thr)):
+        raise ValueError(f"thresholds must be finite, got {thr}")
+    if not all(b > a for a, b in zip(thr, thr[1:])):
         raise ValueError("thresholds must be sorted strictly ascending")
     return list(zip(map(float, thr), _hit_rates(max_ious(proposals, gts), thr)))
 
 
 def proposal_precision(proposals: list[OrientedBox], gts: list[OrientedBox],
                        iou_thr: float = 0.5) -> float:
-    """Share of proposals whose max-IoU against any GT strictly exceeds iou_thr."""
+    """Share of proposals whose max-IoU against any GT strictly exceeds iou_thr in (0, 1)."""
+    _check_iou_thr(iou_thr)
     if not proposals:
         raise EmptyProposals("precision of an empty proposal list")
     return _hit_rates(max_ious(proposals, gts), [iou_thr])[0]

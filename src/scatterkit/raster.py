@@ -80,14 +80,14 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v}")
 
 
-def _require_index(**values: object) -> None:
-    """Raise ValueError naming the first of `values` that is not an integer:
-    one that `operator.index` refuses, such as 2.5 or NaN."""
+def _require_index(error: type[Exception] = ValueError, /, **values: object) -> None:
+    """Raise `error` naming the first of `values` that is not an integer:
+    one that `operator.index` refuses, such as 2.5, 3.0 or NaN."""
     for name, v in values.items():
         try:
             operator.index(v)
         except TypeError:
-            raise ValueError(f"{name} must be an integer, got {v!r}") from None
+            raise error(f"{name} must be an integer, got {v!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

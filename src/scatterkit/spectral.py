@@ -14,7 +14,7 @@ import numbers
 import numpy as np
 
 from .errors import InvalidWindowParams
-from .raster import WindowRaster, _taper_fault, _unchecked
+from .raster import WindowRaster, _require_index, _taper_fault, _unchecked
 
 DEFAULT_NBAR = 4
 DEFAULT_SIDELOBE_DB = -35.0
@@ -87,6 +87,7 @@ def taylor_window(length: int, nbar: int = DEFAULT_NBAR,
     `scipy.signal.windows.taylor(length, nbar, -sidelobe_db, norm=False)`,
     so the two agree bit for bit.
     """
+    _require_index(InvalidWindowParams, length=length)
     return _taylor_taper(length, *_taylor_coefficients(nbar, sidelobe_db))
 
 
@@ -94,8 +95,11 @@ def taylor_window_2d(height: int, width: int, nbar: int = DEFAULT_NBAR,
                      sidelobe_db: float = DEFAULT_SIDELOBE_DB) -> WindowRaster:
     """Separable 2-D Taylor taper: per-axis 1-D tapers, no 2-D array built.
     Each taper is built and validated once per (length, nbar, sidelobe_db)
-    (`_memo_taper`) and then shared read-only, so it is not checked again."""
-    _check_window_params(nbar, sidelobe_db)  # before the memo: 4.0 must not hit 4's entry
+    (`_memo_taper`) and then shared read-only, so it is not checked again.
+    The sizes and parameters are checked before the memo: 4.0 must not hit
+    4's entry."""
+    _require_index(InvalidWindowParams, height=height, width=width)
+    _check_window_params(nbar, sidelobe_db)
     return _unchecked(WindowRaster, row_taper=_memo_taper(height, nbar, sidelobe_db),
                       col_taper=_memo_taper(width, nbar, sidelobe_db))
 
@@ -121,4 +125,5 @@ def _memo_taper(length: int, nbar: int, sidelobe_db: float) -> np.ndarray:
 
 def rectangular_window_2d(height: int, width: int) -> WindowRaster:
     """All-ones window (no taper); inverting it alone gives a unit impulse."""
+    _require_index(height=height, width=width)
     return WindowRaster(np.ones(height), np.ones(width))

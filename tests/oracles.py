@@ -34,7 +34,10 @@ pass, which concatenated the regions' supports again and built one
 gain and residual; `fit_laid_out_all` runs both over an instance. The
 library takes an instance's supports from the extraction loop as one flat
 layout and fits every position from it in one kernel
-(`ascmodel._fit_positions`).
+(`ascmodel._fit_positions`). These retired fits read the PSF factors
+through `retired_windows`, the (n + 1, n) layout the fit used before it
+sliced each factor's circulant windows by absolute ranges: built here from
+`psf.row` and `psf.col`, not from the windows under test.
 `positive_region` is the `ScatterRegion` of a dense frame's positive
 pixels, for fitting a full-frame array as the retired array form of
 `fit_scatterer` did. `psf_2d` is the PSF as the
@@ -401,6 +404,14 @@ def fit_fft(region: np.ndarray, psf: np.ndarray) -> FittedScatterer:
                            residual=float(np.sqrt(max(resid_sq, 0.0))))
 
 
+def retired_windows(v: np.ndarray) -> np.ndarray:
+    """The retired window layout of a PSF factor v of length n: v flipped
+    circularly and tiled twice, as (n + 1, n) sliding windows, so that entry
+    (k, j) holds `v[-(k + j) % n]`."""
+    n = v.size
+    return np.lib.stride_tricks.sliding_window_view(np.tile(v[-np.arange(n) % n], 2), n)
+
+
 def fit_block_2d(region: np.ndarray, psf: SeparablePsf,
                  refine: bool = False) -> FittedScatterer:
     """`fit_scatterer` on a full-frame region, with the support block built
@@ -416,8 +427,8 @@ def fit_block_2d(region: np.ndarray, psf: SeparablePsf,
     ny, nx = y1 - y0 + 1, x1 - x0 + 1
     block = np.zeros((ry1 - ry0 + 1, rx1 - rx0 + 1))
     block[sy - ry0, sx - rx0] = sv
-    ay = psf.row_windows[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]
-    ax = psf.col_windows[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]
+    ay = retired_windows(psf.row)[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]
+    ax = retired_windows(psf.col)[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]
     crop = ay.T @ (block @ ax)
     dy, dx = divmod(int(np.argmax(crop)), nx)
     best_y, best_x, best_c = y0 + dy, x0 + dx, float(crop[dy, dx])
@@ -468,8 +479,8 @@ def fit_per_region(region: ScatterRegion | np.ndarray, psf: SeparablePsf,
     by, bx = ry1 - ry0 + 1, rx1 - rx0 + 1
     block = np.zeros((by, bx))
     block.ravel()[sup_idx - (w - bx) * sy - (ry0 * bx + rx0)] = sv
-    ay = psf.row_windows[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]
-    ax = psf.col_windows[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]
+    ay = retired_windows(psf.row)[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]
+    ax = retired_windows(psf.col)[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]
     crop = ay.T @ (block @ ax)
     dy, dx = divmod(int(crop.argmax()), nx)
     best_y, best_x, best_c = y0 + dy, x0 + dx, float(crop[dy, dx])
@@ -555,8 +566,8 @@ def fit_laid_out(region: LaidOutRegion, psf: SeparablePsf,
     y0, y1 = max(ry0 - FIT_DILATE_PX, 0), min(ry1 + FIT_DILATE_PX, h - 1)
     x0, x1 = max(rx0 - FIT_DILATE_PX, 0), min(rx1 + FIT_DILATE_PX, w - 1)
     ny, nx = y1 - y0 + 1, x1 - x0 + 1
-    ay = psf.row_windows[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]
-    ax = psf.col_windows[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]
+    ay = retired_windows(psf.row)[h + y0 - ry1:h + y0 - ry0 + 1, :ny][::-1]
+    ax = retired_windows(psf.col)[w + x0 - rx1:w + x0 - rx0 + 1, :nx][::-1]
     crop = ay.T @ (region.block @ ax)
     dy, dx = divmod(int(crop.argmax()), nx)
     best_y, best_x, best_c = y0 + dy, x0 + dx, float(crop[dy, dx])

@@ -19,6 +19,7 @@ from scatterkit.spectral import rectangular_window_2d, taylor_window_2d
 
 from oracles import (fit_block_2d, fit_direct, fit_fft, fit_laid_out_all, fit_per_region,
                      positive_region, psf_2d, refine_offsets)
+from test_memos import PRIMES
 
 GRID32 = FrequencyGrid(32, 32)
 TAYLOR32 = taylor_window_2d(32, 32)
@@ -135,17 +136,18 @@ def test_separable_psf_rejects_bad_factors():
         SeparablePsf(row=np.ones(3), col=np.ones(0))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 57, 128])
+# every length to 64, the memo tests' primes and the 128 px chip side
+@pytest.mark.parametrize("n", sorted({*range(1, 65), *PRIMES, 128}))
 def test_separable_psf_windows_equal_the_tiled_sliding_view(n):
+    # each factor's windows are its circulant: entry (a, b) = v[(b - a) % n]
     rng = np.random.Generator(np.random.PCG64(n))
     row, col = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n + 1)
     psf = SeparablePsf(row, col)
     for v, windows in ((row, psf.row_windows), (col, psf.col_windows)):
         size = v.size
-        ref = np.lib.stride_tricks.sliding_window_view(
-            np.tile(v[-np.arange(size) % size], 2), size)
-        assert windows.shape == (size + 1, size)
-        np.testing.assert_array_equal(windows, ref)
+        a, b = np.indices((size, size))
+        assert windows.shape == (size, size)
+        np.testing.assert_array_equal(windows, v[(b - a) % size])
         assert not windows.flags.writeable
         with pytest.raises(ValueError):
             windows[0, 0] = 1.0

@@ -657,8 +657,7 @@ def test_loop_matches_dense_oracle_on_scene_crops():
 
 
 def test_loop_matches_dense_oracle_past_255_search_stamps():
-    # each step runs two searches, each with the next one-byte mark stamp,
-    # so a loop of more than 127 steps clears the marks and starts again
+    # a loop of more than 127 steps, far past the default n_max of 20
     grid = FrequencyGrid(64, 64)
     window = taylor_window_2d(64, 64)
     chip = synth_target(12, grid, window, np.random.Generator(np.random.PCG64(9)),

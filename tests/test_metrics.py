@@ -1005,6 +1005,18 @@ def test_phr_and_precision_keep_their_errors_and_messages():
     assert phr_curve([box], [box], []) == []
 
 
+def test_phr_thresholds_must_be_finite_and_precision_takes_an_iou_threshold():
+    box = rect(0, 0, 1, 1)
+    for thresholds in ([0.5, float("nan")], [float("nan")], [0.2, float("inf")],
+                       [float("-inf"), 0.5]):
+        with pytest.raises(ValueError, match=r"^thresholds must be finite, got"):
+            phr_curve([box], [box], thresholds)
+    for iou_thr in (float("nan"), 0.0, 1.0, -0.5, float("inf")):
+        with pytest.raises(ValueError, match=r"^iou_thr must lie in \(0, 1\)"):
+            proposal_precision([box], [box], iou_thr)
+    assert phr_curve([box], [box], [0.0, 0.5]) == [(0.0, 1.0), (0.5, 1.0)]
+
+
 def _drawn_detections(rng, images=4, per_image=8, classes=3):
     """Jittered predictions around GT boxes in a few images, with tied
     scores and centroids, wrong classes, an image without GT and one

@@ -6,9 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from scatterkit.ascmodel import SeparablePsf
+from scatterkit.ascmodel import FrequencyGrid, SeparablePsf
 from scatterkit.decouple import ScatterRegion
+from scatterkit.errors import InvalidWindowParams
 from scatterkit.raster import AmplitudeRaster, ComplexRaster, WindowRaster, amplitude
+from scatterkit.spectral import rectangular_window_2d, taylor_window, taylor_window_2d
 from scatterkit.supervision import FeatureGrid, ScatterMap
 
 from oracles import peak_db
@@ -78,6 +80,34 @@ def test_peak_db_writes_the_to_db_formula_in_place():
     np.testing.assert_array_equal(out, expected)
     assert (buf[0] == 7.0).all() and (buf[:, -1] == 7.0).all()
     np.testing.assert_array_equal(buf[1:-1, 1:-1], vals)
+
+
+@pytest.mark.parametrize("size", [2.5, 2.7, 3.0, float("nan")])
+def test_a_size_that_is_not_an_integer_is_rejected_where_it_is_taken(size):
+    taylor_window_2d(3, 4)  # 3.0 must not hit this memo entry
+    with pytest.raises(InvalidWindowParams, match="^length must be an integer"):
+        taylor_window(size)
+    with pytest.raises(InvalidWindowParams, match="^height must be an integer"):
+        taylor_window_2d(size, 4)
+    with pytest.raises(InvalidWindowParams, match="^width must be an integer"):
+        taylor_window_2d(4, size)
+    with pytest.raises(ValueError, match="^height must be an integer"):
+        ScatterRegion((size, 3), np.array([0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="^width must be an integer"):
+        ScatterRegion((3, size), np.array([0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="^height must be an integer"):
+        rectangular_window_2d(size, 4)
+    with pytest.raises(ValueError, match="^height must be an integer"):
+        FrequencyGrid(size, 4)
+    with pytest.raises(ValueError, match="^width must be an integer"):
+        FrequencyGrid(4, size)
+    # numpy integers stay sizes
+    n = np.int64(3)
+    assert taylor_window(n).size == 3
+    assert taylor_window_2d(n, np.int32(4)).row_taper.size == 3
+    assert ScatterRegion((n, np.uint8(4)), np.array([11]), np.array([1.0])).shape == (3, 4)
+    assert rectangular_window_2d(n, np.int16(4)).width == 4
+    assert FrequencyGrid(n, np.int16(4)).height == 3
 
 
 def test_window_raster_validation():
